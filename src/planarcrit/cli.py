@@ -90,8 +90,16 @@ def _write_output(args, text: str) -> None:
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
-    with open(path, "w") as fh:
-        fh.write(text)
+    # Write a sibling temp file and rename it over the target, so the target
+    # is never partial and a failed or killed write leaves the old one intact.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _load_config(path) -> dict:
@@ -246,24 +254,11 @@ def _cmd_estimate(args, cfg):
     kind = _param(args, cfg, "kind", str, "c")
     pair = theory.normalize_pair(_param(args, cfg, "pair", str, "cc"))
     window = _window(args, cfg, model)
-    rho_list = _float_list(args, cfg, "rho-list")
-    rows = []
-    intensity = estimators.estimate_intensity(
-        model, window=window, nreal=nreal, seed=seed, kind=kind, M=size, threads=threads
-    )
-    rows.append(_estimate_row(intensity))
-    if rho_list:
-        for est in estimators.estimate_second_factorial(
-            model, rho_list, nreal=nreal, seed=seed, pair=pair,
-            window=window, M=size, threads=threads,
-        ):
-            rows.append(_estimate_row(est))
-        for rho in rho_list:
-            est = estimators.repulsion_ratio_estimate(
-                model, rho, nreal=nreal, seed=seed,
-                window=window, M=size, threads=threads,
-            )
-            rows.append(_estimate_row(est))
+    rho_list = _float_list(args, cfg, "rho-list") or []
+    sw = estimators.sweep(model, nreal, seed, rho_list, window=window, M=size, threads=threads)
+    rows = [_estimate_row(estimators.intensity(sw, kind))]
+    rows += [_estimate_row(estimators.second_factorial(sw, rho, pair)) for rho in rho_list]
+    rows += [_estimate_row(estimators.repulsion_ratio(sw, rho)) for rho in rho_list]
     meta = {**model_to_config(model), "seed": seed, "nreal": nreal, "kind": kind}
     return _render(args, meta, rows)
 
@@ -388,9 +383,8 @@ def _report_checks(model, seed: int, budget: str, threads: int):
         yield ("repulsion_factor", rc, rc_hat, rc_se, max(4 * rc_se, 0.1 * rc))
 
     if not small:
-        window = estimators.default_window(model)
-        emp = estimators.estimate_intensity(
-            model, window=window, nreal=100, seed=(seed, 4), threads=threads
+        emp = estimators.intensity(
+            estimators.sweep(model, nreal=100, seed=(seed, 4), threads=threads)
         )
         yield ("empirical_intensity", lam, emp.value, emp.std_error,
                max(4 * emp.std_error, 0.03 * lam))

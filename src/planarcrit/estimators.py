@@ -2,13 +2,20 @@
 
 Estimates target the closed forms in `theory`: the intensity lambda_c,
 the type-fraction splits, second (factorial) moments of ball counts,
-and the repulsion ratio E[N(N-1)] / E[N]^2.  Ball counts inside one
-realization are strongly dependent (they share the field), so every
-standard error here is computed by leave-one-out jackknife over whole
-realizations; within a realization, counts are averaged over a
-stratified grid of ball centers (spacing 2 rho, margin rho from the
-window boundary), which is cheaper and lower-variance than random
-centers.
+and the repulsion ratio E[N(N-1)] / E[N]^2.
+
+One sweep feeds every estimator.  `sweep` samples each realization
+once, runs the finder and counts points in the balls of every requested
+radius; `intensity`, `second_factorial` and `repulsion_ratio` are pure
+reductions over the resulting `Sweep`, so they share realizations and
+cost no further root finding.
+
+Ball counts inside one realization are strongly dependent (they share
+the field), so every standard error here is computed by leave-one-out
+jackknife over whole realizations; within a realization, counts are
+averaged over a stratified grid of ball centers (spacing 2 rho, margin
+rho from the window boundary), which is cheaper and lower-variance than
+random centers.
 
 All estimators consume the exactly-Gaussian amplitude convention of the
 sampler by default, so their targets are the Gaussian-field values
@@ -31,11 +38,12 @@ from .theory import normalize_kind, normalize_pair
 __all__ = [
     "MomentEstimate",
     "ScalingFit",
+    "Sweep",
     "default_window",
-    "estimate_intensity",
-    "estimate_intensity_by_kind",
-    "estimate_second_factorial",
-    "repulsion_ratio_estimate",
+    "sweep",
+    "intensity",
+    "second_factorial",
+    "repulsion_ratio",
     "poisson_control_ratio",
     "fit_scaling",
 ]
@@ -130,24 +138,20 @@ def _ball_counts(locations: np.ndarray, kind_cols: np.ndarray, centers: np.ndarr
 def _realization_stats(args):
     """Per-replicate worker: find critical points, count them in balls.
 
-    Returns (kind totals over the window, area, {rho: (ncenters, 3)
-    center counts}).  Top-level so process pools can pickle it.
+    Returns (kind totals over the window, {rho: (ncenters, 3) center
+    counts}).  Top-level so process pools can pickle it.
     """
     model, M, seed, window, cfg, rho_list = args
     f = sample_field(model, M=M, seed=seed, gaussian_amplitudes=True)
     points = find_critical_points(f, window, cfg)
     locations = np.array([p.location for p in points]).reshape(-1, 2)
     kind_cols = np.array([_KIND_COL[p.kind] for p in points], dtype=np.int64)
-    totals = np.zeros(3, dtype=np.int64)
-    for col in kind_cols:
-        totals[col] += 1
-    (xmin, xmax), (ymin, ymax) = window
-    area = (xmax - xmin) * (ymax - ymin)
+    totals = np.bincount(kind_cols, minlength=3)
     per_rho = {}
     for rho in rho_list:
         centers = _ball_centers(window, rho)
         per_rho[rho] = _ball_counts(locations, kind_cols, centers, rho)
-    return totals, area, per_rho
+    return totals, per_rho
 
 
 def _run_tasks(fn, tasks, threads: int = 1):
@@ -167,61 +171,68 @@ def _jackknife_mean(values: np.ndarray):
     return float(mean), float(se)
 
 
-def estimate_intensity(
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Critical-point counts of realizations (seed, 0), ..., (seed, nreal - 1).
+
+    totals holds one row of (max, min, saddle) counts over the window
+    per realization; counts maps each swept radius to the
+    (nreal, ncenters, 3) counts in its stratified balls.  A reduction at
+    a radius that was not swept raises KeyError.
+    """
+
+    totals: np.ndarray
+    area: float
+    counts: dict
+
+    @property
+    def nreal(self) -> int:
+        return len(self.totals)
+
+
+def sweep(
     model: CovarianceModel,
+    nreal: int,
+    seed,
+    rho_list=(),
     window=None,
-    nreal: int = 200,
-    seed=0,
-    kind: str = "c",
     M: int = 1024,
     cfg: SearchConfig | None = None,
     threads: int = 1,
-) -> MomentEstimate:
+) -> Sweep:
+    """Sample, search and count every realization once, for all estimators.
+
+    Realization i is sample_field(model, M, (seed, i)) with Gaussian
+    amplitudes, so the result does not depend on threads.  Each radius
+    must lie in (0, window short side / 4).
+    """
+    if nreal < 2:
+        raise ValueError(f"nreal must be at least 2, got {nreal}")
+    window = window or default_window(model)
+    (xmin, xmax), (ymin, ymax) = window
+    rho_list = tuple(float(r) for r in rho_list)
+    for rho in rho_list:
+        if not 0 < rho < min(xmax - xmin, ymax - ymin) / 4.0:
+            raise ValueError(f"rho = {rho} must lie in (0, window short side / 4)")
+    tasks = [(model, M, (seed, i), window, cfg, rho_list) for i in range(nreal)]
+    results = _run_tasks(_realization_stats, tasks, threads)
+    return Sweep(
+        totals=np.array([totals for totals, _ in results]),
+        area=(xmax - xmin) * (ymax - ymin),
+        counts={rho: np.array([per_rho[rho] for _, per_rho in results]) for rho in rho_list},
+    )
+
+
+def intensity(sw: Sweep, kind: str = "c") -> MomentEstimate:
     """Critical points of one type per unit area, averaged over realizations.
 
     Standard error is the jackknife over realizations (equivalently the
-    standard error of the per-realization mean).
+    standard error of the per-realization mean).  All kinds reduce the
+    same counts, so e + s = c realization by realization.
     """
-    if nreal < 2:
-        raise ValueError(f"nreal must be at least 2, got {nreal}")
     kind = normalize_kind(kind)
-    window = window or default_window(model)
-    tasks = [(model, M, (seed, i), window, cfg, ()) for i in range(nreal)]
-    results = _run_tasks(_realization_stats, tasks, threads)
-    dens = np.array([_kind_totals(totals, kind) / area for totals, area, _ in results])
-    value, se = _jackknife_mean(dens)
-    return MomentEstimate(value=value, std_error=se, nsamples=nreal, label=kind)
-
-
-def estimate_intensity_by_kind(
-    model: CovarianceModel,
-    window=None,
-    nreal: int = 200,
-    seed=0,
-    kinds=("c", "e", "s", "min", "max"),
-    M: int = 1024,
-    cfg: SearchConfig | None = None,
-    threads: int = 1,
-) -> dict:
-    """Intensities of several point types from one sweep of realizations.
-
-    Same estimator as estimate_intensity, but the (expensive) field
-    sampling and root finding are shared across all requested kinds, so
-    per-kind values are exactly consistent (e + s = c realization by
-    realization).
-    """
-    if nreal < 2:
-        raise ValueError(f"nreal must be at least 2, got {nreal}")
-    kinds = tuple(normalize_kind(k) for k in kinds)
-    window = window or default_window(model)
-    tasks = [(model, M, (seed, i), window, cfg, ()) for i in range(nreal)]
-    results = _run_tasks(_realization_stats, tasks, threads)
-    out = {}
-    for kind in kinds:
-        dens = np.array([_kind_totals(totals, kind) / area for totals, area, _ in results])
-        value, se = _jackknife_mean(dens)
-        out[kind] = MomentEstimate(value=value, std_error=se, nsamples=nreal, label=kind)
-    return out
+    value, se = _jackknife_mean(_kind_totals(sw.totals, kind) / sw.area)
+    return MomentEstimate(value=value, std_error=se, nsamples=sw.nreal, label=kind)
 
 
 def _pair_center_stat(counts: np.ndarray, pair) -> np.ndarray:
@@ -234,60 +245,23 @@ def _pair_center_stat(counts: np.ndarray, pair) -> np.ndarray:
     return na * nb
 
 
-def estimate_second_factorial(
-    model: CovarianceModel,
-    rho_list,
-    nreal: int = 100,
-    seed=0,
-    pair=("c", "c"),
-    window=None,
-    M: int = 1024,
-    cfg: SearchConfig | None = None,
-    threads: int = 1,
-) -> list[MomentEstimate]:
-    """Second (factorial) moments of ball counts at each radius.
+def second_factorial(sw: Sweep, rho: float, pair=("c", "c")) -> MomentEstimate:
+    """Second (factorial) moment of ball counts at one swept radius.
 
     For same-type pairs the per-ball statistic is N(N-1); for the mixed
     pair it is N_e N_s.  Values are means over all stratified ball
     centers of all realizations; the SE is jackknifed over realizations
     because counts within one realization are dependent.
     """
-    if nreal < 2:
-        raise ValueError(f"nreal must be at least 2, got {nreal}")
     pair = normalize_pair(pair)
-    window = window or default_window(model)
-    (xmin, xmax), (ymin, ymax) = window
-    short = min(xmax - xmin, ymax - ymin)
-    rho_list = [float(r) for r in rho_list]
-    for rho in rho_list:
-        if not 0 < rho < short / 4.0:
-            raise ValueError(f"rho = {rho} must lie in (0, window short side / 4)")
-    tasks = [(model, M, (seed, i), window, cfg, tuple(rho_list)) for i in range(nreal)]
-    results = _run_tasks(_realization_stats, tasks, threads)
-    out = []
-    for rho in rho_list:
-        per_real = np.array(
-            [_pair_center_stat(per_rho[rho], pair).mean() for _, _, per_rho in results]
-        )
-        value, se = _jackknife_mean(per_real)
-        out.append(
-            MomentEstimate(
-                value=value, std_error=se, nsamples=nreal, rho=rho, label=f"({pair[0]},{pair[1]})"
-            )
-        )
-    return out
+    value, se = _jackknife_mean(_pair_center_stat(sw.counts[float(rho)], pair).mean(axis=-1))
+    return MomentEstimate(
+        value=value, std_error=se, nsamples=sw.nreal, rho=float(rho),
+        label=f"({pair[0]},{pair[1]})",
+    )
 
 
-def repulsion_ratio_estimate(
-    model: CovarianceModel,
-    rho: float,
-    nreal: int = 100,
-    seed=0,
-    window=None,
-    M: int = 1024,
-    cfg: SearchConfig | None = None,
-    threads: int = 1,
-) -> MomentEstimate:
+def repulsion_ratio(sw: Sweep, rho: float) -> MomentEstimate:
     """Finite-radius repulsion ratio E[N(N-1)] / E[N]^2 for all critical points.
 
     The delta-method SE combines the jackknife covariance of the
@@ -295,17 +269,9 @@ def repulsion_ratio_estimate(
     carries finite-rho bias relative to the rho -> 0 repulsion factor;
     the bias-free reference at the same rho is the Kac-Rice quadrature.
     """
-    if nreal < 2:
-        raise ValueError(f"nreal must be at least 2, got {nreal}")
-    window = window or default_window(model)
-    tasks = [(model, M, (seed, i), window, cfg, (float(rho),)) for i in range(nreal)]
-    results = _run_tasks(_realization_stats, tasks, threads)
-    num = np.array(
-        [_pair_center_stat(per_rho[float(rho)], ("c", "c")).mean() for _, _, per_rho in results]
-    )
-    den = np.array(
-        [_kind_totals(per_rho[float(rho)], "c").mean() for _, _, per_rho in results]
-    )
+    counts = sw.counts[float(rho)]
+    num = _pair_center_stat(counts, ("c", "c")).mean(axis=-1)
+    den = _kind_totals(counts, "c").mean(axis=-1)
     return _ratio_estimate(num, den, rho, "(c,c)/mean^2")
 
 

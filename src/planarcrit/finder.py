@@ -252,22 +252,21 @@ def _dedup(pts: np.ndarray, resid: np.ndarray, radius: float):
     if len(pts) == 0:
         return pts.reshape(0, 2), resid
     order = np.argsort(resid)
-    cells: dict[tuple[int, int], int] = {}
+    cells: dict[tuple[int, int], list[int]] = {}
     keep: list[int] = []
     inv = 1.0 / radius
+    xy = pts.tolist()
     for idx in order:
-        cx, cy = int(math.floor(pts[idx, 0] * inv)), int(math.floor(pts[idx, 1] * inv))
-        dup = False
-        for nx in (cx - 1, cx, cx + 1):
-            for ny in (cy - 1, cy, cy + 1):
-                j = cells.get((nx, ny))
-                if j is not None and np.hypot(*(pts[idx] - pts[j])) < radius:
-                    dup = True
-                    break
-            if dup:
-                break
-        if not dup:
-            cells[(cx, cy)] = idx
+        x, y = xy[idx]
+        cx, cy = math.floor(x * inv), math.floor(y * inv)
+        near = (
+            xy[j]
+            for nx in (cx - 1, cx, cx + 1)
+            for ny in (cy - 1, cy, cy + 1)
+            for j in cells.get((nx, ny), ())
+        )
+        if not any(math.hypot(x - u, y - v) < radius for u, v in near):
+            cells.setdefault((cx, cy), []).append(idx)
             keep.append(idx)
     keep = sorted(keep)
     return pts[keep], resid[keep]

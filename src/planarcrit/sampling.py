@@ -139,10 +139,7 @@ def sample_field(
 def eval_derivative(f: FieldRealization, x, alpha=(0, 0)):
     """Evaluate d^alpha psi at one point or an array of points.
 
-    Each cosine term differentiates exactly: order n in a coordinate
-    multiplies by that frequency component n times and applies the
-    n-th derivative of the cosine, taken from the 4-cycle
-    {cos, -sin, -cos, sin} so signs stay exact.
+    A one-column eval_many; see there for how derivatives are taken.
 
     Parameters
     ----------
@@ -154,30 +151,9 @@ def eval_derivative(f: FieldRealization, x, alpha=(0, 0)):
     -------
     float or ndarray matching the leading shape of x.
     """
-    a1, a2 = int(alpha[0]), int(alpha[1])
-    order = a1 + a2
-    if a1 < 0 or a2 < 0 or order > MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"multi-index {alpha} exceeds total order {MAX_DERIVATIVE_ORDER}")
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x)
-    arg = pts @ f.frequencies.T + f.phases  # (N, M)
-    weights = f.amplitudes
-    if order:
-        weights = weights * f.frequencies[:, 0] ** a1 * f.frequencies[:, 1] ** a2
-    k = order % 4
-    if k == 0:
-        osc = np.cos(arg)
-    elif k == 1:
-        osc = -np.sin(arg)
-    elif k == 2:
-        osc = -np.cos(arg)
-    else:
-        osc = np.sin(arg)
-    out = osc @ weights
-    if order == 0:
-        out = out + f.shift
-    if scalar:
+    out = eval_many(f, x.reshape(-1, 2), [alpha])[:, 0]
+    if x.ndim == 1:
         return float(out[0])
     return out.reshape(x.shape[:-1])
 
@@ -185,9 +161,13 @@ def eval_derivative(f: FieldRealization, x, alpha=(0, 0)):
 def eval_many(f: FieldRealization, x, alphas) -> np.ndarray:
     """Evaluate several derivatives at once, sharing the phase matrix.
 
-    The N x M argument matrix and its sine/cosine are computed once and
-    reused across all requested multi-indices, which is what makes the
-    Newton refinement in the finder cheap.
+    Each cosine term differentiates exactly: order n in a coordinate
+    multiplies by that frequency component n times and applies the
+    n-th derivative of the cosine, taken from the 4-cycle
+    {cos, -sin, -cos, sin} so signs stay exact.  The N x M argument
+    matrix and its sine/cosine are computed once and reused across all
+    requested multi-indices, which is what makes the Newton refinement
+    in the finder cheap.
 
     Returns shape (N, len(alphas)) for x of shape (N, 2).
     """
@@ -262,8 +242,7 @@ def empirical_derivative_variances(
     values = np.empty((nsamples, len(alphas)))
     for i in range(nsamples):
         f = sample_field(model, M=M, seed=(seed, i), gaussian_amplitudes=True)
-        for j, alpha in enumerate(alphas):
-            values[i, j] = eval_derivative(f, origin, alpha)
+        values[i] = eval_many(f, origin, alphas)[0]
     out = {}
     for j, alpha in enumerate(alphas):
         v = values[:, j]

@@ -17,21 +17,22 @@ from planarcrit import (
     RandomWave,
     ShiftedRandomWave,
     SigmaDerivatives,
-    estimate_intensity_by_kind,
-    estimate_second_factorial,
     fit_scaling,
     gradient_pair_density,
     gradient_pair_density_asymptotic,
     grw_minimality_gap,
+    intensity,
     k2_limit,
     lambda_c,
     one_point_intensity_mc,
     poisson_control_ratio,
     repulsion_factor,
+    second_factorial,
     second_factorial_by_quadrature,
     sigma_derivatives,
     small_ball_probability_mc,
     spectral_moment,
+    sweep,
     two_point_correlation,
 )
 
@@ -192,7 +193,8 @@ def test_06_typed_scaling_exponents():
 
 def test_07_empirical_intensity_and_type_fractions():
     m = RandomWave(1.0)
-    out = estimate_intensity_by_kind(m, window=WINDOW20, nreal=200, seed=5)
+    sw = sweep(m, nreal=200, seed=5, window=WINDOW20)
+    out = {kind: intensity(sw, kind) for kind in ("c", "e", "s", "min", "max")}
     lam = lambda_c(sigma_derivatives(m))
     rel = abs(out["c"].value - lam) / lam
     fracs = {k: out[k].value / out["c"].value for k in ("e", "s", "min", "max")}
@@ -204,7 +206,7 @@ def test_07_empirical_intensity_and_type_fractions():
 
 def test_08_empirical_vs_quadrature_ball_moment():
     m = RandomWave(1.0)
-    emp = estimate_second_factorial(m, [0.5], nreal=200, seed=8, window=WINDOW20)[0]
+    emp = second_factorial(sweep(m, nreal=200, seed=8, rho_list=[0.5], window=WINDOW20), 0.5)
     quad = second_factorial_by_quadrature(m, 0.5, pair=("c", "c"),
                                           nsamples_per_node=10**5, seed=13)
     se = math.hypot(emp.std_error, quad.std_error)

@@ -4,12 +4,16 @@ Everything runs in-process through cli.main with captured stdio, so the
 whole file stays cheap; the heavy numerics live in their own test files.
 """
 
+import argparse
 import csv
 import io
 import json
 import math
 
-from planarcrit import cli, theory
+import pytest
+
+from planarcrit import cli, estimators, theory
+from planarcrit.finder import find_critical_points
 from planarcrit.models import RandomWave, sigma_derivatives
 
 
@@ -83,13 +87,39 @@ def test_find_emits_classified_points(capsys):
 
 def test_repeat_runs_and_thread_counts_are_byte_identical(tmp_path, capsys):
     common = ["estimate", "--model", "randomwave", "--k", "1", "--seed", "11",
-              "--nreal", "4", "--window-size", "10", "--rho-list", "1.5"]
+              "--nreal", "4", "--window-size", "10", "--rho-list", "1.0", "1.5"]
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     for path, extra in zip(paths, ([], [], ["--threads", "2"])):
         code, _, _ = run(capsys, *common, *extra, "--output", str(path))
         assert code == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_estimate_samples_each_realization_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].seed)
+        return find_critical_points(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "find_critical_points", counting)
+    code, out, _ = run(capsys, "estimate", "--model", "randomwave", "--k", "1",
+                       "--seed", "11", "--nreal", "4", "--window-size", "10",
+                       "--rho-list", "0.5", "1.5")
+    assert code == 0
+    assert len(parse_csv(out)[1]) == 5  # intensity, two moments, two ratios
+    assert calls == [(11, i) for i in range(4)]
+
+
+def test_failed_write_keeps_old_output(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old bytes\n")
+    args = argparse.Namespace(output=str(target))
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate cannot be encoded
+        cli._write_output(args, "label,value\n\ud800\n")
+    assert target.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

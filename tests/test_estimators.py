@@ -8,12 +8,12 @@ import pytest
 from planarcrit.estimators import (
     MomentEstimate,
     default_window,
-    estimate_intensity,
-    estimate_intensity_by_kind,
-    estimate_second_factorial,
     fit_scaling,
+    intensity,
     poisson_control_ratio,
-    repulsion_ratio_estimate,
+    repulsion_ratio,
+    second_factorial,
+    sweep,
 )
 from planarcrit.models import RandomWave, sigma_derivatives
 from planarcrit.theory import lambda_c
@@ -21,7 +21,7 @@ from planarcrit.theory import lambda_c
 
 def test_intensity_consistent_with_theory_small_budget():
     model = RandomWave(1.0)
-    est = estimate_intensity(model, window=((0.0, 12.0), (0.0, 12.0)), nreal=30, seed=5)
+    est = intensity(sweep(model, nreal=30, seed=5, window=((0.0, 12.0), (0.0, 12.0))))
     lam = lambda_c(sigma_derivatives(model))
     assert abs(est.value - lam) < 4.0 * est.std_error
     assert est.std_error < 0.15 * lam
@@ -29,8 +29,8 @@ def test_intensity_consistent_with_theory_small_budget():
 
 def test_intensity_by_kind_shares_realizations():
     model = RandomWave(1.0)
-    window = ((0.0, 10.0), (0.0, 10.0))
-    by_kind = estimate_intensity_by_kind(model, window=window, nreal=12, seed=3)
+    sw = sweep(model, nreal=12, seed=3, window=((0.0, 10.0), (0.0, 10.0)))
+    by_kind = {kind: intensity(sw, kind) for kind in ("c", "e", "s", "min", "max")}
     # exact partition, realization by realization, so the means partition too
     assert by_kind["e"].value + by_kind["s"].value == pytest.approx(
         by_kind["c"].value, rel=1e-12
@@ -38,36 +38,33 @@ def test_intensity_by_kind_shares_realizations():
     assert by_kind["min"].value + by_kind["max"].value == pytest.approx(
         by_kind["e"].value, rel=1e-12
     )
-    solo = estimate_intensity(model, window=window, nreal=12, seed=3, kind="s")
-    assert solo.value == pytest.approx(by_kind["s"].value, rel=1e-12)
 
 
 def test_second_factorial_pair_partition():
     # with one set of realizations, Nc(Nc-1) = Ne(Ne-1) + Ns(Ns-1) + 2 NeNs
     # holds count by count, so it holds for the estimates exactly
     model = RandomWave(1.0)
-    window = ((0.0, 12.0), (0.0, 12.0))
-    kw = dict(nreal=10, seed=17, window=window)
-    rho = [2.0]
-    cc = estimate_second_factorial(model, rho, pair=("c", "c"), **kw)[0]
-    ee = estimate_second_factorial(model, rho, pair=("e", "e"), **kw)[0]
-    ss = estimate_second_factorial(model, rho, pair=("s", "s"), **kw)[0]
-    es = estimate_second_factorial(model, rho, pair=("e", "s"), **kw)[0]
+    sw = sweep(model, nreal=10, seed=17, rho_list=[2.0], window=((0.0, 12.0), (0.0, 12.0)))
+    cc, ee, ss, es = (second_factorial(sw, 2.0, pair) for pair in ("cc", "ee", "ss", "es"))
     assert cc.value > 0
     assert cc.value == pytest.approx(ee.value + ss.value + 2.0 * es.value, rel=1e-12)
 
 
 def test_second_factorial_validates_radius():
     model = RandomWave(1.0)
+    window = ((0.0, 8.0), (0.0, 8.0))
     with pytest.raises(ValueError):
-        estimate_second_factorial(model, [10.0], window=((0.0, 8.0), (0.0, 8.0)), nreal=2, seed=0)
+        sweep(model, nreal=2, seed=0, rho_list=[10.0], window=window)
+    # a radius the sweep did not count is refused, not silently recomputed
+    sw = sweep(model, nreal=2, seed=0, rho_list=[1.0], window=window, M=64)
+    with pytest.raises(KeyError):
+        second_factorial(sw, 1.5)
 
 
 def test_repulsion_ratio_positive_and_finite():
     model = RandomWave(1.0)
-    est = repulsion_ratio_estimate(
-        model, 2.5, nreal=10, seed=9, window=((0.0, 16.0), (0.0, 16.0))
-    )
+    sw = sweep(model, nreal=10, seed=9, rho_list=[2.5], window=((0.0, 16.0), (0.0, 16.0)))
+    est = repulsion_ratio(sw, 2.5)
     assert est.value > 0
     assert math.isfinite(est.std_error)
     assert est.label.endswith("mean^2")

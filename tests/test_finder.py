@@ -9,6 +9,7 @@ from planarcrit.finder import (
     CriticalKind,
     DegenerateHessianError,
     SearchConfig,
+    _dedup,
     classify,
     count_in_ball,
     default_grid_step,
@@ -69,6 +70,15 @@ def test_no_duplicate_roots():
     d2 = np.sum((locs[:, None, :] - locs[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(d2, np.inf)
     assert math.sqrt(d2.min()) > cfg.dedup_radius if cfg.dedup_radius else True
+
+
+def test_dedup_keeps_every_point_of_a_shared_cell():
+    # The first two points share hash cell (0, 0) but are 1.39 apart, so
+    # both are kept; the third is 0.02 from the first and must merge into it.
+    pts = np.array([[0.01, 0.01], [0.99, 0.99], [-0.01, 0.01]])
+    merged, resid = _dedup(pts, np.array([0.0, 1.0, 2.0]), radius=1.0)
+    np.testing.assert_array_equal(merged, pts[:2])
+    np.testing.assert_array_equal(resid, [0.0, 1.0])
 
 
 def test_type_counts_partition():
