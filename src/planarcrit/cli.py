@@ -517,14 +517,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        text = args.func(args, cfg)
+        _write_output(args, args.func(args, cfg))
     except (kacrice.DegeneracyError, MomentDivergenceError, DegenerateHessianError) as err:
         print(f"planarcrit: degeneracy: {err}", file=sys.stderr)
+        return 2
+    # Before ValueError: LinAlgError is one of its subclasses.
+    except (np.linalg.LinAlgError, FloatingPointError) as err:
+        print(f"planarcrit: numerical failure: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError, TypeError) as err:
         print(f"planarcrit: error: {err}", file=sys.stderr)
         return 1
-    _write_output(args, text)
     return 0
 
 

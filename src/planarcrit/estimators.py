@@ -53,8 +53,11 @@ __all__ = [
 class MomentEstimate:
     """A Monte-Carlo or quadrature estimate with its uncertainty.
 
-    nsamples counts independent replications (realizations, or draws
-    for the conditional engines), not dependent sub-counts.
+    nsamples counts realizations for the empirical estimators.  For the
+    antithetic conditional engines it counts draws with both members of
+    each +/- pair included; the independent replications there are the
+    pairs (floor(nsamples/2), or ceil(nsamples/2) for the two-point
+    function), and the standard error is taken over them.
     """
 
     value: float

@@ -13,6 +13,16 @@ joint law of any finite set of field derivatives is a known Gaussian
 is a Schur complement, and only the conditional determinant expectation
 needs Monte-Carlo, over a small exactly-known Gaussian.
 
+The Monte-Carlo is antithetic: each draw x stands for the pair (x, -x),
+and the pair average is one independent replication.  Determinants,
+A1 and B0 below are sums of products of two coordinates of the draw,
+so they are even under x -> -x, exactly so in IEEE arithmetic; only
+the sign of h11 in the min/max indicators flips, which swaps min and
+max.  Each pair is therefore evaluated once, from its "+" member.  A
+reported nsamples of n counts both members: the independent
+replications are the floor(n/2) pairs of the one-point and expansion
+estimators and the ceil(n/2) pairs of two_point_correlation.
+
 Ball moments reduce by isotropy to one-dimensional integrals against
 the disc pair-distance density and are evaluated by Gauss-Legendre
 quadrature with Monte-Carlo values of K2 at each node, with extra
@@ -79,7 +89,7 @@ _EIG_TOL = 1e-8
 # worst legitimate case (the r floor) still sits near 2e-8.
 _CONSTRAINT_TOL = 1e-12
 
-# Antithetic pairs per Monte-Carlo chunk (bounds peak memory).
+# Antithetic pairs (one draw each) per Monte-Carlo chunk (bounds peak memory).
 _CHUNK_PAIRS = 1 << 20
 
 
@@ -110,20 +120,12 @@ class ConditionalGaussian:
             )
         return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
-    def sample(self, rng: np.random.Generator, nsamples: int, antithetic: bool = True):
-        """Draw nsamples rows; with antithetic=True they come in +/- pairs."""
+    def sample(self, rng: np.random.Generator, nsamples: int) -> np.ndarray:
+        """Draw nsamples independent rows, shape (nsamples, dim)."""
         fac = self._factor()
-        dim = len(self.mean)
-        if antithetic:
-            half = (nsamples + 1) // 2
-            z = rng.standard_normal((half, dim))
-            draws = np.empty((2 * half, dim))
-            draws[0::2] = z @ fac.T
-            draws[1::2] = -draws[0::2]
-            draws = draws[:nsamples]
-        else:
-            draws = rng.standard_normal((nsamples, dim)) @ fac.T
-        return draws + self.mean
+        draws = rng.standard_normal((nsamples, len(self.mean))) @ fac.T
+        draws += self.mean
+        return draws
 
 
 def _condition(model: CovarianceModel, constraints, targets) -> ConditionalGaussian:
@@ -294,10 +296,30 @@ def _kind_indicator(kind: str, det: np.ndarray, h11: np.ndarray) -> np.ndarray:
     return (det > 0.0) & (h11 < 0.0)  # max
 
 
-def _pair_mean_se(values: np.ndarray):
-    """Mean and SE honoring antithetic +/- pairing (SE over pair averages)."""
-    n = len(values) // 2 * 2
-    pairs = 0.5 * (values[0:n:2] + values[1:n:2])
+# The "-" member of an antithetic pair has h11 negated, which swaps these.
+_MIRROR = {"min": "max", "max": "min"}
+
+
+def _typed_pair_average(weight: np.ndarray, kinds, dets, h11s) -> np.ndarray:
+    """Pair average of weight * prod_i 1[kinds[i]](dets[i], h11s[i]).
+
+    weight and the determinants are even under x -> -x; only h11 flips,
+    so c/e/s indicators agree across the pair and the average is the "+"
+    value itself, while a min/max tag reads its mirror on the "-" member.
+    """
+    plus = weight
+    for kind, det, h11 in zip(kinds, dets, h11s):
+        plus = plus * _kind_indicator(kind, det, h11)
+    if not any(kind in _MIRROR for kind in kinds):
+        return plus
+    minus = weight
+    for kind, det, h11 in zip(kinds, dets, h11s):
+        minus = minus * _kind_indicator(_MIRROR.get(kind, kind), det, h11)
+    return 0.5 * (plus + minus)
+
+
+def _pair_mean_se(pairs: np.ndarray):
+    """Mean and SE over antithetic pair averages (the independent replications)."""
     mean = float(pairs.mean())
     se = float(pairs.std(ddof=1) / math.sqrt(len(pairs)))
     return mean, se
@@ -324,11 +346,9 @@ def one_point_intensity_mc(
         model, [origin], [(origin, (2, 0)), (origin, (1, 1)), (origin, (0, 2))]
     )
     rng = seeded_rng(seed)
-    draws = law.sample(rng, nsamples)
-    h11, h12, h22 = draws.T
+    h11, h12, h22 = law.sample(rng, nsamples // 2).T
     det = h11 * h22 - h12**2
-    vals = np.abs(det) * _kind_indicator(kind, det, h11)
-    mean, se = _pair_mean_se(vals)
+    mean, se = _pair_mean_se(_typed_pair_average(np.abs(det), (kind,), (det,), (h11,)))
     phi = 1.0 / (4.0 * math.pi * abs(d.eta0))
     return MomentEstimate(
         value=phi * mean, std_error=phi * se, nsamples=nsamples, label=kind
@@ -350,7 +370,9 @@ def two_point_correlation(
         Type constraint per position, tags in {c, e, s, min, max};
         order does not matter in law.
     nsamples : int
-        Conditional Monte-Carlo draws (antithetic pairs).
+        Conditional Monte-Carlo draws, counting both members of each
+        antithetic pair: ceil(nsamples / 2) pairs are sampled, and they
+        are the independent replications behind the standard error.
 
     Raises
     ------
@@ -386,18 +408,16 @@ def two_point_correlation(
     while npairs_left > 0:
         npairs = min(npairs_left, _CHUNK_PAIRS)
         npairs_left -= npairs
-        draws = law.sample(rng, 2 * npairs)
+        draws = law.sample(rng, npairs)
         # Hessians back from averages and scaled differences.
-        h1 = draws[:, :3] + (r / 2.0) * draws[:, 3:]
-        h2 = draws[:, :3] - (r / 2.0) * draws[:, 3:]
+        half_diff = (r / 2.0) * draws[:, 3:]
+        h1 = draws[:, :3] + half_diff
+        h2 = draws[:, :3] - half_diff
         det1 = h1[:, 0] * h1[:, 2] - h1[:, 1] ** 2
         det2 = h2[:, 0] * h2[:, 2] - h2[:, 1] ** 2
-        vals = (
-            np.abs(det1 * det2)
-            * _kind_indicator(kinds[0], det1, h1[:, 0])
-            * _kind_indicator(kinds[1], det2, h2[:, 0])
+        pairs = _typed_pair_average(
+            np.abs(det1 * det2), kinds, (det1, det2), (h1[:, 0], h2[:, 0])
         )
-        pairs = 0.5 * (vals[0::2] + vals[1::2])
         tot += float(pairs.sum())
         tot2 += float(pairs @ pairs)
         ntot += npairs
@@ -553,7 +573,8 @@ def expansion_moment_mc(
     targets = [(origin, alpha) for alpha in names]
     law = _condition(model, _Y0, targets)
     rng = seeded_rng(seed)
-    draws = law.sample(rng, nsamples)
+    # A1 and B0 are even in the draw, so each pair average is its "+" value.
+    draws = law.sample(rng, nsamples // 2)
     if degenerate:
         d22, d111, d112, d1111 = draws.T
         d122 = -d111

@@ -202,14 +202,14 @@ def eval_many(f: FieldRealization, x, alphas) -> np.ndarray:
 def eval_gradient(f: FieldRealization, x) -> np.ndarray:
     """Gradient of psi; shape (..., 2)."""
     x = np.asarray(x, dtype=float)
-    out = eval_many(f, x, [(1, 0), (0, 1)])
+    out = eval_many(f, x.reshape(-1, 2), [(1, 0), (0, 1)])
     return out.reshape(x.shape[:-1] + (2,)) if x.ndim > 1 else out[0]
 
 
 def eval_hessian(f: FieldRealization, x) -> np.ndarray:
     """Hessian of psi; shape (..., 2, 2), symmetric."""
     x = np.asarray(x, dtype=float)
-    h11, h12, h22 = eval_many(f, x, [(2, 0), (1, 1), (0, 2)]).T
+    h11, h12, h22 = eval_many(f, x.reshape(-1, 2), [(2, 0), (1, 1), (0, 2)]).T
     hess = np.stack(
         [np.stack([h11, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2
     )

@@ -10,6 +10,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from planarcrit import cli, estimators, theory
@@ -173,6 +174,26 @@ def test_degenerate_distance_exits_2(capsys):
                        "--nsamples", "100")
     assert code == 2
     assert "degeneracy" in err
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "theory", "--model", "randomwave", "--k", "1",
+                         "--output", str(missing))
+    assert code == 1 and out == ""
+    assert err.startswith("planarcrit: error: ")
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("exc", [np.linalg.LinAlgError, FloatingPointError])
+def test_numerical_failure_exits_2(exc, capsys, monkeypatch):
+    def fail(model, rho):
+        raise exc("matrix is not positive definite")
+
+    monkeypatch.setattr(cli.theory, "theory_report", fail)
+    code, out, err = run(capsys, "theory", "--model", "randomwave", "--k", "1")
+    assert code == 2 and out == ""
+    assert err == "planarcrit: numerical failure: matrix is not positive definite\n"
 
 
 def test_output_dir_env_resolves_relative_paths(tmp_path, capsys, monkeypatch):

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from planarcrit import kacrice
 from planarcrit.kacrice import (
     ConditionalGaussian,
     DegeneracyError,
     R_FLOOR_FRACTION,
+    _Y0,
+    _condition,
     _pair_conditional,
     condition_on_zero_gradients,
     correlation_length,
@@ -23,7 +26,14 @@ from planarcrit.kacrice import (
     small_ball_probability_mc,
     two_point_correlation,
 )
-from planarcrit.models import RandomWave, derivative_covariance, sigma_derivatives
+from planarcrit.models import (
+    BargmannFock,
+    RandomWave,
+    ShiftedRandomWave,
+    derivative_covariance,
+    is_shifted_random_wave,
+    sigma_derivatives,
+)
 from planarcrit.sampling import seeded_rng
 from planarcrit.theory import k2_limit, lambda_c
 
@@ -86,15 +96,18 @@ def test_conditioning_rejects_coincident_points():
         condition_on_zero_gradients(RW1, [o, o], [(o, (2, 0))])
 
 
-def test_conditional_gaussian_antithetic_pairs_average_to_mean():
+def test_conditional_gaussian_draws_transform_standard_normals():
     mean = np.array([1.0, -2.0])
     cov = np.array([[2.0, 0.3], [0.3, 1.0]])
     law = ConditionalGaussian(mean=mean, covariance=cov, labels=("a", "b"))
     draws = law.sample(seeded_rng(0), 2000)
-    pair_means = 0.5 * (draws[0::2] + draws[1::2])
-    np.testing.assert_allclose(pair_means, np.broadcast_to(mean, pair_means.shape), atol=1e-12)
-    sample_cov = np.cov(draws.T)
-    np.testing.assert_allclose(sample_cov, cov, atol=0.15)
+    fac = law._factor()
+    np.testing.assert_allclose(fac @ fac.T, cov, rtol=1e-14, atol=1e-14)
+    # row i is the i-th standard normal row of the same stream, mapped
+    expected = seeded_rng(0).standard_normal((2000, 2)) @ fac.T + mean
+    np.testing.assert_array_equal(draws, expected)
+    np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.15)
+    np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.15)
 
 
 def test_conditional_gaussian_rejects_indefinite_covariance():
@@ -379,3 +392,142 @@ def test_gated_magnitude_linear_in_gate_width():
     assert 0 < lo.value < hi.value
     # E[|Z2| 1{|Z1| <= r Z2}] ~ c r for small r
     assert hi.value / lo.value == pytest.approx(2.0, abs=0.2)
+
+
+# ---------------------------------------------------------------------------
+# Antithetic pairs evaluated once: exact equality with both members
+# ---------------------------------------------------------------------------
+#
+# The reference below draws the interleaved (+x, -x) rows and evaluates
+# the integrand on both members of every pair before averaging.  The
+# engine evaluates each pair once from its "+" member; the estimates must
+# agree bit for bit, not just in law.
+
+
+def _ref_indicator(kind, det, h11):
+    return {
+        "c": np.ones_like(det, dtype=bool),
+        "e": det > 0.0,
+        "s": det < 0.0,
+        "min": (det > 0.0) & (h11 > 0.0),
+        "max": (det > 0.0) & (h11 < 0.0),
+    }[kind]
+
+
+def _ref_interleaved_draws(law, rng, n):
+    fac = law._factor()
+    half = (n + 1) // 2
+    draws = np.empty((2 * half, len(law.mean)))
+    draws[0::2] = rng.standard_normal((half, len(law.mean))) @ fac.T
+    draws[1::2] = -draws[0::2]
+    return draws[:n] + law.mean
+
+
+def _ref_pair_mean_se(values):
+    n = len(values) // 2 * 2
+    pairs = 0.5 * (values[0:n:2] + values[1:n:2])
+    return float(pairs.mean()), float(pairs.std(ddof=1) / math.sqrt(len(pairs)))
+
+
+def _ref_one_point(model, n, seed, kind):
+    o = np.zeros(2)
+    law = condition_on_zero_gradients(model, [o], [(o, (2, 0)), (o, (1, 1)), (o, (0, 2))])
+    h11, h12, h22 = _ref_interleaved_draws(law, seeded_rng(seed), n).T
+    det = h11 * h22 - h12**2
+    mean, se = _ref_pair_mean_se(np.abs(det) * _ref_indicator(kind, det, h11))
+    phi = 1.0 / (4.0 * math.pi * abs(sigma_derivatives(model).eta0))
+    return phi * mean, phi * se
+
+
+def _ref_two_point(model, r, pair, n, seed):
+    cond_cov, logdet = _pair_conditional(model, r)
+    law = ConditionalGaussian(mean=np.zeros(6), covariance=cond_cov, labels=tuple("abcdef"))
+    phi = float(math.exp(-0.5 * logdet) / (2.0 * math.pi * r) ** 2)
+    rng = seeded_rng(seed)
+    left = (n + 1) // 2
+    tot = tot2 = 0.0
+    ntot = 0
+    while left > 0:
+        npairs = min(left, kacrice._CHUNK_PAIRS)
+        left -= npairs
+        draws = _ref_interleaved_draws(law, rng, 2 * npairs)
+        h1 = draws[:, :3] + (r / 2.0) * draws[:, 3:]
+        h2 = draws[:, :3] - (r / 2.0) * draws[:, 3:]
+        det1 = h1[:, 0] * h1[:, 2] - h1[:, 1] ** 2
+        det2 = h2[:, 0] * h2[:, 2] - h2[:, 1] ** 2
+        vals = (
+            np.abs(det1 * det2)
+            * _ref_indicator(pair[0], det1, h1[:, 0])
+            * _ref_indicator(pair[1], det2, h2[:, 0])
+        )
+        pairs = 0.5 * (vals[0::2] + vals[1::2])
+        tot += float(pairs.sum())
+        tot2 += float(pairs @ pairs)
+        ntot += npairs
+    mean = tot / ntot
+    var = max(tot2 / ntot - mean * mean, 0.0) * ntot / max(ntot - 1, 1)
+    return phi * mean, phi * math.sqrt(var / ntot)
+
+
+def _ref_expansion(model, r, variant, n, seed):
+    degenerate, _ = is_shifted_random_wave(model)
+    o = np.zeros(2)
+    names = [(0, 2), (3, 0), (2, 1), (4, 0)]
+    if not degenerate:
+        names.insert(2, (1, 2))
+    law = _condition(model, _Y0, [(o, alpha) for alpha in names])
+    draws = _ref_interleaved_draws(law, seeded_rng(seed), n)
+    if degenerate:
+        d22, d111, d112, d1111 = draws.T
+        d122 = -d111
+    else:
+        d22, d111, d122, d112, d1111 = draws.T
+    a1 = d22 * d111
+    b0 = d122 * d111 - d112**2 + d22 * d1111 / 3.0
+    if r == 0.0:
+        vals = a1**2
+    else:
+        gate = np.abs(a1) < r * b0 if variant == "extrema" else np.abs(a1) <= -r * b0
+        vals = np.abs(a1**2 - r * r * b0**2) * gate
+    return _ref_pair_mean_se(vals)
+
+
+PAIRS = [("c", "c"), ("e", "e"), ("s", "s"), ("min", "min"), ("max", "max"),
+         ("e", "s"), ("min", "max")]
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: "-".join(p))
+@pytest.mark.parametrize("nsamples", [20_000, 20_001])
+# Typed pairs are rare at small r (min-max never shows up in these
+# budgets), so r = 4 makes the min/max mirror carry weight.
+@pytest.mark.parametrize("r", [0.005, 0.05, 4.0])
+def test_two_point_equals_both_member_reference(pair, nsamples, r):
+    est = two_point_correlation(RW1, r, pair=pair, nsamples=nsamples, seed=(7, 2))
+    assert (est.value, est.std_error) == _ref_two_point(RW1, r, pair, nsamples, (7, 2))
+    assert est.nsamples == nsamples
+
+
+def test_two_point_equals_reference_across_chunks(monkeypatch):
+    monkeypatch.setattr(kacrice, "_CHUNK_PAIRS", 1000)
+    for pair, nsamples in ((("min", "e"), 4001), (("s", "s"), 4000)):
+        est = two_point_correlation(RW1, 4.0, pair=pair, nsamples=nsamples, seed=2)
+        assert est.value > 0
+        assert (est.value, est.std_error) == _ref_two_point(RW1, 4.0, pair, nsamples, 2)
+
+
+@pytest.mark.parametrize("model", [RW1, BargmannFock(1.0)], ids=repr)
+@pytest.mark.parametrize("kind", ["c", "e", "s", "min", "max"])
+def test_one_point_equals_both_member_reference(model, kind):
+    for nsamples in (7, 10**5, 10**5 + 1):
+        est = one_point_intensity_mc(model, nsamples=nsamples, seed=3, kind=kind)
+        assert (est.value, est.std_error) == _ref_one_point(model, nsamples, 3, kind)
+        assert est.nsamples == nsamples
+
+
+@pytest.mark.parametrize("model", [RW1, ShiftedRandomWave(0.5, 1.0, 1.0)], ids=repr)
+@pytest.mark.parametrize("variant", ["extrema", "saddle"])
+@pytest.mark.parametrize("r", [0.0, 0.3])
+def test_expansion_equals_both_member_reference(model, variant, r):
+    for nsamples in (40_000, 40_001):
+        est = expansion_moment_mc(model, r=r, variant=variant, nsamples=nsamples, seed=9)
+        assert (est.value, est.std_error) == _ref_expansion(model, r, variant, nsamples, 9)

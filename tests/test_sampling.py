@@ -93,6 +93,24 @@ def test_eval_many_agrees_with_eval_derivative():
         np.testing.assert_allclose(packed[:, j], eval_derivative(f, pts, alpha), rtol=1e-13)
 
 
+def test_gradient_and_hessian_accept_stacked_points():
+    f = sample_field(RandomWave(1.0), M=64, seed=9)
+    pts = seeded_rng(2).uniform(-3.0, 3.0, size=(3, 4, 2))
+    grads = eval_gradient(f, pts)
+    hessians = eval_hessian(f, pts)
+    assert grads.shape == (3, 4, 2) and hessians.shape == (3, 4, 2, 2)
+    flat = pts.reshape(-1, 2)
+    np.testing.assert_array_equal(grads.reshape(-1, 2), eval_gradient(f, flat))
+    np.testing.assert_array_equal(hessians.reshape(-1, 2, 2), eval_hessian(f, flat))
+    # one point at a time goes through a matrix-vector product, which may
+    # round the last bit differently
+    tol = dict(rtol=1e-13, atol=1e-13)
+    for i in range(3):
+        for j in range(4):
+            np.testing.assert_allclose(grads[i, j], eval_gradient(f, pts[i, j]), **tol)
+            np.testing.assert_allclose(hessians[i, j], eval_hessian(f, pts[i, j]), **tol)
+
+
 def test_stationarity_of_second_moments():
     # the sample second moment of psi over many realizations matches sigma(0)
     # at every point; spot-check two points far apart
