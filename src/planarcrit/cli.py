@@ -228,7 +228,10 @@ def _cmd_find(args, cfg):
     gaussian = bool(_param(args, cfg, "gaussian-amplitudes", bool, False))
     window = _window(args, cfg, model)
     field = sample_field(model, M=size, seed=seed, gaussian_amplitudes=gaussian)
-    points = find_critical_points(field, window=window, cfg=_search_config(args, cfg))
+    counters: dict = {}
+    points = find_critical_points(
+        field, window=window, cfg=_search_config(args, cfg), diagnostics=counters
+    )
     rows = [
         {
             "x": pt.location[0],
@@ -241,7 +244,12 @@ def _cmd_find(args, cfg):
         }
         for pt in points
     ]
-    meta = {**model_to_config(model), "seed": seed, "window": list(map(list, window))}
+    meta = {
+        **model_to_config(model),
+        "seed": seed,
+        "window": list(map(list, window)),
+        "finder": counters,
+    }
     return _render(args, meta, rows)
 
 
@@ -461,14 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sample", help="draw a spectral field realization")
     _add_common(p)
     p.add_argument("--size", type=int, help="number of frequency terms (default 1024)")
-    p.add_argument("--gaussian-amplitudes", action="store_const", const=True,
+    p.add_argument("--gaussian-amplitudes", action=argparse.BooleanOptionalAction,
                    help="exactly Gaussian amplitude variant")
     p.set_defaults(func=_cmd_sample)
 
     p = subs.add_parser("find", help="critical points of one realization")
     _add_common(p)
     p.add_argument("--size", type=int, help="number of frequency terms (default 1024)")
-    p.add_argument("--gaussian-amplitudes", action="store_const", const=True)
+    p.add_argument("--gaussian-amplitudes", action=argparse.BooleanOptionalAction)
     p.add_argument("--window-size", type=float, help="square window side (default from model)")
     p.add_argument("--grid-step", type=float, help="Newton seeding grid step")
     p.set_defaults(func=_cmd_find)
@@ -500,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=float)
     p.add_argument("--points", type=int, help="log-grid size (default 6)")
     p.add_argument("--nsamples", type=int, help="draws per grid point (default 1e6)")
-    p.add_argument("--with-log", action="store_const", const=True,
+    p.add_argument("--with-log", action=argparse.BooleanOptionalAction,
                    help="include a log-factor regressor in the fit")
     p.set_defaults(func=_cmd_scaling)
 

@@ -10,6 +10,18 @@ certificate, and near-degenerate pairs closer than the dedup radius
 would be merged.  The window is inflated by a margin of two grid steps
 before seeding and the results filtered back to the exact window, so
 counts near the boundary are not silently clipped.
+
+Every point the search visits is evaluated once.  The seeds lie on a
+tensor grid, where the field separates into a small complex matmul per
+derivative (sampling.eval_grid).  The line search's gradient at the
+accepted trial point is reused by the next Newton step, which then
+needs only the Hessian there.  From the second step on, active
+trajectories that share a cell of side dedup_radius would end on one
+root, so only the one with the lowest residual is followed (ties go to
+the lowest seed index); the others are counted as merged.  With one
+trajectory per root the kept residual is no longer the best of many
+duplicates, so each root gets one final Newton step, kept where it
+lowers the residual.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .models import CovarianceModel, sigma_derivatives
-from .sampling import FieldRealization, eval_gradient, eval_hessian, eval_many
+from .sampling import FieldRealization, eval_gradient, eval_grid, eval_hessian, eval_many
 
 __all__ = [
     "CriticalKind",
@@ -33,6 +45,9 @@ __all__ = [
     "classify",
     "count_in_ball",
 ]
+
+_HESSIAN = [(2, 0), (1, 1), (0, 2)]
+_DERIVS = [(1, 0), (0, 1), *_HESSIAN]
 
 
 class DegenerateHessianError(ArithmeticError):
@@ -148,7 +163,11 @@ def find_critical_points(
     cfg : SearchConfig, optional
         Defaults derived from the field's model.
     diagnostics : dict, optional
-        If given, filled with seed/convergence counters.
+        If given, filled with counters: nseeds, which is split into
+        nconverged, nmerged (trajectories collapsed into another) and
+        ndropped = nrunaway (left the search bound or met a singular
+        Hessian) + nstalled (unconverged after max_iters); newton_iters
+        (Newton steps summed over trajectories); nreturned.
 
     Returns
     -------
@@ -170,33 +189,43 @@ def find_critical_points(
     nseeds = len(pts)
 
     # Damped Newton on the gradient, vectorized over the shrinking active set.
+    # Every point is evaluated once: the seeds on the separable grid, each
+    # accepted trial by the line search, whose gradient the next step reuses.
     bound = np.array([xmin - 2 * margin, ymin - 2 * margin, xmax + 2 * margin, ymax + 2 * margin])
-    derivs = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    gnorm = np.linalg.norm(eval_gradient(f, pts), axis=1)
+    seed_vals = eval_grid(f, xs, ys, _DERIVS).reshape(nseeds, 5)
+    grad = seed_vals[:, :2].copy()
+    seed_hess = seed_vals[:, 2:]
+    gnorm = np.linalg.norm(grad, axis=1)
     active = np.arange(nseeds)
-    for _ in range(cfg.max_iters):
+    nmerged = nrunaway = newton_iters = 0
+    for it in range(cfg.max_iters):
         live = gnorm[active] > cfg.newton_tol
         active = active[live]
+        if it:
+            # Trajectories sharing a dedup cell end on one root; follow one.
+            kept = _collapse(pts[active], gnorm[active], active, cfg.dedup_radius)
+            nmerged += active.size - kept.size
+            active = kept
         if active.size == 0:
             break
+        newton_iters += active.size
         p = pts[active]
-        g1, g2, h11, h12, h22 = eval_many(f, p, derivs).T
-        det = h11 * h22 - h12**2
-        ok = np.abs(det) > 1e-300
-        step = np.zeros_like(p)
-        step[ok, 0] = (h22[ok] * g1[ok] - h12[ok] * g2[ok]) / det[ok]
-        step[ok, 1] = (-h12[ok] * g1[ok] + h11[ok] * g2[ok]) / det[ok]
+        g1, g2 = grad[active].T
+        h11, h12, h22 = (seed_hess[active] if it == 0 else eval_many(f, p, _HESSIAN)).T
+        step, ok = _newton_step(g1, g2, h11, h12, h22)
 
         damp = np.ones(len(p))
         trial = p - step
-        tnorm = np.linalg.norm(eval_gradient(f, trial), axis=1)
+        tgrad = eval_gradient(f, trial)
+        tnorm = np.linalg.norm(tgrad, axis=1)
         for _ in range(6):
             worse = (tnorm >= np.hypot(g1, g2)) & ok & (damp > 1.0 / 64.0)
             if not worse.any():
                 break
             damp[worse] *= 0.5
             trial[worse] = p[worse] - damp[worse, None] * step[worse]
-            tnorm[worse] = np.linalg.norm(eval_gradient(f, trial[worse]), axis=1)
+            tgrad[worse] = eval_gradient(f, trial[worse])
+            tnorm[worse] = np.linalg.norm(tgrad[worse], axis=1)
 
         # Singular-Hessian seeds and runaways are dropped on the spot.
         out = (
@@ -207,9 +236,11 @@ def find_critical_points(
             | (trial[:, 1] > bound[3])
         )
         pts[active] = trial
+        grad[active] = tgrad
         gnorm[active] = tnorm
         if out.any():
             gnorm[active[out]] = np.inf
+            nrunaway += int(out.sum())
             active = active[~out]
 
     converged = gnorm <= cfg.newton_tol
@@ -218,7 +249,7 @@ def find_critical_points(
     )
     keep = pts[converged & inside]
     resid = gnorm[converged & inside]
-    merged_pts, merged_resid = _dedup(keep, resid, cfg.dedup_radius)
+    merged_pts, merged_resid = _polish(f, *_dedup(keep, resid, cfg.dedup_radius))
 
     points = []
     if len(merged_pts):
@@ -238,13 +269,59 @@ def find_critical_points(
                 )
             )
     if diagnostics is not None:
+        nstalled = int((gnorm[active] > cfg.newton_tol).sum())
         diagnostics.update(
             nseeds=nseeds,
             nconverged=int(converged.sum()),
-            ndropped=int(nseeds - converged.sum()),
+            nmerged=nmerged,
+            nrunaway=nrunaway,
+            nstalled=nstalled,
+            ndropped=nrunaway + nstalled,
+            newton_iters=newton_iters,
             nreturned=len(points),
         )
     return points
+
+
+def _newton_step(g1, g2, h11, h12, h22):
+    """Newton step H^-1 g per point, zero where the Hessian is singular (ok False)."""
+    det = h11 * h22 - h12**2
+    ok = np.abs(det) > 1e-300
+    step = np.zeros((len(g1), 2))
+    step[ok, 0] = (h22[ok] * g1[ok] - h12[ok] * g2[ok]) / det[ok]
+    step[ok, 1] = (-h12[ok] * g1[ok] + h11[ok] * g2[ok]) / det[ok]
+    return step, ok
+
+
+def _polish(f: FieldRealization, pts: np.ndarray, resid: np.ndarray):
+    """One more Newton step from each root, kept where it lowers the residual.
+
+    With one trajectory per root the kept residual is no longer the best of
+    many near-duplicates; it can sit just under newton_tol, which near a
+    nearly singular Hessian means a location off by resid / |eigenvalue|.
+    The extra step brings it back to rounding level.
+    """
+    if len(pts) == 0:
+        return pts, resid
+    step, _ = _newton_step(*eval_many(f, pts, _DERIVS).T)
+    trial = pts - step
+    tres = np.linalg.norm(eval_gradient(f, trial), axis=1)
+    better = tres < resid
+    return np.where(better[:, None], trial, pts), np.where(better, tres, resid)
+
+
+def _collapse(pts: np.ndarray, resid: np.ndarray, idx: np.ndarray, radius: float):
+    """Indices `idx` thinned to one per cell of side `radius`.
+
+    Each cell keeps its lowest residual, ties going to the lowest index;
+    the result is sorted.
+    """
+    cell = np.floor(pts / radius)
+    order = np.lexsort((idx, resid, cell[:, 1], cell[:, 0]))
+    cell = cell[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (cell[1:] != cell[:-1]).any(axis=1)
+    return np.sort(idx[order[first]])
 
 
 def _dedup(pts: np.ndarray, resid: np.ndarray, radius: float):

@@ -325,6 +325,18 @@ def _pair_mean_se(pairs: np.ndarray):
     return mean, se
 
 
+def _require_two_pairs(nsamples: int, npairs: int) -> None:
+    """Reject budgets of fewer than two antithetic pairs.
+
+    The standard error is taken over pairs, and one pair has none.
+    """
+    if npairs < 2:
+        raise ValueError(
+            f"nsamples = {nsamples} gives {npairs} antithetic pair(s); the standard "
+            f"error needs at least two antithetic pairs"
+        )
+
+
 def one_point_intensity_mc(
     model: CovarianceModel, nsamples: int = 10**6, seed=0, kind: str = "c"
 ) -> MomentEstimate:
@@ -338,8 +350,7 @@ def one_point_intensity_mc(
     from .theory import normalize_kind
 
     kind = normalize_kind(kind)
-    if nsamples < 2:
-        raise ValueError(f"nsamples must be at least 2, got {nsamples}")
+    _require_two_pairs(nsamples, nsamples // 2)
     d = sigma_derivatives(model)
     origin = np.zeros(2)
     law = condition_on_zero_gradients(
@@ -372,7 +383,8 @@ def two_point_correlation(
     nsamples : int
         Conditional Monte-Carlo draws, counting both members of each
         antithetic pair: ceil(nsamples / 2) pairs are sampled, and they
-        are the independent replications behind the standard error.
+        are the independent replications behind the standard error, so
+        at least 3 are needed.
 
     Raises
     ------
@@ -383,8 +395,7 @@ def two_point_correlation(
     from .theory import normalize_kind
 
     kinds = tuple(normalize_kind(k) for k in pair)
-    if nsamples < 2:
-        raise ValueError(f"nsamples must be at least 2, got {nsamples}")
+    _require_two_pairs(nsamples, (nsamples + 1) // 2)
     floor = R_FLOOR_FRACTION * correlation_length(model)
     if not r >= floor:
         raise DegeneracyError(
@@ -422,7 +433,7 @@ def two_point_correlation(
         tot2 += float(pairs @ pairs)
         ntot += npairs
     mean = tot / ntot
-    var = max(tot2 / ntot - mean * mean, 0.0) * ntot / max(ntot - 1, 1)
+    var = max(tot2 / ntot - mean * mean, 0.0) * ntot / (ntot - 1)
     se = math.sqrt(var / ntot)
     return MomentEstimate(
         value=phi * mean,
@@ -561,8 +572,7 @@ def expansion_moment_mc(
     """
     if variant not in ("extrema", "saddle"):
         raise ValueError(f"variant must be 'extrema' or 'saddle', got {variant!r}")
-    if nsamples < 2:
-        raise ValueError(f"nsamples must be at least 2, got {nsamples}")
+    _require_two_pairs(nsamples, nsamples // 2)
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
     degenerate, _ = is_shifted_random_wave(model)

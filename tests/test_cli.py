@@ -141,6 +141,38 @@ def test_config_file_with_flag_override(tmp_path, capsys):
                         theory.lambda_c(sigma_derivatives(RandomWave(1.0))), rel_tol=1e-15)
 
 
+def test_no_flag_switches_off_a_config_bool(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.family = randomwave\nmodel.k = 1\ngaussian-amplitudes = true\n")
+    argv = ("sample", "--config", str(cfg), "--seed", "3", "--size", "8", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["meta"]["gaussian_amplitudes"] is True
+    code, out, _ = run(capsys, *argv, "--no-gaussian-amplitudes")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["meta"]["gaussian_amplitudes"] is False
+    assert all(row["amplitude"] == math.sqrt(2.0 / 8.0) for row in doc["rows"])
+    parser = cli.build_parser()
+    assert parser.parse_args(["scaling", "--no-with-log"]).with_log is False
+    assert parser.parse_args(["scaling"]).with_log is None
+
+
+def test_find_json_meta_carries_finder_counters(capsys):
+    argv = ("find", "--model", "randomwave", "--k", "1", "--seed", "3", "--window-size", "6")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    counters = doc["meta"]["finder"]
+    assert set(counters) == {"nseeds", "nconverged", "nmerged", "nrunaway", "nstalled",
+                             "ndropped", "newton_iters", "nreturned"}
+    assert counters["nreturned"] == len(doc["rows"])
+    assert counters["nseeds"] == counters["nconverged"] + counters["nmerged"] + counters["ndropped"]
+    # the CSV payload carries no counters
+    code, out, _ = run(capsys, *argv)
+    header, rows = parse_csv(out)
+    assert "nseeds" not in out and len(rows) == counters["nreturned"]
+
+
 def test_malformed_config_line_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model.family randomwave\n")

@@ -15,8 +15,20 @@ from planarcrit.finder import (
     default_grid_step,
     find_critical_points,
 )
-from planarcrit.models import RandomWave
-from planarcrit.sampling import FieldRealization, sample_field
+from planarcrit.models import (
+    BargmannFock,
+    Interpolation,
+    PowerLawTruncated,
+    RandomWave,
+    ShiftedRandomWave,
+)
+from planarcrit.sampling import (
+    FieldRealization,
+    eval_gradient,
+    eval_hessian,
+    eval_many,
+    sample_field,
+)
 
 
 def _cosine_lattice_field():
@@ -145,3 +157,107 @@ def test_determinism():
     b = find_critical_points(field, window)
     assert [p.location for p in a] == [p.location for p in b]
     assert [p.kind for p in a] == [p.kind for p in b]
+
+
+def _counters(field, window, cfg=None):
+    diag = {}
+    points = find_critical_points(field, window, cfg=cfg, diagnostics=diag)
+    return points, diag
+
+
+def test_counters_partition_the_seeds():
+    field = sample_field(RandomWave(1.0), M=256, seed=12)
+    window = ((0.0, 12.0), (0.0, 12.0))
+    points, diag = _counters(field, window)
+    assert diag["nseeds"] == diag["nconverged"] + diag["nmerged"] + diag["ndropped"]
+    assert diag["ndropped"] == diag["nrunaway"] + diag["nstalled"]
+    assert diag["nreturned"] == len(points)
+    assert diag["nmerged"] > 0 and diag["nrunaway"] > 0
+    # every seed takes at least one Newton step unless it starts converged
+    assert diag["newton_iters"] >= diag["nseeds"]
+    # a short iteration budget leaves trajectories stalled, not lost
+    _, short = _counters(field, window, SearchConfig(max_iters=2))
+    assert short["nstalled"] > 0
+    assert short["nseeds"] == short["nconverged"] + short["nmerged"] + short["ndropped"]
+    assert short["ndropped"] == short["nrunaway"] + short["nstalled"]
+
+
+def _reference_roots(f, window, cfg):
+    """The finder before the separable seed grid, gradient reuse and collapse.
+
+    Gradient of every seed, then per iteration a full gradient-and-Hessian
+    evaluation of every active point, line search, and one _dedup at the
+    end; returns [(x, y, kind)].
+    """
+    (xmin, xmax), (ymin, ymax) = window
+    cfg = cfg.resolved(f.model)
+    h = cfg.grid_step
+    margin = 2.0 * h
+    xs = np.arange(xmin - margin, xmax + margin + h, h)
+    ys = np.arange(ymin - margin, ymax + margin + h, h)
+    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    bound = np.array([xmin - 2 * margin, ymin - 2 * margin, xmax + 2 * margin, ymax + 2 * margin])
+    derivs = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    gnorm = np.linalg.norm(eval_gradient(f, pts), axis=1)
+    active = np.arange(len(pts))
+    for _ in range(cfg.max_iters):
+        active = active[gnorm[active] > cfg.newton_tol]
+        if active.size == 0:
+            break
+        p = pts[active]
+        g1, g2, h11, h12, h22 = eval_many(f, p, derivs).T
+        det = h11 * h22 - h12**2
+        ok = np.abs(det) > 1e-300
+        step = np.zeros_like(p)
+        step[ok, 0] = (h22[ok] * g1[ok] - h12[ok] * g2[ok]) / det[ok]
+        step[ok, 1] = (-h12[ok] * g1[ok] + h11[ok] * g2[ok]) / det[ok]
+        damp = np.ones(len(p))
+        trial = p - step
+        tnorm = np.linalg.norm(eval_gradient(f, trial), axis=1)
+        for _ in range(6):
+            worse = (tnorm >= np.hypot(g1, g2)) & ok & (damp > 1.0 / 64.0)
+            if not worse.any():
+                break
+            damp[worse] *= 0.5
+            trial[worse] = p[worse] - damp[worse, None] * step[worse]
+            tnorm[worse] = np.linalg.norm(eval_gradient(f, trial[worse]), axis=1)
+        out = (~ok | (trial[:, 0] < bound[0]) | (trial[:, 1] < bound[1])
+               | (trial[:, 0] > bound[2]) | (trial[:, 1] > bound[3]))
+        pts[active] = trial
+        gnorm[active] = tnorm
+        gnorm[active[out]] = np.inf
+        active = active[~out]
+    sel = (gnorm <= cfg.newton_tol) & (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax) \
+        & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
+    roots, _ = _dedup(pts[sel], gnorm[sel], cfg.dedup_radius)
+    kinds = [classify(hm, cfg.degenerate_det_threshold) for hm in eval_hessian(f, roots)]
+    return [(x, y, kind) for (x, y), kind in zip(roots.tolist(), kinds)]
+
+
+_FAMILIES = [
+    RandomWave(1.0),
+    BargmannFock(1.0),
+    ShiftedRandomWave(0.5, 1.0, 1.0),
+    PowerLawTruncated(3.0),
+    Interpolation(0.5, RandomWave(1.0), BargmannFock(1.0)),
+]
+
+
+@pytest.mark.parametrize("model", _FAMILIES, ids=lambda m: m.family)
+def test_root_sets_match_the_reference_loop(model):
+    # Two realizations per family, one per amplitude convention and size.
+    # Both finders must return the same roots: equal kinds, locations
+    # within 1e-9, nothing missing or extra.
+    window = ((0.0, 12.0), (0.0, 12.0))
+    for i, (M, gaussian) in enumerate(((256, True), (1024, False))):
+        field = sample_field(model, M=M, seed=(7, i), gaussian_amplitudes=gaussian)
+        ref = _reference_roots(field, window, SearchConfig())
+        new = find_critical_points(field, window)
+        assert len(new) == len(ref) > 0
+        for x, y, kind in ref:
+            dist, j = min((math.hypot(x - p.location[0], y - p.location[1]), j)
+                          for j, p in enumerate(new))
+            assert dist < 1e-9, (i, x, y, dist)
+            assert new[j].kind is kind
+        # the polishing step leaves every residual at rounding level
+        assert max(p.gradient_residual for p in new) < 1e-12

@@ -531,3 +531,20 @@ def test_expansion_equals_both_member_reference(model, variant, r):
     for nsamples in (40_000, 40_001):
         est = expansion_moment_mc(model, r=r, variant=variant, nsamples=nsamples, seed=9)
         assert (est.value, est.std_error) == _ref_expansion(model, r, variant, nsamples, 9)
+
+
+@pytest.mark.parametrize("nsamples", [2, 3])
+def test_one_pair_budgets_are_rejected(nsamples):
+    # One antithetic pair leaves no standard error to report: floor(n / 2)
+    # pairs for one-point and expansion, ceil(n / 2) for two-point.
+    with pytest.raises(ValueError, match="two antithetic pairs"):
+        one_point_intensity_mc(RW1, nsamples=nsamples, seed=0)
+    with pytest.raises(ValueError, match="two antithetic pairs"):
+        expansion_moment_mc(RW1, r=0.1, nsamples=nsamples, seed=0)
+    assert math.isfinite(one_point_intensity_mc(RW1, nsamples=4, seed=0).std_error)
+    assert math.isfinite(expansion_moment_mc(RW1, r=0.1, nsamples=4, seed=0).std_error)
+    if nsamples == 2:
+        with pytest.raises(ValueError, match="two antithetic pairs"):
+            two_point_correlation(RW1, 0.05, nsamples=nsamples, seed=0)
+    else:
+        assert two_point_correlation(RW1, 0.05, nsamples=nsamples, seed=0).std_error > 0

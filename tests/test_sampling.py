@@ -10,6 +10,7 @@ from planarcrit.sampling import (
     empirical_derivative_variances,
     eval_derivative,
     eval_gradient,
+    eval_grid,
     eval_hessian,
     eval_many,
     sample_field,
@@ -91,6 +92,21 @@ def test_eval_many_agrees_with_eval_derivative():
     packed = eval_many(f, pts, alphas)
     for j, alpha in enumerate(alphas):
         np.testing.assert_allclose(packed[:, j], eval_derivative(f, pts, alpha), rtol=1e-13)
+
+
+@pytest.mark.parametrize("model", [RandomWave(1.0), ShiftedRandomWave(0.5, 1.0, 1.0)], ids=repr)
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_eval_grid_agrees_with_eval_many(model, gaussian):
+    f = sample_field(model, M=512, seed=5, gaussian_amplitudes=gaussian)
+    xs = np.arange(-1.5, 12.0, 0.45)
+    ys = np.arange(-2.0, 9.0, 0.37)
+    alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (0, 0)]
+    grid = eval_grid(f, xs, ys, alphas)
+    assert grid.shape == (len(xs), len(ys), len(alphas))
+    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    ref = eval_many(f, pts, alphas)
+    err = np.abs(grid.reshape(-1, len(alphas)) - ref).max(axis=0)
+    assert np.all(err <= 1e-12 * np.abs(ref).max(axis=0)), err
 
 
 def test_gradient_and_hessian_accept_stacked_points():
