@@ -119,6 +119,11 @@ def _load_config(path) -> dict:
     return cfg
 
 
+# Config-file spellings of a bool, in any case.
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _param(args, cfg: dict, name: str, cast, default=None):
     """Merged parameter: CLI flag beats config file beats default."""
     cli = getattr(args, name.replace("-", "_"), None)
@@ -127,9 +132,19 @@ def _param(args, cfg: dict, name: str, cast, default=None):
     if name in cfg:
         raw = cfg[name]
         if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+            key = raw.strip().lower()
+            if key not in _BOOLS:
+                raise ValueError(f"{name} = {raw!r} is not a bool; use one of {', '.join(_BOOLS)}")
+            return _BOOLS[key]
         return cast(raw)
     return default
+
+
+def _check_threads(args, cfg) -> None:
+    """Every subcommand takes --threads; below 1 is an error, not a serial run."""
+    threads = _param(args, cfg, "threads", int, 1)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
 
 def _require_seed(args, cfg) -> int:
@@ -525,6 +540,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        _check_threads(args, cfg)
         _write_output(args, args.func(args, cfg))
     except (kacrice.DegeneracyError, MomentDivergenceError, DegenerateHessianError) as err:
         print(f"planarcrit: degeneracy: {err}", file=sys.stderr)

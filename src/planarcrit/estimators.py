@@ -25,18 +25,16 @@ without small-M non-Gaussianity bias.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .finder import CriticalKind, SearchConfig, find_critical_points
-from .models import CovarianceModel, sigma_derivatives
-from .sampling import sample_field, seed_entropy
-from .theory import normalize_kind, normalize_pair
+from .models import CovarianceModel, effective_wavenumber
+from .sampling import MomentEstimate, _run_tasks, sample_field, seed_entropy
+from .theory import KIND_COLUMNS, normalize_kind, normalize_pair
 
 __all__ = [
-    "MomentEstimate",
     "ScalingFit",
     "Sweep",
     "default_window",
@@ -47,30 +45,6 @@ __all__ = [
     "poisson_control_ratio",
     "fit_scaling",
 ]
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    """A Monte-Carlo or quadrature estimate with its uncertainty.
-
-    nsamples counts realizations for the empirical estimators.  For the
-    antithetic conditional engines it counts draws with both members of
-    each +/- pair included; the independent replications there are the
-    pairs (floor(nsamples/2), or ceil(nsamples/2) for the two-point
-    function), and the standard error is taken over them.
-    """
-
-    value: float
-    std_error: float
-    nsamples: int
-    rho: float | None = None
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.std_error >= 0:
-            raise ValueError(f"std_error must be nonnegative, got {self.std_error}")
-        if self.nsamples < 2:
-            raise ValueError(f"nsamples must be at least 2, got {self.nsamples}")
 
 
 @dataclass(frozen=True)
@@ -87,32 +61,21 @@ class ScalingFit:
 def default_window(model: CovarianceModel):
     """[0, L]^2 with L = 40 / k_eff, k_eff the gradient-scale wavenumber.
 
-    k_eff = sqrt(-4 eta0 / sigma0) equals k for wave models; the side
-    gives >= 100 expected critical points per realization so the
+    k_eff (models.effective_wavenumber) equals k for wave models; the
+    side gives >= 100 expected critical points per realization so the
     per-realization simulation cost is amortized.
     """
-    d = sigma_derivatives(model)
-    k_eff = math.sqrt(-4.0 * d.eta0 / model.total_mass())
-    side = 40.0 / k_eff
+    side = 40.0 / effective_wavenumber(model)
     return ((0.0, side), (0.0, side))
 
 
-# Kind codes used in count arrays: columns are (max, min, saddle).
-_KIND_COL = {CriticalKind.MAXIMUM: 0, CriticalKind.MINIMUM: 1, CriticalKind.SADDLE: 2}
+# Column of each kind in the (max, min, saddle) count arrays.
+_KIND_COL = {kind: KIND_COLUMNS[normalize_kind(kind.value)][0] for kind in CriticalKind}
 
 
 def _kind_totals(counts: np.ndarray, kind: str) -> np.ndarray:
     """Reduce (..., 3) kind-resolved counts to one tag's counts."""
-    kind = normalize_kind(kind)
-    if kind == "c":
-        return counts.sum(axis=-1)
-    if kind == "e":
-        return counts[..., 0] + counts[..., 1]
-    if kind == "s":
-        return counts[..., 2]
-    if kind == "max":
-        return counts[..., 0]
-    return counts[..., 1]
+    return counts[..., KIND_COLUMNS[normalize_kind(kind)]].sum(axis=-1)
 
 
 def _ball_centers(window, rho: float) -> np.ndarray:
@@ -155,14 +118,6 @@ def _realization_stats(args):
         centers = _ball_centers(window, rho)
         per_rho[rho] = _ball_counts(locations, kind_cols, centers, rho)
     return totals, per_rho
-
-
-def _run_tasks(fn, tasks, threads: int = 1):
-    """Map fn over tasks, optionally in worker processes; order preserved."""
-    if threads <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * threads))))
 
 
 def _jackknife_mean(values: np.ndarray):
@@ -275,10 +230,6 @@ def repulsion_ratio(sw: Sweep, rho: float) -> MomentEstimate:
     counts = sw.counts[float(rho)]
     num = _pair_center_stat(counts, ("c", "c")).mean(axis=-1)
     den = _kind_totals(counts, "c").mean(axis=-1)
-    return _ratio_estimate(num, den, rho, "(c,c)/mean^2")
-
-
-def _ratio_estimate(num: np.ndarray, den: np.ndarray, rho: float, label: str) -> MomentEstimate:
     n = len(num)
     a, b = num.mean(), den.mean()
     if b <= 0:
@@ -293,7 +244,7 @@ def _ratio_estimate(num: np.ndarray, den: np.ndarray, rho: float, label: str) ->
         std_error=math.sqrt(max(var, 0.0)),
         nsamples=n,
         rho=float(rho),
-        label=label,
+        label="(c,c)/mean^2",
     )
 
 
@@ -304,11 +255,12 @@ def poisson_control_ratio(
     nreal: int = 200,
     seed=0,
 ) -> MomentEstimate:
-    """The same ratio estimator run on synthetic homogeneous Poisson points.
+    """repulsion_ratio run on synthetic homogeneous Poisson points.
 
     For a Poisson process E[N(N-1)] = (lambda pi rho^2)^2 = E[N]^2, so
     the ratio is exactly 1; this is the null control for the pipeline's
-    counting and ratio machinery.
+    counting and ratio machinery.  The points are counted in the first
+    (maximum) column of a Sweep, which the all-kinds ratio sums over.
     """
     if nreal < 2:
         raise ValueError(f"nreal must be at least 2, got {nreal}")
@@ -316,19 +268,18 @@ def poisson_control_ratio(
     area = (xmax - xmin) * (ymax - ymin)
     centers = _ball_centers(window, rho)
     rng_master = np.random.SeedSequence(seed_entropy(seed))
-    num = np.empty(nreal)
-    den = np.empty(nreal)
+    totals = np.zeros((nreal, 3), dtype=np.int64)
+    counts = np.empty((nreal, len(centers), 3), dtype=np.int64)
     for i, child in enumerate(rng_master.spawn(nreal)):
         rng = np.random.default_rng(child)
         npts = rng.poisson(intensity * area)
         pts = np.column_stack(
             [rng.uniform(xmin, xmax, npts), rng.uniform(ymin, ymax, npts)]
         )
-        counts = _ball_counts(pts, np.zeros(npts, dtype=np.int64), centers, rho)
-        n = counts[:, 0].astype(float)
-        num[i] = (n * (n - 1.0)).mean()
-        den[i] = n.mean()
-    return _ratio_estimate(num, den, rho, "poisson-control")
+        totals[i, 0] = npts
+        counts[i] = _ball_counts(pts, np.zeros(npts, dtype=np.int64), centers, rho)
+    sw = Sweep(totals=totals, area=area, counts={float(rho): counts})
+    return replace(repulsion_ratio(sw, rho), label="poisson-control")
 
 
 def fit_scaling(estimates, with_log: bool = False) -> ScalingFit:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import CovarianceModel, sigma_derivatives
+from .models import CovarianceModel, effective_wavenumber, sigma_derivatives
 from .sampling import FieldRealization, eval_gradient, eval_grid, eval_hessian, eval_many
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "default_grid_step",
     "find_critical_points",
     "classify",
-    "count_in_ball",
 ]
 
 _HESSIAN = [(2, 0), (1, 1), (0, 2)]
@@ -61,16 +60,6 @@ class CriticalKind(str, enum.Enum):
 
     def __str__(self) -> str:  # so CSV output reads naturally
         return self.value
-
-
-# Which CriticalKind values each filter tag accepts.
-_KIND_FILTERS = {
-    "c": frozenset(CriticalKind),
-    "e": frozenset({CriticalKind.MAXIMUM, CriticalKind.MINIMUM}),
-    "s": frozenset({CriticalKind.SADDLE}),
-    "min": frozenset({CriticalKind.MINIMUM}),
-    "max": frozenset({CriticalKind.MAXIMUM}),
-}
 
 
 @dataclass(frozen=True)
@@ -121,16 +110,13 @@ class SearchConfig:
 
 
 def default_grid_step(model: CovarianceModel) -> float:
-    """An eighth of the model's oscillation length 2 pi sqrt(sigma0 / (-2 eta0)).
+    """An eighth of the model's oscillation length: 2 pi / k_eff / 8.
 
-    For wave-type models this is (2 pi / k) / 8 up to the sqrt(2) between
-    the gradient scale and the wavenumber; eight seeds per oscillation
-    empirically captures all simple gradient zeros.
+    k_eff = sqrt(-4 eta0 / sigma0) (models.effective_wavenumber) is k for
+    wave-type models; eight seeds per oscillation empirically captures
+    all simple gradient zeros.
     """
-    d = sigma_derivatives(model)
-    sigma0 = model.total_mass()
-    wavelength = 2.0 * math.pi / math.sqrt(-4.0 * d.eta0 / sigma0)
-    return wavelength / 8.0
+    return 2.0 * math.pi / effective_wavenumber(model) / 8.0
 
 
 def classify(hessian, threshold: float = 0.0) -> CriticalKind:
@@ -348,25 +334,3 @@ def _dedup(pts: np.ndarray, resid: np.ndarray, radius: float):
     keep = sorted(keep)
     return pts[keep], resid[keep]
 
-
-def count_in_ball(points, center, rho: float, kind: str | None = None) -> int:
-    """Number of points strictly inside the open ball around `center`.
-
-    kind filters by type tag: c (all), e (extrema), s (saddles), min,
-    max; None counts everything.
-    """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    allowed = None
-    if kind is not None:
-        from .theory import normalize_kind
-
-        allowed = _KIND_FILTERS[normalize_kind(kind)]
-    cx, cy = float(center[0]), float(center[1])
-    n = 0
-    for p in points:
-        if allowed is not None and p.kind not in allowed:
-            continue
-        if math.hypot(p.location[0] - cx, p.location[1] - cy) < rho:
-            n += 1
-    return n

@@ -47,14 +47,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .estimators import MomentEstimate, _run_tasks
 from .models import (
     CovarianceModel,
     derivative_covariance,
+    effective_wavenumber,
     is_shifted_random_wave,
     sigma_derivatives,
 )
-from .sampling import seeded_rng
+from .sampling import MomentEstimate, _run_tasks, seeded_rng
+from .theory import normalize_kind
 
 __all__ = [
     "DegeneracyError",
@@ -175,8 +176,7 @@ def condition_on_zero_gradients(model: CovarianceModel, points, targets) -> Cond
 
 def correlation_length(model: CovarianceModel) -> float:
     """Oscillation length 2 pi / k_eff, k_eff = sqrt(-4 eta0 / sigma0)."""
-    d = sigma_derivatives(model)
-    return 2.0 * math.pi / math.sqrt(-4.0 * d.eta0 / model.total_mass())
+    return 2.0 * math.pi / effective_wavenumber(model)
 
 
 def _gradient_specs(r: float):
@@ -318,10 +318,10 @@ def _typed_pair_average(weight: np.ndarray, kinds, dets, h11s) -> np.ndarray:
     return 0.5 * (plus + minus)
 
 
-def _pair_mean_se(pairs: np.ndarray):
-    """Mean and SE over antithetic pair averages (the independent replications)."""
-    mean = float(pairs.mean())
-    se = float(pairs.std(ddof=1) / math.sqrt(len(pairs)))
+def _mean_se(values: np.ndarray):
+    """Mean and SE over independent replications: antithetic pair averages or draws."""
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(len(values)))
     return mean, se
 
 
@@ -347,8 +347,6 @@ def one_point_intensity_mc(
     determinant moment E[|det H| 1_kind] is sampled from the exact
     (conditional = unconditional) Hessian law.
     """
-    from .theory import normalize_kind
-
     kind = normalize_kind(kind)
     _require_two_pairs(nsamples, nsamples // 2)
     d = sigma_derivatives(model)
@@ -359,7 +357,7 @@ def one_point_intensity_mc(
     rng = seeded_rng(seed)
     h11, h12, h22 = law.sample(rng, nsamples // 2).T
     det = h11 * h22 - h12**2
-    mean, se = _pair_mean_se(_typed_pair_average(np.abs(det), (kind,), (det,), (h11,)))
+    mean, se = _mean_se(_typed_pair_average(np.abs(det), (kind,), (det,), (h11,)))
     phi = 1.0 / (4.0 * math.pi * abs(d.eta0))
     return MomentEstimate(
         value=phi * mean, std_error=phi * se, nsamples=nsamples, label=kind
@@ -392,8 +390,6 @@ def two_point_correlation(
         If r is below R_FLOOR_FRACTION correlation lengths, where the
         gradient-pair covariance is numerically rank deficient.
     """
-    from .theory import normalize_kind
-
     kinds = tuple(normalize_kind(k) for k in pair)
     _require_two_pairs(nsamples, (nsamples + 1) // 2)
     floor = R_FLOOR_FRACTION * correlation_length(model)
@@ -600,7 +596,7 @@ def expansion_moment_mc(
         else:
             event = np.abs(a1) <= -r * b0
         vals = np.abs(a1**2 - r * r * b0**2) * event
-    mean, se = _pair_mean_se(vals)
+    mean, se = _mean_se(vals)
     return MomentEstimate(
         value=mean, std_error=se, nsamples=nsamples, rho=r, label=f"expansion-{variant}"
     )
@@ -639,11 +635,7 @@ def gated_magnitude_mc(r: float, nsamples: int = 10**6, seed=0) -> MomentEstimat
         raise ValueError(f"nsamples must be at least 2, got {nsamples}")
     rng = seeded_rng(seed)
     z1, z2 = rng.standard_normal((2, nsamples))
-    vals = np.abs(z2) * (np.abs(z1) <= r * z2)
+    mean, se = _mean_se(np.abs(z2) * (np.abs(z1) <= r * z2))
     return MomentEstimate(
-        value=float(vals.mean()),
-        std_error=float(vals.std(ddof=1) / math.sqrt(nsamples)),
-        nsamples=nsamples,
-        rho=r,
-        label="gated-magnitude",
+        value=mean, std_error=se, nsamples=nsamples, rho=r, label="gated-magnitude"
     )

@@ -63,6 +63,7 @@ __all__ = [
     "SigmaDerivatives",
     "MomentDivergenceError",
     "sigma_derivatives",
+    "effective_wavenumber",
     "spectral_moment",
     "derivative_covariance",
     "is_shifted_random_wave",
@@ -519,6 +520,17 @@ def sigma_derivatives(model: CovarianceModel) -> SigmaDerivatives:
     )
 
 
+def effective_wavenumber(model: CovarianceModel) -> float:
+    """k_eff = sqrt(-4 eta0 / sigma0), the wavenumber of the gradient scale.
+
+    Var(d_i psi) = -2 eta0 = sigma0 k_eff^2 / 2, so k_eff is k for
+    (shifted) random waves.  Oscillation length, finder grid step and
+    default window all derive from it.
+    """
+    d = sigma_derivatives(model)
+    return math.sqrt(-4.0 * d.eta0 / model.total_mass())
+
+
 def spectral_moment(model: CovarianceModel, a: int, b: int) -> float:
     """Plane spectral moment m_{a,b} = int lam_1^a lam_2^b F(dlam).
 
@@ -599,14 +611,12 @@ def _gamma_partial_terms(a: int, b: int) -> tuple[tuple[int, int, int, int], ...
     return tuple((j, p, q, c) for (j, p, q), c in acc.items() if c != 0)
 
 
-def _gamma_partial(model: CovarianceModel, a: int, b: int, u: np.ndarray, sigma=None):
+def _gamma_partial(a: int, b: int, u: np.ndarray, sigma):
     """(d^a_1 d^b_2 Gamma)(u) for a planar lag u.
 
-    sigma overrides the profile-derivative evaluator (used for memoized
-    or extended-precision assembly).
+    sigma(j, x) evaluates the j-th profile derivative at x = |u|^2 (the
+    caller memoizes it, in double or extended precision).
     """
-    if sigma is None:
-        sigma = lambda j, x: float(model.sigma_derivative(j, float(x)))
     x = u[0] * u[0] + u[1] * u[1]
     total = 0.0
     for j, p, q, c in _gamma_partial_terms(a, b):
@@ -675,9 +685,7 @@ def derivative_covariance(model: CovarianceModel, specs, extended: bool = False)
         for j in range(i, n):
             pj, (aj1, aj2) = parsed[j]
             sign = -1.0 if (aj1 + aj2) % 2 else 1.0
-            cov[i, j] = cov[j, i] = sign * _gamma_partial(
-                model, ai1 + aj1, ai2 + aj2, pi - pj, sigma
-            )
+            cov[i, j] = cov[j, i] = sign * _gamma_partial(ai1 + aj1, ai2 + aj2, pi - pj, sigma)
     return cov
 
 

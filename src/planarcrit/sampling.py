@@ -25,11 +25,16 @@ Two amplitude conventions are available:
 
 Here sigma_c is the mass of the continuous spectral part, so the total
 variance shift^2-part + sum r_j^2/2 matches sigma(0) in expectation.
+
+The module also holds what the simulation and Kac-Rice layers share:
+the (master, index) seed derivation, the worker pool built on it, and
+the MomentEstimate record every estimator returns.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +42,7 @@ import numpy as np
 from .models import MAX_DERIVATIVE_ORDER, CovarianceModel
 
 __all__ = [
+    "MomentEstimate",
     "FieldRealization",
     "seed_entropy",
     "seeded_rng",
@@ -67,6 +73,42 @@ def seed_entropy(seed) -> tuple:
 
 def seeded_rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed_entropy(seed)))
+
+
+def _run_tasks(fn, tasks, threads: int = 1):
+    """Map fn over tasks, optionally in worker processes; order preserved.
+
+    Each task carries its own derived (seed, i) stream, so the results do
+    not depend on threads.
+    """
+    if threads <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * threads))))
+
+
+@dataclass(frozen=True)
+class MomentEstimate:
+    """A Monte-Carlo or quadrature estimate with its uncertainty.
+
+    nsamples counts realizations for the empirical estimators.  For the
+    antithetic conditional engines it counts draws with both members of
+    each +/- pair included; the independent replications there are the
+    pairs (floor(nsamples/2), or ceil(nsamples/2) for the two-point
+    function), and the standard error is taken over them.
+    """
+
+    value: float
+    std_error: float
+    nsamples: int
+    rho: float | None = None
+    label: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.std_error >= 0:
+            raise ValueError(f"std_error must be nonnegative, got {self.std_error}")
+        if self.nsamples < 2:
+            raise ValueError(f"nsamples must be at least 2, got {self.nsamples}")
 
 
 @dataclass(frozen=True)

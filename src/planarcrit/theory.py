@@ -44,6 +44,7 @@ from .models import CovarianceModel, MomentDivergenceError, SigmaDerivatives, si
 
 __all__ = [
     "KINDS",
+    "KIND_COLUMNS",
     "PAIRS",
     "ScalingOrder",
     "TheoryReport",
@@ -60,8 +61,10 @@ __all__ = [
     "MIN_REPULSION_FACTOR",
 ]
 
-# Critical-point types: all, extrema, saddles, minima, maxima.
-KINDS = ("c", "e", "s", "min", "max")
+# Critical-point types (all, extrema, saddles, minima, maxima) and the
+# columns of (max, min, saddle) counts that each one adds up.
+KIND_COLUMNS = {"c": (0, 1, 2), "e": (0, 1), "s": (2,), "min": (1,), "max": (0,)}
+KINDS = tuple(KIND_COLUMNS)
 
 # Pair tags with a known second-moment scaling.
 PAIRS = (("c", "c"), ("e", "e"), ("s", "s"), ("e", "s"))
@@ -251,7 +254,9 @@ class TheoryReport:
 
 
 def theory_report(model: CovarianceModel, rho: float) -> TheoryReport:
-    """Evaluate every closed-form quantity for a model at ball radius rho."""
+    """Evaluate every closed-form quantity for a model at ball radius rho > 0."""
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
     d = sigma_derivatives(model)
     lam = lambda_c(d)
     r_c = repulsion_factor(d)

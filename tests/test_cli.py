@@ -157,6 +157,40 @@ def test_no_flag_switches_off_a_config_bool(tmp_path, capsys):
     assert parser.parse_args(["scaling"]).with_log is None
 
 
+def test_config_bool_must_be_a_known_spelling(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    argv = ("sample", "--config", str(cfg), "--seed", "3", "--size", "8", "--format", "json")
+    for raw, want in (("On", True), ("NO", False), ("0", False)):
+        cfg.write_text(f"model.family = randomwave\nmodel.k = 1\ngaussian-amplitudes = {raw}\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["meta"]["gaussian_amplitudes"] is want
+    cfg.write_text("model.family = randomwave\nmodel.k = 1\ngaussian-amplitudes = ture\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "gaussian-amplitudes" in err and "ture" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_1(tmp_path, capsys, threads):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"threads = {threads}\n")
+    for argv in (
+        ("estimate", "--model", "randomwave", "--k", "1", "--seed", "3",
+         "--nreal", "2", "--window-size", "6"),
+        ("theory", "--model", "randomwave", "--k", "1"),
+    ):
+        code, out, err = run(capsys, *argv, "--threads", threads)
+        assert code == 1 and out == "" and "threads" in err
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 1 and out == "" and "threads" in err
+
+
+@pytest.mark.parametrize("rho", ["-1", "0"])
+def test_theory_rejects_nonpositive_rho(capsys, rho):
+    code, out, err = run(capsys, "theory", "--model", "randomwave", "--k", "1", "--rho", rho)
+    assert code == 1 and out == "" and "rho" in err
+
+
 def test_find_json_meta_carries_finder_counters(capsys):
     argv = ("find", "--model", "randomwave", "--k", "1", "--seed", "3", "--window-size", "6")
     code, out, _ = run(capsys, *argv, "--format", "json")

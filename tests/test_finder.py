@@ -11,7 +11,6 @@ from planarcrit.finder import (
     SearchConfig,
     _dedup,
     classify,
-    count_in_ball,
     default_grid_step,
     find_critical_points,
 )
@@ -101,14 +100,6 @@ def test_type_counts_partition():
     n_max = kinds.count(CriticalKind.MAXIMUM)
     n_sad = kinds.count(CriticalKind.SADDLE)
     assert n_min + n_max + n_sad == len(points)
-    # counts by tag agree with the partition
-    center = (6.0, 6.0)
-    assert count_in_ball(points, center, 5.0, kind="c") == count_in_ball(
-        points, center, 5.0, kind="e"
-    ) + count_in_ball(points, center, 5.0, kind="s")
-    assert count_in_ball(points, center, 5.0, kind="e") == count_in_ball(
-        points, center, 5.0, kind="min"
-    ) + count_in_ball(points, center, 5.0, kind="max")
 
 
 def test_hessian_attributes_consistent():
