@@ -275,6 +275,7 @@ def _cmd_estimate(args, cfg):
     nreal = _param(args, cfg, "nreal", int, 100)
     size = _param(args, cfg, "size", int, 1024)
     kind = _param(args, cfg, "kind", str, "c")
+    theory.normalize_kind(kind)  # reject a bad tag before the sweep
     pair = theory.normalize_pair(_param(args, cfg, "pair", str, "cc"))
     window = _window(args, cfg, model)
     rho_list = _float_list(args, cfg, "rho-list") or []

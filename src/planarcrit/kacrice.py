@@ -14,29 +14,25 @@ is a Schur complement, and only the conditional determinant expectation
 needs Monte-Carlo, over a small exactly-known Gaussian.
 
 The Monte-Carlo is antithetic: each draw x stands for the pair (x, -x),
-and the pair average is one independent replication.  Determinants,
-A1 and B0 below are sums of products of two coordinates of the draw,
-so they are even under x -> -x, exactly so in IEEE arithmetic; only
-the sign of h11 in the min/max indicators flips, which swaps min and
-max.  Each pair is therefore evaluated once, from its "+" member.  A
-reported nsamples of n counts both members: the independent
-replications are the floor(n/2) pairs of the one-point and expansion
-estimators and the ceil(n/2) pairs of two_point_correlation.
+and the pair average is one independent replication.  Determinants are
+sums of products of two coordinates of the draw, so they are even under
+x -> -x, exactly so in IEEE arithmetic; only the sign of h11 in the
+min/max indicators flips, which swaps min and max.  Each pair is
+therefore evaluated once, from its "+" member.  A reported nsamples of
+n counts both members: the independent replications are the floor(n/2)
+pairs of one_point_intensity_mc and the ceil(n/2) pairs of
+two_point_correlation.
+
+Each estimator is a law (the conditional covariance and the density
+prefactor) and an integrand (draws to pair averages); one driver,
+_antithetic_mean, owns the seeded stream, the chunking and the
+reduction.  The reduction is plain elementwise sums with no BLAS call,
+so the reported std_error does not depend on the BLAS thread count.
 
 Ball moments reduce by isotropy to one-dimensional integrals against
 the disc pair-distance density and are evaluated by Gauss-Legendre
 quadrature with Monte-Carlo values of K2 at each node, with extra
 log-spaced nodes packed near zero where K2 varies fastest.
-
-Expansion-level operations sample the conditional law of third and
-fourth derivatives given a degenerate critical configuration at the
-origin, to verify the small-distance orders (r^3 for extrema pairs,
-r^3 |log r| for saddle pairs) at the level of the quantities that
-produce them, where direct simulation has no statistical power.  For
-shifted-random-wave models the third derivatives satisfy an exact
-linear relation on the conditioning event, so the degenerate coordinate
-is substituted out instead of being sampled (a zero-variance direction
-would otherwise make the covariance singular).
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ from .models import (
     CovarianceModel,
     derivative_covariance,
     effective_wavenumber,
-    is_shifted_random_wave,
     sigma_derivatives,
 )
 from .sampling import MomentEstimate, _run_tasks, seeded_rng
@@ -68,7 +63,6 @@ __all__ = [
     "two_point_correlation",
     "disc_pair_distance_density",
     "second_factorial_by_quadrature",
-    "expansion_moment_mc",
     "small_ball_probability_mc",
     "gated_magnitude_mc",
     "R_FLOOR_FRACTION",
@@ -129,27 +123,6 @@ class ConditionalGaussian:
         return draws
 
 
-def _condition(model: CovarianceModel, constraints, targets) -> ConditionalGaussian:
-    """Law of `targets` given that every constraint derivative vanishes."""
-    specs = list(constraints) + list(targets)
-    cov = derivative_covariance(model, specs)
-    nc = len(constraints)
-    cc = cov[:nc, :nc]
-    ct = cov[:nc, nc:]
-    tt = cov[nc:, nc:]
-    eigval = np.linalg.eigvalsh(cc)
-    if eigval[0] <= _CONSTRAINT_TOL * max(1.0, float(eigval[-1])):
-        raise DegeneracyError(
-            f"constraint covariance is degenerate (smallest eigenvalue {eigval[0]})"
-        )
-    cho = linalg.cho_factor(cc, lower=True)
-    cond_cov = tt - ct.T @ linalg.cho_solve(cho, ct)
-    cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    return ConditionalGaussian(
-        mean=np.zeros(len(targets)), covariance=cond_cov, labels=tuple(targets)
-    )
-
-
 def condition_on_zero_gradients(model: CovarianceModel, points, targets) -> ConditionalGaussian:
     """Conditional law of derivative targets given zero gradients.
 
@@ -171,7 +144,22 @@ def condition_on_zero_gradients(model: CovarianceModel, points, targets) -> Cond
     if not 1 <= len(pts) <= 2:
         raise ValueError(f"expected one or two points, got {len(pts)}")
     constraints = [(p, alpha) for p in pts for alpha in ((1, 0), (0, 1))]
-    return _condition(model, constraints, targets)
+    cov = derivative_covariance(model, constraints + list(targets))
+    nc = len(constraints)
+    cc = cov[:nc, :nc]
+    ct = cov[:nc, nc:]
+    tt = cov[nc:, nc:]
+    eigval = np.linalg.eigvalsh(cc)
+    if eigval[0] <= _CONSTRAINT_TOL * max(1.0, float(eigval[-1])):
+        raise DegeneracyError(
+            f"constraint covariance is degenerate (smallest eigenvalue {eigval[0]})"
+        )
+    cho = linalg.cho_factor(cc, lower=True)
+    cond_cov = tt - ct.T @ linalg.cho_solve(cho, ct)
+    cond_cov = 0.5 * (cond_cov + cond_cov.T)
+    return ConditionalGaussian(
+        mean=np.zeros(len(targets)), covariance=cond_cov, labels=tuple(targets)
+    )
 
 
 def correlation_length(model: CovarianceModel) -> float:
@@ -319,7 +307,7 @@ def _typed_pair_average(weight: np.ndarray, kinds, dets, h11s) -> np.ndarray:
 
 
 def _mean_se(values: np.ndarray):
-    """Mean and SE over independent replications: antithetic pair averages or draws."""
+    """Mean and SE over independent draws."""
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(len(values)))
     return mean, se
@@ -337,6 +325,37 @@ def _require_two_pairs(nsamples: int, npairs: int) -> None:
         )
 
 
+def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
+    """Mean and SE of integrand's pair averages over npairs antithetic pairs.
+
+    integrand maps a block of "+" draws from law to one pair average per
+    row.  Pairs are drawn from seeded_rng(seed) in chunks of at most
+    _CHUNK_PAIRS, which keeps memory flat for the large budgets the rare
+    typed events need at small r.  The mean is the running sum of chunk
+    sums over npairs; the squared deviations are summed two-pass within
+    each chunk, plus each chunk's between-chunk term.  On one chunk this
+    is _mean_se bit for bit, and no reduction is a BLAS call.
+    """
+    rng = seeded_rng(seed)
+    tot = 0.0
+    chunks = []  # (pair count, chunk mean, within-chunk sum of squared deviations)
+    left = npairs
+    while left > 0:
+        n = min(left, _CHUNK_PAIRS)
+        left -= n
+        pairs = integrand(law.sample(rng, n))
+        total = float(pairs.sum())
+        dev = pairs - total / n
+        tot += total
+        chunks.append((n, total / n, float((dev * dev).sum())))
+    mean = tot / npairs
+    ss = 0.0
+    for n, chunk_mean, dev2 in chunks:
+        ss += dev2 + n * (chunk_mean - mean) ** 2
+    se = math.sqrt(ss / (npairs - 1)) / math.sqrt(npairs)
+    return mean, se
+
+
 def one_point_intensity_mc(
     model: CovarianceModel, nsamples: int = 10**6, seed=0, kind: str = "c"
 ) -> MomentEstimate:
@@ -348,17 +367,20 @@ def one_point_intensity_mc(
     (conditional = unconditional) Hessian law.
     """
     kind = normalize_kind(kind)
-    _require_two_pairs(nsamples, nsamples // 2)
-    d = sigma_derivatives(model)
+    npairs = nsamples // 2
+    _require_two_pairs(nsamples, npairs)
     origin = np.zeros(2)
     law = condition_on_zero_gradients(
         model, [origin], [(origin, (2, 0)), (origin, (1, 1)), (origin, (0, 2))]
     )
-    rng = seeded_rng(seed)
-    h11, h12, h22 = law.sample(rng, nsamples // 2).T
-    det = h11 * h22 - h12**2
-    mean, se = _mean_se(_typed_pair_average(np.abs(det), (kind,), (det,), (h11,)))
-    phi = 1.0 / (4.0 * math.pi * abs(d.eta0))
+    phi = 1.0 / (4.0 * math.pi * abs(sigma_derivatives(model).eta0))
+
+    def integrand(draws):
+        h11, h12, h22 = draws.T
+        det = h11 * h22 - h12**2
+        return _typed_pair_average(np.abs(det), (kind,), (det,), (h11,))
+
+    mean, se = _antithetic_mean(law, integrand, npairs, seed)
     return MomentEstimate(
         value=phi * mean, std_error=phi * se, nsamples=nsamples, label=kind
     )
@@ -391,7 +413,8 @@ def two_point_correlation(
         gradient-pair covariance is numerically rank deficient.
     """
     kinds = tuple(normalize_kind(k) for k in pair)
-    _require_two_pairs(nsamples, (nsamples + 1) // 2)
+    npairs = (nsamples + 1) // 2
+    _require_two_pairs(nsamples, npairs)
     floor = R_FLOOR_FRACTION * correlation_length(model)
     if not r >= floor:
         raise DegeneracyError(
@@ -405,32 +428,19 @@ def two_point_correlation(
         labels=("s11", "s12", "s22", "d11/r", "d12/r", "d22/r"),
     )
     phi = float(math.exp(-0.5 * logdet) / (2.0 * math.pi * r) ** 2)
-    rng = seeded_rng(seed)
 
-    # Chunked accumulation of antithetic pair averages keeps memory flat
-    # for the large budgets the rare typed events need at small r.
-    npairs_left = (nsamples + 1) // 2
-    tot = tot2 = 0.0
-    ntot = 0
-    while npairs_left > 0:
-        npairs = min(npairs_left, _CHUNK_PAIRS)
-        npairs_left -= npairs
-        draws = law.sample(rng, npairs)
+    def integrand(draws):
         # Hessians back from averages and scaled differences.
         half_diff = (r / 2.0) * draws[:, 3:]
         h1 = draws[:, :3] + half_diff
         h2 = draws[:, :3] - half_diff
         det1 = h1[:, 0] * h1[:, 2] - h1[:, 1] ** 2
         det2 = h2[:, 0] * h2[:, 2] - h2[:, 1] ** 2
-        pairs = _typed_pair_average(
+        return _typed_pair_average(
             np.abs(det1 * det2), kinds, (det1, det2), (h1[:, 0], h2[:, 0])
         )
-        tot += float(pairs.sum())
-        tot2 += float(pairs @ pairs)
-        ntot += npairs
-    mean = tot / ntot
-    var = max(tot2 / ntot - mean * mean, 0.0) * ntot / (ntot - 1)
-    se = math.sqrt(var / ntot)
+
+    mean, se = _antithetic_mean(law, integrand, npairs, seed)
     return MomentEstimate(
         value=phi * mean,
         std_error=phi * se,
@@ -483,6 +493,7 @@ def second_factorial_by_quadrature(
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
+    kinds = tuple(normalize_kind(k) for k in pair)
     delta = 0.2 * rho
     floor = R_FLOOR_FRACTION * correlation_length(model)
     u_lo = max(floor * (1.0 + 1e-9), 1e-6 * rho)
@@ -513,92 +524,18 @@ def second_factorial_by_quadrature(
     weights = jac_all * disc_pair_distance_density(u_all, rho)
 
     tasks = [
-        (model, float(u), pair, nsamples_per_node, (seed, i)) for i, u in enumerate(u_all)
+        (model, float(u), kinds, nsamples_per_node, (seed, i)) for i, u in enumerate(u_all)
     ]
     k2 = np.array(_run_tasks(_k2_node, tasks, threads))
     area2 = (math.pi * rho**2) ** 2
     value = area2 * float(weights @ k2[:, 0])
     se = area2 * math.sqrt(float((weights**2) @ (k2[:, 1] ** 2)))
-    a, b = pair
     return MomentEstimate(
         value=value,
         std_error=se,
         nsamples=nsamples_per_node * len(u_all),
         rho=rho,
-        label=f"({a},{b})",
-    )
-
-
-# Conditioning event of the degenerate expansion: gradient and the
-# first Hessian column vanish at the origin.
-_Y0 = [
-    (np.zeros(2), (1, 0)),
-    (np.zeros(2), (0, 1)),
-    (np.zeros(2), (2, 0)),
-    (np.zeros(2), (1, 1)),
-]
-
-
-def expansion_moment_mc(
-    model: CovarianceModel,
-    r: float,
-    variant: str = "extrema",
-    nsamples: int = 10**5,
-    seed=0,
-) -> MomentEstimate:
-    """Leading-order surrogate for the same-type pair density near zero.
-
-    Samples the conditional law, given the degenerate event (gradient
-    and first Hessian column zero at the origin), of
-
-        A1 = d22 d111,
-        B0 = d122 d111 - d112^2 + (1/3) d22 d1111,
-
-    and estimates E[|A1^2 - r^2 B0^2| J] with the event J = {|A1| <
-    r B0} for the extrema variant and J = {|A1| <= -r B0} for saddles.
-    These scale like r^3 and r^3 |log r| respectively, which is where
-    the ball moments rho^7 and rho^7 |log rho| come from (after the
-    rho^4 pair-volume factor).
-
-    At r = 0 the value returned is the baseline second moment E[A1^2]
-    (no indicator), the normalizing constant of the expansion.
-
-    For shifted-random-wave models the conditioning makes d122 equal
-    -d111 exactly, so that coordinate is substituted, not sampled.
-    """
-    if variant not in ("extrema", "saddle"):
-        raise ValueError(f"variant must be 'extrema' or 'saddle', got {variant!r}")
-    _require_two_pairs(nsamples, nsamples // 2)
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
-    degenerate, _ = is_shifted_random_wave(model)
-    origin = np.zeros(2)
-    names = [(0, 2), (3, 0), (2, 1), (4, 0)]  # d22, d111, d112, d1111
-    if not degenerate:
-        names.insert(2, (1, 2))  # d122 sampled explicitly
-    targets = [(origin, alpha) for alpha in names]
-    law = _condition(model, _Y0, targets)
-    rng = seeded_rng(seed)
-    # A1 and B0 are even in the draw, so each pair average is its "+" value.
-    draws = law.sample(rng, nsamples // 2)
-    if degenerate:
-        d22, d111, d112, d1111 = draws.T
-        d122 = -d111
-    else:
-        d22, d111, d122, d112, d1111 = draws.T
-    a1 = d22 * d111
-    b0 = d122 * d111 - d112**2 + d22 * d1111 / 3.0
-    if r == 0.0:
-        vals = a1**2
-    else:
-        if variant == "extrema":
-            event = np.abs(a1) < r * b0
-        else:
-            event = np.abs(a1) <= -r * b0
-        vals = np.abs(a1**2 - r * r * b0**2) * event
-    mean, se = _mean_se(vals)
-    return MomentEstimate(
-        value=mean, std_error=se, nsamples=nsamples, rho=r, label=f"expansion-{variant}"
+        label=f"({kinds[0]},{kinds[1]})",
     )
 
 

@@ -66,7 +66,6 @@ __all__ = [
     "effective_wavenumber",
     "spectral_moment",
     "derivative_covariance",
-    "is_shifted_random_wave",
     "model_from_config",
     "model_to_config",
 ]
@@ -169,10 +168,6 @@ class CovarianceModel:
         """Draw `size` iid frequencies from the normalized continuous part of F."""
         raise NotImplementedError
 
-    def _circle_decomposition(self):
-        """(atom mass, {radius: mass}) if F = atom + circles, else None."""
-        return None
-
     # -- serialization ---------------------------------------------------
 
     def params(self) -> dict:
@@ -273,9 +268,6 @@ class RandomWave(CovarianceModel):
         theta = rng.uniform(0.0, 2.0 * math.pi, size=size)
         return self.k * np.column_stack([np.cos(theta), np.sin(theta)])
 
-    def _circle_decomposition(self):
-        return 0.0, {self.k: 1.0}
-
     def params(self):
         return {"k": self.k}
 
@@ -325,9 +317,6 @@ class ShiftedRandomWave(CovarianceModel):
     def sample_frequencies(self, rng, size):
         theta = rng.uniform(0.0, 2.0 * math.pi, size=size)
         return self.k * np.column_stack([np.cos(theta), np.sin(theta)])
-
-    def _circle_decomposition(self):
-        return self.tau**2, {self.k: self.s**2}
 
     def params(self):
         return {"tau": self.tau, "s": self.s, "k": self.k}
@@ -459,19 +448,6 @@ class Interpolation(CovarianceModel):
         if size - nl:
             out[~from_left] = self.right.sample_frequencies(rng, size - nl)
         return out
-
-    def _circle_decomposition(self):
-        dl = self.left._circle_decomposition()
-        dr = self.right._circle_decomposition()
-        if dl is None or dr is None:
-            return None
-        atom = self.s * dl[0] + (1.0 - self.s) * dr[0]
-        circles: dict[float, float] = {}
-        for weight, dec in ((self.s, dl[1]), (1.0 - self.s, dr[1])):
-            for radius, mass in dec.items():
-                if weight * mass > 0.0:
-                    circles[radius] = circles.get(radius, 0.0) + weight * mass
-        return atom, circles
 
     def params(self):
         flat = {"s": self.s, "left.family": self.left.family, "right.family": self.right.family}
@@ -687,27 +663,6 @@ def derivative_covariance(model: CovarianceModel, specs, extended: bool = False)
             sign = -1.0 if (aj1 + aj2) % 2 else 1.0
             cov[i, j] = cov[j, i] = sign * _gamma_partial(ai1 + aj1, ai2 + aj2, pi - pj, sigma)
     return cov
-
-
-def is_shifted_random_wave(model: CovarianceModel):
-    """Whether the spectral measure is an atom at 0 plus one uniform circle.
-
-    Returns
-    -------
-    (bool, float or None)
-        (True, circle radius) for random waves, shifted random waves,
-        and mixtures that collapse to a single circle; (False, None)
-        otherwise.  Drives the degenerate-conditioning branch of the
-        Kac-Rice expansion operations, where the third derivatives of a
-        wave field satisfy an exact linear relation.
-    """
-    dec = model._circle_decomposition()
-    if dec is None:
-        return False, None
-    _, circles = dec
-    if len(circles) != 1:
-        return False, None
-    return True, next(iter(circles))
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,17 @@ def test_estimate_samples_each_realization_once(capsys, monkeypatch):
     assert calls == [(11, i) for i in range(4)]
 
 
+def test_estimate_rejects_unknown_kind_before_sweeping(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before checking --kind")
+
+    monkeypatch.setattr(estimators, "sweep", no_sweep)
+    code, out, err = run(capsys, "estimate", "--model", "randomwave", "--k", "1",
+                         "--seed", "11", "--nreal", "4", "--kind", "bogus")
+    assert code == 1 and out == ""
+    assert "unknown critical-point kind" in err
+
+
 def test_failed_write_keeps_old_output(tmp_path):
     target = tmp_path / "out.csv"
     target.write_bytes(b"old bytes\n")

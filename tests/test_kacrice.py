@@ -1,23 +1,25 @@
 """Conditional Monte-Carlo engine: every estimator against an independent route."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import planarcrit
 from planarcrit import kacrice
 from planarcrit.kacrice import (
     ConditionalGaussian,
     DegeneracyError,
     R_FLOOR_FRACTION,
-    _Y0,
-    _condition,
     _pair_conditional,
     condition_on_zero_gradients,
     correlation_length,
     disc_pair_distance_density,
-    expansion_moment_mc,
     gated_magnitude_mc,
     gradient_pair_density,
     gradient_pair_density_asymptotic,
@@ -29,9 +31,7 @@ from planarcrit.kacrice import (
 from planarcrit.models import (
     BargmannFock,
     RandomWave,
-    ShiftedRandomWave,
     derivative_covariance,
-    is_shifted_random_wave,
     sigma_derivatives,
 )
 from planarcrit.sampling import seeded_rng
@@ -313,52 +313,19 @@ def test_quadrature_ball_moment_matches_asymptote():
     assert est.std_error < 0.02 * est.value
 
 
+def test_quadrature_labels_its_normalized_pair():
+    est = second_factorial_by_quadrature(
+        RW1, 0.3, pair=("saddle", "extremum"), nsamples_per_node=200, seed=1, nodes=(2, 2)
+    )
+    assert est.label == "(s,e)"
+
+
 def test_quadrature_thread_count_does_not_change_bytes():
     kw = dict(nsamples_per_node=2_000, seed=2)
     a = second_factorial_by_quadrature(RW1, 0.3, threads=1, **kw)
     b = second_factorial_by_quadrature(RW1, 0.3, threads=3, **kw)
     assert a.value == b.value
     assert a.std_error == b.std_error
-
-
-# ---------------------------------------------------------------------------
-# Local expansion moments
-# ---------------------------------------------------------------------------
-
-
-def test_expansion_normalizer_two_routes():
-    # closed form: the product of the two conditional variances factors as
-    # 2^8 mu0 (3 mu0^2 - 5 nu0 eta0) / eta0, both signs negative, so the
-    # value is positive; 1/96 for this model
-    mu0, eta0, nu0 = D1.mu0, D1.eta0, D1.nu0
-    closed = 2**8 * mu0 * (3.0 * mu0**2 - 5.0 * nu0 * eta0) / eta0
-    assert closed == pytest.approx(1.0 / 96.0, rel=1e-13)
-    assert 3.0 * mu0**2 - 5.0 * nu0 * eta0 < 0  # forced by variance positivity
-    est = expansion_moment_mc(RW1, r=0.0, nsamples=300_000, seed=1)
-    assert abs(est.value - closed) < 4.0 * est.std_error
-
-
-def test_expansion_moment_scales_cubically():
-    radii = np.array([0.1, 0.2, 0.4])
-    vals = [
-        expansion_moment_mc(RW1, r=float(r), variant="extrema", nsamples=400_000, seed=8).value
-        for r in radii
-    ]
-    slope = np.polyfit(np.log(radii), np.log(vals), 1)[0]
-    assert slope == pytest.approx(3.0, abs=0.4)
-
-
-def test_expansion_saddle_variant_dominates_extrema():
-    # the saddle gate needs B0 < 0, which the -d112^2 term in B0 makes the
-    # typical sign; close saddle pairs are correspondingly more likely than
-    # close extrema pairs (the same asymmetry that puts the extra log factor
-    # on the (s,s) ball moment)
-    kw = dict(nsamples=400_000, seed=9)
-    ext = expansion_moment_mc(RW1, r=0.3, variant="extrema", **kw)
-    sad = expansion_moment_mc(RW1, r=0.3, variant="saddle", **kw)
-    assert 0 < ext.value < sad.value
-    with pytest.raises(ValueError):
-        expansion_moment_mc(RW1, r=0.1, variant="monkey")
 
 
 # ---------------------------------------------------------------------------
@@ -423,18 +390,43 @@ def _ref_interleaved_draws(law, rng, n):
     return draws[:n] + law.mean
 
 
-def _ref_pair_mean_se(values):
-    n = len(values) // 2 * 2
-    pairs = 0.5 * (values[0:n:2] + values[1:n:2])
-    return float(pairs.mean()), float(pairs.std(ddof=1) / math.sqrt(len(pairs)))
+def _ref_chunked(law, npairs, seed, values):
+    """(mean, SE) of both-member pair averages of values(draws), chunk by chunk.
+
+    The mean is the running sum of chunk sums over npairs; the squared
+    deviations are summed two-pass within each chunk, plus the
+    between-chunk term.
+    """
+    rng = seeded_rng(seed)
+    tot = 0.0
+    chunks = []
+    left = npairs
+    while left > 0:
+        n = min(left, kacrice._CHUNK_PAIRS)
+        left -= n
+        vals = values(_ref_interleaved_draws(law, rng, 2 * n))
+        pairs = 0.5 * (vals[0::2] + vals[1::2])
+        total = float(pairs.sum())
+        dev = pairs - total / n
+        tot += total
+        chunks.append((n, total / n, float((dev * dev).sum())))
+    mean = tot / npairs
+    ss = 0.0
+    for n, chunk_mean, dev2 in chunks:
+        ss += dev2 + n * (chunk_mean - mean) ** 2
+    return mean, math.sqrt(ss / (npairs - 1)) / math.sqrt(npairs)
 
 
 def _ref_one_point(model, n, seed, kind):
     o = np.zeros(2)
     law = condition_on_zero_gradients(model, [o], [(o, (2, 0)), (o, (1, 1)), (o, (0, 2))])
-    h11, h12, h22 = _ref_interleaved_draws(law, seeded_rng(seed), n).T
-    det = h11 * h22 - h12**2
-    mean, se = _ref_pair_mean_se(np.abs(det) * _ref_indicator(kind, det, h11))
+
+    def values(draws):
+        h11, h12, h22 = draws.T
+        det = h11 * h22 - h12**2
+        return np.abs(det) * _ref_indicator(kind, det, h11)
+
+    mean, se = _ref_chunked(law, n // 2, seed, values)
     phi = 1.0 / (4.0 * math.pi * abs(sigma_derivatives(model).eta0))
     return phi * mean, phi * se
 
@@ -443,53 +435,20 @@ def _ref_two_point(model, r, pair, n, seed):
     cond_cov, logdet = _pair_conditional(model, r)
     law = ConditionalGaussian(mean=np.zeros(6), covariance=cond_cov, labels=tuple("abcdef"))
     phi = float(math.exp(-0.5 * logdet) / (2.0 * math.pi * r) ** 2)
-    rng = seeded_rng(seed)
-    left = (n + 1) // 2
-    tot = tot2 = 0.0
-    ntot = 0
-    while left > 0:
-        npairs = min(left, kacrice._CHUNK_PAIRS)
-        left -= npairs
-        draws = _ref_interleaved_draws(law, rng, 2 * npairs)
+
+    def values(draws):
         h1 = draws[:, :3] + (r / 2.0) * draws[:, 3:]
         h2 = draws[:, :3] - (r / 2.0) * draws[:, 3:]
         det1 = h1[:, 0] * h1[:, 2] - h1[:, 1] ** 2
         det2 = h2[:, 0] * h2[:, 2] - h2[:, 1] ** 2
-        vals = (
+        return (
             np.abs(det1 * det2)
             * _ref_indicator(pair[0], det1, h1[:, 0])
             * _ref_indicator(pair[1], det2, h2[:, 0])
         )
-        pairs = 0.5 * (vals[0::2] + vals[1::2])
-        tot += float(pairs.sum())
-        tot2 += float(pairs @ pairs)
-        ntot += npairs
-    mean = tot / ntot
-    var = max(tot2 / ntot - mean * mean, 0.0) * ntot / max(ntot - 1, 1)
-    return phi * mean, phi * math.sqrt(var / ntot)
 
-
-def _ref_expansion(model, r, variant, n, seed):
-    degenerate, _ = is_shifted_random_wave(model)
-    o = np.zeros(2)
-    names = [(0, 2), (3, 0), (2, 1), (4, 0)]
-    if not degenerate:
-        names.insert(2, (1, 2))
-    law = _condition(model, _Y0, [(o, alpha) for alpha in names])
-    draws = _ref_interleaved_draws(law, seeded_rng(seed), n)
-    if degenerate:
-        d22, d111, d112, d1111 = draws.T
-        d122 = -d111
-    else:
-        d22, d111, d122, d112, d1111 = draws.T
-    a1 = d22 * d111
-    b0 = d122 * d111 - d112**2 + d22 * d1111 / 3.0
-    if r == 0.0:
-        vals = a1**2
-    else:
-        gate = np.abs(a1) < r * b0 if variant == "extrema" else np.abs(a1) <= -r * b0
-        vals = np.abs(a1**2 - r * r * b0**2) * gate
-    return _ref_pair_mean_se(vals)
+    mean, se = _ref_chunked(law, (n + 1) // 2, seed, values)
+    return phi * mean, phi * se
 
 
 PAIRS = [("c", "c"), ("e", "e"), ("s", "s"), ("min", "min"), ("max", "max"),
@@ -513,6 +472,19 @@ def test_two_point_equals_reference_across_chunks(monkeypatch):
         est = two_point_correlation(RW1, 4.0, pair=pair, nsamples=nsamples, seed=2)
         assert est.value > 0
         assert (est.value, est.std_error) == _ref_two_point(RW1, 4.0, pair, nsamples, 2)
+    for kind, nsamples in (("min", 4001), ("s", 4000)):
+        est = one_point_intensity_mc(RW1, nsamples=nsamples, seed=2, kind=kind)
+        assert (est.value, est.std_error) == _ref_one_point(RW1, nsamples, 2, kind)
+
+
+def test_one_chunk_reduction_is_plain_mean_and_se():
+    law = ConditionalGaussian(mean=np.zeros(2), covariance=np.eye(2), labels=("a", "b"))
+
+    def integrand(draws):
+        return np.abs(draws[:, 0] * draws[:, 1])
+
+    expected = kacrice._mean_se(integrand(law.sample(seeded_rng(5), 30_001)))
+    assert kacrice._antithetic_mean(law, integrand, 30_001, 5) == expected
 
 
 @pytest.mark.parametrize("model", [RW1, BargmannFock(1.0)], ids=repr)
@@ -524,27 +496,32 @@ def test_one_point_equals_both_member_reference(model, kind):
         assert est.nsamples == nsamples
 
 
-@pytest.mark.parametrize("model", [RW1, ShiftedRandomWave(0.5, 1.0, 1.0)], ids=repr)
-@pytest.mark.parametrize("variant", ["extrema", "saddle"])
-@pytest.mark.parametrize("r", [0.0, 0.3])
-def test_expansion_equals_both_member_reference(model, variant, r):
-    for nsamples in (40_000, 40_001):
-        est = expansion_moment_mc(model, r=r, variant=variant, nsamples=nsamples, seed=9)
-        assert (est.value, est.std_error) == _ref_expansion(model, r, variant, nsamples, 9)
-
-
 @pytest.mark.parametrize("nsamples", [2, 3])
 def test_one_pair_budgets_are_rejected(nsamples):
     # One antithetic pair leaves no standard error to report: floor(n / 2)
-    # pairs for one-point and expansion, ceil(n / 2) for two-point.
+    # pairs for one-point, ceil(n / 2) for two-point.
     with pytest.raises(ValueError, match="two antithetic pairs"):
         one_point_intensity_mc(RW1, nsamples=nsamples, seed=0)
-    with pytest.raises(ValueError, match="two antithetic pairs"):
-        expansion_moment_mc(RW1, r=0.1, nsamples=nsamples, seed=0)
     assert math.isfinite(one_point_intensity_mc(RW1, nsamples=4, seed=0).std_error)
-    assert math.isfinite(expansion_moment_mc(RW1, r=0.1, nsamples=4, seed=0).std_error)
     if nsamples == 2:
         with pytest.raises(ValueError, match="two antithetic pairs"):
             two_point_correlation(RW1, 0.05, nsamples=nsamples, seed=0)
     else:
         assert two_point_correlation(RW1, 0.05, nsamples=nsamples, seed=0).std_error > 0
+
+
+def test_std_error_does_not_depend_on_blas_threads():
+    # The reduction is elementwise, so the bytes hold at any BLAS thread
+    # count; OpenBLAS reads its thread count at load, hence a subprocess.
+    argv = [sys.executable, "-m", "planarcrit.cli", "kacrice", "--model", "randomwave",
+            "--k", "1", "--seed", "7", "--what", "two-point", "--r", "0.005", "0.02", "0.05",
+            "--pair", "cc", "--nsamples", "200001"]
+    src = str(Path(planarcrit.__file__).parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("(c,c)") == 3

@@ -5,6 +5,7 @@ statements themselves, including ones that only run inside a function.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -87,3 +88,9 @@ def test_parser_sees_relative_and_function_level_imports():
     for node in ast.walk(tree):
         found |= _package_imports(node)
     assert found == {"kacrice", "theory", "models", "estimators"}
+
+
+@pytest.mark.parametrize("name", ["planarcrit", *(f"planarcrit.{m}" for m in sorted(LAYERS))])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
