@@ -30,9 +30,12 @@ plane moments
 vanish whenever a or b is odd and satisfy the isotropy relations
 m_{4,0} = 3 m_{2,2} and m_{6,0} = 5 m_{4,2}.
 
-Five families are implemented, all exposing exact (or quadrature-exact)
-sigma derivatives at arbitrary argument, radial moments, and spectral
-frequency sampling:
+Five families are implemented.  Each has closed-form radial moments,
+spectral frequency sampling and one profile evaluator,
+sigma_derivative(j, x), which computes in the dtype of the lag x
+(float64, or longdouble for the extended-precision assembly).  It is
+exact except for the power law, whose radial measure becomes a fixed
+64-ring rule:
 
     BargmannFock(k)            sigma(x) = exp(-k x); F = N(0, 2k I)
     RandomWave(k)              sigma(x) = J0(k sqrt(x)); F uniform on
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "CovarianceModel",
@@ -70,18 +73,24 @@ __all__ = [
     "model_to_config",
 ]
 
-# Relative tolerance for adaptive radial quadrature (Gauss-Kronrod).
+# Relative tolerance of the untruncated power law's adaptive quadrature.
 _QUAD_RTOL = 1e-10
 
 # Highest total derivative order supported per point.
 MAX_DERIVATIVE_ORDER = 4
 
-# Fixed Gauss-Legendre order for extended-precision radial integrals.
-# With the power-law substitution the integrand is smooth, and a fixed
-# rule is itself an exact discrete spectral measure, which keeps every
-# covariance entry mutually consistent (what near-degenerate Schur
-# complements actually require).
+# Rings of the truncated power law's discrete radial measure: Gauss-
+# Legendre nodes in u = log l, where the radius density is smooth, so
+# R_0..R_8 come out to ~1e-14 for t up to 1000.  Both precisions share
+# the rings, so every covariance entry comes from one exact discrete
+# spectral measure (what near-degenerate Schur complements require).
 _GL_ORDER = 64
+
+# Largest |k^2 x / 4| at which the alternating 80-bit 0F1 series is
+# summed: its cancellation error is ~1e-17 of sigma^(j)(0) at 30 but
+# 1e-13 at 100.  Past it the double hyp0f1 (within 5e-16) is used; at
+# such lags the conditioning is well posed in doubles anyway.
+_SERIES_MAX_ARG = 30.0
 
 
 class MomentDivergenceError(ArithmeticError):
@@ -132,18 +141,14 @@ class CovarianceModel:
     # -- radial profile -------------------------------------------------
 
     def sigma_derivative(self, j: int, x) -> np.ndarray | float:
-        """j-th derivative of sigma evaluated at x (vectorized in x)."""
-        raise NotImplementedError
+        """j-th derivative of sigma evaluated at x (vectorized in x).
 
-    def _sigma_derivative_ld(self, j: int, x) -> np.longdouble:
-        """Scalar sigma^(j)(x) in extended precision.
-
-        Conditioning a derivative vector on a near-degenerate event
-        cancels up to ~13 leading digits, so the covariance assembly
-        offers an 80-bit path.  The default is a precision-limited cast
-        of the double evaluation; stock families override it.
+        Computes in longdouble when x is longdouble and in float64
+        otherwise: conditioning a derivative vector on a near-degenerate
+        event cancels up to ~13 leading digits, so the covariance
+        assembly offers an 80-bit path.
         """
-        return np.longdouble(self.sigma_derivative(j, float(x)))
+        raise NotImplementedError
 
     def covariance(self, lag) -> float:
         """Gamma(lag) = sigma(|lag|^2) for a planar lag vector."""
@@ -175,6 +180,12 @@ class CovarianceModel:
         raise NotImplementedError
 
 
+def _lag_array(x) -> np.ndarray:
+    """x as an array: longdouble when it already is, float64 otherwise."""
+    x = np.asarray(x)
+    return x if x.dtype == np.longdouble else x.astype(float)
+
+
 @dataclass(frozen=True)
 class BargmannFock(CovarianceModel):
     """sigma(x) = exp(-k x); Gaussian spectral measure N(0, 2k I)."""
@@ -187,11 +198,9 @@ class BargmannFock(CovarianceModel):
             raise ValueError(f"k must be positive, got {self.k}")
 
     def sigma_derivative(self, j, x):
-        return (-self.k) ** j * np.exp(-self.k * np.asarray(x, dtype=float))
-
-    def _sigma_derivative_ld(self, j, x):
-        k = np.longdouble(self.k)
-        return (-k) ** j * np.exp(-k * np.longdouble(x))
+        x = _lag_array(x)
+        k = x.dtype.type(self.k)
+        return (-k) ** j * np.exp(-k * x)
 
     def radial_moment(self, n):
         # |lam| for lam ~ N(0, 2k I) is Rayleigh; R_{2j} = (4k)^j j! and the
@@ -209,39 +218,35 @@ def _bessel_profile_derivative(j, x, k):
     """j-th x-derivative of J0(k sqrt(x)), via the 0F1 representation.
 
     J0(k sqrt(x)) = 0F1(1; -k^2 x / 4), and each x-derivative shifts the
-    0F1 parameter up by one, so the result stays exact at x = 0.
+    0F1 parameter up by one, so the result stays exact at x = 0.  x (an
+    array from _lag_array) and k broadcast.  A longdouble x sums the
+    series in 80-bit arithmetic, each element up to its own last term,
+    within |k^2 x / 4| <= _SERIES_MAX_ARG.
     """
-    x = np.asarray(x, dtype=float)
-    c = -0.25 * k * k
-    return c**j / special.factorial(j) * special.hyp0f1(j + 1.0, c * x)
-
-
-def _bessel_profile_derivative_ld(j, x, k) -> np.longdouble:
-    """Extended-precision twin of _bessel_profile_derivative (scalar x).
-
-    The 0F1 power series is summed in 80-bit arithmetic.  It is
-    alternating, so for very large arguments the summation itself
-    cancels; past |k^2 x / 4| = 1e4 the extra bits are spent and the
-    double-precision evaluation is returned instead (at such lags the
-    conditioning problem this path exists for is well-posed in doubles
-    anyway).
-    """
-    z = -np.longdouble(k) * np.longdouble(k) * np.longdouble(x) / 4
-    if abs(z) > 1e4:
-        return np.longdouble(_bessel_profile_derivative(j, float(x), float(k)))
-    term = np.longdouble(1.0)
-    total = term
+    if x.dtype != np.longdouble:
+        c = -0.25 * k * k
+        return c**j / special.factorial(j) * special.hyp0f1(j + 1.0, c * x)
+    k = np.asarray(k, dtype=np.longdouble)
+    z = -k * k * x / 4
+    far = np.abs(z) > _SERIES_MAX_ARG
+    zs = np.where(far, 0, z)
+    term = np.ones_like(zs)
+    total = np.ones_like(zs)
+    live = np.ones(zs.shape, dtype=bool)
     m = 0
-    while True:
+    while live.any():
         m += 1
-        term = term * z / (np.longdouble(m) * np.longdouble(j + m))
-        total += term
-        if abs(term) <= np.longdouble(1e-25) * abs(total) and m > 4:
-            break
-    pref = (-np.longdouble(k) * np.longdouble(k) / 4) ** j
+        term = term * zs / (np.longdouble(m) * np.longdouble(j + m))
+        np.add(total, term, out=total, where=live)
+        if m > 4:
+            live &= np.abs(term) > np.longdouble(1e-25) * np.abs(total)
+    pref = (-k * k / 4) ** j
     for i in range(2, j + 1):
         pref /= np.longdouble(i)
-    return pref * total
+    out = pref * total
+    if far.any():
+        out = np.where(far, _bessel_profile_derivative(j, x.astype(float), k.astype(float)), out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -256,10 +261,7 @@ class RandomWave(CovarianceModel):
             raise ValueError(f"k must be positive, got {self.k}")
 
     def sigma_derivative(self, j, x):
-        return _bessel_profile_derivative(j, x, self.k)
-
-    def _sigma_derivative_ld(self, j, x):
-        return _bessel_profile_derivative_ld(j, x, self.k)
+        return _bessel_profile_derivative(j, _lag_array(x), self.k)
 
     def radial_moment(self, n):
         return self.k**n
@@ -295,15 +297,11 @@ class ShiftedRandomWave(CovarianceModel):
             raise ValueError(f"k must be positive, got {self.k}")
 
     def sigma_derivative(self, j, x):
-        wave = self.s**2 * _bessel_profile_derivative(j, x, self.k)
+        x = _lag_array(x)
+        real = x.dtype.type
+        wave = real(self.s) ** 2 * _bessel_profile_derivative(j, x, self.k)
         if j == 0:
-            return wave + self.tau**2
-        return wave
-
-    def _sigma_derivative_ld(self, j, x):
-        wave = np.longdouble(self.s) ** 2 * _bessel_profile_derivative_ld(j, x, self.k)
-        if j == 0:
-            return wave + np.longdouble(self.tau) ** 2
+            return wave + real(self.tau) ** 2
         return wave
 
     def radial_moment(self, n):
@@ -344,59 +342,32 @@ class PowerLawTruncated(CovarianceModel):
         return 1.0 - (0.0 if math.isinf(self.t) else self.t**-5)
 
     def sigma_derivative(self, j, x):
-        if math.isinf(self.t) and j >= 3:
+        x = _lag_array(x)
+        if not math.isinf(self.t):
+            radii, weights = _log_rings(self.t, x.dtype)
+            return (_bessel_profile_derivative(j, x[..., None], radii) * weights).sum(axis=-1)
+        if j >= 3:
             raise MomentDivergenceError(
                 "sigma derivative of order >= 3 diverges for the untruncated tail"
             )
-        norm = self._norm()
+        # The untruncated tail has no finite ring rule; adaptive quadrature
+        # in doubles is its only route.
+        from scipy import integrate
 
-        def at(x0: float) -> float:
-            val, _ = integrate.quad(
-                lambda l: _bessel_profile_derivative(j, x0, l) * 5.0 * l**-6 / norm,
-                1.0,
-                self.t,
-                epsrel=_QUAD_RTOL,
-                epsabs=0.0,
-                limit=200,
-            )
-            return val
-
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return at(float(x))
-        return np.array([at(float(v)) for v in x.ravel()]).reshape(x.shape)
-
-    def _sigma_derivative_ld(self, j, x):
-        if math.isinf(self.t):
-            # The untruncated tail has no smooth substitution; outside
-            # the divergent orders the double evaluation is returned.
-            return CovarianceModel._sigma_derivative_ld(self, j, x)
-        # Substituting w = l^-5 makes the radius density uniform on
-        # [t^-5, 1], so a fixed Gauss-Legendre rule integrates a smooth
-        # function: this path is exactly the 64-ring discretization of
-        # the spectral measure, evaluated in 80-bit arithmetic.
-        nodes, weights = _leggauss_ld(_GL_ORDER)
-        lo = np.longdouble(self.t) ** -5
-        w = 0.5 * (1 - lo) * nodes + 0.5 * (1 + lo)
-        radii = w ** np.longdouble(-0.2)
-        vals = np.array([_bessel_profile_derivative_ld(j, x, r) for r in radii])
-        jacobian = 0.5 * (1 - lo)
-        norm = np.longdouble(1.0) - np.longdouble(self.t) ** -5
-        return jacobian * (vals * weights).sum() / norm
+        vals = [
+            integrate.quad(
+                lambda l: _bessel_profile_derivative(j, x0, l) * 5.0 * l**-6,
+                1.0, math.inf, epsrel=_QUAD_RTOL, epsabs=0.0, limit=200,
+            )[0]
+            for x0 in x.astype(float).ravel()
+        ]
+        return np.array(vals, dtype=x.dtype).reshape(x.shape)
 
     def radial_moment(self, n):
-        if math.isinf(self.t) and n >= 5:
-            return math.inf
-        norm = self._norm()
-        val, _ = integrate.quad(
-            lambda l: l**n * 5.0 * l**-6 / norm,
-            1.0,
-            self.t,
-            epsrel=_QUAD_RTOL,
-            epsabs=0.0,
-            limit=200,
-        )
-        return val
+        # R_n = 5 int_1^t l^(n-6) dl / (1 - t^-5), in closed form.
+        if n == 5:
+            return 5.0 * math.log(self.t) / self._norm()
+        return 5.0 * (self.t ** (n - 5) - 1.0) / ((n - 5) * self._norm())
 
     def sample_frequencies(self, rng, size):
         # Inverse CDF on the radius: P(L <= l) = (1 - l^-5) / (1 - t^-5).
@@ -423,13 +394,9 @@ class Interpolation(CovarianceModel):
             raise ValueError(f"mixture weight s must lie in [0, 1], got {self.s}")
 
     def sigma_derivative(self, j, x):
-        return self.s * self.left.sigma_derivative(j, x) + (
-            1.0 - self.s
-        ) * self.right.sigma_derivative(j, x)
-
-    def _sigma_derivative_ld(self, j, x):
-        s = np.longdouble(self.s)
-        return s * self.left._sigma_derivative_ld(j, x) + (1 - s) * self.right._sigma_derivative_ld(j, x)
+        x = _lag_array(x)
+        s = x.dtype.type(self.s)
+        return s * self.left.sigma_derivative(j, x) + (1 - s) * self.right.sigma_derivative(j, x)
 
     def radial_moment(self, n):
         return self.s * self.left.radial_moment(n) + (1.0 - self.s) * self.right.radial_moment(n)
@@ -466,9 +433,9 @@ class Interpolation(CovarianceModel):
 def sigma_derivatives(model: CovarianceModel) -> SigmaDerivatives:
     """Exact derivatives of the radial profile at 0, from radial moments.
 
-    Uses sigma^(j)(0) = (-1)^j R_{2j} / (4^j j!).  For families without
-    closed-form moments (PowerLawTruncated, Interpolation of such) the
-    R_{2j} come from adaptive quadrature at relative tolerance 1e-10.
+    Uses sigma^(j)(0) = (-1)^j R_{2j} / (4^j j!), with every family's
+    R_{2j} in closed form.  For PowerLawTruncated these are the exact
+    moments, which its ring rule reproduces to ~1e-14.
 
     Returns
     -------
@@ -551,10 +518,22 @@ def _dfact(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _leggauss_ld(n: int):
-    """Gauss-Legendre nodes/weights cast to longdouble (fixed rule)."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes.astype(np.longdouble), weights.astype(np.longdouble)
+def _log_rings(t: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and masses of PowerLawTruncated(t)'s discrete radial measure.
+
+    In u = log l the radius density 5 l^-6 / (1 - t^-5) on [1, t] is
+    5 exp(-5u) / (1 - t^-5) on [0, log t]; the rings sit at the
+    _GL_ORDER Gauss-Legendre nodes in u.  Built in dtype and read-only,
+    since every profile evaluation shares them.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+    t = np.dtype(dtype).type(t)
+    half = np.log(t) / 2
+    u = half * (nodes.astype(dtype) + 1)
+    mass = 5 * half * weights.astype(dtype) * np.exp(-5 * u) / (1 - t**-5)
+    radii = np.exp(u)
+    radii.flags.writeable = mass.flags.writeable = False
+    return radii, mass
 
 
 @lru_cache(maxsize=None)
@@ -641,17 +620,13 @@ def derivative_covariance(model: CovarianceModel, specs, extended: bool = False)
         parsed.append((np.asarray(point, dtype=dtype), (a1, a2)))
 
     # Few distinct (j, |lag|^2) pairs occur across the matrix; memoize
-    # the profile evaluations (the power-law family integrates per call).
+    # the profile evaluations, each made in the dtype of the lag.
     cache: dict = {}
 
     def sigma(j, x):
         key = (j, float(x))
         if key not in cache:
-            cache[key] = (
-                model._sigma_derivative_ld(j, x)
-                if extended
-                else float(model.sigma_derivative(j, float(x)))
-            )
+            cache[key] = dtype(model.sigma_derivative(j, x))
         return cache[key]
 
     n = len(parsed)

@@ -91,9 +91,13 @@ def normalize_kind(kind: str) -> str:
 
 
 def normalize_pair(pair) -> tuple[str, str]:
-    """Canonicalize a type pair; order is immaterial ((s,e) == (e,s))."""
+    """Canonicalize a type pair; order is immaterial ((s,e) == (e,s)).
+
+    A string with commas or spaces is split on them ("saddle,extremum");
+    one without is read as two one-letter tags ("es").
+    """
     if isinstance(pair, str):
-        pair = tuple(pair.replace(",", "").replace(" ", ""))
+        pair = tuple(pair.replace(",", " ").split() if ("," in pair or " " in pair) else pair)
     a, b = (normalize_kind(k) for k in pair)
     order = {"c": 0, "e": 1, "s": 2}
     if a not in order or b not in order:

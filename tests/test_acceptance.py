@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven end-to-end checks at fixed seeds and budgets.
+"""Acceptance gate: twelve end-to-end checks at fixed seeds and budgets.
 
 Each test covers one numbered criterion and prints a single pass/fail
 line (visible under pytest -s; the same text lands in the assertion
@@ -17,6 +17,7 @@ from planarcrit import (
     RandomWave,
     ShiftedRandomWave,
     SigmaDerivatives,
+    cli,
     fit_scaling,
     gradient_pair_density,
     gradient_pair_density_asymptotic,
@@ -242,3 +243,13 @@ def test_11_poisson_null_control():
     z = abs(est.value - 1.0) / est.std_error
     check(11, "Poisson control ratio is one", z < 3.0,
           f"ratio {est.value:.4f} +- {est.std_error:.4f}, z = {z:.2f} (tol 3)")
+
+
+def test_12_kacrice_route_sees_the_attractive_regime():
+    failed = []
+    for t in (5.0, 10.0):
+        for name, ref, est, _, tol in cli._report_checks(PowerLawTruncated(t), 12, "small", 1):
+            if not abs(est - ref) <= tol:
+                failed.append(f"t = {t:g} {name}: {est:.4g} vs {ref:.4g} (tol {tol:.3g})")
+    check(12, "small-budget report passes for attractive power laws", not failed,
+          "; ".join(failed) or "every row of t = 5 and t = 10 within tolerance")

@@ -253,6 +253,16 @@ def test_degenerate_distance_exits_2(capsys):
     assert "degeneracy" in err
 
 
+def test_kacrice_pair_takes_spelled_out_names(capsys):
+    argv = ("kacrice", "--model", "randomwave", "--k", "1", "--seed", "3",
+            "--what", "two-point", "--r", "0.05", "--nsamples", "2000", "--pair")
+    code, letters, _ = run(capsys, *argv, "es")
+    assert code == 0
+    assert run(capsys, *argv, "saddle,extremum") == (0, letters, "")
+    code, _, err = run(capsys, *argv, "min,max")
+    assert code == 1 and "pair tags must be in {c, e, s}" in err
+
+
 def test_unwritable_output_exits_1(tmp_path, capsys):
     missing = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "theory", "--model", "randomwave", "--k", "1",

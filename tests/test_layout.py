@@ -2,10 +2,13 @@
 
 Each module is parsed, not imported, so the test sees the import
 statements themselves, including ones that only run inside a function.
+One subprocess check pins which costly scipy modules the CLI loads.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +97,14 @@ def test_parser_sees_relative_and_function_level_imports():
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # Only the untruncated power law needs adaptive quadrature, and it
+    # imports scipy.integrate (and the scipy.optimize it loads) itself.
+    code = "import sys, planarcrit.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
+    )
+    assert out.stdout.strip() == "False"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 from planarcrit.models import (
     BargmannFock,
@@ -22,6 +22,7 @@ from planarcrit.models import (
     sigma_derivatives,
     spectral_moment,
 )
+from planarcrit.models import _bessel_profile_derivative, _log_rings
 
 ALL_MODELS = [
     RandomWave(1.0),
@@ -90,6 +91,62 @@ def test_power_law_truncated_radial_moment_closed_form(n):
     else:
         expected = 5.0 * (t ** (n - 5) - 1.0) / ((n - 5) * norm)
     assert PowerLawTruncated(t).radial_moment(n) == pytest.approx(expected, rel=1e-12)
+
+
+def _series_reference(j, x, k):
+    """The 80-bit 0F1 series one scalar at a time, as a loop."""
+    z = -np.longdouble(k) * np.longdouble(k) * np.longdouble(x) / 4
+    term = np.longdouble(1.0)
+    total = term
+    m = 0
+    while True:
+        m += 1
+        term = term * z / (np.longdouble(m) * np.longdouble(j + m))
+        total += term
+        if abs(term) <= np.longdouble(1e-25) * abs(total) and m > 4:
+            break
+    pref = (-np.longdouble(k) * np.longdouble(k) / 4) ** j
+    for i in range(2, j + 1):
+        pref /= np.longdouble(i)
+    return pref * total
+
+
+@pytest.mark.parametrize("k", [1.0, 2.2])
+def test_extended_series_equals_scalar_loop(k):
+    # each lag stops at its own last term, so up to |k^2 x / 4| = 30 the
+    # array sum is the loop's
+    xs = np.concatenate([[0.0], np.geomspace(1e-9, 119.0 / k**2, 60)]).astype(np.longdouble)
+    for j in range(5):
+        values = RandomWave(k).sigma_derivative(j, xs)
+        assert values.dtype == np.longdouble
+        assert list(values) == [_series_reference(j, x, k) for x in xs]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("t", [1.5, 2.0, 3.0, 5.0, 10.0, 100.0])
+def test_power_law_ring_rule_reproduces_radial_moments(t, dtype):
+    radii, weights = _log_rings(t, np.dtype(dtype))
+    assert radii.dtype == weights.dtype == dtype
+    model = PowerLawTruncated(t)
+    for n in range(9):
+        assert float((weights * radii**n).sum()) == pytest.approx(model.radial_moment(n), rel=1e-13)
+
+
+@pytest.mark.parametrize("t", [1.5, 2.0, 3.0, 5.0, 10.0])
+def test_power_law_profile_matches_adaptive_quadrature(t):
+    model = PowerLawTruncated(t)
+    norm = 1.0 - t**-5
+    for j in range(5):
+        scale = abs(float(model.sigma_derivative(j, 0.0)))
+        for x in (0.0, 0.01, 0.1, 1.0, 4.0):
+            ref, _ = integrate.quad(
+                lambda l: _bessel_profile_derivative(j, np.float64(x), l) * 5.0 * l**-6 / norm,
+                1.0, t, epsrel=1e-13, epsabs=1e-14 * scale, limit=200,
+            )
+            for lag in (np.float64(x), np.longdouble(x)):
+                value = model.sigma_derivative(j, lag)
+                assert value.dtype == lag.dtype
+                assert abs(float(value) - ref) <= 1e-12 * scale
 
 
 def test_interpolation_mixes_radial_moments_linearly():
@@ -250,6 +307,19 @@ def test_extended_precision_assembly_agrees_with_double(model):
     assert ext.dtype == np.longdouble
     scale = np.abs(plain).max()
     assert np.abs(ext.astype(float) - plain).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("r", [20.0, 60.0, 150.0])
+@pytest.mark.parametrize("model", [RandomWave(1.0), PowerLawTruncated(2.0)], ids=repr)
+def test_extended_assembly_stays_accurate_at_large_separation(model, r):
+    # the 80-bit series hands over to the double profile before its own
+    # cancellation error shows
+    pts = [(r / 2.0, 0.0), (-r / 2.0, 0.0)]
+    specs = [(p, a) for p in pts for a in ((1, 0), (0, 1))]
+    specs += [(p, a) for p in pts for a in ((2, 0), (1, 1), (0, 2))]
+    plain = derivative_covariance(model, specs)
+    ext = derivative_covariance(model, specs, extended=True)
+    assert np.abs(ext.astype(float) - plain).max() <= 1e-13 * np.abs(plain).max()
 
 
 def test_derivative_covariance_rejects_order_above_four():

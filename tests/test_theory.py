@@ -156,6 +156,14 @@ def test_kind_and_pair_normalization():
         normalize_pair(("c", "e"))
 
 
+def test_normalize_pair_splits_spelled_out_names():
+    assert normalize_pair("saddle,extremum") == ("e", "s")
+    assert normalize_pair("saddle extremum") == ("e", "s")
+    assert normalize_pair("e,s") == ("e", "s")
+    with pytest.raises(ValueError, match=r"pair tags must be in \{c, e, s\}"):
+        normalize_pair("min,max")
+
+
 def test_theory_report_is_consistent():
     model = RandomWave(1.0)
     rep = theory_report(model, rho=0.25)
