@@ -18,7 +18,7 @@ digits so round-trips are lossless, and output is byte-identical for a
 given (config, seed) regardless of --threads.
 
 Exit codes: 0 success, 1 invalid arguments or config, 2 numerical
-degeneracy reported by the computation itself.
+degeneracy or failure reported by the computation itself.
 """
 
 from __future__ import annotations
@@ -547,7 +547,7 @@ def main(argv=None) -> int:
         print(f"planarcrit: degeneracy: {err}", file=sys.stderr)
         return 2
     # Before ValueError: LinAlgError is one of its subclasses.
-    except (np.linalg.LinAlgError, FloatingPointError) as err:
+    except (np.linalg.LinAlgError, ArithmeticError) as err:
         print(f"planarcrit: numerical failure: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError, TypeError) as err:

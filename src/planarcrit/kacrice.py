@@ -9,9 +9,13 @@ The correlation functions of critical points have the Kac-Rice form
 where phi_* are Gaussian densities of the gradient (pair) at zero and
 H is the Hessian.  Both factors are available essentially exactly: the
 joint law of any finite set of field derivatives is a known Gaussian
-(see models.derivative_covariance), conditioning on vanishing gradients
-is a Schur complement, and only the conditional determinant expectation
-needs Monte-Carlo, over a small exactly-known Gaussian.
+(see models.derivative_covariance), and only the conditional
+determinant expectation needs Monte-Carlo, over a small exactly-known
+Gaussian.  At one point the gradient and Hessian are independent (odd
+and even derivatives of a stationary isotropic field), so the one-point
+law is the plain Hessian covariance.  The pair law is the one Schur
+complement of the engine, _pair_conditional, taken in 80-bit arithmetic
+in a balanced basis.
 
 The Monte-Carlo is antithetic: each draw x stands for the pair (x, -x),
 and the pair average is one independent replication.  Determinants are
@@ -41,10 +45,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .models import (
     CovarianceModel,
+    _require_finite_positive,
     derivative_covariance,
     effective_wavenumber,
     sigma_derivatives,
@@ -55,7 +59,6 @@ from .theory import normalize_kind
 __all__ = [
     "DegeneracyError",
     "ConditionalGaussian",
-    "condition_on_zero_gradients",
     "correlation_length",
     "gradient_pair_density",
     "gradient_pair_density_asymptotic",
@@ -79,11 +82,6 @@ R_FLOOR_FRACTION = 1e-4
 # rank collapse shows up orders of magnitude beyond this.
 _EIG_TOL = 1e-8
 
-# Constraint blocks are tested against machine-level rank deficiency
-# instead: coincident points give a relative gap ~1e-16, while the
-# worst legitimate case (the r floor) still sits near 2e-8.
-_CONSTRAINT_TOL = 1e-12
-
 # Antithetic pairs (one draw each) per Monte-Carlo chunk (bounds peak memory).
 _CHUNK_PAIRS = 1 << 20
 
@@ -94,17 +92,14 @@ class DegeneracyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ConditionalGaussian:
-    """A centered Gaussian law for labelled field derivatives.
+    """A centered Gaussian law of field derivatives.
 
-    Obtained by conditioning a joint derivative law on vanishing
-    gradients; the mean stays zero by symmetry.  Eigenvalues of the
-    covariance within rounding dust of zero are clipped to zero when
-    sampling; genuinely negative ones raise DegeneracyError.
+    Eigenvalues of the covariance within rounding dust of zero are
+    clipped to zero when sampling; genuinely negative ones raise
+    DegeneracyError.
     """
 
-    mean: np.ndarray
     covariance: np.ndarray
-    labels: tuple
 
     def _factor(self) -> np.ndarray:
         eigval, eigvec = np.linalg.eigh(self.covariance)
@@ -118,48 +113,7 @@ class ConditionalGaussian:
     def sample(self, rng: np.random.Generator, nsamples: int) -> np.ndarray:
         """Draw nsamples independent rows, shape (nsamples, dim)."""
         fac = self._factor()
-        draws = rng.standard_normal((nsamples, len(self.mean))) @ fac.T
-        draws += self.mean
-        return draws
-
-
-def condition_on_zero_gradients(model: CovarianceModel, points, targets) -> ConditionalGaussian:
-    """Conditional law of derivative targets given zero gradients.
-
-    Parameters
-    ----------
-    model : CovarianceModel
-    points : sequence of one or two planar points
-        The gradient (both components) is constrained to zero at each.
-    targets : sequence of (point, alpha)
-        Derivative labels whose joint conditional law is wanted.
-
-    Raises
-    ------
-    DegeneracyError
-        If the gradient block is numerically singular (coincident or
-        too-close points).
-    """
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not 1 <= len(pts) <= 2:
-        raise ValueError(f"expected one or two points, got {len(pts)}")
-    constraints = [(p, alpha) for p in pts for alpha in ((1, 0), (0, 1))]
-    cov = derivative_covariance(model, constraints + list(targets))
-    nc = len(constraints)
-    cc = cov[:nc, :nc]
-    ct = cov[:nc, nc:]
-    tt = cov[nc:, nc:]
-    eigval = np.linalg.eigvalsh(cc)
-    if eigval[0] <= _CONSTRAINT_TOL * max(1.0, float(eigval[-1])):
-        raise DegeneracyError(
-            f"constraint covariance is degenerate (smallest eigenvalue {eigval[0]})"
-        )
-    cho = linalg.cho_factor(cc, lower=True)
-    cond_cov = tt - ct.T @ linalg.cho_solve(cho, ct)
-    cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    return ConditionalGaussian(
-        mean=np.zeros(len(targets)), covariance=cond_cov, labels=tuple(targets)
-    )
+        return rng.standard_normal((nsamples, len(self.covariance))) @ fac.T
 
 
 def correlation_length(model: CovarianceModel) -> float:
@@ -226,9 +180,11 @@ def _pair_conditional(model: CovarianceModel, r: float):
     which a double-precision Schur complement cannot resolve (it shows
     up as spurious variance that inflates the rare typed events).
 
-    Returns (covariance 6x6 float64 in the balanced basis, log det of
-    the balanced gradient block).
+    Returns (covariance 6x6 float64 in the balanced basis, rows the
+    averages s11, s12, s22 and then the scaled differences d11/r, d12/r,
+    d22/r of the two Hessians; log det of the balanced gradient block).
     """
+    _require_finite_positive("r", r)
     rld = np.longdouble(r)
     p1, p2, gspecs = _gradient_specs(r)
     tspecs = [(p, alpha) for p in (p1, p2) for alpha in ((2, 0), (1, 1), (0, 2))]
@@ -370,8 +326,8 @@ def one_point_intensity_mc(
     npairs = nsamples // 2
     _require_two_pairs(nsamples, npairs)
     origin = np.zeros(2)
-    law = condition_on_zero_gradients(
-        model, [origin], [(origin, (2, 0)), (origin, (1, 1)), (origin, (0, 2))]
+    law = ConditionalGaussian(
+        derivative_covariance(model, [(origin, (2, 0)), (origin, (1, 1)), (origin, (0, 2))])
     )
     phi = 1.0 / (4.0 * math.pi * abs(sigma_derivatives(model).eta0))
 
@@ -415,6 +371,7 @@ def two_point_correlation(
     kinds = tuple(normalize_kind(k) for k in pair)
     npairs = (nsamples + 1) // 2
     _require_two_pairs(nsamples, npairs)
+    _require_finite_positive("r", r)
     floor = R_FLOOR_FRACTION * correlation_length(model)
     if not r >= floor:
         raise DegeneracyError(
@@ -422,11 +379,7 @@ def two_point_correlation(
             f"({R_FLOOR_FRACTION} correlation lengths)"
         )
     cond_cov, logdet = _pair_conditional(model, r)
-    law = ConditionalGaussian(
-        mean=np.zeros(6),
-        covariance=cond_cov,
-        labels=("s11", "s12", "s22", "d11/r", "d12/r", "d22/r"),
-    )
+    law = ConditionalGaussian(cond_cov)
     phi = float(math.exp(-0.5 * logdet) / (2.0 * math.pi * r) ** 2)
 
     def integrand(draws):
@@ -491,8 +444,7 @@ def second_factorial_by_quadrature(
     conditional Monte-Carlo with a per-node derived seed, so the result
     does not depend on scheduling.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    _require_finite_positive("rho", rho)
     kinds = tuple(normalize_kind(k) for k in pair)
     delta = 0.2 * rho
     floor = R_FLOOR_FRACTION * correlation_length(model)

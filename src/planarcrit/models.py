@@ -150,11 +150,6 @@ class CovarianceModel:
         """
         raise NotImplementedError
 
-    def covariance(self, lag) -> float:
-        """Gamma(lag) = sigma(|lag|^2) for a planar lag vector."""
-        lag = np.asarray(lag, dtype=float)
-        return float(self.sigma_derivative(0, float(lag @ lag)))
-
     # -- spectral measure -----------------------------------------------
 
     def radial_moment(self, n: int) -> float:
@@ -180,6 +175,13 @@ class CovarianceModel:
         raise NotImplementedError
 
 
+def _require_finite_positive(name: str, value) -> None:
+    """Reject a scale parameter (a distance, radius or wavenumber) that
+    is not a finite positive number."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _lag_array(x) -> np.ndarray:
     """x as an array: longdouble when it already is, float64 otherwise."""
     x = np.asarray(x)
@@ -194,8 +196,7 @@ class BargmannFock(CovarianceModel):
     family = "bargmannfock"
 
     def __post_init__(self) -> None:
-        if not self.k > 0:
-            raise ValueError(f"k must be positive, got {self.k}")
+        _require_finite_positive("k", self.k)
 
     def sigma_derivative(self, j, x):
         x = _lag_array(x)
@@ -257,8 +258,7 @@ class RandomWave(CovarianceModel):
     family = "randomwave"
 
     def __post_init__(self) -> None:
-        if not self.k > 0:
-            raise ValueError(f"k must be positive, got {self.k}")
+        _require_finite_positive("k", self.k)
 
     def sigma_derivative(self, j, x):
         return _bessel_profile_derivative(j, _lag_array(x), self.k)
@@ -289,12 +289,10 @@ class ShiftedRandomWave(CovarianceModel):
     family = "shiftedrandomwave"
 
     def __post_init__(self) -> None:
-        if self.tau < 0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
-        if not self.s > 0:
-            raise ValueError(f"s must be positive, got {self.s}")
-        if not self.k > 0:
-            raise ValueError(f"k must be positive, got {self.k}")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
+        _require_finite_positive("s", self.s)
+        _require_finite_positive("k", self.k)
 
     def sigma_derivative(self, j, x):
         x = _lag_array(x)

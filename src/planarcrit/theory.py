@@ -40,7 +40,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .models import CovarianceModel, MomentDivergenceError, SigmaDerivatives, sigma_derivatives
+from .models import (
+    CovarianceModel,
+    MomentDivergenceError,
+    SigmaDerivatives,
+    _require_finite_positive,
+    sigma_derivatives,
+)
 
 __all__ = [
     "KINDS",
@@ -165,8 +171,7 @@ def second_factorial_asymptotic(d: SigmaDerivatives, rho: float, pair=("c", "c")
         have no finite constant of this form; their order is available
         from scaling_order.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    _require_finite_positive("rho", rho)
     pair = normalize_pair(pair)
     if pair == ("c", "c"):
         factor = 1.0
@@ -259,8 +264,7 @@ class TheoryReport:
 
 def theory_report(model: CovarianceModel, rho: float) -> TheoryReport:
     """Evaluate every closed-form quantity for a model at ball radius rho > 0."""
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    _require_finite_positive("rho", rho)
     d = sigma_derivatives(model)
     lam = lambda_c(d)
     r_c = repulsion_factor(d)

@@ -196,7 +196,7 @@ def test_threads_below_one_exit_1(tmp_path, capsys, threads):
         assert code == 1 and out == "" and "threads" in err
 
 
-@pytest.mark.parametrize("rho", ["-1", "0"])
+@pytest.mark.parametrize("rho", ["-1", "0", "inf", "nan"])
 def test_theory_rejects_nonpositive_rho(capsys, rho):
     code, out, err = run(capsys, "theory", "--model", "randomwave", "--k", "1", "--rho", rho)
     assert code == 1 and out == "" and "rho" in err
@@ -272,7 +272,7 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
-@pytest.mark.parametrize("exc", [np.linalg.LinAlgError, FloatingPointError])
+@pytest.mark.parametrize("exc", [np.linalg.LinAlgError, FloatingPointError, OverflowError])
 def test_numerical_failure_exits_2(exc, capsys, monkeypatch):
     def fail(model, rho):
         raise exc("matrix is not positive definite")

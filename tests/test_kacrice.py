@@ -17,7 +17,6 @@ from planarcrit.kacrice import (
     DegeneracyError,
     R_FLOOR_FRACTION,
     _pair_conditional,
-    condition_on_zero_gradients,
     correlation_length,
     disc_pair_distance_density,
     gated_magnitude_mc,
@@ -30,7 +29,10 @@ from planarcrit.kacrice import (
 )
 from planarcrit.models import (
     BargmannFock,
+    Interpolation,
+    PowerLawTruncated,
     RandomWave,
+    ShiftedRandomWave,
     derivative_covariance,
     sigma_derivatives,
 )
@@ -39,6 +41,7 @@ from planarcrit.theory import k2_limit, lambda_c
 
 RW1 = RandomWave(1.0)
 D1 = sigma_derivatives(RW1)
+HESSIAN = ((2, 0), (1, 1), (0, 2))
 
 
 def test_correlation_length_random_wave_is_two_pi():
@@ -52,10 +55,16 @@ def test_correlation_length_random_wave_is_two_pi():
 
 def test_conditioning_at_one_point_leaves_hessian_law_alone():
     # gradient and Hessian at the same point are independent (odd vs even
-    # order), so conditioning must return the unconditional Hessian law
+    # order), so the one-point law is the unconditional Hessian law: the
+    # cross block is exactly zero for every family
     o = (0.0, 0.0)
-    law = condition_on_zero_gradients(RW1, [o], [(o, (2, 0)), (o, (1, 1)), (o, (0, 2))])
-    np.testing.assert_allclose(law.mean, 0.0, atol=1e-14)
+    specs = [(o, (1, 0)), (o, (0, 1))] + [(o, a) for a in HESSIAN]
+    models = [RW1, RandomWave(2.2), BargmannFock(1.0), BargmannFock(0.7),
+              ShiftedRandomWave(0.8, 1.3, 1.5), PowerLawTruncated(2.0), PowerLawTruncated(10.0),
+              Interpolation(0.35, RW1, PowerLawTruncated(2.0))]
+    for model in models:
+        cov = derivative_covariance(model, specs)
+        assert np.all(cov[:2, 2:] == 0.0), model
     expected = np.array(
         [
             [12 * D1.mu0, 0.0, 4 * D1.mu0],
@@ -63,7 +72,7 @@ def test_conditioning_at_one_point_leaves_hessian_law_alone():
             [4 * D1.mu0, 0.0, 12 * D1.mu0],
         ]
     )
-    np.testing.assert_allclose(law.covariance, expected, atol=1e-12)
+    np.testing.assert_allclose(derivative_covariance(RW1, specs)[2:, 2:], expected, atol=1e-12)
 
 
 def test_conditioning_agrees_with_regression_on_samples():
@@ -74,46 +83,53 @@ def test_conditioning_agrees_with_regression_on_samples():
     r = 0.5
     p1, p2 = (-r / 2.0, 0.0), (r / 2.0, 0.0)
     targets = [(p1, (2, 0)), (p1, (1, 1)), (p2, (0, 2))]
-    law = condition_on_zero_gradients(RW1, [p1, p2], targets)
+    # _pair_conditional's law mapped back to raw Hessians by
+    # h = s +- (r/2) d: rows h(r/2, 0) then h(-r/2, 0), so p1 is its
+    # second probe and p2 its first
+    cond, _ = _pair_conditional(RW1, r)
+    eye = np.eye(3)
+    back = np.block([[eye, 0.5 * r * eye], [eye, -0.5 * r * eye]])
+    law = (back @ cond @ back.T)[np.ix_([3, 4, 2], [3, 4, 2])]
 
     grads = [(p, a) for p in (p1, p2) for a in ((1, 0), (0, 1))]
     cov = derivative_covariance(RW1, grads + targets)
+    # a double-precision Schur complement is exact enough at this r
+    schur = cov[4:, 4:] - cov[:4, 4:].T @ np.linalg.solve(cov[:4, :4], cov[:4, 4:])
+    np.testing.assert_allclose(law, schur, rtol=0.0, atol=1e-12)
     rng = seeded_rng(123)
     draws = rng.multivariate_normal(np.zeros(7), cov, size=400_000, method="cholesky")
     g, t = draws[:, :4], draws[:, 4:]
     beta, *_ = np.linalg.lstsq(g, t, rcond=None)
     resid = t - g @ beta
     sample_cov = np.cov(resid.T)
-    np.testing.assert_allclose(sample_cov, law.covariance, rtol=0.05, atol=3e-5)
+    np.testing.assert_allclose(sample_cov, law, rtol=0.05, atol=3e-5)
     # and the conditioning must have actually changed something
     uncond = cov[4:, 4:]
-    assert abs(law.covariance[0, 0] - uncond[0, 0]) > 0.05 * uncond[0, 0]
+    assert abs(law[0, 0] - uncond[0, 0]) > 0.05 * uncond[0, 0]
 
 
 def test_conditioning_rejects_coincident_points():
-    o = (0.0, 0.0)
-    with pytest.raises(DegeneracyError):
-        condition_on_zero_gradients(RW1, [o, o], [(o, (2, 0))])
+    with pytest.raises(ValueError, match="finite and positive"):
+        _pair_conditional(RW1, 0.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        gradient_pair_density(RW1, 0.0)
 
 
 def test_conditional_gaussian_draws_transform_standard_normals():
-    mean = np.array([1.0, -2.0])
     cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-    law = ConditionalGaussian(mean=mean, covariance=cov, labels=("a", "b"))
+    law = ConditionalGaussian(cov)
     draws = law.sample(seeded_rng(0), 2000)
     fac = law._factor()
     np.testing.assert_allclose(fac @ fac.T, cov, rtol=1e-14, atol=1e-14)
     # row i is the i-th standard normal row of the same stream, mapped
-    expected = seeded_rng(0).standard_normal((2000, 2)) @ fac.T + mean
+    expected = seeded_rng(0).standard_normal((2000, 2)) @ fac.T
     np.testing.assert_array_equal(draws, expected)
-    np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.15)
+    np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.15)
     np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.15)
 
 
 def test_conditional_gaussian_rejects_indefinite_covariance():
-    law = ConditionalGaussian(
-        mean=np.zeros(2), covariance=np.array([[1.0, 2.0], [2.0, 1.0]]), labels=("a", "b")
-    )
+    law = ConditionalGaussian(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(DegeneracyError):
         law.sample(seeded_rng(0), 4)
 
@@ -235,6 +251,11 @@ def test_two_point_below_floor_raises():
     floor = R_FLOOR_FRACTION * correlation_length(RW1)
     with pytest.raises(DegeneracyError):
         two_point_correlation(RW1, 0.5 * floor, nsamples=100, seed=0)
+    # a distance that is not a finite positive number is bad input, not
+    # a degeneracy, and is rejected before the floor is consulted
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            two_point_correlation(RW1, r, nsamples=100, seed=0)
     with pytest.raises(ValueError):
         two_point_correlation(RW1, 0.05, pair=("c", "ridge"), nsamples=100, seed=0)
 
@@ -384,10 +405,10 @@ def _ref_indicator(kind, det, h11):
 def _ref_interleaved_draws(law, rng, n):
     fac = law._factor()
     half = (n + 1) // 2
-    draws = np.empty((2 * half, len(law.mean)))
-    draws[0::2] = rng.standard_normal((half, len(law.mean))) @ fac.T
+    draws = np.empty((2 * half, len(law.covariance)))
+    draws[0::2] = rng.standard_normal((half, len(law.covariance))) @ fac.T
     draws[1::2] = -draws[0::2]
-    return draws[:n] + law.mean
+    return draws[:n]
 
 
 def _ref_chunked(law, npairs, seed, values):
@@ -419,7 +440,7 @@ def _ref_chunked(law, npairs, seed, values):
 
 def _ref_one_point(model, n, seed, kind):
     o = np.zeros(2)
-    law = condition_on_zero_gradients(model, [o], [(o, (2, 0)), (o, (1, 1)), (o, (0, 2))])
+    law = ConditionalGaussian(derivative_covariance(model, [(o, a) for a in HESSIAN]))
 
     def values(draws):
         h11, h12, h22 = draws.T
@@ -433,7 +454,7 @@ def _ref_one_point(model, n, seed, kind):
 
 def _ref_two_point(model, r, pair, n, seed):
     cond_cov, logdet = _pair_conditional(model, r)
-    law = ConditionalGaussian(mean=np.zeros(6), covariance=cond_cov, labels=tuple("abcdef"))
+    law = ConditionalGaussian(cond_cov)
     phi = float(math.exp(-0.5 * logdet) / (2.0 * math.pi * r) ** 2)
 
     def values(draws):
@@ -478,7 +499,7 @@ def test_two_point_equals_reference_across_chunks(monkeypatch):
 
 
 def test_one_chunk_reduction_is_plain_mean_and_se():
-    law = ConditionalGaussian(mean=np.zeros(2), covariance=np.eye(2), labels=("a", "b"))
+    law = ConditionalGaussian(np.eye(2))
 
     def integrand(draws):
         return np.abs(draws[:, 0] * draws[:, 1])

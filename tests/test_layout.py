@@ -99,10 +99,13 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # Only the untruncated power law needs adaptive quadrature, and it
-    # imports scipy.integrate (and the scipy.optimize it loads) itself.
-    code = "import sys, planarcrit.cli; print('scipy.integrate' in sys.modules)"
+# Only the untruncated power law needs adaptive quadrature, and it
+# imports scipy.integrate (and the scipy.optimize it loads) itself.  The
+# Kac-Rice engine's one Schur complement is hand-rolled in longdouble, so
+# nothing needs scipy.linalg.
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
+def test_cli_import_leaves_scipy_integrate_out(module):
+    code = f"import sys, planarcrit.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, cwd=PACKAGE.parent,

@@ -361,3 +361,15 @@ def test_model_validation():
         PowerLawTruncated(1.0)
     with pytest.raises(ValueError):
         Interpolation(1.5, RandomWave(1.0), RandomWave(2.0))
+    # scale parameters must be finite; only the power law's cutoff may be inf
+    for make in (
+        lambda: RandomWave(math.inf),
+        lambda: BargmannFock(math.inf),
+        lambda: ShiftedRandomWave(tau=math.inf, s=1.0, k=1.0),
+        lambda: ShiftedRandomWave(tau=math.nan, s=1.0, k=1.0),
+        lambda: ShiftedRandomWave(tau=1.0, s=math.inf, k=1.0),
+        lambda: ShiftedRandomWave(tau=1.0, s=1.0, k=math.inf),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+    assert PowerLawTruncated(math.inf).t == math.inf
