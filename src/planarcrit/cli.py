@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from . import estimators, kacrice, theory
-from .finder import DegenerateHessianError, SearchConfig, find_critical_points
+from .finder import DegenerateHessianError, find_critical_points
 from .models import (
     CovarianceModel,
     MomentDivergenceError,
@@ -177,10 +177,6 @@ def _window(args, cfg, model) -> tuple:
     return ((0.0, size), (0.0, size))
 
 
-def _search_config(args, cfg) -> SearchConfig:
-    return SearchConfig(grid_step=_param(args, cfg, "grid-step", float))
-
-
 def _float_list(args, cfg, name: str):
     cli = getattr(args, name.replace("-", "_"), None)
     if cli is not None:
@@ -245,7 +241,7 @@ def _cmd_find(args, cfg):
     field = sample_field(model, M=size, seed=seed, gaussian_amplitudes=gaussian)
     counters: dict = {}
     points = find_critical_points(
-        field, window=window, cfg=_search_config(args, cfg), diagnostics=counters
+        field, window, _param(args, cfg, "grid-step", float), diagnostics=counters
     )
     rows = [
         {

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .finder import CriticalKind, SearchConfig, find_critical_points
+from .finder import CriticalKind, find_critical_points
 from .models import CovarianceModel, effective_wavenumber
 from .sampling import MomentEstimate, _run_tasks, sample_field, seed_entropy
 from .theory import KIND_COLUMNS, normalize_kind, normalize_pair
@@ -107,9 +107,9 @@ def _realization_stats(args):
     Returns (kind totals over the window, {rho: (ncenters, 3) center
     counts}).  Top-level so process pools can pickle it.
     """
-    model, M, seed, window, cfg, rho_list = args
+    model, M, seed, window, grid_step, rho_list = args
     f = sample_field(model, M=M, seed=seed, gaussian_amplitudes=True)
-    points = find_critical_points(f, window, cfg)
+    points = find_critical_points(f, window, grid_step)
     locations = np.array([p.location for p in points]).reshape(-1, 2)
     kind_cols = np.array([_KIND_COL[p.kind] for p in points], dtype=np.int64)
     totals = np.bincount(kind_cols, minlength=3)
@@ -155,13 +155,14 @@ def sweep(
     rho_list=(),
     window=None,
     M: int = 1024,
-    cfg: SearchConfig | None = None,
+    grid_step: float | None = None,
     threads: int = 1,
 ) -> Sweep:
     """Sample, search and count every realization once, for all estimators.
 
     Realization i is sample_field(model, M, (seed, i)) with Gaussian
-    amplitudes, so the result does not depend on threads.  Each radius
+    amplitudes, so the result does not depend on threads.  grid_step is
+    the finder's seed grid step (default from the model).  Each radius
     must lie in (0, window short side / 4).
     """
     if nreal < 2:
@@ -172,7 +173,7 @@ def sweep(
     for rho in rho_list:
         if not 0 < rho < min(xmax - xmin, ymax - ymin) / 4.0:
             raise ValueError(f"rho = {rho} must lie in (0, window short side / 4)")
-    tasks = [(model, M, (seed, i), window, cfg, rho_list) for i in range(nreal)]
+    tasks = [(model, M, (seed, i), window, grid_step, rho_list) for i in range(nreal)]
     results = _run_tasks(_realization_stats, tasks, threads)
     return Sweep(
         totals=np.array([totals for totals, _ in results]),

@@ -11,6 +11,10 @@ would be merged.  The window is inflated by a margin of two grid steps
 before seeding and the results filtered back to the exact window, so
 counts near the boundary are not silently clipped.
 
+The one tuning knob is the seed grid step (`find --grid-step`).  Fixed
+are the Newton tolerance _NEWTON_TOL, the iteration cap _MAX_ITERS, the
+dedup radius grid_step / 100 and the degeneracy floor 1e-12 * 12 mu0.
+
 Every point the search visits is evaluated once.  The seeds lie on a
 tensor grid, where the field separates into a small complex matmul per
 derivative (sampling.eval_grid).  The line search's gradient at the
@@ -28,17 +32,21 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CovarianceModel, effective_wavenumber, sigma_derivatives
+from .models import (
+    CovarianceModel,
+    _require_finite_positive,
+    effective_wavenumber,
+    sigma_derivatives,
+)
 from .sampling import FieldRealization, eval_gradient, eval_grid, eval_hessian, eval_many
 
 __all__ = [
     "CriticalKind",
     "CriticalPoint",
-    "SearchConfig",
     "DegenerateHessianError",
     "default_grid_step",
     "find_critical_points",
@@ -47,6 +55,11 @@ __all__ = [
 
 _HESSIAN = [(2, 0), (1, 1), (0, 2)]
 _DERIVS = [(1, 0), (0, 1), *_HESSIAN]
+
+# A root is converged once |grad psi| <= _NEWTON_TOL; a trajectory gets
+# at most _MAX_ITERS Newton steps.
+_NEWTON_TOL = 1e-10
+_MAX_ITERS = 50
 
 
 class DegenerateHessianError(ArithmeticError):
@@ -71,42 +84,6 @@ class CriticalPoint:
     hessian_det: float
     hessian_eigenvalues: tuple[float, float]
     gradient_residual: float
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Tuning knobs for the finder; None fields are derived per model.
-
-    grid_step defaults to an eighth of the oscillation length (see
-    default_grid_step), dedup_radius to grid_step / 100, and the
-    degeneracy threshold scales with the natural Hessian determinant
-    scale of the model.
-    """
-
-    grid_step: float | None = None
-    newton_tol: float = 1e-10
-    max_iters: int = 50
-    dedup_radius: float | None = None
-    degenerate_det_threshold: float | None = None
-
-    def resolved(self, model: CovarianceModel | None) -> "SearchConfig":
-        cfg = self
-        if cfg.grid_step is None:
-            if model is None:
-                raise ValueError("grid_step must be given when the field has no model")
-            cfg = replace(cfg, grid_step=default_grid_step(model))
-        if cfg.dedup_radius is None:
-            cfg = replace(cfg, dedup_radius=cfg.grid_step / 100.0)
-        if cfg.degenerate_det_threshold is None:
-            scale = 1.0
-            if model is not None:
-                scale = max(12.0 * sigma_derivatives(model).mu0, 1e-300)
-            cfg = replace(cfg, degenerate_det_threshold=1e-12 * scale)
-        if not (cfg.grid_step > 0 and cfg.newton_tol > 0 and cfg.max_iters > 0):
-            raise ValueError("grid_step, newton_tol, max_iters must be positive")
-        if not cfg.dedup_radius < cfg.grid_step:
-            raise ValueError("dedup_radius must be smaller than grid_step")
-        return cfg
 
 
 def default_grid_step(model: CovarianceModel) -> float:
@@ -137,7 +114,7 @@ def classify(hessian, threshold: float = 0.0) -> CriticalKind:
 def find_critical_points(
     f: FieldRealization,
     window,
-    cfg: SearchConfig | None = None,
+    grid_step: float | None = None,
     diagnostics: dict | None = None,
 ) -> list[CriticalPoint]:
     """All critical points of the field inside a rectangular window.
@@ -146,27 +123,35 @@ def find_critical_points(
     ----------
     f : FieldRealization
     window : ((xmin, xmax), (ymin, ymax))
-    cfg : SearchConfig, optional
-        Defaults derived from the field's model.
+    grid_step : float, optional
+        Seed grid step; defaults to default_grid_step(f.model), and
+        must be given when the field has no model.
     diagnostics : dict, optional
         If given, filled with counters: nseeds, which is split into
         nconverged, nmerged (trajectories collapsed into another) and
         ndropped = nrunaway (left the search bound or met a singular
-        Hessian) + nstalled (unconverged after max_iters); newton_iters
+        Hessian) + nstalled (unconverged after _MAX_ITERS); newton_iters
         (Newton steps summed over trajectories); nreturned.
 
     Returns
     -------
     list of CriticalPoint
-        Deduplicated, each with |grad psi| <= cfg.newton_tol, inside the
+        Deduplicated, each with |grad psi| <= _NEWTON_TOL, inside the
         window.  Non-converged Newton trajectories are dropped (counted
         in diagnostics), not errors.
     """
     (xmin, xmax), (ymin, ymax) = window
     if not (xmax > xmin and ymax > ymin):
         raise ValueError(f"empty window {window}")
-    cfg = (cfg or SearchConfig()).resolved(f.model)
-    h = cfg.grid_step
+    if grid_step is None:
+        if f.model is None:
+            raise ValueError("grid_step must be given when the field has no model")
+        grid_step = default_grid_step(f.model)
+    _require_finite_positive("grid_step", grid_step)
+    h = grid_step
+    dedup_radius = h / 100.0
+    scale = 1.0 if f.model is None else max(12.0 * sigma_derivatives(f.model).mu0, 1e-300)
+    det_floor = 1e-12 * scale
 
     margin = 2.0 * h
     xs = np.arange(xmin - margin, xmax + margin + h, h)
@@ -184,12 +169,12 @@ def find_critical_points(
     gnorm = np.linalg.norm(grad, axis=1)
     active = np.arange(nseeds)
     nmerged = nrunaway = newton_iters = 0
-    for it in range(cfg.max_iters):
-        live = gnorm[active] > cfg.newton_tol
+    for it in range(_MAX_ITERS):
+        live = gnorm[active] > _NEWTON_TOL
         active = active[live]
         if it:
             # Trajectories sharing a dedup cell end on one root; follow one.
-            kept = _collapse(pts[active], gnorm[active], active, cfg.dedup_radius)
+            kept = _collapse(pts[active], gnorm[active], active, dedup_radius)
             nmerged += active.size - kept.size
             active = kept
         if active.size == 0:
@@ -229,19 +214,19 @@ def find_critical_points(
             nrunaway += int(out.sum())
             active = active[~out]
 
-    converged = gnorm <= cfg.newton_tol
+    converged = gnorm <= _NEWTON_TOL
     inside = (
         (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax) & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
     )
     keep = pts[converged & inside]
     resid = gnorm[converged & inside]
-    merged_pts, merged_resid = _polish(f, *_dedup(keep, resid, cfg.dedup_radius))
+    merged_pts, merged_resid = _polish(f, *_dedup(keep, resid, dedup_radius))
 
     points = []
     if len(merged_pts):
         hess = eval_hessian(f, merged_pts)
         for (x, y), h, res in zip(merged_pts, hess, merged_resid):
-            kind = classify(h, cfg.degenerate_det_threshold)
+            kind = classify(h, det_floor)
             det = h[0, 0] * h[1, 1] - h[0, 1] ** 2
             mean = 0.5 * (h[0, 0] + h[1, 1])
             spread = math.hypot(0.5 * (h[0, 0] - h[1, 1]), h[0, 1])
@@ -255,7 +240,7 @@ def find_critical_points(
                 )
             )
     if diagnostics is not None:
-        nstalled = int((gnorm[active] > cfg.newton_tol).sum())
+        nstalled = int((gnorm[active] > _NEWTON_TOL).sum())
         diagnostics.update(
             nseeds=nseeds,
             nconverged=int(converged.sum()),
@@ -283,7 +268,7 @@ def _polish(f: FieldRealization, pts: np.ndarray, resid: np.ndarray):
     """One more Newton step from each root, kept where it lowers the residual.
 
     With one trajectory per root the kept residual is no longer the best of
-    many near-duplicates; it can sit just under newton_tol, which near a
+    many near-duplicates; it can sit just under _NEWTON_TOL, which near a
     nearly singular Hessian means a location off by resid / |eigenvalue|.
     The extra step brings it back to rounding level.
     """

@@ -20,12 +20,14 @@ in a balanced basis.
 The Monte-Carlo is antithetic: each draw x stands for the pair (x, -x),
 and the pair average is one independent replication.  Determinants are
 sums of products of two coordinates of the draw, so they are even under
-x -> -x, exactly so in IEEE arithmetic; only the sign of h11 in the
-min/max indicators flips, which swaps min and max.  Each pair is
-therefore evaluated once, from its "+" member.  A reported nsamples of
-n counts both members: the independent replications are the floor(n/2)
-pairs of one_point_intensity_mc and the ceil(n/2) pairs of
-two_point_correlation.
+x -> -x, exactly so in IEEE arithmetic, and so are the indicators of
+the tags c, e and s, the only ones the integrands read.  Each pair is
+therefore evaluated once, from its "+" member.  x -> -x negates h11,
+which swaps minima and maxima (h11 = 0 forces det <= 0), so a one-point
+min or max intensity is exactly half the e intensity; the pair functions
+take c, e or s at each position.  A reported nsamples of n counts both
+members: the independent replications are the floor(n/2) pairs of
+one_point_intensity_mc and the ceil(n/2) pairs of two_point_correlation.
 
 Each estimator is a law (the conditional covariance and the density
 prefactor) and an integrand (draws to pair averages); one driver,
@@ -84,6 +86,9 @@ _EIG_TOL = 1e-8
 
 # Antithetic pairs (one draw each) per Monte-Carlo chunk (bounds peak memory).
 _CHUNK_PAIRS = 1 << 20
+
+# Gauss-Legendre nodes of the ball quadrature above and below 0.2 rho.
+_OUTER_NODES, _INNER_NODES = 32, 16
 
 
 class DegeneracyError(ArithmeticError):
@@ -227,39 +232,21 @@ def gradient_pair_density_asymptotic(d, r: float) -> float:
     return 1.0 / (2.0**7 * math.pi**2 * math.sqrt(3.0) * abs(d.mu0 * d.eta0) * h * h)
 
 
-# Per-position type indicators on (det, h11) of a Hessian draw.
-def _kind_indicator(kind: str, det: np.ndarray, h11: np.ndarray) -> np.ndarray:
+# Per-position type indicator on the determinant of a Hessian draw.
+def _kind_indicator(kind: str, det: np.ndarray) -> np.ndarray:
     if kind == "c":
         return np.ones_like(det, dtype=bool)
     if kind == "e":
         return det > 0.0
-    if kind == "s":
-        return det < 0.0
-    if kind == "min":
-        return (det > 0.0) & (h11 > 0.0)
-    return (det > 0.0) & (h11 < 0.0)  # max
+    return det < 0.0  # s
 
 
-# The "-" member of an antithetic pair has h11 negated, which swaps these.
-_MIRROR = {"min": "max", "max": "min"}
-
-
-def _typed_pair_average(weight: np.ndarray, kinds, dets, h11s) -> np.ndarray:
-    """Pair average of weight * prod_i 1[kinds[i]](dets[i], h11s[i]).
-
-    weight and the determinants are even under x -> -x; only h11 flips,
-    so c/e/s indicators agree across the pair and the average is the "+"
-    value itself, while a min/max tag reads its mirror on the "-" member.
-    """
-    plus = weight
-    for kind, det, h11 in zip(kinds, dets, h11s):
-        plus = plus * _kind_indicator(kind, det, h11)
-    if not any(kind in _MIRROR for kind in kinds):
-        return plus
-    minus = weight
-    for kind, det, h11 in zip(kinds, dets, h11s):
-        minus = minus * _kind_indicator(_MIRROR.get(kind, kind), det, h11)
-    return 0.5 * (plus + minus)
+def _pair_kinds(pair) -> tuple[str, ...]:
+    """The two normalized tags of a pair function, in order; each c, e or s."""
+    kinds = tuple(normalize_kind(k) for k in pair)
+    if len(kinds) != 2 or any(kind not in ("c", "e", "s") for kind in kinds):
+        raise ValueError(f"a pair is two tags, each c, e or s, got {pair!r}")
+    return kinds
 
 
 def _mean_se(values: np.ndarray):
@@ -320,21 +307,26 @@ def one_point_intensity_mc(
     The gradient density at zero is closed-form, 1 / (4 pi |eta0|); the
     Hessian is independent of the gradient at a point, so the
     determinant moment E[|det H| 1_kind] is sampled from the exact
-    (conditional = unconditional) Hessian law.
+    (conditional = unconditional) Hessian law.  A min or max intensity
+    is half the e intensity on the same draws (see the module notes).
     """
     kind = normalize_kind(kind)
     npairs = nsamples // 2
     _require_two_pairs(nsamples, npairs)
+    # The moments first: they fail cleanly where the covariance overflows.
+    phi = 1.0 / (4.0 * math.pi * abs(sigma_derivatives(model).eta0))
+    tag = kind
+    if kind in ("min", "max"):
+        tag, phi = "e", 0.5 * phi
     origin = np.zeros(2)
     law = ConditionalGaussian(
         derivative_covariance(model, [(origin, (2, 0)), (origin, (1, 1)), (origin, (0, 2))])
     )
-    phi = 1.0 / (4.0 * math.pi * abs(sigma_derivatives(model).eta0))
 
     def integrand(draws):
         h11, h12, h22 = draws.T
         det = h11 * h22 - h12**2
-        return _typed_pair_average(np.abs(det), (kind,), (det,), (h11,))
+        return np.abs(det) * _kind_indicator(tag, det)
 
     mean, se = _antithetic_mean(law, integrand, npairs, seed)
     return MomentEstimate(
@@ -354,8 +346,8 @@ def two_point_correlation(
         Mutual distance between the two points (probes sit at
         +-(r/2, 0); by isotropy the axis is arbitrary).
     pair : (tag, tag)
-        Type constraint per position, tags in {c, e, s, min, max};
-        order does not matter in law.
+        Type constraint per position, tags in {c, e, s}; (e, s) and
+        (s, e) agree in law but not draw by draw.
     nsamples : int
         Conditional Monte-Carlo draws, counting both members of each
         antithetic pair: ceil(nsamples / 2) pairs are sampled, and they
@@ -364,11 +356,13 @@ def two_point_correlation(
 
     Raises
     ------
+    ValueError
+        If pair is not two of the tags c, e, s (min and max are one-point).
     DegeneracyError
         If r is below R_FLOOR_FRACTION correlation lengths, where the
         gradient-pair covariance is numerically rank deficient.
     """
-    kinds = tuple(normalize_kind(k) for k in pair)
+    kinds = _pair_kinds(pair)
     npairs = (nsamples + 1) // 2
     _require_two_pairs(nsamples, npairs)
     _require_finite_positive("r", r)
@@ -389,8 +383,8 @@ def two_point_correlation(
         h2 = draws[:, :3] - half_diff
         det1 = h1[:, 0] * h1[:, 2] - h1[:, 1] ** 2
         det2 = h2[:, 0] * h2[:, 2] - h2[:, 1] ** 2
-        return _typed_pair_average(
-            np.abs(det1 * det2), kinds, (det1, det2), (h1[:, 0], h2[:, 0])
+        return (
+            np.abs(det1 * det2) * _kind_indicator(kinds[0], det1) * _kind_indicator(kinds[1], det2)
         )
 
     mean, se = _antithetic_mean(law, integrand, npairs, seed)
@@ -427,7 +421,6 @@ def second_factorial_by_quadrature(
     pair=("c", "c"),
     nsamples_per_node: int = 10**5,
     seed=0,
-    nodes: tuple[int, int] = (32, 16),
     threads: int = 1,
 ) -> MomentEstimate:
     """Ball second (factorial) moment by 1D quadrature of K2.
@@ -445,7 +438,7 @@ def second_factorial_by_quadrature(
     does not depend on scheduling.
     """
     _require_finite_positive("rho", rho)
-    kinds = tuple(normalize_kind(k) for k in pair)
+    kinds = _pair_kinds(pair)
     delta = 0.2 * rho
     floor = R_FLOOR_FRACTION * correlation_length(model)
     u_lo = max(floor * (1.0 + 1e-9), 1e-6 * rho)
@@ -453,10 +446,8 @@ def second_factorial_by_quadrature(
         raise DegeneracyError(
             f"quadrature range is empty: rho = {rho} too small for the r floor {floor:.3e}"
         )
-    n_outer, n_inner = nodes
-
     # Outer: u = 2 rho sin(theta), theta from asin(delta / 2 rho) to pi/2.
-    x, w = np.polynomial.legendre.leggauss(n_outer)
+    x, w = np.polynomial.legendre.leggauss(_OUTER_NODES)
     t0, t1 = math.asin(delta / (2.0 * rho)), 0.5 * math.pi
     theta = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
     wt = 0.5 * (t1 - t0) * w
@@ -464,7 +455,7 @@ def second_factorial_by_quadrature(
     jac_outer = 2.0 * rho * np.cos(theta) * wt
 
     # Inner: v = log u from log u_lo to log delta.
-    x, w = np.polynomial.legendre.leggauss(n_inner)
+    x, w = np.polynomial.legendre.leggauss(_INNER_NODES)
     v0, v1 = math.log(u_lo), math.log(delta)
     v = 0.5 * (v1 - v0) * x + 0.5 * (v1 + v0)
     wv = 0.5 * (v1 - v0) * w

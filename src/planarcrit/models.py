@@ -445,14 +445,19 @@ def sigma_derivatives(model: CovarianceModel) -> SigmaDerivatives:
 
     Raises
     ------
+    OverflowError, FloatingPointError
+        If a moment overflows a double, or R_2, R_4 or R_6 underflows to
+        0; the message names the model.
     ValueError
         If the computed values violate the sign invariants (possible
         only through a broken model, never for the stock families).
     """
-    r2 = model.radial_moment(2)
-    r4 = model.radial_moment(4)
-    r6 = model.radial_moment(6)
-    r8 = model.radial_moment(8)
+    try:
+        r2, r4, r6, r8 = (model.radial_moment(n) for n in (2, 4, 6, 8))
+    except OverflowError:
+        raise OverflowError(f"a radial moment of {model!r} overflows a double") from None
+    if 0.0 in (r2, r4, r6):
+        raise FloatingPointError(f"a radial moment of {model!r} underflows to zero")
     return SigmaDerivatives(
         eta0=-r2 / 4.0,
         mu0=r4 / 32.0,

@@ -283,6 +283,32 @@ def test_numerical_failure_exits_2(exc, capsys, monkeypatch):
     assert err == "planarcrit: numerical failure: matrix is not positive definite\n"
 
 
+@pytest.mark.parametrize(
+    "argv, family",
+    [
+        (("theory", "--model", "randomwave", "--k", "1e-200"), "RandomWave"),
+        (("theory", "--model", "bargmannfock", "--k", "1e-300"), "BargmannFock"),
+        (("kacrice", "--model", "randomwave", "--k", "1e-100"), "RandomWave"),
+        (("theory", "--model", "randomwave", "--k", "1e200"), "RandomWave"),
+        (("theory", "--model", "randomwave", "--k", "1e40"), "RandomWave"),
+        (("kacrice", "--model", "randomwave", "--k", "1e200"), "RandomWave"),
+        (("kacrice", "--model", "bargmannfock", "--k", "1e300"), "BargmannFock"),
+        (("kacrice", "--model", "powerlawtruncated", "--t", "1e300"), "PowerLawTruncated"),
+    ],
+)
+def test_out_of_range_moments_exit_2_naming_the_model(argv, family, capsys):
+    # Moments that underflow to zero or overflow a double are a numerical
+    # failure, not bad input.  The suite turns warnings into errors, so a
+    # numpy RuntimeWarning before the message would fail this test too.
+    if argv[0] == "kacrice":
+        argv += ("--what", "one-point", "--seed", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("planarcrit: numerical failure:")
+    assert f"{family}(" in line
+
+
 def test_output_dir_env_resolves_relative_paths(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     code, out, _ = run(capsys, "theory", "--model", "randomwave", "--k", "1",

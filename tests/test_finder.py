@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from planarcrit import finder
 from planarcrit.finder import (
     CriticalKind,
     DegenerateHessianError,
-    SearchConfig,
     _dedup,
     classify,
     default_grid_step,
@@ -20,6 +20,7 @@ from planarcrit.models import (
     PowerLawTruncated,
     RandomWave,
     ShiftedRandomWave,
+    sigma_derivatives,
 )
 from planarcrit.sampling import (
     FieldRealization,
@@ -44,7 +45,7 @@ def _cosine_lattice_field():
 def test_cosine_lattice_points_and_kinds():
     f = _cosine_lattice_field()
     window = ((-0.5, math.pi + 0.5), (-0.5, math.pi + 0.5))
-    points = find_critical_points(f, window, cfg=SearchConfig(grid_step=0.4))
+    points = find_critical_points(f, window, grid_step=0.4)
     assert len(points) == 4
     expected = {
         (0, 0): CriticalKind.MAXIMUM,
@@ -65,7 +66,7 @@ def test_cosine_lattice_points_and_kinds():
 def test_window_edges_respected():
     f = _cosine_lattice_field()
     # only the saddle at (pi, 0) and maximum at (0, 0) fall inside
-    points = find_critical_points(f, ((-1.0, 4.0), (-1.0, 1.0)), cfg=SearchConfig(grid_step=0.4))
+    points = find_critical_points(f, ((-1.0, 4.0), (-1.0, 1.0)), grid_step=0.4)
     locs = sorted(round(p.location[0], 6) for p in points)
     assert locs == [0.0, round(math.pi, 6)]
     for p in points:
@@ -74,13 +75,13 @@ def test_window_edges_respected():
 
 def test_no_duplicate_roots():
     field = sample_field(RandomWave(1.0), M=256, seed=4)
-    cfg = SearchConfig(grid_step=0.6)
-    points = find_critical_points(field, ((0.0, 10.0), (0.0, 10.0)), cfg=cfg)
+    points = find_critical_points(field, ((0.0, 10.0), (0.0, 10.0)), grid_step=0.6)
     locs = np.array([p.location for p in points])
     assert len(locs) >= 5  # lambda_c * area is about 9 here
     d2 = np.sum((locs[:, None, :] - locs[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(d2, np.inf)
-    assert math.sqrt(d2.min()) > cfg.dedup_radius if cfg.dedup_radius else True
+    # no two roots closer than the dedup radius, grid_step / 100
+    assert math.sqrt(d2.min()) > 0.6 / 100
 
 
 def test_dedup_keeps_every_point_of_a_shared_cell():
@@ -132,10 +133,9 @@ def test_default_grid_step_tracks_oscillation_length():
 
 
 def test_search_config_validation():
-    with pytest.raises(ValueError):
-        find_critical_points(
-            _cosine_lattice_field(), ((0.0, 1.0), (0.0, 1.0)), cfg=SearchConfig(grid_step=-1.0)
-        )
+    for step in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            find_critical_points(_cosine_lattice_field(), ((0.0, 1.0), (0.0, 1.0)), grid_step=step)
     # a field with no model attached needs an explicit grid step
     with pytest.raises(ValueError):
         find_critical_points(_cosine_lattice_field(), ((0.0, 1.0), (0.0, 1.0)))
@@ -150,13 +150,13 @@ def test_determinism():
     assert [p.kind for p in a] == [p.kind for p in b]
 
 
-def _counters(field, window, cfg=None):
+def _counters(field, window):
     diag = {}
-    points = find_critical_points(field, window, cfg=cfg, diagnostics=diag)
+    points = find_critical_points(field, window, diagnostics=diag)
     return points, diag
 
 
-def test_counters_partition_the_seeds():
+def test_counters_partition_the_seeds(monkeypatch):
     field = sample_field(RandomWave(1.0), M=256, seed=12)
     window = ((0.0, 12.0), (0.0, 12.0))
     points, diag = _counters(field, window)
@@ -167,22 +167,26 @@ def test_counters_partition_the_seeds():
     # every seed takes at least one Newton step unless it starts converged
     assert diag["newton_iters"] >= diag["nseeds"]
     # a short iteration budget leaves trajectories stalled, not lost
-    _, short = _counters(field, window, SearchConfig(max_iters=2))
+    monkeypatch.setattr(finder, "_MAX_ITERS", 2)
+    _, short = _counters(field, window)
     assert short["nstalled"] > 0
     assert short["nseeds"] == short["nconverged"] + short["nmerged"] + short["ndropped"]
     assert short["ndropped"] == short["nrunaway"] + short["nstalled"]
 
 
-def _reference_roots(f, window, cfg):
+def _reference_roots(f, window):
     """The finder before the separable seed grid, gradient reuse and collapse.
 
     Gradient of every seed, then per iteration a full gradient-and-Hessian
     evaluation of every active point, line search, and one _dedup at the
-    end; returns [(x, y, kind)].
+    end; returns [(x, y, kind)].  The model's default grid step, the
+    finder's Newton tolerance and iteration cap, the dedup radius h / 100
+    and the degeneracy floor 1e-12 * 12 mu0.
     """
     (xmin, xmax), (ymin, ymax) = window
-    cfg = cfg.resolved(f.model)
-    h = cfg.grid_step
+    h = default_grid_step(f.model)
+    dedup_radius = h / 100.0
+    det_floor = 1e-12 * max(12.0 * sigma_derivatives(f.model).mu0, 1e-300)
     margin = 2.0 * h
     xs = np.arange(xmin - margin, xmax + margin + h, h)
     ys = np.arange(ymin - margin, ymax + margin + h, h)
@@ -191,8 +195,8 @@ def _reference_roots(f, window, cfg):
     derivs = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     gnorm = np.linalg.norm(eval_gradient(f, pts), axis=1)
     active = np.arange(len(pts))
-    for _ in range(cfg.max_iters):
-        active = active[gnorm[active] > cfg.newton_tol]
+    for _ in range(finder._MAX_ITERS):
+        active = active[gnorm[active] > finder._NEWTON_TOL]
         if active.size == 0:
             break
         p = pts[active]
@@ -218,10 +222,10 @@ def _reference_roots(f, window, cfg):
         gnorm[active] = tnorm
         gnorm[active[out]] = np.inf
         active = active[~out]
-    sel = (gnorm <= cfg.newton_tol) & (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax) \
+    sel = (gnorm <= finder._NEWTON_TOL) & (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax) \
         & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
-    roots, _ = _dedup(pts[sel], gnorm[sel], cfg.dedup_radius)
-    kinds = [classify(hm, cfg.degenerate_det_threshold) for hm in eval_hessian(f, roots)]
+    roots, _ = _dedup(pts[sel], gnorm[sel], dedup_radius)
+    kinds = [classify(hm, det_floor) for hm in eval_hessian(f, roots)]
     return [(x, y, kind) for (x, y), kind in zip(roots.tolist(), kinds)]
 
 
@@ -242,7 +246,7 @@ def test_root_sets_match_the_reference_loop(model):
     window = ((0.0, 12.0), (0.0, 12.0))
     for i, (M, gaussian) in enumerate(((256, True), (1024, False))):
         field = sample_field(model, M=M, seed=(7, i), gaussian_amplitudes=gaussian)
-        ref = _reference_roots(field, window, SearchConfig())
+        ref = _reference_roots(field, window)
         new = find_critical_points(field, window)
         assert len(new) == len(ref) > 0
         for x, y, kind in ref:

@@ -2,7 +2,9 @@
 
 Each module is parsed, not imported, so the test sees the import
 statements themselves, including ones that only run inside a function.
-One subprocess check pins which costly scipy modules the CLI loads.
+One subprocess check pins which costly scipy modules the CLI loads, and
+one check pins the names and argument shapes the benchmark's layer trace
+(perfbench/tracing.py) wraps.
 """
 
 import ast
@@ -14,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import planarcrit
+from planarcrit import estimators, kacrice
+from planarcrit.models import RandomWave
 
 PACKAGE = Path(planarcrit.__file__).parent
 
@@ -111,3 +115,24 @@ def test_cli_import_leaves_scipy_integrate_out(module):
         capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_trace_hooks_resolve_and_count(monkeypatch):
+    # tracing wraps names where their callers look them up, unpacks the
+    # six-slot sweep task and reads the finder's positional diagnostics
+    # slot; a rename or a new argument shape breaks the traced runs.
+    monkeypatch.syspath_prepend(str(PACKAGE.parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for module, attr, *_ in tracing.CALL_SITES:
+        owner, name = tracing._resolve(module, attr)
+        assert name in owner.__dict__, (module, attr)
+    model = RandomWave(1.0)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        estimators.sweep(model, 2, 3, rho_list=(1.0,), window=((0.0, 6.0), (0.0, 6.0)), M=32)
+        kacrice.second_factorial_by_quadrature(model, 0.3, nsamples_per_node=200, seed=1)
+        kacrice.one_point_intensity_mc(model, nsamples=200, seed=1, kind="min")
+    totals = tracing.layer_totals(tracer.spans)
+    assert totals["estimators._realization_stats"]["distinct"] == 2
+    assert totals["finder.find_critical_points"]["seeds"] > 0
+    assert totals["kacrice.quadrature"]["calls"] == 48
+    assert totals["kacrice.one_point_intensity_mc"]["calls"] == 1
