@@ -32,8 +32,12 @@ one_point_intensity_mc and the ceil(n/2) pairs of two_point_correlation.
 Each estimator is a law (the conditional covariance and the density
 prefactor) and an integrand (draws to pair averages); one driver,
 _antithetic_mean, owns the seeded stream, the chunking and the
-reduction.  The reduction is plain elementwise sums with no BLAS call,
-so the reported std_error does not depend on the BLAS thread count.
+reduction.  It draws and integrates in blocks of _BLOCK_PAIRS pairs,
+small enough to stay in cache; blocks are for speed and change no
+bits.  Chunks of _CHUNK_PAIRS pairs are the unit of the reduction and
+fix its bits.  The reduction is plain elementwise sums with no BLAS
+call, so the reported std_error does not depend on the BLAS thread
+count.
 
 Ball moments reduce by isotropy to one-dimensional integrals against
 the disc pair-distance density and are evaluated by Gauss-Legendre
@@ -43,6 +47,7 @@ log-spaced nodes packed near zero where K2 varies fastest.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +61,7 @@ from .models import (
     sigma_derivatives,
 )
 from .sampling import MomentEstimate, _run_tasks, seeded_rng
-from .theory import normalize_kind
+from .theory import normalize_kind, pair_tags
 
 __all__ = [
     "DegeneracyError",
@@ -84,8 +89,14 @@ R_FLOOR_FRACTION = 1e-4
 # rank collapse shows up orders of magnitude beyond this.
 _EIG_TOL = 1e-8
 
-# Antithetic pairs (one draw each) per Monte-Carlo chunk (bounds peak memory).
+# Antithetic pairs (one draw each) per Monte-Carlo chunk, the unit of the
+# reduction: it fixes the bits of the mean and SE and bounds peak memory.
 _CHUNK_PAIRS = 1 << 20
+
+# Antithetic pairs per block, the unit of drawing and integrating: a
+# block of six-component draws is 384 KB and each of its temporaries
+# 64 KB, so they stay in cache.  It changes no bits.
+_BLOCK_PAIRS = 1 << 13
 
 # Gauss-Legendre nodes of the ball quadrature above and below 0.2 rho.
 _OUTER_NODES, _INNER_NODES = 32, 16
@@ -101,12 +112,13 @@ class ConditionalGaussian:
 
     Eigenvalues of the covariance within rounding dust of zero are
     clipped to zero when sampling; genuinely negative ones raise
-    DegeneracyError.
+    DegeneracyError.  The factor is computed at the first draw and kept.
     """
 
     covariance: np.ndarray
 
-    def _factor(self) -> np.ndarray:
+    @functools.cached_property
+    def _fac(self) -> np.ndarray:
         eigval, eigvec = np.linalg.eigh(self.covariance)
         tol = _EIG_TOL * max(1.0, float(eigval[-1]))
         if eigval[0] < -tol:
@@ -115,10 +127,13 @@ class ConditionalGaussian:
             )
         return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
+    def _factor(self) -> np.ndarray:
+        """F with F F^T = covariance: a draw is F z for standard normal z."""
+        return self._fac
+
     def sample(self, rng: np.random.Generator, nsamples: int) -> np.ndarray:
         """Draw nsamples independent rows, shape (nsamples, dim)."""
-        fac = self._factor()
-        return rng.standard_normal((nsamples, len(self.covariance))) @ fac.T
+        return rng.standard_normal((nsamples, len(self.covariance))) @ self._fac.T
 
 
 def correlation_length(model: CovarianceModel) -> float:
@@ -243,7 +258,7 @@ def _kind_indicator(kind: str, det: np.ndarray) -> np.ndarray:
 
 def _pair_kinds(pair) -> tuple[str, ...]:
     """The two normalized tags of a pair function, in order; each c, e or s."""
-    kinds = tuple(normalize_kind(k) for k in pair)
+    kinds = pair_tags(pair)
     if len(kinds) != 2 or any(kind not in ("c", "e", "s") for kind in kinds):
         raise ValueError(f"a pair is two tags, each c, e or s, got {pair!r}")
     return kinds
@@ -274,10 +289,15 @@ def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
     integrand maps a block of "+" draws from law to one pair average per
     row.  Pairs are drawn from seeded_rng(seed) in chunks of at most
     _CHUNK_PAIRS, which keeps memory flat for the large budgets the rare
-    typed events need at small r.  The mean is the running sum of chunk
-    sums over npairs; the squared deviations are summed two-pass within
-    each chunk, plus each chunk's between-chunk term.  On one chunk this
-    is _mean_se bit for bit, and no reduction is a BLAS call.
+    typed events need at small r, and each chunk is drawn and integrated
+    in blocks of at most _BLOCK_PAIRS, which keeps the draws and the
+    integrand's temporaries in cache.  Blocks are for speed only: the
+    normal stream, the row-wise map and the elementwise integrand give
+    the same pair averages whatever the block size.  Chunks fix the bits
+    of the reduction.  The mean is the running sum of chunk sums over
+    npairs; the squared deviations are summed two-pass within each
+    chunk, plus each chunk's between-chunk term.  On one chunk this is
+    _mean_se bit for bit, and no reduction is a BLAS call.
     """
     rng = seeded_rng(seed)
     tot = 0.0
@@ -286,7 +306,10 @@ def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
     while left > 0:
         n = min(left, _CHUNK_PAIRS)
         left -= n
-        pairs = integrand(law.sample(rng, n))
+        pairs = np.empty(n)
+        for lo in range(0, n, _BLOCK_PAIRS):
+            hi = min(lo + _BLOCK_PAIRS, n)
+            pairs[lo:hi] = integrand(law.sample(rng, hi - lo))
         total = float(pairs.sum())
         dev = pairs - total / n
         tot += total
@@ -324,9 +347,9 @@ def one_point_intensity_mc(
     )
 
     def integrand(draws):
-        h11, h12, h22 = draws.T
+        h11, h12, h22 = draws.T.copy()
         det = h11 * h22 - h12**2
-        return np.abs(det) * _kind_indicator(tag, det)
+        return np.where(_kind_indicator(tag, det), np.abs(det), 0.0)
 
     mean, se = _antithetic_mean(law, integrand, npairs, seed)
     return MomentEstimate(
@@ -345,9 +368,10 @@ def two_point_correlation(
     r : float
         Mutual distance between the two points (probes sit at
         +-(r/2, 0); by isotropy the axis is arbitrary).
-    pair : (tag, tag)
-        Type constraint per position, tags in {c, e, s}; (e, s) and
-        (s, e) agree in law but not draw by draw.
+    pair : (tag, tag) or str
+        Type constraint per position, tags in {c, e, s}; a string is
+        split by theory.pair_tags ("e,s", "extremum saddle", "es").
+        (e, s) and (s, e) agree in law but not draw by draw.
     nsamples : int
         Conditional Monte-Carlo draws, counting both members of each
         antithetic pair: ceil(nsamples / 2) pairs are sampled, and they
@@ -378,14 +402,14 @@ def two_point_correlation(
 
     def integrand(draws):
         # Hessians back from averages and scaled differences.
-        half_diff = (r / 2.0) * draws[:, 3:]
-        h1 = draws[:, :3] + half_diff
-        h2 = draws[:, :3] - half_diff
-        det1 = h1[:, 0] * h1[:, 2] - h1[:, 1] ** 2
-        det2 = h2[:, 0] * h2[:, 2] - h2[:, 1] ** 2
-        return (
-            np.abs(det1 * det2) * _kind_indicator(kinds[0], det1) * _kind_indicator(kinds[1], det2)
-        )
+        rows = draws.T.copy()
+        avg, half_diff = rows[:3], (r / 2.0) * rows[3:]
+        h1 = avg + half_diff
+        h2 = avg - half_diff
+        det1 = h1[0] * h1[2] - h1[1] ** 2
+        det2 = h2[0] * h2[2] - h2[1] ** 2
+        typed = _kind_indicator(kinds[0], det1) & _kind_indicator(kinds[1], det2)
+        return np.where(typed, np.abs(det1 * det2), 0.0)
 
     mean, se = _antithetic_mean(law, integrand, npairs, seed)
     return MomentEstimate(

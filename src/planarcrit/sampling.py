@@ -127,6 +127,9 @@ class FieldRealization:
     model: CovarianceModel | None = None
     seed: object = None
     gaussian_amplitudes: bool = field(default=False, compare=False)
+    # Per-term weights of each multi-index, filled by _term_weights; the
+    # values depend only on the fields above, so sharing stays safe.
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nterms(self) -> int:
@@ -237,14 +240,20 @@ def eval_many(f: FieldRealization, x, alphas) -> np.ndarray:
 
 
 def _term_weights(f: FieldRealization, alpha) -> tuple[np.ndarray, int]:
-    """Per-term factor r_j lam_j1^a1 lam_j2^a2 of d^alpha, and the order a1 + a2."""
+    """Per-term factor r_j lam_j1^a1 lam_j2^a2 of d^alpha, and the order a1 + a2.
+
+    Computed once per realization and multi-index.
+    """
     a1, a2 = int(alpha[0]), int(alpha[1])
     order = a1 + a2
-    if a1 < 0 or a2 < 0 or order > MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"multi-index {alpha} exceeds total order {MAX_DERIVATIVE_ORDER}")
-    weights = f.amplitudes
-    if order:
-        weights = weights * f.frequencies[:, 0] ** a1 * f.frequencies[:, 1] ** a2
+    weights = f._weights.get((a1, a2))
+    if weights is None:
+        if a1 < 0 or a2 < 0 or order > MAX_DERIVATIVE_ORDER:
+            raise ValueError(f"multi-index {alpha} exceeds total order {MAX_DERIVATIVE_ORDER}")
+        weights = f.amplitudes
+        if order:
+            weights = weights * f.frequencies[:, 0] ** a1 * f.frequencies[:, 1] ** a2
+        f._weights[a1, a2] = weights
     return weights, order
 
 

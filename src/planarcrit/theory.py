@@ -64,6 +64,7 @@ __all__ = [
     "theory_report",
     "normalize_kind",
     "normalize_pair",
+    "pair_tags",
     "MIN_REPULSION_FACTOR",
 ]
 
@@ -96,19 +97,24 @@ def normalize_kind(kind: str) -> str:
     return aliases[key]
 
 
-def normalize_pair(pair) -> tuple[str, str]:
-    """Canonicalize a type pair; order is immaterial ((s,e) == (e,s)).
+def pair_tags(pair) -> tuple[str, ...]:
+    """The normalized tags of a type pair, in the order given.
 
     A string with commas or spaces is split on them ("saddle,extremum");
-    one without is read as two one-letter tags ("es").
+    one without is read as one-letter tags ("es").
     """
     if isinstance(pair, str):
-        pair = tuple(pair.replace(",", " ").split() if ("," in pair or " " in pair) else pair)
-    a, b = (normalize_kind(k) for k in pair)
+        pair = pair.replace(",", " ").split() if ("," in pair or " " in pair) else pair
+    return tuple(normalize_kind(k) for k in pair)
+
+
+def normalize_pair(pair) -> tuple[str, str]:
+    """Canonicalize a type pair (see pair_tags); order is immaterial ((s,e) == (e,s))."""
     order = {"c": 0, "e": 1, "s": 2}
-    if a not in order or b not in order:
+    tags = pair_tags(pair)
+    if len(tags) != 2 or any(tag not in order for tag in tags):
         raise ValueError(f"pair tags must be in {{c, e, s}}, got {pair!r}")
-    norm = tuple(sorted((a, b), key=order.get))
+    norm = tuple(sorted(tags, key=order.get))
     if norm not in PAIRS:
         raise ValueError(f"unsupported pair {pair!r}; expected one of {PAIRS}")
     return norm

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -504,6 +505,42 @@ def test_two_point_equals_reference_across_chunks(monkeypatch):
     for kind, nsamples in (("min", 4001), ("s", 4000)):
         est = one_point_intensity_mc(RW1, nsamples=nsamples, seed=2, kind=kind)
         assert (est.value, est.std_error) == _ref_one_point(RW1, nsamples, 2, kind)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_block_size_changes_no_bits(monkeypatch, block):
+    # Blocks are drawn and integrated one after the other; only chunks
+    # shape the reduction, so any block size gives the reference bits.
+    monkeypatch.setattr(kacrice, "_CHUNK_PAIRS", 1000)
+    monkeypatch.setattr(kacrice, "_BLOCK_PAIRS", block)
+    est = two_point_correlation(RW1, 4.0, pair=("e", "s"), nsamples=4001, seed=2)
+    assert (est.value, est.std_error) == _ref_two_point(RW1, 4.0, ("e", "s"), 4001, 2)
+    est = one_point_intensity_mc(RW1, nsamples=4001, seed=2, kind="min")
+    assert (est.value, est.std_error) == _ref_one_point(RW1, 4001, 2, "min")
+
+
+def test_monte_carlo_memory_stays_flat():
+    # Two chunks of 2^20 pairs: the pair averages of a chunk and the
+    # reduction's deviations are held, the draws only a block at a time.
+    tracemalloc.start()
+    try:
+        two_point_correlation(RW1, 0.01, ("e", "e"), nsamples=4_000_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
+def test_pair_spellings_give_identical_estimates():
+    # A pair string is split like the CLI's, and the order is kept.
+    kw = dict(nsamples=2001, seed=4)
+    ref = two_point_correlation(RW1, 0.3, pair=("e", "s"), **kw)
+    for pair in ("e,s", "extremum saddle", "es"):
+        est = two_point_correlation(RW1, 0.3, pair=pair, **kw)
+        assert (est.value, est.std_error, est.label) == (ref.value, ref.std_error, "(e,s)")
+    assert two_point_correlation(RW1, 0.3, pair="s,e", **kw).value != ref.value
+    with pytest.raises(ValueError, match="c, e or s"):
+        two_point_correlation(RW1, 0.3, pair="e,min", **kw)
 
 
 def test_one_chunk_reduction_is_plain_mean_and_se():

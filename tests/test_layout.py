@@ -136,3 +136,11 @@ def test_benchmark_trace_hooks_resolve_and_count(monkeypatch):
     assert totals["finder.find_critical_points"]["seeds"] > 0
     assert totals["kacrice.quadrature"]["calls"] == 48
     assert totals["kacrice.one_point_intensity_mc"]["calls"] == 1
+    # A two-point estimate draws its pairs in several blocks; the traced
+    # draws still add up to the pairs drawn.
+    monkeypatch.setattr(kacrice, "_BLOCK_PAIRS", 64)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        kacrice.two_point_correlation(model, 0.3, ("e", "e"), nsamples=1001, seed=1)
+    totals = tracing.layer_totals(tracer.spans)
+    assert totals["kacrice.sample"]["draws"] == 501
+    assert totals["kacrice.sample"]["calls"] == 8

@@ -94,6 +94,31 @@ def test_eval_many_agrees_with_eval_derivative():
         np.testing.assert_allclose(packed[:, j], eval_derivative(f, pts, alpha), rtol=1e-13)
 
 
+def test_kept_term_weights_change_no_bytes():
+    # A realization keeps the per-term weights of each multi-index after
+    # first use; it gives the bytes of a fresh realization per
+    # multi-index and the same repr, and a bad multi-index is refused
+    # every time.
+    def fresh():
+        return sample_field(RandomWave(1.0), M=64, seed=9)
+
+    used = fresh()
+    pts = np.array([[0.0, 0.0], [1.0, -2.0], [0.3, 0.4]])
+    alphas = [(0, 0), (1, 0), (0, 1), (2, 1), (0, 4)]
+    first = eval_many(used, pts, alphas)
+    grid = eval_grid(used, pts[:, 0], pts[:, 1], alphas)
+    assert repr(used) == repr(fresh())
+    np.testing.assert_array_equal(eval_many(used, pts, alphas), first)
+    for col, alpha in enumerate(alphas):
+        np.testing.assert_array_equal(eval_many(fresh(), pts, [alpha])[:, 0], first[:, col])
+        np.testing.assert_array_equal(
+            eval_grid(fresh(), pts[:, 0], pts[:, 1], [alpha])[..., 0], grid[..., col]
+        )
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exceeds total order"):
+            eval_many(used, pts, [(3, 2)])
+
+
 @pytest.mark.parametrize("model", [RandomWave(1.0), ShiftedRandomWave(0.5, 1.0, 1.0)], ids=repr)
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_eval_grid_agrees_with_eval_many(model, gaussian):
