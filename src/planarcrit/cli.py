@@ -490,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, help="number of frequency terms (default 1024)")
     p.add_argument("--gaussian-amplitudes", action=argparse.BooleanOptionalAction)
     p.add_argument("--window-size", type=float, help="square window side (default from model)")
-    p.add_argument("--grid-step", type=float, help="Newton seeding grid step")
+    p.add_argument("--grid-step", type=float,
+                   help="finder grid step h; the gradient sign test runs on cells of h / 8")
     p.set_defaults(func=_cmd_find)
 
     p = subs.add_parser("estimate", help="empirical statistics over realizations")

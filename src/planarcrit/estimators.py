@@ -162,8 +162,9 @@ def sweep(
 
     Realization i is sample_field(model, M, (seed, i)) with Gaussian
     amplitudes, so the result does not depend on threads.  grid_step is
-    the finder's seed grid step (default from the model).  Each radius
-    must lie in (0, window short side / 4).
+    the finder's grid step h, whose eighths are its sign-test cells
+    (default from the model).  Each radius must lie in (0, window short
+    side / 4).
     """
     if nreal < 2:
         raise ValueError(f"nreal must be at least 2, got {nreal}")

@@ -1,31 +1,41 @@
 """Locate and classify critical points of a sampled field.
 
-Zeros of the gradient are found by dense grid seeding followed by
-damped Newton iteration on the exact analytic gradient and Hessian of
-the plane-wave superposition, then deduplicated spatially and
-classified by Hessian eigenvalue signs.  Seeding is dense enough (8
-seeds per oscillation by default) that the returned set is statistically
-complete: validation is against the closed-form intensity, not a root
-certificate, and near-degenerate pairs closer than the dedup radius
-would be merged.  The window is inflated by a margin of two grid steps
-before seeding and the results filtered back to the exact window, so
-counts near the boundary are not silently clipped.
+Zeros of the gradient are found by damped Newton iteration on the exact
+analytic gradient and Hessian of the plane-wave superposition, started
+only where the gradient says a zero may be, then deduplicated spatially
+and classified by Hessian eigenvalue signs.
 
-The one tuning knob is the seed grid step (`find --grid-step`).  Fixed
-are the Newton tolerance _NEWTON_TOL, the iteration cap _MAX_ITERS, the
-dedup radius grid_step / 100 and the degeneracy floor 1e-12 * 12 mu0.
+Seeds.  The gradient is evaluated on a tensor grid of step h / 8 (h the
+grid step, _SUBDIVISION = 8) covering the window plus one cell, where the
+field separates into a small complex matmul per derivative
+(sampling.eval_grid).  A cell is a candidate when each gradient component
+is positive at one of its four corners and negative at another, or is 0
+at a corner; Newton starts at the centres of the candidate cells.  The
+sign test cannot see two roots inside one cell: there one seed reaches
+at most one of them.  Such a pair lies across a fold (det H = 0) and its
+roots are nearly degenerate, so each root found predicts its partner
+from the quadratic model of the gradient along the soft Hessian
+eigenvector, and a partner predicted within two cells is run from as a
+seed too.  Whether the root set is complete is not certified: it rests
+on the root-set corpus against the earlier dense-seed finder (CHANGES.md)
+and on the closed-form intensity.  Roots outside the window are dropped;
+the grid reaches one cell past it, so a root on the boundary is kept.
 
-Every point the search visits is evaluated once.  The seeds lie on a
-tensor grid, where the field separates into a small complex matmul per
-derivative (sampling.eval_grid).  The line search's gradient at the
-accepted trial point is reused by the next Newton step, which then
-needs only the Hessian there.  From the second step on, active
-trajectories that share a cell of side dedup_radius would end on one
-root, so only the one with the lowest residual is followed (ties go to
-the lowest seed index); the others are counted as merged.  With one
-trajectory per root the kept residual is no longer the best of many
-duplicates, so each root gets one final Newton step, kept where it
-lowers the residual.
+The one tuning knob is the grid step h (`find --grid-step`, an eighth of
+the oscillation length by default).  Fixed are the subdivision
+_SUBDIVISION, the Newton tolerance _NEWTON_TOL, the iteration cap
+_MAX_ITERS, the dedup radius h / 100 and the degeneracy floor
+1e-12 * 12 mu0.
+
+Every point the search visits is evaluated once: the seeds together,
+and each accepted line-search trial point, whose gradient the next
+Newton step reuses, so that step needs only the Hessian there.  From
+the second step on, active trajectories that share a cell of side
+dedup_radius would end on one root, so only the one with the lowest
+residual is followed (ties go to the lowest seed index); the others are
+counted as merged.  With one trajectory per root the kept residual is
+no longer the best of many duplicates, so each root gets one final
+Newton step, kept where it lowers the residual.
 """
 
 from __future__ import annotations
@@ -55,11 +65,14 @@ __all__ = [
 
 _HESSIAN = [(2, 0), (1, 1), (0, 2)]
 _DERIVS = [(1, 0), (0, 1), *_HESSIAN]
+_THIRD = [(3, 0), (2, 1), (1, 2), (0, 3)]
 
 # A root is converged once |grad psi| <= _NEWTON_TOL; a trajectory gets
 # at most _MAX_ITERS Newton steps.
 _NEWTON_TOL = 1e-10
 _MAX_ITERS = 50
+# The sign-test grid has step grid_step / _SUBDIVISION.
+_SUBDIVISION = 8
 
 
 class DegenerateHessianError(ArithmeticError):
@@ -90,8 +103,7 @@ def default_grid_step(model: CovarianceModel) -> float:
     """An eighth of the model's oscillation length: 2 pi / k_eff / 8.
 
     k_eff = sqrt(-4 eta0 / sigma0) (models.effective_wavenumber) is k for
-    wave-type models; eight seeds per oscillation empirically captures
-    all simple gradient zeros.
+    wave-type models, so the sign-test cells are 64 per oscillation.
     """
     return 2.0 * math.pi / effective_wavenumber(model) / 8.0
 
@@ -124,10 +136,12 @@ def find_critical_points(
     f : FieldRealization
     window : ((xmin, xmax), (ymin, ymax))
     grid_step : float, optional
-        Seed grid step; defaults to default_grid_step(f.model), and
-        must be given when the field has no model.
+        Grid step h; the sign test runs on cells of h / _SUBDIVISION.
+        Defaults to default_grid_step(f.model), and must be given when
+        the field has no model.
     diagnostics : dict, optional
-        If given, filled with counters: nseeds, which is split into
+        If given, filled with counters: nseeds (candidate cells plus
+        predicted fold partners), which is split into
         nconverged, nmerged (trajectories collapsed into another) and
         ndropped = nrunaway (left the search bound or met a singular
         Hessian) + nstalled (unconverged after _MAX_ITERS); newton_iters
@@ -153,28 +167,92 @@ def find_critical_points(
     scale = 1.0 if f.model is None else max(12.0 * sigma_derivatives(f.model).mu0, 1e-300)
     det_floor = 1e-12 * scale
 
-    margin = 2.0 * h
-    xs = np.arange(xmin - margin, xmax + margin + h, h)
-    ys = np.arange(ymin - margin, ymax + margin + h, h)
-    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    nseeds = len(pts)
+    # Candidate cells of the h / _SUBDIVISION grid: each gradient component
+    # changes sign over the four corners or vanishes at one, that is, its
+    # corner values span 0.  Newton starts at their centres.
+    cell = h / _SUBDIVISION
+    xs = xmin - cell + cell * np.arange(math.ceil((xmax - xmin) / cell) + 3)
+    ys = ymin - cell + cell * np.arange(math.ceil((ymax - ymin) / cell) + 3)
+    grid = eval_grid(f, xs, ys, _DERIVS[:2])
+    corners = (grid[:-1, :-1], grid[1:, :-1], grid[:-1, 1:], grid[1:, 1:])
+    low, high = np.minimum.reduce(corners), np.maximum.reduce(corners)
+    ci, cj = np.nonzero(((low <= 0.0) & (high >= 0.0)).all(axis=-1))
+    pts = np.column_stack([xs[ci] + 0.5 * cell, ys[cj] + 0.5 * cell])
 
-    # Damped Newton on the gradient, vectorized over the shrinking active set.
-    # Every point is evaluated once: the seeds on the separable grid, each
-    # accepted trial by the line search, whose gradient the next step reuses.
-    bound = np.array([xmin - 2 * margin, ymin - 2 * margin, xmax + 2 * margin, ymax + 2 * margin])
-    seed_vals = eval_grid(f, xs, ys, _DERIVS).reshape(nseeds, 5)
+    margin = 4.0 * h
+    bound = np.array([xmin - margin, ymin - margin, xmax + margin, ymax + margin])
+    pts, gnorm, counts = _newton(f, pts, bound, dedup_radius)
+    # Two roots in one cell share a seed; also run from the partner that
+    # each root predicts across a nearby fold.
+    done = gnorm <= _NEWTON_TOL
+    partners = _fold_partners(f, _dedup(pts[done], gnorm[done], dedup_radius)[0], 2.0 * cell)
+    if len(partners):
+        more, more_gnorm, more_counts = _newton(f, partners, bound, dedup_radius)
+        pts = np.concatenate([pts, more])
+        gnorm = np.concatenate([gnorm, more_gnorm])
+        counts += more_counts
+    nmerged, nrunaway, nstalled, newton_iters = counts.tolist()
+
+    converged = gnorm <= _NEWTON_TOL
+    inside = (
+        (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax) & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
+    )
+    keep = pts[converged & inside]
+    resid = gnorm[converged & inside]
+    merged_pts, merged_resid = _polish(f, *_dedup(keep, resid, dedup_radius))
+
+    points = []
+    if len(merged_pts):
+        hess = eval_hessian(f, merged_pts)
+        for (x, y), h, res in zip(merged_pts, hess, merged_resid):
+            kind = classify(h, det_floor)
+            det = h[0, 0] * h[1, 1] - h[0, 1] ** 2
+            mean = 0.5 * (h[0, 0] + h[1, 1])
+            spread = math.hypot(0.5 * (h[0, 0] - h[1, 1]), h[0, 1])
+            points.append(
+                CriticalPoint(
+                    location=(float(x), float(y)),
+                    kind=kind,
+                    hessian_det=float(det),
+                    hessian_eigenvalues=(float(mean - spread), float(mean + spread)),
+                    gradient_residual=float(res),
+                )
+            )
+    if diagnostics is not None:
+        diagnostics.update(
+            nseeds=len(gnorm),
+            nconverged=int(converged.sum()),
+            nmerged=nmerged,
+            nrunaway=nrunaway,
+            nstalled=nstalled,
+            ndropped=nrunaway + nstalled,
+            newton_iters=newton_iters,
+            nreturned=len(points),
+        )
+    return points
+
+
+def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: float):
+    """Damped Newton on the gradient from each of `pts`, vectorized over the active set.
+
+    Every point is evaluated once: the seeds together, each accepted trial
+    by the line search, whose gradient the next step reuses.  Returns the
+    end points, their gradient norms (inf for a runaway) and the counters
+    [nmerged, nrunaway, nstalled, newton_iters].
+    """
+    pts = pts.copy()
+    seed_vals = eval_many(f, pts, _DERIVS)
     grad = seed_vals[:, :2].copy()
     seed_hess = seed_vals[:, 2:]
     gnorm = np.linalg.norm(grad, axis=1)
-    active = np.arange(nseeds)
+    active = np.arange(len(pts))
     nmerged = nrunaway = newton_iters = 0
     for it in range(_MAX_ITERS):
         live = gnorm[active] > _NEWTON_TOL
         active = active[live]
         if it:
             # Trajectories sharing a dedup cell end on one root; follow one.
-            kept = _collapse(pts[active], gnorm[active], active, dedup_radius)
+            kept = _collapse(pts[active], gnorm[active], active, radius)
             nmerged += active.size - kept.size
             active = kept
         if active.size == 0:
@@ -213,45 +291,32 @@ def find_critical_points(
             gnorm[active[out]] = np.inf
             nrunaway += int(out.sum())
             active = active[~out]
+    nstalled = int((gnorm[active] > _NEWTON_TOL).sum())
+    return pts, gnorm, np.array([nmerged, nrunaway, nstalled, newton_iters])
 
-    converged = gnorm <= _NEWTON_TOL
-    inside = (
-        (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax) & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
-    )
-    keep = pts[converged & inside]
-    resid = gnorm[converged & inside]
-    merged_pts, merged_resid = _polish(f, *_dedup(keep, resid, dedup_radius))
 
-    points = []
-    if len(merged_pts):
-        hess = eval_hessian(f, merged_pts)
-        for (x, y), h, res in zip(merged_pts, hess, merged_resid):
-            kind = classify(h, det_floor)
-            det = h[0, 0] * h[1, 1] - h[0, 1] ** 2
-            mean = 0.5 * (h[0, 0] + h[1, 1])
-            spread = math.hypot(0.5 * (h[0, 0] - h[1, 1]), h[0, 1])
-            points.append(
-                CriticalPoint(
-                    location=(float(x), float(y)),
-                    kind=kind,
-                    hessian_det=float(det),
-                    hessian_eigenvalues=(float(mean - spread), float(mean + spread)),
-                    gradient_residual=float(res),
-                )
-            )
-    if diagnostics is not None:
-        nstalled = int((gnorm[active] > _NEWTON_TOL).sum())
-        diagnostics.update(
-            nseeds=nseeds,
-            nconverged=int(converged.sum()),
-            nmerged=nmerged,
-            nrunaway=nrunaway,
-            nstalled=nstalled,
-            ndropped=nrunaway + nstalled,
-            newton_iters=newton_iters,
-            nreturned=len(points),
-        )
-    return points
+def _fold_partners(f: FieldRealization, roots: np.ndarray, reach: float) -> np.ndarray:
+    """The predicted partner of each root that lies within `reach` across a fold.
+
+    Along the Hessian eigenvector v of the eigenvalue lam nearer zero, the
+    gradient component is lam t + c t^2 / 2, with c the third derivative
+    of psi along v; so a second root sits near t = -2 lam / c.
+    """
+    if len(roots) == 0:
+        return roots
+    h11, h12, h22, t30, t21, t12, t03 = eval_many(f, roots, [*_HESSIAN, *_THIRD]).T
+    mean = 0.5 * (h11 + h22)
+    spread = np.hypot(0.5 * (h11 - h22), h12)
+    theta = 0.5 * np.arctan2(2.0 * h12, h11 - h22)  # eigenvector of mean + spread
+    upper = mean < 0.0  # mean + spread is the eigenvalue nearer zero
+    lam = np.where(upper, mean + spread, mean - spread)
+    v1 = np.where(upper, np.cos(theta), -np.sin(theta))
+    v2 = np.where(upper, np.sin(theta), np.cos(theta))
+    c = t30 * v1**3 + 3.0 * t21 * v1**2 * v2 + 3.0 * t12 * v1 * v2**2 + t03 * v2**3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -2.0 * lam / c
+    near = np.abs(t) <= reach
+    return roots[near] + t[near, None] * np.column_stack([v1[near], v2[near]])
 
 
 def _newton_step(g1, g2, h11, h12, h22):

@@ -256,14 +256,6 @@ def _kind_indicator(kind: str, det: np.ndarray) -> np.ndarray:
     return det < 0.0  # s
 
 
-def _pair_kinds(pair) -> tuple[str, ...]:
-    """The two normalized tags of a pair function, in order; each c, e or s."""
-    kinds = pair_tags(pair)
-    if len(kinds) != 2 or any(kind not in ("c", "e", "s") for kind in kinds):
-        raise ValueError(f"a pair is two tags, each c, e or s, got {pair!r}")
-    return kinds
-
-
 def _mean_se(values: np.ndarray):
     """Mean and SE over independent draws."""
     mean = float(values.mean())
@@ -386,7 +378,7 @@ def two_point_correlation(
         If r is below R_FLOOR_FRACTION correlation lengths, where the
         gradient-pair covariance is numerically rank deficient.
     """
-    kinds = _pair_kinds(pair)
+    kinds = pair_tags(pair)
     npairs = (nsamples + 1) // 2
     _require_two_pairs(nsamples, npairs)
     _require_finite_positive("r", r)
@@ -462,7 +454,7 @@ def second_factorial_by_quadrature(
     does not depend on scheduling.
     """
     _require_finite_positive("rho", rho)
-    kinds = _pair_kinds(pair)
+    kinds = pair_tags(pair)
     delta = 0.2 * rho
     floor = R_FLOOR_FRACTION * correlation_length(model)
     u_lo = max(floor * (1.0 + 1e-9), 1e-6 * rho)

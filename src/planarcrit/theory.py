@@ -97,24 +97,42 @@ def normalize_kind(kind: str) -> str:
     return aliases[key]
 
 
-def pair_tags(pair) -> tuple[str, ...]:
-    """The normalized tags of a type pair, in the order given.
+def pair_tags(pair) -> tuple[str, str]:
+    """The two tags of a type pair, in the order given, each c, e or s.
 
     A string with commas or spaces is split on them ("saddle,extremum");
-    one without is read as one-letter tags ("es").
+    one without is read as one-letter tags ("es").  Raises ValueError
+    naming the cause: an unsplit name ("minmax"), a count other than two,
+    or a tag that is not c, e or s.
     """
+    tags = pair
     if isinstance(pair, str):
-        pair = pair.replace(",", " ").split() if ("," in pair or " " in pair) else pair
-    return tuple(normalize_kind(k) for k in pair)
+        if "," in pair or " " in pair:
+            tags = pair.replace(",", " ").split()
+        elif len(pair) != 2 and not set(pair.lower()) <= set("ces"):
+            raise ValueError(
+                f"pair {pair!r} reads as one unsplit name; write its two tags "
+                "apart with a comma or space, as in 'saddle,extremum'"
+            )
+    tags = tuple(tags)
+    if len(tags) != 2:
+        raise ValueError(f"a pair is two tags, got {len(tags)} in {pair!r}")
+    kinds = []
+    for tag in tags:
+        try:
+            kind = normalize_kind(tag)
+        except ValueError:
+            kind = None
+        if kind not in ("c", "e", "s"):
+            raise ValueError(f"pair tags must be in {{c, e, s}}: {tag!r} is not c, e or s")
+        kinds.append(kind)
+    return tuple(kinds)
 
 
 def normalize_pair(pair) -> tuple[str, str]:
     """Canonicalize a type pair (see pair_tags); order is immaterial ((s,e) == (e,s))."""
     order = {"c": 0, "e": 1, "s": 2}
-    tags = pair_tags(pair)
-    if len(tags) != 2 or any(tag not in order for tag in tags):
-        raise ValueError(f"pair tags must be in {{c, e, s}}, got {pair!r}")
-    norm = tuple(sorted(tags, key=order.get))
+    norm = tuple(sorted(pair_tags(pair), key=order.get))
     if norm not in PAIRS:
         raise ValueError(f"unsupported pair {pair!r}; expected one of {PAIRS}")
     return norm

@@ -157,7 +157,8 @@ def _counters(field, window):
 
 
 def test_counters_partition_the_seeds(monkeypatch):
-    field = sample_field(RandomWave(1.0), M=256, seed=12)
+    # a field of the benchmark's sweep whose window has a runaway trajectory
+    field = sample_field(RandomWave(1.0), M=256, seed=(101, 6), gaussian_amplitudes=True)
     window = ((0.0, 12.0), (0.0, 12.0))
     points, diag = _counters(field, window)
     assert diag["nseeds"] == diag["nconverged"] + diag["nmerged"] + diag["ndropped"]
@@ -256,3 +257,45 @@ def test_root_sets_match_the_reference_loop(model):
             assert new[j].kind is kind
         # the polishing step leaves every residual at rounding level
         assert max(p.gradient_residual for p in new) < 1e-12
+
+
+def _has_root(points, location, kind, tol):
+    return any(math.hypot(p.location[0] - location[0], p.location[1] - location[1]) < tol
+               and p.kind is kind for p in points)
+
+
+def test_maximum_that_no_dense_seed_reached_is_found():
+    # The dense-seed finder reached this maximum, 0.42 from a saddle, from a
+    # single seed after a long wander, and lost it when its seed grid moved
+    # by one ulp; a sign-change cell holds it.
+    model = Interpolation(0.5, RandomWave(1.0), BargmannFock(1.0))
+    field = sample_field(model, M=1024, seed=(7, 3), gaussian_amplitudes=True)
+    window = ((0.0, 12.0), (0.0, 12.0))
+    points = find_critical_points(field, window)
+    assert _has_root(points, (5.374958828, 5.289034675), CriticalKind.MAXIMUM, 1e-6)
+    for x, y, kind in _reference_roots(field, window):
+        assert _has_root(points, (x, y), kind, 1e-9), (x, y, kind)
+
+
+def test_min_saddle_pair_inside_a_quarter_step_is_split():
+    # A minimum and a saddle 0.14 grid steps apart: cells of h / 4 put both
+    # in one cell here, whose single seed reaches neither; cells of h / 8
+    # separate them.
+    field = sample_field(BargmannFock(1.0), M=256, seed=(101, 6), gaussian_amplitudes=True)
+    points = find_critical_points(field, ((0.0, 20.0), (0.0, 20.0)))
+    saddle = (10.966997439344157, 18.08250926777428)
+    minimum = (10.911906764528924, 18.079693266313793)
+    assert math.hypot(saddle[0] - minimum[0], saddle[1] - minimum[1]) < default_grid_step(
+        field.model) / 4
+    assert _has_root(points, saddle, CriticalKind.SADDLE, 1e-9)
+    assert _has_root(points, minimum, CriticalKind.MINIMUM, 1e-9)
+
+
+def test_fold_partner_in_the_same_cell_is_found():
+    # A saddle 0.018 from a minimum (0.37 of an h / 8 cell), both in one
+    # cell, whose seed reaches the minimum; the saddle is the minimum's
+    # predicted partner across the fold between them.
+    field = sample_field(BargmannFock(1.0), M=1024, seed=(202, 39))
+    points = find_critical_points(field, ((0.0, 12.0), (0.0, 12.0)))
+    assert _has_root(points, (10.511260013850139, 7.656567436866597), CriticalKind.SADDLE, 1e-9)
+    assert _has_root(points, (10.529311431892037, 7.653214788349994), CriticalKind.MINIMUM, 1e-9)

@@ -543,6 +543,16 @@ def test_pair_spellings_give_identical_estimates():
         two_point_correlation(RW1, 0.3, pair="e,min", **kw)
 
 
+def test_pair_functions_share_the_pair_messages():
+    # the Kac-Rice pair functions split and check a pair like theory.pair_tags
+    for pair, message in (("e s s", "got 3"), ("minmax", "unsplit name"),
+                          ("c,max", "'max' is not c, e or s")):
+        with pytest.raises(ValueError, match=message):
+            two_point_correlation(RW1, 0.3, pair=pair, nsamples=100, seed=0)
+        with pytest.raises(ValueError, match=message):
+            second_factorial_by_quadrature(RW1, 0.3, pair=pair, nsamples_per_node=200, seed=1)
+
+
 def test_one_chunk_reduction_is_plain_mean_and_se():
     law = ConditionalGaussian(np.eye(2))
 

@@ -23,6 +23,7 @@ from planarcrit.theory import (
     lambda_c,
     normalize_kind,
     normalize_pair,
+    pair_tags,
     repulsion_factor,
     repulsion_regime,
     scaling_order,
@@ -162,6 +163,25 @@ def test_normalize_pair_splits_spelled_out_names():
     assert normalize_pair("e,s") == ("e", "s")
     with pytest.raises(ValueError, match=r"pair tags must be in \{c, e, s\}"):
         normalize_pair("min,max")
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ("e s s", r"a pair is two tags, got 3 in 'e s s'"),
+        (("e",), r"a pair is two tags, got 1 in \('e',\)"),
+        ("ees", r"a pair is two tags, got 3 in 'ees'"),
+        ("min,max", r"pair tags must be in \{c, e, s\}: 'min' is not c, e or s"),
+        (("e", "ridge"), r"'ridge' is not c, e or s"),
+        ("minmax", r"'minmax' reads as one unsplit name; .* comma or space"),
+        ("extremumsaddle", r"unsplit name"),
+    ],
+)
+def test_pair_messages_name_the_cause(pair, message):
+    with pytest.raises(ValueError, match=message):
+        normalize_pair(pair)
+    with pytest.raises(ValueError, match=message):
+        pair_tags(pair)
 
 
 def test_theory_report_is_consistent():
