@@ -7,7 +7,7 @@ and classified by Hessian eigenvalue signs.
 
 Seeds.  The gradient is evaluated on a tensor grid of step h / 8 (h the
 grid step, _SUBDIVISION = 8) covering the window plus one cell, where the
-field separates into a small complex matmul per derivative
+field separates into one small real matmul per derivative
 (sampling.eval_grid).  A cell is a candidate when each gradient component
 is positive at one of its four corners and negative at another, or is 0
 at a corner; Newton starts at the centres of the candidate cells.  The
@@ -17,9 +17,35 @@ roots are nearly degenerate, so each root found predicts its partner
 from the quadratic model of the gradient along the soft Hessian
 eigenvector, and a partner predicted within two cells is run from as a
 seed too.  Whether the root set is complete is not certified: it rests
-on the root-set corpus against the earlier dense-seed finder (CHANGES.md)
-and on the closed-form intensity.  Roots outside the window are dropped;
-the grid reaches one cell past it, so a root on the boundary is kept.
+on the root-set corpus against the earlier dense-seed finder (CHANGES.md,
+tools/finder_corpus.py) and on the closed-form intensity.  Roots outside
+the window are dropped; the grid reaches one cell past it, so a root on
+the boundary is kept.
+
+Index defect.  The finder can report a Poincare-Hopf check of its own
+root set.  The winding number of grad psi
+around the outer ring of the sign-test grid equals #extrema - #saddles
+inside it (an extremum has index +1, a saddle -1).  The winding number
+sums the gradient's angle steps along the ring; a step wider than pi / 2
+is refined with eval_many until every step is narrower (or _RING_DEPTH
+refinements have run).  From it the finder subtracts #extrema - #saddles
+over its converged, deduplicated roots inside the ring, counted before
+the window filter, and reports the difference as index_defect.  A
+nonzero defect means a root was missed or a spurious one kept; a zero
+defect cannot see a missed extremum-saddle pair.  The check reuses the
+sign-test grid and the converged end points; it evaluates only the ring
+refinement and the Hessians of the counted roots, and changes no root.
+It runs only when diagnostics are asked for.
+
+Iteration cap.  A trajectory gets at most _MAX_ITERS = 12 Newton steps.
+The loop is vectorized, so each iteration costs about a fixed three
+eval_many calls however few trajectories are active, and one stalled
+trajectory keeps the loop running to the cap.  Stalled trajectories sit
+at local minima of |grad psi| (1e-4 to 1e-1) that are not roots.  Over
+the 40 realizations of the benchmark's simulate sweep (seed 101), 25 of
+1640 converging trajectories needed more than 12 steps, and each reached
+a root that another trajectory also found; on the root-set corpus
+(tools/finder_corpus.py) the roots are those of the earlier cap of 50.
 
 The one tuning knob is the grid step h (`find --grid-step`, an eighth of
 the oscillation length by default).  Fixed are the subdivision
@@ -68,11 +94,15 @@ _DERIVS = [(1, 0), (0, 1), *_HESSIAN]
 _THIRD = [(3, 0), (2, 1), (1, 2), (0, 3)]
 
 # A root is converged once |grad psi| <= _NEWTON_TOL; a trajectory gets
-# at most _MAX_ITERS Newton steps.
+# at most _MAX_ITERS Newton steps (module docstring: why 12).
 _NEWTON_TOL = 1e-10
-_MAX_ITERS = 50
+_MAX_ITERS = 12
 # The sign-test grid has step grid_step / _SUBDIVISION.
 _SUBDIVISION = 8
+# The index defect's ring: a segment whose gradient angle step exceeds
+# pi / 2 is split into _RING_SPLIT, at most _RING_DEPTH times over.
+_RING_SPLIT = 4
+_RING_DEPTH = 8
 
 
 class DegenerateHessianError(ArithmeticError):
@@ -145,7 +175,9 @@ def find_critical_points(
         nconverged, nmerged (trajectories collapsed into another) and
         ndropped = nrunaway (left the search bound or met a singular
         Hessian) + nstalled (unconverged after _MAX_ITERS); newton_iters
-        (Newton steps summed over trajectories); nreturned.
+        (Newton steps summed over trajectories); nreturned; index_defect
+        (winding number of grad psi around the sign-test grid minus
+        #extrema - #saddles found inside it; see the module docstring).
 
     Returns
     -------
@@ -174,9 +206,7 @@ def find_critical_points(
     xs = xmin - cell + cell * np.arange(math.ceil((xmax - xmin) / cell) + 3)
     ys = ymin - cell + cell * np.arange(math.ceil((ymax - ymin) / cell) + 3)
     grid = eval_grid(f, xs, ys, _DERIVS[:2])
-    corners = (grid[:-1, :-1], grid[1:, :-1], grid[:-1, 1:], grid[1:, 1:])
-    low, high = np.minimum.reduce(corners), np.maximum.reduce(corners)
-    ci, cj = np.nonzero(((low <= 0.0) & (high >= 0.0)).all(axis=-1))
+    ci, cj = _candidate_cells(grid)
     pts = np.column_stack([xs[ci] + 0.5 * cell, ys[cj] + 0.5 * cell])
 
     margin = 4.0 * h
@@ -228,6 +258,8 @@ def find_critical_points(
             ndropped=nrunaway + nstalled,
             newton_iters=newton_iters,
             nreturned=len(points),
+            index_defect=_index_defect(f, xs, ys, grid, pts[converged], gnorm[converged],
+                                       dedup_radius),
         )
     return points
 
@@ -293,6 +325,61 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
             active = active[~out]
     nstalled = int((gnorm[active] > _NEWTON_TOL).sum())
     return pts, gnorm, np.array([nmerged, nrunaway, nstalled, newton_iters])
+
+
+def _candidate_cells(grad: np.ndarray):
+    """Indices (i, j) of the grid cells whose corner values of each gradient
+    component span 0; cell (i, j) has corners [i, i + 1] x [j, j + 1]."""
+    corners = (grad[:-1, :-1], grad[1:, :-1], grad[:-1, 1:], grad[1:, 1:])
+    low, high = np.minimum.reduce(corners), np.maximum.reduce(corners)
+    return np.nonzero(((low <= 0.0) & (high >= 0.0)).all(axis=-1))
+
+
+def _index_defect(f: FieldRealization, xs, ys, grad, pts, resid, radius: float) -> int:
+    """Winding number of grad psi around the grid xs x ys minus the index sum inside.
+
+    `grad` is the gradient on the grid (eval_grid order); `pts` are the
+    converged end points with residuals `resid`, deduplicated here at
+    `radius`.  The index sum counts +1 per extremum and -1 per saddle by
+    the sign of det H.
+    """
+    inside = (pts[:, 0] >= xs[0]) & (pts[:, 0] <= xs[-1]) & (pts[:, 1] >= ys[0]) & (
+        pts[:, 1] <= ys[-1])
+    roots, _ = _dedup(pts[inside], resid[inside], radius)
+    index = 0
+    if len(roots):
+        h11, h12, h22 = eval_many(f, roots, _HESSIAN).T
+        index = int(np.sign(h11 * h22 - h12**2).sum())
+    return _winding_number(f, xs, ys, grad) - index
+
+
+def _winding_number(f: FieldRealization, xs, ys, grad) -> int:
+    """Turns of grad psi along the boundary of the grid xs x ys, counterclockwise.
+
+    Starts from the grid's own boundary values; each segment whose angle
+    step exceeds pi / 2 gets _RING_SPLIT - 1 points more from eval_many,
+    until no step does or _RING_DEPTH rounds have run.
+    """
+    nx, ny = len(xs), len(ys)
+    i = np.concatenate([np.arange(nx), np.full(ny - 1, nx - 1), np.arange(nx - 2, -1, -1),
+                        np.zeros(ny - 1, dtype=int)])
+    j = np.concatenate([np.zeros(nx, dtype=int), np.arange(1, ny), np.full(nx - 1, ny - 1),
+                        np.arange(ny - 2, -1, -1)])
+    ring = np.column_stack([xs[i], ys[j]])  # closed: the last point is the first
+    g = grad[i, j]
+    frac = np.arange(1, _RING_SPLIT)[:, None] / _RING_SPLIT
+    for depth in range(_RING_DEPTH + 1):
+        turn = np.diff(np.arctan2(g[:, 1], g[:, 0]))
+        turn = (turn + math.pi) % (2.0 * math.pi) - math.pi
+        wide = np.flatnonzero(np.abs(turn) > 0.5 * math.pi)
+        if wide.size == 0 or depth == _RING_DEPTH:
+            break
+        a, b = ring[wide], ring[wide + 1]
+        new = (a[:, None, :] + frac * (b - a)[:, None, :]).reshape(-1, 2)
+        at = np.repeat(wide + 1, _RING_SPLIT - 1)
+        ring = np.insert(ring, at, new, axis=0)
+        g = np.insert(g, at, eval_many(f, new, _DERIVS[:2]), axis=0)
+    return round(turn.sum() / (2.0 * math.pi))
 
 
 def _fold_partners(f: FieldRealization, roots: np.ndarray, reach: float) -> np.ndarray:

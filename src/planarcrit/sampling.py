@@ -260,15 +260,22 @@ def _term_weights(f: FieldRealization, alpha) -> tuple[np.ndarray, int]:
 def eval_grid(f: FieldRealization, xs, ys, alphas) -> np.ndarray:
     """Evaluate several derivatives on the tensor grid xs x ys.
 
-    A plane wave factorizes over the coordinates,
-    r cos(lam . x + phi) = Re[e^{i xs lam1} (r e^{i phi}) e^{i ys lam2}],
-    and d^alpha multiplies it by i^n lam1^a1 lam2^a2 with n = a1 + a2.  So
+    A plane wave separates over the coordinates: with a = lam1 xs + phi
+    and b = lam2 ys,
 
-        d^alpha psi(xs, ys) = Re[i^n (E1 * (w e^{i phi})) E2^T],
+        r cos(a + b) = r cos a cos b - r sin a sin b,
 
-    with E1 = e^{i xs lam1}, E2 = e^{i ys lam2} and w the per-term factor
-    of eval_many: (len(xs) + len(ys)) x M complex exponentials and one
-    small complex matmul per multi-index, instead of len(xs) len(ys) M
+    and d^alpha multiplies it by lam1^a1 lam2^a2 and turns cos into its
+    n-th derivative, n = a1 + a2: +-cos(a + b) for even n, -+sin(a + b) =
+    -+(sin a cos b + cos a sin b) for odd n.  So with C1, S1 = cos, sin a
+    (len(xs) x M), C2, S2 = cos, sin b (M x len(ys)) and w the per-term
+    factor of eval_many,
+
+        d^alpha psi = +-[C1 w, -S1 w] @ [C2; S2]   (n even, + for n = 0 mod 4)
+        d^alpha psi = -+[S1 w,  C1 w] @ [C2; S2]   (n odd, - for n = 1 mod 4),
+
+    one real matmul of inner size 2M per multi-index on
+    2 (len(xs) + len(ys)) M trig values, instead of len(xs) len(ys) M
     trig calls.  Agrees with eval_many to rounding.
 
     Returns shape (len(xs), len(ys), len(alphas)); entry [a, b] is the
@@ -277,17 +284,32 @@ def eval_grid(f: FieldRealization, xs, ys, alphas) -> np.ndarray:
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
-    e1 = np.exp(1j * np.outer(xs, f.frequencies[:, 0]))  # (Nx, M)
-    e2t = np.exp(1j * np.outer(f.frequencies[:, 1], ys))  # (M, Ny)
-    rotor = np.exp(1j * f.phases)
+    M = f.nterms
+    # The result goes first, below the temporaries, so that freeing them
+    # lets the heap shrink back instead of growing the process's peak.
     out = np.empty((xs.size, ys.size, len(alphas)))
+    c1 = np.outer(xs, f.frequencies[:, 0])
+    c1 += f.phases
+    s1 = np.sin(c1)
+    np.cos(c1, out=c1)
+    right = np.empty((2 * M, ys.size))  # [C2; S2]
+    np.outer(f.frequencies[:, 1], ys, out=right[M:])
+    np.cos(right[M:], out=right[:M])
+    np.sin(right[M:], out=right[M:])
+    left = np.empty((xs.size, 2 * M))
     for col, alpha in enumerate(alphas):
         weights, order = _term_weights(f, alpha)
-        z = (e1 * (weights * rotor)) @ e2t
-        # Re[i^n z] for n mod 4 = 0, 1, 2, 3.
-        val = (z.real, -z.imag, -z.real, z.imag)[order % 4]
+        # The sign of d^n cos / d theta^n, n mod 4 = 0, 1, 2, 3.
+        w = (1.0, -1.0, -1.0, 1.0)[order % 4] * weights
+        if order % 2 == 0:
+            np.multiply(c1, w, out=left[:, :M])
+            np.multiply(s1, -w, out=left[:, M:])
+        else:
+            np.multiply(s1, w, out=left[:, :M])
+            np.multiply(c1, w, out=left[:, M:])
+        val = left @ right
         if order == 0:
-            val = val + f.shift
+            val += f.shift
         out[:, :, col] = val
     return out
 

@@ -209,7 +209,7 @@ def test_find_json_meta_carries_finder_counters(capsys):
     doc = json.loads(out)
     counters = doc["meta"]["finder"]
     assert set(counters) == {"nseeds", "nconverged", "nmerged", "nrunaway", "nstalled",
-                             "ndropped", "newton_iters", "nreturned"}
+                             "ndropped", "newton_iters", "nreturned", "index_defect"}
     assert counters["nreturned"] == len(doc["rows"])
     assert counters["nseeds"] == counters["nconverged"] + counters["nmerged"] + counters["ndropped"]
     # the CSV payload carries no counters

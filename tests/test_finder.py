@@ -24,7 +24,9 @@ from planarcrit.models import (
 )
 from planarcrit.sampling import (
     FieldRealization,
+    _term_weights,
     eval_gradient,
+    eval_grid,
     eval_hessian,
     eval_many,
     sample_field,
@@ -181,8 +183,9 @@ def _reference_roots(f, window):
     Gradient of every seed, then per iteration a full gradient-and-Hessian
     evaluation of every active point, line search, and one _dedup at the
     end; returns [(x, y, kind)].  The model's default grid step, the
-    finder's Newton tolerance and iteration cap, the dedup radius h / 100
-    and the degeneracy floor 1e-12 * 12 mu0.
+    finder's Newton tolerance, the earlier iteration cap of 50 (its own
+    literal, so a lower cap in the finder cannot weaken the reference), the
+    dedup radius h / 100 and the degeneracy floor 1e-12 * 12 mu0.
     """
     (xmin, xmax), (ymin, ymax) = window
     h = default_grid_step(f.model)
@@ -196,7 +199,7 @@ def _reference_roots(f, window):
     derivs = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     gnorm = np.linalg.norm(eval_gradient(f, pts), axis=1)
     active = np.arange(len(pts))
-    for _ in range(finder._MAX_ITERS):
+    for _ in range(50):
         active = active[gnorm[active] > finder._NEWTON_TOL]
         if active.size == 0:
             break
@@ -299,3 +302,139 @@ def test_fold_partner_in_the_same_cell_is_found():
     points = find_critical_points(field, ((0.0, 12.0), (0.0, 12.0)))
     assert _has_root(points, (10.511260013850139, 7.656567436866597), CriticalKind.SADDLE, 1e-9)
     assert _has_root(points, (10.529311431892037, 7.653214788349994), CriticalKind.MINIMUM, 1e-9)
+
+
+# Realizations of the iteration-cap and sign-test checks: (7, 0) and (7, 1)
+# at both amplitude conventions, M = 256 and 1024, window 12 x 12.
+_CAP_CASES = [(i, M, gaussian) for i, M in ((0, 256), (1, 1024)) for gaussian in (True, False)]
+_CAP_WINDOW = ((0.0, 12.0), (0.0, 12.0))
+
+
+def _cap_fields(model):
+    return [sample_field(model, M=M, seed=(7, i), gaussian_amplitudes=gaussian)
+            for i, M, gaussian in _CAP_CASES]
+
+
+@pytest.mark.parametrize("model", _FAMILIES, ids=lambda m: m.family)
+def test_iteration_cap_loses_no_root(model, monkeypatch):
+    # The finder stops a trajectory after _MAX_ITERS = 12 Newton steps; the
+    # roots are those of a run that allows 50: same count, same kinds,
+    # locations within 1e-12.
+    for field in _cap_fields(model):
+        capped = find_critical_points(field, _CAP_WINDOW)
+        with monkeypatch.context() as m:
+            m.setattr(finder, "_MAX_ITERS", 50)
+            full = find_critical_points(field, _CAP_WINDOW)
+        assert len(capped) == len(full) > 0
+        for p in full:
+            assert _has_root(capped, p.location, p.kind, 1e-12), (field.seed, p.location)
+
+
+def _complex_eval_grid(f, xs, ys, alphas):
+    """eval_grid before its real form: Re[i^n (E1 * (w e^{i phi})) E2^T]."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    ys = np.asarray(ys, dtype=float).ravel()
+    e1 = np.exp(1j * np.outer(xs, f.frequencies[:, 0]))
+    e2t = np.exp(1j * np.outer(f.frequencies[:, 1], ys))
+    rotor = np.exp(1j * f.phases)
+    out = np.empty((xs.size, ys.size, len(alphas)))
+    for col, alpha in enumerate(alphas):
+        weights, order = _term_weights(f, alpha)
+        z = (e1 * (weights * rotor)) @ e2t
+        val = (z.real, -z.imag, -z.real, z.imag)[order % 4]
+        out[:, :, col] = val + f.shift if order == 0 else val
+    return out
+
+
+@pytest.mark.parametrize("model", [RandomWave(1.0), ShiftedRandomWave(0.5, 1.0, 1.0)],
+                         ids=lambda m: m.family)
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_real_eval_grid_agrees_with_the_complex_form(model, gaussian):
+    f = sample_field(model, M=512, seed=5, gaussian_amplitudes=gaussian)
+    xs = np.arange(-1.5, 12.0, 0.3)
+    ys = np.arange(-2.0, 9.0, 0.27)
+    alphas = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (0, 3), (4, 0), (1, 3),
+              (2, 2)]
+    new, old = eval_grid(f, xs, ys, alphas), _complex_eval_grid(f, xs, ys, alphas)
+    err = np.abs(new - old).max(axis=(0, 1))
+    assert np.all(err <= 1e-12 * np.abs(old).max(axis=(0, 1))), err
+
+
+@pytest.mark.parametrize("model", _FAMILIES, ids=lambda m: m.family)
+def test_real_eval_grid_keeps_the_candidate_cells(model, monkeypatch):
+    # The sign test of find_critical_points picks the same cells from the
+    # real and the complex form of its gradient grid.
+    seen = []
+
+    def recording(f, xs, ys, alphas):
+        seen.append((xs, ys, eval_grid(f, xs, ys, alphas)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(finder, "eval_grid", recording)
+    for field in _cap_fields(model):
+        find_critical_points(field, _CAP_WINDOW)
+        xs, ys, grad = seen.pop()
+        new = finder._candidate_cells(grad)
+        old = finder._candidate_cells(_complex_eval_grid(field, xs, ys, [(1, 0), (0, 1)]))
+        assert len(new[0]) > 0
+        np.testing.assert_array_equal(new, old)
+
+
+def test_index_defect_is_zero_on_the_cosine_lattice():
+    diag = {}
+    find_critical_points(_cosine_lattice_field(), ((-0.5, math.pi + 0.5), (-0.5, math.pi + 0.5)),
+                         grid_step=0.4, diagnostics=diag)
+    assert diag["index_defect"] == 0
+
+
+@pytest.mark.parametrize("model", _FAMILIES, ids=lambda m: m.family)
+def test_index_defect_is_zero_on_complete_root_sets(model):
+    for field in _cap_fields(model):
+        diag = {}
+        find_critical_points(field, _CAP_WINDOW, diagnostics=diag)
+        assert diag["index_defect"] == 0, field.seed
+
+
+def test_index_defect_counts_a_root_left_out():
+    # Around the cosine lattice's four roots the gradient winds 0 times:
+    # two extrema (+1 each) and two saddles (-1 each).  Leaving a saddle
+    # out of the count gives -1, leaving an extremum out gives +1.
+    f = _cosine_lattice_field()
+    xs = np.linspace(-0.5, math.pi + 0.5, 41)
+    ys = np.linspace(-0.5, math.pi + 0.5, 37)
+    grad = eval_grid(f, xs, ys, [(1, 0), (0, 1)])
+    roots = np.array([[0.0, 0.0], [0.0, math.pi], [math.pi, 0.0], [math.pi, math.pi]])
+    resid = np.zeros(4)
+    assert finder._index_defect(f, xs, ys, grad, roots, resid, 1e-3) == 0
+    assert finder._index_defect(f, xs, ys, grad, roots[[0, 2, 3]], resid[1:], 1e-3) == -1
+    assert finder._index_defect(f, xs, ys, grad, roots[1:], resid[1:], 1e-3) == 1
+
+
+def test_index_defect_flags_a_missed_saddle(monkeypatch):
+    # Without the fold-partner seeds, the saddle next to a minimum in one
+    # cell (test_fold_partner_in_the_same_cell_is_found) is missed, and the
+    # defect says so.
+    field = sample_field(BargmannFock(1.0), M=1024, seed=(202, 39))
+    window = ((0.0, 12.0), (0.0, 12.0))
+    diag = {}
+    find_critical_points(field, window, diagnostics=diag)
+    assert diag["index_defect"] == 0
+    monkeypatch.setattr(finder, "_fold_partners", lambda f, roots, reach: roots[:0])
+    points = find_critical_points(field, window, diagnostics=diag)
+    assert not _has_root(points, (10.511260013850139, 7.656567436866597), CriticalKind.SADDLE,
+                         1e-9)
+    assert diag["index_defect"] == -1
+
+
+def test_index_defect_refines_wide_ring_steps(monkeypatch):
+    # On this window a few gradient angle steps along the sign-test ring
+    # exceed pi / 2; summed unrefined they give a winding number off by
+    # one, refined they match the root set.
+    model = Interpolation(0.5, RandomWave(1.0), BargmannFock(1.0))
+    field = sample_field(model, M=256, seed=(7, 34))
+    diag = {}
+    find_critical_points(field, _CAP_WINDOW, diagnostics=diag)
+    assert diag["index_defect"] == 0
+    monkeypatch.setattr(finder, "_RING_DEPTH", 0)
+    find_critical_points(field, _CAP_WINDOW, diagnostics=diag)
+    assert diag["index_defect"] != 0
