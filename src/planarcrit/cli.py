@@ -239,7 +239,9 @@ def _cmd_find(args, cfg):
     gaussian = bool(_param(args, cfg, "gaussian-amplitudes", bool, False))
     window = _window(args, cfg, model)
     field = sample_field(model, M=size, seed=seed, gaussian_amplitudes=gaussian)
-    counters: dict = {}
+    # Only JSON output shows the finder's counters (meta["finder"]); asking
+    # for them also runs the index defect, so CSV output does not.
+    counters = {} if args.format == "json" else None
     points = find_critical_points(
         field, window, _param(args, cfg, "grid-step", float), diagnostics=counters
     )

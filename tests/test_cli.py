@@ -218,6 +218,22 @@ def test_find_json_meta_carries_finder_counters(capsys):
     assert "nseeds" not in out and len(rows) == counters["nreturned"]
 
 
+def test_find_csv_asks_for_no_finder_counters(capsys, monkeypatch):
+    # CSV output has no place for the counters, so find does not ask the
+    # finder for them (asking also runs its index defect).
+    asked = []
+
+    def spy(*args, diagnostics=None):
+        asked.append(diagnostics)
+        return find_critical_points(*args, diagnostics=diagnostics)
+
+    monkeypatch.setattr(cli, "find_critical_points", spy)
+    argv = ("find", "--model", "randomwave", "--k", "1", "--seed", "3", "--window-size", "6")
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--format", "json")[0] == 0
+    assert asked[0] is None and asked[1] is not None and "index_defect" in asked[1]
+
+
 def test_malformed_config_line_exits_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model.family randomwave\n")

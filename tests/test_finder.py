@@ -315,16 +315,19 @@ def _cap_fields(model):
             for i, M, gaussian in _CAP_CASES]
 
 
+@pytest.mark.parametrize("coarsen", [1, 2], ids=["default-step", "double-step"])
 @pytest.mark.parametrize("model", _FAMILIES, ids=lambda m: m.family)
-def test_iteration_cap_loses_no_root(model, monkeypatch):
+def test_iteration_cap_loses_no_root(model, coarsen, monkeypatch):
     # The finder stops a trajectory after _MAX_ITERS = 12 Newton steps; the
     # roots are those of a run that allows 50: same count, same kinds,
-    # locations within 1e-12.
+    # locations within 1e-12.  Also at twice the default grid step, where
+    # the seeds start farther from the roots.
+    step = coarsen * default_grid_step(model)
     for field in _cap_fields(model):
-        capped = find_critical_points(field, _CAP_WINDOW)
+        capped = find_critical_points(field, _CAP_WINDOW, step)
         with monkeypatch.context() as m:
             m.setattr(finder, "_MAX_ITERS", 50)
-            full = find_critical_points(field, _CAP_WINDOW)
+            full = find_critical_points(field, _CAP_WINDOW, step)
         assert len(capped) == len(full) > 0
         for p in full:
             assert _has_root(capped, p.location, p.kind, 1e-12), (field.seed, p.location)

@@ -1,6 +1,6 @@
 """Root-set gate: compare two versions of the critical-point finder on a fixed corpus.
 
-    python tools/finder_corpus.py --ref SRC --new SRC [--count N]
+    python tools/finder_corpus.py --ref SRC --new SRC
 
 SRC is a source tree: a checkout holding ``src/planarcrit`` or the ``src``
 directory itself.  Each tree runs in its own subprocess, one after the
@@ -17,18 +17,16 @@ Interpolation(0.5, RandomWave(1), BargmannFock(1)), each on the window
 * seeds (7, i), i < 40: M = 256 for even i and 1024 for odd i, Gaussian
   amplitudes when i = 0 mod 3, and L = 12.
 
-``--count N`` keeps the first N indices of each seed series (a quick run).
-
 A root of the reference tree is matched to the nearest root of the new
-tree in the same realization.  It is missed when none lies within
-``--tol`` (default 1e-9), and a kind mismatch when the nearest one lies
-within ``--tol`` but has another kind; a new root with no reference root
-within ``--tol`` is extra.  The script prints one table row per family
-(roots, missed, extra, kind mismatches, largest displacement of a matched
-root, finder CPU reference -> new), then each extra root with its
-|grad psi| and Hessian eigenvalues, then every window whose finder reports
-a nonzero index defect.  It exits 1 when a reference root is missed or
-changes kind, else 0.
+tree in the same realization.  It is missed when none lies within TOL =
+1e-9, and a kind mismatch when the nearest one lies within TOL but has
+another kind; a new root with no reference root within TOL is extra.
+The script prints one table row per family (roots, missed, extra, kind
+mismatches, largest displacement of a matched root, finder CPU reference
+-> new), then each extra root with its |grad psi| and Hessian
+eigenvalues, then every window whose finder reports a nonzero index
+defect.  It exits 1 when a reference root is missed or changes kind,
+else 0.
 """
 
 from __future__ import annotations
@@ -44,14 +42,17 @@ from pathlib import Path
 
 FAMILIES = ("randomwave", "bargmannfock", "shiftedrandomwave", "powerlawtruncated",
             "interpolation")
+# Indices per seed series and family, and the match distance of a root.
+SERIES = 40
+TOL = 1e-9
 
 
-def corpus(count: int = 40):
+def corpus():
     """(family, master, index, M, gaussian, L) for every corpus realization."""
     for family in FAMILIES:
-        for i in range(count):
+        for i in range(SERIES):
             yield (family, 202, i, *((256, True, 20.0) if i < 30 else (1024, False, 12.0)))
-        for i in range(count):
+        for i in range(SERIES):
             yield family, 7, i, 256 if i % 2 == 0 else 1024, i % 3 == 0, 12.0
 
 
@@ -64,13 +65,13 @@ def _models() -> dict:
         PowerLawTruncated(3.0), Interpolation(0.5, RandomWave(1.0), BargmannFock(1.0)))))
 
 
-def run_tree(count: int) -> None:
+def run_tree() -> None:
     """Worker: find the roots of every corpus realization, one JSON line each."""
     from planarcrit.finder import find_critical_points
     from planarcrit.sampling import sample_field
 
     models = _models()
-    for family, master, i, M, gaussian, L in corpus(count):
+    for family, master, i, M, gaussian, L in corpus():
         field = sample_field(models[family], M=M, seed=(master, i), gaussian_amplitudes=gaussian)
         diag: dict = {}
         start = time.process_time()
@@ -91,15 +92,16 @@ def _src_dir(tree: str) -> str:
     return str(path)
 
 
-def _collect(tree: str, count: int) -> list[dict]:
+def _collect(tree: str) -> list[dict]:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1"}
-    argv = [sys.executable, __file__, "--worker", _src_dir(tree), "--count", str(count)]
-    out = subprocess.run(argv, check=True, capture_output=True, text=True, env=env)
+    argv = [sys.executable, __file__, "--worker", _src_dir(tree)]
+    # The worker's stderr goes to the terminal, so a failing tree shows its traceback.
+    out = subprocess.run(argv, check=True, stdout=subprocess.PIPE, text=True, env=env)
     return [json.loads(line) for line in out.stdout.splitlines()]
 
 
-def compare(ref: list[dict], new: list[dict], tol: float):
+def compare(ref: list[dict], new: list[dict]):
     """Per-family counts, the extra roots and the windows with a nonzero defect."""
     rows: dict = {}
     extras, defects = [], []
@@ -115,14 +117,14 @@ def compare(ref: list[dict], new: list[dict], tol: float):
         for x, y, kind, *_ in a["roots"]:
             dist, near = min(((math.hypot(x - u, y - v), k) for u, v, k, *_ in b["roots"]),
                              default=(math.inf, None))
-            if dist > tol:
+            if dist > TOL:
                 row["missed"] += 1
             elif near != kind:
                 row["kinds"] += 1
             else:
                 row["shift"] = max(row["shift"], dist)
         for x, y, kind, resid, lo, hi in b["roots"]:
-            if all(math.hypot(x - u, y - v) > tol for u, v, *_ in a["roots"]):
+            if all(math.hypot(x - u, y - v) > TOL for u, v, *_ in a["roots"]):
                 row["extra"] += 1
                 extras.append((b["key"], x, y, kind, resid, lo, hi))
         for side, rec in (("ref", a), ("new", b)):
@@ -141,19 +143,16 @@ def main(argv=None) -> int:
     p.add_argument("--ref", help="source tree of the reference finder")
     p.add_argument("--new", help="source tree of the finder under test")
     p.add_argument("--worker", help=argparse.SUPPRESS)
-    p.add_argument("--count", type=int, default=40,
-                   help="realizations per seed series and family (default 40)")
-    p.add_argument("--tol", type=float, default=1e-9, help="match distance (default 1e-9)")
     args = p.parse_args(argv)
     if args.worker:
         sys.path.insert(0, args.worker)
-        run_tree(args.count)
+        run_tree()
         return 0
     if not (args.ref and args.new):
         p.error("--ref and --new are required")
-    ref = _collect(args.ref, args.count)
-    new = _collect(args.new, args.count)
-    rows, extras, defects = compare(ref, new, args.tol)
+    ref = _collect(args.ref)
+    new = _collect(args.new)
+    rows, extras, defects = compare(ref, new)
 
     print("| family | roots (ref) | roots (new) | missed | extra | kind mismatches "
           "| largest displacement | finder CPU ref -> new (s) |")
