@@ -493,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaussian-amplitudes", action=argparse.BooleanOptionalAction)
     p.add_argument("--window-size", type=float, help="square window side (default from model)")
     p.add_argument("--grid-step", type=float,
-                   help="finder grid step h; the gradient sign test runs on cells of h / 8")
+                   help="finder grid step h; the gradient sign test runs on cells of h / 8 "
+                        "(a step above the default can lose roots)")
     p.set_defaults(func=_cmd_find)
 
     p = subs.add_parser("estimate", help="empirical statistics over realizations")

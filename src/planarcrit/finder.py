@@ -54,10 +54,13 @@ farther from the roots; test_iteration_cap_loses_no_root also compares
 the caps at twice the default step.
 
 The one tuning knob is the grid step h (`find --grid-step`, an eighth of
-the oscillation length by default).  Fixed are the subdivision
-_SUBDIVISION, the Newton tolerance _NEWTON_TOL, the iteration cap
-_MAX_ITERS, the dedup radius h / 100 and the degeneracy floor
-1e-12 * 12 mu0.
+the oscillation length by default).  A step above the default can lose
+roots: at twice the default step the root-set corpus loses 5 of its
+32 801 roots, two extremum-saddle pairs 0.05 and 0.01 apart, which the
+index defect cannot see, and one saddle, which it flags (-1).  Fixed
+are the subdivision _SUBDIVISION, the Newton tolerance _NEWTON_TOL, the
+iteration cap _MAX_ITERS, the dedup radius h / 100 and the degeneracy
+floor 1e-12 * 12 mu0.
 
 Every point the search visits is evaluated once: the seeds together,
 and each accepted line-search trial point, whose gradient the next
@@ -174,7 +177,8 @@ def find_critical_points(
     grid_step : float, optional
         Grid step h; the sign test runs on cells of h / _SUBDIVISION.
         Defaults to default_grid_step(f.model), and must be given when
-        the field has no model.
+        the field has no model.  A step above the default can lose
+        roots (module docstring).
     diagnostics : dict, optional
         If given, filled with counters: nseeds (candidate cells plus
         predicted fold partners), which is split into

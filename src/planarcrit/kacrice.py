@@ -74,7 +74,6 @@ __all__ = [
     "disc_pair_distance_density",
     "second_factorial_by_quadrature",
     "small_ball_probability_mc",
-    "gated_magnitude_mc",
     "R_FLOOR_FRACTION",
 ]
 
@@ -112,7 +111,8 @@ class ConditionalGaussian:
 
     Eigenvalues of the covariance within rounding dust of zero are
     clipped to zero when sampling; genuinely negative ones raise
-    DegeneracyError.  The factor is computed at the first draw and kept.
+    DegeneracyError.  The factor F, with F F^T = covariance, is computed
+    at the first draw and kept: a draw is F z for standard normal z.
     """
 
     covariance: np.ndarray
@@ -127,10 +127,6 @@ class ConditionalGaussian:
             )
         return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
-    def _factor(self) -> np.ndarray:
-        """F with F F^T = covariance: a draw is F z for standard normal z."""
-        return self._fac
-
     def sample(self, rng: np.random.Generator, nsamples: int) -> np.ndarray:
         """Draw nsamples independent rows, shape (nsamples, dim)."""
         return rng.standard_normal((nsamples, len(self.covariance))) @ self._fac.T
@@ -141,8 +137,8 @@ def correlation_length(model: CovarianceModel) -> float:
     return 2.0 * math.pi / effective_wavenumber(model)
 
 
-def _gradient_specs(r: float):
-    """Gradient labels at the two probe points +-(r/2, 0)."""
+def _gradient_specs(r):
+    """Gradient labels at the two probe points +-(r/2, 0), in the dtype of r."""
     p1 = np.array([r / 2.0, 0.0])
     p2 = np.array([-r / 2.0, 0.0])
     return p1, p2, [(p, alpha) for p in (p1, p2) for alpha in ((1, 0), (0, 1))]
@@ -202,13 +198,16 @@ def _pair_conditional(model: CovarianceModel, r: float):
 
     Returns (covariance 6x6 float64 in the balanced basis, rows the
     averages s11, s12, s22 and then the scaled differences d11/r, d12/r,
-    d22/r of the two Hessians; log det of the balanced gradient block).
+    d22/r of the two Hessians; the joint density of the two gradients at
+    (0, 0)).  The density is exp(-logdet / 2) / (2 pi r)^2 with logdet
+    the log determinant of the balanced gradient block, since the
+    balanced basis scales the raw determinant by r^-4 exactly.
     """
     _require_finite_positive("r", r)
     rld = np.longdouble(r)
-    p1, p2, gspecs = _gradient_specs(r)
+    p1, p2, gspecs = _gradient_specs(rld)
     tspecs = [(p, alpha) for p in (p1, p2) for alpha in ((2, 0), (1, 1), (0, 2))]
-    cov = derivative_covariance(model, gspecs + tspecs, extended=True)
+    cov = derivative_covariance(model, gspecs + tspecs)
     a = _balanced_map(2, rld)
     b = _balanced_map(3, rld)
     gg = a @ cov[:4, :4] @ a.T
@@ -223,18 +222,16 @@ def _pair_conditional(model: CovarianceModel, r: float):
     cond = tt - tg @ _chol_solve_ld(low, tg.T)
     cond = (0.5 * (cond + cond.T)).astype(float)
     logdet = float(2.0 * np.log(np.diag(low)).sum())
-    return cond, logdet
+    return cond, float(math.exp(-0.5 * logdet) / (2.0 * math.pi * r) ** 2)
 
 
 def gradient_pair_density(model: CovarianceModel, r: float) -> float:
     """Joint density at (0, 0) of the two gradients at mutual distance r.
 
-    Computed from the exact 4x4 covariance; this is the non-Monte-Carlo
-    factor of the 2-point correlation function.  The determinant is
-    taken in the balanced basis (det scales back by r^4 exactly).
+    Computed from the exact 4x4 covariance by _pair_conditional; this is
+    the non-Monte-Carlo factor of the 2-point correlation function.
     """
-    _, logdet = _pair_conditional(model, r)
-    return float(math.exp(-0.5 * logdet) / (2.0 * math.pi * r) ** 2)
+    return _pair_conditional(model, r)[1]
 
 
 def gradient_pair_density_asymptotic(d, r: float) -> float:
@@ -254,13 +251,6 @@ def _kind_indicator(kind: str, det: np.ndarray) -> np.ndarray:
     if kind == "e":
         return det > 0.0
     return det < 0.0  # s
-
-
-def _mean_se(values: np.ndarray):
-    """Mean and SE over independent draws."""
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(len(values)))
-    return mean, se
 
 
 def _require_two_pairs(nsamples: int, npairs: int) -> None:
@@ -289,7 +279,8 @@ def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
     of the reduction.  The mean is the running sum of chunk sums over
     npairs; the squared deviations are summed two-pass within each
     chunk, plus each chunk's between-chunk term.  On one chunk this is
-    _mean_se bit for bit, and no reduction is a BLAS call.
+    the plain sample mean and values.std(ddof=1) / sqrt(npairs) bit for
+    bit, and no reduction is a BLAS call.
     """
     rng = seeded_rng(seed)
     tot = 0.0
@@ -388,9 +379,8 @@ def two_point_correlation(
             f"r = {r} is below the numerical-rank floor {floor:.3e} "
             f"({R_FLOOR_FRACTION} correlation lengths)"
         )
-    cond_cov, logdet = _pair_conditional(model, r)
+    cond_cov, phi = _pair_conditional(model, r)
     law = ConditionalGaussian(cond_cov)
-    phi = float(math.exp(-0.5 * logdet) / (2.0 * math.pi * r) ** 2)
 
     def integrand(draws):
         # Hessians back from averages and scaled differences.
@@ -499,39 +489,18 @@ def second_factorial_by_quadrature(
 
 
 def small_ball_probability_mc(
-    dim: int = 2, coupling=None, r: float = 0.01, nsamples: int = 10**6, seed=0
+    r: float = 0.01, nsamples: int = 10**6, seed=0
 ) -> MomentEstimate:
-    """P(|Z1 Z2 + sum_ij coupling[i,j] Z_i Z_j| < r) for standard Gaussian Z.
+    """P(|Z1 Z2| < r) for independent standard Gaussians Z1, Z2.
 
     The product of two Gaussian coordinates concentrates mass near zero
     like r log(1/r); this estimator is the oracle for that the small-
-    ball bounds hold with matching lower-bound behavior, including
-    under quadratic couplings of the remaining coordinates.
+    ball bounds hold with matching lower-bound behavior.
     """
-    if dim < 2:
-        raise ValueError(f"dim must be at least 2, got {dim}")
     if nsamples < 2:
         raise ValueError(f"nsamples must be at least 2, got {nsamples}")
     rng = seeded_rng(seed)
-    z = rng.standard_normal((nsamples, dim))
-    q = z[:, 0] * z[:, 1]
-    if coupling is not None:
-        coupling = np.asarray(coupling, dtype=float)
-        if coupling.shape != (dim, dim):
-            raise ValueError(f"coupling must be ({dim}, {dim}), got {coupling.shape}")
-        q = q + np.einsum("ni,ij,nj->n", z, coupling, z)
-    p = float(np.mean(np.abs(q) < r))
+    z = rng.standard_normal((nsamples, 2))
+    p = float(np.mean(np.abs(z[:, 0] * z[:, 1]) < r))
     se = math.sqrt(max(p * (1.0 - p), 0.0) / nsamples)
     return MomentEstimate(value=p, std_error=se, nsamples=nsamples, rho=r, label="small-ball")
-
-
-def gated_magnitude_mc(r: float, nsamples: int = 10**6, seed=0) -> MomentEstimate:
-    """E[|Z2| 1{|Z1| <= r Z2}] for iid standard Gaussians; bounded by C r."""
-    if nsamples < 2:
-        raise ValueError(f"nsamples must be at least 2, got {nsamples}")
-    rng = seeded_rng(seed)
-    z1, z2 = rng.standard_normal((2, nsamples))
-    mean, se = _mean_se(np.abs(z2) * (np.abs(z1) <= r * z2))
-    return MomentEstimate(
-        value=mean, std_error=se, nsamples=nsamples, rho=r, label="gated-magnitude"
-    )

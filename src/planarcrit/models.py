@@ -33,9 +33,10 @@ m_{4,0} = 3 m_{2,2} and m_{6,0} = 5 m_{4,2}.
 Five families are implemented.  Each has closed-form radial moments,
 spectral frequency sampling and one profile evaluator,
 sigma_derivative(j, x), which computes in the dtype of the lag x
-(float64, or longdouble for the extended-precision assembly).  It is
-exact except for the power law, whose radial measure becomes a fixed
-64-ring rule:
+(longdouble when x is, float64 otherwise), and derivative_covariance
+follows its points the same way.  It is exact except for the truncated
+power law, whose radial measure becomes a fixed 64-ring rule; the
+untruncated one is evaluated only at lag 0, in closed form:
 
     BargmannFock(k)            sigma(x) = exp(-k x); F = N(0, 2k I)
     RandomWave(k)              sigma(x) = J0(k sqrt(x)); F uniform on
@@ -72,9 +73,6 @@ __all__ = [
     "model_from_config",
     "model_to_config",
 ]
-
-# Relative tolerance of the untruncated power law's adaptive quadrature.
-_QUAD_RTOL = 1e-10
 
 # Highest total derivative order supported per point.
 MAX_DERIVATIVE_ORDER = 4
@@ -146,7 +144,7 @@ class CovarianceModel:
         Computes in longdouble when x is longdouble and in float64
         otherwise: conditioning a derivative vector on a near-degenerate
         event cancels up to ~13 leading digits, so the covariance
-        assembly offers an 80-bit path.
+        assembly runs in 80-bit arithmetic when its points are longdouble.
         """
         raise NotImplementedError
 
@@ -344,22 +342,22 @@ class PowerLawTruncated(CovarianceModel):
         if not math.isinf(self.t):
             radii, weights = _log_rings(self.t, x.dtype)
             return (_bessel_profile_derivative(j, x[..., None], radii) * weights).sum(axis=-1)
+        # The untruncated tail has no finite ring rule.  The one-point laws
+        # need sigma^(j) only at lag 0 and j <= 2, where it is the closed
+        # form (-1)^j R_2j / (4^j j!).  Its pair laws are not computed.
+        if np.any(x != 0):
+            raise MomentDivergenceError(
+                "the untruncated power law has no finite ring rule, so its profile is "
+                "evaluated only at lag 0; its pair laws are not computed (R_6 diverges, "
+                "so sigma'''(0) is infinite)"
+            )
         if j >= 3:
             raise MomentDivergenceError(
-                "sigma derivative of order >= 3 diverges for the untruncated tail"
+                f"sigma^({j})(0) of the untruncated power law diverges: R_{2 * j} is infinite"
             )
-        # The untruncated tail has no finite ring rule; adaptive quadrature
-        # in doubles is its only route.
-        from scipy import integrate
-
-        vals = [
-            integrate.quad(
-                lambda l: _bessel_profile_derivative(j, x0, l) * 5.0 * l**-6,
-                1.0, math.inf, epsrel=_QUAD_RTOL, epsabs=0.0, limit=200,
-            )[0]
-            for x0 in x.astype(float).ravel()
-        ]
-        return np.array(vals, dtype=x.dtype).reshape(x.shape)
+        real = x.dtype.type
+        value = real((-1) ** j * self.radial_moment(2 * j)) / real(4**j * math.factorial(j))
+        return np.full_like(x, value)
 
     def radial_moment(self, n):
         # R_n = 5 int_1^t l^(n-6) dl / (1 - t^-5), in closed form.
@@ -573,7 +571,7 @@ def _gamma_partial(a: int, b: int, u: np.ndarray, sigma):
     """(d^a_1 d^b_2 Gamma)(u) for a planar lag u.
 
     sigma(j, x) evaluates the j-th profile derivative at x = |u|^2 (the
-    caller memoizes it, in double or extended precision).
+    caller memoizes it, in the dtype of the points).
     """
     x = u[0] * u[0] + u[1] * u[1]
     total = 0.0
@@ -584,7 +582,7 @@ def _gamma_partial(a: int, b: int, u: np.ndarray, sigma):
     return total
 
 
-def derivative_covariance(model: CovarianceModel, specs, extended: bool = False) -> np.ndarray:
+def derivative_covariance(model: CovarianceModel, specs) -> np.ndarray:
     """Exact covariance matrix of a list of field derivatives.
 
     Parameters
@@ -593,12 +591,11 @@ def derivative_covariance(model: CovarianceModel, specs, extended: bool = False)
     specs : sequence of (point, alpha)
         Each entry names one scalar variable d^alpha psi(point), where
         point is a planar coordinate and alpha = (order in x1, order in
-        x2) is a multi-index of total order <= 4.
-    extended : bool
-        Assemble in 80-bit arithmetic (longdouble dtype).  Needed when
-        the matrix feeds a conditioning step whose result is many orders
-        of magnitude below the entries, e.g. derivative pairs at small
-        separation.
+        x2) is a multi-index of total order <= 4.  The matrix is
+        assembled in the dtype of the points: 80-bit when any point is a
+        longdouble array, as a conditioning step whose result lies many
+        orders of magnitude below the entries needs (derivative pairs at
+        small separation), and float64 otherwise.
 
     Returns
     -------
@@ -614,7 +611,7 @@ def derivative_covariance(model: CovarianceModel, specs, extended: bool = False)
     MomentDivergenceError
         If a required sigma derivative does not exist for the model.
     """
-    dtype = np.longdouble if extended else float
+    dtype = np.result_type(*(np.asarray(point) for point, _ in specs), float).type
     parsed = []
     for point, alpha in specs:
         a1, a2 = int(alpha[0]), int(alpha[1])

@@ -47,12 +47,10 @@ __all__ = [
     "seed_entropy",
     "seeded_rng",
     "sample_field",
-    "eval_derivative",
     "eval_many",
     "eval_grid",
     "eval_gradient",
     "eval_hessian",
-    "empirical_derivative_variances",
 ]
 
 
@@ -182,28 +180,6 @@ def sample_field(
     )
 
 
-def eval_derivative(f: FieldRealization, x, alpha=(0, 0)):
-    """Evaluate d^alpha psi at one point or an array of points.
-
-    A one-column eval_many; see there for how derivatives are taken.
-
-    Parameters
-    ----------
-    f : FieldRealization
-    x : array-like, shape (2,) or (..., 2)
-    alpha : multi-index (order in x1, order in x2), total order <= 4
-
-    Returns
-    -------
-    float or ndarray matching the leading shape of x.
-    """
-    x = np.asarray(x, dtype=float)
-    out = eval_many(f, x.reshape(-1, 2), [alpha])[:, 0]
-    if x.ndim == 1:
-        return float(out[0])
-    return out.reshape(x.shape[:-1])
-
-
 def eval_many(f: FieldRealization, x, alphas) -> np.ndarray:
     """Evaluate several derivatives at once, sharing the phase matrix.
 
@@ -329,42 +305,3 @@ def eval_hessian(f: FieldRealization, x) -> np.ndarray:
         [np.stack([h11, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2
     )
     return hess.reshape(x.shape[:-1] + (2, 2)) if x.ndim > 1 else hess[0]
-
-
-def empirical_derivative_variances(
-    model: CovarianceModel,
-    M: int = 1024,
-    nsamples: int = 2000,
-    seed=0,
-    max_order: int = 3,
-) -> dict:
-    """Sample variances of d^alpha psi(0) across independent realizations.
-
-    Returns a map {alpha: (variance, standard error)} for all
-    multi-indices of total order <= max_order, using the exactly-
-    Gaussian amplitude convention so the estimates target the model
-    covariance without small-M non-Gaussianity bias.
-    """
-    if nsamples < 2:
-        raise ValueError(f"nsamples must be at least 2, got {nsamples}")
-    alphas = [
-        (a1, a2)
-        for order in range(max_order + 1)
-        for a1 in range(order + 1)
-        for a2 in [order - a1]
-    ]
-    origin = np.zeros(2)
-    values = np.empty((nsamples, len(alphas)))
-    for i in range(nsamples):
-        f = sample_field(model, M=M, seed=(seed, i), gaussian_amplitudes=True)
-        values[i] = eval_many(f, origin, alphas)[0]
-    out = {}
-    for j, alpha in enumerate(alphas):
-        v = values[:, j]
-        var = float(np.var(v, ddof=1))
-        # SE of a sample variance: sqrt((m4 - m2^2 (n-3)/(n-1)) / n).
-        m2 = np.mean((v - v.mean()) ** 2)
-        m4 = np.mean((v - v.mean()) ** 4)
-        se = math.sqrt(max(m4 - m2**2 * (nsamples - 3) / (nsamples - 1), 0.0) / nsamples)
-        out[alpha] = (var, se)
-    return out

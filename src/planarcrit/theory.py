@@ -56,7 +56,6 @@ __all__ = [
     "TheoryReport",
     "lambda_c",
     "repulsion_factor",
-    "repulsion_regime",
     "k2_limit",
     "second_factorial_asymptotic",
     "scaling_order",
@@ -158,15 +157,6 @@ def repulsion_factor(d: SigmaDerivatives) -> float:
     return math.sqrt(3.0) / 8.0 * (5.0 * d.nu0 * d.eta0 / d.mu0**2 - 3.0)
 
 
-def repulsion_regime(r_c: float) -> str:
-    """Qualitative label: repulsive below 1, Poisson-like at 1, attractive above."""
-    if r_c < 1.0:
-        return "weakly repulsive"
-    if r_c == 1.0:
-        return "Poisson-like"
-    return "weakly attractive"
-
-
 def k2_limit(d: SigmaDerivatives) -> float:
     """Small-distance limit a of the critical-point 2-point correlation function.
 
@@ -217,13 +207,6 @@ class ScalingOrder:
 
     def __str__(self) -> str:
         return f"rho^{self.exponent}" + (" * |log rho|" if self.log_factor else "")
-
-    def evaluate(self, rho: float) -> float:
-        """The order function at rho (for regression targets, not a constant)."""
-        val = rho**self.exponent
-        if self.log_factor:
-            val *= abs(math.log(rho))
-        return val
 
 
 def scaling_order(pair) -> ScalingOrder:

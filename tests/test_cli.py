@@ -367,3 +367,22 @@ def test_report_small_budget_passes(capsys):
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert lines[0].split()[:2] == ["check", "theory"]
     assert len(lines) >= 5
+
+
+def test_untruncated_power_law_pair_law_exits_2(capsys):
+    code, out, err = run(capsys, "kacrice", "--model", "powerlawtruncated", "--t", "inf",
+                         "--seed", "3", "--what", "two-point", "--r", "0.05",
+                         "--nsamples", "100")
+    assert code == 2 and out == ""
+    assert err.startswith("planarcrit: degeneracy: the untruncated power law has no finite")
+
+
+def test_untruncated_power_law_report_passes(capsys):
+    # R_c is infinite, so the report keeps the rows that need no pair law
+    code, out, _ = run(capsys, "report", "--model", "powerlawtruncated", "--t", "inf",
+                       "--budget", "small", "--seed", "42", "--format", "csv")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r["check"] for r in rows] == ["intensity_all", "intensity_e", "intensity_s",
+                                          "poisson_control"]
+    assert all(r["status"] == "PASS" for r in rows)

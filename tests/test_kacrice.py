@@ -20,7 +20,6 @@ from planarcrit.kacrice import (
     _pair_conditional,
     correlation_length,
     disc_pair_distance_density,
-    gated_magnitude_mc,
     gradient_pair_density,
     gradient_pair_density_asymptotic,
     one_point_intensity_mc,
@@ -120,7 +119,7 @@ def test_conditional_gaussian_draws_transform_standard_normals():
     cov = np.array([[2.0, 0.3], [0.3, 1.0]])
     law = ConditionalGaussian(cov)
     draws = law.sample(seeded_rng(0), 2000)
-    fac = law._factor()
+    fac = law._fac
     np.testing.assert_allclose(fac @ fac.T, cov, rtol=1e-14, atol=1e-14)
     # row i is the i-th standard normal row of the same stream, mapped
     expected = seeded_rng(0).standard_normal((2000, 2)) @ fac.T
@@ -174,6 +173,14 @@ def test_one_point_intensity_matches_closed_form():
     est = one_point_intensity_mc(RW1, nsamples=200_000, seed=0)
     assert abs(est.value - lambda_c(D1)) < 4.0 * est.std_error
     assert est.std_error < 0.01 * est.value
+
+
+def test_one_point_intensity_of_the_untruncated_power_law():
+    # the one-point law needs the profile only at lag 0, where the
+    # untruncated tail is closed form; lambda_c is finite though R_6 is not
+    model = PowerLawTruncated(math.inf)
+    est = one_point_intensity_mc(model, nsamples=200_000, seed=0)
+    assert abs(est.value - lambda_c(sigma_derivatives(model))) < 4.0 * est.std_error
 
 
 def test_one_point_kind_partition_is_exact():
@@ -360,13 +367,13 @@ def test_quadrature_thread_count_does_not_change_bytes():
 
 
 # ---------------------------------------------------------------------------
-# Scalar probability oracles
+# Scalar probability oracle
 # ---------------------------------------------------------------------------
 
 
 def test_small_ball_probability_against_quadrature():
     r = 0.01
-    est = small_ball_probability_mc(dim=2, r=r, nsamples=10**6, seed=6)
+    est = small_ball_probability_mc(r=r, nsamples=10**6, seed=6)
     exact, err = integrate.quad(
         lambda z: 2.0
         * math.erf(r / (abs(z) * math.sqrt(2.0)))
@@ -377,19 +384,6 @@ def test_small_ball_probability_against_quadrature():
     )
     assert err < 1e-9
     assert abs(est.value - exact) < 4.0 * est.std_error
-
-
-def test_small_ball_coupling_validation():
-    with pytest.raises(ValueError):
-        small_ball_probability_mc(dim=3, coupling=np.eye(2), r=0.01, nsamples=100, seed=0)
-
-
-def test_gated_magnitude_linear_in_gate_width():
-    lo = gated_magnitude_mc(0.01, nsamples=400_000, seed=3)
-    hi = gated_magnitude_mc(0.02, nsamples=400_000, seed=3)
-    assert 0 < lo.value < hi.value
-    # E[|Z2| 1{|Z1| <= r Z2}] ~ c r for small r
-    assert hi.value / lo.value == pytest.approx(2.0, abs=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +407,7 @@ def _ref_indicator(kind, det, h11):
 
 
 def _ref_interleaved_draws(law, rng, n):
-    fac = law._factor()
+    fac = law._fac
     half = (n + 1) // 2
     draws = np.empty((2 * half, len(law.covariance)))
     draws[0::2] = rng.standard_normal((half, len(law.covariance))) @ fac.T
@@ -463,9 +457,8 @@ def _ref_one_point(model, n, seed, kind):
 
 
 def _ref_two_point(model, r, pair, n, seed):
-    cond_cov, logdet = _pair_conditional(model, r)
+    cond_cov, phi = _pair_conditional(model, r)
     law = ConditionalGaussian(cond_cov)
-    phi = float(math.exp(-0.5 * logdet) / (2.0 * math.pi * r) ** 2)
 
     def values(draws):
         h1 = draws[:, :3] + (r / 2.0) * draws[:, 3:]
@@ -559,7 +552,8 @@ def test_one_chunk_reduction_is_plain_mean_and_se():
     def integrand(draws):
         return np.abs(draws[:, 0] * draws[:, 1])
 
-    expected = kacrice._mean_se(integrand(law.sample(seeded_rng(5), 30_001)))
+    values = integrand(law.sample(seeded_rng(5), 30_001))
+    expected = (float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values))))
     assert kacrice._antithetic_mean(law, integrand, 30_001, 5) == expected
 
 

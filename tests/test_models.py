@@ -39,6 +39,11 @@ def _ids(models):
     return [repr(m) for m in models]
 
 
+def _longdouble_points(specs):
+    """The same specs with each point a longdouble array."""
+    return [(np.array(p, dtype=np.longdouble), a) for p, a in specs]
+
+
 # ---------------------------------------------------------------------------
 # Profile derivatives at the origin
 # ---------------------------------------------------------------------------
@@ -178,6 +183,24 @@ def test_divergent_sixth_moment_reported_as_sentinel():
     assert math.isfinite(spectral_moment(m, 2, 2))
 
 
+def test_untruncated_power_law_profile_is_closed_form_at_lag_zero():
+    # sigma^(j)(0) = (-1)^j R_2j / (4^j j!) exactly, in the dtype of the
+    # lag; the values are those the adaptive quadrature of the tail gave
+    m = PowerLawTruncated(math.inf)
+    for j, value in enumerate((1.0, -0.4166666666666667, 0.15625)):
+        closed = (-1) ** j * m.radial_moment(2 * j) / (4**j * math.factorial(j))
+        assert m.sigma_derivative(j, 0.0) == closed == value
+        lags = np.zeros(3, dtype=np.longdouble)
+        got = m.sigma_derivative(j, lags)
+        assert got.dtype == np.longdouble and list(got) == [closed] * 3
+    with pytest.raises(MomentDivergenceError, match="R_6 is infinite"):
+        m.sigma_derivative(3, 0.0)
+    # no ring rule exists for the tail, so no other lag is evaluated
+    for j, lag in ((0, 1e-6), (1, np.array([0.0, 0.3])), (2, np.longdouble(4.0))):
+        with pytest.raises(MomentDivergenceError, match="only at lag 0"):
+            m.sigma_derivative(j, lag)
+
+
 def test_sigma_derivatives_sign_invariants_enforced():
     with pytest.raises(ValueError):
         SigmaDerivatives(eta0=0.1, mu0=1.0, nu0=-1.0, upsilon=1.0)
@@ -303,8 +326,8 @@ def test_extended_precision_assembly_agrees_with_double(model):
     pts = [(-0.15, 0.0), (0.15, 0.0)]
     specs = [(p, a) for p in pts for a in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
     plain = derivative_covariance(model, specs)
-    ext = derivative_covariance(model, specs, extended=True)
-    assert ext.dtype == np.longdouble
+    ext = derivative_covariance(model, _longdouble_points(specs))
+    assert plain.dtype == np.float64 and ext.dtype == np.longdouble
     scale = np.abs(plain).max()
     assert np.abs(ext.astype(float) - plain).max() <= 1e-13 * scale
 
@@ -318,7 +341,7 @@ def test_extended_assembly_stays_accurate_at_large_separation(model, r):
     specs = [(p, a) for p in pts for a in ((1, 0), (0, 1))]
     specs += [(p, a) for p in pts for a in ((2, 0), (1, 1), (0, 2))]
     plain = derivative_covariance(model, specs)
-    ext = derivative_covariance(model, specs, extended=True)
+    ext = derivative_covariance(model, _longdouble_points(specs))
     assert np.abs(ext.astype(float) - plain).max() <= 1e-13 * np.abs(plain).max()
 
 

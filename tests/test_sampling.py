@@ -7,8 +7,6 @@ import pytest
 
 from planarcrit.models import RandomWave, ShiftedRandomWave, sigma_derivatives
 from planarcrit.sampling import (
-    empirical_derivative_variances,
-    eval_derivative,
     eval_gradient,
     eval_grid,
     eval_hessian,
@@ -66,7 +64,7 @@ def test_random_wave_satisfies_helmholtz(gaussian):
     np.testing.assert_allclose(laplacian, -(k**2) * vals[:, 0], rtol=1e-10, atol=1e-12)
 
 
-def test_eval_derivative_matches_finite_differences():
+def test_eval_many_matches_finite_differences():
     f = sample_field(RandomWave(1.3), M=64, seed=5)
     x = np.array([0.37, -1.21])
     h = 1e-6
@@ -74,8 +72,8 @@ def test_eval_derivative_matches_finite_differences():
         ((1, 0), np.array([1.0, 0.0])),
         ((0, 1), np.array([0.0, 1.0])),
     ]:
-        fd = (eval_derivative(f, x + h * stencil) - eval_derivative(f, x - h * stencil)) / (2 * h)
-        assert eval_derivative(f, x, alpha) == pytest.approx(fd, abs=1e-8)
+        hi, lo = eval_many(f, [x + h * stencil, x - h * stencil], [(0, 0)])[:, 0]
+        assert eval_many(f, x, [alpha])[0, 0] == pytest.approx((hi - lo) / (2 * h), abs=1e-8)
     # second derivatives against gradient differences
     grad_hi = eval_gradient(f, x + h * np.array([1.0, 0.0]))
     grad_lo = eval_gradient(f, x - h * np.array([1.0, 0.0]))
@@ -85,13 +83,13 @@ def test_eval_derivative_matches_finite_differences():
     assert hess[0, 1] == hess[1, 0]
 
 
-def test_eval_many_agrees_with_eval_derivative():
+def test_eval_many_columns_agree_with_one_column_calls():
     f = sample_field(RandomWave(1.0), M=64, seed=9)
     pts = np.array([[0.0, 0.0], [1.0, -2.0], [0.3, 0.4]])
     alphas = [(0, 0), (1, 0), (2, 1), (0, 4)]
     packed = eval_many(f, pts, alphas)
     for j, alpha in enumerate(alphas):
-        np.testing.assert_allclose(packed[:, j], eval_derivative(f, pts, alpha), rtol=1e-13)
+        np.testing.assert_allclose(packed[:, j], eval_many(f, pts, [alpha])[:, 0], rtol=1e-13)
 
 
 def test_kept_term_weights_change_no_bytes():
@@ -162,25 +160,34 @@ def test_stationarity_of_second_moments():
     vals = np.empty((nreal, 2))
     for i in range(nreal):
         f = sample_field(model, M=128, seed=(21, i), gaussian_amplitudes=True)
-        vals[i] = eval_derivative(f, pts)
+        vals[i] = eval_many(f, pts, [(0, 0)])[:, 0]
     var = vals.var(axis=0, ddof=1)
     se = sigma0 * math.sqrt(2.0 / (nreal - 1))
     assert np.all(np.abs(var - sigma0) < 4.0 * se)
 
 
-def test_empirical_derivative_variances_match_model():
+def test_derivative_sample_variances_match_model():
+    # sample variances of d^alpha psi(0) over exactly Gaussian realizations
     model = RandomWave(1.0)
     d = sigma_derivatives(model)
-    got = empirical_derivative_variances(model, M=128, nsamples=1500, seed=2)
     targets = {
         (1, 0): -2.0 * d.eta0,
         (2, 0): 12.0 * d.mu0,
         (1, 1): 4.0 * d.mu0,
         (3, 0): -120.0 * d.nu0,
     }
-    for alpha, expected in targets.items():
-        var, se = got[alpha]
-        assert abs(var - expected) < 4.0 * se, alpha
+    n = 1500
+    values = np.array([
+        eval_many(sample_field(model, M=128, seed=(2, i), gaussian_amplitudes=True),
+                  np.zeros(2), list(targets))[0]
+        for i in range(n)
+    ])
+    for v, (alpha, expected) in zip(values.T, targets.items()):
+        # SE of a sample variance: sqrt((m4 - m2^2 (n-3)/(n-1)) / n)
+        m2 = np.mean((v - v.mean()) ** 2)
+        m4 = np.mean((v - v.mean()) ** 4)
+        se = math.sqrt(max(m4 - m2**2 * (n - 3) / (n - 1), 0.0) / n)
+        assert abs(np.var(v, ddof=1) - expected) < 4.0 * se, alpha
 
 
 def test_sample_field_validation():

@@ -25,7 +25,6 @@ from planarcrit.theory import (
     normalize_pair,
     pair_tags,
     repulsion_factor,
-    repulsion_regime,
     scaling_order,
     second_factorial_asymptotic,
     theory_report,
@@ -83,12 +82,6 @@ def test_repulsion_factor_scale_invariant():
     assert repulsion_factor(d_scaled) == pytest.approx(MIN_REPULSION_FACTOR, rel=1e-9)
 
 
-def test_repulsion_regime_labels():
-    assert repulsion_regime(0.5) == "weakly repulsive"
-    assert repulsion_regime(2.0) == "weakly attractive"
-    assert repulsion_regime(1.0) == "Poisson-like"
-
-
 def test_divergent_models_get_infinite_repulsion():
     d = sigma_derivatives(PowerLawTruncated(math.inf))
     assert repulsion_factor(d) == math.inf
@@ -143,7 +136,6 @@ def test_scaling_orders():
     ss = scaling_order(("s", "s"))
     assert (ee.exponent, ee.log_factor) == (7, False)
     assert (ss.exponent, ss.log_factor) == (7, True)
-    assert ss.evaluate(0.01) == pytest.approx(0.01**7 * abs(math.log(0.01)), rel=1e-14)
 
 
 def test_kind_and_pair_normalization():

@@ -1,0 +1,157 @@
+"""CLI digest gate: compare the stdout of two source trees, call by call.
+
+    python tools/cli_digests.py --ref SRC --new SRC
+
+SRC is a source tree: a checkout holding ``src/planarcrit`` or the ``src``
+directory itself.  Each tree runs in its own subprocess at 1 BLAS thread,
+one after the other, and makes every call of one fixed matrix in process
+through ``planarcrit.cli.main``:
+
+* every operation of the benchmark (``perfbench/workloads.py``, read
+  from the checkout that holds this script) at the seeds in SEEDS;
+* for each of the five ``triangle`` families and for
+  PowerLawTruncated(inf): ``theory`` (CSV and JSON), ``sample``, ``find``
+  (CSV and JSON) and ``kacrice`` one-point, two-point (at the distances
+  in DISTANCES) and ball.
+
+A call's digest is the sha256 of its stdout, kept with its exit code, so
+a call that must fail is compared too.  The script prints one line per
+call, "match" or "DIFFERS" with both exit codes and digests, then the
+count of matches; it exits 1 when any digest or exit code differs,
+else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEEDS = (101, 102, 103)
+DISTANCES = ("0.01", "0.3", "3", "40")
+UNTRUNCATED = {"family": "powerlawtruncated", "t": "inf"}
+
+
+def _model_argv(model: dict, tmp: str, name: str) -> list[str]:
+    """CLI flags for a model, or a config file when it has nested keys."""
+    if any("." in key for key in model):
+        path = os.path.join(tmp, f"{name}.cfg")
+        with open(path, "w") as fh:
+            fh.writelines(f"model.{key} = {val}\n" for key, val in model.items())
+        return ["--config", path]
+    argv = ["--model", model["family"]]
+    for key, val in model.items():
+        if key != "family":
+            argv += [f"--{key}", val]
+    return argv
+
+
+def matrix(tmp: str):
+    """(name, argv) for every call, with config bodies written into tmp."""
+    import workloads
+
+    for wname, workload in workloads.WORKLOADS.items():
+        for seed in SEEDS:
+            for i, op in enumerate(workload.ops(seed)):
+                argv = list(op.argv)
+                if op.config is not None:
+                    path = os.path.join(tmp, f"{wname}-{seed}-{i}.cfg")
+                    with open(path, "w") as fh:
+                        fh.write(op.config)
+                    argv[1:1] = ["--config", path]
+                yield f"{wname} seed {seed} op {i}", argv
+    seeded = ["--seed", "7", "--threads", "1"]
+    for m, model in enumerate((*workloads.TRIANGLE_MODELS, UNTRUNCATED)):
+        label = ",".join(f"{k}={v}" for k, v in model.items())
+        flags = _model_argv(model, tmp, f"model{m}")
+        calls = {
+            "theory csv": ["theory", *flags, "--format", "csv"],
+            "theory json": ["theory", *flags],
+            "sample": ["sample", *flags, *seeded, "--size", "16"],
+            "find csv": ["find", *flags, *seeded, "--size", "256", "--window-size", "6"],
+            "find json": ["find", *flags, *seeded, "--size", "256", "--window-size", "6",
+                          "--format", "json"],
+            "kacrice one-point": ["kacrice", *flags, *seeded, "--what", "one-point",
+                                  "--nsamples", "20000"],
+            "kacrice two-point": ["kacrice", *flags, *seeded, "--what", "two-point",
+                                  "--r", *DISTANCES, "--pair", "es", "--nsamples", "20000"],
+            "kacrice ball": ["kacrice", *flags, *seeded, "--what", "ball", "--rho-list", "0.3",
+                             "--nsamples", "2000"],
+        }
+        for call, argv in calls.items():
+            yield f"{call} [{label}]", argv
+
+
+def run_tree() -> None:
+    """Worker: one JSON line (name, exit code, stdout sha256) per call."""
+    from planarcrit import cli
+
+    sys.path.insert(1, str(PERFBENCH))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in matrix(tmp):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            print(json.dumps({"name": name, "exit": code, "sha256": sha}), flush=True)
+
+
+def _src_dir(tree: str) -> str:
+    path = Path(tree).resolve()
+    if (path / "src" / "planarcrit").is_dir():
+        path = path / "src"
+    if not (path / "planarcrit").is_dir():
+        raise SystemExit(f"no planarcrit package under {tree}")
+    return str(path)
+
+
+def _collect(tree: str) -> list[dict]:
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    argv = [sys.executable, __file__, "--worker", _src_dir(tree)]
+    # The worker's stderr goes to the terminal, so a failing tree shows its traceback.
+    out = subprocess.run(argv, check=True, stdout=subprocess.PIPE, text=True, env=env)
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    p.add_argument("--ref", help="source tree of the reference")
+    p.add_argument("--new", help="source tree under test")
+    p.add_argument("--worker", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker:
+        sys.path.insert(0, args.worker)
+        run_tree()
+        return 0
+    if not (args.ref and args.new):
+        p.error("--ref and --new are required")
+    ref = _collect(args.ref)
+    new = _collect(args.new)
+    if [a["name"] for a in ref] != [b["name"] for b in new]:
+        raise SystemExit("the two trees ran different call matrices")
+    same = 0
+    for a, b in zip(ref, new):
+        if a == b:
+            same += 1
+            print(f"match    {a['name']}: exit {a['exit']}, sha256 {a['sha256'][:16]}")
+        else:
+            print(f"DIFFERS  {a['name']}: exit {a['exit']} -> {b['exit']}, "
+                  f"sha256 {a['sha256'][:16]} -> {b['sha256'][:16]}")
+    print(f"{same} of {len(ref)} digests match")
+    return 0 if same == len(ref) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
