@@ -204,8 +204,7 @@ def _estimate_row(est) -> dict:
 def _cmd_theory(args, cfg):
     model = _model_from(args, cfg)
     rho = _param(args, cfg, "rho", float, 0.1)
-    report = theory.theory_report(model, rho=rho)
-    flat = report.as_dict()
+    flat = theory.theory_report(model, rho=rho)
     if args.format == "csv":
         rows = [{"quantity": k, "value": v} for k, v in flat.items()]
         return _render_csv(rows)

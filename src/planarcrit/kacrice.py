@@ -15,7 +15,16 @@ Gaussian.  At one point the gradient and Hessian are independent (odd
 and even derivatives of a stationary isotropic field), so the one-point
 law is the plain Hessian covariance.  The pair law is the one Schur
 complement of the engine, _pair_conditional, taken in 80-bit arithmetic
-in a balanced basis.
+in a balanced basis: averages and scaled differences of the derivatives
+at the probe points +-(r/2, 0).  The reflections x -> -x (which swaps
+the points) and y -> -y give the four balanced gradient coordinates
+avg d1, avg d2, diff d1 / r and diff d2 / r four different parities, so
+their covariance is exactly diagonal, and the law splits into four
+parity blocks, each Hessian coordinate paired with one gradient
+coordinate: {s11, s22} with diff d1, {s12} with diff d2, {d11, d22}
+with avg d1 and {d12} with avg d2 (s for averaged and d for differenced
+Hessian entries).  The Schur step is a division by the four gradient
+variances, and the conditional covariance is block diagonal.
 
 The Monte-Carlo is antithetic: each draw x stands for the pair (x, -x),
 and the pair average is one independent replication.  Determinants are
@@ -137,13 +146,6 @@ def correlation_length(model: CovarianceModel) -> float:
     return 2.0 * math.pi / effective_wavenumber(model)
 
 
-def _gradient_specs(r):
-    """Gradient labels at the two probe points +-(r/2, 0), in the dtype of r."""
-    p1 = np.array([r / 2.0, 0.0])
-    p2 = np.array([-r / 2.0, 0.0])
-    return p1, p2, [(p, alpha) for p in (p1, p2) for alpha in ((1, 0), (0, 1))]
-
-
 def _balanced_map(nper: int, r) -> np.ndarray:
     """Mixing matrix sending per-point blocks (v(p1), v(p2)) of length nper
     each to (averages, differences / r), in the dtype of r.
@@ -157,34 +159,22 @@ def _balanced_map(nper: int, r) -> np.ndarray:
     return np.block([[0.5 * eye, 0.5 * eye], [eye / r, -eye / r]])
 
 
-def _chol_ld(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a small longdouble SPD matrix."""
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for i in range(n):
-        for j in range(i + 1):
-            s = a[i, j] - low[i, :j] @ low[j, :j]
-            if i == j:
-                if not s > 0:
-                    raise DegeneracyError(
-                        f"covariance not positive definite (pivot {i} gave {s})"
-                    )
-                low[i, i] = np.sqrt(s)
-            else:
-                low[i, j] = s / low[j, j]
-    return low
+def _balanced_blocks(model: CovarianceModel, r: float):
+    """Balanced covariance blocks (gg, tg, tt) of the gradients and
+    Hessians at +-(r/2, 0), in 80 bits.
 
-
-def _chol_solve_ld(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (low low^T) x = b by substitution (longdouble)."""
-    n = low.shape[0]
-    y = np.zeros_like(b)
-    for i in range(n):
-        y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i]
-    x = np.zeros_like(b)
-    for i in reversed(range(n)):
-        x[i] = (y[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
-    return x
+    Rows of gg: avg d1, avg d2, diff d1 / r, diff d2 / r; rows of tt:
+    s11, s12, s22, d11 / r, d12 / r, d22 / r.  By parity (module notes)
+    gg is diagonal and each row of tg has at most one nonzero entry.
+    """
+    rld = np.longdouble(r)
+    points = (np.array([rld / 2.0, 0.0]), np.array([-rld / 2.0, 0.0]))
+    grad, hess = ((1, 0), (0, 1)), ((2, 0), (1, 1), (0, 2))
+    specs = [(p, alpha) for orders in (grad, hess) for p in points for alpha in orders]
+    cov = derivative_covariance(model, specs)
+    a = _balanced_map(2, rld)
+    b = _balanced_map(3, rld)
+    return a @ cov[:4, :4] @ a.T, b @ cov[4:, :4] @ a.T, b @ cov[4:, 4:] @ b.T
 
 
 def _pair_conditional(model: CovarianceModel, r: float):
@@ -196,40 +186,49 @@ def _pair_conditional(model: CovarianceModel, r: float):
     which a double-precision Schur complement cannot resolve (it shows
     up as spurious variance that inflates the rare typed events).
 
+    The balanced gradient block is diagonal (its four coordinates have
+    four different parities under the two axis reflections), so the
+    Schur step divides by the four gradient variances: each Hessian
+    coordinate is regressed on the one gradient coordinate of its parity
+    block, {s11, s22} on diff d1, {s12} on diff d2, {d11, d22} on avg d1
+    and {d12} on avg d2.
+
     Returns (covariance 6x6 float64 in the balanced basis, rows the
     averages s11, s12, s22 and then the scaled differences d11/r, d12/r,
     d22/r of the two Hessians; the joint density of the two gradients at
     (0, 0)).  The density is exp(-logdet / 2) / (2 pi r)^2 with logdet
-    the log determinant of the balanced gradient block, since the
-    balanced basis scales the raw determinant by r^-4 exactly.
+    the log of the product of the four balanced gradient variances,
+    since the balanced basis scales the raw determinant by r^-4 exactly.
+    The covariance is block diagonal in the four parity blocks.
+
+    Raises DegeneracyError naming r when a balanced gradient variance is
+    not positive.
     """
     _require_finite_positive("r", r)
-    rld = np.longdouble(r)
-    p1, p2, gspecs = _gradient_specs(rld)
-    tspecs = [(p, alpha) for p in (p1, p2) for alpha in ((2, 0), (1, 1), (0, 2))]
-    cov = derivative_covariance(model, gspecs + tspecs)
-    a = _balanced_map(2, rld)
-    b = _balanced_map(3, rld)
-    gg = a @ cov[:4, :4] @ a.T
-    tg = b @ cov[4:, :4] @ a.T
-    tt = b @ cov[4:, 4:] @ b.T
-    try:
-        low = _chol_ld(0.5 * (gg + gg.T))
-    except DegeneracyError as err:
+    gg, tg, tt = _balanced_blocks(model, r)
+    var = np.diag(gg)
+    if not np.all(var > 0):
         raise DegeneracyError(
-            f"gradient-pair covariance is degenerate at r = {r}: {err}"
-        ) from None
-    cond = tt - tg @ _chol_solve_ld(low, tg.T)
+            f"gradient-pair covariance is degenerate at r = {r}: "
+            f"balanced gradient variances {var.astype(float)}"
+        )
+    sd = np.sqrt(var)
+    # Two divisions by sd round as the Cholesky solve of the diagonal
+    # block does; one by var would move the last bits of every K2.
+    cond = tt - tg @ (tg.T / sd[:, None] / sd[:, None])
     cond = (0.5 * (cond + cond.T)).astype(float)
-    logdet = float(2.0 * np.log(np.diag(low)).sum())
+    logdet = float(2.0 * np.log(sd).sum())
     return cond, float(math.exp(-0.5 * logdet) / (2.0 * math.pi * r) ** 2)
 
 
 def gradient_pair_density(model: CovarianceModel, r: float) -> float:
     """Joint density at (0, 0) of the two gradients at mutual distance r.
 
-    Computed from the exact 4x4 covariance by _pair_conditional; this is
-    the non-Monte-Carlo factor of the 2-point correlation function.
+    Computed by _pair_conditional from the four variances of the
+    balanced gradient block, which is diagonal by parity (avg d1, avg d2,
+    diff d1 / r and diff d2 / r are odd under different reflections);
+    this is the non-Monte-Carlo factor of the 2-point correlation
+    function.
     """
     return _pair_conditional(model, r)[1]
 

@@ -620,11 +620,12 @@ def derivative_covariance(model: CovarianceModel, specs) -> np.ndarray:
         parsed.append((np.asarray(point, dtype=dtype), (a1, a2)))
 
     # Few distinct (j, |lag|^2) pairs occur across the matrix; memoize
-    # the profile evaluations, each made in the dtype of the lag.
+    # the profile evaluations, each made and keyed in the dtype of the
+    # lag, so that 80-bit lags one double apart stay apart.
     cache: dict = {}
 
     def sigma(j, x):
-        key = (j, float(x))
+        key = (j, x)
         if key not in cache:
             cache[key] = dtype(model.sigma_derivative(j, x))
         return cache[key]

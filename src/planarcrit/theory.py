@@ -53,7 +53,6 @@ __all__ = [
     "KIND_COLUMNS",
     "PAIRS",
     "ScalingOrder",
-    "TheoryReport",
     "lambda_c",
     "repulsion_factor",
     "k2_limit",
@@ -245,44 +244,25 @@ def grw_minimality_gap(model: CovarianceModel) -> float:
     return repulsion_factor(d) - MIN_REPULSION_FACTOR
 
 
-@dataclass(frozen=True)
-class TheoryReport:
-    """All closed-form quantities for one model at one ball radius."""
+def theory_report(model: CovarianceModel, rho: float) -> dict:
+    """Every closed-form quantity for a model at ball radius rho > 0.
 
-    lambda_c: float
-    expected_counts: dict
-    repulsion_factor: float
-    k2_limit_a: float
-    second_factorial_asymptotic: float
-    rho: float
-
-    def as_dict(self) -> dict:
-        flat = {
-            "rho": self.rho,
-            "lambda_c": self.lambda_c,
-            "repulsion_factor": self.repulsion_factor,
-            "k2_limit_a": self.k2_limit_a,
-            "second_factorial_cc": self.second_factorial_asymptotic,
-        }
-        for kind, count in self.expected_counts.items():
-            flat[f"expected_count_{kind}"] = count
-        return flat
-
-
-def theory_report(model: CovarianceModel, rho: float) -> TheoryReport:
-    """Evaluate every closed-form quantity for a model at ball radius rho > 0."""
+    A flat mapping: rho, lambda_c, repulsion_factor, k2_limit_a,
+    second_factorial_cc (the (c,c) rho^4 asymptote) and then
+    expected_count_<kind> for each kind in KINDS.
+    """
     _require_finite_positive("rho", rho)
     d = sigma_derivatives(model)
     lam = lambda_c(d)
-    r_c = repulsion_factor(d)
     a = k2_limit(d)
     area = math.pi * rho**2
-    counts = {kind: TYPE_FRACTIONS[kind] * lam * area for kind in KINDS}
-    return TheoryReport(
-        lambda_c=lam,
-        expected_counts=counts,
-        repulsion_factor=r_c,
-        k2_limit_a=a,
-        second_factorial_asymptotic=a * area**2,
-        rho=rho,
-    )
+    flat = {
+        "rho": rho,
+        "lambda_c": lam,
+        "repulsion_factor": repulsion_factor(d),
+        "k2_limit_a": a,
+        "second_factorial_cc": a * area**2,
+    }
+    for kind in KINDS:
+        flat[f"expected_count_{kind}"] = TYPE_FRACTIONS[kind] * lam * area
+    return flat

@@ -115,6 +115,44 @@ def test_conditioning_rejects_coincident_points():
         gradient_pair_density(RW1, 0.0)
 
 
+TRIANGLE_FAMILIES = [
+    RW1,
+    BargmannFock(1.0),
+    ShiftedRandomWave(tau=0.8, s=1.3, k=1.5),
+    PowerLawTruncated(2.0),
+    Interpolation(0.35, RW1, PowerLawTruncated(2.0)),
+]
+
+# Parity blocks of the balanced pair law: for each Hessian row (s11,
+# s12, s22, d11, d12, d22), the balanced gradient coordinate (avg d1,
+# avg d2, diff d1 / r, diff d2 / r) of the same parity under x -> -x
+# and y -> -y.
+PARITY_BLOCK = np.array([2, 3, 2, 0, 1, 0])
+
+
+@pytest.mark.parametrize("model", TRIANGLE_FAMILIES, ids=repr)
+def test_pair_law_splits_into_four_parity_blocks(model):
+    # symmetry, not rounding, makes the cross-parity entries vanish, so
+    # they are exact zeros from the floor out to many correlation lengths
+    cross_tg = PARITY_BLOCK[:, None] != np.arange(4)[None, :]
+    cross_tt = PARITY_BLOCK[:, None] != PARITY_BLOCK[None, :]
+    floor = R_FLOOR_FRACTION * correlation_length(model)
+    for r in np.geomspace(floor * (1.0 + 1e-9), 50.0, 16):
+        gg, tg, _ = kacrice._balanced_blocks(model, float(r))
+        cond, _ = _pair_conditional(model, float(r))
+        assert np.all(gg[~np.eye(4, dtype=bool)] == 0.0), r
+        assert np.all(tg[cross_tg] == 0.0), r
+        assert np.all(cond[cross_tt] == 0.0), r
+
+
+@pytest.mark.parametrize("model", [RW1, BargmannFock(1.0), PowerLawTruncated(2.0)], ids=repr)
+def test_degenerate_gradient_pair_raises_naming_r(model):
+    # far below the floor a balanced gradient variance rounds to zero or
+    # below; _pair_conditional itself refuses it
+    with pytest.raises(DegeneracyError, match=r"degenerate at r = 1e-11"):
+        _pair_conditional(model, 1e-11)
+
+
 def test_conditional_gaussian_draws_transform_standard_normals():
     cov = np.array([[2.0, 0.3], [0.3, 1.0]])
     law = ConditionalGaussian(cov)

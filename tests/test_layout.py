@@ -105,8 +105,9 @@ def test_every_exported_name_resolves(name):
 
 # No module uses adaptive quadrature: the untruncated power law, which
 # has no ring rule, is evaluated only at lag 0, where its profile is
-# closed form.  The Kac-Rice engine's one Schur complement is
-# hand-rolled in longdouble, so nothing needs scipy.linalg either.
+# closed form.  The Kac-Rice engine's one Schur complement divides by
+# the four variances of a diagonal gradient block in longdouble, so
+# nothing needs scipy.linalg either.
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
 def test_cli_import_leaves_scipy_integrate_out(module):
     code = f"import sys, planarcrit.cli; print({module!r} in sys.modules)"

@@ -345,6 +345,19 @@ def test_extended_assembly_stays_accurate_at_large_separation(model, r):
     assert np.abs(ext.astype(float) - plain).max() <= 1e-13 * np.abs(plain).max()
 
 
+def test_extended_assembly_keeps_lags_one_double_apart():
+    # 1 and 1 + 3e-17 round to the same double but not the same 80-bit
+    # number; each lag gets its own profile value
+    model = RandomWave(1.0)
+    one = np.longdouble(1.0)
+    near = one + np.longdouble(3e-17)
+    specs = _longdouble_points([((0.0, 0.0), (0, 0)), ((one, 0.0), (0, 0)), ((near, 0.0), (0, 0))])
+    cov = derivative_covariance(model, specs)
+    gap = model.sigma_derivative(0, one * one) - model.sigma_derivative(0, near * near)
+    assert gap != 0.0
+    assert cov[0, 1] - cov[0, 2] == gap
+
+
 def test_derivative_covariance_rejects_order_above_four():
     with pytest.raises(ValueError):
         derivative_covariance(RandomWave(1.0), [((0.0, 0.0), (3, 2))])

@@ -16,6 +16,7 @@ from planarcrit.models import (
     sigma_derivatives,
 )
 from planarcrit.theory import (
+    KINDS,
     MIN_REPULSION_FACTOR,
     TYPE_FRACTIONS,
     grw_minimality_gap,
@@ -181,11 +182,12 @@ def test_theory_report_is_consistent():
     rep = theory_report(model, rho=0.25)
     d = sigma_derivatives(model)
     area = math.pi * 0.25**2
-    assert rep.lambda_c == pytest.approx(lambda_c(d), rel=1e-15)
+    assert rep["lambda_c"] == pytest.approx(lambda_c(d), rel=1e-15)
     for kind, frac in TYPE_FRACTIONS.items():
-        assert rep.expected_counts[kind] == pytest.approx(frac * rep.lambda_c * area, rel=1e-14)
-    flat = rep.as_dict()
-    assert flat["repulsion_factor"] == rep.repulsion_factor
-    assert set(k for k in flat if k.startswith("expected_count_")) == {
-        "expected_count_" + kind for kind in TYPE_FRACTIONS
-    }
+        count = rep[f"expected_count_{kind}"]
+        assert count == pytest.approx(frac * rep["lambda_c"] * area, rel=1e-14)
+    assert rep["repulsion_factor"] == repulsion_factor(d)
+    assert list(rep) == [
+        "rho", "lambda_c", "repulsion_factor", "k2_limit_a", "second_factorial_cc",
+        *(f"expected_count_{kind}" for kind in KINDS),
+    ]
