@@ -78,27 +78,38 @@ def _kind_totals(counts: np.ndarray, kind: str) -> np.ndarray:
     return counts[..., KIND_COLUMNS[normalize_kind(kind)]].sum(axis=-1)
 
 
-def _ball_centers(window, rho: float) -> np.ndarray:
-    """Stratified grid of ball centers, spacing 2 rho, margin rho."""
+def _ball_grid(window, rho: float):
+    """Axes (xs, ys) of the stratified grid of ball centers, spacing
+    2 rho, margin rho; the centers are (xs[i], ys[j]), i-major."""
     (xmin, xmax), (ymin, ymax) = window
     xs = np.arange(xmin + rho, xmax - rho + 1e-12, 2.0 * rho)
     ys = np.arange(ymin + rho, ymax - rho + 1e-12, 2.0 * rho)
-    return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    return xs, ys
 
 
-def _ball_counts(locations: np.ndarray, kind_cols: np.ndarray, centers: np.ndarray, rho: float):
-    """(ncenters, 3) counts of points of each kind in each open ball."""
-    counts = np.zeros((len(centers), 3), dtype=np.int64)
-    if len(locations) == 0:
-        return counts
-    d2 = (
-        (centers[:, 0, None] - locations[None, :, 0]) ** 2
-        + (centers[:, 1, None] - locations[None, :, 1]) ** 2
-    )
+def _ball_counts(locations: np.ndarray, kind_cols: np.ndarray, grid, rho: float):
+    """(ncenters, 3) counts of points of each kind in each open ball.
+
+    The balls of radius rho sit on the 2 rho grid of _ball_grid, so a
+    point lies in at most one of them, and only in one whose center
+    brackets it on both axes.  Each point is tested against those <= 4
+    nearest centers with the d2 < rho^2 arithmetic of a dense
+    centers x points test, so the integer counts are the dense ones.
+    """
+    xs, ys = grid
+    cells = np.zeros((len(xs) * len(ys), 3), dtype=np.int64)
+    if len(locations) == 0 or len(cells) == 0:
+        return cells
+    step = 2.0 * rho
+    ix = np.floor((locations[:, 0] - xs[0]) / step).astype(np.int64)[:, None] + [0, 0, 1, 1]
+    iy = np.floor((locations[:, 1] - ys[0]) / step).astype(np.int64)[:, None] + [0, 1, 0, 1]
+    point = np.broadcast_to(np.arange(len(locations))[:, None], ix.shape)
+    ok = (ix >= 0) & (ix < len(xs)) & (iy >= 0) & (iy < len(ys))
+    ix, iy, point = ix[ok], iy[ok], point[ok]
+    d2 = (xs[ix] - locations[point, 0]) ** 2 + (ys[iy] - locations[point, 1]) ** 2
     inside = d2 < rho * rho
-    for col in range(3):
-        counts[:, col] = (inside & (kind_cols == col)).sum(axis=1)
-    return counts
+    flat = (ix[inside] * len(ys) + iy[inside]) * 3 + kind_cols[point[inside]]
+    return np.bincount(flat, minlength=cells.size).reshape(cells.shape)
 
 
 def _realization_stats(args):
@@ -115,8 +126,7 @@ def _realization_stats(args):
     totals = np.bincount(kind_cols, minlength=3)
     per_rho = {}
     for rho in rho_list:
-        centers = _ball_centers(window, rho)
-        per_rho[rho] = _ball_counts(locations, kind_cols, centers, rho)
+        per_rho[rho] = _ball_counts(locations, kind_cols, _ball_grid(window, rho), rho)
     return totals, per_rho
 
 
@@ -268,10 +278,10 @@ def poisson_control_ratio(
         raise ValueError(f"nreal must be at least 2, got {nreal}")
     (xmin, xmax), (ymin, ymax) = window
     area = (xmax - xmin) * (ymax - ymin)
-    centers = _ball_centers(window, rho)
+    grid = _ball_grid(window, rho)
     rng_master = np.random.SeedSequence(seed_entropy(seed))
     totals = np.zeros((nreal, 3), dtype=np.int64)
-    counts = np.empty((nreal, len(centers), 3), dtype=np.int64)
+    counts = np.empty((nreal, len(grid[0]) * len(grid[1]), 3), dtype=np.int64)
     for i, child in enumerate(rng_master.spawn(nreal)):
         rng = np.random.default_rng(child)
         npts = rng.poisson(intensity * area)
@@ -279,7 +289,7 @@ def poisson_control_ratio(
             [rng.uniform(xmin, xmax, npts), rng.uniform(ymin, ymax, npts)]
         )
         totals[i, 0] = npts
-        counts[i] = _ball_counts(pts, np.zeros(npts, dtype=np.int64), centers, rho)
+        counts[i] = _ball_counts(pts, np.zeros(npts, dtype=np.int64), grid, rho)
     sw = Sweep(totals=totals, area=area, counts={float(rho): counts})
     return replace(repulsion_ratio(sw, rho), label="poisson-control")
 

@@ -148,36 +148,47 @@ def correlation_length(model: CovarianceModel) -> float:
 
 def _balanced_map(nper: int, r) -> np.ndarray:
     """Mixing matrix sending per-point blocks (v(p1), v(p2)) of length nper
-    each to (averages, differences / r), in the dtype of r.
+    each to (averages, differences / r), in the dtype of r; one matrix
+    per element of an array r, shape r.shape + (2 nper, 2 nper).
 
     At mutual distance r the raw pair covariance has condition number
     ~(L/r)^2: differences of derivatives across the pair are O(r) while
     sums are O(1).  The average/scaled-difference basis keeps the
     constraint block well conditioned, so the Schur step is stable.
     """
-    eye = np.eye(nper, dtype=np.asarray(r).dtype)
-    return np.block([[0.5 * eye, 0.5 * eye], [eye / r, -eye / r]])
+    r = np.asarray(r)[..., None, None]
+    eye = np.eye(nper, dtype=r.dtype)
+    half = np.broadcast_to(0.5 * eye, r.shape[:-2] + eye.shape)
+    return np.concatenate(
+        [np.concatenate([half, half], axis=-1), np.concatenate([eye / r, -eye / r], axis=-1)],
+        axis=-2,
+    )
 
 
-def _balanced_blocks(model: CovarianceModel, r: float):
+def _balanced_blocks(model: CovarianceModel, r):
     """Balanced covariance blocks (gg, tg, tt) of the gradients and
     Hessians at +-(r/2, 0), in 80 bits.
 
-    Rows of gg: avg d1, avg d2, diff d1 / r, diff d2 / r; rows of tt:
-    s11, s12, s22, d11 / r, d12 / r, d22 / r.  By parity (module notes)
-    gg is diagonal and each row of tg has at most one nonzero entry.
+    r is one distance or a 1-D array of them; an array gives each block
+    a leading batch axis, assembled in one derivative_covariance call,
+    with the bits of the per-distance blocks.  Rows of gg: avg d1, avg
+    d2, diff d1 / r, diff d2 / r; rows of tt: s11, s12, s22, d11 / r,
+    d12 / r, d22 / r.  By parity (module notes) gg is diagonal and each
+    row of tg has at most one nonzero entry.
     """
-    rld = np.longdouble(r)
-    points = (np.array([rld / 2.0, 0.0]), np.array([-rld / 2.0, 0.0]))
+    rld = np.asarray(r, dtype=np.longdouble)
+    zero = np.zeros_like(rld)
+    points = (np.stack([rld / 2.0, zero], axis=-1), np.stack([-rld / 2.0, zero], axis=-1))
     grad, hess = ((1, 0), (0, 1)), ((2, 0), (1, 1), (0, 2))
     specs = [(p, alpha) for orders in (grad, hess) for p in points for alpha in orders]
     cov = derivative_covariance(model, specs)
     a = _balanced_map(2, rld)
     b = _balanced_map(3, rld)
-    return a @ cov[:4, :4] @ a.T, b @ cov[4:, :4] @ a.T, b @ cov[4:, 4:] @ b.T
+    at, bt = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
+    return a @ cov[..., :4, :4] @ at, b @ cov[..., 4:, :4] @ at, b @ cov[..., 4:, 4:] @ bt
 
 
-def _pair_conditional(model: CovarianceModel, r: float):
+def _pair_conditional(model: CovarianceModel, r):
     """Conditional Hessian-pair law at +-(r/2, 0) given zero gradients.
 
     Everything up to the conditional covariance runs in 80-bit
@@ -193,32 +204,45 @@ def _pair_conditional(model: CovarianceModel, r: float):
     block, {s11, s22} on diff d1, {s12} on diff d2, {d11, d22} on avg d1
     and {d12} on avg d2.
 
-    Returns (covariance 6x6 float64 in the balanced basis, rows the
-    averages s11, s12, s22 and then the scaled differences d11/r, d12/r,
-    d22/r of the two Hessians; the joint density of the two gradients at
-    (0, 0)).  The density is exp(-logdet / 2) / (2 pi r)^2 with logdet
-    the log of the product of the four balanced gradient variances,
-    since the balanced basis scales the raw determinant by r^-4 exactly.
-    The covariance is block diagonal in the four parity blocks.
+    r is one distance or a 1-D array of them.  For one distance, returns
+    (covariance 6x6 float64 in the balanced basis, rows the averages
+    s11, s12, s22 and then the scaled differences d11/r, d12/r, d22/r of
+    the two Hessians; the joint density of the two gradients at (0, 0)).
+    For an array, the laws of all distances come from one batched
+    assembly, as (covariances (n, 6, 6), densities (n,)), each with the
+    bits of its own one-distance call.  The density is
+    exp(-logdet / 2) / (2 pi r)^2 with logdet the log of the product of
+    the four balanced gradient variances, since the balanced basis
+    scales the raw determinant by r^-4 exactly.  The covariance is block
+    diagonal in the four parity blocks.
 
-    Raises DegeneracyError naming r when a balanced gradient variance is
-    not positive.
+    Raises DegeneracyError naming r, the first such r of an array, when
+    a balanced gradient variance is not positive.
     """
-    _require_finite_positive("r", r)
+    for value in np.atleast_1d(r):
+        _require_finite_positive("r", value)
     gg, tg, tt = _balanced_blocks(model, r)
-    var = np.diag(gg)
-    if not np.all(var > 0):
+    var = np.diagonal(gg, axis1=-2, axis2=-1)
+    degenerate = ~np.all(var > 0, axis=-1)
+    if degenerate.any():
+        first = np.flatnonzero(degenerate)[0]
         raise DegeneracyError(
-            f"gradient-pair covariance is degenerate at r = {r}: "
-            f"balanced gradient variances {var.astype(float)}"
+            f"gradient-pair covariance is degenerate at r = {np.atleast_1d(r)[first]}: "
+            f"balanced gradient variances {np.atleast_2d(var)[first].astype(float)}"
         )
-    sd = np.sqrt(var)
+    sd = np.sqrt(var)[..., :, None]
     # Two divisions by sd round as the Cholesky solve of the diagonal
     # block does; one by var would move the last bits of every K2.
-    cond = tt - tg @ (tg.T / sd[:, None] / sd[:, None])
-    cond = (0.5 * (cond + cond.T)).astype(float)
-    logdet = float(2.0 * np.log(sd).sum())
-    return cond, float(math.exp(-0.5 * logdet) / (2.0 * math.pi * r) ** 2)
+    cond = tt - tg @ (np.swapaxes(tg, -1, -2) / sd / sd)
+    cond = (0.5 * (cond + np.swapaxes(cond, -1, -2))).astype(float)
+    logdet = 2.0 * np.log(sd[..., 0]).sum(axis=-1)
+    density = [
+        math.exp(-0.5 * float(ld)) / (2.0 * math.pi * float(dist)) ** 2
+        for ld, dist in zip(np.atleast_1d(logdet), np.atleast_1d(r))
+    ]
+    if np.ndim(r) == 0:
+        return cond, density[0]
+    return cond, np.array(density)
 
 
 def gradient_pair_density(model: CovarianceModel, r: float) -> float:
@@ -379,6 +403,19 @@ def two_point_correlation(
             f"({R_FLOOR_FRACTION} correlation lengths)"
         )
     cond_cov, phi = _pair_conditional(model, r)
+    value, se = _k2_from_law(cond_cov, phi, r, kinds, npairs, seed)
+    return MomentEstimate(
+        value=value,
+        std_error=se,
+        nsamples=nsamples,
+        rho=r,
+        label=f"({kinds[0]},{kinds[1]})",
+    )
+
+
+def _k2_from_law(cond_cov, phi: float, r: float, kinds, npairs: int, seed):
+    """K2 and its SE at distance r from the pair law (cond_cov, phi) of
+    _pair_conditional, over npairs antithetic pairs."""
     law = ConditionalGaussian(cond_cov)
 
     def integrand(draws):
@@ -393,13 +430,7 @@ def two_point_correlation(
         return np.where(typed, np.abs(det1 * det2), 0.0)
 
     mean, se = _antithetic_mean(law, integrand, npairs, seed)
-    return MomentEstimate(
-        value=phi * mean,
-        std_error=phi * se,
-        nsamples=nsamples,
-        rho=r,
-        label=f"({kinds[0]},{kinds[1]})",
-    )
+    return phi * mean, phi * se
 
 
 def disc_pair_distance_density(u, rho: float):
@@ -415,9 +446,8 @@ def disc_pair_distance_density(u, rho: float):
 
 
 def _k2_node(args):
-    model, u, pair, nsamples, seed = args
-    est = two_point_correlation(model, u, pair, nsamples, seed)
-    return est.value, est.std_error
+    """One quadrature node: (cond_cov, phi, r, kinds, npairs, seed) to (K2, SE)."""
+    return _k2_from_law(*args)
 
 
 def second_factorial_by_quadrature(
@@ -438,9 +468,12 @@ def second_factorial_by_quadrature(
     Gauss-Legendre nodes in the substitution u = 2 rho sin(theta)
     (which absorbs the square-root endpoint of q); the region below
     0.2 rho, where K2 still varies fast, uses Gauss-Legendre in log u
-    down to just above the engine's small-r floor.  K2 at each node is
-    conditional Monte-Carlo with a per-node derived seed, so the result
-    does not depend on scheduling.
+    down to just above the engine's small-r floor.  The pair laws of
+    all nodes are built in one batched _pair_conditional call before the
+    worker pool starts, and each node task carries its law (covariance,
+    density) rather than the model.  K2 at each node is then conditional
+    Monte-Carlo with a per-node derived seed, so the result does not
+    depend on scheduling.
     """
     _require_finite_positive("rho", rho)
     kinds = pair_tags(pair)
@@ -471,8 +504,12 @@ def second_factorial_by_quadrature(
     jac_all = np.concatenate([jac_inner, jac_outer])
     weights = jac_all * disc_pair_distance_density(u_all, rho)
 
+    npairs = (nsamples_per_node + 1) // 2
+    _require_two_pairs(nsamples_per_node, npairs)
+    conds, phis = _pair_conditional(model, u_all)
     tasks = [
-        (model, float(u), kinds, nsamples_per_node, (seed, i)) for i, u in enumerate(u_all)
+        (cond, float(phi), float(u), kinds, npairs, (seed, i))
+        for i, (cond, phi, u) in enumerate(zip(conds, phis, u_all))
     ]
     k2 = np.array(_run_tasks(_k2_node, tasks, threads))
     area2 = (math.pi * rho**2) ** 2

@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "CovarianceModel",
@@ -204,7 +203,7 @@ class BargmannFock(CovarianceModel):
     def radial_moment(self, n):
         # |lam| for lam ~ N(0, 2k I) is Rayleigh; R_{2j} = (4k)^j j! and the
         # odd moments follow from the chi distribution with 2 dof.
-        return (4.0 * self.k) ** (n / 2.0) * special.gamma(n / 2.0 + 1.0)
+        return (4.0 * self.k) ** (n / 2.0) * math.gamma(n / 2.0 + 1.0)
 
     def sample_frequencies(self, rng, size):
         return rng.normal(0.0, math.sqrt(2.0 * self.k), size=(size, 2))
@@ -220,11 +219,19 @@ def _bessel_profile_derivative(j, x, k):
     0F1 parameter up by one, so the result stays exact at x = 0.  x (an
     array from _lag_array) and k broadcast.  A longdouble x sums the
     series in 80-bit arithmetic, each element up to its own last term,
-    within |k^2 x / 4| <= _SERIES_MAX_ARG.
+    within |k^2 x / 4| <= _SERIES_MAX_ARG.  A float64 x uses scipy's
+    hyp0f1, imported only when some lag is nonzero: at lag 0, 0F1 is 1
+    exactly, which keeps scipy out of the one-point laws.
     """
     if x.dtype != np.longdouble:
         c = -0.25 * k * k
-        return c**j / special.factorial(j) * special.hyp0f1(j + 1.0, c * x)
+        z = c * x
+        if not np.any(z):
+            # 0F1(a; 0) = 1 exactly: the lag-0 profile needs no scipy.
+            return c**j / math.factorial(j) * np.ones_like(z)
+        from scipy.special import hyp0f1
+
+        return c**j / math.factorial(j) * hyp0f1(j + 1.0, z)
     k = np.asarray(k, dtype=np.longdouble)
     z = -k * k * x / 4
     far = np.abs(z) > _SERIES_MAX_ARG
@@ -567,21 +574,6 @@ def _gamma_partial_terms(a: int, b: int) -> tuple[tuple[int, int, int, int], ...
     return tuple((j, p, q, c) for (j, p, q), c in acc.items() if c != 0)
 
 
-def _gamma_partial(a: int, b: int, u: np.ndarray, sigma):
-    """(d^a_1 d^b_2 Gamma)(u) for a planar lag u.
-
-    sigma(j, x) evaluates the j-th profile derivative at x = |u|^2 (the
-    caller memoizes it, in the dtype of the points).
-    """
-    x = u[0] * u[0] + u[1] * u[1]
-    total = 0.0
-    for j, p, q, c in _gamma_partial_terms(a, b):
-        if x == 0.0 and (p or q):
-            continue
-        total = total + c * sigma(j, x) * u[0] ** p * u[1] ** q
-    return total
-
-
 def derivative_covariance(model: CovarianceModel, specs) -> np.ndarray:
     """Exact covariance matrix of a list of field derivatives.
 
@@ -591,18 +583,25 @@ def derivative_covariance(model: CovarianceModel, specs) -> np.ndarray:
     specs : sequence of (point, alpha)
         Each entry names one scalar variable d^alpha psi(point), where
         point is a planar coordinate and alpha = (order in x1, order in
-        x2) is a multi-index of total order <= 4.  The matrix is
-        assembled in the dtype of the points: 80-bit when any point is a
-        longdouble array, as a conditioning step whose result lies many
-        orders of magnitude below the entries needs (derivative pairs at
-        small separation), and float64 otherwise.
+        x2) is a multi-index of total order <= 4.  A point may carry
+        leading batch axes, shape (..., 2); the points broadcast against
+        each other and the result has one matrix per batch element.  The
+        matrix is assembled in the dtype of the points: 80-bit when any
+        point is a longdouble array, as a conditioning step whose result
+        lies many orders of magnitude below the entries needs (derivative
+        pairs at small separation), and float64 otherwise.
 
     Returns
     -------
     ndarray
-        Symmetric covariance matrix, one row/column per spec, from the
-        identity E[d^a psi(t) d^b psi(s)] = (-1)^{|b|} (d^{a+b} Gamma)(t - s)
+        Symmetric covariance matrices, shape (..., n, n) with one
+        row/column per spec, from the identity
+        E[d^a psi(t) d^b psi(s)] = (-1)^{|b|} (d^{a+b} Gamma)(t - s)
         with the Gamma partials evaluated in closed form per family.
+        Each profile order j is evaluated once, on all the distinct
+        squared lags |t - s|^2 of the batch that need it, so a batch
+        costs few profile calls and gives every matrix the bits of its
+        own unbatched call.
 
     Raises
     ------
@@ -611,34 +610,67 @@ def derivative_covariance(model: CovarianceModel, specs) -> np.ndarray:
     MomentDivergenceError
         If a required sigma derivative does not exist for the model.
     """
-    dtype = np.result_type(*(np.asarray(point) for point, _ in specs), float).type
-    parsed = []
-    for point, alpha in specs:
+    points = [np.asarray(point) for point, _ in specs]
+    dtype = np.result_type(*points, float).type
+    alphas = []
+    for _, alpha in specs:
         a1, a2 = int(alpha[0]), int(alpha[1])
         if a1 < 0 or a2 < 0 or a1 + a2 > MAX_DERIVATIVE_ORDER:
             raise ValueError(f"multi-index {alpha} exceeds total order {MAX_DERIVATIVE_ORDER}")
-        parsed.append((np.asarray(point, dtype=dtype), (a1, a2)))
-
-    # Few distinct (j, |lag|^2) pairs occur across the matrix; memoize
-    # the profile evaluations, each made and keyed in the dtype of the
-    # lag, so that 80-bit lags one double apart stay apart.
-    cache: dict = {}
-
-    def sigma(j, x):
-        key = (j, x)
-        if key not in cache:
-            cache[key] = dtype(model.sigma_derivative(j, x))
-        return cache[key]
-
-    n = len(parsed)
-    cov = np.empty((n, n), dtype=dtype)
-    for i in range(n):
-        pi, (ai1, ai2) = parsed[i]
-        for j in range(i, n):
-            pj, (aj1, aj2) = parsed[j]
-            sign = -1.0 if (aj1 + aj2) % 2 else 1.0
-            cov[i, j] = cov[j, i] = sign * _gamma_partial(ai1 + aj1, ai2 + aj2, pi - pj, sigma)
+        alphas.append((a1, a2))
+    rows, cols, sign, terms = _covariance_plan(tuple(alphas))
+    pts = np.stack(np.broadcast_arrays(*(p.astype(dtype) for p in points)), axis=-2)
+    u = pts[..., rows, :] - pts[..., cols, :]
+    ux, uy = u[..., 0], u[..., 1]
+    x = ux * ux + uy * uy
+    keys, key_of = np.unique(x, return_inverse=True)
+    key_of = key_of.reshape(x.shape)
+    batch = (1,) * (x.ndim - 1)
+    js, ps, qs, cs, live = (a.reshape(a.shape[:1] + batch + a.shape[1:]) for a in terms)
+    # A term with a factor of the lag is skipped at lag 0, where it
+    # vanishes: this keeps sigma^(j)(0) of divergent orders out of the
+    # one-point laws, and adding a zero term would flip a -0.0.
+    skip = ~live | ((x == 0.0) & (ps + qs > 0))
+    # Each order j is evaluated once, on the distinct lags that need it.
+    need = np.unique((js * len(keys) + key_of)[~skip])
+    sigma = np.zeros((int(js.max()) + 1, len(keys)), dtype=dtype)
+    for j in np.unique(need // len(keys)):
+        at = need[need // len(keys) == j] % len(keys)
+        sigma[j, at] = model.sigma_derivative(int(j), keys[at])
+    total = np.zeros(x.shape, dtype=dtype)
+    for j, p, q, c, out in zip(js, ps, qs, cs, skip):
+        term = c * sigma[j, key_of] * ux**p * uy**q
+        total = np.where(out, total, total + term)
+    cov = np.empty(pts.shape[:-1] + (len(alphas),), dtype=dtype)
+    cov[..., rows, cols] = cov[..., cols, rows] = sign * total
     return cov
+
+
+@lru_cache(maxsize=None)
+def _covariance_plan(alphas: tuple):
+    """Upper-triangle entries of derivative_covariance for multi-indices
+    alphas and the Gamma-partial terms of each, in term slots.
+
+    Returns (rows, cols, sign, (j, p, q, c, live)): entry e is
+    sign[e] * sum over slots s of c[s, e] sigma^(j[s, e]) ux^p[s, e]
+    uy^q[s, e], summed slot by slot in the term order of
+    _gamma_partial_terms; live[s, e] is False past entry e's last term.
+    """
+    n = len(alphas)
+    rows, cols = np.triu_indices(n)
+    sign = np.array([-1.0 if sum(alphas[j]) % 2 else 1.0 for j in cols])
+    terms = [
+        _gamma_partial_terms(alphas[i][0] + alphas[j][0], alphas[i][1] + alphas[j][1])
+        for i, j in zip(rows, cols)
+    ]
+    slots = np.zeros((4, max(map(len, terms)), len(terms)), dtype=np.int64)
+    live = np.zeros(slots.shape[1:], dtype=bool)
+    for e, entry in enumerate(terms):
+        slots[:, : len(entry), e] = np.array(entry).T
+        live[: len(entry), e] = True
+    for a in (rows, cols, sign, slots, live):
+        a.flags.writeable = False
+    return rows, cols, sign, (*slots, live)
 
 
 # ---------------------------------------------------------------------------

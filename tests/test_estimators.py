@@ -7,6 +7,8 @@ import pytest
 
 from planarcrit.estimators import (
     MomentEstimate,
+    _ball_counts,
+    _ball_grid,
     default_window,
     fit_scaling,
     intensity,
@@ -117,6 +119,68 @@ def test_fit_scaling_needs_enough_points():
     ]
     with pytest.raises(ValueError):
         fit_scaling(ests)
+
+
+def _ref_ball_counts(locations, kind_cols, centers, rho):
+    """Dense reference: every center against every point."""
+    counts = np.zeros((len(centers), 3), dtype=np.int64)
+    if len(locations) == 0:
+        return counts
+    d2 = (
+        (centers[:, 0, None] - locations[None, :, 0]) ** 2
+        + (centers[:, 1, None] - locations[None, :, 1]) ** 2
+    )
+    inside = d2 < rho * rho
+    for col in range(3):
+        counts[:, col] = (inside & (kind_cols == col)).sum(axis=1)
+    return counts
+
+
+def _hard_points(rng, window, grid, rho, n):
+    """Uniform points in and just around the window, plus points on ball
+    circles, on the grid lines between balls, at cell corners and in the
+    margin."""
+    (xmin, xmax), (ymin, ymax) = window
+    xs, ys = grid
+    cx = rng.choice(xs, n)
+    cy = rng.choice(ys, n)
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    quarter = 0.5 * np.pi * rng.integers(0, 4, n)
+    sets = [
+        np.column_stack([rng.uniform(xmin - rho, xmax + rho, n),
+                         rng.uniform(ymin - rho, ymax + rho, n)]),
+        np.column_stack([cx + rho * np.cos(angle), cy + rho * np.sin(angle)]),
+        np.column_stack([cx + rho * np.cos(quarter), cy + rho * np.sin(quarter)]),
+        np.column_stack([cx + rho, rng.uniform(ymin, ymax, n)]),
+        np.column_stack([rng.uniform(xmin, xmax, n), cy - rho]),
+        np.column_stack([cx + rho, cy + rho]),
+        np.column_stack([cx, cy]),
+        np.column_stack([rng.uniform(xmin, xmin + rho, n), rng.uniform(ymin, ymax, n)]),
+        np.column_stack([rng.uniform(xmin, xmax, n), rng.uniform(ymax - rho, ymax, n)]),
+    ]
+    return np.concatenate(sets)
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 0.3])
+def test_ball_counts_match_the_dense_reference(rho):
+    # the balls sit on a 2 rho grid, so each point is tested against its
+    # <= 4 nearest centers only; the counts must be the dense ones
+    rng = np.random.default_rng(int(rho * 1000))
+    for _ in range(6):
+        x0, y0 = rng.uniform(-30.0, 30.0, 2)
+        lx, ly = rng.uniform(4.0 * rho + 0.1, 40.0 * rho, 2)
+        window = ((x0, x0 + lx), (y0, y0 + ly))
+        grid = _ball_grid(window, rho)
+        centers = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 2)
+        points = _hard_points(rng, window, grid, rho, 200)
+        kinds = rng.integers(0, 3, len(points))
+        got = _ball_counts(points, kinds, grid, rho)
+        want = _ref_ball_counts(points, kinds, centers, rho)
+        assert got.dtype == np.int64 and got.shape == (len(centers), 3)
+        assert np.array_equal(got, want)
+        assert want.sum() > 100
+    empty = _ball_counts(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), grid, rho)
+    assert np.array_equal(empty, np.zeros((len(centers), 3), dtype=np.int64))
 
 
 def test_default_window_scales_with_oscillation_length():

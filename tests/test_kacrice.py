@@ -153,6 +153,29 @@ def test_degenerate_gradient_pair_raises_naming_r(model):
         _pair_conditional(model, 1e-11)
 
 
+@pytest.mark.parametrize("model", [*TRIANGLE_FAMILIES, PowerLawTruncated(100.0)], ids=repr)
+def test_batched_pair_laws_are_the_per_distance_laws_bit_for_bit(model):
+    # one batched assembly gives every distance the bytes of its own
+    # call, from just above the floor to lags past the 80-bit series'
+    # reach (|k^2 r^2 / 4| > 30 for some ring or wave number k at r = 40),
+    # where the double hyp0f1 takes over
+    floor = R_FLOOR_FRACTION * correlation_length(model)
+    rs = np.geomspace(floor * (1.0 + 1e-9), 40.0, 41)
+    conds, densities = _pair_conditional(model, rs)
+    assert conds.shape == (len(rs), 6, 6) and densities.shape == (len(rs),)
+    for r, cond, density in zip(rs, conds, densities):
+        one_cond, one_density = _pair_conditional(model, float(r))
+        assert cond.tobytes() == one_cond.tobytes(), r
+        assert float(density).hex() == one_density.hex(), r
+
+
+def test_batched_pair_law_names_the_first_degenerate_distance():
+    with pytest.raises(DegeneracyError, match=r"degenerate at r = 1e-11: "):
+        _pair_conditional(RW1, np.array([0.5, 1e-11, 0.3, 1e-12]))
+    with pytest.raises(ValueError, match="finite and positive, got 0.0"):
+        _pair_conditional(RW1, np.array([0.5, 0.0, 1e-11]))
+
+
 def test_conditional_gaussian_draws_transform_standard_normals():
     cov = np.array([[2.0, 0.3], [0.3, 1.0]])
     law = ConditionalGaussian(cov)

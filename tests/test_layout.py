@@ -2,9 +2,9 @@
 
 Each module is parsed, not imported, so the test sees the import
 statements themselves, including ones that only run inside a function.
-One subprocess check pins which costly scipy modules the CLI loads, and
-one check pins the names and argument shapes the benchmark's layer trace
-(perfbench/tracing.py) wraps.
+Subprocess checks pin which costly scipy modules the CLI loads, on import
+and through a small report, and one check pins the names and argument
+shapes the benchmark's layer trace (perfbench/tracing.py) wraps.
 """
 
 import ast
@@ -107,8 +107,10 @@ def test_every_exported_name_resolves(name):
 # has no ring rule, is evaluated only at lag 0, where its profile is
 # closed form.  The Kac-Rice engine's one Schur complement divides by
 # the four variances of a diagonal gradient block in longdouble, so
-# nothing needs scipy.linalg either.
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
+# nothing needs scipy.linalg either.  scipy.special (which loads numpy's
+# f2py through scipy's array-API shim, about 0.3 s of every fresh CLI
+# process) is imported only where a double-precision lag is nonzero.
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.special"])
 def test_cli_import_leaves_scipy_integrate_out(module):
     code = f"import sys, planarcrit.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
@@ -116,6 +118,27 @@ def test_cli_import_leaves_scipy_integrate_out(module):
         capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
     )
     assert out.stdout.strip() == "False"
+
+
+# The report's one-point laws sit at lag 0 and its pair laws are 80-bit
+# within the series' reach, so a small report loads no scipy at all.
+@pytest.mark.parametrize(
+    "flags", [("--model", "randomwave", "--k", "1"), ("--model", "powerlawtruncated", "--t", "2")]
+)
+def test_small_report_leaves_scipy_unloaded(flags):
+    argv = ["report", *flags, "--budget", "small", "--seed", "1", "--format", "csv"]
+    code = (
+        "import contextlib, io, sys\n"
+        "from planarcrit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
+    )
+    assert out.stdout.strip() == "0 False"
 
 
 def test_benchmark_trace_hooks_resolve_and_count(monkeypatch):

@@ -358,6 +358,51 @@ def test_extended_assembly_keeps_lags_one_double_apart():
     assert cov[0, 1] - cov[0, 2] == gap
 
 
+def _same_bits(a, b) -> bool:
+    """Equal values and equal signs of zero: the same encoding, padding aside."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.float64], ids=["longdouble", "double"])
+@pytest.mark.parametrize("model", [*ALL_MODELS, PowerLawTruncated(100.0)], ids=repr)
+def test_batched_covariance_is_the_per_point_covariance_bit_for_bit(model, dtype):
+    # points with a batch axis broadcast against single points; each
+    # batch element gets the bytes of its own call, lag 0 included
+    rng = np.random.default_rng(3)
+    batch = rng.uniform(-8.0, 8.0, (23, 2)).astype(dtype)
+    batch[5] = 0.0
+    single = np.array([0.4, -0.3], dtype=dtype)
+    alphas = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 1), (0, 4)]
+
+    def specs(p):
+        return [(p, a) for a in alphas[:4]] + [(single, a) for a in alphas[2:]]
+
+    cov = derivative_covariance(model, specs(batch))
+    assert cov.shape == (len(batch), 10, 10) and cov.dtype == dtype
+    for p, got in zip(batch, cov):
+        assert _same_bits(got, derivative_covariance(model, specs(p)))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [PowerLawTruncated(2.0), PowerLawTruncated(100.0),
+     Interpolation(0.35, RandomWave(1.0), PowerLawTruncated(2.0))],
+    ids=repr,
+)
+def test_ring_sums_of_a_batch_are_the_per_lag_sums(model):
+    # each lag's 64 ring terms must be reduced in the order of a lone
+    # lag's 1-D sum, whatever the shape of the lag array; another order
+    # moves the last bits of the 80-bit profile
+    lags = np.geomspace(1e-6, 60.0, 48).astype(np.longdouble) ** 2
+    for shape in [(48,), (6, 8)]:
+        x = lags.reshape(shape)
+        for j in range(5):
+            got = model.sigma_derivative(j, x)
+            want = np.array([model.sigma_derivative(j, xi) for xi in lags], dtype=np.longdouble)
+            assert _same_bits(got, want.reshape(shape)), (shape, j)
+
+
 def test_derivative_covariance_rejects_order_above_four():
     with pytest.raises(ValueError):
         derivative_covariance(RandomWave(1.0), [((0.0, 0.0), (3, 2))])

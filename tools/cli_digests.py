@@ -15,7 +15,10 @@ through ``planarcrit.cli.main``:
   pairs (at the distances in DISTANCES) and ball.  The smallest distance
   lies just above every family's floor, where the averaged Hessian
   entries have conditional variance of order r^4 and the 80-bit Schur
-  step decides the bits.
+  step decides the bits;
+* with two worker processes (``--threads 2``): ``kacrice`` ball for each
+  ``triangle`` family and one ``report --budget small``, so the task
+  tuples the pool pickles are compared too.
 
 A call's digest is the sha256 of its stdout, kept with its exit code, so
 a call that must fail is compared too.  The script prints one line per
@@ -72,6 +75,7 @@ def matrix(tmp: str):
                     argv[1:1] = ["--config", path]
                 yield f"{wname} seed {seed} op {i}", argv
     seeded = ["--seed", "7", "--threads", "1"]
+    pooled = ["--seed", "7", "--threads", "2"]
     for m, model in enumerate((*workloads.TRIANGLE_MODELS, UNTRUNCATED)):
         label = ",".join(f"{k}={v}" for k, v in model.items())
         flags = _model_argv(model, tmp, f"model{m}")
@@ -91,6 +95,12 @@ def matrix(tmp: str):
             "kacrice ball": ["kacrice", *flags, *seeded, "--what", "ball", "--rho-list", "0.3",
                              "--nsamples", "2000"],
         }
+        if model is not UNTRUNCATED:
+            calls["kacrice ball threads 2"] = ["kacrice", *flags, *pooled, "--what", "ball",
+                                               "--rho-list", "0.3", "--nsamples", "2000"]
+        if m == 0:
+            calls["report threads 2"] = ["report", *flags, *pooled, "--budget", "small",
+                                         "--format", "csv"]
         for call, argv in calls.items():
             yield f"{call} [{label}]", argv
 
