@@ -10,12 +10,23 @@ Seven subcommands tie the library into reproducible experiments:
     scaling    small-distance exponent fits of the 2-point function
     report     reduced verification pipeline with a pass/fail table
 
+Two tables drive the parser and the merge of parameters.  PARAMS
+declares each parameter once: its type, default and help.  Its name is
+both the flag without "--" and the config-file key.  COMMANDS gives each
+subcommand its handler, help, parameter names, default overrides and
+default format.  Parameters may come from a flat key = value config file
+(--config): a flag beats the config file, which beats the default.  The
+model flags --model, --k, --tau, --s and --t are the config keys
+model.family, model.k, and so on; --config, --format and --output are
+flag-only.  A config key that is neither model.* nor a parameter of some
+subcommand is an error, so one file can serve several subcommands but a
+misspelt key is caught.
+
 Every stochastic subcommand requires an explicit --seed; nothing falls
-back to wall-clock entropy.  Parameters may come from a flat key=value
-config file (--config), with command-line flags taking precedence.
-Results are written as CSV or JSON; CSV floats carry 17 significant
-digits so round-trips are lossless, and output is byte-identical for a
-given (config, seed) regardless of --threads.
+back to wall-clock entropy.  Results are written as CSV or JSON; CSV
+floats carry 17 significant digits so round-trips are lossless, and
+output is byte-identical for a given (config, seed) regardless of
+--threads.
 
 Exit codes: 0 success, 1 invalid arguments or config, 2 numerical
 degeneracy or failure reported by the computation itself.
@@ -38,6 +49,7 @@ from .finder import DegenerateHessianError, find_critical_points
 from .models import (
     CovarianceModel,
     MomentDivergenceError,
+    _require_finite_positive,
     model_from_config,
     model_to_config,
     sigma_derivatives,
@@ -48,6 +60,47 @@ __all__ = ["main", "build_parser"]
 
 # Relative output paths are resolved against this directory when set.
 OUTPUT_DIR_ENV = "PLANARCRIT_OUTPUT_DIR"
+
+# name: (type, default, help).  A type is int, float, str, bool (the flag
+# has a --no- form), list (floats; a config value separates them by commas
+# or spaces) or a tuple of the allowed strings.
+PARAMS = {
+    "threads": (int, 1, "worker processes"),
+    "seed": (int, None, "master seed (required)"),
+    "rho": (float, 0.1, "ball radius for the asymptotic pair moments"),
+    "size": (int, 1024, "number of frequency terms"),
+    "gaussian-amplitudes": (bool, False, "exactly Gaussian amplitude variant"),
+    "window-size": (float, None, "square window side (default from model)"),
+    "grid-step": (float, None, "finder grid step h (default from model); the gradient sign "
+                               "test runs on cells of h / 8 (a step above the default can "
+                               "lose roots)"),
+    "nreal": (int, 100, "number of realizations"),
+    "kind": (str, "c", "point type for the intensity or one-point (c, e, s, min, max)"),
+    "pair": (str, "cc", "pair type (cc, ee, ss, es)"),
+    "rho-list": (list, None, "ball radii for pair moments"),
+    "what": (("one-point", "two-point", "ball"), "one-point", "which correlation function"),
+    "r": (list, None, "mutual distances for two-point"),
+    "nsamples": (int, 10**6, "Monte-Carlo draws (per node for ball, per distance for scaling)"),
+    "r-min": (float, 0.005, "smallest distance of the log grid"),
+    "r-max": (float, 0.05, "largest distance of the log grid"),
+    "points": (int, 6, "log-grid size"),
+    "with-log": (bool, False, "include a log-factor regressor in the fit"),
+    "budget": (("small", "full"), "small", "Monte-Carlo budget of the checks"),
+}
+
+# Every subcommand takes these; in a config file they are model.family and
+# model.<name>.
+MODEL_FLAGS = {
+    "model": (str, "model family name"),
+    "k": (float, "wave number / profile rate"),
+    "tau": (float, "shift weight (shiftedrandomwave)"),
+    "s": (float, "wave weight (shiftedrandomwave)"),
+    "t": (float, "spectral truncation (powerlawtruncated)"),
+}
+
+# Config-file spellings of a bool, in any case.
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,71 +172,65 @@ def _load_config(path) -> dict:
     return cfg
 
 
-# Config-file spellings of a bool, in any case.
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
-def _param(args, cfg: dict, name: str, cast, default=None):
-    """Merged parameter: CLI flag beats config file beats default."""
-    cli = getattr(args, name.replace("-", "_"), None)
-    if cli is not None:
-        return cli
-    if name in cfg:
-        raw = cfg[name]
-        if cast is bool:
-            key = raw.strip().lower()
-            if key not in _BOOLS:
-                raise ValueError(f"{name} = {raw!r} is not a bool; use one of {', '.join(_BOOLS)}")
-            return _BOOLS[key]
-        return cast(raw)
-    return default
-
-
-def _check_threads(args, cfg) -> None:
-    """Every subcommand takes --threads; below 1 is an error, not a serial run."""
-    threads = _param(args, cfg, "threads", int, 1)
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-
-
-def _require_seed(args, cfg) -> int:
-    seed = _param(args, cfg, "seed", int)
-    if seed is None:
-        raise ValueError("--seed is required (no wall-clock default)")
-    return seed
+def _from_config(name: str, kind, raw: str):
+    """A config-file value as its parameter's type."""
+    if kind is bool:
+        if raw.lower() not in _BOOLS:
+            raise ValueError(f"{name} = {raw!r} is not a bool; use one of {', '.join(_BOOLS)}")
+        return _BOOLS[raw.lower()]
+    if kind is list:
+        return [float(v) for v in raw.replace(",", " ").split()]
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ValueError(f"{name} = {raw!r}; expected one of {', '.join(kind)}")
+        return raw
+    return kind(raw)
 
 
 def _model_from(args, cfg: dict) -> CovarianceModel:
-    """Model spec from config-file keys `model.*` overlaid by CLI flags."""
+    """Model spec from config-file keys `model.*` overlaid by the model flags."""
     entries = {k[len("model."):]: v for k, v in cfg.items() if k.startswith("model.")}
-    if getattr(args, "model", None) is not None:
-        entries["family"] = args.model
-    for flag in ("k", "tau", "s", "t"):
-        val = getattr(args, flag, None)
+    for flag in MODEL_FLAGS:
+        val = getattr(args, flag)
         if val is not None:
-            entries[flag] = val
+            entries["family" if flag == "model" else flag] = val
     if "family" not in entries:
         raise ValueError("no model given: pass --model or set model.family in the config")
     return model_from_config(entries)
 
 
-def _window(args, cfg, model) -> tuple:
-    size = _param(args, cfg, "window-size", float)
-    if size is None:
-        return estimators.default_window(model)
-    if not size > 0:
-        raise ValueError(f"window size must be positive, got {size}")
-    return ((0.0, size), (0.0, size))
+def _merge(args, cfg: dict) -> argparse.Namespace:
+    """The subcommand's parameters: a flag beats the config beats the default.
+
+    The namespace holds each parameter of the subcommand (with "_" for
+    "-"), the model, and --format and --output.
+    """
+    for key in cfg:
+        if not key.startswith("model.") and key not in PARAMS:
+            raise ValueError(f"unknown config key {key!r}: no subcommand takes it")
+    _, _, names, overrides, _ = COMMANDS[args.command]
+    merged = argparse.Namespace(format=args.format, output=args.output)
+    for name in names:
+        kind, default, _ = PARAMS[name]
+        dest = name.replace("-", "_")
+        value = getattr(args, dest)
+        if value is None and name in cfg:
+            value = _from_config(name, kind, cfg[name])
+        setattr(merged, dest, overrides.get(name, default) if value is None else value)
+    # Below 1 is an error, not a serial run.
+    if merged.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {merged.threads}")
+    if "seed" in names and merged.seed is None:
+        raise ValueError("--seed is required (no wall-clock default)")
+    merged.model = _model_from(args, cfg)
+    return merged
 
 
-def _float_list(args, cfg, name: str):
-    cli = getattr(args, name.replace("-", "_"), None)
-    if cli is not None:
-        return [float(v) for v in cli]
-    if name in cfg:
-        return [float(v) for v in cfg[name].replace(",", " ").split()]
-    return None
+def _window(args) -> tuple:
+    if args.window_size is None:
+        return estimators.default_window(args.model)
+    _require_finite_positive("window size", args.window_size)
+    return ((0.0, args.window_size), (0.0, args.window_size))
 
 
 def _estimate_row(est) -> dict:
@@ -201,22 +248,18 @@ def _estimate_row(est) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_theory(args, cfg):
-    model = _model_from(args, cfg)
-    rho = _param(args, cfg, "rho", float, 0.1)
-    flat = theory.theory_report(model, rho=rho)
+def _cmd_theory(args):
+    flat = theory.theory_report(args.model, rho=args.rho)
     if args.format == "csv":
         rows = [{"quantity": k, "value": v} for k, v in flat.items()]
         return _render_csv(rows)
-    return json.dumps({"meta": model_to_config(model), **flat}, indent=2, sort_keys=True) + "\n"
+    doc = {"meta": model_to_config(args.model), **flat}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_sample(args, cfg):
-    model = _model_from(args, cfg)
-    seed = _require_seed(args, cfg)
-    size = _param(args, cfg, "size", int, 1024)
-    gaussian = bool(_param(args, cfg, "gaussian-amplitudes", bool, False))
-    field = sample_field(model, M=size, seed=seed, gaussian_amplitudes=gaussian)
+def _cmd_sample(args):
+    gaussian = args.gaussian_amplitudes
+    field = sample_field(args.model, M=args.size, seed=args.seed, gaussian_amplitudes=gaussian)
     rows = [
         {
             "lambda1": float(field.frequencies[i, 0]),
@@ -227,23 +270,18 @@ def _cmd_sample(args, cfg):
         }
         for i in range(field.nterms)
     ]
-    meta = {**model_to_config(model), "seed": seed, "gaussian_amplitudes": gaussian}
+    meta = {**model_to_config(args.model), "seed": args.seed, "gaussian_amplitudes": gaussian}
     return _render(args, meta, rows)
 
 
-def _cmd_find(args, cfg):
-    model = _model_from(args, cfg)
-    seed = _require_seed(args, cfg)
-    size = _param(args, cfg, "size", int, 1024)
-    gaussian = bool(_param(args, cfg, "gaussian-amplitudes", bool, False))
-    window = _window(args, cfg, model)
-    field = sample_field(model, M=size, seed=seed, gaussian_amplitudes=gaussian)
+def _cmd_find(args):
+    window = _window(args)
+    field = sample_field(args.model, M=args.size, seed=args.seed,
+                         gaussian_amplitudes=args.gaussian_amplitudes)
     # Only JSON output shows the finder's counters (meta["finder"]); asking
     # for them also runs the index defect, so CSV output does not.
     counters = {} if args.format == "json" else None
-    points = find_critical_points(
-        field, window, _param(args, cfg, "grid-step", float), diagnostics=counters
-    )
+    points = find_critical_points(field, window, args.grid_step, diagnostics=counters)
     rows = [
         {
             "x": pt.location[0],
@@ -257,89 +295,67 @@ def _cmd_find(args, cfg):
         for pt in points
     ]
     meta = {
-        **model_to_config(model),
-        "seed": seed,
+        **model_to_config(args.model),
+        "seed": args.seed,
         "window": list(map(list, window)),
         "finder": counters,
     }
     return _render(args, meta, rows)
 
 
-def _cmd_estimate(args, cfg):
-    model = _model_from(args, cfg)
-    seed = _require_seed(args, cfg)
-    threads = _param(args, cfg, "threads", int, 1)
-    nreal = _param(args, cfg, "nreal", int, 100)
-    size = _param(args, cfg, "size", int, 1024)
-    kind = _param(args, cfg, "kind", str, "c")
-    theory.normalize_kind(kind)  # reject a bad tag before the sweep
-    pair = theory.normalize_pair(_param(args, cfg, "pair", str, "cc"))
-    window = _window(args, cfg, model)
-    rho_list = _float_list(args, cfg, "rho-list") or []
-    sw = estimators.sweep(model, nreal, seed, rho_list, window=window, M=size, threads=threads)
-    rows = [_estimate_row(estimators.intensity(sw, kind))]
+def _cmd_estimate(args):
+    theory.normalize_kind(args.kind)  # reject a bad tag before the sweep
+    pair = theory.normalize_pair(args.pair)
+    rho_list = args.rho_list or []
+    sw = estimators.sweep(args.model, args.nreal, args.seed, rho_list, window=_window(args),
+                          M=args.size, threads=args.threads)
+    rows = [_estimate_row(estimators.intensity(sw, args.kind))]
     rows += [_estimate_row(estimators.second_factorial(sw, rho, pair)) for rho in rho_list]
     rows += [_estimate_row(estimators.repulsion_ratio(sw, rho)) for rho in rho_list]
-    meta = {**model_to_config(model), "seed": seed, "nreal": nreal, "kind": kind}
+    meta = {**model_to_config(args.model), "seed": args.seed, "nreal": args.nreal,
+            "kind": args.kind}
     return _render(args, meta, rows)
 
 
-def _cmd_kacrice(args, cfg):
-    model = _model_from(args, cfg)
-    seed = _require_seed(args, cfg)
-    what = _param(args, cfg, "what", str, "one-point")
-    nsamples = _param(args, cfg, "nsamples", int, 10**6)
-    pair = tuple(theory.normalize_pair(_param(args, cfg, "pair", str, "cc")))
-    threads = _param(args, cfg, "threads", int, 1)
-    rows = []
-    if what == "one-point":
-        kind = _param(args, cfg, "kind", str, "c")
-        est = kacrice.one_point_intensity_mc(model, nsamples=nsamples, seed=seed, kind=kind)
-        rows.append(_estimate_row(est))
-    elif what == "two-point":
-        r_list = _float_list(args, cfg, "r")
-        if not r_list:
+def _cmd_kacrice(args):
+    model, seed, nsamples = args.model, args.seed, args.nsamples
+    pair = tuple(theory.normalize_pair(args.pair))
+    if args.what == "one-point":
+        ests = [kacrice.one_point_intensity_mc(model, nsamples=nsamples, seed=seed, kind=args.kind)]
+    elif args.what == "two-point":
+        if not args.r:
             raise ValueError("two-point needs --r with at least one distance")
-        for i, r in enumerate(r_list):
-            est = kacrice.two_point_correlation(
-                model, r, pair=pair, nsamples=nsamples, seed=(seed, i)
-            )
-            rows.append(_estimate_row(est))
-    elif what == "ball":
-        rho_list = _float_list(args, cfg, "rho-list")
-        if not rho_list:
-            raise ValueError("ball needs --rho-list with at least one radius")
-        for i, rho in enumerate(rho_list):
-            est = kacrice.second_factorial_by_quadrature(
-                model, rho, pair=pair, nsamples_per_node=nsamples,
-                seed=(seed, i), threads=threads,
-            )
-            rows.append(_estimate_row(est))
+        ests = [
+            kacrice.two_point_correlation(model, r, pair=pair, nsamples=nsamples, seed=(seed, i))
+            for i, r in enumerate(args.r)
+        ]
     else:
-        raise ValueError(f"unknown kacrice mode {what!r}; expected one-point, two-point or ball")
-    meta = {**model_to_config(model), "seed": seed, "what": what, "nsamples": nsamples}
-    return _render(args, meta, rows)
+        if not args.rho_list:
+            raise ValueError("ball needs --rho-list with at least one radius")
+        ests = [
+            kacrice.second_factorial_by_quadrature(
+                model, rho, pair=pair, nsamples_per_node=nsamples,
+                seed=(seed, i), threads=args.threads,
+            )
+            for i, rho in enumerate(args.rho_list)
+        ]
+    meta = {**model_to_config(model), "seed": seed, "what": args.what, "nsamples": nsamples}
+    return _render(args, meta, [_estimate_row(est) for est in ests])
 
 
-def _cmd_scaling(args, cfg):
-    model = _model_from(args, cfg)
-    seed = _require_seed(args, cfg)
-    pair = tuple(theory.normalize_pair(_param(args, cfg, "pair", str, "ee")))
-    r_min = _param(args, cfg, "r-min", float, 0.005)
-    r_max = _param(args, cfg, "r-max", float, 0.05)
-    npoints = _param(args, cfg, "points", int, 6)
-    nsamples = _param(args, cfg, "nsamples", int, 10**6)
-    with_log = bool(_param(args, cfg, "with-log", bool, False))
-    if not 0 < r_min < r_max:
-        raise ValueError(f"need 0 < r-min < r-max, got ({r_min}, {r_max})")
-    if npoints < 4:
-        raise ValueError(f"a scaling fit needs at least 4 points, got {npoints}")
-    grid = np.geomspace(r_min, r_max, npoints)
+def _cmd_scaling(args):
+    pair = tuple(theory.normalize_pair(args.pair))
+    if not 0 < args.r_min < args.r_max:
+        raise ValueError(f"need 0 < r-min < r-max, got ({args.r_min}, {args.r_max})")
+    if args.points < 4:
+        raise ValueError(f"a scaling fit needs at least 4 points, got {args.points}")
+    grid = np.geomspace(args.r_min, args.r_max, args.points)
     estimates = [
-        kacrice.two_point_correlation(model, float(r), pair=pair, nsamples=nsamples, seed=(seed, i))
+        kacrice.two_point_correlation(args.model, float(r), pair=pair, nsamples=args.nsamples,
+                                      seed=(args.seed, i))
         for i, r in enumerate(grid)
     ]
-    fit = estimators.fit_scaling(estimates, with_log=with_log)
+    fit = estimators.fit_scaling(estimates, with_log=args.with_log)
     rows = [_estimate_row(est) for est in estimates]
     rows.append(
         {
@@ -347,12 +363,12 @@ def _cmd_scaling(args, cfg):
             "rho": math.nan,
             "value": fit.exponent,
             "std_error": fit.exponent_se,
-            "nsamples": npoints,
+            "nsamples": args.points,
         }
     )
     meta = {
-        **model_to_config(model),
-        "seed": seed,
+        **model_to_config(args.model),
+        "seed": args.seed,
         "exponent": fit.exponent,
         "exponent_se": fit.exponent_se,
         "log_coefficient_detected": fit.log_coefficient_detected,
@@ -417,15 +433,10 @@ def _report_checks(model, seed: int, budget: str, threads: int):
     yield ("poisson_control", 1.0, ctrl.value, ctrl.std_error, 4 * ctrl.std_error)
 
 
-def _cmd_report(args, cfg):
-    model = _model_from(args, cfg)
-    seed = _require_seed(args, cfg)
-    budget = _param(args, cfg, "budget", str, "small")
-    threads = _param(args, cfg, "threads", int, 1)
-    if budget not in ("small", "full"):
-        raise ValueError(f"budget must be 'small' or 'full', got {budget!r}")
+def _cmd_report(args):
     rows = []
-    for name, ref, est, se, tol in _report_checks(model, seed, budget, threads):
+    for name, ref, est, se, tol in _report_checks(args.model, args.seed, args.budget,
+                                                  args.threads):
         status = "PASS" if abs(est - ref) <= tol else "FAIL"
         rows.append(
             {
@@ -440,7 +451,7 @@ def _cmd_report(args, cfg):
     if args.format is not None or args.output is not None:
         if args.format is None:
             args.format = "csv"
-        meta = {**model_to_config(model), "seed": seed, "budget": budget}
+        meta = {**model_to_config(args.model), "seed": args.seed, "budget": args.budget}
         return _render(args, meta, rows)
     lines = [f"{'check':24s} {'theory':>14s} {'estimate':>14s} {'tolerance':>12s}  status"]
     for row in rows:
@@ -455,93 +466,58 @@ def _cmd_report(args, cfg):
 # Parser
 # ---------------------------------------------------------------------------
 
-
-def _add_common(sub, seeded: bool = True, default_format: str | None = "csv"):
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--model", help="model family name")
-    sub.add_argument("--k", type=float, help="wave number / profile rate")
-    sub.add_argument("--tau", type=float, help="shift weight (shiftedrandomwave)")
-    sub.add_argument("--s", type=float, help="wave weight (shiftedrandomwave)")
-    sub.add_argument("--t", type=float, help="spectral truncation (powerlawtruncated)")
-    sub.add_argument("--format", choices=("csv", "json"), default=default_format)
-    sub.add_argument("--output", "-o", help=f"output path (relative paths honor ${OUTPUT_DIR_ENV})")
-    sub.add_argument("--threads", type=int, help="worker processes (default 1)")
-    if seeded:
-        sub.add_argument("--seed", type=int, help="master seed (required)")
+# name: (handler, help, parameter names, default overrides, default --format)
+COMMANDS = {
+    "theory": (_cmd_theory, "closed-form statistics of a model", ("threads", "rho"), {}, "json"),
+    "sample": (_cmd_sample, "draw a spectral field realization",
+               ("threads", "seed", "size", "gaussian-amplitudes"), {}, "csv"),
+    "find": (_cmd_find, "critical points of one realization",
+             ("threads", "seed", "size", "gaussian-amplitudes", "window-size", "grid-step"),
+             {}, "csv"),
+    "estimate": (_cmd_estimate, "empirical statistics over realizations",
+                 ("threads", "seed", "nreal", "size", "kind", "pair", "rho-list", "window-size"),
+                 {}, "csv"),
+    "kacrice": (_cmd_kacrice, "conditional Monte-Carlo correlation functions",
+                ("threads", "seed", "what", "kind", "pair", "r", "rho-list", "nsamples"),
+                {}, "csv"),
+    "scaling": (_cmd_scaling, "small-distance exponent fit of the 2-point function",
+                ("threads", "seed", "pair", "r-min", "r-max", "points", "nsamples", "with-log"),
+                {"pair": "ee"}, "csv"),
+    "report": (_cmd_report, "verification table for one model",
+               ("threads", "seed", "budget"), {}, None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand from the tables; each argparse default of a parameter
+    is None, so that the merge can tell an absent flag from a given one."""
     parser = _Parser(prog="planarcrit", description=__doc__.split("\n", 1)[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("theory", help="closed-form statistics of a model")
-    _add_common(p, seeded=False, default_format="json")
-    p.add_argument("--rho", type=float, help="ball radius for the asymptotic pair moments")
-    p.set_defaults(func=_cmd_theory)
-
-    p = subs.add_parser("sample", help="draw a spectral field realization")
-    _add_common(p)
-    p.add_argument("--size", type=int, help="number of frequency terms (default 1024)")
-    p.add_argument("--gaussian-amplitudes", action=argparse.BooleanOptionalAction,
-                   help="exactly Gaussian amplitude variant")
-    p.set_defaults(func=_cmd_sample)
-
-    p = subs.add_parser("find", help="critical points of one realization")
-    _add_common(p)
-    p.add_argument("--size", type=int, help="number of frequency terms (default 1024)")
-    p.add_argument("--gaussian-amplitudes", action=argparse.BooleanOptionalAction)
-    p.add_argument("--window-size", type=float, help="square window side (default from model)")
-    p.add_argument("--grid-step", type=float,
-                   help="finder grid step h; the gradient sign test runs on cells of h / 8 "
-                        "(a step above the default can lose roots)")
-    p.set_defaults(func=_cmd_find)
-
-    p = subs.add_parser("estimate", help="empirical statistics over realizations")
-    _add_common(p)
-    p.add_argument("--nreal", type=int, help="number of realizations (default 100)")
-    p.add_argument("--size", type=int)
-    p.add_argument("--kind", help="point type for the intensity (c, e, s, min, max)")
-    p.add_argument("--pair", help="pair type for ball moments (cc, ee, ss, es)")
-    p.add_argument("--rho-list", nargs="+", type=float, help="ball radii for pair moments")
-    p.add_argument("--window-size", type=float)
-    p.set_defaults(func=_cmd_estimate)
-
-    p = subs.add_parser("kacrice", help="conditional Monte-Carlo correlation functions")
-    _add_common(p)
-    p.add_argument("--what", choices=("one-point", "two-point", "ball"))
-    p.add_argument("--kind", help="point type for one-point (c, e, s, min, max)")
-    p.add_argument("--pair", help="pair type (cc, ee, ss, es)")
-    p.add_argument("--r", nargs="+", type=float, help="mutual distances for two-point")
-    p.add_argument("--rho-list", nargs="+", type=float, help="ball radii for ball moments")
-    p.add_argument("--nsamples", type=int, help="Monte-Carlo draws (per node for ball)")
-    p.set_defaults(func=_cmd_kacrice)
-
-    p = subs.add_parser("scaling", help="small-distance exponent fit of the 2-point function")
-    _add_common(p)
-    p.add_argument("--pair", help="pair type (default ee)")
-    p.add_argument("--r-min", type=float)
-    p.add_argument("--r-max", type=float)
-    p.add_argument("--points", type=int, help="log-grid size (default 6)")
-    p.add_argument("--nsamples", type=int, help="draws per grid point (default 1e6)")
-    p.add_argument("--with-log", action=argparse.BooleanOptionalAction,
-                   help="include a log-factor regressor in the fit")
-    p.set_defaults(func=_cmd_scaling)
-
-    p = subs.add_parser("report", help="verification table for one model")
-    _add_common(p, default_format=None)
-    p.add_argument("--budget", choices=("small", "full"))
-    p.set_defaults(func=_cmd_report)
-
+    for command, (_, help_text, names, overrides, fmt) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="flat key = value config file")
+        for name, (kind, text) in MODEL_FLAGS.items():
+            sub.add_argument(f"--{name}", type=kind, help=text)
+        sub.add_argument("--format", choices=("csv", "json"), default=fmt)
+        sub.add_argument("--output", "-o",
+                         help=f"output path (relative paths honor ${OUTPUT_DIR_ENV})")
+        for name in names:
+            kind, default, text = PARAMS[name]
+            default = overrides.get(name, default)
+            if default is not None:
+                text = f"{text} (default {default})"
+            how = ({"action": argparse.BooleanOptionalAction} if kind is bool
+                   else {"nargs": "+", "type": float} if kind is list
+                   else {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            sub.add_argument(f"--{name}", help=text, **how)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        _check_threads(args, cfg)
-        _write_output(args, args.func(args, cfg))
+        merged = _merge(args, _load_config(args.config))
+        _write_output(merged, COMMANDS[args.command][0](merged))
     except (kacrice.DegeneracyError, MomentDivergenceError, DegenerateHessianError) as err:
         print(f"planarcrit: degeneracy: {err}", file=sys.stderr)
         return 2

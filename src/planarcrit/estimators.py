@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 
+class NonpositiveEstimateError(ArithmeticError):
+    """A power-law fit met an estimate at or below zero (no logarithm)."""
+
+
 @dataclass(frozen=True)
 class ScalingFit:
     """Power-law fit value ~ rho^exponent (optionally times |log rho|)."""
@@ -302,12 +306,15 @@ def fit_scaling(estimates, with_log: bool = False) -> ScalingFit:
     method variances of log(value); exact inputs (zero SE) fall back to
     an unweighted fit.  log_coefficient_detected reports whether the
     |log rho| regressor came out positive by more than two of its SEs.
+    Fewer than 4 distinct rho raise ValueError; an estimate at or below
+    zero (a Monte-Carlo run that saw no pair) raises
+    NonpositiveEstimateError, an ArithmeticError.
     """
     ests = sorted(estimates, key=lambda e: e.rho)
     if len({e.rho for e in ests}) < 4:
         raise ValueError("need at least 4 distinct rho values to fit a scaling law")
     if any(e.value <= 0 for e in ests):
-        raise ValueError("all estimates must be positive for a log-log fit")
+        raise NonpositiveEstimateError("all estimates must be positive for a log-log fit")
     rho = np.array([e.rho for e in ests])
     val = np.array([e.value for e in ests])
     se = np.array([e.std_error for e in ests])

@@ -386,3 +386,98 @@ def test_untruncated_power_law_report_passes(capsys):
     assert [r["check"] for r in rows] == ["intensity_all", "intensity_e", "intensity_s",
                                           "poisson_control"]
     assert all(r["status"] == "PASS" for r in rows)
+
+
+def test_scaling_zero_estimate_is_a_numerical_failure(capsys):
+    # At 2e4 draws per distance, an ee estimate at r = 0.005 (a rare event)
+    # comes out exactly 0 for this seed; the log-log fit cannot take it.
+    code, out, err = run(capsys, "scaling", "--model", "randomwave", "--k", "1",
+                         "--r-min", "0.005", "--r-max", "0.05", "--points", "4",
+                         "--nsamples", "20000", "--seed", "3")
+    assert code == 2 and out == ""
+    assert err == ("planarcrit: numerical failure: "
+                   "all estimates must be positive for a log-log fit\n")
+
+
+@pytest.mark.parametrize("size", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("command", ["find", "estimate"])
+def test_window_size_must_be_finite_and_positive(capsys, command, size):
+    code, out, err = run(capsys, command, "--model", "randomwave", "--k", "1", "--seed", "3",
+                         "--window-size", size)
+    assert code == 1 and out == ""
+    assert "window size must be finite and positive" in err
+
+
+@pytest.mark.parametrize("line, key", [("nrael = 5", "nrael"), ("format = json", "format"),
+                                       ("k = 2", "k"), ("output = x.csv", "output")])
+def test_unknown_config_key_exits_1_naming_it(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model.family = randomwave\nmodel.k = 1\n{line}\n")
+    code, out, err = run(capsys, "theory", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert f"unknown config key {key!r}" in err
+
+
+def test_config_keys_of_other_subcommands_are_allowed(tmp_path, capsys):
+    # One file can serve several subcommands; theory takes none of these.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.family = randomwave\nmodel.k = 1\n"
+                   "nreal = 5\nbudget = full\nrho-list = 0.5, 1.0\nwith-log = yes\n")
+    code, out, err = run(capsys, "theory", "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "theory", "--model", "randomwave", "--k", "1")[1]
+
+
+_COMMON = [["--config"], ["--model"], ["--k"], ["--tau"], ["--s"], ["--t"], ["--format"],
+           ["--output", "-o"], ["--threads"]]
+_SURFACE = {
+    "theory": [*_COMMON, ["--rho"]],
+    "sample": [*_COMMON, ["--seed"], ["--size"],
+               ["--gaussian-amplitudes", "--no-gaussian-amplitudes"]],
+    "find": [*_COMMON, ["--seed"], ["--size"],
+             ["--gaussian-amplitudes", "--no-gaussian-amplitudes"], ["--window-size"],
+             ["--grid-step"]],
+    "estimate": [*_COMMON, ["--seed"], ["--nreal"], ["--size"], ["--kind"], ["--pair"],
+                 ["--rho-list"], ["--window-size"]],
+    "kacrice": [*_COMMON, ["--seed"], ["--what"], ["--kind"], ["--pair"], ["--r"],
+                ["--rho-list"], ["--nsamples"]],
+    "scaling": [*_COMMON, ["--seed"], ["--pair"], ["--r-min"], ["--r-max"], ["--points"],
+                ["--nsamples"], ["--with-log", "--no-with-log"]],
+    "report": [*_COMMON, ["--seed"], ["--budget"]],
+}
+_CHOICES = {"kacrice": {"--what": ("one-point", "two-point", "ball")},
+            "report": {"--budget": ("small", "full")}}
+_FORMATS = {"theory": "json", "report": None}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_parser_surface_is_pinned():
+    subs = _subparsers()
+    assert list(subs) == list(_SURFACE)
+    for command, sub in subs.items():
+        actions = [a for a in sub._actions if a.option_strings != ["-h", "--help"]]
+        assert [a.option_strings for a in actions] == _SURFACE[command], command
+        choices = {a.option_strings[0]: tuple(a.choices) for a in actions if a.choices}
+        assert choices == {"--format": ("csv", "json"), **_CHOICES.get(command, {})}, command
+        # A parameter's argparse default stays None, so that a config can fill it.
+        defaults = {a.option_strings[0]: a.default for a in actions}
+        assert defaults == {**dict.fromkeys(defaults),
+                            "--format": _FORMATS.get(command, "csv")}, command
+
+
+def test_help_names_every_applied_default(capsys):
+    for command, sub in _subparsers().items():
+        argv = [command, "--model", "randomwave", "--k", "1"]
+        if command != "theory":
+            argv += ["--seed", "1"]
+        merged = vars(cli._merge(cli.build_parser().parse_args(argv), {}))
+        helps = {a.dest: a.help for a in sub._actions}
+        for dest, value in merged.items():
+            if dest not in ("model", "format", "output", "seed") and value is not None:
+                assert f"(default {value})" in helps[dest], (command, dest, value)
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and out.startswith(f"usage: planarcrit {command}")

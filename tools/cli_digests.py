@@ -18,7 +18,12 @@ through ``planarcrit.cli.main``:
   step decides the bits;
 * with two worker processes (``--threads 2``): ``kacrice`` ball for each
   ``triangle`` family and one ``report --budget small``, so the task
-  tuples the pool pickles are compared too.
+  tuples the pool pickles are compared too;
+* for RandomWave(1), calls whose parameters come from a ``--config``
+  file (CONFIG_CALLS): ``estimate``, ``sample`` (once with the flag
+  ``--no-gaussian-amplitudes`` over the config's bool), ``scaling`` and
+  ``kacrice`` ball, so config bools, comma-separated lists and choices
+  go through the merge of flags, config and defaults.
 
 A call's digest is the sha256 of its stdout, kept with its exit code, so
 a call that must fail is compared too.  The script prints one line per
@@ -44,6 +49,18 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = (101, 102, 103)
 DISTANCES = ("0.001", "0.01", "0.3", "3", "40")
 UNTRUNCATED = {"family": "powerlawtruncated", "t": "inf"}
+CONFIG_MODEL = "model.family = randomwave\nmodel.k = 1\n"
+# name: (argv before the config, config body after CONFIG_MODEL)
+CONFIG_CALLS = {
+    "estimate": (["estimate"],
+                 "nreal = 3\nsize = 256\nwindow-size = 8\nkind = e\nrho-list = 0.5, 1.0\n"),
+    "sample": (["sample"], "size = 16\ngaussian-amplitudes = on\n"),
+    "sample --no-gaussian-amplitudes": (["sample", "--no-gaussian-amplitudes"],
+                                        "size = 16\ngaussian-amplitudes = on\n"),
+    "scaling": (["scaling"], "with-log = yes\npair = ss\npoints = 4\nr-min = 0.05\n"
+                             "r-max = 0.4\nnsamples = 20000\n"),
+    "kacrice ball": (["kacrice"], "what = ball\nrho-list = 0.3\nthreads = 2\nnsamples = 2000\n"),
+}
 
 
 def _model_argv(model: dict, tmp: str, name: str) -> list[str]:
@@ -103,6 +120,11 @@ def matrix(tmp: str):
                                          "--format", "csv"]
         for call, argv in calls.items():
             yield f"{call} [{label}]", argv
+    for c, (call, (argv, body)) in enumerate(CONFIG_CALLS.items()):
+        path = os.path.join(tmp, f"config{c}.cfg")
+        with open(path, "w") as fh:
+            fh.write(CONFIG_MODEL + body)
+        yield f"{call} [config]", [*argv, "--config", path, "--seed", "7"]
 
 
 def run_tree() -> None:
