@@ -7,123 +7,24 @@ and an exact-conditioning numeric Kac-Rice engine for 1- and 2-point
 correlation functions of critical points by type.
 """
 
-from .estimators import (
-    ScalingFit,
-    Sweep,
-    default_window,
-    fit_scaling,
-    intensity,
-    poisson_control_ratio,
-    repulsion_ratio,
-    second_factorial,
-    sweep,
-)
-from .finder import (
-    CriticalKind,
-    CriticalPoint,
-    DegenerateHessianError,
-    default_grid_step,
-    find_critical_points,
-)
-from .kacrice import (
-    ConditionalGaussian,
-    DegeneracyError,
-    correlation_length,
-    gradient_pair_density,
-    gradient_pair_density_asymptotic,
-    one_point_intensity_mc,
-    second_factorial_by_quadrature,
-    small_ball_probability_mc,
-    two_point_correlation,
-)
-from .models import (
-    BargmannFock,
-    CovarianceModel,
-    Interpolation,
-    MomentDivergenceError,
-    PowerLawTruncated,
-    RandomWave,
-    ShiftedRandomWave,
-    SigmaDerivatives,
-    derivative_covariance,
-    model_from_config,
-    model_to_config,
-    sigma_derivatives,
-    spectral_moment,
-)
-from .sampling import (
-    FieldRealization,
-    MomentEstimate,
-    eval_gradient,
-    eval_hessian,
-    eval_many,
-    sample_field,
-    seeded_rng,
-)
-from .theory import (
-    MIN_REPULSION_FACTOR,
-    grw_minimality_gap,
-    k2_limit,
-    lambda_c,
-    repulsion_factor,
-    scaling_order,
-    second_factorial_asymptotic,
-    theory_report,
-)
+from . import estimators, finder, kacrice, models, sampling, theory
+from .estimators import *  # noqa: F403
+from .finder import *  # noqa: F403
+from .kacrice import *  # noqa: F403
+from .models import *  # noqa: F403
+from .sampling import *  # noqa: F403
+from .theory import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# Each module declares its public names once, in its __all__; the package
+# re-exports them in layer order.
 __all__ = [
-    "BargmannFock",
-    "ConditionalGaussian",
-    "CovarianceModel",
-    "CriticalKind",
-    "CriticalPoint",
-    "DegeneracyError",
-    "DegenerateHessianError",
-    "FieldRealization",
-    "Interpolation",
-    "MIN_REPULSION_FACTOR",
-    "MomentDivergenceError",
-    "MomentEstimate",
-    "PowerLawTruncated",
-    "RandomWave",
-    "ScalingFit",
-    "ShiftedRandomWave",
-    "SigmaDerivatives",
-    "Sweep",
-    "correlation_length",
-    "default_grid_step",
-    "default_window",
-    "derivative_covariance",
-    "eval_gradient",
-    "eval_hessian",
-    "eval_many",
-    "find_critical_points",
-    "fit_scaling",
-    "gradient_pair_density",
-    "gradient_pair_density_asymptotic",
-    "grw_minimality_gap",
-    "intensity",
-    "k2_limit",
-    "lambda_c",
-    "model_from_config",
-    "model_to_config",
-    "one_point_intensity_mc",
-    "poisson_control_ratio",
-    "repulsion_factor",
-    "repulsion_ratio",
-    "sample_field",
-    "scaling_order",
-    "second_factorial",
-    "second_factorial_asymptotic",
-    "second_factorial_by_quadrature",
-    "seeded_rng",
-    "sigma_derivatives",
-    "small_ball_probability_mc",
-    "spectral_moment",
-    "sweep",
-    "theory_report",
-    "two_point_correlation",
+    *models.__all__,
+    *theory.__all__,
+    *sampling.__all__,
+    *finder.__all__,
+    *kacrice.__all__,
+    *estimators.__all__,
     "__version__",
 ]

@@ -409,7 +409,11 @@ def _report_checks(model, seed: int, budget: str, threads: int):
         yield ("k2_limit", a, est.value, est.std_error, max(4 * est.std_error, 0.05 * a))
 
         rc = theory.repulsion_factor(d)
-        rho = 0.016 * length
+        # The ball must also be small against the spectrum's inner scale
+        # sqrt(R6 / R8) = sqrt(-nu0 / (16 upsilon)): rho <= 0.256 of it.
+        # A long spectral tail (PowerLawTruncated(t), large t) pulls that
+        # scale far below the correlation length.
+        rho = 0.016 * min(length, 16.0 / math.sqrt(16.0 * d.upsilon / -d.nu0))
         nq = 2 * 10**4 if small else 2 * 10**5
         ball = kacrice.second_factorial_by_quadrature(
             model, rho, nsamples_per_node=nq, seed=(seed, 3), threads=threads

@@ -8,7 +8,11 @@ One sweep feeds every estimator.  `sweep` samples each realization
 once, runs the finder and counts points in the balls of every requested
 radius; `intensity`, `second_factorial` and `repulsion_ratio` are pure
 reductions over the resulting `Sweep`, so they share realizations and
-cost no further root finding.
+cost no further root finding.  The Poisson null control takes the same
+path on synthetic points: one radius rule, rho in (0, window short
+side / 4); one reduction of a realization's points to kind totals and
+ball counts (`_reduce`); one assembly of the realizations into a
+`Sweep` (`_build_sweep`); and the same ratio estimator.
 
 Ball counts inside one realization are strongly dependent (they share
 the field), so every standard error here is computed by leave-one-out
@@ -35,6 +39,7 @@ from .sampling import MomentEstimate, _run_tasks, sample_field, seed_entropy
 from .theory import KIND_COLUMNS, normalize_kind, normalize_pair
 
 __all__ = [
+    "NonpositiveEstimateError",
     "ScalingFit",
     "Sweep",
     "default_window",
@@ -116,22 +121,27 @@ def _ball_counts(locations: np.ndarray, kind_cols: np.ndarray, grid, rho: float)
     return np.bincount(flat, minlength=cells.size).reshape(cells.shape)
 
 
+def _reduce(locations: np.ndarray, kind_cols: np.ndarray, window, rho_list):
+    """One realization's (kind totals over the window, {rho: (ncenters, 3)
+    center counts}), from its point locations and count columns."""
+    totals = np.bincount(kind_cols, minlength=3)
+    per_rho = {rho: _ball_counts(locations, kind_cols, _ball_grid(window, rho), rho)
+               for rho in rho_list}
+    return totals, per_rho
+
+
 def _realization_stats(args):
     """Per-replicate worker: find critical points, count them in balls.
 
-    Returns (kind totals over the window, {rho: (ncenters, 3) center
-    counts}).  Top-level so process pools can pickle it.
+    Returns the _reduce of the realization's critical points.  Top-level
+    so process pools can pickle it.
     """
     model, M, seed, window, grid_step, rho_list = args
     f = sample_field(model, M=M, seed=seed, gaussian_amplitudes=True)
     points = find_critical_points(f, window, grid_step)
     locations = np.array([p.location for p in points]).reshape(-1, 2)
     kind_cols = np.array([_KIND_COL[p.kind] for p in points], dtype=np.int64)
-    totals = np.bincount(kind_cols, minlength=3)
-    per_rho = {}
-    for rho in rho_list:
-        per_rho[rho] = _ball_counts(locations, kind_cols, _ball_grid(window, rho), rho)
-    return totals, per_rho
+    return _reduce(locations, kind_cols, window, rho_list)
 
 
 def _jackknife_mean(values: np.ndarray):
@@ -162,6 +172,30 @@ class Sweep:
         return len(self.totals)
 
 
+def _build_sweep(nreal: int, window, rho_list, realize) -> Sweep:
+    """The Sweep of nreal realizations on window, real or synthetic.
+
+    Checks nreal >= 2 and that each radius lies in (0, window short
+    side / 4), so every ball grid has at least two centers per axis,
+    before any realization is drawn; then stacks the per-realization
+    _reduce results that realize(radii) gives for the checked radii (a
+    tuple of floats, the keys of Sweep.counts), in realization order.
+    """
+    if nreal < 2:
+        raise ValueError(f"nreal must be at least 2, got {nreal}")
+    (xmin, xmax), (ymin, ymax) = window
+    rho_list = tuple(float(r) for r in rho_list)
+    for rho in rho_list:
+        if not 0 < rho < min(xmax - xmin, ymax - ymin) / 4.0:
+            raise ValueError(f"rho = {rho} must lie in (0, window short side / 4)")
+    results = list(realize(rho_list))
+    return Sweep(
+        totals=np.array([totals for totals, _ in results]),
+        area=(xmax - xmin) * (ymax - ymin),
+        counts={rho: np.array([per_rho[rho] for _, per_rho in results]) for rho in rho_list},
+    )
+
+
 def sweep(
     model: CovarianceModel,
     nreal: int,
@@ -180,21 +214,13 @@ def sweep(
     (default from the model).  Each radius must lie in (0, window short
     side / 4).
     """
-    if nreal < 2:
-        raise ValueError(f"nreal must be at least 2, got {nreal}")
     window = window or default_window(model)
-    (xmin, xmax), (ymin, ymax) = window
-    rho_list = tuple(float(r) for r in rho_list)
-    for rho in rho_list:
-        if not 0 < rho < min(xmax - xmin, ymax - ymin) / 4.0:
-            raise ValueError(f"rho = {rho} must lie in (0, window short side / 4)")
-    tasks = [(model, M, (seed, i), window, grid_step, rho_list) for i in range(nreal)]
-    results = _run_tasks(_realization_stats, tasks, threads)
-    return Sweep(
-        totals=np.array([totals for totals, _ in results]),
-        area=(xmax - xmin) * (ymax - ymin),
-        counts={rho: np.array([per_rho[rho] for _, per_rho in results]) for rho in rho_list},
-    )
+
+    def realize(radii):
+        tasks = [(model, M, (seed, i), window, grid_step, radii) for i in range(nreal)]
+        return _run_tasks(_realization_stats, tasks, threads)
+
+    return _build_sweep(nreal, window, rho_list, realize)
 
 
 def intensity(sw: Sweep, kind: str = "c") -> MomentEstimate:
@@ -275,26 +301,22 @@ def poisson_control_ratio(
 
     For a Poisson process E[N(N-1)] = (lambda pi rho^2)^2 = E[N]^2, so
     the ratio is exactly 1; this is the null control for the pipeline's
-    counting and ratio machinery.  The points are counted in the first
-    (maximum) column of a Sweep, which the all-kinds ratio sums over.
+    counting and ratio machinery.  Each realization is reduced and
+    assembled into a Sweep exactly as sweep's are, its points all counted
+    in the first (maximum) column, which the all-kinds ratio sums over;
+    so rho must lie in (0, window short side / 4) and nreal be >= 2.
     """
-    if nreal < 2:
-        raise ValueError(f"nreal must be at least 2, got {nreal}")
     (xmin, xmax), (ymin, ymax) = window
     area = (xmax - xmin) * (ymax - ymin)
-    grid = _ball_grid(window, rho)
-    rng_master = np.random.SeedSequence(seed_entropy(seed))
-    totals = np.zeros((nreal, 3), dtype=np.int64)
-    counts = np.empty((nreal, len(grid[0]) * len(grid[1]), 3), dtype=np.int64)
-    for i, child in enumerate(rng_master.spawn(nreal)):
-        rng = np.random.default_rng(child)
-        npts = rng.poisson(intensity * area)
-        pts = np.column_stack(
-            [rng.uniform(xmin, xmax, npts), rng.uniform(ymin, ymax, npts)]
-        )
-        totals[i, 0] = npts
-        counts[i] = _ball_counts(pts, np.zeros(npts, dtype=np.int64), grid, rho)
-    sw = Sweep(totals=totals, area=area, counts={float(rho): counts})
+
+    def realize(radii):
+        for child in np.random.SeedSequence(seed_entropy(seed)).spawn(nreal):
+            rng = np.random.default_rng(child)
+            npts = rng.poisson(intensity * area)
+            pts = np.column_stack([rng.uniform(xmin, xmax, npts), rng.uniform(ymin, ymax, npts)])
+            yield _reduce(pts, np.zeros(npts, dtype=np.int64), window, radii)
+
+    sw = _build_sweep(nreal, window, (rho,), realize)
     return replace(repulsion_ratio(sw, rho), label="poisson-control")
 
 

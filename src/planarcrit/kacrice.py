@@ -299,8 +299,10 @@ def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
     integrand's temporaries in cache.  Blocks are for speed only: the
     normal stream, the row-wise map and the elementwise integrand give
     the same pair averages whatever the block size.  Chunks fix the bits
-    of the reduction.  The mean is the running sum of chunk sums over
-    npairs; the squared deviations are summed two-pass within each
+    of the reduction.  Every chunk's pair averages go into one reused
+    buffer, which the reduction squares in place, so one chunk-sized
+    array is alive at a time.  The mean is the running sum of chunk sums
+    over npairs; the squared deviations are summed two-pass within each
     chunk, plus each chunk's between-chunk term.  On one chunk this is
     the plain sample mean and values.std(ddof=1) / sqrt(npairs) bit for
     bit, and no reduction is a BLAS call.
@@ -308,18 +310,20 @@ def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
     rng = seeded_rng(seed)
     tot = 0.0
     chunks = []  # (pair count, chunk mean, within-chunk sum of squared deviations)
+    buf = np.empty(min(npairs, _CHUNK_PAIRS))
     left = npairs
     while left > 0:
         n = min(left, _CHUNK_PAIRS)
         left -= n
-        pairs = np.empty(n)
+        pairs = buf[:n]
         for lo in range(0, n, _BLOCK_PAIRS):
             hi = min(lo + _BLOCK_PAIRS, n)
             pairs[lo:hi] = integrand(law.sample(rng, hi - lo))
         total = float(pairs.sum())
-        dev = pairs - total / n
+        pairs -= total / n
+        pairs *= pairs
         tot += total
-        chunks.append((n, total / n, float((dev * dev).sum())))
+        chunks.append((n, total / n, float(pairs.sum())))
     mean = tot / npairs
     ss = 0.0
     for n, chunk_mean, dev2 in chunks:

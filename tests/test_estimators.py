@@ -80,6 +80,18 @@ def test_poisson_control_near_one():
     assert est.std_error < 0.2
 
 
+@pytest.mark.parametrize("rho", [6.0, 11.0, -1.0])
+def test_poisson_control_refuses_the_radii_the_sweep_refuses(rho):
+    # One radius rule serves both.  On a 20 x 20 window rho = 6 leaves one
+    # ball per realization, and rho = 11 none.
+    window = ((0.0, 20.0), (0.0, 20.0))
+    with pytest.raises(ValueError, match="window short side / 4") as control:
+        poisson_control_ratio(0.1, window, rho=rho, nreal=5, seed=1)
+    with pytest.raises(ValueError) as swept:
+        sweep(RandomWave(1.0), nreal=2, seed=0, rho_list=[rho], window=window)
+    assert str(control.value) == str(swept.value)
+
+
 def test_fit_scaling_recovers_pure_power_law():
     rho = np.geomspace(0.01, 0.1, 6)
     ests = [

@@ -103,6 +103,16 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def test_package_exports_each_module_name_once():
+    # A public name is declared once, in its module's __all__; the package
+    # re-exports every module but the CLI, in layer order, and adds only
+    # its version.
+    modules = [importlib.import_module(f"planarcrit.{m}") for m in LAYERS if m != "cli"]
+    expected = [n for module in modules for n in module.__all__] + ["__version__"]
+    assert planarcrit.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
 # No module uses adaptive quadrature: the untruncated power law, which
 # has no ring rule, is evaluated only at lag 0, where its profile is
 # closed form.  The Kac-Rice engine's one Schur complement divides by

@@ -34,16 +34,16 @@ else 0.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import two_trees
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEEDS = (101, 102, 103)
@@ -144,38 +144,8 @@ def run_tree() -> None:
             print(json.dumps({"name": name, "exit": code, "sha256": sha}), flush=True)
 
 
-def _src_dir(tree: str) -> str:
-    path = Path(tree).resolve()
-    if (path / "src" / "planarcrit").is_dir():
-        path = path / "src"
-    if not (path / "planarcrit").is_dir():
-        raise SystemExit(f"no planarcrit package under {tree}")
-    return str(path)
-
-
-def _collect(tree: str) -> list[dict]:
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
-    argv = [sys.executable, __file__, "--worker", _src_dir(tree)]
-    # The worker's stderr goes to the terminal, so a failing tree shows its traceback.
-    out = subprocess.run(argv, check=True, stdout=subprocess.PIPE, text=True, env=env)
-    return [json.loads(line) for line in out.stdout.splitlines()]
-
-
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    p.add_argument("--ref", help="source tree of the reference")
-    p.add_argument("--new", help="source tree under test")
-    p.add_argument("--worker", help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.worker:
-        sys.path.insert(0, args.worker)
-        run_tree()
-        return 0
-    if not (args.ref and args.new):
-        p.error("--ref and --new are required")
-    ref = _collect(args.ref)
-    new = _collect(args.new)
+def compare(ref: list[dict], new: list[dict]) -> int:
+    """Print one line per call and the count of matches; 1 if any differs."""
     if [a["name"] for a in ref] != [b["name"] for b in new]:
         raise SystemExit("the two trees ran different call matrices")
     same = 0
@@ -188,6 +158,10 @@ def main(argv=None) -> int:
                   f"sha256 {a['sha256'][:16]} -> {b['sha256'][:16]}")
     print(f"{same} of {len(ref)} digests match")
     return 0 if same == len(ref) else 1
+
+
+def main(argv=None) -> int:
+    return two_trees.main(argv, __file__, __doc__, run_tree, compare)
 
 
 if __name__ == "__main__":

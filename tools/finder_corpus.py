@@ -31,14 +31,12 @@ else 0.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
-import os
-import subprocess
 import sys
 import time
-from pathlib import Path
+
+import two_trees
 
 FAMILIES = ("randomwave", "bargmannfock", "shiftedrandomwave", "powerlawtruncated",
             "interpolation")
@@ -83,24 +81,6 @@ def run_tree() -> None:
                           "defect": diag.get("index_defect"), "roots": roots}))
 
 
-def _src_dir(tree: str) -> str:
-    path = Path(tree).resolve()
-    if (path / "src" / "planarcrit").is_dir():
-        path = path / "src"
-    if not (path / "planarcrit").is_dir():
-        raise SystemExit(f"no planarcrit package under {tree}")
-    return str(path)
-
-
-def _collect(tree: str) -> list[dict]:
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
-    argv = [sys.executable, __file__, "--worker", _src_dir(tree)]
-    # The worker's stderr goes to the terminal, so a failing tree shows its traceback.
-    out = subprocess.run(argv, check=True, stdout=subprocess.PIPE, text=True, env=env)
-    return [json.loads(line) for line in out.stdout.splitlines()]
-
-
 def compare(ref: list[dict], new: list[dict]):
     """Per-family counts, the extra roots and the windows with a nonzero defect."""
     rows: dict = {}
@@ -138,22 +118,9 @@ def _key(key) -> str:
     return f"{family} ({master}, {i}) M={M} {'G' if gaussian else 'P'} L={L:g}"
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    p.add_argument("--ref", help="source tree of the reference finder")
-    p.add_argument("--new", help="source tree of the finder under test")
-    p.add_argument("--worker", help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.worker:
-        sys.path.insert(0, args.worker)
-        run_tree()
-        return 0
-    if not (args.ref and args.new):
-        p.error("--ref and --new are required")
-    ref = _collect(args.ref)
-    new = _collect(args.new)
+def report(ref: list[dict], new: list[dict]) -> int:
+    """Print the table, the extra roots and the defects; 1 on a missed or retyped root."""
     rows, extras, defects = compare(ref, new)
-
     print("| family | roots (ref) | roots (new) | missed | extra | kind mismatches "
           "| largest displacement | finder CPU ref -> new (s) |")
     print("|---|---|---|---|---|---|---|---|")
@@ -175,6 +142,10 @@ def main(argv=None) -> int:
         for side, key, defect in defects:
             print(f"  {side}: {_key(key)}: {defect:+d}")
     return 1 if total["missed"] or total["kinds"] else 0
+
+
+def main(argv=None) -> int:
+    return two_trees.main(argv, __file__, __doc__, run_tree, report)
 
 
 if __name__ == "__main__":

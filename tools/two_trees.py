@@ -1,0 +1,57 @@
+"""Two-tree harness shared by the gates in this directory.
+
+A gate compares two source trees, a reference and one under test.  Its
+script runs itself once per tree as a worker subprocess,
+``SCRIPT --worker SRC``, at 1 BLAS thread; the worker puts SRC first on
+``sys.path``, so it imports that tree's ``planarcrit``, and prints one
+JSON line per record.  The gate then compares the two record lists.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+
+def src_dir(tree: str) -> str:
+    """The directory holding ``planarcrit`` in a checkout or a ``src`` tree."""
+    path = Path(tree).resolve()
+    if (path / "src" / "planarcrit").is_dir():
+        path = path / "src"
+    if not (path / "planarcrit").is_dir():
+        raise SystemExit(f"no planarcrit package under {tree}")
+    return str(path)
+
+
+def collect(script: str, tree: str) -> list[dict]:
+    """The records of script's worker run on tree."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    argv = [sys.executable, script, "--worker", src_dir(tree)]
+    # The worker's stderr goes to the terminal, so a failing tree shows its traceback.
+    out = subprocess.run(argv, check=True, stdout=subprocess.PIPE, text=True, env=env)
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def main(argv, script: str, doc: str, run_tree, compare) -> int:
+    """Parse --ref / --new / --worker and run a gate.
+
+    A worker calls run_tree(), which prints its records, and returns 0.
+    Otherwise the exit code is compare(ref records, new records).
+    """
+    p = argparse.ArgumentParser(description=doc.split("\n", 1)[0])
+    p.add_argument("--ref", help="source tree of the reference")
+    p.add_argument("--new", help="source tree under test")
+    p.add_argument("--worker", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker:
+        sys.path.insert(0, args.worker)
+        run_tree()
+        return 0
+    if not (args.ref and args.new):
+        p.error("--ref and --new are required")
+    return compare(collect(script, args.ref), collect(script, args.new))
