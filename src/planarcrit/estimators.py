@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .finder import CriticalKind, find_critical_points
+from .finder import CriticalKind, default_grid_step, find_critical_points
 from .models import CovarianceModel, effective_wavenumber
 from .sampling import MomentEstimate, _run_tasks, sample_field, seed_entropy
 from .theory import KIND_COLUMNS, normalize_kind, normalize_pair
@@ -203,18 +203,17 @@ def sweep(
     rho_list=(),
     window=None,
     M: int = 1024,
-    grid_step: float | None = None,
     threads: int = 1,
 ) -> Sweep:
     """Sample, search and count every realization once, for all estimators.
 
     Realization i is sample_field(model, M, (seed, i)) with Gaussian
-    amplitudes, so the result does not depend on threads.  grid_step is
-    the finder's grid step h, whose eighths are its sign-test cells
-    (default from the model).  Each radius must lie in (0, window short
-    side / 4).
+    amplitudes, so the result does not depend on threads.  The finder
+    runs at the model's default grid step.  Each radius must lie in
+    (0, window short side / 4).
     """
     window = window or default_window(model)
+    grid_step = default_grid_step(model)
 
     def realize(radii):
         tasks = [(model, M, (seed, i), window, grid_step, radii) for i in range(nreal)]

@@ -1,6 +1,6 @@
 """Locate and classify critical points of a sampled field.
 
-Zeros of the gradient are found by damped Newton iteration on the exact
+Zeros of the gradient are found by Newton iteration on the exact
 analytic gradient and Hessian of the plane-wave superposition, started
 only where the gradient says a zero may be, then deduplicated spatially
 and classified by Hessian eigenvalue signs.
@@ -41,17 +41,19 @@ every finder call; `estimate` and CSV `find` do not.  It costs about 5 %
 of a finder call (RandomWave(1), M = 256, 20 x 20 window).
 
 Iteration cap.  A trajectory gets at most _MAX_ITERS = 12 Newton steps.
-The loop is vectorized, so each iteration costs about a fixed three
-eval_many calls however few trajectories are active, and one stalled
-trajectory keeps the loop running to the cap.  Stalled trajectories sit
-at local minima of |grad psi| (1e-4 to 1e-1) that are not roots.  Over
-the 40 realizations of the benchmark's simulate sweep (seed 101), 25 of
-1640 converging trajectories needed more than 12 steps, and each reached
-a root that another trajectory also found; on the root-set corpus
-(tools/finder_corpus.py) the roots are those of the earlier cap of 50.
-Both checks ran at the default grid step.  A coarser step starts Newton
-farther from the roots; test_iteration_cap_loses_no_root also compares
-the caps at twice the default step.
+The loop is vectorized, so each iteration costs one eval_many call
+however few trajectories are active, and one stalled trajectory keeps
+the loop running to the cap.  Stalled trajectories sit at local minima
+of |grad psi| (1e-4 to 1e-1) that are not roots.  Over the 40
+realizations of the benchmark's simulate sweep (seed 101) with the cap
+raised to 50, 35 of 1706 converging trajectories needed more than 12
+steps: the 28 that end inside the window each reached a root that a
+trajectory within the cap also reaches, and the other 7 end outside it.
+On the root-set corpus (tools/finder_corpus.py) the roots are those of
+the earlier cap of 50.  Both checks ran at the default grid step.  A
+coarser step starts Newton farther from the roots;
+test_iteration_cap_loses_no_root also compares the caps at twice the
+default step.
 
 The one tuning knob is the grid step h (`find --grid-step`, an eighth of
 the oscillation length by default).  A step above the default can lose
@@ -62,15 +64,16 @@ are the subdivision _SUBDIVISION, the Newton tolerance _NEWTON_TOL, the
 iteration cap _MAX_ITERS, the dedup radius h / 100 and the degeneracy
 floor 1e-12 * 12 mu0.
 
-Every point the search visits is evaluated once: the seeds together,
-and each accepted line-search trial point, whose gradient the next
-Newton step reuses, so that step needs only the Hessian there.  From
-the second step on, active trajectories that share a cell of side
-dedup_radius would end on one root, so only the one with the lowest
-residual is followed (ties go to the lowest seed index); the others are
-counted as merged.  With one trajectory per root the kept residual is
-no longer the best of many duplicates, so each root gets one final
-Newton step, kept where it lowers the residual.
+The Newton steps are plain, with no line search, and every point the
+search visits is evaluated once: the seeds together, then the points
+each step lands on, by one eval_many call per step that gives the
+gradient and the Hessian the next step uses.  From the second step on,
+active trajectories that share a cell of side dedup_radius would end on
+one root, so only the one with the lowest residual is followed (ties go
+to the lowest seed index); the others are counted as merged.  With one
+trajectory per root the kept residual is no longer the best of many
+duplicates, so each root gets one final Newton step, kept where it
+lowers the residual.
 """
 
 from __future__ import annotations
@@ -275,23 +278,20 @@ def find_critical_points(
 
 
 def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: float):
-    """Damped Newton on the gradient from each of `pts`, vectorized over the active set.
+    """Newton on the gradient from each of `pts`, vectorized over the active set.
 
-    Every point is evaluated once: the seeds together, each accepted trial
-    by the line search, whose gradient the next step reuses.  Returns the
-    end points, their gradient norms (inf for a runaway) and the counters
-    [nmerged, nrunaway, nstalled, newton_iters].
+    Every point is evaluated once: the seeds together, then each step's
+    landing points, whose gradient and Hessian the next step uses.
+    Returns the end points, their gradient norms (inf for a runaway) and
+    the counters [nmerged, nrunaway, nstalled, newton_iters].
     """
     pts = pts.copy()
-    seed_vals = eval_many(f, pts, _DERIVS)
-    grad = seed_vals[:, :2].copy()
-    seed_hess = seed_vals[:, 2:]
-    gnorm = np.linalg.norm(grad, axis=1)
+    vals = eval_many(f, pts, _DERIVS)
+    gnorm = np.linalg.norm(vals[:, :2], axis=1)
     active = np.arange(len(pts))
     nmerged = nrunaway = newton_iters = 0
     for it in range(_MAX_ITERS):
-        live = gnorm[active] > _NEWTON_TOL
-        active = active[live]
+        active = active[gnorm[active] > _NEWTON_TOL]
         if it:
             # Trajectories sharing a dedup cell end on one root; follow one.
             kept = _collapse(pts[active], gnorm[active], active, radius)
@@ -300,39 +300,16 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
         if active.size == 0:
             break
         newton_iters += active.size
-        p = pts[active]
-        g1, g2 = grad[active].T
-        h11, h12, h22 = (seed_hess[active] if it == 0 else eval_many(f, p, _HESSIAN)).T
-        step, ok = _newton_step(g1, g2, h11, h12, h22)
-
-        damp = np.ones(len(p))
-        trial = p - step
-        tgrad = eval_gradient(f, trial)
-        tnorm = np.linalg.norm(tgrad, axis=1)
-        for _ in range(6):
-            worse = (tnorm >= np.hypot(g1, g2)) & ok & (damp > 1.0 / 64.0)
-            if not worse.any():
-                break
-            damp[worse] *= 0.5
-            trial[worse] = p[worse] - damp[worse, None] * step[worse]
-            tgrad[worse] = eval_gradient(f, trial[worse])
-            tnorm[worse] = np.linalg.norm(tgrad[worse], axis=1)
-
-        # Singular-Hessian seeds and runaways are dropped on the spot.
-        out = (
-            ~ok
-            | (trial[:, 0] < bound[0])
-            | (trial[:, 1] < bound[1])
-            | (trial[:, 0] > bound[2])
-            | (trial[:, 1] > bound[3])
-        )
+        step, ok = _newton_step(*vals[active].T)
+        trial = pts[active] - step
         pts[active] = trial
-        grad[active] = tgrad
-        gnorm[active] = tnorm
-        if out.any():
-            gnorm[active[out]] = np.inf
-            nrunaway += int(out.sum())
-            active = active[~out]
+        # Singular-Hessian seeds and runaways are dropped on the spot.
+        out = ~ok | (trial < bound[:2]).any(axis=1) | (trial > bound[2:]).any(axis=1)
+        gnorm[active[out]] = np.inf
+        nrunaway += int(out.sum())
+        active = active[~out]
+        vals[active] = eval_many(f, trial[~out], _DERIVS)
+        gnorm[active] = np.linalg.norm(vals[active, :2], axis=1)
     nstalled = int((gnorm[active] > _NEWTON_TOL).sum())
     return pts, gnorm, np.array([nmerged, nrunaway, nstalled, newton_iters])
 

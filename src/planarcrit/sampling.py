@@ -183,13 +183,12 @@ def sample_field(
 def eval_many(f: FieldRealization, x, alphas) -> np.ndarray:
     """Evaluate several derivatives at once, sharing the phase matrix.
 
-    Each cosine term differentiates exactly: order n in a coordinate
-    multiplies by that frequency component n times and applies the
-    n-th derivative of the cosine, taken from the 4-cycle
-    {cos, -sin, -cos, sin} so signs stay exact.  The N x M argument
-    matrix and its sine/cosine are computed once and reused across all
-    requested multi-indices, which is what makes the Newton refinement
-    in the finder cheap.
+    Each cosine term differentiates exactly: d^alpha of the sum is the
+    cosines (even order) or the sines (odd order) of the arguments
+    times the signed per-term weights of _term_weights, so signs stay
+    exact.  The N x M argument matrix and its sine/cosine are computed
+    once and reused across all requested multi-indices, which is what
+    makes the Newton refinement in the finder cheap.
 
     Returns shape (N, len(alphas)) for x of shape (N, 2).
     """
@@ -199,16 +198,15 @@ def eval_many(f: FieldRealization, x, alphas) -> np.ndarray:
     out = np.empty((pts.shape[0], len(alphas)))
     for col, alpha in enumerate(alphas):
         weights, order = _term_weights(f, alpha)
-        k = order % 4
-        if k in (0, 2):
+        if order % 2 == 0:
             if cos is None:
                 cos = np.cos(arg)
-            osc, sign = cos, (1.0 if k == 0 else -1.0)
+            osc = cos
         else:
             if sin is None:
                 sin = np.sin(arg)
-            osc, sign = sin, (-1.0 if k == 1 else 1.0)
-        col_val = osc @ (sign * weights)
+            osc = sin
+        col_val = osc @ weights
         if order == 0:
             col_val = col_val + f.shift
         out[:, col] = col_val
@@ -216,9 +214,12 @@ def eval_many(f: FieldRealization, x, alphas) -> np.ndarray:
 
 
 def _term_weights(f: FieldRealization, alpha) -> tuple[np.ndarray, int]:
-    """Per-term factor r_j lam_j1^a1 lam_j2^a2 of d^alpha, and the order a1 + a2.
+    """Signed per-term factor s_n r_j lam_j1^a1 lam_j2^a2 of d^alpha, and n = a1 + a2.
 
-    Computed once per realization and multi-index.
+    d^n cos / d theta^n runs through cos, -sin, -cos, sin, so
+    d^alpha r_j cos(theta_j) is this factor times cos(theta_j) for even n
+    and sin(theta_j) for odd n, with s_n = 1, -1, -1, 1 for n mod 4 = 0,
+    1, 2, 3.  Computed once per realization and multi-index.
     """
     a1, a2 = int(alpha[0]), int(alpha[1])
     order = a1 + a2
@@ -229,6 +230,8 @@ def _term_weights(f: FieldRealization, alpha) -> tuple[np.ndarray, int]:
         weights = f.amplitudes
         if order:
             weights = weights * f.frequencies[:, 0] ** a1 * f.frequencies[:, 1] ** a2
+        if order % 4 in (1, 2):
+            weights = -weights
         f._weights[a1, a2] = weights
     return weights, order
 
@@ -244,11 +247,11 @@ def eval_grid(f: FieldRealization, xs, ys, alphas) -> np.ndarray:
     and d^alpha multiplies it by lam1^a1 lam2^a2 and turns cos into its
     n-th derivative, n = a1 + a2: +-cos(a + b) for even n, -+sin(a + b) =
     -+(sin a cos b + cos a sin b) for odd n.  So with C1, S1 = cos, sin a
-    (len(xs) x M), C2, S2 = cos, sin b (M x len(ys)) and w the per-term
-    factor of eval_many,
+    (len(xs) x M), C2, S2 = cos, sin b (M x len(ys)) and w the signed
+    per-term factor of _term_weights, which carries the +-,
 
-        d^alpha psi = +-[C1 w, -S1 w] @ [C2; S2]   (n even, + for n = 0 mod 4)
-        d^alpha psi = -+[S1 w,  C1 w] @ [C2; S2]   (n odd, - for n = 1 mod 4),
+        d^alpha psi = [C1 w, -S1 w] @ [C2; S2]   (n even)
+        d^alpha psi = [S1 w,  C1 w] @ [C2; S2]   (n odd),
 
     one real matmul of inner size 2M per multi-index on
     2 (len(xs) + len(ys)) M trig values, instead of len(xs) len(ys) M
@@ -274,9 +277,7 @@ def eval_grid(f: FieldRealization, xs, ys, alphas) -> np.ndarray:
     np.sin(right[M:], out=right[M:])
     left = np.empty((xs.size, 2 * M))
     for col, alpha in enumerate(alphas):
-        weights, order = _term_weights(f, alpha)
-        # The sign of d^n cos / d theta^n, n mod 4 = 0, 1, 2, 3.
-        w = (1.0, -1.0, -1.0, 1.0)[order % 4] * weights
+        w, order = _term_weights(f, alpha)
         if order % 2 == 0:
             np.multiply(c1, w, out=left[:, :M])
             np.multiply(s1, -w, out=left[:, M:])

@@ -24,7 +24,6 @@ from planarcrit.models import (
 )
 from planarcrit.sampling import (
     FieldRealization,
-    _term_weights,
     eval_gradient,
     eval_grid,
     eval_hessian,
@@ -177,6 +176,37 @@ def test_counters_partition_the_seeds(monkeypatch):
     assert short["ndropped"] == short["nrunaway"] + short["nstalled"]
 
 
+def test_newton_evaluates_each_visited_point_once(monkeypatch):
+    # One eval_many call per step gives the gradient and the Hessian at the
+    # points the step lands on: the seeds and every landing point inside
+    # the search bound are evaluated, each once, and nothing else is.
+    field = sample_field(RandomWave(1.0), M=256, seed=(101, 6), gaussian_amplitudes=True)
+    newton, runs = finder._newton, []
+
+    def recording(*args):
+        runs.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(finder, "_newton", recording)
+    find_critical_points(field, ((0.0, 12.0), (0.0, 12.0)))
+    f, seeds, bound, radius = runs[0]
+    evaluated, gradient_calls = [], []
+
+    def many(f, x, alphas):
+        assert alphas == finder._DERIVS
+        evaluated.append(np.array(x))
+        return eval_many(f, x, alphas)
+
+    monkeypatch.setattr(finder, "eval_many", many)
+    monkeypatch.setattr(finder, "eval_gradient", lambda *args: gradient_calls.append(args))
+    _, _, (_, nrunaway, _, newton_iters) = newton(f, seeds, bound, radius)
+    assert not gradient_calls
+    visited = np.concatenate(evaluated)
+    assert len(visited) == len(seeds) + newton_iters - nrunaway
+    assert len(np.unique(visited, axis=0)) == len(visited)
+    assert nrunaway > 0 and newton_iters > len(seeds)
+
+
 def _reference_roots(f, window):
     """The finder before the separable seed grid, gradient reuse and collapse.
 
@@ -295,11 +325,14 @@ def test_min_saddle_pair_inside_a_quarter_step_is_split():
 
 
 def test_fold_partner_in_the_same_cell_is_found():
-    # A saddle 0.018 from a minimum (0.37 of an h / 8 cell), both in one
-    # cell, whose seed reaches the minimum; the saddle is the minimum's
-    # predicted partner across the fold between them.
+    # A saddle 0.018 from a minimum, both in one h / 8 cell, whose seed
+    # reaches the minimum; the saddle is the minimum's predicted partner
+    # across the fold between them.  At twice the default step: at the
+    # default step a trajectory from a seed 2.8 away lands on the saddle
+    # too, so there the test would pass without the partner.
     field = sample_field(BargmannFock(1.0), M=1024, seed=(202, 39))
-    points = find_critical_points(field, ((0.0, 12.0), (0.0, 12.0)))
+    step = 2.0 * default_grid_step(field.model)
+    points = find_critical_points(field, ((0.0, 12.0), (0.0, 12.0)), step)
     assert _has_root(points, (10.511260013850139, 7.656567436866597), CriticalKind.SADDLE, 1e-9)
     assert _has_root(points, (10.529311431892037, 7.653214788349994), CriticalKind.MINIMUM, 1e-9)
 
@@ -341,8 +374,9 @@ def _complex_eval_grid(f, xs, ys, alphas):
     e2t = np.exp(1j * np.outer(f.frequencies[:, 1], ys))
     rotor = np.exp(1j * f.phases)
     out = np.empty((xs.size, ys.size, len(alphas)))
-    for col, alpha in enumerate(alphas):
-        weights, order = _term_weights(f, alpha)
+    for col, (a1, a2) in enumerate(alphas):
+        weights = f.amplitudes * f.frequencies[:, 0] ** a1 * f.frequencies[:, 1] ** a2
+        order = a1 + a2
         z = (e1 * (weights * rotor)) @ e2t
         val = (z.real, -z.imag, -z.real, z.imag)[order % 4]
         out[:, :, col] = val + f.shift if order == 0 else val
@@ -416,14 +450,16 @@ def test_index_defect_counts_a_root_left_out():
 def test_index_defect_flags_a_missed_saddle(monkeypatch):
     # Without the fold-partner seeds, the saddle next to a minimum in one
     # cell (test_fold_partner_in_the_same_cell_is_found) is missed, and the
-    # defect says so.
+    # defect says so.  At twice the default step, the one at which that
+    # saddle needs its partner seed.
     field = sample_field(BargmannFock(1.0), M=1024, seed=(202, 39))
     window = ((0.0, 12.0), (0.0, 12.0))
+    step = 2.0 * default_grid_step(field.model)
     diag = {}
-    find_critical_points(field, window, diagnostics=diag)
+    find_critical_points(field, window, step, diagnostics=diag)
     assert diag["index_defect"] == 0
     monkeypatch.setattr(finder, "_fold_partners", lambda f, roots, reach: roots[:0])
-    points = find_critical_points(field, window, diagnostics=diag)
+    points = find_critical_points(field, window, step, diagnostics=diag)
     assert not _has_root(points, (10.511260013850139, 7.656567436866597), CriticalKind.SADDLE,
                          1e-9)
     assert diag["index_defect"] == -1

@@ -10,7 +10,8 @@ corpus, with the finder's process CPU time.
 The corpus has 400 realizations, 80 per family, for RandomWave(1),
 BargmannFock(1), ShiftedRandomWave(0.5, 1, 1), PowerLawTruncated(3) and
 Interpolation(0.5, RandomWave(1), BargmannFock(1)), each on the window
-[0, L] x [0, L] at the model's default grid step:
+[0, L] x [0, L], once at the model's default grid step h and once at
+2 h, where the seeds start farther from the roots:
 
 * seeds (202, i), i < 40: i < 30 with M = 256, Gaussian amplitudes and
   L = 20; i >= 30 with M = 1024, random phases and L = 12;
@@ -18,15 +19,16 @@ Interpolation(0.5, RandomWave(1), BargmannFock(1)), each on the window
   amplitudes when i = 0 mod 3, and L = 12.
 
 A root of the reference tree is matched to the nearest root of the new
-tree in the same realization.  It is missed when none lies within TOL =
-1e-9, and a kind mismatch when the nearest one lies within TOL but has
-another kind; a new root with no reference root within TOL is extra.
-The script prints one table row per family (roots, missed, extra, kind
-mismatches, largest displacement of a matched root, finder CPU reference
--> new), then each extra root with its |grad psi| and Hessian
-eigenvalues, then every window whose finder reports a nonzero index
-defect.  It exits 1 when a reference root is missed or changes kind,
-else 0.
+tree in the same realization at the same step.  It is missed when none
+lies within TOL = 1e-9, and a kind mismatch when the nearest one lies
+within TOL but has another kind; a new root with no reference root
+within TOL is extra.
+For each step the script prints one table row per family (roots,
+missed, extra, kind mismatches, largest displacement of a matched root,
+finder CPU reference -> new), then each extra root with its |grad psi|
+and Hessian eigenvalues, then every window whose finder reports a
+nonzero index defect.  It exits 1 when a reference root is missed or
+changes kind at either step, else 0.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ FAMILIES = ("randomwave", "bargmannfock", "shiftedrandomwave", "powerlawtruncate
 # Indices per seed series and family, and the match distance of a root.
 SERIES = 40
 TOL = 1e-9
+# The grid steps run, as multiples of the default.
+COARSEN = (1, 2)
 
 
 def corpus():
@@ -65,27 +69,30 @@ def _models() -> dict:
 
 def run_tree() -> None:
     """Worker: find the roots of every corpus realization, one JSON line each."""
-    from planarcrit.finder import find_critical_points
+    from planarcrit.finder import default_grid_step, find_critical_points
     from planarcrit.sampling import sample_field
 
     models = _models()
     for family, master, i, M, gaussian, L in corpus():
         field = sample_field(models[family], M=M, seed=(master, i), gaussian_amplitudes=gaussian)
-        diag: dict = {}
-        start = time.process_time()
-        points = find_critical_points(field, ((0.0, L), (0.0, L)), diagnostics=diag)
-        cpu = time.process_time() - start
-        roots = [[*p.location, str(p.kind), p.gradient_residual, *p.hessian_eigenvalues]
-                 for p in points]
-        print(json.dumps({"key": [family, master, i, M, gaussian, L], "cpu": cpu,
-                          "defect": diag.get("index_defect"), "roots": roots}))
+        for coarsen in COARSEN:
+            diag: dict = {}
+            start = time.process_time()
+            points = find_critical_points(field, ((0.0, L), (0.0, L)),
+                                          coarsen * default_grid_step(field.model),
+                                          diagnostics=diag)
+            cpu = time.process_time() - start
+            roots = [[*p.location, str(p.kind), p.gradient_residual, *p.hessian_eigenvalues]
+                     for p in points]
+            print(json.dumps({"key": [family, master, i, M, gaussian, L], "coarsen": coarsen,
+                              "cpu": cpu, "defect": diag.get("index_defect"), "roots": roots}))
 
 
 def compare(ref: list[dict], new: list[dict]):
     """Per-family counts, the extra roots and the windows with a nonzero defect."""
     rows: dict = {}
     extras, defects = [], []
-    if [a["key"] for a in ref] != [b["key"] for b in new]:
+    if [(a["key"], a["coarsen"]) for a in ref] != [(b["key"], b["coarsen"]) for b in new]:
         raise SystemExit("the two trees ran different corpora")
     for a, b in zip(ref, new):
         row = rows.setdefault(a["key"][0], dict(roots=0, new_roots=0, missed=0, extra=0,
@@ -119,6 +126,18 @@ def _key(key) -> str:
 
 
 def report(ref: list[dict], new: list[dict]) -> int:
+    """Print one table per step; 1 on a missed or retyped root at either step."""
+    status = 0
+    for coarsen in COARSEN:
+        if coarsen != COARSEN[0]:
+            print()
+        print(f"## {coarsen} x the default grid step\n")
+        status |= _report_step([a for a in ref if a["coarsen"] == coarsen],
+                               [b for b in new if b["coarsen"] == coarsen])
+    return status
+
+
+def _report_step(ref: list[dict], new: list[dict]) -> int:
     """Print the table, the extra roots and the defects; 1 on a missed or retyped root."""
     rows, extras, defects = compare(ref, new)
     print("| family | roots (ref) | roots (new) | missed | extra | kind mismatches "
