@@ -7,20 +7,22 @@ and classified by Hessian eigenvalue signs.
 
 Seeds.  The gradient is evaluated on a tensor grid of step h / 8 (h the
 grid step, _SUBDIVISION = 8) covering the window plus one cell, where the
-field separates into one small real matmul per derivative
-(sampling.eval_grid).  A cell is a candidate when each gradient component
-is positive at one of its four corners and negative at another, or is 0
-at a corner; Newton starts at the centres of the candidate cells.  The
-sign test cannot see two roots inside one cell: there one seed reaches
-at most one of them.  Such a pair lies across a fold (det H = 0) and its
-roots are nearly degenerate, so each root found predicts its partner
-from the quadratic model of the gradient along the soft Hessian
-eigenvector, and a partner predicted within two cells is run from as a
-seed too.  Whether the root set is complete is not certified: it rests
-on the root-set corpus against the earlier dense-seed finder (CHANGES.md,
-tools/finder_corpus.py) and on the closed-form intensity.  Roots outside
-the window are dropped; the grid reaches one cell past it, so a root on
-the boundary is kept.
+field separates into one small real matmul per derivative and the cos
+and sin tables of each axis come from angle addition (sampling.eval_grid).
+A cell is a candidate when each gradient component is positive at one of
+its four corners and negative at another, or is 0 at a corner.  The test
+runs on sign masks: a cell is ruled out when, for either component, all
+four corners are > 0 or all four are < 0.  Newton starts at the centres
+of the candidate cells.  The sign test cannot see two roots inside one
+cell: there one seed reaches at most one of them.  Such a pair lies
+across a fold (det H = 0) and its roots are nearly degenerate, so each
+root found predicts its partner from the quadratic model of the gradient
+along the soft Hessian eigenvector, and a partner predicted within two
+cells is run from as a seed too.  Whether the root set is complete is
+not certified: it rests on the root-set corpus against the earlier
+dense-seed finder (CHANGES.md, tools/finder_corpus.py) and on the
+closed-form intensity.  Roots outside the window are dropped; the grid
+reaches one cell past it, so a root on the boundary is kept.
 
 Index defect.  The finder can report a Poincare-Hopf check of its own
 root set.  The winding number of grad psi
@@ -216,9 +218,11 @@ def find_critical_points(
     # changes sign over the four corners or vanishes at one, that is, its
     # corner values span 0.  Newton starts at their centres.
     cell = h / _SUBDIVISION
-    xs = xmin - cell + cell * np.arange(math.ceil((xmax - xmin) / cell) + 3)
-    ys = ymin - cell + cell * np.arange(math.ceil((ymax - ymin) / cell) + 3)
-    grid = eval_grid(f, xs, ys, _DERIVS[:2])
+    nx = math.ceil((xmax - xmin) / cell) + 3
+    ny = math.ceil((ymax - ymin) / cell) + 3
+    xs = xmin - cell + cell * np.arange(nx)
+    ys = ymin - cell + cell * np.arange(ny)
+    grid = eval_grid(f, (xmin - cell, cell, nx), (ymin - cell, cell, ny), _DERIVS[:2])
     ci, cj = _candidate_cells(grid)
     pts = np.column_stack([xs[ci] + 0.5 * cell, ys[cj] + 0.5 * cell])
 
@@ -286,6 +290,8 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
     the counters [nmerged, nrunaway, nstalled, newton_iters].
     """
     pts = pts.copy()
+    if len(pts) == 0:  # no candidate cell: nothing to evaluate
+        return pts, np.zeros(0), np.zeros(4, dtype=int)
     vals = eval_many(f, pts, _DERIVS)
     gnorm = np.linalg.norm(vals[:, :2], axis=1)
     active = np.arange(len(pts))
@@ -308,6 +314,8 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
         gnorm[active[out]] = np.inf
         nrunaway += int(out.sum())
         active = active[~out]
+        if active.size == 0:  # every trajectory left: nothing to evaluate
+            break
         vals[active] = eval_many(f, trial[~out], _DERIVS)
         gnorm[active] = np.linalg.norm(vals[active, :2], axis=1)
     nstalled = int((gnorm[active] > _NEWTON_TOL).sum())
@@ -316,10 +324,17 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
 
 def _candidate_cells(grad: np.ndarray):
     """Indices (i, j) of the grid cells whose corner values of each gradient
-    component span 0; cell (i, j) has corners [i, i + 1] x [j, j + 1]."""
-    corners = (grad[:-1, :-1], grad[1:, :-1], grad[:-1, 1:], grad[1:, 1:])
-    low, high = np.minimum.reduce(corners), np.maximum.reduce(corners)
-    return np.nonzero(((low <= 0.0) & (high >= 0.0)).all(axis=-1))
+    component span 0; cell (i, j) has corners [i, i + 1] x [j, j + 1].
+
+    A cell is ruled out when, for either component, all four corners are
+    > 0 or all four are < 0.
+    """
+    ruled_out = np.zeros((grad.shape[0] - 1, grad.shape[1] - 1), dtype=bool)
+    for side in (grad > 0.0, grad < 0.0):
+        side = side[:-1] & side[1:]
+        side = side[:, :-1] & side[:, 1:]
+        ruled_out |= side[..., 0] | side[..., 1]
+    return np.nonzero(~ruled_out)
 
 
 def _index_defect(f: FieldRealization, xs, ys, grad, pts, resid, radius: float) -> int:

@@ -34,7 +34,6 @@ the MomentEstimate record every estimator returns.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +80,10 @@ def _run_tasks(fn, tasks, threads: int = 1):
     """
     if threads <= 1:
         return [fn(t) for t in tasks]
+    # Imported here: the pool machinery costs a fresh CLI process time
+    # that single-process runs never use.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * threads))))
 
@@ -236,59 +239,81 @@ def _term_weights(f: FieldRealization, alpha) -> tuple[np.ndarray, int]:
     return weights, order
 
 
-def eval_grid(f: FieldRealization, xs, ys, alphas) -> np.ndarray:
-    """Evaluate several derivatives on the tensor grid xs x ys.
+def eval_grid(f: FieldRealization, xaxis, yaxis, alphas) -> np.ndarray:
+    """Evaluate several derivatives on a uniform tensor grid.
 
-    A plane wave separates over the coordinates: with a = lam1 xs + phi
-    and b = lam2 ys,
+    Each axis is (start, step, count): the nx points x_a = start + a step
+    of xaxis, the ny points y_b of yaxis.  A plane wave separates over the
+    coordinates: with a = lam1 x + phi and b = lam2 y,
 
         r cos(a + b) = r cos a cos b - r sin a sin b,
 
     and d^alpha multiplies it by lam1^a1 lam2^a2 and turns cos into its
     n-th derivative, n = a1 + a2: +-cos(a + b) for even n, -+sin(a + b) =
     -+(sin a cos b + cos a sin b) for odd n.  So with C1, S1 = cos, sin a
-    (len(xs) x M), C2, S2 = cos, sin b (M x len(ys)) and w the signed
-    per-term factor of _term_weights, which carries the +-,
+    (nx x M), C2, S2 = cos, sin b (M x ny) and w the signed per-term
+    factor of _term_weights, which carries the +-,
 
         d^alpha psi = [C1 w, -S1 w] @ [C2; S2]   (n even)
         d^alpha psi = [S1 w,  C1 w] @ [C2; S2]   (n odd),
 
-    one real matmul of inner size 2M per multi-index on
-    2 (len(xs) + len(ys)) M trig values, instead of len(xs) len(ys) M
-    trig calls.  Agrees with eval_many to rounding.
+    one real matmul of inner size 2M per multi-index (the code orders the
+    inner index term by term, cos then sin).
 
-    Returns shape (len(xs), len(ys), len(alphas)); entry [a, b] is the
-    point (xs[a], ys[b]), so reshape(-1, len(alphas)) lists the points in
+    The tables C + i S of an axis of n points come from angle addition
+    (_axis_trig): with B = floor(sqrt(n)), only ceil(n / B) + B rows of
+    arguments go through cos and sin (29 of 207 on the finder's grid of
+    a 20 x 20 window at the default step), and every other entry is one complex product of a coarse and
+    a fine entry.  That product is off by a few ulp of 1, so the grid is
+    off by a few ulp of the amplitude sum sum_j |w_j|, on top of the
+    |lam x| eps rounding of the argument that eval_many shares; the two
+    agree to rounding.
+
+    Returns shape (nx, ny, len(alphas)); entry [a, b] is the point
+    (x_a, y_b), so reshape(-1, len(alphas)) lists the points in
     meshgrid(xs, ys, indexing="ij") order.
     """
-    xs = np.asarray(xs, dtype=float).ravel()
-    ys = np.asarray(ys, dtype=float).ravel()
     M = f.nterms
+    nx, ny = int(xaxis[2]), int(yaxis[2])
     # The result goes first, below the temporaries, so that freeing them
     # lets the heap shrink back instead of growing the process's peak.
-    out = np.empty((xs.size, ys.size, len(alphas)))
-    c1 = np.outer(xs, f.frequencies[:, 0])
-    c1 += f.phases
-    s1 = np.sin(c1)
-    np.cos(c1, out=c1)
-    right = np.empty((2 * M, ys.size))  # [C2; S2]
-    np.outer(f.frequencies[:, 1], ys, out=right[M:])
-    np.cos(right[M:], out=right[:M])
-    np.sin(right[M:], out=right[M:])
-    left = np.empty((xs.size, 2 * M))
+    out = np.empty((nx, ny, len(alphas)))
+    e1 = _axis_trig(f.frequencies[:, 0], f.phases, *xaxis)  # C1 + i S1
+    right = _axis_trig(f.frequencies[:, 1], 0.0, *yaxis).view(float).T  # C2, S2 rows in turn
+    left = np.empty((nx, M, 2))
     for col, alpha in enumerate(alphas):
         w, order = _term_weights(f, alpha)
         if order % 2 == 0:
-            np.multiply(c1, w, out=left[:, :M])
-            np.multiply(s1, -w, out=left[:, M:])
+            np.multiply(e1.real, w, out=left[..., 0])
+            np.multiply(e1.imag, -w, out=left[..., 1])
         else:
-            np.multiply(s1, w, out=left[:, :M])
-            np.multiply(c1, w, out=left[:, M:])
-        val = left @ right
+            np.multiply(e1.imag, w, out=left[..., 0])
+            np.multiply(e1.real, w, out=left[..., 1])
+        val = left.reshape(nx, 2 * M) @ right
         if order == 0:
             val += f.shift
         out[:, :, col] = val
     return out
+
+
+def _axis_trig(lam: np.ndarray, phase, start: float, step: float, count: int) -> np.ndarray:
+    """exp(i (lam (start + k step) + phase)) for k < count; shape (count, M).
+
+    Angle addition: with k = q B + p, B = floor(sqrt(count)), the angle is
+    theta_q + delta_p, theta_q = lam (start + q B step) + phase and
+    delta_p = lam p step.  Only the ceil(count / B) + B rows of theta and
+    delta go through exp(i .), that is cos and sin; each row k is then one
+    complex product, four multiplications and two additions per entry.
+    """
+    count = int(count)
+    B = max(1, math.isqrt(count))
+    Q = -(-count // B)
+    theta = np.outer(start + step * (B * np.arange(Q)), lam)
+    theta += phase
+    delta = np.outer(step * np.arange(B), lam)
+    table = np.empty((Q, B, lam.size), dtype=complex)
+    np.multiply(np.exp(1j * theta)[:, None], np.exp(1j * delta), out=table)
+    return table.reshape(Q * B, lam.size)[:count]
 
 
 def eval_gradient(f: FieldRealization, x) -> np.ndarray:

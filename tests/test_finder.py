@@ -207,6 +207,28 @@ def test_newton_evaluates_each_visited_point_once(monkeypatch):
     assert nrunaway > 0 and newton_iters > len(seeds)
 
 
+def test_newton_makes_no_empty_evaluation(monkeypatch):
+    # When every active trajectory leaves the search bound in one step, the
+    # loop ends there instead of evaluating zero points.  Over the 40
+    # realizations of the benchmark's simulate sweep (seed 101) this
+    # happens once.  A window without a candidate cell evaluates no seed.
+    sizes = []
+
+    def many(f, x, alphas):
+        sizes.append(len(x))
+        return eval_many(f, x, alphas)
+
+    monkeypatch.setattr(finder, "eval_many", many)
+    model = RandomWave(1.0)
+    for i in range(40):
+        field = sample_field(model, M=256, seed=(101, i), gaussian_amplitudes=True)
+        find_critical_points(field, ((0.0, 20.0), (0.0, 20.0)))
+    assert len(sizes) > 400 and min(sizes) > 0
+    diag = {}
+    assert find_critical_points(field, ((0.0, 0.2), (0.0, 0.2)), diagnostics=diag) == []
+    assert diag["nseeds"] == 0 and min(sizes) > 0
+
+
 def _reference_roots(f, window):
     """The finder before the separable seed grid, gradient reuse and collapse.
 
@@ -366,6 +388,11 @@ def test_iteration_cap_loses_no_root(model, coarsen, monkeypatch):
             assert _has_root(capped, p.location, p.kind, 1e-12), (field.seed, p.location)
 
 
+def _axis_points(*axes):
+    """The coordinates of each (start, step, count) axis of eval_grid."""
+    return [start + step * np.arange(count) for start, step, count in axes]
+
+
 def _complex_eval_grid(f, xs, ys, alphas):
     """eval_grid before its real form: Re[i^n (E1 * (w e^{i phi})) E2^T]."""
     xs = np.asarray(xs, dtype=float).ravel()
@@ -388,11 +415,11 @@ def _complex_eval_grid(f, xs, ys, alphas):
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_real_eval_grid_agrees_with_the_complex_form(model, gaussian):
     f = sample_field(model, M=512, seed=5, gaussian_amplitudes=gaussian)
-    xs = np.arange(-1.5, 12.0, 0.3)
-    ys = np.arange(-2.0, 9.0, 0.27)
+    xaxis, yaxis = (-1.5, 0.3, 45), (-2.0, 0.27, 41)
     alphas = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (0, 3), (4, 0), (1, 3),
               (2, 2)]
-    new, old = eval_grid(f, xs, ys, alphas), _complex_eval_grid(f, xs, ys, alphas)
+    new = eval_grid(f, xaxis, yaxis, alphas)
+    old = _complex_eval_grid(f, *_axis_points(xaxis, yaxis), alphas)
     err = np.abs(new - old).max(axis=(0, 1))
     assert np.all(err <= 1e-12 * np.abs(old).max(axis=(0, 1))), err
 
@@ -403,18 +430,33 @@ def test_real_eval_grid_keeps_the_candidate_cells(model, monkeypatch):
     # real and the complex form of its gradient grid.
     seen = []
 
-    def recording(f, xs, ys, alphas):
-        seen.append((xs, ys, eval_grid(f, xs, ys, alphas)))
+    def recording(f, xaxis, yaxis, alphas):
+        seen.append((xaxis, yaxis, eval_grid(f, xaxis, yaxis, alphas)))
         return seen[-1][2]
 
     monkeypatch.setattr(finder, "eval_grid", recording)
     for field in _cap_fields(model):
         find_critical_points(field, _CAP_WINDOW)
-        xs, ys, grad = seen.pop()
+        xaxis, yaxis, grad = seen.pop()
         new = finder._candidate_cells(grad)
-        old = finder._candidate_cells(_complex_eval_grid(field, xs, ys, [(1, 0), (0, 1)]))
+        old = finder._candidate_cells(
+            _complex_eval_grid(field, *_axis_points(xaxis, yaxis), [(1, 0), (0, 1)]))
         assert len(new[0]) > 0
         np.testing.assert_array_equal(new, old)
+
+
+def test_candidate_cells_are_those_whose_corners_span_zero():
+    # The sign masks select the cells whose corner values of each gradient
+    # component reach <= 0 and >= 0, the min/max form kept here as the
+    # reference; the grid has exact zeros, and cells that are zero only.
+    rng = np.random.default_rng(4)
+    grad = rng.integers(-2, 3, size=(40, 33, 2)) * rng.uniform(0.5, 1.5, size=(40, 33, 2))
+    grad[5:9, 7:12] = 0.0
+    corners = (grad[:-1, :-1], grad[1:, :-1], grad[:-1, 1:], grad[1:, 1:])
+    low, high = np.minimum.reduce(corners), np.maximum.reduce(corners)
+    expected = np.nonzero(((low <= 0.0) & (high >= 0.0)).all(axis=-1))
+    assert 0 < len(expected[0]) < 39 * 32
+    np.testing.assert_array_equal(finder._candidate_cells(grad), expected)
 
 
 def test_index_defect_is_zero_on_the_cosine_lattice():
@@ -437,9 +479,9 @@ def test_index_defect_counts_a_root_left_out():
     # two extrema (+1 each) and two saddles (-1 each).  Leaving a saddle
     # out of the count gives -1, leaving an extremum out gives +1.
     f = _cosine_lattice_field()
-    xs = np.linspace(-0.5, math.pi + 0.5, 41)
-    ys = np.linspace(-0.5, math.pi + 0.5, 37)
-    grad = eval_grid(f, xs, ys, [(1, 0), (0, 1)])
+    xaxis, yaxis = (-0.5, (math.pi + 1.0) / 40, 41), (-0.5, (math.pi + 1.0) / 36, 37)
+    xs, ys = _axis_points(xaxis, yaxis)
+    grad = eval_grid(f, xaxis, yaxis, [(1, 0), (0, 1)])
     roots = np.array([[0.0, 0.0], [0.0, math.pi], [math.pi, 0.0], [math.pi, math.pi]])
     resid = np.zeros(4)
     assert finder._index_defect(f, xs, ys, grad, roots, resid, 1e-3) == 0

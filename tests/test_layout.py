@@ -130,6 +130,19 @@ def test_cli_import_leaves_scipy_integrate_out(module):
     assert out.stdout.strip() == "False"
 
 
+# The worker pool is imported where a run asks for more than one process,
+# so a fresh CLI process does not pay for multiprocessing.
+def test_cli_import_leaves_the_process_pool_out():
+    code = ("import sys, planarcrit.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules])")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 # The report's one-point laws sit at lag 0 and its pair laws are 80-bit
 # within the series' reach, so a small report loads no scipy at all.
 @pytest.mark.parametrize(

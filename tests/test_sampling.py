@@ -101,16 +101,17 @@ def test_kept_term_weights_change_no_bytes():
         return sample_field(RandomWave(1.0), M=64, seed=9)
 
     used = fresh()
-    pts = np.array([[0.0, 0.0], [1.0, -2.0], [0.3, 0.4]])
+    xaxis, yaxis = (0.0, 0.3, 3), (-2.0, 0.6, 4)
+    pts = np.stack(np.meshgrid(*_axis_points(xaxis, yaxis), indexing="ij"), axis=-1).reshape(-1, 2)
     alphas = [(0, 0), (1, 0), (0, 1), (2, 1), (0, 4)]
     first = eval_many(used, pts, alphas)
-    grid = eval_grid(used, pts[:, 0], pts[:, 1], alphas)
+    grid = eval_grid(used, xaxis, yaxis, alphas)
     assert repr(used) == repr(fresh())
     np.testing.assert_array_equal(eval_many(used, pts, alphas), first)
     for col, alpha in enumerate(alphas):
         np.testing.assert_array_equal(eval_many(fresh(), pts, [alpha])[:, 0], first[:, col])
         np.testing.assert_array_equal(
-            eval_grid(fresh(), pts[:, 0], pts[:, 1], [alpha])[..., 0], grid[..., col]
+            eval_grid(fresh(), xaxis, yaxis, [alpha])[..., 0], grid[..., col]
         )
     for _ in range(2):
         with pytest.raises(ValueError, match="exceeds total order"):
@@ -121,15 +122,53 @@ def test_kept_term_weights_change_no_bytes():
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_eval_grid_agrees_with_eval_many(model, gaussian):
     f = sample_field(model, M=512, seed=5, gaussian_amplitudes=gaussian)
-    xs = np.arange(-1.5, 12.0, 0.45)
-    ys = np.arange(-2.0, 9.0, 0.37)
+    xaxis, yaxis = (-1.5, 0.45, 30), (-2.0, 0.37, 30)
+    xs, ys = _axis_points(xaxis, yaxis)
     alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (0, 0)]
-    grid = eval_grid(f, xs, ys, alphas)
+    grid = eval_grid(f, xaxis, yaxis, alphas)
     assert grid.shape == (len(xs), len(ys), len(alphas))
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     ref = eval_many(f, pts, alphas)
     err = np.abs(grid.reshape(-1, len(alphas)) - ref).max(axis=0)
     assert np.all(err <= 1e-12 * np.abs(ref).max(axis=0)), err
+
+
+@pytest.mark.parametrize("model", [RandomWave(1.0), ShiftedRandomWave(0.5, 1.0, 1.0)], ids=repr)
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_eval_grid_tables_hold_on_long_axes_far_from_the_origin(model, gaussian):
+    # The angle-addition tables of 1500-point axes that start near |x| = 500:
+    # ceil(1500 / 38) = 40 coarse rows, each reused for 38 fine offsets.
+    f = sample_field(model, M=1024, seed=11, gaussian_amplitudes=gaussian)
+    xaxis, yaxis = (499.7, 0.37, 1500), (-503.1, 0.29, 1500)
+    alphas = [(0, 0), (1, 0), (1, 1)]
+    grid = eval_grid(f, xaxis, yaxis, alphas)
+    xs, ys = _axis_points(xaxis, yaxis)
+    rng = seeded_rng(3)
+    # Both ends of each axis and random points in between.
+    i = np.concatenate([[0, 1499, 0, 1499], rng.integers(0, 1500, 300)])
+    j = np.concatenate([[0, 0, 1499, 1499], rng.integers(0, 1500, 300)])
+    ref = eval_many(f, np.column_stack([xs[i], ys[j]]), alphas)
+    err = np.abs(grid[i, j] - ref).max(axis=0)
+    assert np.all(err <= 1e-12 * np.abs(ref).max(axis=0)), err
+
+
+@pytest.mark.parametrize("nx", [1, 2, 3])
+@pytest.mark.parametrize("ny", [1, 2, 3])
+def test_eval_grid_on_axes_of_one_to_three_points(nx, ny):
+    f = sample_field(ShiftedRandomWave(0.5, 1.0, 1.0), M=64, seed=9)
+    xaxis, yaxis = (-0.7, 0.45, nx), (2.1, 0.37, ny)
+    alphas = [(0, 0), (1, 0), (0, 2)]
+    grid = eval_grid(f, xaxis, yaxis, alphas)
+    assert grid.shape == (nx, ny, len(alphas))
+    xs, ys = _axis_points(xaxis, yaxis)
+    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    np.testing.assert_allclose(grid.reshape(-1, len(alphas)), eval_many(f, pts, alphas),
+                               rtol=0.0, atol=1e-13)
+
+
+def _axis_points(*axes):
+    """The coordinates of each (start, step, count) axis of eval_grid."""
+    return [start + step * np.arange(count) for start, step, count in axes]
 
 
 def test_gradient_and_hessian_accept_stacked_points():

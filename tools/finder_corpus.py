@@ -27,8 +27,11 @@ For each step the script prints one table row per family (roots,
 missed, extra, kind mismatches, largest displacement of a matched root,
 finder CPU reference -> new), then each extra root with its |grad psi|
 and Hessian eigenvalues, then every window whose finder reports a
-nonzero index defect.  It exits 1 when a reference root is missed or
-changes kind at either step, else 0.
+nonzero index defect, then how many windows differ in their number of
+Newton seeds (the finder's nseeds: candidate cells plus fold partners).
+Zero there means the two trees started Newton from as many points in
+every window, as they do when the sign test is unchanged.  It exits 1
+when a reference root is missed or changes kind at either step, else 0.
 """
 
 from __future__ import annotations
@@ -85,13 +88,16 @@ def run_tree() -> None:
             roots = [[*p.location, str(p.kind), p.gradient_residual, *p.hessian_eigenvalues]
                      for p in points]
             print(json.dumps({"key": [family, master, i, M, gaussian, L], "coarsen": coarsen,
-                              "cpu": cpu, "defect": diag.get("index_defect"), "roots": roots}))
+                              "cpu": cpu, "defect": diag.get("index_defect"),
+                              "nseeds": diag.get("nseeds"), "roots": roots}))
 
 
 def compare(ref: list[dict], new: list[dict]):
-    """Per-family counts, the extra roots and the windows with a nonzero defect."""
+    """Per-family counts, the extra roots, the windows with a nonzero defect and
+    the number of windows whose seed counts differ."""
     rows: dict = {}
     extras, defects = [], []
+    seed_diffs = 0
     if [(a["key"], a["coarsen"]) for a in ref] != [(b["key"], b["coarsen"]) for b in new]:
         raise SystemExit("the two trees ran different corpora")
     for a, b in zip(ref, new):
@@ -117,7 +123,8 @@ def compare(ref: list[dict], new: list[dict]):
         for side, rec in (("ref", a), ("new", b)):
             if rec["defect"]:
                 defects.append((side, rec["key"], rec["defect"]))
-    return rows, extras, defects
+        seed_diffs += a["nseeds"] != b["nseeds"]
+    return rows, extras, defects, seed_diffs
 
 
 def _key(key) -> str:
@@ -139,7 +146,7 @@ def report(ref: list[dict], new: list[dict]) -> int:
 
 def _report_step(ref: list[dict], new: list[dict]) -> int:
     """Print the table, the extra roots and the defects; 1 on a missed or retyped root."""
-    rows, extras, defects = compare(ref, new)
+    rows, extras, defects, seed_diffs = compare(ref, new)
     print("| family | roots (ref) | roots (new) | missed | extra | kind mismatches "
           "| largest displacement | finder CPU ref -> new (s) |")
     print("|---|---|---|---|---|---|---|---|")
@@ -160,6 +167,7 @@ def _report_step(ref: list[dict], new: list[dict]) -> int:
         print("\nWindows with a nonzero index defect:")
         for side, key, defect in defects:
             print(f"  {side}: {_key(key)}: {defect:+d}")
+    print(f"\nWindows with a differing seed count: {seed_diffs} of {len(ref)}")
     return 1 if total["missed"] or total["kinds"] else 0
 
 
