@@ -137,8 +137,14 @@ class ConditionalGaussian:
         return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
     def sample(self, rng: np.random.Generator, nsamples: int) -> np.ndarray:
-        """Draw nsamples independent rows, shape (nsamples, dim)."""
-        return rng.standard_normal((nsamples, len(self.covariance))) @ self._fac.T
+        """Draw nsamples independent rows, shape (nsamples, dim).
+
+        The result is the transpose of F z^T, which gives the bits of
+        z F^T: row i is draw i, and result.T holds one contiguous row
+        per component, which is how the integrands read it.
+        """
+        z = rng.standard_normal((nsamples, len(self.covariance)))
+        return (self._fac @ z.T).T
 
 
 def correlation_length(model: CovarianceModel) -> float:
@@ -357,7 +363,7 @@ def one_point_intensity_mc(
     )
 
     def integrand(draws):
-        h11, h12, h22 = draws.T.copy()
+        h11, h12, h22 = draws.T
         det = h11 * h22 - h12**2
         return np.where(_kind_indicator(tag, det), np.abs(det), 0.0)
 
@@ -424,10 +430,11 @@ def _k2_from_law(cond_cov, phi: float, r: float, kinds, npairs: int, seed):
 
     def integrand(draws):
         # Hessians back from averages and scaled differences.
-        rows = draws.T.copy()
-        avg, half_diff = rows[:3], (r / 2.0) * rows[3:]
-        h1 = avg + half_diff
-        h2 = avg - half_diff
+        # h1 is built in place over the half differences.
+        rows = draws.T
+        avg, h1 = rows[:3], (r / 2.0) * rows[3:]
+        h2 = avg - h1
+        h1 += avg
         det1 = h1[0] * h1[2] - h1[1] ** 2
         det2 = h2[0] * h2[2] - h2[1] ** 2
         typed = _kind_indicator(kinds[0], det1) & _kind_indicator(kinds[1], det2)

@@ -587,6 +587,24 @@ def test_monte_carlo_memory_stays_flat():
     assert peak < 16e6
 
 
+def test_monte_carlo_block_makes_no_transpose_copy():
+    # One block of 2^13 pairs.  The draws come out of F z^T as a view
+    # whose transpose holds one contiguous row per component, and the
+    # integrand reads those rows in place, so the peak stays below that
+    # with one more (n, 6) array of draws: a transpose copy in the
+    # integrand or in the sampler reads 4.4 draw arrays.
+    nsamples = 2 * kacrice._BLOCK_PAIRS
+    draws_bytes = kacrice._BLOCK_PAIRS * 6 * 8
+    two_point_correlation(RW1, 0.3, ("e", "e"), nsamples=nsamples, seed=1)
+    tracemalloc.start()
+    try:
+        two_point_correlation(RW1, 0.3, ("e", "e"), nsamples=nsamples, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * draws_bytes, peak / draws_bytes
+
+
 def test_pair_spellings_give_identical_estimates():
     # A pair string is split like the CLI's, and the order is kept.
     kw = dict(nsamples=2001, seed=4)

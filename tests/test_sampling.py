@@ -1,11 +1,15 @@
 """Spectral field sampler: exact derivatives, PDE identity, reproducibility."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from planarcrit.models import RandomWave, ShiftedRandomWave, sigma_derivatives
+from planarcrit.finder import default_grid_step
+from planarcrit.models import BargmannFock, RandomWave, ShiftedRandomWave, sigma_derivatives
 from planarcrit.sampling import (
     eval_gradient,
     eval_grid,
@@ -164,6 +168,79 @@ def test_eval_grid_on_axes_of_one_to_three_points(nx, ny):
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     np.testing.assert_allclose(grid.reshape(-1, len(alphas)), eval_many(f, pts, alphas),
                                rtol=0.0, atol=1e-13)
+
+
+def _finder_axes(model, window: float, coarsen: int = 1):
+    """The x and y axes of find_critical_points' sign-test grid on [0, window]^2."""
+    cell = coarsen * default_grid_step(model) / 8
+    axis = (-cell, cell, math.ceil(window / cell) + 3)
+    return axis, axis
+
+
+def _traced_peak(fn):
+    """fn()'s result and the peak of traced memory while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_repeat_eval_grid_allocates_only_its_result():
+    # The axis tables and the matmul operand stay in the thread's
+    # workspace, so a repeat call on the finder's 207 x 207 grid allocates
+    # its result and the trig rows of _axis_trig, and so does the grid at
+    # twice the step, evaluated after it in the workspace's prefix.
+    # Temporaries allocated per call lift the peak to 5.7 and 9.6 results.
+    f = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
+    alphas = [(1, 0), (0, 1)]
+    fine, coarse = _finder_axes(f.model, 20.0), _finder_axes(f.model, 20.0, coarsen=2)
+    assert fine[0][2] == 207
+    eval_grid(f, *fine, alphas)
+    for axes in (fine, coarse):
+        out, peak = _traced_peak(lambda: eval_grid(f, *axes, alphas))
+        assert out.shape == (axes[0][2], axes[1][2], 2)
+        assert peak <= 2 * out.nbytes, (axes, peak / out.nbytes)
+
+
+def test_eval_grid_workspace_is_invisible_to_callers():
+    # A returned grid shares no memory with the workspace: a later call on
+    # another field leaves it byte-equal.  Six threads, each with its own
+    # workspace, evaluate two fields of different sizes in turn and get
+    # the serial bytes.
+    jobs = [(sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True),
+             _finder_axes(RandomWave(1.0), 6.0), [(1, 0), (0, 1)]),
+            (sample_field(BargmannFock(1.0), M=128, seed=(7, 1)),
+             _finder_axes(BargmannFock(1.0), 4.0, coarsen=2), [(0, 0), (2, 0), (1, 1)])]
+    serial = [eval_grid(f, *axes, alphas) for f, axes, alphas in jobs]
+    before = [grid.copy() for grid in serial]
+    for f, axes, alphas in reversed(jobs):
+        eval_grid(f, *axes, alphas)
+    for grid, ref in zip(serial, before):
+        np.testing.assert_array_equal(grid, ref)
+
+    results: dict = {}
+
+    def worker(k: int) -> None:
+        results[k] = [eval_grid(f, *axes, alphas).tobytes()
+                      for _ in range(4) for f, axes, alphas in jobs[k % 2:] + jobs[:k % 2]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(6):
+        order = [serial[(k + i) % 2].tobytes() for i in range(2)]
+        assert results[k] == order * 4, k
 
 
 def _axis_points(*axes):

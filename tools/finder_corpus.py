@@ -5,7 +5,7 @@
 SRC is a source tree: a checkout holding ``src/planarcrit`` or the ``src``
 directory itself.  Each tree runs in its own subprocess, one after the
 other, and returns every root that ``find_critical_points`` finds on the
-corpus, with the finder's process CPU time.
+corpus, with the finder's process CPU time and minor page faults.
 
 The corpus has 400 realizations, 80 per family, for RandomWave(1),
 BargmannFock(1), ShiftedRandomWave(0.5, 1, 1), PowerLawTruncated(3) and
@@ -25,7 +25,7 @@ within TOL but has another kind; a new root with no reference root
 within TOL is extra.
 For each step the script prints one table row per family (roots,
 missed, extra, kind mismatches, largest displacement of a matched root,
-finder CPU reference -> new), then each extra root with its |grad psi|
+finder CPU and minor page faults reference -> new), then each extra root with its |grad psi|
 and Hessian eigenvalues, then every window whose finder reports a
 nonzero index defect, then how many windows differ in their number of
 Newton seeds (the finder's nseeds: candidate cells plus fold partners).
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import resource
 import sys
 import time
 
@@ -80,15 +81,17 @@ def run_tree() -> None:
         field = sample_field(models[family], M=M, seed=(master, i), gaussian_amplitudes=gaussian)
         for coarsen in COARSEN:
             diag: dict = {}
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.process_time()
             points = find_critical_points(field, ((0.0, L), (0.0, L)),
                                           coarsen * default_grid_step(field.model),
                                           diagnostics=diag)
             cpu = time.process_time() - start
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             roots = [[*p.location, str(p.kind), p.gradient_residual, *p.hessian_eigenvalues]
                      for p in points]
             print(json.dumps({"key": [family, master, i, M, gaussian, L], "coarsen": coarsen,
-                              "cpu": cpu, "defect": diag.get("index_defect"),
+                              "cpu": cpu, "faults": faults, "defect": diag.get("index_defect"),
                               "nseeds": diag.get("nseeds"), "roots": roots}))
 
 
@@ -102,11 +105,14 @@ def compare(ref: list[dict], new: list[dict]):
         raise SystemExit("the two trees ran different corpora")
     for a, b in zip(ref, new):
         row = rows.setdefault(a["key"][0], dict(roots=0, new_roots=0, missed=0, extra=0,
-                                                kinds=0, shift=0.0, cpu_ref=0.0, cpu_new=0.0))
+                                                kinds=0, shift=0.0, cpu_ref=0.0, cpu_new=0.0,
+                                                faults_ref=0, faults_new=0))
         row["roots"] += len(a["roots"])
         row["new_roots"] += len(b["roots"])
         row["cpu_ref"] += a["cpu"]
         row["cpu_new"] += b["cpu"]
+        row["faults_ref"] += a["faults"]
+        row["faults_new"] += b["faults"]
         for x, y, kind, *_ in a["roots"]:
             dist, near = min(((math.hypot(x - u, y - v), k) for u, v, k, *_ in b["roots"]),
                              default=(math.inf, None))
@@ -148,17 +154,18 @@ def _report_step(ref: list[dict], new: list[dict]) -> int:
     """Print the table, the extra roots and the defects; 1 on a missed or retyped root."""
     rows, extras, defects, seed_diffs = compare(ref, new)
     print("| family | roots (ref) | roots (new) | missed | extra | kind mismatches "
-          "| largest displacement | finder CPU ref -> new (s) |")
-    print("|---|---|---|---|---|---|---|---|")
+          "| largest displacement | finder CPU ref -> new (s) | minor page faults ref -> new |")
+    print("|---|---|---|---|---|---|---|---|---|")
     total = dict.fromkeys(("roots", "new_roots", "missed", "extra", "kinds"), 0)
-    total.update(shift=0.0, cpu_ref=0.0, cpu_new=0.0)
+    total.update(shift=0.0, cpu_ref=0.0, cpu_new=0.0, faults_ref=0, faults_new=0)
     for family, row in [*rows.items(), ("total", total)]:
         if family != "total":
             for k in total:
                 total[k] = max(total[k], row[k]) if k == "shift" else total[k] + row[k]
         print(f"| {family} | {row['roots']} | {row['new_roots']} | {row['missed']} | "
               f"{row['extra']} | {row['kinds']} | {row['shift']:.1e} | "
-              f"{row['cpu_ref']:.2f} -> {row['cpu_new']:.2f} |")
+              f"{row['cpu_ref']:.2f} -> {row['cpu_new']:.2f} | "
+              f"{row['faults_ref']} -> {row['faults_new']} |")
     if extras:
         print("\nExtra roots (|grad psi|, Hessian eigenvalues):")
         for key, x, y, kind, resid, lo, hi in extras:
