@@ -139,9 +139,11 @@ class ConditionalGaussian:
     def sample(self, rng: np.random.Generator, nsamples: int) -> np.ndarray:
         """Draw nsamples independent rows, shape (nsamples, dim).
 
-        The result is the transpose of F z^T, which gives the bits of
-        z F^T: row i is draw i, and result.T holds one contiguous row
-        per component, which is how the integrands read it.
+        Row i is the draw F z_i.  The array is the transpose of F z^T, so
+        result.T holds one contiguous row per component, which is how the
+        integrands read it without a copy.  F z^T has the bits of z F^T
+        with numpy 2.4's OpenBLAS: tools/cli_digests.py gives the same
+        Kac-Rice digests for both forms.
         """
         z = rng.standard_normal((nsamples, len(self.covariance)))
         return (self._fac @ z.T).T
@@ -429,8 +431,8 @@ def _k2_from_law(cond_cov, phi: float, r: float, kinds, npairs: int, seed):
     law = ConditionalGaussian(cond_cov)
 
     def integrand(draws):
-        # Hessians back from averages and scaled differences.
-        # h1 is built in place over the half differences.
+        # Hessians back from averages and scaled differences; h1 is built
+        # in place over the half differences.
         rows = draws.T
         avg, h1 = rows[:3], (r / 2.0) * rows[3:]
         h2 = avg - h1
