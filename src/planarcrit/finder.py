@@ -35,8 +35,9 @@ over its converged, deduplicated roots inside the ring, counted before
 the window filter, and reports the difference as index_defect.  A
 nonzero defect means a root was missed or a spurious one kept; a zero
 defect cannot see a missed extremum-saddle pair.  The check reuses the
-sign-test grid and the converged end points; it evaluates only the ring
-refinement and the Hessians of the counted roots, and changes no root.
+sign-test grid, the converged end points and the Hessians Newton
+evaluated there; it evaluates only the ring refinement, and changes no
+root.
 It runs only when diagnostics are asked for: `find --format json` asks,
 and so does perfbench's layer trace, which passes a diagnostics dict to
 every finder call; `estimate` and CSV `find` do not.  It costs about 5 %
@@ -75,7 +76,14 @@ one root, so only the one with the lowest residual is followed (ties go
 to the lowest seed index); the others are counted as merged.  With one
 trajectory per root the kept residual is no longer the best of many
 duplicates, so each root gets one final Newton step, kept where it
-lowers the residual.
+lowers the residual.  The values Newton holds at its end points serve
+everything after it: the fold-partner prediction reads their Hessians
+and evaluates only the third derivatives, the final step starts from
+them, and the index defect counts their Hessian signs.  One call at the
+points the final step moves to gives both their residual and the
+Hessian that classifies them; a root the step leaves in place (a step
+below the last bit of its coordinates) or does not improve keeps
+Newton's values.  So no point is evaluated twice.
 """
 
 from __future__ import annotations
@@ -92,7 +100,8 @@ from .models import (
     effective_wavenumber,
     sigma_derivatives,
 )
-from .sampling import FieldRealization, eval_gradient, eval_grid, eval_hessian, eval_many
+# Not called here: perfbench/tracing.py wraps finder.eval_gradient (test_layout pins it).
+from .sampling import FieldRealization, eval_gradient, eval_grid, eval_many  # noqa: F401
 
 __all__ = [
     "CriticalKind",
@@ -228,15 +237,17 @@ def find_critical_points(
 
     margin = 4.0 * h
     bound = np.array([xmin - margin, ymin - margin, xmax + margin, ymax + margin])
-    pts, gnorm, counts = _newton(f, pts, bound, dedup_radius)
+    pts, gnorm, vals, counts = _newton(f, pts, bound, dedup_radius)
     # Two roots in one cell share a seed; also run from the partner that
     # each root predicts across a nearby fold.
-    done = gnorm <= _NEWTON_TOL
-    partners = _fold_partners(f, _dedup(pts[done], gnorm[done], dedup_radius)[0], 2.0 * cell)
+    done = np.flatnonzero(gnorm <= _NEWTON_TOL)
+    roots = done[_dedup(pts[done], gnorm[done], dedup_radius)]
+    partners = _fold_partners(f, pts[roots], vals[roots, 2:], 2.0 * cell)
     if len(partners):
-        more, more_gnorm, more_counts = _newton(f, partners, bound, dedup_radius)
+        more, more_gnorm, more_vals, more_counts = _newton(f, partners, bound, dedup_radius)
         pts = np.concatenate([pts, more])
         gnorm = np.concatenate([gnorm, more_gnorm])
+        vals = np.concatenate([vals, more_vals])
         counts += more_counts
     nmerged, nrunaway, nstalled, newton_iters = counts.tolist()
 
@@ -244,27 +255,25 @@ def find_critical_points(
     inside = (
         (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax) & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
     )
-    keep = pts[converged & inside]
-    resid = gnorm[converged & inside]
-    merged_pts, merged_resid = _polish(f, *_dedup(keep, resid, dedup_radius))
+    keep = np.flatnonzero(converged & inside)
+    keep = keep[_dedup(pts[keep], gnorm[keep], dedup_radius)]
+    merged_pts, merged_resid, hess = _polish(f, pts[keep], vals[keep])
 
     points = []
-    if len(merged_pts):
-        hess = eval_hessian(f, merged_pts)
-        for (x, y), h, res in zip(merged_pts, hess, merged_resid):
-            kind = classify(h, det_floor)
-            det = h[0, 0] * h[1, 1] - h[0, 1] ** 2
-            mean = 0.5 * (h[0, 0] + h[1, 1])
-            spread = math.hypot(0.5 * (h[0, 0] - h[1, 1]), h[0, 1])
-            points.append(
-                CriticalPoint(
-                    location=(float(x), float(y)),
-                    kind=kind,
-                    hessian_det=float(det),
-                    hessian_eigenvalues=(float(mean - spread), float(mean + spread)),
-                    gradient_residual=float(res),
-                )
+    for (x, y), (h11, h12, h22), res in zip(merged_pts, hess, merged_resid):
+        kind = classify([[h11, h12], [h12, h22]], det_floor)
+        det = h11 * h22 - h12**2
+        mean = 0.5 * (h11 + h22)
+        spread = math.hypot(0.5 * (h11 - h22), h12)
+        points.append(
+            CriticalPoint(
+                location=(float(x), float(y)),
+                kind=kind,
+                hessian_det=float(det),
+                hessian_eigenvalues=(float(mean - spread), float(mean + spread)),
+                gradient_residual=float(res),
             )
+        )
     if diagnostics is not None:
         diagnostics.update(
             nseeds=len(gnorm),
@@ -275,7 +284,7 @@ def find_critical_points(
             ndropped=nrunaway + nstalled,
             newton_iters=newton_iters,
             nreturned=len(points),
-            index_defect=_index_defect(f, xs, ys, grid, pts[converged], gnorm[converged],
+            index_defect=_index_defect(f, xs, ys, grid, pts[converged], vals[converged],
                                        dedup_radius),
         )
     return points
@@ -286,12 +295,13 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
 
     Every point is evaluated once: the seeds together, then each step's
     landing points, whose gradient and Hessian the next step uses.
-    Returns the end points, their gradient norms (inf for a runaway) and
-    the counters [nmerged, nrunaway, nstalled, newton_iters].
+    Returns the end points, their gradient norms (inf for a runaway), their
+    _DERIVS rows (a runaway's are those of its last point inside the
+    bound) and the counters [nmerged, nrunaway, nstalled, newton_iters].
     """
     pts = pts.copy()
     if len(pts) == 0:  # no candidate cell: nothing to evaluate
-        return pts, np.zeros(0), np.zeros(4, dtype=int)
+        return pts, np.zeros(0), np.zeros((0, len(_DERIVS))), np.zeros(4, dtype=int)
     vals = eval_many(f, pts, _DERIVS)
     gnorm = np.linalg.norm(vals[:, :2], axis=1)
     active = np.arange(len(pts))
@@ -319,7 +329,7 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
         vals[active] = eval_many(f, trial[~out], _DERIVS)
         gnorm[active] = np.linalg.norm(vals[active, :2], axis=1)
     nstalled = int((gnorm[active] > _NEWTON_TOL).sum())
-    return pts, gnorm, np.array([nmerged, nrunaway, nstalled, newton_iters])
+    return pts, gnorm, vals, np.array([nmerged, nrunaway, nstalled, newton_iters])
 
 
 def _candidate_cells(grad: np.ndarray):
@@ -337,21 +347,20 @@ def _candidate_cells(grad: np.ndarray):
     return np.nonzero(~ruled_out)
 
 
-def _index_defect(f: FieldRealization, xs, ys, grad, pts, resid, radius: float) -> int:
+def _index_defect(f: FieldRealization, xs, ys, grad, pts, vals, radius: float) -> int:
     """Winding number of grad psi around the grid xs x ys minus the index sum inside.
 
     `grad` is the gradient on the grid (eval_grid order); `pts` are the
-    converged end points with residuals `resid`, deduplicated here at
-    `radius`.  The index sum counts +1 per extremum and -1 per saddle by
-    the sign of det H.
+    converged end points with their _DERIVS rows `vals`, deduplicated here
+    at `radius`.  The index sum counts +1 per extremum and -1 per saddle
+    by the sign of det H, read from `vals`.
     """
     inside = (pts[:, 0] >= xs[0]) & (pts[:, 0] <= xs[-1]) & (pts[:, 1] >= ys[0]) & (
         pts[:, 1] <= ys[-1])
-    roots, _ = _dedup(pts[inside], resid[inside], radius)
-    index = 0
-    if len(roots):
-        h11, h12, h22 = eval_many(f, roots, _HESSIAN).T
-        index = int(np.sign(h11 * h22 - h12**2).sum())
+    pts, vals = pts[inside], vals[inside]
+    roots = _dedup(pts, np.linalg.norm(vals[:, :2], axis=1), radius)
+    h11, h12, h22 = vals[roots, 2:].T
+    index = int(np.sign(h11 * h22 - h12**2).sum())
     return _winding_number(f, xs, ys, grad) - index
 
 
@@ -384,16 +393,20 @@ def _winding_number(f: FieldRealization, xs, ys, grad) -> int:
     return round(turn.sum() / (2.0 * math.pi))
 
 
-def _fold_partners(f: FieldRealization, roots: np.ndarray, reach: float) -> np.ndarray:
+def _fold_partners(f: FieldRealization, roots: np.ndarray, hess: np.ndarray,
+                   reach: float) -> np.ndarray:
     """The predicted partner of each root that lies within `reach` across a fold.
 
     Along the Hessian eigenvector v of the eigenvalue lam nearer zero, the
     gradient component is lam t + c t^2 / 2, with c the third derivative
-    of psi along v; so a second root sits near t = -2 lam / c.
+    of psi along v; so a second root sits near t = -2 lam / c.  `hess`
+    holds the roots' Hessian rows (_HESSIAN order), which Newton has
+    already evaluated; only the third derivatives are evaluated here.
     """
     if len(roots) == 0:
         return roots
-    h11, h12, h22, t30, t21, t12, t03 = eval_many(f, roots, [*_HESSIAN, *_THIRD]).T
+    h11, h12, h22 = hess.T
+    t30, t21, t12, t03 = eval_many(f, roots, _THIRD).T
     mean = 0.5 * (h11 + h22)
     spread = np.hypot(0.5 * (h11 - h22), h12)
     theta = 0.5 * np.arctan2(2.0 * h12, h11 - h22)  # eigenvector of mean + spread
@@ -418,21 +431,31 @@ def _newton_step(g1, g2, h11, h12, h22):
     return step, ok
 
 
-def _polish(f: FieldRealization, pts: np.ndarray, resid: np.ndarray):
+def _polish(f: FieldRealization, pts: np.ndarray, vals: np.ndarray):
     """One more Newton step from each root, kept where it lowers the residual.
 
     With one trajectory per root the kept residual is no longer the best of
     many near-duplicates; it can sit just under _NEWTON_TOL, which near a
     nearly singular Hessian means a location off by resid / |eigenvalue|.
     The extra step brings it back to rounding level.
+
+    The step starts from the roots' _DERIVS rows `vals`, which Newton has
+    already evaluated, and one eval_many call at the trial points gives
+    both their residual and their Hessian.  A step below the last bit of
+    the coordinates lands on the root itself, which is not evaluated again.
+    Returns the kept points, their residuals and their Hessian rows
+    (_HESSIAN order) for classification.
     """
-    if len(pts) == 0:
-        return pts, resid
-    step, _ = _newton_step(*eval_many(f, pts, _DERIVS).T)
+    pts, vals = pts.copy(), vals.copy()
+    step, _ = _newton_step(*vals.T)
     trial = pts - step
-    tres = np.linalg.norm(eval_gradient(f, trial), axis=1)
-    better = tres < resid
-    return np.where(better[:, None], trial, pts), np.where(better, tres, resid)
+    moved = np.flatnonzero((trial != pts).any(axis=1))
+    if moved.size:
+        tvals = eval_many(f, trial[moved], _DERIVS)
+        better = np.linalg.norm(tvals[:, :2], axis=1) < np.linalg.norm(vals[moved, :2], axis=1)
+        pts[moved[better]] = trial[moved[better]]
+        vals[moved[better]] = tvals[better]
+    return pts, np.linalg.norm(vals[:, :2], axis=1), vals[:, 2:]
 
 
 def _collapse(pts: np.ndarray, resid: np.ndarray, idx: np.ndarray, radius: float):
@@ -449,10 +472,11 @@ def _collapse(pts: np.ndarray, resid: np.ndarray, idx: np.ndarray, radius: float
     return np.sort(idx[order[first]])
 
 
-def _dedup(pts: np.ndarray, resid: np.ndarray, radius: float):
-    """Merge points within `radius` via spatial hashing, keeping best residual."""
-    if len(pts) == 0:
-        return pts.reshape(0, 2), resid
+def _dedup(pts: np.ndarray, resid: np.ndarray, radius: float) -> np.ndarray:
+    """Merge points within `radius` via spatial hashing, keeping best residual.
+
+    Returns the sorted indices of the kept points.
+    """
     order = np.argsort(resid)
     cells: dict[tuple[int, int], list[int]] = {}
     keep: list[int] = []
@@ -470,6 +494,5 @@ def _dedup(pts: np.ndarray, resid: np.ndarray, radius: float):
         if not any(math.hypot(x - u, y - v) < radius for u, v in near):
             cells.setdefault((cx, cy), []).append(idx)
             keep.append(idx)
-    keep = sorted(keep)
-    return pts[keep], resid[keep]
+    return np.array(sorted(keep), dtype=int)
 

@@ -82,7 +82,7 @@ __all__ = [
     "two_point_correlation",
     "disc_pair_distance_density",
     "second_factorial_by_quadrature",
-    "small_ball_probability_mc",
+    "small_ball_probability",
     "R_FLOOR_FRACTION",
 ]
 
@@ -537,19 +537,16 @@ def second_factorial_by_quadrature(
     )
 
 
-def small_ball_probability_mc(
-    r: float = 0.01, nsamples: int = 10**6, seed=0
-) -> MomentEstimate:
-    """P(|Z1 Z2| < r) for independent standard Gaussians Z1, Z2.
+def small_ball_probability(r: float) -> float:
+    """P(|Z1 Z2| < r) for independent standard Gaussians Z1, Z2, exactly.
 
-    The product of two Gaussian coordinates concentrates mass near zero
-    like r log(1/r); this estimator is the oracle for that the small-
-    ball bounds hold with matching lower-bound behavior.
+    The product Z1 Z2 has density K0(|u|) / pi, so the probability is
+    (2 / pi) int_0^r K0 = r [K0(r) L_{-1}(r) + K1(r) L0(r)], with L the
+    modified Struve functions.  It concentrates mass near zero like
+    r log(1/r), the oracle that the small-ball bounds hold with matching
+    lower-bound behavior.
     """
-    if nsamples < 2:
-        raise ValueError(f"nsamples must be at least 2, got {nsamples}")
-    rng = seeded_rng(seed)
-    z = rng.standard_normal((nsamples, 2))
-    p = float(np.mean(np.abs(z[:, 0] * z[:, 1]) < r))
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / nsamples)
-    return MomentEstimate(value=p, std_error=se, nsamples=nsamples, rho=r, label="small-ball")
+    # Imported here: scipy.special would cost every CLI start.
+    from scipy.special import k0, k1, modstruve
+
+    return float(r * (k0(r) * modstruve(-1, r) + k1(r) * modstruve(0, r)))

@@ -50,7 +50,6 @@ __all__ = [
     "eval_many",
     "eval_grid",
     "eval_gradient",
-    "eval_hessian",
 ]
 
 
@@ -194,21 +193,29 @@ def eval_many(f: FieldRealization, x, alphas) -> np.ndarray:
     once and reused across all requested multi-indices, which is what
     makes the Newton refinement in the finder cheap.
 
+    The argument matrix and its cosine and sine live in the calling
+    thread's workspace (_scratch), so repeat calls reuse their memory
+    instead of returning it to the system and faulting it back in; the
+    result never shares memory with the workspace.
+
     Returns shape (N, len(alphas)) for x of shape (N, 2).
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    arg = pts @ f.frequencies.T + f.phases  # (N, M)
+    n, M = pts.shape[0], f.nterms
+    arg = _scratch("arg", n * M, float).reshape(n, M)
+    np.matmul(pts, f.frequencies.T, out=arg)
+    arg += f.phases
     cos = sin = None
-    out = np.empty((pts.shape[0], len(alphas)))
+    out = np.empty((n, len(alphas)))
     for col, alpha in enumerate(alphas):
         weights, order = _term_weights(f, alpha)
         if order % 2 == 0:
             if cos is None:
-                cos = np.cos(arg)
+                cos = np.cos(arg, out=_scratch("cos", n * M, float).reshape(n, M))
             osc = cos
         else:
             if sin is None:
-                sin = np.sin(arg)
+                sin = np.sin(arg, out=_scratch("sin", n * M, float).reshape(n, M))
             osc = sin
         col_val = osc @ weights
         if order == 0:
@@ -351,12 +358,3 @@ def eval_gradient(f: FieldRealization, x) -> np.ndarray:
     out = eval_many(f, x.reshape(-1, 2), [(1, 0), (0, 1)])
     return out.reshape(x.shape[:-1] + (2,)) if x.ndim > 1 else out[0]
 
-
-def eval_hessian(f: FieldRealization, x) -> np.ndarray:
-    """Hessian of psi; shape (..., 2, 2), symmetric."""
-    x = np.asarray(x, dtype=float)
-    h11, h12, h22 = eval_many(f, x.reshape(-1, 2), [(2, 0), (1, 1), (0, 2)]).T
-    hess = np.stack(
-        [np.stack([h11, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2
-    )
-    return hess.reshape(x.shape[:-1] + (2, 2)) if x.ndim > 1 else hess[0]

@@ -31,7 +31,7 @@ from planarcrit import (
     second_factorial,
     second_factorial_by_quadrature,
     sigma_derivatives,
-    small_ball_probability_mc,
+    small_ball_probability,
     spectral_moment,
     sweep,
     two_point_correlation,
@@ -230,9 +230,8 @@ def test_09_attractive_regime_and_minimality():
 
 def test_10_small_ball_band():
     ratios = []
-    for i, r in enumerate((1e-4, 1e-3, 1e-2)):
-        est = small_ball_probability_mc(r=r, nsamples=10**7, seed=(10, i))
-        ratios.append(est.value / (r * math.log(1.0 / r)))
+    for r in (1e-4, 1e-3, 1e-2):
+        ratios.append(small_ball_probability(r) / (r * math.log(1.0 / r)))
     band = max(ratios) / min(ratios)
     check(10, "product small-ball probability stays in one band", band < 2.0,
           f"ratios {[round(x, 4) for x in ratios]}, max/min {band:.3f} (tol 2)")

@@ -26,7 +26,6 @@ from planarcrit.sampling import (
     FieldRealization,
     eval_gradient,
     eval_grid,
-    eval_hessian,
     eval_many,
     sample_field,
 )
@@ -89,9 +88,8 @@ def test_dedup_keeps_every_point_of_a_shared_cell():
     # The first two points share hash cell (0, 0) but are 1.39 apart, so
     # both are kept; the third is 0.02 from the first and must merge into it.
     pts = np.array([[0.01, 0.01], [0.99, 0.99], [-0.01, 0.01]])
-    merged, resid = _dedup(pts, np.array([0.0, 1.0, 2.0]), radius=1.0)
-    np.testing.assert_array_equal(merged, pts[:2])
-    np.testing.assert_array_equal(resid, [0.0, 1.0])
+    keep = _dedup(pts, np.array([0.0, 1.0, 2.0]), radius=1.0)
+    np.testing.assert_array_equal(keep, [0, 1])
 
 
 def test_type_counts_partition():
@@ -199,7 +197,7 @@ def test_newton_evaluates_each_visited_point_once(monkeypatch):
 
     monkeypatch.setattr(finder, "eval_many", many)
     monkeypatch.setattr(finder, "eval_gradient", lambda *args: gradient_calls.append(args))
-    _, _, (_, nrunaway, _, newton_iters) = newton(f, seeds, bound, radius)
+    _, _, _, (_, nrunaway, _, newton_iters) = newton(f, seeds, bound, radius)
     assert not gradient_calls
     visited = np.concatenate(evaluated)
     assert len(visited) == len(seeds) + newton_iters - nrunaway
@@ -229,12 +227,61 @@ def test_newton_makes_no_empty_evaluation(monkeypatch):
     assert diag["nseeds"] == 0 and min(sizes) > 0
 
 
+def test_a_finder_call_evaluates_no_point_twice(monkeypatch):
+    # Newton's values at its end points feed the fold-partner prediction,
+    # the polishing step, classification and the index defect: no point
+    # gets _DERIVS twice, none is asked for its Hessian alone, the third
+    # derivatives are asked only at deduplicated converged roots, and
+    # gradient-only rows lie on the index defect's ring.  A window with
+    # merged and runaway trajectories, and one whose saddle is found only
+    # from its fold partner (twice the default step).
+    calls, axes, gradient_calls = [], [], []
+
+    def many(f, x, alphas):
+        vals = eval_many(f, x, alphas)
+        calls.append((np.array(x), list(alphas), vals))
+        return vals
+
+    def grid(f, xaxis, yaxis, alphas):
+        axes.append((xaxis, yaxis))
+        return eval_grid(f, xaxis, yaxis, alphas)
+
+    monkeypatch.setattr(finder, "eval_many", many)
+    monkeypatch.setattr(finder, "eval_grid", grid)
+    monkeypatch.setattr(finder, "eval_gradient",
+                        lambda f, x: gradient_calls.append(x) or eval_gradient(f, x))
+    fold = sample_field(BargmannFock(1.0), M=1024, seed=(202, 39))
+    cases = [(sample_field(RandomWave(1.0), M=256, seed=(101, 6), gaussian_amplitudes=True), 1),
+             (fold, 2)]
+    for field, coarsen in cases:
+        calls.clear()
+        step = coarsen * default_grid_step(field.model)
+        find_critical_points(field, ((0.0, 12.0), (0.0, 12.0)), step, diagnostics={})
+        assert all(alphas in (finder._DERIVS, finder._THIRD, finder._DERIVS[:2])
+                   for _, alphas, _ in calls)
+        assert not any(alphas == finder._HESSIAN for _, alphas, _ in calls)
+        rows = np.concatenate([x for x, alphas, _ in calls if alphas == finder._DERIVS])
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        gnorm = {tuple(p): math.hypot(*v[:2]) for x, alphas, vals in calls
+                 if alphas == finder._DERIVS for p, v in zip(x.tolist(), vals)}
+        (third,) = [x for x, alphas, _ in calls if alphas == finder._THIRD]
+        assert all(gnorm[tuple(p)] <= finder._NEWTON_TOL for p in third.tolist())
+        gaps = np.hypot(*(third[:, None, :] - third[None, :, :]).transpose(2, 0, 1))
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min() >= step / 100
+        xs, ys = _axis_points(*axes[-1])
+        for x, alphas, _ in calls:
+            if alphas == finder._DERIVS[:2]:
+                assert np.all(np.isin(x[:, 0], xs[[0, -1]]) | np.isin(x[:, 1], ys[[0, -1]]))
+    assert not gradient_calls
+
+
 def _reference_roots(f, window):
     """The finder before the separable seed grid, gradient reuse and collapse.
 
     Gradient of every seed, then per iteration a full gradient-and-Hessian
-    evaluation of every active point, line search, and one _dedup at the
-    end; returns [(x, y, kind)].  The model's default grid step, the
+    evaluation of every active point, line search, one _dedup at the end
+    and a fresh Hessian evaluation at its own roots; returns [(x, y, kind)].  The model's default grid step, the
     finder's Newton tolerance, the earlier iteration cap of 50 (its own
     literal, so a lower cap in the finder cannot weaken the reference), the
     dedup radius h / 100 and the degeneracy floor 1e-12 * 12 mu0.
@@ -280,8 +327,9 @@ def _reference_roots(f, window):
         active = active[~out]
     sel = (gnorm <= finder._NEWTON_TOL) & (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax) \
         & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
-    roots, _ = _dedup(pts[sel], gnorm[sel], dedup_radius)
-    kinds = [classify(hm, det_floor) for hm in eval_hessian(f, roots)]
+    roots = pts[sel][_dedup(pts[sel], gnorm[sel], dedup_radius)]
+    hess = eval_many(f, roots, [(2, 0), (1, 1), (0, 2)])
+    kinds = [classify([[h11, h12], [h12, h22]], det_floor) for h11, h12, h22 in hess]
     return [(x, y, kind) for (x, y), kind in zip(roots.tolist(), kinds)]
 
 
@@ -483,10 +531,10 @@ def test_index_defect_counts_a_root_left_out():
     xs, ys = _axis_points(xaxis, yaxis)
     grad = eval_grid(f, xaxis, yaxis, [(1, 0), (0, 1)])
     roots = np.array([[0.0, 0.0], [0.0, math.pi], [math.pi, 0.0], [math.pi, math.pi]])
-    resid = np.zeros(4)
-    assert finder._index_defect(f, xs, ys, grad, roots, resid, 1e-3) == 0
-    assert finder._index_defect(f, xs, ys, grad, roots[[0, 2, 3]], resid[1:], 1e-3) == -1
-    assert finder._index_defect(f, xs, ys, grad, roots[1:], resid[1:], 1e-3) == 1
+    vals = eval_many(f, roots, finder._DERIVS)
+    assert finder._index_defect(f, xs, ys, grad, roots, vals, 1e-3) == 0
+    assert finder._index_defect(f, xs, ys, grad, roots[[0, 2, 3]], vals[[0, 2, 3]], 1e-3) == -1
+    assert finder._index_defect(f, xs, ys, grad, roots[1:], vals[1:], 1e-3) == 1
 
 
 def test_index_defect_flags_a_missed_saddle(monkeypatch):
@@ -500,7 +548,7 @@ def test_index_defect_flags_a_missed_saddle(monkeypatch):
     diag = {}
     find_critical_points(field, window, step, diagnostics=diag)
     assert diag["index_defect"] == 0
-    monkeypatch.setattr(finder, "_fold_partners", lambda f, roots, reach: roots[:0])
+    monkeypatch.setattr(finder, "_fold_partners", lambda f, roots, hess, reach: roots[:0])
     points = find_critical_points(field, window, step, diagnostics=diag)
     assert not _has_root(points, (10.511260013850139, 7.656567436866597), CriticalKind.SADDLE,
                          1e-9)

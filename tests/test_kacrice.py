@@ -24,7 +24,7 @@ from planarcrit.kacrice import (
     gradient_pair_density_asymptotic,
     one_point_intensity_mc,
     second_factorial_by_quadrature,
-    small_ball_probability_mc,
+    small_ball_probability,
     two_point_correlation,
 )
 from planarcrit.models import (
@@ -433,18 +433,22 @@ def test_quadrature_thread_count_does_not_change_bytes():
 
 
 def test_small_ball_probability_against_quadrature():
-    r = 0.01
-    est = small_ball_probability_mc(r=r, nsamples=10**6, seed=6)
-    exact, err = integrate.quad(
-        lambda z: 2.0
-        * math.erf(r / (abs(z) * math.sqrt(2.0)))
-        * math.exp(-(z**2) / 2.0)
-        / math.sqrt(2.0 * math.pi),
-        1e-12,
-        30.0,
-    )
-    assert err < 1e-9
-    assert abs(est.value - exact) < 4.0 * est.std_error
+    # P(|Z1 Z2| < r) = E P(|Z1| < r / |Z2|), integrated over Z2 from 0: a
+    # lower limit above 0 drops about 0.8 times it, 1e-9 of the value at
+    # r = 1e-4, so the relative tolerance needs it at 0.
+    for r in (1e-4, 1e-3, 1e-2, 0.3, 2.0):
+        quad, err = integrate.quad(
+            lambda z: 2.0
+            * math.erf(r / (abs(z) * math.sqrt(2.0)))
+            * math.exp(-(z**2) / 2.0)
+            / math.sqrt(2.0 * math.pi),
+            0.0,
+            30.0,
+            epsabs=0.0,
+            epsrel=1e-13,
+        )
+        assert err < 1e-12 * quad, r
+        assert abs(small_ball_probability(r) - quad) < 1e-12 * quad, r
 
 
 # ---------------------------------------------------------------------------

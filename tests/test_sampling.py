@@ -13,7 +13,6 @@ from planarcrit.models import BargmannFock, RandomWave, ShiftedRandomWave, sigma
 from planarcrit.sampling import (
     eval_gradient,
     eval_grid,
-    eval_hessian,
     eval_many,
     sample_field,
     seed_entropy,
@@ -81,10 +80,9 @@ def test_eval_many_matches_finite_differences():
     # second derivatives against gradient differences
     grad_hi = eval_gradient(f, x + h * np.array([1.0, 0.0]))
     grad_lo = eval_gradient(f, x - h * np.array([1.0, 0.0]))
-    hess = eval_hessian(f, x)
-    assert hess[0, 0] == pytest.approx((grad_hi[0] - grad_lo[0]) / (2 * h), abs=1e-7)
-    assert hess[0, 1] == pytest.approx((grad_hi[1] - grad_lo[1]) / (2 * h), abs=1e-7)
-    assert hess[0, 1] == hess[1, 0]
+    h11, h12 = eval_many(f, x, [(2, 0), (1, 1)])[0]
+    assert h11 == pytest.approx((grad_hi[0] - grad_lo[0]) / (2 * h), abs=1e-7)
+    assert h12 == pytest.approx((grad_hi[1] - grad_lo[1]) / (2 * h), abs=1e-7)
 
 
 def test_eval_many_columns_agree_with_one_column_calls():
@@ -205,27 +203,46 @@ def test_repeat_eval_grid_allocates_only_its_result():
         assert peak <= 2 * out.nbytes, (axes, peak / out.nbytes)
 
 
+def test_repeat_eval_many_allocates_less_than_one_table():
+    # The argument matrix and its cosine and sine stay in the thread's
+    # workspace, so a repeat call allocates less than one (N, M) array,
+    # and so does a call on fewer points, evaluated in the workspace's
+    # prefix.  Computed per call, the three tables lift the peak to three.
+    f = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
+    pts = seeded_rng(3).uniform(0.0, 20.0, size=(400, 2))
+    alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    eval_many(f, pts, alphas)
+    for n in (400, 150):
+        out, peak = _traced_peak(lambda: eval_many(f, pts[:n], alphas))
+        assert out.shape == (n, len(alphas))
+        assert peak < n * f.nterms * 8, (n, peak / (n * f.nterms * 8))
+
+
 def test_eval_grid_workspace_is_invisible_to_callers():
-    # A returned grid shares no memory with the workspace: a later call on
-    # another field leaves it byte-equal.  Six threads, each with its own
-    # workspace, evaluate two fields of different sizes in turn and get
+    # A returned grid or eval_many block shares no memory with the
+    # workspace: a later call on another field leaves it byte-equal.  Six
+    # threads, each with its own workspace, evaluate two fields of
+    # different sizes on grids and at scattered points in turn and get
     # the serial bytes.
-    jobs = [(sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True),
-             _finder_axes(RandomWave(1.0), 6.0), [(1, 0), (0, 1)]),
-            (sample_field(BargmannFock(1.0), M=128, seed=(7, 1)),
-             _finder_axes(BargmannFock(1.0), 4.0, coarsen=2), [(0, 0), (2, 0), (1, 1)])]
-    serial = [eval_grid(f, *axes, alphas) for f, axes, alphas in jobs]
-    before = [grid.copy() for grid in serial]
-    for f, axes, alphas in reversed(jobs):
-        eval_grid(f, *axes, alphas)
-    for grid, ref in zip(serial, before):
-        np.testing.assert_array_equal(grid, ref)
+    a = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
+    b = sample_field(BargmannFock(1.0), M=128, seed=(7, 1))
+    pts = seeded_rng(3).uniform(0.0, 6.0, size=(300, 2))
+    jobs = [lambda: eval_grid(a, *_finder_axes(a.model, 6.0), [(1, 0), (0, 1)]),
+            lambda: eval_grid(b, *_finder_axes(b.model, 4.0, coarsen=2), [(0, 0), (2, 0), (1, 1)]),
+            lambda: eval_many(a, pts, [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+            lambda: eval_many(b, pts[:70], [(0, 0), (3, 0), (2, 1), (1, 2), (0, 3)])]
+    serial = [job() for job in jobs]
+    before = [out.copy() for out in serial]
+    for job in reversed(jobs):
+        job()
+    for out, ref in zip(serial, before):
+        np.testing.assert_array_equal(out, ref)
 
     results: dict = {}
+    n = len(jobs)
 
     def worker(k: int) -> None:
-        results[k] = [eval_grid(f, *axes, alphas).tobytes()
-                      for _ in range(4) for f, axes, alphas in jobs[k % 2:] + jobs[:k % 2]]
+        results[k] = [job().tobytes() for _ in range(4) for job in jobs[k % n:] + jobs[:k % n]]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -239,7 +256,7 @@ def test_eval_grid_workspace_is_invisible_to_callers():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for k in range(6):
-        order = [serial[(k + i) % 2].tobytes() for i in range(2)]
+        order = [serial[(k + i) % n].tobytes() for i in range(n)]
         assert results[k] == order * 4, k
 
 
@@ -248,22 +265,18 @@ def _axis_points(*axes):
     return [start + step * np.arange(count) for start, step, count in axes]
 
 
-def test_gradient_and_hessian_accept_stacked_points():
+def test_gradient_accepts_stacked_points():
     f = sample_field(RandomWave(1.0), M=64, seed=9)
     pts = seeded_rng(2).uniform(-3.0, 3.0, size=(3, 4, 2))
     grads = eval_gradient(f, pts)
-    hessians = eval_hessian(f, pts)
-    assert grads.shape == (3, 4, 2) and hessians.shape == (3, 4, 2, 2)
-    flat = pts.reshape(-1, 2)
-    np.testing.assert_array_equal(grads.reshape(-1, 2), eval_gradient(f, flat))
-    np.testing.assert_array_equal(hessians.reshape(-1, 2, 2), eval_hessian(f, flat))
+    assert grads.shape == (3, 4, 2)
+    np.testing.assert_array_equal(grads.reshape(-1, 2), eval_gradient(f, pts.reshape(-1, 2)))
     # one point at a time goes through a matrix-vector product, which may
     # round the last bit differently
     tol = dict(rtol=1e-13, atol=1e-13)
     for i in range(3):
         for j in range(4):
             np.testing.assert_allclose(grads[i, j], eval_gradient(f, pts[i, j]), **tol)
-            np.testing.assert_allclose(hessians[i, j], eval_hessian(f, pts[i, j]), **tol)
 
 
 def test_stationarity_of_second_moments():

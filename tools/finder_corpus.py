@@ -5,7 +5,10 @@
 SRC is a source tree: a checkout holding ``src/planarcrit`` or the ``src``
 directory itself.  Each tree runs in its own subprocess, one after the
 other, and returns every root that ``find_critical_points`` finds on the
-corpus, with the finder's process CPU time and minor page faults.
+corpus, with the finder's process CPU time, minor page faults and the
+number of points it evaluates: the rows it passes to
+``sampling.eval_many``, directly or through a wrapper such as
+``eval_gradient``, each counted once.
 
 The corpus has 400 realizations, 80 per family, for RandomWave(1),
 BargmannFock(1), ShiftedRandomWave(0.5, 1, 1), PowerLawTruncated(3) and
@@ -25,7 +28,7 @@ within TOL but has another kind; a new root with no reference root
 within TOL is extra.
 For each step the script prints one table row per family (roots,
 missed, extra, kind mismatches, largest displacement of a matched root,
-finder CPU and minor page faults reference -> new), then each extra
+finder CPU, minor page faults and eval_many rows reference -> new), then each extra
 root with its |grad psi| and Hessian eigenvalues, then every window
 whose finder reports a nonzero index defect, then how many windows
 differ in their number of Newton seeds (the finder's nseeds: candidate
@@ -74,15 +77,28 @@ def _models() -> dict:
 
 def run_tree() -> None:
     """Worker: find the roots of every corpus realization, one JSON line each."""
+    import numpy as np
+
+    from planarcrit import finder, sampling
     from planarcrit.finder import default_grid_step, find_critical_points
     from planarcrit.sampling import sample_field
 
+    # The finder's own name and the one sampling's wrappers look up both
+    # lead to one counter in front of the original, so each row counts once.
+    evaluate, rows = sampling.eval_many, [0]
+
+    def counting(f, x, alphas):
+        rows[0] += len(np.atleast_2d(x))
+        return evaluate(f, x, alphas)
+
+    finder.eval_many = sampling.eval_many = counting
     models = _models()
     for family, master, i, M, gaussian, L in corpus():
         field = sample_field(models[family], M=M, seed=(master, i), gaussian_amplitudes=gaussian)
         for coarsen in COARSEN:
             diag: dict = {}
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            rows[0] = 0
             start = time.process_time()
             points = find_critical_points(field, ((0.0, L), (0.0, L)),
                                           coarsen * default_grid_step(field.model),
@@ -92,7 +108,8 @@ def run_tree() -> None:
             roots = [[*p.location, str(p.kind), p.gradient_residual, *p.hessian_eigenvalues]
                      for p in points]
             print(json.dumps({"key": [family, master, i, M, gaussian, L], "coarsen": coarsen,
-                              "cpu": cpu, "faults": faults, "defect": diag.get("index_defect"),
+                              "cpu": cpu, "faults": faults, "rows": rows[0],
+                              "defect": diag.get("index_defect"),
                               "nseeds": diag.get("nseeds"), "roots": roots}))
 
 
@@ -107,13 +124,16 @@ def compare(ref: list[dict], new: list[dict]):
     for a, b in zip(ref, new):
         row = rows.setdefault(a["key"][0], dict(roots=0, new_roots=0, missed=0, extra=0,
                                                 kinds=0, shift=0.0, cpu_ref=0.0, cpu_new=0.0,
-                                                faults_ref=0, faults_new=0))
+                                                faults_ref=0, faults_new=0, rows_ref=0,
+                                                rows_new=0))
         row["roots"] += len(a["roots"])
         row["new_roots"] += len(b["roots"])
         row["cpu_ref"] += a["cpu"]
         row["cpu_new"] += b["cpu"]
         row["faults_ref"] += a["faults"]
         row["faults_new"] += b["faults"]
+        row["rows_ref"] += a["rows"]
+        row["rows_new"] += b["rows"]
         for x, y, kind, *_ in a["roots"]:
             dist, near = min(((math.hypot(x - u, y - v), k) for u, v, k, *_ in b["roots"]),
                              default=(math.inf, None))
@@ -155,10 +175,12 @@ def _report_step(ref: list[dict], new: list[dict]) -> int:
     """Print the table, the extra roots and the defects; 1 on a missed or retyped root."""
     rows, extras, defects, seed_diffs = compare(ref, new)
     print("| family | roots (ref) | roots (new) | missed | extra | kind mismatches "
-          "| largest displacement | finder CPU ref -> new (s) | minor page faults ref -> new |")
-    print("|---|---|---|---|---|---|---|---|---|")
+          "| largest displacement | finder CPU ref -> new (s) | minor page faults ref -> new "
+          "| eval_many rows ref -> new |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     total = dict.fromkeys(("roots", "new_roots", "missed", "extra", "kinds"), 0)
-    total.update(shift=0.0, cpu_ref=0.0, cpu_new=0.0, faults_ref=0, faults_new=0)
+    total.update(shift=0.0, cpu_ref=0.0, cpu_new=0.0, faults_ref=0, faults_new=0, rows_ref=0,
+                 rows_new=0)
     for family, row in [*rows.items(), ("total", total)]:
         if family != "total":
             for k in total:
@@ -166,7 +188,8 @@ def _report_step(ref: list[dict], new: list[dict]) -> int:
         print(f"| {family} | {row['roots']} | {row['new_roots']} | {row['missed']} | "
               f"{row['extra']} | {row['kinds']} | {row['shift']:.1e} | "
               f"{row['cpu_ref']:.2f} -> {row['cpu_new']:.2f} | "
-              f"{row['faults_ref']} -> {row['faults_new']} |")
+              f"{row['faults_ref']} -> {row['faults_new']} | "
+              f"{row['rows_ref']} -> {row['rows_new']} |")
     if extras:
         print("\nExtra roots (|grad psi|, Hessian eigenvalues):")
         for key, x, y, kind, resid, lo, hi in extras:
