@@ -196,13 +196,17 @@ def eval_many(f: FieldRealization, x, alphas) -> np.ndarray:
     The argument matrix and its cosine and sine live in the calling
     thread's workspace (_scratch), so repeat calls reuse their memory
     instead of returning it to the system and faulting it back in; the
-    result never shares memory with the workspace.
+    result never shares memory with the workspace.  The three share one
+    buffer with eval_grid's matmul operand: neither function calls the
+    other, and two buffers would both stay allocated, adding the smaller
+    one to the peak memory of the finder, which calls both.
 
     Returns shape (N, len(alphas)) for x of shape (N, 2).
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     n, M = pts.shape[0], f.nterms
-    arg = _scratch("arg", n * M, float).reshape(n, M)
+    work = _scratch("work", 3 * n * M, float).reshape(3, n, M)
+    arg = work[0]
     np.matmul(pts, f.frequencies.T, out=arg)
     arg += f.phases
     cos = sin = None
@@ -211,11 +215,11 @@ def eval_many(f: FieldRealization, x, alphas) -> np.ndarray:
         weights, order = _term_weights(f, alpha)
         if order % 2 == 0:
             if cos is None:
-                cos = np.cos(arg, out=_scratch("cos", n * M, float).reshape(n, M))
+                cos = np.cos(arg, out=work[1])
             osc = cos
         else:
             if sin is None:
-                sin = np.sin(arg, out=_scratch("sin", n * M, float).reshape(n, M))
+                sin = np.sin(arg, out=work[2])
             osc = sin
         col_val = osc @ weights
         if order == 0:
@@ -278,9 +282,10 @@ def eval_grid(f: FieldRealization, xaxis, yaxis, alphas) -> np.ndarray:
     agree to rounding.
 
     The tables and the matmul operand [C1 w, +-S1 w] live in a workspace
-    private to the calling thread (_scratch).  It grows to the largest
-    grid the thread has evaluated and is reused as prefix views, so it
-    keeps one grid's tables and operand, about 2.5 MB at M = 256 on a
+    private to the calling thread (_scratch); the operand's buffer is
+    the one eval_many keeps its tables in.  It grows to the largest grid
+    the thread has evaluated and is reused as prefix views, so it keeps
+    one grid's tables and operand, about 2.5 MB at M = 256 on a
     20 x 20 window at the default step, and a call allocates only its
     result and the ceil(n / B) + B trig rows of each axis.  Each matmul
     writes straight into the result, which never shares memory with the
@@ -296,7 +301,7 @@ def eval_grid(f: FieldRealization, xaxis, yaxis, alphas) -> np.ndarray:
     out = np.empty((len(alphas), nx, ny))
     e1 = _axis_trig(f.frequencies[:, 0], f.phases, *xaxis, "x")  # C1 + i S1
     right = _axis_trig(f.frequencies[:, 1], 0.0, *yaxis, "y").view(float).T  # C2, S2 rows in turn
-    left = _scratch("left", nx * M * 2, float).reshape(nx, M, 2)
+    left = _scratch("work", nx * M * 2, float).reshape(nx, M, 2)
     for col, alpha in enumerate(alphas):
         w, order = _term_weights(f, alpha)
         if order % 2 == 0:

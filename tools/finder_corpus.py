@@ -28,11 +28,11 @@ within TOL but has another kind; a new root with no reference root
 within TOL is extra.
 For each step the script prints one table row per family (roots,
 missed, extra, kind mismatches, largest displacement of a matched root,
-finder CPU, minor page faults and eval_many rows reference -> new), then each extra
-root with its |grad psi| and Hessian eigenvalues, then every window
-whose finder reports a nonzero index defect, then how many windows
-differ in their number of Newton seeds (the finder's nseeds: candidate
-cells plus fold partners).
+finder CPU, minor page faults and eval_many rows reference -> new),
+then each extra root with its |grad psi| and Hessian eigenvalues, then
+every window whose finder reports a nonzero index defect, then how
+many windows differ in their number of Newton seeds (the finder's
+nseeds: candidate cells plus fold partners).
 Zero there means the two trees started Newton from as many points in
 every window, as they do when the sign test is unchanged.  It exits 1
 when a reference root is missed or changes kind at either step, else 0.
