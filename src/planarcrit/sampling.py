@@ -362,4 +362,3 @@ def eval_gradient(f: FieldRealization, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = eval_many(f, x.reshape(-1, 2), [(1, 0), (0, 1)])
     return out.reshape(x.shape[:-1] + (2,)) if x.ndim > 1 else out[0]
-

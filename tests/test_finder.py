@@ -281,9 +281,10 @@ def _reference_roots(f, window):
 
     Gradient of every seed, then per iteration a full gradient-and-Hessian
     evaluation of every active point, line search, one _dedup at the end
-    and a fresh Hessian evaluation at its own roots; returns [(x, y, kind)].  The model's default grid step, the
-    finder's Newton tolerance, the earlier iteration cap of 50 (its own
-    literal, so a lower cap in the finder cannot weaken the reference), the
+    and a fresh Hessian evaluation at its own roots; returns
+    [(x, y, kind)].  The model's default grid step, the finder's Newton
+    tolerance, the earlier iteration cap of 50 (its own literal, so a
+    lower cap in the finder cannot weaken the reference), the
     dedup radius h / 100 and the degeneracy floor 1e-12 * 12 mu0.
     """
     (xmin, xmax), (ymin, ymax) = window
