@@ -24,8 +24,10 @@ misspelt key is caught.
 
 Every stochastic subcommand requires an explicit --seed; nothing falls
 back to wall-clock entropy.  Results are written as CSV or JSON; CSV
-floats carry 17 significant digits so round-trips are lossless, and
-output is byte-identical for a given (config, seed) regardless of
+floats carry 17 significant digits so round-trips are lossless.  JSON
+output is strict RFC 8259: NaN is written as null and +-inf as the
+strings "inf" and "-inf", which float() and model_from_config read back.
+Output is byte-identical for a given (config, seed) regardless of
 --threads.
 
 Exit codes: 0 success, 1 invalid arguments or config, 2 numerical
@@ -132,7 +134,22 @@ def _render_csv(rows) -> str:
 def _render(args, meta: dict, rows) -> str:
     if args.format == "csv":
         return _render_csv(rows)
-    return json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    return _render_json({"meta": meta, "rows": rows})
+
+
+def _render_json(doc) -> str:
+    """RFC 8259 JSON: NaN is written as null, +-inf as "inf" and "-inf" (float() reads them)."""
+    return json.dumps(_json_safe(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _json_safe(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else str(float(value))
+    if isinstance(value, dict):
+        return {key: _json_safe(val) for key, val in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(val) for val in value]
+    return value
 
 
 def _write_output(args, text: str) -> None:
@@ -253,8 +270,7 @@ def _cmd_theory(args):
     if args.format == "csv":
         rows = [{"quantity": k, "value": v} for k, v in flat.items()]
         return _render_csv(rows)
-    doc = {"meta": model_to_config(args.model), **flat}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _render_json({"meta": model_to_config(args.model), **flat})
 
 
 def _cmd_sample(args):

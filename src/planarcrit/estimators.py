@@ -53,7 +53,11 @@ __all__ = [
 
 
 class NonpositiveEstimateError(ArithmeticError):
-    """A power-law fit met an estimate at or below zero (no logarithm)."""
+    """An estimate at or below zero where a positive one is needed.
+
+    A power-law fit takes the logarithm of each estimate, and a repulsion
+    ratio divides by the squared mean count, so neither can proceed.
+    """
 
 
 @dataclass(frozen=True)
@@ -267,6 +271,7 @@ def repulsion_ratio(sw: Sweep, rho: float) -> MomentEstimate:
     numerator and denominator means across realizations.  The estimate
     carries finite-rho bias relative to the rho -> 0 repulsion factor;
     the bias-free reference at the same rho is the Kac-Rice quadrature.
+    A sweep that counts no point raises NonpositiveEstimateError.
     """
     counts = sw.counts[float(rho)]
     num = _pair_center_stat(counts, ("c", "c")).mean(axis=-1)
@@ -274,7 +279,7 @@ def repulsion_ratio(sw: Sweep, rho: float) -> MomentEstimate:
     n = len(num)
     a, b = num.mean(), den.mean()
     if b <= 0:
-        raise ValueError("no points counted; cannot form a ratio")
+        raise NonpositiveEstimateError("no points counted; cannot form a ratio")
     ratio = a / b**2
     # Delta method on the two means: grad = (1/b^2, -2a/b^3).
     cov = np.cov(np.stack([num, den]), ddof=1) / n

@@ -31,13 +31,14 @@ inside it (an extremum has index +1, a saddle -1).  The winding number
 sums the gradient's angle steps along the ring; a step wider than pi / 2
 is refined with eval_many until every step is narrower (or _RING_DEPTH
 refinements have run).  From it the finder subtracts #extrema - #saddles
-over its converged, deduplicated roots inside the ring, counted before
-the window filter, and reports the difference as index_defect.  A
+over the rows of its root table (below) inside the ring, counted before
+the window filter, and reports the difference as index_defect.  So the
+defect certifies the very set the returned roots are taken from.  A
 nonzero defect means a root was missed or a spurious one kept; a zero
 defect cannot see a missed extremum-saddle pair.  The check reuses the
-sign-test grid, the converged end points and the Hessians Newton
-evaluated there; it evaluates only the ring refinement, and changes no
-root.
+sign-test grid and the table's Hessians, which Newton evaluated; it
+evaluates only the ring refinement, deduplicates nothing, and changes
+no root.
 It runs only when diagnostics are asked for: `find --format json` asks,
 and so does perfbench's layer trace, which passes a diagnostics dict to
 every finder call; `estimate` and CSV `find` do not.  It costs about 5 %
@@ -76,14 +77,18 @@ one root, so only the one with the lowest residual is followed (ties go
 to the lowest seed index); the others are counted as merged.  With one
 trajectory per root the kept residual is no longer the best of many
 duplicates, so each root gets one final Newton step, kept where it
-lowers the residual.  The values Newton holds at its end points serve
-everything after it: the fold-partner prediction reads their Hessians
-and evaluates only the third derivatives, the final step starts from
-them, and the index defect counts their Hessian signs.  One call at the
-points the final step moves to gives both their residual and the
-Hessian that classifies them; a root the step leaves in place (a step
-below the last bit of its coordinates) or does not improve keeps
-Newton's values.  So no point is evaluated twice.
+lowers the residual.  The converged end points are deduplicated once,
+into the root table: each kept point with the _DERIVS values Newton
+holds there.  Converged fold partners are merged into it with one more
+deduplication, and nothing after that deduplicates again.  The table
+serves everything after Newton: the fold-partner prediction reads its
+Hessians and evaluates only the third derivatives, the window filter
+selects its rows, the final step starts from them, and the index defect
+counts their Hessian signs.  One call at the points the final step
+moves to gives both their residual and the Hessian that classifies
+them; a root the step leaves in place (a step below the last bit of its
+coordinates) or does not improve keeps Newton's values.  So no point is
+evaluated twice.
 """
 
 from __future__ import annotations
@@ -238,26 +243,22 @@ def find_critical_points(
     margin = 4.0 * h
     bound = np.array([xmin - margin, ymin - margin, xmax + margin, ymax + margin])
     pts, gnorm, vals, counts = _newton(f, pts, bound, dedup_radius)
+    table = _root_table(pts, gnorm, vals, dedup_radius)
     # Two roots in one cell share a seed; also run from the partner that
-    # each root predicts across a nearby fold.
-    done = np.flatnonzero(gnorm <= _NEWTON_TOL)
-    roots = done[_dedup(pts[done], gnorm[done], dedup_radius)]
-    partners = _fold_partners(f, pts[roots], vals[roots, 2:], 2.0 * cell)
-    if len(partners):
-        more, more_gnorm, more_vals, more_counts = _newton(f, partners, bound, dedup_radius)
-        pts = np.concatenate([pts, more])
-        gnorm = np.concatenate([gnorm, more_gnorm])
-        vals = np.concatenate([vals, more_vals])
-        counts += more_counts
-    nmerged, nrunaway, nstalled, newton_iters = counts.tolist()
+    # each root predicts across a nearby fold, and merge the partners that
+    # converge into the table.
+    partners = _fold_partners(f, table[0], table[2][:, 2:], 2.0 * cell)
+    *ends, more_counts = _newton(f, partners, bound, dedup_radius)
+    done = ends[1] <= _NEWTON_TOL
+    if done.any():
+        table = _root_table(*map(np.concatenate, zip(table, ends)), dedup_radius)
+    nseeds = len(gnorm) + len(partners)
+    nconverged = int((gnorm <= _NEWTON_TOL).sum() + done.sum())
+    nmerged, nrunaway, nstalled, newton_iters = (counts + more_counts).tolist()
+    pts, _, vals = table
 
-    converged = gnorm <= _NEWTON_TOL
-    inside = (
-        (pts[:, 0] >= xmin) & (pts[:, 0] <= xmax) & (pts[:, 1] >= ymin) & (pts[:, 1] <= ymax)
-    )
-    keep = np.flatnonzero(converged & inside)
-    keep = keep[_dedup(pts[keep], gnorm[keep], dedup_radius)]
-    merged_pts, merged_resid, hess = _polish(f, pts[keep], vals[keep])
+    inside = _inside(pts, window)
+    merged_pts, merged_resid, hess = _polish(f, pts[inside], vals[inside])
 
     points = []
     for (x, y), (h11, h12, h22), res in zip(merged_pts, hess, merged_resid):
@@ -276,16 +277,15 @@ def find_critical_points(
         )
     if diagnostics is not None:
         diagnostics.update(
-            nseeds=len(gnorm),
-            nconverged=int(converged.sum()),
+            nseeds=nseeds,
+            nconverged=nconverged,
             nmerged=nmerged,
             nrunaway=nrunaway,
             nstalled=nstalled,
             ndropped=nrunaway + nstalled,
             newton_iters=newton_iters,
             nreturned=len(points),
-            index_defect=_index_defect(f, xs, ys, grid, pts[converged], vals[converged],
-                                       dedup_radius),
+            index_defect=_index_defect(f, xs, ys, grid, pts, vals),
         )
     return points
 
@@ -347,21 +347,39 @@ def _candidate_cells(grad: np.ndarray):
     return np.nonzero(~ruled_out)
 
 
-def _index_defect(f: FieldRealization, xs, ys, grad, pts, vals, radius: float) -> int:
+def _index_defect(f: FieldRealization, xs, ys, grad, pts, vals) -> int:
     """Winding number of grad psi around the grid xs x ys minus the index sum inside.
 
-    `grad` is the gradient on the grid (eval_grid order); `pts` are the
-    converged end points with their _DERIVS rows `vals`, deduplicated here
-    at `radius`.  The index sum counts +1 per extremum and -1 per saddle
-    by the sign of det H, read from `vals`.
+    `grad` is the gradient on the grid (eval_grid order); `pts` and `vals`
+    are the root table (_root_table), whose rows inside the grid are
+    counted as they stand, +1 per extremum and -1 per saddle by the sign
+    of det H read from `vals`.
     """
-    inside = (pts[:, 0] >= xs[0]) & (pts[:, 0] <= xs[-1]) & (pts[:, 1] >= ys[0]) & (
-        pts[:, 1] <= ys[-1])
-    pts, vals = pts[inside], vals[inside]
-    roots = _dedup(pts, np.linalg.norm(vals[:, :2], axis=1), radius)
-    h11, h12, h22 = vals[roots, 2:].T
+    inside = _inside(pts, ((xs[0], xs[-1]), (ys[0], ys[-1])))
+    h11, h12, h22 = vals[inside, 2:].T
     index = int(np.sign(h11 * h22 - h12**2).sum())
     return _winding_number(f, xs, ys, grad) - index
+
+
+def _inside(pts: np.ndarray, box) -> np.ndarray:
+    """Mask of the points inside the closed box ((xmin, xmax), (ymin, ymax))."""
+    low, high = np.transpose(box)
+    return ((pts >= low) & (pts <= high)).all(axis=1)
+
+
+def _root_table(pts: np.ndarray, gnorm: np.ndarray, vals: np.ndarray, radius: float):
+    """The root table: the converged points among `pts`, deduplicated at `radius`.
+
+    `gnorm` and `vals` are the points' gradient norms and _DERIVS rows as
+    _newton returns them.  Returns the kept points, norms and rows, in the
+    order of `pts`.  The finder builds the table once from Newton's end
+    points, and once more over the table and the fold-partner end points
+    when some of those converge; the window filter, _polish and the index
+    defect then read it as it stands.
+    """
+    done = np.flatnonzero(gnorm <= _NEWTON_TOL)
+    keep = done[_dedup(pts[done], gnorm[done], radius)]
+    return pts[keep], gnorm[keep], vals[keep]
 
 
 def _winding_number(f: FieldRealization, xs, ys, grad) -> int:

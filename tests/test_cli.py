@@ -399,6 +399,61 @@ def test_scaling_zero_estimate_is_a_numerical_failure(capsys):
                    "all estimates must be positive for a log-log fit\n")
 
 
+def test_estimate_that_counts_no_point_is_a_numerical_failure(capsys):
+    # Valid arguments whose sweep counts no critical point in any ball: the
+    # repulsion ratio has a zero denominator, which is a numerical failure.
+    code, out, err = run(capsys, "estimate", "--model", "randomwave", "--k", "1",
+                         "--window-size", "2", "--rho-list", "0.4", "--nreal", "2",
+                         "--size", "64", "--seed", "2")
+    assert code == 2 and out == ""
+    assert err == "planarcrit: numerical failure: no points counted; cannot form a ratio\n"
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+_RW = ("--model", "randomwave", "--k", "1")
+_PLT_INF = ("--model", "powerlawtruncated", "--t", "inf")
+
+
+@pytest.mark.parametrize("argv", [
+    ("theory", *_RW),
+    ("theory", *_PLT_INF),
+    ("sample", *_RW, "--seed", "3", "--size", "8"),
+    ("find", *_RW, "--seed", "3", "--window-size", "6"),
+    ("find", *_PLT_INF, "--seed", "7", "--size", "256", "--window-size", "6"),
+    ("estimate", *_RW, "--seed", "3", "--nreal", "3", "--window-size", "10"),
+    ("kacrice", *_RW, "--seed", "3", "--nsamples", "1000"),
+    ("scaling", *_RW, "--seed", "3", "--r-min", "0.05", "--r-max", "0.2", "--points", "4",
+     "--nsamples", "4000"),
+    ("report", *_PLT_INF, "--budget", "small", "--seed", "42"),
+], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_json_output_is_strict_json(capsys, argv):
+    # NaN is written as null and +-inf as a string, never as the NaN or
+    # Infinity tokens that RFC 8259 parsers reject.
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert isinstance(_strict_json(out), dict)
+
+
+def test_json_meta_reads_back_an_infinite_parameter(capsys):
+    from planarcrit.models import PowerLawTruncated, model_from_config
+
+    code, out, _ = run(capsys, "theory", *_PLT_INF)
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["meta"]["t"] == "inf" and doc["repulsion_factor"] == "inf"
+    model = model_from_config(doc["meta"])
+    assert isinstance(model, PowerLawTruncated) and model.t == math.inf
+    code, out, _ = run(capsys, "estimate", *_RW, "--seed", "3", "--nreal", "3",
+                       "--window-size", "10", "--format", "json")
+    assert _strict_json(out)["rows"][0]["rho"] is None
+
+
 @pytest.mark.parametrize("size", ["inf", "nan", "0", "-1"])
 @pytest.mark.parametrize("command", ["find", "estimate"])
 def test_window_size_must_be_finite_and_positive(capsys, command, size):

@@ -7,6 +7,7 @@ import pytest
 
 from planarcrit.estimators import (
     MomentEstimate,
+    NonpositiveEstimateError,
     _ball_counts,
     _ball_grid,
     default_window,
@@ -70,6 +71,17 @@ def test_repulsion_ratio_positive_and_finite():
     assert est.value > 0
     assert math.isfinite(est.std_error)
     assert est.label.endswith("mean^2")
+
+
+def test_ratio_over_no_counted_point_is_a_nonpositive_estimate():
+    # A small window whose two realizations hold no critical point that
+    # any ball counts: the ratio's denominator is 0, a numerical failure.
+    window = ((0.0, 2.0), (0.0, 2.0))
+    sw = sweep(RandomWave(1.0), nreal=2, seed=2, rho_list=[0.4], window=window, M=64)
+    with pytest.raises(NonpositiveEstimateError, match="no points counted"):
+        repulsion_ratio(sw, 0.4)
+    with pytest.raises(NonpositiveEstimateError, match="no points counted"):
+        poisson_control_ratio(0.0, window, rho=0.4, nreal=2, seed=1)
 
 
 def test_poisson_control_near_one():

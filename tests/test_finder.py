@@ -276,6 +276,57 @@ def test_a_finder_call_evaluates_no_point_twice(monkeypatch):
     assert not gradient_calls
 
 
+def _one_table_cases():
+    # RandomWave (101, 6) converges no fold partner; BargmannFock (202, 39)
+    # at twice the default step finds a saddle only from its fold partner.
+    return [(sample_field(RandomWave(1.0), M=256, seed=(101, 6), gaussian_amplitudes=True), 1, 1),
+            (sample_field(BargmannFock(1.0), M=1024, seed=(202, 39)), 2, 2)]
+
+
+def test_a_finder_call_deduplicates_once(monkeypatch):
+    # One _dedup call builds the root table from Newton's end points, and
+    # one more merges converged fold partners into it; the window filter,
+    # the polish step and the index defect read the table as it stands.
+    calls, in_defect = [], [False]
+
+    def dedup(pts, resid, radius):
+        calls.append(in_defect[0])
+        return _dedup(pts, resid, radius)
+
+    def index_defect(*args):
+        in_defect[0] = True
+        try:
+            return defect(*args)
+        finally:
+            in_defect[0] = False
+
+    defect = finder._index_defect
+    monkeypatch.setattr(finder, "_dedup", dedup)
+    monkeypatch.setattr(finder, "_index_defect", index_defect)
+    for field, coarsen, ncalls in _one_table_cases():
+        calls.clear()
+        diag = {}
+        find_critical_points(field, ((0.0, 12.0), (0.0, 12.0)),
+                             coarsen * default_grid_step(field.model), diagnostics=diag)
+        assert "index_defect" in diag
+        assert calls == [False] * ncalls
+
+
+def test_diagnostics_change_no_point():
+    # Asking for diagnostics adds the index defect and changes no root:
+    # locations, kinds, determinants, eigenvalues and residuals agree bit
+    # for bit.
+    def bits(points):
+        return [(*map(float.hex, p.location), p.kind, p.hessian_det.hex(),
+                 *map(float.hex, p.hessian_eigenvalues), p.gradient_residual.hex())
+                for p in points]
+
+    for field, coarsen, _ in _one_table_cases():
+        args = (field, ((0.0, 12.0), (0.0, 12.0)), coarsen * default_grid_step(field.model))
+        plain = find_critical_points(*args)
+        assert plain and bits(find_critical_points(*args, diagnostics={})) == bits(plain)
+
+
 def _reference_roots(f, window):
     """The finder before the separable seed grid, gradient reuse and collapse.
 
@@ -533,9 +584,9 @@ def test_index_defect_counts_a_root_left_out():
     grad = eval_grid(f, xaxis, yaxis, [(1, 0), (0, 1)])
     roots = np.array([[0.0, 0.0], [0.0, math.pi], [math.pi, 0.0], [math.pi, math.pi]])
     vals = eval_many(f, roots, finder._DERIVS)
-    assert finder._index_defect(f, xs, ys, grad, roots, vals, 1e-3) == 0
-    assert finder._index_defect(f, xs, ys, grad, roots[[0, 2, 3]], vals[[0, 2, 3]], 1e-3) == -1
-    assert finder._index_defect(f, xs, ys, grad, roots[1:], vals[1:], 1e-3) == 1
+    assert finder._index_defect(f, xs, ys, grad, roots, vals) == 0
+    assert finder._index_defect(f, xs, ys, grad, roots[[0, 2, 3]], vals[[0, 2, 3]]) == -1
+    assert finder._index_defect(f, xs, ys, grad, roots[1:], vals[1:]) == 1
 
 
 def test_index_defect_flags_a_missed_saddle(monkeypatch):
