@@ -144,7 +144,7 @@ def _render_json(doc) -> str:
 
 def _json_safe(value):
     if isinstance(value, float) and not math.isfinite(value):
-        return None if math.isnan(value) else str(float(value))
+        return None if math.isnan(value) else str(value)
     if isinstance(value, dict):
         return {key: _json_safe(val) for key, val in value.items()}
     if isinstance(value, (list, tuple)):

@@ -300,7 +300,7 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
     bound) and the counters [nmerged, nrunaway, nstalled, newton_iters].
     """
     pts = pts.copy()
-    if len(pts) == 0:  # no candidate cell: nothing to evaluate
+    if len(pts) == 0:  # no candidate cell or no fold partner: nothing to evaluate
         return pts, np.zeros(0), np.zeros((0, len(_DERIVS))), np.zeros(4, dtype=int)
     vals = eval_many(f, pts, _DERIVS)
     gnorm = np.linalg.norm(vals[:, :2], axis=1)
