@@ -20,7 +20,8 @@ model flags --model, --k, --tau, --s and --t are the config keys
 model.family, model.k, and so on; --config, --format and --output are
 flag-only.  A config key that is neither model.* nor a parameter of some
 subcommand is an error, so one file can serve several subcommands but a
-misspelt key is caught.
+misspelt key is caught.  A model key or flag that the family does not
+take, or one that it lacks, is an error that names the full dotted key.
 
 Every stochastic subcommand requires an explicit --seed; nothing falls
 back to wall-clock entropy.  Results are written as CSV or JSON; CSV
@@ -46,7 +47,7 @@ import sys
 
 import numpy as np
 
-from . import estimators, kacrice, theory
+from . import estimators, kacrice, models, theory
 from .finder import DegenerateHessianError, find_critical_points
 from .models import (
     CovarianceModel,
@@ -93,11 +94,12 @@ PARAMS = {
 # Every subcommand takes these; in a config file they are model.family and
 # model.<name>.
 MODEL_FLAGS = {
-    "model": (str, "model family name"),
+    "model": (str, f"model family ({', '.join(models._FAMILIES)})"),
     "k": (float, "wave number / profile rate"),
-    "tau": (float, "shift weight (shiftedrandomwave)"),
-    "s": (float, "wave weight (shiftedrandomwave)"),
-    "t": (float, "spectral truncation (powerlawtruncated)"),
+    "tau": (float, f"shift weight ({models.ShiftedRandomWave.family})"),
+    "s": (float, f"wave weight ({models.ShiftedRandomWave.family}) or mixture weight of "
+                 f"left ({models.Interpolation.family})"),
+    "t": (float, f"spectral truncation ({models.PowerLawTruncated.family})"),
 }
 
 # Config-file spellings of a bool, in any case.

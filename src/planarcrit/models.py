@@ -51,7 +51,7 @@ untruncated one is evaluated only at lag 0, in closed form:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -127,10 +127,17 @@ class SigmaDerivatives:
 class CovarianceModel:
     """Base class: an isotropic covariance family with exact derivatives.
 
-    Subclasses implement the radial profile derivatives sigma^(j), the
-    radial spectral moments R_n, and frequency sampling from the
-    continuous part of F.  Instances are immutable and hashable; it is
-    safe to share them across concurrent workers.
+    A family is a frozen dataclass.  It implements:
+
+    * family, a class attribute: its name in configs and on the CLI;
+    * its dataclass fields: its parameters, the keys of model_to_config;
+    * sigma_derivative: the radial profile derivatives sigma^(j);
+    * radial_moment: the radial spectral moments R_n;
+    * sample_frequencies: frequency sampling from the continuous part of F;
+    * atom_mass, when F has an atom at the origin.
+
+    Instances are immutable and hashable; it is safe to share them
+    across concurrent workers.
     """
 
     family: str = ""
@@ -165,12 +172,6 @@ class CovarianceModel:
         """Draw `size` iid frequencies from the normalized continuous part of F."""
         raise NotImplementedError
 
-    # -- serialization ---------------------------------------------------
-
-    def params(self) -> dict:
-        """Flat parameter mapping (numbers only; nested models use dotted keys)."""
-        raise NotImplementedError
-
 
 def _require_finite_positive(name: str, value) -> None:
     """Reject a scale parameter (a distance, radius or wavenumber) that
@@ -183,6 +184,12 @@ def _lag_array(x) -> np.ndarray:
     """x as an array: longdouble when it already is, float64 otherwise."""
     x = np.asarray(x)
     return x if x.dtype == np.longdouble else x.astype(float)
+
+
+def _directions(rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` iid unit vectors, uniform on the circle, shape (size, 2)."""
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=size)
+    return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 @dataclass(frozen=True)
@@ -207,9 +214,6 @@ class BargmannFock(CovarianceModel):
 
     def sample_frequencies(self, rng, size):
         return rng.normal(0.0, math.sqrt(2.0 * self.k), size=(size, 2))
-
-    def params(self):
-        return {"k": self.k}
 
 
 def _bessel_profile_derivative(j, x, k):
@@ -272,11 +276,7 @@ class RandomWave(CovarianceModel):
         return self.k**n
 
     def sample_frequencies(self, rng, size):
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=size)
-        return self.k * np.column_stack([np.cos(theta), np.sin(theta)])
-
-    def params(self):
-        return {"k": self.k}
+        return self.k * _directions(rng, size)
 
 
 @dataclass(frozen=True)
@@ -316,11 +316,7 @@ class ShiftedRandomWave(CovarianceModel):
         return self.tau**2
 
     def sample_frequencies(self, rng, size):
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=size)
-        return self.k * np.column_stack([np.cos(theta), np.sin(theta)])
-
-    def params(self):
-        return {"tau": self.tau, "s": self.s, "k": self.k}
+        return self.k * _directions(rng, size)
 
 
 @dataclass(frozen=True)
@@ -376,11 +372,7 @@ class PowerLawTruncated(CovarianceModel):
         # Inverse CDF on the radius: P(L <= l) = (1 - l^-5) / (1 - t^-5).
         u = rng.uniform(0.0, 1.0, size=size)
         radius = (1.0 - u * self._norm()) ** (-0.2)
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=size)
-        return radius[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
-
-    def params(self):
-        return {"t": self.t}
+        return radius[:, None] * _directions(rng, size)
 
 
 @dataclass(frozen=True)
@@ -418,14 +410,6 @@ class Interpolation(CovarianceModel):
         if size - nl:
             out[~from_left] = self.right.sample_frequencies(rng, size - nl)
         return out
-
-    def params(self):
-        flat = {"s": self.s, "left.family": self.left.family, "right.family": self.right.family}
-        for key, val in self.left.params().items():
-            flat[f"left.{key}"] = val
-        for key, val in self.right.params().items():
-            flat[f"right.{key}"] = val
-        return flat
 
 
 # ---------------------------------------------------------------------------
@@ -677,46 +661,63 @@ def _covariance_plan(alphas: tuple):
 # Config round-trip
 # ---------------------------------------------------------------------------
 
-_FAMILIES = {
-    "bargmannfock": BargmannFock,
-    "randomwave": RandomWave,
-    "shiftedrandomwave": ShiftedRandomWave,
-    "powerlawtruncated": PowerLawTruncated,
-    "interpolation": Interpolation,
-}
+_FAMILIES = {cls.family: cls for cls in (
+    BargmannFock, RandomWave, ShiftedRandomWave, PowerLawTruncated, Interpolation)}
 
 
 def model_to_config(model: CovarianceModel) -> dict:
-    """Serialize to a flat {key: value} mapping with a 'family' entry."""
+    """Serialize to a flat {key: value} mapping with a 'family' entry.
+
+    The family's dataclass fields are its parameters: each field gives
+    one key, its name.  A field that holds a model nests that model's
+    keys behind the field's name and a dot (left.family, left.k).
+    """
     config = {"family": model.family}
-    config.update(model.params())
+    for field in fields(model):
+        value = getattr(model, field.name)
+        if isinstance(value, CovarianceModel):
+            config.update({f"{field.name}.{k}": v for k, v in model_to_config(value).items()})
+        else:
+            config[field.name] = value
     return config
 
 
 def model_from_config(config: dict) -> CovarianceModel:
     """Build a model from a flat mapping as produced by model_to_config.
 
-    Nested models (Interpolation children) use dotted keys, e.g.
-    left.family = randomwave, left.k = 1.  Values may be strings; they
-    are coerced to float where a number is expected.
+    The keys are the family's dataclass fields, nested as in
+    model_to_config.  Values may be strings; they are coerced to float
+    where a number is expected.
+
+    Raises
+    ------
+    ValueError
+        If the family is unknown, if a field has no key, or if a key is
+        not a field of its family; the message names the full dotted key.
     """
-    config = {str(k): v for k, v in config.items()}
-    family = str(config.get("family", "")).lower()
+    rest = {str(k): v for k, v in config.items()}
+    model = _pop_model(rest, "")
+    if rest:
+        raise ValueError(f"unknown model key(s) {sorted(rest)}: no field of the family takes them")
+    return model
+
+
+def _pop_model(config: dict, prefix: str) -> CovarianceModel:
+    """The model whose keys start with prefix; pops the keys it takes."""
+    family = str(_pop(config, prefix + "family")).lower()
     if family not in _FAMILIES:
-        raise ValueError(f"unknown model family {family!r}; expected one of {sorted(_FAMILIES)}")
-    if family == "interpolation":
-        left = model_from_config(_sub_config(config, "left"))
-        right = model_from_config(_sub_config(config, "right"))
-        return Interpolation(s=float(config["s"]), left=left, right=right)
+        raise ValueError(f"unknown model family {family!r} in {prefix}family; "
+                         f"expected one of {sorted(_FAMILIES)}")
     cls = _FAMILIES[family]
-    kwargs = {
-        key: float(val)
-        for key, val in config.items()
-        if key != "family" and "." not in key
-    }
-    return cls(**kwargs)
+    # Postponed annotations leave a field's type as its source string.
+    return cls(**{
+        f.name: _pop_model(config, f"{prefix}{f.name}.") if f.type == "CovarianceModel"
+        else float(_pop(config, prefix + f.name))
+        for f in fields(cls)
+    })
 
 
-def _sub_config(config: dict, prefix: str) -> dict:
-    dot = prefix + "."
-    return {key[len(dot):]: val for key, val in config.items() if key.startswith(dot)}
+def _pop(config: dict, key: str):
+    if key not in config:
+        raise ValueError(f"model key {key!r} is missing")
+    return config.pop(key)

@@ -483,6 +483,37 @@ def test_config_keys_of_other_subcommands_are_allowed(tmp_path, capsys):
     assert out == run(capsys, "theory", "--model", "randomwave", "--k", "1")[1]
 
 
+_MIX_CFG = ("model.family = interpolation\nmodel.s = 0.35\n"
+            "model.left.family = randomwave\nmodel.left.k = 1\n"
+            "model.right.family = powerlawtruncated\nmodel.right.t = 2\n")
+
+
+@pytest.mark.parametrize("body, flags, key", [
+    pytest.param(_MIX_CFG, ["--k", "7", "--t", "9"], "'k'", id="k-and-t-on-interpolation"),
+    pytest.param("model.left.k = 3\n", ["--model", "randomwave", "--k", "1"], "'left.k'",
+                 id="left.k-on-randomwave"),
+    pytest.param("", ["--model", "randomwave", "--k", "1", "--t", "5"], "'t'",
+                 id="t-on-randomwave"),
+    pytest.param("", ["--model", "randomwave"], "'k'", id="missing-k"),
+])
+def test_model_keys_the_family_does_not_take_exit_1_naming_them(tmp_path, capsys, body,
+                                                               flags, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(body)
+    code, out, err = run(capsys, "theory", "--config", str(cfg), *flags, "--format", "csv")
+    assert code == 1 and out == ""
+    assert key in err and "model key" in err
+
+
+def test_model_help_lists_the_families(capsys):
+    code, out, _ = run(capsys, "theory", "--help")
+    assert code == 0
+    text = " ".join(out.split())
+    assert ("model family (bargmannfock, randomwave, shiftedrandomwave, powerlawtruncated, "
+            "interpolation)") in text
+    assert "mixture weight of left (interpolation)" in text
+
+
 _COMMON = [["--config"], ["--model"], ["--k"], ["--tau"], ["--s"], ["--t"], ["--format"],
            ["--output", "-o"], ["--threads"]]
 _SURFACE = {

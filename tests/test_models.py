@@ -1,6 +1,8 @@
 """Covariance models: exact profile derivatives, spectral moments, covariances."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy import integrate, special
 
 from planarcrit.models import (
     BargmannFock,
+    CovarianceModel,
     Interpolation,
     MomentDivergenceError,
     PowerLawTruncated,
@@ -433,6 +436,55 @@ def test_config_nested_interpolation_uses_dotted_keys():
 def test_config_unknown_family_rejected():
     with pytest.raises(ValueError):
         model_from_config({"family": "whitenoise"})
+
+
+SCHEMA_MODELS = [
+    *ALL_MODELS,
+    PowerLawTruncated(math.inf),
+    Interpolation(0.6, Interpolation(0.25, BargmannFock(2.0), RandomWave(1.0)),
+                  ShiftedRandomWave(tau=0.5, s=1.0, k=2.0)),
+]
+
+
+def _field_keys(model, prefix=""):
+    """family plus every dataclass field name, a nested model's behind its field and a dot."""
+    keys = [prefix + "family"]
+    for field in dataclasses.fields(model):
+        value = getattr(model, field.name)
+        if isinstance(value, CovarianceModel):
+            keys += _field_keys(value, f"{prefix}{field.name}.")
+        else:
+            keys.append(prefix + field.name)
+    return keys
+
+
+@pytest.mark.parametrize("model", SCHEMA_MODELS, ids=_ids(SCHEMA_MODELS))
+def test_config_keys_are_the_dataclass_fields(model):
+    cfg = model_to_config(model)
+    assert sorted(cfg) == sorted(_field_keys(model))
+    assert model_from_config(cfg) == model
+    assert model_from_config({k: str(v) for k, v in cfg.items()}) == model
+
+
+_MIX = {"family": "interpolation", "s": "0.5", "left.family": "randomwave", "left.k": "1",
+        "right.family": "bargmannfock", "right.k": "1"}
+
+
+@pytest.mark.parametrize("config, key", [
+    pytest.param({**_MIX, "k": "7"}, "'k'", id="k-on-interpolation"),
+    pytest.param({"family": "randomwave", "k": "1", "left.k": "3"}, "'left.k'",
+                 id="left.k-on-randomwave"),
+    pytest.param({"family": "randomwave"}, "'k'", id="missing-k"),
+    pytest.param({"family": "bargmannfock", "k": "1", "t": "5"}, "'t'", id="t-on-bargmannfock"),
+    pytest.param({k: v for k, v in _MIX.items() if k != "left.family"}, "'left.family'",
+                 id="missing-left.family"),
+    pytest.param({**_MIX, "left.t": "2"}, "'left.t'", id="left.t-on-randomwave-left"),
+    pytest.param({**_MIX, "right.family": "whitenoise"}, "right.family",
+                 id="unknown-right.family"),
+])
+def test_config_refusals_name_the_full_dotted_key(config, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        model_from_config(config)
 
 
 def test_model_validation():
