@@ -9,6 +9,10 @@ Seeds.  The gradient is evaluated on a tensor grid of step h / 8 (h the
 grid step, _SUBDIVISION = 8) covering the window plus one cell, where the
 field separates into one small real matmul per derivative and the cos
 and sin tables of each axis come from angle addition (sampling.eval_grid).
+The call keeps those tables (sampling.grid_tables) for every point it
+evaluates afterwards: eval_many writes each point as its nearest grid
+node times exp(i lam . d), so only the small offset angle lam . d goes
+through cos and sin (a point past the grid anchors at an edge node).
 A cell is a candidate when each gradient component is positive at one of
 its four corners and negative at another, or is 0 at a corner.  The test
 runs on sign masks: a cell is ruled out when, for either component, all
@@ -74,7 +78,10 @@ each step lands on, by one eval_many call per step that gives the
 gradient and the Hessian the next step uses.  From the second step on,
 active trajectories that share a cell of side dedup_radius would end on
 one root, so only the one with the lowest residual is followed (ties go
-to the lowest seed index); the others are counted as merged.  With one
+to the lowest seed index); the others are counted as merged.  So is a
+trajectory whose step lands in the cell of a converged end point: the
+landing point is not evaluated, which also keeps a trajectory that
+lands on a converged root bit for bit from evaluating it again.  With one
 trajectory per root the kept residual is no longer the best of many
 duplicates, so each root gets one final Newton step, kept where it
 lowers the residual.  The converged end points are deduplicated once,
@@ -88,7 +95,9 @@ counts their Hessian signs.  One call at the points the final step
 moves to gives both their residual and the Hessian that classifies
 them; a root the step leaves in place (a step below the last bit of its
 coordinates) or does not improve keeps Newton's values.  So no point is
-evaluated twice.
+evaluated twice, and every evaluation after the grid, Newton's, the
+fold partners', the final step's and the index defect's ring
+refinement, reads the grid's axis tables.
 """
 
 from __future__ import annotations
@@ -106,7 +115,8 @@ from .models import (
     sigma_derivatives,
 )
 # Not called here: perfbench/tracing.py wraps finder.eval_gradient (test_layout pins it).
-from .sampling import FieldRealization, eval_gradient, eval_grid, eval_many  # noqa: F401
+from .sampling import (  # noqa: F401
+    FieldRealization, GridTables, eval_gradient, eval_grid, eval_many, grid_tables)
 
 __all__ = [
     "CriticalKind",
@@ -236,19 +246,22 @@ def find_critical_points(
     ny = math.ceil((ymax - ymin) / cell) + 3
     xs = xmin - cell + cell * np.arange(nx)
     ys = ymin - cell + cell * np.arange(ny)
-    grid = eval_grid(f, (xmin - cell, cell, nx), (ymin - cell, cell, ny), _DERIVS[:2])
+    axes = (xmin - cell, cell, nx), (ymin - cell, cell, ny)
+    # One set of axis tables serves the grid and every point evaluated below.
+    tables = grid_tables(f, *axes)
+    grid = eval_grid(f, *axes, _DERIVS[:2], tables)
     ci, cj = _candidate_cells(grid)
     pts = np.column_stack([xs[ci] + 0.5 * cell, ys[cj] + 0.5 * cell])
 
     margin = 4.0 * h
     bound = np.array([xmin - margin, ymin - margin, xmax + margin, ymax + margin])
-    pts, gnorm, vals, counts = _newton(f, pts, bound, dedup_radius)
+    pts, gnorm, vals, counts = _newton(f, pts, bound, dedup_radius, tables)
     table = _root_table(pts, gnorm, vals, dedup_radius)
     # Two roots in one cell share a seed; also run from the partner that
     # each root predicts across a nearby fold, and merge the partners that
     # converge into the table.
-    partners = _fold_partners(f, table[0], table[2][:, 2:], 2.0 * cell)
-    *ends, more_counts = _newton(f, partners, bound, dedup_radius)
+    partners = _fold_partners(f, table[0], table[2][:, 2:], 2.0 * cell, tables)
+    *ends, more_counts = _newton(f, partners, bound, dedup_radius, tables)
     done = ends[1] <= _NEWTON_TOL
     if done.any():
         table = _root_table(*map(np.concatenate, zip(table, ends)), dedup_radius)
@@ -258,7 +271,7 @@ def find_critical_points(
     pts, _, vals = table
 
     inside = _inside(pts, window)
-    merged_pts, merged_resid, hess = _polish(f, pts[inside], vals[inside])
+    merged_pts, merged_resid, hess = _polish(f, pts[inside], vals[inside], tables)
 
     points = []
     for (x, y), (h11, h12, h22), res in zip(merged_pts, hess, merged_resid):
@@ -285,28 +298,35 @@ def find_critical_points(
             ndropped=nrunaway + nstalled,
             newton_iters=newton_iters,
             nreturned=len(points),
-            index_defect=_index_defect(f, xs, ys, grid, pts, vals),
+            index_defect=_index_defect(f, xs, ys, grid, pts, vals, tables),
         )
     return points
 
 
-def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: float):
+def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: float,
+            tables: GridTables | None = None):
     """Newton on the gradient from each of `pts`, vectorized over the active set.
 
     Every point is evaluated once: the seeds together, then each step's
-    landing points, whose gradient and Hessian the next step uses.
+    landing points, whose gradient and Hessian the next step uses.  A
+    landing point in the dedup cell of a converged end point would end on
+    that root, so its trajectory is merged there and the point is not
+    evaluated; so no step evaluates a converged point again.
     Returns the end points, their gradient norms (inf for a runaway), their
-    _DERIVS rows (a runaway's are those of its last point inside the
-    bound) and the counters [nmerged, nrunaway, nstalled, newton_iters].
+    _DERIVS rows (a runaway's or a merged trajectory's are those of its
+    last evaluated point) and the counters [nmerged, nrunaway, nstalled,
+    newton_iters].
     """
     pts = pts.copy()
     if len(pts) == 0:  # no candidate cell or no fold partner: nothing to evaluate
         return pts, np.zeros(0), np.zeros((0, len(_DERIVS))), np.zeros(4, dtype=int)
-    vals = eval_many(f, pts, _DERIVS)
+    vals = eval_many(f, pts, _DERIVS, tables)
     gnorm = np.linalg.norm(vals[:, :2], axis=1)
     active = np.arange(len(pts))
     nmerged = nrunaway = newton_iters = 0
+    done: set = set()  # the dedup cells of the converged end points
     for it in range(_MAX_ITERS):
+        done.update(_cells(pts[active[gnorm[active] <= _NEWTON_TOL]], radius))
         active = active[gnorm[active] > _NEWTON_TOL]
         if it:
             # Trajectories sharing a dedup cell end on one root; follow one.
@@ -323,10 +343,12 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
         out = ~ok | (trial < bound[:2]).any(axis=1) | (trial > bound[2:]).any(axis=1)
         gnorm[active[out]] = np.inf
         nrunaway += int(out.sum())
-        active = active[~out]
-        if active.size == 0:  # every trajectory left: nothing to evaluate
+        landed = ~out & _in_cells(trial, done, radius)
+        nmerged += int(landed.sum())
+        active, trial = active[~(out | landed)], trial[~(out | landed)]
+        if active.size == 0:  # every trajectory left or merged: nothing to evaluate
             break
-        vals[active] = eval_many(f, trial[~out], _DERIVS)
+        vals[active] = eval_many(f, trial, _DERIVS, tables)
         gnorm[active] = np.linalg.norm(vals[active, :2], axis=1)
     nstalled = int((gnorm[active] > _NEWTON_TOL).sum())
     return pts, gnorm, vals, np.array([nmerged, nrunaway, nstalled, newton_iters])
@@ -347,7 +369,8 @@ def _candidate_cells(grad: np.ndarray):
     return np.nonzero(~ruled_out)
 
 
-def _index_defect(f: FieldRealization, xs, ys, grad, pts, vals) -> int:
+def _index_defect(f: FieldRealization, xs, ys, grad, pts, vals,
+                  tables: GridTables | None = None) -> int:
     """Winding number of grad psi around the grid xs x ys minus the index sum inside.
 
     `grad` is the gradient on the grid (eval_grid order); `pts` and `vals`
@@ -358,7 +381,7 @@ def _index_defect(f: FieldRealization, xs, ys, grad, pts, vals) -> int:
     inside = _inside(pts, ((xs[0], xs[-1]), (ys[0], ys[-1])))
     h11, h12, h22 = vals[inside, 2:].T
     index = int(np.sign(h11 * h22 - h12**2).sum())
-    return _winding_number(f, xs, ys, grad) - index
+    return _winding_number(f, xs, ys, grad, tables) - index
 
 
 def _inside(pts: np.ndarray, box) -> np.ndarray:
@@ -382,7 +405,8 @@ def _root_table(pts: np.ndarray, gnorm: np.ndarray, vals: np.ndarray, radius: fl
     return pts[keep], gnorm[keep], vals[keep]
 
 
-def _winding_number(f: FieldRealization, xs, ys, grad) -> int:
+def _winding_number(f: FieldRealization, xs, ys, grad,
+                    tables: GridTables | None = None) -> int:
     """Turns of grad psi along the boundary of the grid xs x ys, counterclockwise.
 
     Starts from the grid's own boundary values; each segment whose angle
@@ -407,12 +431,12 @@ def _winding_number(f: FieldRealization, xs, ys, grad) -> int:
         new = (a[:, None, :] + frac * (b - a)[:, None, :]).reshape(-1, 2)
         at = np.repeat(wide + 1, _RING_SPLIT - 1)
         ring = np.insert(ring, at, new, axis=0)
-        g = np.insert(g, at, eval_many(f, new, _DERIVS[:2]), axis=0)
+        g = np.insert(g, at, eval_many(f, new, _DERIVS[:2], tables), axis=0)
     return round(turn.sum() / (2.0 * math.pi))
 
 
 def _fold_partners(f: FieldRealization, roots: np.ndarray, hess: np.ndarray,
-                   reach: float) -> np.ndarray:
+                   reach: float, tables: GridTables | None = None) -> np.ndarray:
     """The predicted partner of each root that lies within `reach` across a fold.
 
     Along the Hessian eigenvector v of the eigenvalue lam nearer zero, the
@@ -424,7 +448,7 @@ def _fold_partners(f: FieldRealization, roots: np.ndarray, hess: np.ndarray,
     if len(roots) == 0:
         return roots
     h11, h12, h22 = hess.T
-    t30, t21, t12, t03 = eval_many(f, roots, _THIRD).T
+    t30, t21, t12, t03 = eval_many(f, roots, _THIRD, tables).T
     mean = 0.5 * (h11 + h22)
     spread = np.hypot(0.5 * (h11 - h22), h12)
     theta = 0.5 * np.arctan2(2.0 * h12, h11 - h22)  # eigenvector of mean + spread
@@ -449,7 +473,8 @@ def _newton_step(g1, g2, h11, h12, h22):
     return step, ok
 
 
-def _polish(f: FieldRealization, pts: np.ndarray, vals: np.ndarray):
+def _polish(f: FieldRealization, pts: np.ndarray, vals: np.ndarray,
+            tables: GridTables | None = None):
     """One more Newton step from each root, kept where it lowers the residual.
 
     With one trajectory per root the kept residual is no longer the best of
@@ -469,7 +494,7 @@ def _polish(f: FieldRealization, pts: np.ndarray, vals: np.ndarray):
     trial = pts - step
     moved = np.flatnonzero((trial != pts).any(axis=1))
     if moved.size:
-        tvals = eval_many(f, trial[moved], _DERIVS)
+        tvals = eval_many(f, trial[moved], _DERIVS, tables)
         better = np.linalg.norm(tvals[:, :2], axis=1) < np.linalg.norm(vals[moved, :2], axis=1)
         pts[moved[better]] = trial[moved[better]]
         vals[moved[better]] = tvals[better]
@@ -488,6 +513,21 @@ def _collapse(pts: np.ndarray, resid: np.ndarray, idx: np.ndarray, radius: float
     first = np.ones(len(order), dtype=bool)
     first[1:] = (cell[1:] != cell[:-1]).any(axis=1)
     return np.sort(idx[order[first]])
+
+
+def _cells(pts: np.ndarray, radius: float) -> list:
+    """The cells of side `radius` that hold `pts`, as (i, j) tuples."""
+    return list(map(tuple, np.floor(pts / radius).tolist()))
+
+
+def _in_cells(pts: np.ndarray, cells: set, radius: float) -> np.ndarray:
+    """Mask of the `pts` whose cell of side `radius` is one of `cells`.
+
+    A set lookup per point; numpy's set routines cost more on the few
+    dozen points of a Newton step, and np.isin's first call imports
+    numpy.ma (about 1 MB).
+    """
+    return np.array([c in cells for c in _cells(pts, radius)], dtype=bool)
 
 
 def _dedup(pts: np.ndarray, resid: np.ndarray, radius: float) -> np.ndarray:

@@ -692,8 +692,9 @@ def model_from_config(config: dict) -> CovarianceModel:
     Raises
     ------
     ValueError
-        If the family is unknown, if a field has no key, or if a key is
-        not a field of its family; the message names the full dotted key.
+        If the family is unknown, if a field has no key, if a key is not a
+        field of its family, or if a number field's value is not a number;
+        the message names the full dotted key.
     """
     rest = {str(k): v for k, v in config.items()}
     model = _pop_model(rest, "")
@@ -712,7 +713,7 @@ def _pop_model(config: dict, prefix: str) -> CovarianceModel:
     # Postponed annotations leave a field's type as its source string.
     return cls(**{
         f.name: _pop_model(config, f"{prefix}{f.name}.") if f.type == "CovarianceModel"
-        else float(_pop(config, prefix + f.name))
+        else _pop_number(config, prefix + f.name)
         for f in fields(cls)
     })
 
@@ -721,3 +722,11 @@ def _pop(config: dict, key: str):
     if key not in config:
         raise ValueError(f"model key {key!r} is missing")
     return config.pop(key)
+
+
+def _pop_number(config: dict, key: str) -> float:
+    value = _pop(config, key)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"model key {key!r} is not a number: {value!r}") from None

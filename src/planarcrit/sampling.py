@@ -47,6 +47,8 @@ __all__ = [
     "seed_entropy",
     "seeded_rng",
     "sample_field",
+    "GridTables",
+    "grid_tables",
     "eval_many",
     "eval_grid",
     "eval_gradient",
@@ -183,7 +185,66 @@ def sample_field(
     )
 
 
-def eval_many(f: FieldRealization, x, alphas) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class GridTables:
+    """exp(i (lam1 x_a + phi)) and exp(i lam2 y_b) at the nodes of a tensor grid.
+
+    E1 = e1 (nx x M) and E2 = e2 (ny x M) for the axes (start, step,
+    count) of eval_grid, built by grid_tables.  eval_grid reads them as
+    C1 + i S1 and C2 + i S2; eval_many reads them to evaluate points
+    near the grid without the cos and sin of their full arguments.
+
+    The tables come from angle addition (_axis_trig): with
+    B = floor(sqrt(n)), only ceil(n / B) + B rows of arguments go through
+    cos and sin (29 of 207 on the finder's grid of a 20 x 20 window at
+    the default step), and every other entry is one complex product of a
+    coarse and a fine entry.  So an entry is off by a few ulp of 1 on top
+    of the |lam x| eps rounding of its coarse argument, the rounding that
+    the direct eval_many has at x.  eval_many's anchored form adds two
+    complex products and the |lam . d| eps rounding of the offset angle,
+    so it stays within a few ulp of the amplitude sum sum_j |w_j| of
+    the direct form (tests/test_sampling.py checks 32).
+
+    Lifetime: the tables are views of the calling thread's workspace
+    (_scratch), valid until the thread's next grid_tables call, which
+    also every eval_grid call without tables makes.  They belong to one
+    realization.  Using them after that call, in another thread or with
+    another realization raises ValueError; nothing is cached on the
+    realization.
+    """
+
+    field: FieldRealization
+    xaxis: tuple
+    yaxis: tuple
+    e1: np.ndarray
+    e2: np.ndarray
+    stamp: int
+
+
+def grid_tables(f: FieldRealization, xaxis, yaxis) -> GridTables:
+    """The GridTables of f on the grid xaxis x yaxis, each (start, step, count)."""
+    xaxis, yaxis = _axis(xaxis), _axis(yaxis)
+    stamp = getattr(_workspace, "stamp", 0) + 1
+    _workspace.stamp = stamp
+    e1 = _axis_trig(f.frequencies[:, 0], f.phases, *xaxis, "x")
+    e2 = _axis_trig(f.frequencies[:, 1], 0.0, *yaxis, "y")
+    return GridTables(f, xaxis, yaxis, e1, e2, stamp)
+
+
+def _axis(axis) -> tuple:
+    start, step, count = axis
+    return float(start), float(step), int(count)
+
+
+def _check_tables(tables: GridTables, f: FieldRealization) -> None:
+    """Refuse tables of another realization or whose workspace was reused."""
+    if tables.field is not f:
+        raise ValueError("grid tables of another realization")
+    if tables.stamp != getattr(_workspace, "stamp", None):
+        raise ValueError("grid tables outlived their workspace: the thread built others since")
+
+
+def eval_many(f: FieldRealization, x, alphas, tables: GridTables | None = None) -> np.ndarray:
     """Evaluate several derivatives at once, sharing the phase matrix.
 
     Each cosine term differentiates exactly: d^alpha of the sum is the
@@ -193,39 +254,127 @@ def eval_many(f: FieldRealization, x, alphas) -> np.ndarray:
     once and reused across all requested multi-indices, which is what
     makes the Newton refinement in the finder cheap.
 
+    Given the GridTables of a grid (grid_tables), the cosines and sines
+    come from the tables instead, by angle addition at each point's
+    nearest grid node (_anchored): only the small offset angle lam . d
+    goes through cos and sin, which costs a fifth of a large argument's.
+    A point beyond the grid anchors at the nearest edge node; its offset
+    is then larger, and so are the cost and rounding of its cos and sin,
+    but the value stays exact to rounding.  The two forms agree to a few
+    ulp of the amplitude sum sum_j |w_j| (a bound in the GridTables
+    docstring).  Without tables the result is the direct form's.
+
     The argument matrix and its cosine and sine live in the calling
     thread's workspace (_scratch), so repeat calls reuse their memory
     instead of returning it to the system and faulting it back in; the
     result never shares memory with the workspace.  The three share one
     buffer with eval_grid's matmul operand: neither function calls the
     other, and two buffers would both stay allocated, adding the smaller
-    one to the peak memory of the finder, which calls both.
+    one to the peak memory of the finder, which calls both.  The
+    anchored form uses the same buffer and never grows it past that
+    operand.
 
     Returns shape (N, len(alphas)) for x of shape (N, 2).
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if tables is not None:
+        return _anchored(f, pts, alphas, tables, _block_rows(tables.xaxis[2]))
     n, M = pts.shape[0], f.nterms
     work = _scratch("work", 3 * n * M, float).reshape(3, n, M)
     arg = work[0]
     np.matmul(pts, f.frequencies.T, out=arg)
     arg += f.phases
-    cos = sin = None
     out = np.empty((n, len(alphas)))
+    _weighted_sums(f, alphas, lambda odd: (np.cos, np.sin)[odd](arg, out=work[1 + odd]), out)
+    return out
+
+
+def _weighted_sums(f: FieldRealization, alphas, trig, out: np.ndarray) -> None:
+    """out[:, col] = d^alpha psi of alphas[col] at the rows of trig's tables.
+
+    trig(odd) gives the (rows, M) cosines (odd = 0) or sines (odd = 1)
+    of the arguments; it is asked once per parity that alphas need.
+    """
+    tables: dict = {}
     for col, alpha in enumerate(alphas):
         weights, order = _term_weights(f, alpha)
-        if order % 2 == 0:
-            if cos is None:
-                cos = np.cos(arg, out=work[1])
-            osc = cos
-        else:
-            if sin is None:
-                sin = np.sin(arg, out=work[2])
-            osc = sin
-        col_val = osc @ weights
+        odd = order % 2
+        if odd not in tables:
+            tables[odd] = trig(odd)
+        col_val = tables[odd] @ weights
         if order == 0:
             col_val = col_val + f.shift
         out[:, col] = col_val
+
+
+def _anchored(f: FieldRealization, pts: np.ndarray, alphas, tables: GridTables,
+              rows: int) -> np.ndarray:
+    """eval_many at pts from the grid tables, `rows` points at a time.
+
+    A point p with nearest node (x_a, y_b) (clamped to the grid) and
+    offset d = p - (x_a, y_b) has, per term,
+
+        exp(i (lam . p + phi)) = E1[a] E2[b] exp(i lam . d),
+
+    so its cosines and sines are the real and imaginary parts of two
+    complex products of table rows with exp(i lam . d), whose angle is at
+    most |lam| times half a cell diagonal inside the grid.  A block of
+    `rows` points keeps four (rows, M) arrays in the workspace: the
+    offset angles, then the gathered E1 rows, and exp(i lam . d), then
+    the gathered E2 rows, then the cosines and sines.  Every row is
+    computed on its own up to the weighted sums, one matrix-vector
+    product per multi-index as in the direct form, whose BLAS kernel
+    groups rows by four.  So with `rows` a multiple of 4, at least 8, the
+    blocks do not change a bit of the result; the last block takes four
+    rows more rather than one row alone, which numpy would sum by
+    another BLAS routine.
+    """
+    _check_tables(tables, f)
+    n, M = pts.shape[0], f.nterms
+    start, step, count = np.array([tables.xaxis, tables.yaxis]).T
+    out = np.empty((n, len(alphas)))
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1 and rows >= 8:
+        starts[-1] -= 4
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        r = hi - lo
+        # The nearest node, clamped to the grid; fmax and fmin send NaN to node 0.
+        k = np.subtract(pts[lo:hi], start)
+        k /= step
+        np.rint(k, out=k)
+        np.fmin(np.fmax(k, 0.0, out=k), count - 1.0, out=k)
+        node = k.astype(np.intp)
+        offset = pts[lo:hi] - (start + k * step)
+        work = _scratch("work", 4 * r * M, float)
+        grid_e = work[:2 * r * M].view(complex).reshape(r, M)
+        rot = work[2 * r * M:].view(complex).reshape(r, M)
+        angle = work[:r * M].reshape(r, M)  # lam . d, until grid_e takes its place
+        np.matmul(offset, f.frequencies.T, out=angle)
+        np.sin(angle, out=rot.imag)
+        np.cos(angle, out=rot.real)
+        np.take(tables.e1, node[:, 0], axis=0, out=grid_e, mode="clip")
+        grid_e *= rot
+        np.take(tables.e2, node[:, 1], axis=0, out=rot, mode="clip")
+        grid_e *= rot
+        parts = work[2 * r * M:].reshape(2, r, M)  # rot's memory, free again
+
+        def trig(odd):
+            np.copyto(parts[odd], grid_e.imag if odd else grid_e.real)
+            return parts[odd]
+
+        _weighted_sums(f, alphas, trig, out[lo:hi])
     return out
+
+
+def _block_rows(nx: int) -> int:
+    """Rows per block of _anchored on a grid of nx x-nodes.
+
+    Its four (rows, M) arrays stay within eval_grid's (nx, 2M) operand.
+    From nx = 16 on, rows is a multiple of 4 and at least 8, so the
+    blocks do not change a bit of the result (_anchored).
+    """
+    rows = max(1, nx // 2)
+    return rows - rows % 4 if rows >= 4 else rows
 
 
 def _term_weights(f: FieldRealization, alpha) -> tuple[np.ndarray, int]:
@@ -251,7 +400,8 @@ def _term_weights(f: FieldRealization, alpha) -> tuple[np.ndarray, int]:
     return weights, order
 
 
-def eval_grid(f: FieldRealization, xaxis, yaxis, alphas) -> np.ndarray:
+def eval_grid(f: FieldRealization, xaxis, yaxis, alphas,
+              tables: GridTables | None = None) -> np.ndarray:
     """Evaluate several derivatives on a uniform tensor grid.
 
     Each axis is (start, step, count): the nx points x_a = start + a step
@@ -272,11 +422,10 @@ def eval_grid(f: FieldRealization, xaxis, yaxis, alphas) -> np.ndarray:
     one real matmul of inner size 2M per multi-index (the code orders the
     inner index term by term, cos then sin).
 
-    The tables C + i S of an axis of n points come from angle addition
-    (_axis_trig): with B = floor(sqrt(n)), only ceil(n / B) + B rows of
-    arguments go through cos and sin (29 of 207 on the finder's grid of
-    a 20 x 20 window at the default step), and every other entry is one complex product of a coarse and
-    a fine entry.  That product is off by a few ulp of 1, so the grid is
+    The tables C + i S of the two axes are grid_tables(f, xaxis, yaxis),
+    built here unless the caller passes them as `tables` to keep them for
+    eval_many at points near the grid; they live until the thread's next
+    grid_tables call (GridTables).  Their angle addition leaves the grid
     off by a few ulp of the amplitude sum sum_j |w_j|, on top of the
     |lam x| eps rounding of the argument that eval_many shares; the two
     agree to rounding.
@@ -287,7 +436,7 @@ def eval_grid(f: FieldRealization, xaxis, yaxis, alphas) -> np.ndarray:
     the thread has evaluated and is reused as prefix views, so it keeps
     one grid's tables and operand, about 2.5 MB at M = 256 on a
     20 x 20 window at the default step, and a call allocates only its
-    result and the ceil(n / B) + B trig rows of each axis.  Each matmul
+    result and the coarse and fine trig rows of each axis.  Each matmul
     writes straight into the result, which never shares memory with the
     workspace.
 
@@ -296,11 +445,16 @@ def eval_grid(f: FieldRealization, xaxis, yaxis, alphas) -> np.ndarray:
     meshgrid(xs, ys, indexing="ij") order.  The array is a view of one
     (len(alphas), nx, ny) block, so each derivative's grid is contiguous.
     """
+    if tables is None:
+        tables = grid_tables(f, xaxis, yaxis)
+    elif (tables.xaxis, tables.yaxis) != (_axis(xaxis), _axis(yaxis)):
+        raise ValueError("grid tables of another grid")
+    _check_tables(tables, f)
     M = f.nterms
-    nx, ny = int(xaxis[2]), int(yaxis[2])
+    nx, ny = tables.xaxis[2], tables.yaxis[2]
     out = np.empty((len(alphas), nx, ny))
-    e1 = _axis_trig(f.frequencies[:, 0], f.phases, *xaxis, "x")  # C1 + i S1
-    right = _axis_trig(f.frequencies[:, 1], 0.0, *yaxis, "y").view(float).T  # C2, S2 rows in turn
+    e1 = tables.e1  # C1 + i S1
+    right = tables.e2.view(float).T  # C2, S2 rows in turn
     left = _scratch("work", nx * M * 2, float).reshape(nx, M, 2)
     for col, alpha in enumerate(alphas):
         w, order = _term_weights(f, alpha)

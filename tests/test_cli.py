@@ -505,6 +505,19 @@ def test_model_keys_the_family_does_not_take_exit_1_naming_them(tmp_path, capsys
     assert key in err and "model key" in err
 
 
+@pytest.mark.parametrize("body, key", [
+    pytest.param("model.family = randomwave\nmodel.k = abc\n", "'k'", id="k"),
+    pytest.param(_MIX_CFG.replace("model.right.t = 2", "model.right.t = x"), "'right.t'",
+                 id="right.t"),
+])
+def test_model_values_that_are_not_numbers_exit_1_naming_their_key(tmp_path, capsys, body, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(body)
+    code, out, err = run(capsys, "theory", "--config", str(cfg), "--format", "csv")
+    assert code == 1 and out == ""
+    assert f"model key {key} is not a number" in err
+
+
 def test_model_help_lists_the_families(capsys):
     code, out, _ = run(capsys, "theory", "--help")
     assert code == 0

@@ -177,9 +177,11 @@ def test_counters_partition_the_seeds(monkeypatch):
 def test_newton_evaluates_each_visited_point_once(monkeypatch):
     # One eval_many call per step gives the gradient and the Hessian at the
     # points the step lands on: the seeds and every landing point inside
-    # the search bound are evaluated, each once, and nothing else is.
+    # the search bound are evaluated, each once, and nothing else is,
+    # except that a landing point in the dedup cell of a converged point
+    # is merged there unevaluated.
     field = sample_field(RandomWave(1.0), M=256, seed=(101, 6), gaussian_amplitudes=True)
-    newton, runs = finder._newton, []
+    newton, in_cells, runs = finder._newton, finder._in_cells, []
 
     def recording(*args):
         runs.append(args)
@@ -187,22 +189,34 @@ def test_newton_evaluates_each_visited_point_once(monkeypatch):
 
     monkeypatch.setattr(finder, "_newton", recording)
     find_critical_points(field, ((0.0, 12.0), (0.0, 12.0)))
-    f, seeds, bound, radius = runs[0]
-    evaluated, gradient_calls = [], []
+    f, seeds, bound, radius, tables = runs[0]
+    evaluated, landed, gradient_calls = [], [], []
 
-    def many(f, x, alphas):
+    def many(f, x, alphas, *args):
         assert alphas == finder._DERIVS
-        evaluated.append(np.array(x))
-        return eval_many(f, x, alphas)
+        vals = eval_many(f, x, alphas, *args)
+        evaluated.append((np.array(x), vals))
+        return vals
+
+    def landing(pts, cells, radius):
+        mask = in_cells(pts, cells, radius)
+        inside = ((pts >= bound[:2]) & (pts <= bound[2:])).all(axis=1)
+        landed.append(pts[mask & inside])
+        return mask
 
     monkeypatch.setattr(finder, "eval_many", many)
+    monkeypatch.setattr(finder, "_in_cells", landing)
     monkeypatch.setattr(finder, "eval_gradient", lambda *args: gradient_calls.append(args))
-    _, _, _, (_, nrunaway, _, newton_iters) = newton(f, seeds, bound, radius)
+    _, _, _, (_, nrunaway, _, newton_iters) = newton(f, seeds, bound, radius, tables)
     assert not gradient_calls
-    visited = np.concatenate(evaluated)
-    assert len(visited) == len(seeds) + newton_iters - nrunaway
+    visited = np.concatenate([x for x, _ in evaluated])
+    landed = np.concatenate(landed)
+    assert len(visited) == len(seeds) + newton_iters - nrunaway - len(landed)
     assert len(np.unique(visited, axis=0)) == len(visited)
-    assert nrunaway > 0 and newton_iters > len(seeds)
+    assert nrunaway > 0 and newton_iters > len(seeds) and len(landed) > 0
+    converged = np.concatenate([x[np.hypot(v[:, 0], v[:, 1]) <= finder._NEWTON_TOL]
+                                for x, v in evaluated])
+    assert np.all(in_cells(landed, set(finder._cells(converged, radius)), radius))
 
 
 def test_newton_makes_no_empty_evaluation(monkeypatch):
@@ -212,9 +226,9 @@ def test_newton_makes_no_empty_evaluation(monkeypatch):
     # happens once.  A window without a candidate cell evaluates no seed.
     sizes = []
 
-    def many(f, x, alphas):
+    def many(f, x, alphas, *args):
         sizes.append(len(x))
-        return eval_many(f, x, alphas)
+        return eval_many(f, x, alphas, *args)
 
     monkeypatch.setattr(finder, "eval_many", many)
     model = RandomWave(1.0)
@@ -237,14 +251,14 @@ def test_a_finder_call_evaluates_no_point_twice(monkeypatch):
     # from its fold partner (twice the default step).
     calls, axes, gradient_calls = [], [], []
 
-    def many(f, x, alphas):
-        vals = eval_many(f, x, alphas)
+    def many(f, x, alphas, *args):
+        vals = eval_many(f, x, alphas, *args)
         calls.append((np.array(x), list(alphas), vals))
         return vals
 
-    def grid(f, xaxis, yaxis, alphas):
+    def grid(f, xaxis, yaxis, alphas, *args):
         axes.append((xaxis, yaxis))
-        return eval_grid(f, xaxis, yaxis, alphas)
+        return eval_grid(f, xaxis, yaxis, alphas, *args)
 
     monkeypatch.setattr(finder, "eval_many", many)
     monkeypatch.setattr(finder, "eval_grid", grid)
@@ -530,8 +544,8 @@ def test_real_eval_grid_keeps_the_candidate_cells(model, monkeypatch):
     # real and the complex form of its gradient grid.
     seen = []
 
-    def recording(f, xaxis, yaxis, alphas):
-        seen.append((xaxis, yaxis, eval_grid(f, xaxis, yaxis, alphas)))
+    def recording(f, xaxis, yaxis, alphas, *args):
+        seen.append((xaxis, yaxis, eval_grid(f, xaxis, yaxis, alphas, *args)))
         return seen[-1][2]
 
     monkeypatch.setattr(finder, "eval_grid", recording)
@@ -600,7 +614,7 @@ def test_index_defect_flags_a_missed_saddle(monkeypatch):
     diag = {}
     find_critical_points(field, window, step, diagnostics=diag)
     assert diag["index_defect"] == 0
-    monkeypatch.setattr(finder, "_fold_partners", lambda f, roots, hess, reach: roots[:0])
+    monkeypatch.setattr(finder, "_fold_partners", lambda f, roots, hess, reach, tables: roots[:0])
     points = find_critical_points(field, window, step, diagnostics=diag)
     assert not _has_root(points, (10.511260013850139, 7.656567436866597), CriticalKind.SADDLE,
                          1e-9)

@@ -487,6 +487,16 @@ def test_config_refusals_name_the_full_dotted_key(config, key):
         model_from_config(config)
 
 
+@pytest.mark.parametrize("config, key", [
+    pytest.param({"family": "randomwave", "k": "abc"}, "'k'", id="k"),
+    pytest.param({**_MIX, "right.k": "x"}, "'right.k'", id="right.k"),
+    pytest.param({"family": "bargmannfock", "k": None}, "'k'", id="none"),
+])
+def test_config_values_that_are_not_numbers_name_their_key(config, key):
+    with pytest.raises(ValueError, match=re.escape(f"model key {key} is not a number")):
+        model_from_config(config)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         RandomWave(-1.0)

@@ -8,12 +8,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from planarcrit import sampling
 from planarcrit.finder import default_grid_step
-from planarcrit.models import BargmannFock, RandomWave, ShiftedRandomWave, sigma_derivatives
+from planarcrit.models import (
+    BargmannFock,
+    Interpolation,
+    PowerLawTruncated,
+    RandomWave,
+    ShiftedRandomWave,
+    sigma_derivatives,
+)
 from planarcrit.sampling import (
     eval_gradient,
     eval_grid,
     eval_many,
+    grid_tables,
     sample_field,
     seed_entropy,
     seeded_rng,
@@ -258,6 +267,115 @@ def test_eval_grid_workspace_is_invisible_to_callers():
     for k in range(6):
         order = [serial[(k + i) % n].tobytes() for i in range(n)]
         assert results[k] == order * 4, k
+
+
+_FAMILIES = [RandomWave(1.0), BargmannFock(1.0), ShiftedRandomWave(0.5, 1.0, 1.0),
+             PowerLawTruncated(3.0), Interpolation(0.5, RandomWave(1.0), BargmannFock(1.0))]
+_ALL_DERIVS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),
+               (2, 2)]
+
+
+def _anchor_points(model, window: float, xaxis, yaxis):
+    """Points of the finder's reach around its grid on [0, window]^2.
+
+    Random points inside the grid, its nodes, the midpoints between nodes
+    (where the nearest node is a tie), points on its edges, and points
+    past it up to the Newton bound 4 h beyond the window, which anchor at
+    an edge node.
+    """
+    rng = seeded_rng(17)
+    h = xaxis[1] * 8
+    xs, ys = _axis_points(xaxis, yaxis)
+    inside = rng.uniform(xs[0], xs[-1], size=(150, 2))
+    nodes = np.column_stack([rng.choice(xs, 30), rng.choice(ys, 30)])
+    ties = nodes + 0.5 * np.array([xaxis[1], yaxis[1]])
+    edges = np.column_stack([rng.choice([xs[0], xs[-1]], 40), rng.uniform(ys[0], ys[-1], 40)])
+    past = rng.uniform(-4.0 * h, window + 4.0 * h, size=(400, 2))
+    past = past[~((past >= xs[0]) & (past <= xs[-1])).all(axis=1)][:100]
+    corners = np.array([[-4.0 * h, -4.0 * h], [window + 4.0 * h, -4.0 * h],
+                        [window + 4.0 * h, window + 4.0 * h]])
+    return np.concatenate([inside, nodes, ties, edges, edges[:, ::-1], past, corners])
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("M, window", [(256, 20.0), (1024, 12.0)])
+@pytest.mark.parametrize("model", _FAMILIES, ids=lambda m: m.family)
+def test_anchored_eval_many_agrees_with_the_direct_form(model, M, window, gaussian):
+    # eval_many from the finder's grid tables against the direct form, at
+    # points inside the grid, on it and clamped past it: within 32 ulp of
+    # the amplitude sum sum_j |w_j| of each multi-index.
+    f = sample_field(model, M=M, seed=(31, M), gaussian_amplitudes=gaussian)
+    axes = _finder_axes(model, window)
+    pts = _anchor_points(model, window, *axes)
+    tables = grid_tables(f, *axes)
+    new = eval_many(f, pts, _ALL_DERIVS, tables)
+    ref = eval_many(f, pts, _ALL_DERIVS)
+    scale = np.array([np.abs(sampling._term_weights(f, a)[0]).sum() for a in _ALL_DERIVS])
+    err = np.abs(new - ref).max(axis=0) / (scale * np.finfo(float).eps)
+    assert np.all(err <= 32.0), err
+    assert not np.array_equal(new, ref)
+
+
+def test_anchored_eval_many_keeps_to_the_grid_workspace():
+    # Beyond its result, a repeat call allocates only the node indices and
+    # offsets of one block of rows, under 200 bytes per row of a block
+    # however many points it evaluates (one (N, M) array of 2000 points
+    # takes 4 MB), and the workspace stays the size eval_grid left it at.
+    f = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
+    axes = _finder_axes(f.model, 20.0)
+    tables = grid_tables(f, *axes)
+    eval_grid(f, *axes, [(1, 0), (0, 1)], tables)
+    size = sampling._workspace.work.size
+    pts = seeded_rng(3).uniform(-3.0, 23.0, size=(2000, 2))
+    alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    eval_many(f, pts, alphas, tables)
+    rows = sampling._block_rows(axes[0][2])
+    for n in (2000, 150):
+        out, peak = _traced_peak(lambda: eval_many(f, pts[:n], alphas, tables))
+        assert out.shape == (n, len(alphas))
+        assert peak - out.nbytes <= 200 * rows, (n, peak - out.nbytes, rows)
+    assert sampling._workspace.work.size == size
+
+
+def test_anchored_blocks_change_no_bit():
+    # The anchored form evaluates its points in blocks of rows; any block
+    # size of 8 rows or more that is a multiple of 4 gives the bytes of one
+    # block, also when the points leave one row over.
+    f = sample_field(BargmannFock(1.0), M=256, seed=(7, 3))
+    axes = _finder_axes(f.model, 12.0)
+    tables = grid_tables(f, *axes)
+    pts = _anchor_points(f.model, 12.0, *axes)
+    one = sampling._anchored(f, pts, _ALL_DERIVS, tables, len(pts))
+    assert sampling._block_rows(axes[0][2]) < len(pts) and len(pts) % 8 == 1
+    np.testing.assert_array_equal(eval_many(f, pts, _ALL_DERIVS, tables), one)
+    for rows in (8, 12, 36, 100):
+        np.testing.assert_array_equal(sampling._anchored(f, pts, _ALL_DERIVS, tables, rows), one)
+
+
+def test_grid_tables_are_refused_once_their_workspace_moved_on():
+    # Tables are views of the thread's workspace: another grid_tables call,
+    # which every eval_grid call without tables makes, retires them, and
+    # they serve neither another realization, another grid nor another
+    # thread.
+    f = sample_field(RandomWave(1.0), M=64, seed=9)
+    g = sample_field(RandomWave(1.0), M=64, seed=10)
+    axes = ((-0.5, 0.1, 30), (-0.5, 0.1, 20))
+    tables = grid_tables(f, *axes)
+    pts = np.array([[0.3, 0.4], [1.0, 1.2]])
+    eval_many(f, pts, [(1, 0)], tables)
+    with pytest.raises(ValueError, match="another realization"):
+        eval_many(g, pts, [(1, 0)], tables)
+    with pytest.raises(ValueError, match="another grid"):
+        eval_grid(f, (-0.5, 0.1, 31), axes[1], [(1, 0)], tables)
+    errors = []
+    thread = threading.Thread(target=lambda: errors.append(
+        pytest.raises(ValueError, eval_many, f, pts, [(1, 0)], tables)))
+    thread.start()
+    thread.join()
+    assert errors
+    eval_grid(f, *axes, [(1, 0)])
+    with pytest.raises(ValueError, match="outlived"):
+        eval_many(f, pts, [(1, 0)], tables)
 
 
 def _axis_points(*axes):

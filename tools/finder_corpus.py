@@ -86,11 +86,13 @@ def run_tree() -> None:
 
     # The finder's own name and the one sampling's wrappers look up both
     # lead to one counter in front of the original, so each row counts once.
+    # It forwards every argument: a tree whose finder passes grid tables
+    # is compared as it runs, not through the direct form.
     evaluate, rows = sampling.eval_many, [0]
 
-    def counting(f, x, alphas):
+    def counting(f, x, alphas, *args, **kwargs):
         rows[0] += len(np.atleast_2d(x))
-        return evaluate(f, x, alphas)
+        return evaluate(f, x, alphas, *args, **kwargs)
 
     finder.eval_many = sampling.eval_many = counting
     models = _models()
