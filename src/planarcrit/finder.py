@@ -304,7 +304,7 @@ def find_critical_points(
 
 
 def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: float,
-            tables: GridTables | None = None):
+            tables: GridTables | None):
     """Newton on the gradient from each of `pts`, vectorized over the active set.
 
     Every point is evaluated once: the seeds together, then each step's
@@ -436,7 +436,7 @@ def _winding_number(f: FieldRealization, xs, ys, grad,
 
 
 def _fold_partners(f: FieldRealization, roots: np.ndarray, hess: np.ndarray,
-                   reach: float, tables: GridTables | None = None) -> np.ndarray:
+                   reach: float, tables: GridTables | None) -> np.ndarray:
     """The predicted partner of each root that lies within `reach` across a fold.
 
     Along the Hessian eigenvector v of the eigenvalue lam nearer zero, the
@@ -474,7 +474,7 @@ def _newton_step(g1, g2, h11, h12, h22):
 
 
 def _polish(f: FieldRealization, pts: np.ndarray, vals: np.ndarray,
-            tables: GridTables | None = None):
+            tables: GridTables | None):
     """One more Newton step from each root, kept where it lowers the residual.
 
     With one trajectory per root the kept residual is no longer the best of

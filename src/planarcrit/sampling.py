@@ -295,13 +295,13 @@ def _weighted_sums(f: FieldRealization, alphas, trig, out: np.ndarray) -> None:
     trig(odd) gives the (rows, M) cosines (odd = 0) or sines (odd = 1)
     of the arguments; it is asked once per parity that alphas need.
     """
-    tables: dict = {}
+    osc: dict = {}
     for col, alpha in enumerate(alphas):
         weights, order = _term_weights(f, alpha)
         odd = order % 2
-        if odd not in tables:
-            tables[odd] = trig(odd)
-        col_val = tables[odd] @ weights
+        if odd not in osc:
+            osc[odd] = trig(odd)
+        col_val = osc[odd] @ weights
         if order == 0:
             col_val = col_val + f.shift
         out[:, col] = col_val

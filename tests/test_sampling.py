@@ -275,7 +275,7 @@ _ALL_DERIVS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (
                (2, 2)]
 
 
-def _anchor_points(model, window: float, xaxis, yaxis):
+def _anchor_points(window: float, xaxis, yaxis):
     """Points of the finder's reach around its grid on [0, window]^2.
 
     Random points inside the grid, its nodes, the midpoints between nodes
@@ -306,7 +306,7 @@ def test_anchored_eval_many_agrees_with_the_direct_form(model, M, window, gaussi
     # the amplitude sum sum_j |w_j| of each multi-index.
     f = sample_field(model, M=M, seed=(31, M), gaussian_amplitudes=gaussian)
     axes = _finder_axes(model, window)
-    pts = _anchor_points(model, window, *axes)
+    pts = _anchor_points(window, *axes)
     tables = grid_tables(f, *axes)
     new = eval_many(f, pts, _ALL_DERIVS, tables)
     ref = eval_many(f, pts, _ALL_DERIVS)
@@ -344,7 +344,7 @@ def test_anchored_blocks_change_no_bit():
     f = sample_field(BargmannFock(1.0), M=256, seed=(7, 3))
     axes = _finder_axes(f.model, 12.0)
     tables = grid_tables(f, *axes)
-    pts = _anchor_points(f.model, 12.0, *axes)
+    pts = _anchor_points(12.0, *axes)
     one = sampling._anchored(f, pts, _ALL_DERIVS, tables, len(pts))
     assert sampling._block_rows(axes[0][2]) < len(pts) and len(pts) % 8 == 1
     np.testing.assert_array_equal(eval_many(f, pts, _ALL_DERIVS, tables), one)
