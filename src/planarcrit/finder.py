@@ -51,17 +51,17 @@ of a finder call (RandomWave(1), M = 256, 20 x 20 window).
 Iteration cap.  A trajectory gets at most _MAX_ITERS = 12 Newton steps.
 The loop is vectorized, so each iteration costs one eval_many call
 however few trajectories are active, and one stalled trajectory keeps
-the loop running to the cap.  Stalled trajectories sit at local minima
-of |grad psi| (1e-4 to 1e-1) that are not roots.  Over the 40
-realizations of the benchmark's simulate sweep (seed 101) with the cap
-raised to 50, 35 of 1706 converging trajectories needed more than 12
-steps: the 28 that end inside the window each reached a root that a
-trajectory within the cap also reaches, and the other 7 end outside it.
-On the root-set corpus (tools/finder_corpus.py) the roots are those of
-the earlier cap of 50.  Both checks ran at the default grid step.  A
-coarser step starts Newton farther from the roots;
-test_iteration_cap_loses_no_root also compares the caps at twice the
-default step.
+the loop running to the cap.  Stalled trajectories sit near local
+minima of |grad psi| that are not roots.  Over the 40 realizations of
+the benchmark's simulate sweep (seed 101) with the cap raised to 50,
+2 of 1545 converging trajectories needed more than 12 steps, and both
+end outside the window, so the sweep's 1479 roots are those of the cap
+of 12; the 10 trajectories still unconverged after 50 steps end at
+|grad psi| between 2e-4 and 1.1.  On the root-set corpus
+(tools/finder_corpus.py) the roots are those of the earlier cap of 50.
+Both checks ran at the default grid step.  A coarser step starts
+Newton farther from the roots; test_iteration_cap_loses_no_root also
+compares the caps at twice the default step.
 
 The one tuning knob is the grid step h (`find --grid-step`, an eighth of
 the oscillation length by default).  A step above the default can lose
@@ -75,18 +75,19 @@ floor 1e-12 * 12 mu0.
 The Newton steps are plain, with no line search, and every point the
 search visits is evaluated once: the seeds together, then the points
 each step lands on, by one eval_many call per step that gives the
-gradient and the Hessian the next step uses.  From the second step on,
-active trajectories that share a cell of side dedup_radius would end on
-one root, so only the one with the lowest residual is followed (ties go
-to the lowest seed index); the others are counted as merged.  So is a
-trajectory whose step lands in the cell of a converged end point: the
-landing point is not evaluated, which also keeps a trajectory that
-lands on a converged root bit for bit from evaluating it again.  With one
-trajectory per root the kept residual is no longer the best of many
-duplicates, so each root gets one final Newton step, kept where it
-lowers the residual.  The converged end points are deduplicated once,
-into the root table: each kept point with the _DERIVS values Newton
-holds there.  Converged fold partners are merged into it with one more
+gradient and the Hessian the next step uses.  Trajectories merge by one
+rule, before a step's landing points are evaluated: a landing point
+whose cell of side dedup_radius is already claimed would end on that
+cell's root, so its trajectory is counted as merged and the point is
+not evaluated.  A cell is claimed by a converged end point, or by a
+landing point of the same step whose trajectory had the lower residual
+before the step (ties go to the lower seed index).  So no eval_many call
+holds two points of one cell, and a trajectory that lands on a converged
+root bit for bit does not evaluate it again.  With one trajectory per
+root the kept residual is no longer the best of many duplicates, so
+each root gets one final Newton step, kept where it lowers the
+residual.  The converged end points are deduplicated once, into the
+root table: each kept point with the _DERIVS values Newton holds there.  Converged fold partners are merged into it with one more
 deduplication, and nothing after that deduplicates again.  The table
 serves everything after Newton: the fold-partner prediction reads its
 Hessians and evaluates only the third derivatives, the window filter
@@ -211,7 +212,8 @@ def find_critical_points(
     diagnostics : dict, optional
         If given, filled with counters: nseeds (candidate cells plus
         predicted fold partners), which is split into
-        nconverged, nmerged (trajectories collapsed into another) and
+        nconverged, nmerged (a step landed in a claimed dedup cell; see
+        the module docstring) and
         ndropped = nrunaway (left the search bound or met a singular
         Hessian) + nstalled (unconverged after _MAX_ITERS); newton_iters
         (Newton steps summed over trajectories); nreturned; index_defect
@@ -304,14 +306,16 @@ def find_critical_points(
 
 
 def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: float,
-            tables: GridTables | None):
+            tables: GridTables):
     """Newton on the gradient from each of `pts`, vectorized over the active set.
 
     Every point is evaluated once: the seeds together, then each step's
-    landing points, whose gradient and Hessian the next step uses.  A
-    landing point in the dedup cell of a converged end point would end on
-    that root, so its trajectory is merged there and the point is not
-    evaluated; so no step evaluates a converged point again.
+    landing points inside `bound`, whose gradient and Hessian the next
+    step uses.  A landing point whose dedup cell (side `radius`) is
+    claimed, by a converged end point or by a landing point of the same
+    step whose trajectory had a lower residual before the step (ties go
+    to the lower index), would end on that cell's root; its trajectory is
+    merged there and the point is not evaluated (_claimed).
     Returns the end points, their gradient norms (inf for a runaway), their
     _DERIVS rows (a runaway's or a merged trajectory's are those of its
     last evaluated point) and the counters [nmerged, nrunaway, nstalled,
@@ -325,14 +329,9 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
     active = np.arange(len(pts))
     nmerged = nrunaway = newton_iters = 0
     done: set = set()  # the dedup cells of the converged end points
-    for it in range(_MAX_ITERS):
+    for _ in range(_MAX_ITERS):
         done.update(_cells(pts[active[gnorm[active] <= _NEWTON_TOL]], radius))
         active = active[gnorm[active] > _NEWTON_TOL]
-        if it:
-            # Trajectories sharing a dedup cell end on one root; follow one.
-            kept = _collapse(pts[active], gnorm[active], active, radius)
-            nmerged += active.size - kept.size
-            active = kept
         if active.size == 0:
             break
         newton_iters += active.size
@@ -343,9 +342,11 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
         out = ~ok | (trial < bound[:2]).any(axis=1) | (trial > bound[2:]).any(axis=1)
         gnorm[active[out]] = np.inf
         nrunaway += int(out.sum())
-        landed = ~out & _in_cells(trial, done, radius)
-        nmerged += int(landed.sum())
-        active, trial = active[~(out | landed)], trial[~(out | landed)]
+        active, trial = active[~out], trial[~out]
+        # A landing point in a claimed cell would end on that cell's root.
+        merged = _claimed(trial, gnorm[active], done, radius)
+        nmerged += int(merged.sum())
+        active, trial = active[~merged], trial[~merged]
         if active.size == 0:  # every trajectory left or merged: nothing to evaluate
             break
         vals[active] = eval_many(f, trial, _DERIVS, tables)
@@ -370,7 +371,7 @@ def _candidate_cells(grad: np.ndarray):
 
 
 def _index_defect(f: FieldRealization, xs, ys, grad, pts, vals,
-                  tables: GridTables | None = None) -> int:
+                  tables: GridTables) -> int:
     """Winding number of grad psi around the grid xs x ys minus the index sum inside.
 
     `grad` is the gradient on the grid (eval_grid order); `pts` and `vals`
@@ -406,7 +407,7 @@ def _root_table(pts: np.ndarray, gnorm: np.ndarray, vals: np.ndarray, radius: fl
 
 
 def _winding_number(f: FieldRealization, xs, ys, grad,
-                    tables: GridTables | None = None) -> int:
+                    tables: GridTables) -> int:
     """Turns of grad psi along the boundary of the grid xs x ys, counterclockwise.
 
     Starts from the grid's own boundary values; each segment whose angle
@@ -436,7 +437,7 @@ def _winding_number(f: FieldRealization, xs, ys, grad,
 
 
 def _fold_partners(f: FieldRealization, roots: np.ndarray, hess: np.ndarray,
-                   reach: float, tables: GridTables | None) -> np.ndarray:
+                   reach: float, tables: GridTables) -> np.ndarray:
     """The predicted partner of each root that lies within `reach` across a fold.
 
     Along the Hessian eigenvector v of the eigenvalue lam nearer zero, the
@@ -474,7 +475,7 @@ def _newton_step(g1, g2, h11, h12, h22):
 
 
 def _polish(f: FieldRealization, pts: np.ndarray, vals: np.ndarray,
-            tables: GridTables | None):
+            tables: GridTables):
     """One more Newton step from each root, kept where it lowers the residual.
 
     With one trajectory per root the kept residual is no longer the best of
@@ -501,33 +502,25 @@ def _polish(f: FieldRealization, pts: np.ndarray, vals: np.ndarray,
     return pts, np.linalg.norm(vals[:, :2], axis=1), vals[:, 2:]
 
 
-def _collapse(pts: np.ndarray, resid: np.ndarray, idx: np.ndarray, radius: float):
-    """Indices `idx` thinned to one per cell of side `radius`.
-
-    Each cell keeps its lowest residual, ties going to the lowest index;
-    the result is sorted.
-    """
-    cell = np.floor(pts / radius)
-    order = np.lexsort((idx, resid, cell[:, 1], cell[:, 0]))
-    cell = cell[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (cell[1:] != cell[:-1]).any(axis=1)
-    return np.sort(idx[order[first]])
-
-
 def _cells(pts: np.ndarray, radius: float) -> list:
     """The cells of side `radius` that hold `pts`, as (i, j) tuples."""
     return list(map(tuple, np.floor(pts / radius).tolist()))
 
 
-def _in_cells(pts: np.ndarray, cells: set, radius: float) -> np.ndarray:
-    """Mask of the `pts` whose cell of side `radius` is one of `cells`.
+def _claimed(pts: np.ndarray, resid: np.ndarray, done: set, radius: float) -> np.ndarray:
+    """Mask of the `pts` whose cell of side `radius` is already claimed.
 
-    A set lookup per point; numpy's set routines cost more on the few
-    dozen points of a Newton step, and np.isin's first call imports
-    numpy.ma (about 1 MB).
+    A cell is claimed by being one of `done`, or by an earlier point in
+    the order of `resid` (ties go to the lower index): each cell's first
+    point claims it and is not masked.  A set lookup per point; numpy's
+    set routines cost more on the few dozen points of a Newton step.
     """
-    return np.array([c in cells for c in _cells(pts, radius)], dtype=bool)
+    cells, claimed = _cells(pts, radius), set(done)
+    merged = np.zeros(len(pts), dtype=bool)
+    for i in np.argsort(resid, kind="stable").tolist():
+        merged[i] = cells[i] in claimed
+        claimed.add(cells[i])
+    return merged
 
 
 def _dedup(pts: np.ndarray, resid: np.ndarray, radius: float) -> np.ndarray:
@@ -536,13 +529,12 @@ def _dedup(pts: np.ndarray, resid: np.ndarray, radius: float) -> np.ndarray:
     Returns the sorted indices of the kept points.
     """
     order = np.argsort(resid)
-    cells: dict[tuple[int, int], list[int]] = {}
+    cells: dict[tuple[float, float], list[int]] = {}
     keep: list[int] = []
-    inv = 1.0 / radius
-    xy = pts.tolist()
+    xy, at = pts.tolist(), _cells(pts, radius)
     for idx in order:
         x, y = xy[idx]
-        cx, cy = math.floor(x * inv), math.floor(y * inv)
+        cx, cy = at[idx]
         near = (
             xy[j]
             for nx in (cx - 1, cx, cx + 1)

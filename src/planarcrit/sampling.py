@@ -77,17 +77,20 @@ def seeded_rng(seed) -> np.random.Generator:
 def _run_tasks(fn, tasks, threads: int = 1):
     """Map fn over tasks, optionally in worker processes; order preserved.
 
-    Each task carries its own derived (seed, i) stream, so the results do
-    not depend on threads.
+    The pool gets min(threads, len(tasks)) workers, since a forked pool
+    starts all of them at its first task whether or not each gets one;
+    with one worker the tasks run in this process.  Each task carries its
+    own derived (seed, i) stream, so the results do not depend on threads.
     """
-    if threads <= 1:
+    workers = min(threads, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
     # Imported here: the pool machinery costs a fresh CLI process time
     # that single-process runs never use.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * threads))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
 @dataclass(frozen=True)

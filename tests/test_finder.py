@@ -27,6 +27,7 @@ from planarcrit.sampling import (
     eval_gradient,
     eval_grid,
     eval_many,
+    grid_tables,
     sample_field,
 )
 
@@ -178,10 +179,11 @@ def test_newton_evaluates_each_visited_point_once(monkeypatch):
     # One eval_many call per step gives the gradient and the Hessian at the
     # points the step lands on: the seeds and every landing point inside
     # the search bound are evaluated, each once, and nothing else is,
-    # except that a landing point in the dedup cell of a converged point
-    # is merged there unevaluated.
+    # except that a landing point in a claimed dedup cell is merged there
+    # unevaluated.  A cell is claimed by a converged end point or by a
+    # landing point of the same step, which that step evaluates.
     field = sample_field(RandomWave(1.0), M=256, seed=(101, 6), gaussian_amplitudes=True)
-    newton, in_cells, runs = finder._newton, finder._in_cells, []
+    newton, claimed, runs = finder._newton, finder._claimed, []
 
     def recording(*args):
         runs.append(args)
@@ -190,33 +192,81 @@ def test_newton_evaluates_each_visited_point_once(monkeypatch):
     monkeypatch.setattr(finder, "_newton", recording)
     find_critical_points(field, ((0.0, 12.0), (0.0, 12.0)))
     f, seeds, bound, radius, tables = runs[0]
-    evaluated, landed, gradient_calls = [], [], []
+    events, gradient_calls = [], []
 
     def many(f, x, alphas, *args):
         assert alphas == finder._DERIVS
         vals = eval_many(f, x, alphas, *args)
-        evaluated.append((np.array(x), vals))
+        events.append(("eval", np.array(x), np.array(vals)))
         return vals
 
-    def landing(pts, cells, radius):
-        mask = in_cells(pts, cells, radius)
-        inside = ((pts >= bound[:2]) & (pts <= bound[2:])).all(axis=1)
-        landed.append(pts[mask & inside])
+    def claim(pts, resid, done, radius):
+        mask = claimed(pts, resid, done, radius)
+        events.append(("claim", pts[mask], None))
         return mask
 
     monkeypatch.setattr(finder, "eval_many", many)
-    monkeypatch.setattr(finder, "_in_cells", landing)
+    monkeypatch.setattr(finder, "_claimed", claim)
     monkeypatch.setattr(finder, "eval_gradient", lambda *args: gradient_calls.append(args))
-    _, _, _, (_, nrunaway, _, newton_iters) = newton(f, seeds, bound, radius, tables)
+    _, _, _, (nmerged, nrunaway, _, newton_iters) = newton(f, seeds, bound, radius, tables)
     assert not gradient_calls
-    visited = np.concatenate([x for x, _ in evaluated])
-    landed = np.concatenate(landed)
-    assert len(visited) == len(seeds) + newton_iters - nrunaway - len(landed)
+    visited = np.concatenate([x for kind, x, _ in events if kind == "eval"])
+    landed = np.concatenate([x for kind, x, _ in events if kind == "claim"])
+    assert len(landed) == nmerged
+    assert len(visited) == len(seeds) + newton_iters - nrunaway - nmerged
     assert len(np.unique(visited, axis=0)) == len(visited)
-    assert nrunaway > 0 and newton_iters > len(seeds) and len(landed) > 0
-    converged = np.concatenate([x[np.hypot(v[:, 0], v[:, 1]) <= finder._NEWTON_TOL]
-                                for x, v in evaluated])
-    assert np.all(in_cells(landed, set(finder._cells(converged, radius)), radius))
+    assert nrunaway > 0 and newton_iters > len(seeds) and nmerged > 0
+    converged = []
+    for n, (kind, x, vals) in enumerate(events):
+        if kind == "eval":
+            converged.extend(finder._cells(x[np.hypot(vals[:, 0], vals[:, 1])
+                                             <= finder._NEWTON_TOL], radius))
+            continue
+        later = events[n + 1:n + 2]
+        same_step = finder._cells(later[0][1], radius) if later and later[0][0] == "eval" else []
+        assert set(finder._cells(x, radius)) <= set(converged) | set(same_step)
+
+
+@pytest.mark.parametrize("coarsen", [1, 2])
+def test_no_newton_evaluation_repeats_a_dedup_cell(monkeypatch, coarsen):
+    # Merging runs before a step's landing points are evaluated: no
+    # eval_many call inside _newton holds two points of one dedup cell,
+    # or a point in the cell of an end point that converged before it.
+    newton, runs, inside = finder._newton, [], [False]
+
+    def recording(f, pts, bound, radius, tables):
+        runs.append((radius, []))
+        inside[0] = True
+        try:
+            return newton(f, pts, bound, radius, tables)
+        finally:
+            inside[0] = False
+
+    def many(f, x, alphas, *args):
+        vals = eval_many(f, x, alphas, *args)
+        if inside[0]:
+            runs[-1][1].append((np.array(x), np.array(vals)))
+        return vals
+
+    monkeypatch.setattr(finder, "_newton", recording)
+    monkeypatch.setattr(finder, "eval_many", many)
+    fields = [sample_field(RandomWave(1.0), M=256, seed=(101, 6), gaussian_amplitudes=True),
+              sample_field(BargmannFock(1.0), M=1024, seed=(202, 39))]
+    for field in fields:
+        runs.clear()
+        find_critical_points(field, ((0.0, 12.0), (0.0, 12.0)),
+                             coarsen * default_grid_step(field.model))
+        steps = 0
+        for radius, evaluated in runs:
+            done: set = set()
+            for x, vals in evaluated:
+                cells = finder._cells(x, radius)
+                assert len(set(cells)) == len(cells)
+                assert not done & set(cells)
+                done.update(c for c, v in zip(cells, vals)
+                            if math.hypot(v[0], v[1]) <= finder._NEWTON_TOL)
+            steps += len(evaluated)
+        assert steps > 2
 
 
 def test_newton_makes_no_empty_evaluation(monkeypatch):
@@ -253,7 +303,7 @@ def test_a_finder_call_evaluates_no_point_twice(monkeypatch):
 
     def many(f, x, alphas, *args):
         vals = eval_many(f, x, alphas, *args)
-        calls.append((np.array(x), list(alphas), vals))
+        calls.append((np.array(x), list(alphas), np.array(vals)))
         return vals
 
     def grid(f, xaxis, yaxis, alphas, *args):
@@ -342,7 +392,7 @@ def test_diagnostics_change_no_point():
 
 
 def _reference_roots(f, window):
-    """The finder before the separable seed grid, gradient reuse and collapse.
+    """The finder before the separable seed grid, gradient reuse and merging.
 
     Gradient of every seed, then per iteration a full gradient-and-Hessian
     evaluation of every active point, line search, one _dedup at the end
@@ -595,12 +645,13 @@ def test_index_defect_counts_a_root_left_out():
     f = _cosine_lattice_field()
     xaxis, yaxis = (-0.5, (math.pi + 1.0) / 40, 41), (-0.5, (math.pi + 1.0) / 36, 37)
     xs, ys = _axis_points(xaxis, yaxis)
-    grad = eval_grid(f, xaxis, yaxis, [(1, 0), (0, 1)])
+    tables = grid_tables(f, xaxis, yaxis)
+    grad = eval_grid(f, xaxis, yaxis, [(1, 0), (0, 1)], tables)
     roots = np.array([[0.0, 0.0], [0.0, math.pi], [math.pi, 0.0], [math.pi, math.pi]])
-    vals = eval_many(f, roots, finder._DERIVS)
-    assert finder._index_defect(f, xs, ys, grad, roots, vals) == 0
-    assert finder._index_defect(f, xs, ys, grad, roots[[0, 2, 3]], vals[[0, 2, 3]]) == -1
-    assert finder._index_defect(f, xs, ys, grad, roots[1:], vals[1:]) == 1
+    vals = eval_many(f, roots, finder._DERIVS, tables)
+    assert finder._index_defect(f, xs, ys, grad, roots, vals, tables) == 0
+    assert finder._index_defect(f, xs, ys, grad, roots[[0, 2, 3]], vals[[0, 2, 3]], tables) == -1
+    assert finder._index_defect(f, xs, ys, grad, roots[1:], vals[1:], tables) == 1
 
 
 def test_index_defect_flags_a_missed_saddle(monkeypatch):

@@ -49,6 +49,36 @@ def test_seed_entropy_flattens_nested_tuples():
     assert x == y
 
 
+def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
+    # A forked pool starts all of its workers at the first task, so the
+    # pool gets min(threads, len(tasks)) of them, and one worker means no
+    # pool.  The fake pool maps in this process and starts no worker.
+    import concurrent.futures
+
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    for threads, ntasks, started in [(64, 40, [40]), (3, 40, [3]), (2, 2, [2]), (64, 1, []),
+                                     (8, 0, []), (1, 5, [])]:
+        pools.clear()
+        tasks = list(range(ntasks))
+        assert sampling._run_tasks(str, tasks, threads) == list(map(str, tasks))
+        assert pools == started
+
+
 def test_fixed_amplitude_convention():
     m = 128
     f = sample_field(RandomWave(1.0), M=m, seed=0)

@@ -30,7 +30,8 @@ within TOL but has another kind; a new root with no reference root
 within TOL is extra.
 For each step the script prints one table row per family (roots,
 missed, extra, kind mismatches, largest displacement of a matched root,
-minor page faults and eval_many rows reference -> new),
+and reference -> new: minor page faults, eval_many rows, Newton steps
+and merged trajectories, the finder's newton_iters and nmerged),
 then each extra root with its |grad psi| and Hessian eigenvalues, then
 every window whose finder reports a nonzero index defect, then how
 many windows differ in their number of Newton seeds (the finder's
@@ -56,6 +57,9 @@ SERIES = 40
 TOL = 1e-9
 # The grid steps run, as multiples of the default.
 COARSEN = (1, 2)
+# Per-window counts summed per family on each side, in table order.
+_SUMMED = ("faults", "rows", "iters", "merged")
+_PAIRED = tuple(name + side for name in _SUMMED for side in ("_ref", "_new"))
 
 
 def corpus():
@@ -111,7 +115,8 @@ def run_tree() -> None:
             print(json.dumps({"key": [family, master, i, M, gaussian, L], "coarsen": coarsen,
                               "faults": faults, "rows": rows[0],
                               "defect": diag.get("index_defect"),
-                              "nseeds": diag.get("nseeds"), "roots": roots}))
+                              "nseeds": diag.get("nseeds"), "iters": diag.get("newton_iters"),
+                              "merged": diag.get("nmerged"), "roots": roots}))
 
 
 def compare(ref: list[dict], new: list[dict]):
@@ -124,14 +129,12 @@ def compare(ref: list[dict], new: list[dict]):
         raise SystemExit("the two trees ran different corpora")
     for a, b in zip(ref, new):
         row = rows.setdefault(a["key"][0], dict(roots=0, new_roots=0, missed=0, extra=0,
-                                                kinds=0, shift=0.0, faults_ref=0, faults_new=0,
-                                                rows_ref=0, rows_new=0))
+                                                kinds=0, shift=0.0, **dict.fromkeys(_PAIRED, 0)))
         row["roots"] += len(a["roots"])
         row["new_roots"] += len(b["roots"])
-        row["faults_ref"] += a["faults"]
-        row["faults_new"] += b["faults"]
-        row["rows_ref"] += a["rows"]
-        row["rows_new"] += b["rows"]
+        for name in _SUMMED:
+            row[name + "_ref"] += a[name]
+            row[name + "_new"] += b[name]
         for x, y, kind, *_ in a["roots"]:
             dist, near = min(((math.hypot(x - u, y - v), k) for u, v, k, *_ in b["roots"]),
                              default=(math.inf, None))
@@ -173,18 +176,19 @@ def _report_step(ref: list[dict], new: list[dict]) -> int:
     """Print the table, the extra roots and the defects; 1 on a missed or retyped root."""
     rows, extras, defects, seed_diffs = compare(ref, new)
     print("| family | roots (ref) | roots (new) | missed | extra | kind mismatches "
-          "| largest displacement | minor page faults ref -> new | eval_many rows ref -> new |")
-    print("|---|---|---|---|---|---|---|---|---|")
-    total = dict.fromkeys(("roots", "new_roots", "missed", "extra", "kinds"), 0)
-    total.update(shift=0.0, faults_ref=0, faults_new=0, rows_ref=0, rows_new=0)
+          "| largest displacement | minor page faults ref -> new | eval_many rows ref -> new "
+          "| Newton steps ref -> new | merged ref -> new |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
+    total = dict.fromkeys(("roots", "new_roots", "missed", "extra", "kinds", *_PAIRED), 0)
+    total.update(shift=0.0)
     for family, row in [*rows.items(), ("total", total)]:
         if family != "total":
             for k in total:
                 total[k] = max(total[k], row[k]) if k == "shift" else total[k] + row[k]
-        print(f"| {family} | {row['roots']} | {row['new_roots']} | {row['missed']} | "
-              f"{row['extra']} | {row['kinds']} | {row['shift']:.1e} | "
-              f"{row['faults_ref']} -> {row['faults_new']} | "
-              f"{row['rows_ref']} -> {row['rows_new']} |")
+        cells = [row["roots"], row["new_roots"], row["missed"], row["extra"], row["kinds"],
+                 f"{row['shift']:.1e}",
+                 *(f"{row[name + '_ref']} -> {row[name + '_new']}" for name in _SUMMED)]
+        print(f"| {family} | " + " | ".join(map(str, cells)) + " |")
     if extras:
         print("\nExtra roots (|grad psi|, Hessian eigenvalues):")
         for key, x, y, kind, resid, lo, hi in extras:
