@@ -82,8 +82,9 @@ PARAMS = {
     "pair": (str, "cc", "pair type (cc, ee, ss, es)"),
     "rho-list": (list, None, "ball radii for pair moments"),
     "what": (("one-point", "two-point", "ball"), "one-point", "which correlation function"),
-    "r": (list, None, "mutual distances for two-point"),
-    "nsamples": (int, 10**6, "Monte-Carlo draws (per node for ball, per distance for scaling)"),
+    "r": (list, None, "mutual distances for two-point; all of them read one stream of draws"),
+    "nsamples": (int, 10**6, "Monte-Carlo draws (per node for ball; per distance for two-point "
+                             "and scaling, whose distances share one stream of draws)"),
     "r-min": (float, 0.005, "smallest distance of the log grid"),
     "r-max": (float, 0.05, "largest distance of the log grid"),
     "points": (int, 6, "log-grid size"),
@@ -343,10 +344,8 @@ def _cmd_kacrice(args):
     elif args.what == "two-point":
         if not args.r:
             raise ValueError("two-point needs --r with at least one distance")
-        ests = [
-            kacrice.two_point_correlation(model, r, pair=pair, nsamples=nsamples, seed=(seed, i))
-            for i, r in enumerate(args.r)
-        ]
+        ests = kacrice.two_point_correlation(model, args.r, pair=pair, nsamples=nsamples,
+                                             seed=(seed, 0))
     else:
         if not args.rho_list:
             raise ValueError("ball needs --rho-list with at least one radius")
@@ -363,16 +362,15 @@ def _cmd_kacrice(args):
 
 def _cmd_scaling(args):
     pair = tuple(theory.normalize_pair(args.pair))
-    if not 0 < args.r_min < args.r_max:
-        raise ValueError(f"need 0 < r-min < r-max, got ({args.r_min}, {args.r_max})")
+    _require_finite_positive("r-min", args.r_min)
+    _require_finite_positive("r-max", args.r_max)
+    if not args.r_min < args.r_max:
+        raise ValueError(f"need r-min < r-max, got ({args.r_min}, {args.r_max})")
     if args.points < 4:
         raise ValueError(f"a scaling fit needs at least 4 points, got {args.points}")
     grid = np.geomspace(args.r_min, args.r_max, args.points)
-    estimates = [
-        kacrice.two_point_correlation(args.model, float(r), pair=pair, nsamples=args.nsamples,
-                                      seed=(args.seed, i))
-        for i, r in enumerate(grid)
-    ]
+    estimates = kacrice.two_point_correlation(args.model, grid, pair=pair,
+                                              nsamples=args.nsamples, seed=(args.seed, 0))
     fit = estimators.fit_scaling(estimates, with_log=args.with_log)
     rows = [_estimate_row(est) for est in estimates]
     rows.append(

@@ -332,6 +332,11 @@ def fit_scaling(estimates, with_log: bool = False) -> ScalingFit:
     method variances of log(value); exact inputs (zero SE) fall back to
     an unweighted fit.  log_coefficient_detected reports whether the
     |log rho| regressor came out positive by more than two of its SEs.
+    exponent_se comes from the fit's residuals (the weighted residual
+    variance times the inverse normal matrix), which assumes independent
+    rows.  The rows of one two_point_correlation call over an array of
+    distances share one stream and are correlated, so read it against
+    the across-seed spread of the exponent (tools/scaling_seeds.py).
     Fewer than 4 distinct rho raise ValueError; an estimate at or below
     zero (a Monte-Carlo run that saw no pair) raises
     NonpositiveEstimateError, an ArithmeticError.

@@ -48,10 +48,24 @@ fix its bits.  The reduction is plain elementwise sums with no BLAS
 call, so the reported std_error does not depend on the BLAS thread
 count.
 
+A law may be a stack of k laws that share one stream: two_point_correlation
+over an array of distances draws each normal vector z once and maps it
+by every distance's factor F_r, since only F_r depends on r (common
+random numbers; Asmussen & Glynn 2007, Stochastic Simulation, ch. V).
+Each row keeps its distance's exact law, value and SE, and the rows are
+correlated.  A stack's chunks hold _CHUNK_PAIRS // k pairs and its
+blocks _BLOCK_PAIRS // k, so its buffer and its block of draws take the
+memory of one law's; each row is reduced on its own, and k = 1 gives
+the bits of one law.  The `scaling` and two-point CLI calls make one
+such call for all their distances, so they draw k times fewer normals.
+
 Ball moments reduce by isotropy to one-dimensional integrals against
 the disc pair-distance density and are evaluated by Gauss-Legendre
 quadrature with Monte-Carlo values of K2 at each node, with extra
-log-spaced nodes packed near zero where K2 varies fastest.
+log-spaced nodes packed near zero where K2 varies fastest.  The nodes
+keep separate streams: their weights are all positive, so shared draws
+would raise the variance of the weighted sum from sum w_i^2 sigma_i^2
+towards (sum w_i sigma_i)^2.
 """
 
 from __future__ import annotations
@@ -116,12 +130,17 @@ class DegeneracyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ConditionalGaussian:
-    """A centered Gaussian law of field derivatives.
+    """A centered Gaussian law of field derivatives, or a stack of them.
 
-    Eigenvalues of the covariance within rounding dust of zero are
-    clipped to zero when sampling; genuinely negative ones raise
-    DegeneracyError.  The factor F, with F F^T = covariance, is computed
-    at the first draw and kept: a draw is F z for standard normal z.
+    covariance is one (dim, dim) matrix or a stack (k, dim, dim) of k
+    laws.  Eigenvalues of a covariance within rounding dust of zero are
+    clipped to zero when sampling; genuinely negative ones, in any law
+    of a stack, raise DegeneracyError.  The factor F, with F F^T =
+    covariance (one per law), is computed at the first draw and kept: a
+    draw is F z for standard normal z.  A stack maps each z by every
+    law's F, so its laws share one normal stream: the k draws of a row
+    are correlated with each other, and each law's draws still have
+    exactly that law.
     """
 
     covariance: np.ndarray
@@ -129,23 +148,28 @@ class ConditionalGaussian:
     @functools.cached_property
     def _fac(self) -> np.ndarray:
         eigval, eigvec = np.linalg.eigh(self.covariance)
-        tol = _EIG_TOL * max(1.0, float(eigval[-1]))
-        if eigval[0] < -tol:
+        tol = _EIG_TOL * np.maximum(1.0, eigval[..., -1])
+        bad = np.flatnonzero(eigval[..., 0] < -tol)
+        if bad.size:
+            lowest, tols = np.atleast_1d(eigval[..., 0]), np.atleast_1d(tol)
             raise DegeneracyError(
-                f"conditional covariance has eigenvalue {eigval[0]} below -{tol}"
+                f"conditional covariance has eigenvalue {lowest[bad[0]]} below -{tols[bad[0]]}"
             )
-        return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+        return eigvec * np.sqrt(np.clip(eigval, 0.0, None))[..., None, :]
 
     def sample(self, rng: np.random.Generator, nsamples: int) -> np.ndarray:
-        """Draw nsamples independent rows, shape (nsamples, dim).
+        """Draw nsamples independent rows, shape (nsamples, dim), or
+        (nsamples, dim, k) for a stack of k laws.
 
-        Row i is the draw F z_i.  The array is the transpose of F z^T, so
-        result.T holds one contiguous row per component, which is how the
-        integrands read it without a copy.  F z^T has the bits of z F^T
-        with numpy 2.4's OpenBLAS: tools/cli_digests.py gives the same
-        Kac-Rice digests for both forms.
+        Row i is the draw F z_i, with one z_i for every law of a stack.
+        The array is the transpose of F z^T, so result.T (law i's
+        result[..., i].T for a stack) holds one contiguous row per
+        component, which is how the integrands read it without a copy.
+        F z^T has the bits of z F^T with numpy 2.4's OpenBLAS:
+        tools/cli_digests.py gives the same Kac-Rice digests for both
+        forms.
         """
-        z = rng.standard_normal((nsamples, len(self.covariance)))
+        z = rng.standard_normal((nsamples, self.covariance.shape[-1]))
         return (self._fac @ z.T).T
 
 
@@ -300,44 +324,62 @@ def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
     """Mean and SE of integrand's pair averages over npairs antithetic pairs.
 
     integrand maps a block of "+" draws from law to one pair average per
-    row.  Pairs are drawn from seeded_rng(seed) in chunks of at most
-    _CHUNK_PAIRS, which keeps memory flat for the large budgets the rare
-    typed events need at small r, and each chunk is drawn and integrated
-    in blocks of at most _BLOCK_PAIRS, which keeps the draws and the
-    integrand's temporaries in cache.  Blocks are for speed only: the
-    normal stream, the row-wise map and the elementwise integrand give
-    the same pair averages whatever the block size.  Chunks fix the bits
-    of the reduction.  Every chunk's pair averages go into one reused
-    buffer, which the reduction squares in place, so one chunk-sized
-    array is alive at a time.  The mean is the running sum of chunk sums
-    over npairs; the squared deviations are summed two-pass within each
-    chunk, plus each chunk's between-chunk term.  On one chunk this is
-    the plain sample mean and values.std(ddof=1) / sqrt(npairs) bit for
-    bit, and no reduction is a BLAS call.
+    row: shape (n,) for one law, (k, n) for a stack of k laws, which
+    read one stream of pairs.  Every law is checked before the first
+    draw.  Pairs are drawn from seeded_rng(seed) in chunks of at most
+    _CHUNK_PAIRS // k, which keeps memory flat for the large budgets the
+    rare typed events need at small r, and each chunk is drawn and
+    integrated in blocks of at most _BLOCK_PAIRS // k, which keeps the
+    draws and the integrand's temporaries in cache (at least one pair
+    each).  Blocks are for speed only: the normal stream, the row-wise
+    map and the elementwise integrand give the same pair averages
+    whatever the block size.  Chunks fix the bits of the reduction.
+    Every chunk's pair averages go into one reused (k, chunk) buffer,
+    which the reduction squares in place, so one chunk-sized array is
+    alive at a time.  Each law's row is reduced on its own: the mean is
+    the running sum of chunk sums over npairs; the squared deviations
+    are summed two-pass within each chunk, plus each chunk's
+    between-chunk term.  On one chunk this is the plain sample mean and
+    values.std(ddof=1) / sqrt(npairs) bit for bit, and no reduction is
+    a BLAS call.  So a row of a stack, while npairs <= _CHUNK_PAIRS //
+    k, has the bits of its law's own call with the same seed, and the
+    rows of a stack are correlated while each keeps its law's value and
+    SE.  Returns floats for one law, arrays of k for a stack.
     """
+    fac = law._fac
+    k = 1 if fac.ndim == 2 else len(fac)
+    chunk_pairs = max(1, _CHUNK_PAIRS // k)
+    block_pairs = max(1, _BLOCK_PAIRS // k)
     rng = seeded_rng(seed)
-    tot = 0.0
-    chunks = []  # (pair count, chunk mean, within-chunk sum of squared deviations)
-    buf = np.empty(min(npairs, _CHUNK_PAIRS))
+    tot = [0.0] * k
+    # Per row: (pair count, chunk mean, within-chunk sum of squared
+    # deviations) of each chunk.
+    chunks = [[] for _ in range(k)]
+    buf = np.empty((k, min(npairs, chunk_pairs)))
     left = npairs
     while left > 0:
-        n = min(left, _CHUNK_PAIRS)
+        n = min(left, chunk_pairs)
         left -= n
-        pairs = buf[:n]
-        for lo in range(0, n, _BLOCK_PAIRS):
-            hi = min(lo + _BLOCK_PAIRS, n)
-            pairs[lo:hi] = integrand(law.sample(rng, hi - lo))
-        total = float(pairs.sum())
-        pairs -= total / n
-        pairs *= pairs
-        tot += total
-        chunks.append((n, total / n, float(pairs.sum())))
-    mean = tot / npairs
-    ss = 0.0
-    for n, chunk_mean, dev2 in chunks:
-        ss += dev2 + n * (chunk_mean - mean) ** 2
-    se = math.sqrt(ss / (npairs - 1)) / math.sqrt(npairs)
-    return mean, se
+        pairs = buf[:, :n]
+        for lo in range(0, n, block_pairs):
+            hi = min(lo + block_pairs, n)
+            pairs[:, lo:hi] = integrand(law.sample(rng, hi - lo))
+        for i, row in enumerate(pairs):
+            total = float(row.sum())
+            row -= total / n
+            row *= row
+            tot[i] += total
+            chunks[i].append((n, total / n, float(row.sum())))
+    mean, se = [], []
+    for total, row_chunks in zip(tot, chunks):
+        mean.append(total / npairs)
+        ss = 0.0
+        for n, chunk_mean, dev2 in row_chunks:
+            ss += dev2 + n * (chunk_mean - mean[-1]) ** 2
+        se.append(math.sqrt(ss / (npairs - 1)) / math.sqrt(npairs))
+    if fac.ndim == 2:
+        return mean[0], se[0]
+    return np.array(mean), np.array(se)
 
 
 def one_point_intensity_mc(
@@ -376,71 +418,102 @@ def one_point_intensity_mc(
 
 
 def two_point_correlation(
-    model: CovarianceModel, r: float, pair=("c", "c"), nsamples: int = 10**5, seed=0
-) -> MomentEstimate:
+    model: CovarianceModel, r, pair=("c", "c"), nsamples: int = 10**5, seed=0
+):
     """2-point correlation function K2 of typed critical points.
 
     Parameters
     ----------
     model : CovarianceModel
-    r : float
+    r : float or 1-D array of float
         Mutual distance between the two points (probes sit at
-        +-(r/2, 0); by isotropy the axis is arbitrary).
+        +-(r/2, 0); by isotropy the axis is arbitrary), or several
+        distances.  The laws of an array come from one batched
+        _pair_conditional call, and every distance reads one stream of
+        pairs from seeded_rng(seed): the estimates are correlated
+        across distances, and each keeps the value's law and the SE of
+        its own call.  While nsamples <= 2 _CHUNK_PAIRS // len(r), each
+        has the bits of the one-distance call with the same seed.
     pair : (tag, tag) or str
         Type constraint per position, tags in {c, e, s}; a string is
         split by theory.pair_tags ("e,s", "extremum saddle", "es").
         (e, s) and (s, e) agree in law but not draw by draw.
     nsamples : int
-        Conditional Monte-Carlo draws, counting both members of each
-        antithetic pair: ceil(nsamples / 2) pairs are sampled, and they
-        are the independent replications behind the standard error, so
-        at least 3 are needed.
+        Conditional Monte-Carlo draws per distance, counting both
+        members of each antithetic pair: ceil(nsamples / 2) pairs are
+        sampled, and they are the independent replications behind the
+        standard error, so at least 3 are needed.
+
+    Returns
+    -------
+    One MomentEstimate for one distance, a list of them, in the order
+    of r, for an array.
 
     Raises
     ------
     ValueError
-        If pair is not two of the tags c, e, s (min and max are one-point).
+        If pair is not two of the tags c, e, s (min and max are
+        one-point), or a distance is not finite and positive.
     DegeneracyError
-        If r is below R_FLOOR_FRACTION correlation lengths, where the
-        gradient-pair covariance is numerically rank deficient.
+        If a distance is below R_FLOOR_FRACTION correlation lengths,
+        where the gradient-pair covariance is numerically rank
+        deficient, or a pair law is not positive semidefinite.  Every
+        distance is checked before the first draw.
     """
     kinds = pair_tags(pair)
     npairs = (nsamples + 1) // 2
     _require_two_pairs(nsamples, npairs)
-    _require_finite_positive("r", r)
+    dists = np.asarray(r, dtype=float)
+    if dists.ndim > 1 or dists.size == 0:
+        raise ValueError(f"r must be one distance or a 1-D array of them, got shape {dists.shape}")
+    for dist in dists.flat:
+        _require_finite_positive("r", dist)
     floor = R_FLOOR_FRACTION * correlation_length(model)
-    if not r >= floor:
-        raise DegeneracyError(
-            f"r = {r} is below the numerical-rank floor {floor:.3e} "
-            f"({R_FLOOR_FRACTION} correlation lengths)"
-        )
-    cond_cov, phi = _pair_conditional(model, r)
-    value, se = _k2_from_law(cond_cov, phi, r, kinds, npairs, seed)
-    return MomentEstimate(
-        value=value,
-        std_error=se,
-        nsamples=nsamples,
-        rho=r,
-        label=f"({kinds[0]},{kinds[1]})",
-    )
+    for dist in dists.flat:
+        if not dist >= floor:
+            raise DegeneracyError(
+                f"r = {float(dist)} is below the numerical-rank floor {floor:.3e} "
+                f"({R_FLOOR_FRACTION} correlation lengths)"
+            )
+    cond_cov, phi = _pair_conditional(model, dists)
+    value, se = _k2_from_law(cond_cov, phi, dists, kinds, npairs, seed)
+    label = f"({kinds[0]},{kinds[1]})"
+    if dists.ndim == 0:
+        return MomentEstimate(value=value, std_error=se, nsamples=nsamples, rho=float(dists),
+                              label=label)
+    return [
+        MomentEstimate(value=float(v), std_error=float(e), nsamples=nsamples, rho=float(d),
+                       label=label)
+        for v, e, d in zip(value, se, dists)
+    ]
 
 
-def _k2_from_law(cond_cov, phi: float, r: float, kinds, npairs: int, seed):
+def _k2_from_law(cond_cov, phi, r, kinds, npairs: int, seed):
     """K2 and its SE at distance r from the pair law (cond_cov, phi) of
-    _pair_conditional, over npairs antithetic pairs."""
+    _pair_conditional, over npairs antithetic pairs.
+
+    Floats for one law; arrays for a stack of laws (k, 6, 6) with their
+    k densities and distances, which read one stream of pairs.
+    """
     law = ConditionalGaussian(cond_cov)
 
-    def integrand(draws):
+    def values(rows, dist):
         # Hessians back from averages and scaled differences; h1 is built
         # in place over the half differences.
-        rows = draws.T
-        avg, h1 = rows[:3], (r / 2.0) * rows[3:]
+        avg, h1 = rows[:3], (dist / 2.0) * rows[3:]
         h2 = avg - h1
         h1 += avg
         det1 = h1[0] * h1[2] - h1[1] ** 2
         det2 = h2[0] * h2[2] - h2[1] ** 2
         typed = _kind_indicator(kinds[0], det1) & _kind_indicator(kinds[1], det2)
         return np.where(typed, np.abs(det1 * det2), 0.0)
+
+    if np.ndim(r) == 0:
+        def integrand(draws):
+            return values(draws.T, r)
+    else:
+        def integrand(draws):
+            return np.stack([values(draws[..., i].T, dist) for i, dist in enumerate(r)])
 
     mean, se = _antithetic_mean(law, integrand, npairs, seed)
     return phi * mean, phi * se

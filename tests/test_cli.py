@@ -389,11 +389,11 @@ def test_untruncated_power_law_report_passes(capsys):
 
 
 def test_scaling_zero_estimate_is_a_numerical_failure(capsys):
-    # At 2e4 draws per distance, an ee estimate at r = 0.005 (a rare event)
+    # At 1e4 draws per distance, the ee estimate at r = 0.005 (a rare event)
     # comes out exactly 0 for this seed; the log-log fit cannot take it.
     code, out, err = run(capsys, "scaling", "--model", "randomwave", "--k", "1",
                          "--r-min", "0.005", "--r-max", "0.05", "--points", "4",
-                         "--nsamples", "20000", "--seed", "3")
+                         "--nsamples", "10000", "--seed", "3")
     assert code == 2 and out == ""
     assert err == ("planarcrit: numerical failure: "
                    "all estimates must be positive for a log-log fit\n")
@@ -461,6 +461,18 @@ def test_window_size_must_be_finite_and_positive(capsys, command, size):
                          "--window-size", size)
     assert code == 1 and out == ""
     assert "window size must be finite and positive" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("flag", ["--r-min", "--r-max"])
+def test_scaling_bounds_must_be_finite(capsys, flag, value):
+    # The bounds are checked before the log grid is built: geomspace would
+    # warn on an infinite bound, and the error would then name r.
+    bounds = {"--r-min": "0.005", "--r-max": "0.05", flag: value}
+    code, out, err = run(capsys, "scaling", "--model", "randomwave", "--k", "1", "--seed", "3",
+                         "--nsamples", "100", *(x for kv in bounds.items() for x in kv))
+    assert code == 1 and out == ""
+    assert err == f"planarcrit: error: {flag[2:]} must be finite and positive, got {value}\n"
 
 
 @pytest.mark.parametrize("line, key", [("nrael = 5", "nrael"), ("format = json", "format"),

@@ -480,10 +480,11 @@ def _ref_interleaved_draws(law, rng, n):
     return draws[:n]
 
 
-def _ref_chunked(law, npairs, seed, values):
+def _ref_chunked(law, npairs, seed, values, chunk=None):
     """(mean, SE) of both-member pair averages of values(draws), chunk by chunk.
 
-    The mean is the running sum of chunk sums over npairs; the squared
+    Chunks hold kacrice._CHUNK_PAIRS pairs unless chunk is given.  The
+    mean is the running sum of chunk sums over npairs; the squared
     deviations are summed two-pass within each chunk, plus the
     between-chunk term.
     """
@@ -492,7 +493,7 @@ def _ref_chunked(law, npairs, seed, values):
     chunks = []
     left = npairs
     while left > 0:
-        n = min(left, kacrice._CHUNK_PAIRS)
+        n = min(left, chunk or kacrice._CHUNK_PAIRS)
         left -= n
         vals = values(_ref_interleaved_draws(law, rng, 2 * n))
         pairs = 0.5 * (vals[0::2] + vals[1::2])
@@ -521,7 +522,7 @@ def _ref_one_point(model, n, seed, kind):
     return phi * mean, phi * se
 
 
-def _ref_two_point(model, r, pair, n, seed):
+def _ref_two_point(model, r, pair, n, seed, chunk=None):
     cond_cov, phi = _pair_conditional(model, r)
     law = ConditionalGaussian(cond_cov)
 
@@ -536,7 +537,7 @@ def _ref_two_point(model, r, pair, n, seed):
             * _ref_indicator(pair[1], det2, h2[:, 0])
         )
 
-    mean, se = _ref_chunked(law, (n + 1) // 2, seed, values)
+    mean, se = _ref_chunked(law, (n + 1) // 2, seed, values, chunk)
     return phi * mean, phi * se
 
 
@@ -575,6 +576,93 @@ def test_block_size_changes_no_bits(monkeypatch, block):
     assert (est.value, est.std_error) == _ref_two_point(RW1, 4.0, ("e", "s"), 4001, 2)
     est = one_point_intensity_mc(RW1, nsamples=4001, seed=2, kind="min")
     assert (est.value, est.std_error) == _ref_one_point(RW1, 4001, 2, "min")
+    # A stack of three laws reads one stream in chunks of 1000 // 3 pairs
+    # and blocks of max(1, block // 3): each row is the reference at that
+    # chunk size, whatever the block size.
+    rs = (0.05, 0.3, 4.0)
+    ests = two_point_correlation(RW1, np.array(rs), pair=("e", "s"), nsamples=4001, seed=2)
+    for est, r in zip(ests, rs):
+        ref = _ref_two_point(RW1, r, ("e", "s"), 4001, 2, chunk=1000 // 3)
+        assert (est.value, est.std_error) == ref
+
+
+STACK_RS = (0.005, 0.02, 0.05, 0.3, 4.0)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: "-".join(p))
+def test_stacked_rows_are_the_one_distance_calls_bit_for_bit(pair):
+    # 10 001 pairs fit in one chunk of 2^20 // 5: each row of the stack
+    # reads the stream that a one-distance call with the same seed reads,
+    # and reduces it alone.
+    nsamples = 20_001
+    assert (nsamples + 1) // 2 <= kacrice._CHUNK_PAIRS // len(STACK_RS)
+    ests = two_point_correlation(RW1, np.array(STACK_RS), pair=pair, nsamples=nsamples,
+                                 seed=(7, 0))
+    assert len(ests) == len(STACK_RS)
+    for est, r in zip(ests, STACK_RS):
+        assert est == two_point_correlation(RW1, r, pair=pair, nsamples=nsamples, seed=(7, 0))
+        assert type(est.value) is float and type(est.rho) is float
+    # A list of distances is an array.
+    assert two_point_correlation(RW1, list(STACK_RS), pair=pair, nsamples=nsamples,
+                                 seed=(7, 0)) == ests
+
+
+def test_one_distance_array_gives_the_scalar_bits():
+    for r in (0.005, 0.3, 4.0):
+        (est,) = two_point_correlation(RW1, np.array([r]), pair=("e", "e"), nsamples=4001,
+                                       seed=3)
+        assert est == two_point_correlation(RW1, r, pair=("e", "e"), nsamples=4001, seed=3)
+
+
+def test_stacked_rows_are_correlated_and_each_keeps_its_law():
+    # The rows share one normal stream: their pair averages move together
+    # from seed to seed, yet each row's seed-to-seed scatter is covered by
+    # its own SE, as the one-distance call's is.
+    rs = np.array([0.3, 0.35])
+    runs = np.array([[(e.value, e.std_error)
+                      for e in two_point_correlation(RW1, rs, nsamples=4001, seed=s)]
+                     for s in range(12)])
+    values, ses = runs[..., 0], runs[..., 1]
+    assert np.corrcoef(values.T)[0, 1] > 0.9
+    assert np.all(values.std(axis=0, ddof=1) < 2.5 * ses.mean(axis=0))
+
+
+def test_distance_arrays_must_be_one_dimensional_and_nonempty():
+    for r in (np.array([]), np.array([[0.1, 0.2]])):
+        with pytest.raises(ValueError, match="one distance or a 1-D array"):
+            two_point_correlation(RW1, r, nsamples=100, seed=0)
+
+
+def test_a_bad_distance_or_law_anywhere_in_a_stack_raises_before_any_draw(monkeypatch):
+    calls = []
+    sample = ConditionalGaussian.sample
+
+    def counted(self, rng, nsamples):
+        calls.append(nsamples)
+        return sample(self, rng, nsamples)
+
+    monkeypatch.setattr(ConditionalGaussian, "sample", counted)
+    # The counter sees a stack's draws: 50 pairs in one block.
+    two_point_correlation(RW1, np.array([0.05, 4.0]), nsamples=100, seed=0)
+    assert calls == [50]
+    calls.clear()
+    floor = R_FLOOR_FRACTION * correlation_length(RW1)
+    with pytest.raises(DegeneracyError, match="below the numerical-rank floor"):
+        two_point_correlation(RW1, np.array([0.05, 0.3, 0.5 * floor]), nsamples=100, seed=0)
+    with pytest.raises(ValueError, match="finite and positive, got inf"):
+        two_point_correlation(RW1, np.array([0.05, math.inf, 0.3]), nsamples=100, seed=0)
+    # The last law of the stack is indefinite.
+    pair_conditional = kacrice._pair_conditional
+
+    def spoilt(model, r):
+        cond, phi = pair_conditional(model, r)
+        cond[-1] = -cond[-1]
+        return cond, phi
+
+    monkeypatch.setattr(kacrice, "_pair_conditional", spoilt)
+    with pytest.raises(DegeneracyError, match="conditional covariance has eigenvalue"):
+        two_point_correlation(RW1, np.array([0.05, 0.3, 4.0]), nsamples=100, seed=0)
+    assert calls == []
 
 
 def test_monte_carlo_memory_stays_flat():
@@ -585,6 +673,19 @@ def test_monte_carlo_memory_stays_flat():
     tracemalloc.start()
     try:
         two_point_correlation(RW1, 0.01, ("e", "e"), nsamples=4_000_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_stacked_monte_carlo_memory_stays_flat():
+    # Five distances share one (5, 2^20 // 5) buffer of pair averages and
+    # one block of normals, so the peak is the one-distance call's.
+    tracemalloc.start()
+    try:
+        two_point_correlation(RW1, np.geomspace(0.005, 0.05, 5), ("e", "e"),
+                              nsamples=4_000_000, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
