@@ -68,7 +68,8 @@ OUTPUT_DIR_ENV = "PLANARCRIT_OUTPUT_DIR"
 # has a --no- form), list (floats; a config value separates them by commas
 # or spaces) or a tuple of the allowed strings.
 PARAMS = {
-    "threads": (int, 1, "worker processes"),
+    "threads": (int, 1, "worker processes for estimate, report and kacrice --what ball; the "
+                        "other subcommands run in one process whatever its value"),
     "seed": (int, None, "master seed (required)"),
     "rho": (float, 0.1, "ball radius for the asymptotic pair moments"),
     "size": (int, 1024, "number of frequency terms"),

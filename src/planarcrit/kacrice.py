@@ -39,25 +39,30 @@ members: the independent replications are the floor(n/2) pairs of
 one_point_intensity_mc and the ceil(n/2) pairs of two_point_correlation.
 
 Each estimator is a law (the conditional covariance and the density
-prefactor) and an integrand (draws to pair averages); one driver,
-_antithetic_mean, owns the seeded stream, the chunking and the
-reduction.  It draws and integrates in blocks of _BLOCK_PAIRS pairs,
-small enough to stay in cache; blocks are for speed and change no
-bits.  Chunks of _CHUNK_PAIRS pairs are the unit of the reduction and
-fix its bits.  The reduction is plain elementwise sums with no BLAS
-call, so the reported std_error does not depend on the BLAS thread
-count.
+prefactor) and an integrand (one law's block of draws to its pair
+averages, written in place); one driver, _antithetic_mean, owns the
+seeded stream, the chunking and the reduction.  It draws and integrates
+in blocks of at most _BLOCK_PAIRS pairs, small enough to stay in cache;
+blocks are for speed and change no bits.  Chunks of _CHUNK_PAIRS pairs
+are the unit of the reduction and fix its bits.  The reduction is plain
+elementwise sums with no BLAS call, so the reported std_error does not
+depend on the BLAS thread count.
 
 A law may be a stack of k laws that share one stream: two_point_correlation
 over an array of distances draws each normal vector z once and maps it
 by every distance's factor F_r, since only F_r depends on r (common
 random numbers; Asmussen & Glynn 2007, Stochastic Simulation, ch. V).
 Each row keeps its distance's exact law, value and SE, and the rows are
-correlated.  A stack's chunks hold _CHUNK_PAIRS // k pairs and its
-blocks _BLOCK_PAIRS // k, so its buffer and its block of draws take the
-memory of one law's; each row is reduced on its own, and k = 1 gives
-the bits of one law.  The `scaling` and two-point CLI calls make one
-such call for all their distances, so they draw k times fewer normals.
+correlated.  A stack's block of normals is drawn once; then, one law at
+a time, F_r maps it into one reused (6, block) buffer, and the integrand
+turns those rows in place into that law's row of pair averages in the
+chunk buffer.  So only one law's draws exist at a time, and a stack's
+block holds _BLOCK_PAIRS // 2 pairs, its normals alive beside one law's
+rows.  A stack's chunks hold _CHUNK_PAIRS // k pairs, so its buffer of
+pair averages takes the memory of one law's; each row is reduced on its
+own, and k = 1 gives the bits of one law.  The `scaling` and two-point
+CLI calls make one such call for all their distances, so they draw k
+times fewer normals.
 
 Ball moments reduce by isotropy to one-dimensional integrals against
 the disc pair-distance density and are evaluated by Gauss-Legendre
@@ -137,10 +142,16 @@ class ConditionalGaussian:
     clipped to zero when sampling; genuinely negative ones, in any law
     of a stack, raise DegeneracyError.  The factor F, with F F^T =
     covariance (one per law), is computed at the first draw and kept: a
-    draw is F z for standard normal z.  A stack maps each z by every
-    law's F, so its laws share one normal stream: the k draws of a row
-    are correlated with each other, and each law's draws still have
-    exactly that law.
+    draw is F z for standard normal z.
+
+    sample is the one place where a law draws from its stream, so a
+    trace of sample counts each draw once.  For one law it returns the
+    draws F z.  For a stack it returns the common normals z, and _rows
+    maps them by one law at a time into a caller's buffer, so one law's
+    draws exist at a time.  Every law of a stack maps the same z: its
+    laws share one normal stream, the k draws made from one z are
+    correlated with each other, and each law's draws still have exactly
+    that law.
     """
 
     covariance: np.ndarray
@@ -158,19 +169,28 @@ class ConditionalGaussian:
         return eigvec * np.sqrt(np.clip(eigval, 0.0, None))[..., None, :]
 
     def sample(self, rng: np.random.Generator, nsamples: int) -> np.ndarray:
-        """Draw nsamples independent rows, shape (nsamples, dim), or
-        (nsamples, dim, k) for a stack of k laws.
+        """Draw nsamples independent rows, shape (nsamples, dim): the
+        draws F z_i of one law, or the common normals z_i of a stack.
 
-        Row i is the draw F z_i, with one z_i for every law of a stack.
-        The array is the transpose of F z^T, so result.T (law i's
-        result[..., i].T for a stack) holds one contiguous row per
-        component, which is how the integrands read it without a copy.
-        F z^T has the bits of z F^T with numpy 2.4's OpenBLAS:
-        tools/cli_digests.py gives the same Kac-Rice digests for both
-        forms.
+        Every law is checked before the draw.  Either array is laid out
+        so that result.T holds one contiguous row per component.  One
+        law's is the transpose of F z^T, which is how the integrands
+        read it without a copy.  F z^T has the bits of z F^T with numpy
+        2.4's OpenBLAS: tools/cli_digests.py gives the same Kac-Rice
+        digests for both forms.  A stack's z is copied to column-major
+        order once, and then every law's _rows is a plain matrix
+        product, about twice as fast as one with a transposed operand
+        and with the same bits.
         """
+        fac = self._fac
         z = rng.standard_normal((nsamples, self.covariance.shape[-1]))
-        return (self._fac @ z.T).T
+        return np.asfortranarray(z) if fac.ndim == 3 else (fac @ z.T).T
+
+    def _rows(self, z: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
+        """Law i's draws F_i z^T of a stack's common normals z (from
+        sample), written into out, shape (dim, len(z)), one row per
+        component; the bits of row i of the whole stack's F z^T."""
+        return np.matmul(self._fac[i], z.T, out=out)
 
 
 def correlation_length(model: CovarianceModel) -> float:
@@ -299,13 +319,42 @@ def gradient_pair_density_asymptotic(d, r: float) -> float:
     return 1.0 / (2.0**7 * math.pi**2 * math.sqrt(3.0) * abs(d.mu0 * d.eta0) * h * h)
 
 
-# Per-position type indicator on the determinant of a Hessian draw.
-def _kind_indicator(kind: str, det: np.ndarray) -> np.ndarray:
+# Per-position type indicator on the determinant of a Hessian draw; None
+# for the tag c, which every draw has.
+def _kind_indicator(kind: str, det: np.ndarray):
     if kind == "c":
-        return np.ones_like(det, dtype=bool)
+        return None
     if kind == "e":
         return det > 0.0
     return det < 0.0  # s
+
+
+def _pair_indicator(kinds, det1: np.ndarray, det2: np.ndarray, scratch: np.ndarray):
+    """Indicator of a pair's tags on its two determinants; None for (c, c).
+
+    det1 and det2 are both > 0 (both < 0) exactly when their minimum
+    (maximum) is, so ee and ss take one comparison, on scratch.
+    """
+    if kinds[0] == kinds[1] != "c":
+        nearer = (np.minimum if kinds[0] == "e" else np.maximum)(det1, det2, out=scratch)
+        return _kind_indicator(kinds[0], nearer)
+    first, second = _kind_indicator(kinds[0], det1), _kind_indicator(kinds[1], det2)
+    if first is None or second is None:
+        return second if first is None else first
+    return np.logical_and(first, second, out=first)
+
+
+def _write_typed(out: np.ndarray, value: np.ndarray, typed) -> None:
+    """out = |value| where typed (everywhere for None), and +0.0 elsewhere.
+
+    |value| times the indicator is +0.0, never -0.0, where a pair fails
+    its type; it takes about a quarter of the time of a masked np.abs
+    (where=typed) and agrees with np.where(typed, |value|, 0.0)
+    wherever value is finite.
+    """
+    np.abs(value, out=out)
+    if typed is not None:
+        out *= typed
 
 
 def _require_two_pairs(nsamples: int, npairs: int) -> None:
@@ -323,17 +372,26 @@ def _require_two_pairs(nsamples: int, npairs: int) -> None:
 def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
     """Mean and SE of integrand's pair averages over npairs antithetic pairs.
 
-    integrand maps a block of "+" draws from law to one pair average per
-    row: shape (n,) for one law, (k, n) for a stack of k laws, which
-    read one stream of pairs.  Every law is checked before the first
-    draw.  Pairs are drawn from seeded_rng(seed) in chunks of at most
-    _CHUNK_PAIRS // k, which keeps memory flat for the large budgets the
-    rare typed events need at small r, and each chunk is drawn and
-    integrated in blocks of at most _BLOCK_PAIRS // k, which keeps the
-    draws and the integrand's temporaries in cache (at least one pair
-    each).  Blocks are for speed only: the normal stream, the row-wise
-    map and the elementwise integrand give the same pair averages
-    whatever the block size.  Chunks fix the bits of the reduction.
+    integrand(i, rows, out) writes the pair averages of law i (0 for one
+    law) into out, shape (n,), from that law's block of "+" draws rows,
+    shape (dim, n) with one row per component, which it may overwrite.
+    Every law is checked before the first draw.  Pairs are drawn from
+    seeded_rng(seed) in chunks of at most _CHUNK_PAIRS // k for a stack
+    of k laws, which keeps memory flat for the large budgets the rare
+    typed events need at small r, and each chunk is drawn and integrated
+    in blocks, which keeps the draws and the integrand's temporaries in
+    cache.  One law's block holds _BLOCK_PAIRS pairs, and its rows are
+    the transpose of sample's draws.  A stack's block of common normals
+    is drawn once and then mapped law by law into one reused (dim,
+    block) buffer; its normals stay alive beside one law's rows, so it
+    holds _BLOCK_PAIRS // 2 pairs.  A block holds at least two pairs,
+    and a lone last pair of a chunk joins the block before it: numpy
+    maps one pair by its matrix-vector product, whose last bits differ
+    from the matrix product's.  Blocks are for speed only: the normal
+    stream, the row-wise map and the elementwise integrand give the
+    same pair averages whatever the block size.  Chunks fix the bits of
+    the reduction.
+
     Every chunk's pair averages go into one reused (k, chunk) buffer,
     which the reduction squares in place, so one chunk-sized array is
     alive at a time.  Each law's row is reduced on its own: the mean is
@@ -347,23 +405,37 @@ def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
     SE.  Returns floats for one law, arrays of k for a stack.
     """
     fac = law._fac
-    k = 1 if fac.ndim == 2 else len(fac)
+    stacked = fac.ndim == 3
+    k = len(fac) if stacked else 1
     chunk_pairs = max(1, _CHUNK_PAIRS // k)
-    block_pairs = max(1, _BLOCK_PAIRS // k)
+    block_pairs = max(2, _BLOCK_PAIRS // 2 if stacked else _BLOCK_PAIRS)
     rng = seeded_rng(seed)
     tot = [0.0] * k
     # Per row: (pair count, chunk mean, within-chunk sum of squared
     # deviations) of each chunk.
     chunks = [[] for _ in range(k)]
     buf = np.empty((k, min(npairs, chunk_pairs)))
+    if stacked:
+        rows = np.empty((fac.shape[-1], min(npairs, chunk_pairs, block_pairs + 1)))
     left = npairs
     while left > 0:
         n = min(left, chunk_pairs)
         left -= n
         pairs = buf[:, :n]
-        for lo in range(0, n, block_pairs):
-            hi = min(lo + block_pairs, n)
-            pairs[:, lo:hi] = integrand(law.sample(rng, hi - lo))
+        # A lone last pair joins the block before it (see above): the
+        # matrix-vector product maps about 2 pairs in 3 to other bits.
+        edges = [*range(0, n, block_pairs), n]
+        if len(edges) > 2 and n - edges[-2] == 1:
+            del edges[-2]
+        for lo, hi in zip(edges, edges[1:]):
+            draws = law.sample(rng, hi - lo)
+            if stacked:
+                for i in range(k):
+                    integrand(i, law._rows(draws, i, rows[:, : hi - lo]), pairs[i, lo:hi])
+            else:
+                integrand(0, draws.T, pairs[0, lo:hi])
+            # Freed before the next block is drawn, not after.
+            del draws
         for i, row in enumerate(pairs):
             total = float(row.sum())
             row -= total / n
@@ -377,9 +449,9 @@ def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
         for n, chunk_mean, dev2 in row_chunks:
             ss += dev2 + n * (chunk_mean - mean[-1]) ** 2
         se.append(math.sqrt(ss / (npairs - 1)) / math.sqrt(npairs))
-    if fac.ndim == 2:
-        return mean[0], se[0]
-    return np.array(mean), np.array(se)
+    if stacked:
+        return np.array(mean), np.array(se)
+    return mean[0], se[0]
 
 
 def one_point_intensity_mc(
@@ -406,10 +478,11 @@ def one_point_intensity_mc(
         derivative_covariance(model, [(origin, (2, 0)), (origin, (1, 1)), (origin, (0, 2))])
     )
 
-    def integrand(draws):
-        h11, h12, h22 = draws.T
-        det = h11 * h22 - h12**2
-        return np.where(_kind_indicator(tag, det), np.abs(det), 0.0)
+    def integrand(i, rows, out):
+        h11, h12, h22 = rows
+        det = np.multiply(h11, h22, out=h11)
+        det -= np.square(h12, out=h12)
+        _write_typed(out, det, _kind_indicator(tag, det))
 
     mean, se = _antithetic_mean(law, integrand, npairs, seed)
     return MomentEstimate(
@@ -496,24 +569,23 @@ def _k2_from_law(cond_cov, phi, r, kinds, npairs: int, seed):
     k densities and distances, which read one stream of pairs.
     """
     law = ConditionalGaussian(cond_cov)
+    half = np.atleast_1d(r) / 2.0
 
-    def values(rows, dist):
-        # Hessians back from averages and scaled differences; h1 is built
-        # in place over the half differences.
-        avg, h1 = rows[:3], (dist / 2.0) * rows[3:]
+    def integrand(i, rows, out):
+        # Hessians back from averages and scaled differences: h1 is built
+        # in place over the half differences, and det1, det2 and their
+        # product over the averages once h2 has read them.
+        avg, h1 = rows[:3], rows[3:]
+        h1 *= half[i]
         h2 = avg - h1
         h1 += avg
-        det1 = h1[0] * h1[2] - h1[1] ** 2
-        det2 = h2[0] * h2[2] - h2[1] ** 2
-        typed = _kind_indicator(kinds[0], det1) & _kind_indicator(kinds[1], det2)
-        return np.where(typed, np.abs(det1 * det2), 0.0)
-
-    if np.ndim(r) == 0:
-        def integrand(draws):
-            return values(draws.T, r)
-    else:
-        def integrand(draws):
-            return np.stack([values(draws[..., i].T, dist) for i, dist in enumerate(r)])
+        det1, det2, prod = avg
+        np.multiply(h1[0], h1[2], out=det1)
+        det1 -= np.square(h1[1], out=h1[1])
+        np.multiply(h2[0], h2[2], out=det2)
+        det2 -= np.square(h2[1], out=h2[1])
+        typed = _pair_indicator(kinds, det1, det2, scratch=prod)
+        _write_typed(out, np.multiply(det1, det2, out=prod), typed)
 
     mean, se = _antithetic_mean(law, integrand, npairs, seed)
     return phi * mean, phi * se

@@ -542,6 +542,8 @@ def _ref_two_point(model, r, pair, n, seed, chunk=None):
 
 
 PAIRS = [("c", "c"), ("e", "e"), ("s", "s"), ("e", "s")]
+# Every ordered tag pair: each takes its own branch of the typed indicator.
+ALL_PAIRS = [(a, b) for a in "ces" for b in "ces"]
 
 
 @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: "-".join(p))
@@ -566,30 +568,32 @@ def test_two_point_equals_reference_across_chunks(monkeypatch):
         assert (est.value, est.std_error) == _ref_one_point(RW1, nsamples, 2, kind)
 
 
-@pytest.mark.parametrize("block", [1, 7, 1000])
+@pytest.mark.parametrize("block", [1, 7, 10, 1000])
 def test_block_size_changes_no_bits(monkeypatch, block):
     # Blocks are drawn and integrated one after the other; only chunks
     # shape the reduction, so any block size gives the reference bits.
     monkeypatch.setattr(kacrice, "_CHUNK_PAIRS", 1000)
     monkeypatch.setattr(kacrice, "_BLOCK_PAIRS", block)
-    est = two_point_correlation(RW1, 4.0, pair=("e", "s"), nsamples=4001, seed=2)
-    assert (est.value, est.std_error) == _ref_two_point(RW1, 4.0, ("e", "s"), 4001, 2)
     est = one_point_intensity_mc(RW1, nsamples=4001, seed=2, kind="min")
     assert (est.value, est.std_error) == _ref_one_point(RW1, 4001, 2, "min")
     # A stack of three laws reads one stream in chunks of 1000 // 3 pairs
-    # and blocks of max(1, block // 3): each row is the reference at that
-    # chunk size, whatever the block size.
+    # and blocks of max(1, block // 2), the last of a chunk often short:
+    # each row is the reference at that chunk size, whatever the block
+    # size.
     rs = (0.05, 0.3, 4.0)
-    ests = two_point_correlation(RW1, np.array(rs), pair=("e", "s"), nsamples=4001, seed=2)
-    for est, r in zip(ests, rs):
-        ref = _ref_two_point(RW1, r, ("e", "s"), 4001, 2, chunk=1000 // 3)
-        assert (est.value, est.std_error) == ref
+    for pair in ALL_PAIRS:
+        est = two_point_correlation(RW1, 4.0, pair=pair, nsamples=4001, seed=2)
+        assert (est.value, est.std_error) == _ref_two_point(RW1, 4.0, pair, 4001, 2)
+        ests = two_point_correlation(RW1, np.array(rs), pair=pair, nsamples=4001, seed=2)
+        for est, r in zip(ests, rs):
+            ref = _ref_two_point(RW1, r, pair, 4001, 2, chunk=1000 // 3)
+            assert (est.value, est.std_error) == ref
 
 
 STACK_RS = (0.005, 0.02, 0.05, 0.3, 4.0)
 
 
-@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: "-".join(p))
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: "-".join(p))
 def test_stacked_rows_are_the_one_distance_calls_bit_for_bit(pair):
     # 10 001 pairs fit in one chunk of 2^20 // 5: each row of the stack
     # reads the stream that a one-distance call with the same seed reads,
@@ -601,6 +605,7 @@ def test_stacked_rows_are_the_one_distance_calls_bit_for_bit(pair):
     assert len(ests) == len(STACK_RS)
     for est, r in zip(ests, STACK_RS):
         assert est == two_point_correlation(RW1, r, pair=pair, nsamples=nsamples, seed=(7, 0))
+        assert (est.value, est.std_error) == _ref_two_point(RW1, r, pair, nsamples, (7, 0))
         assert type(est.value) is float and type(est.rho) is float
     # A list of distances is an array.
     assert two_point_correlation(RW1, list(STACK_RS), pair=pair, nsamples=nsamples,
@@ -642,7 +647,8 @@ def test_a_bad_distance_or_law_anywhere_in_a_stack_raises_before_any_draw(monkey
         return sample(self, rng, nsamples)
 
     monkeypatch.setattr(ConditionalGaussian, "sample", counted)
-    # The counter sees a stack's draws: 50 pairs in one block.
+    # The counter sees a stack's draws: one block of 50 pairs of common
+    # normals, which every law of the stack then maps.
     two_point_correlation(RW1, np.array([0.05, 4.0]), nsamples=100, seed=0)
     assert calls == [50]
     calls.clear()
@@ -692,6 +698,61 @@ def test_stacked_monte_carlo_memory_stays_flat():
     assert peak < 16e6
 
 
+def test_a_stack_maps_one_laws_rows_at_a_time():
+    # A block of common normals is mapped law by law into one reused
+    # buffer, so a 5-distance call in one chunk peaks no higher than a
+    # one-distance call with as many pairs, plus the stack's four extra
+    # rows of the chunk buffer.  Holding every law's draws of a block at
+    # once lifts the peak past that.
+    nsamples = 200_001
+    npairs = (nsamples + 1) // 2
+    rs = np.geomspace(0.005, 0.05, 5)
+    assert npairs <= kacrice._CHUNK_PAIRS // len(rs)
+    peaks = []
+    for r in (0.005, rs):
+        two_point_correlation(RW1, r, ("e", "e"), nsamples=nsamples, seed=1)
+        tracemalloc.start()
+        try:
+            two_point_correlation(RW1, r, ("e", "e"), nsamples=nsamples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + (len(rs) - 1) * npairs * 8, peaks
+
+
+def test_pairs_that_fail_their_type_write_positive_zero(monkeypatch):
+    # The integrands write +0.0, never -0.0, wherever a pair fails its
+    # type: a signed product times the indicator would leave -0.0 there,
+    # and a row with no typed pair would report its mean as -0.0.
+    blocks = []
+    antithetic_mean = kacrice._antithetic_mean
+
+    def spied(law, integrand, npairs, seed):
+        def spy(i, rows, out):
+            integrand(i, rows, out)
+            blocks.append(out.copy())
+        return antithetic_mean(law, spy, npairs, seed)
+
+    monkeypatch.setattr(kacrice, "_antithetic_mean", spied)
+    rs = np.array([0.005, 0.3, 4.0])
+    for pair in ALL_PAIRS:
+        blocks.clear()
+        ests = two_point_correlation(RW1, rs, pair=pair, nsamples=4001, seed=2)
+        values = np.concatenate(blocks)
+        assert not np.signbit(values).any(), pair
+        assert (values == 0.0).any() == (pair != ("c", "c")), pair
+        if pair == ("e", "e"):
+            # No pair at r = 0.005 is a pair of extrema.
+            assert (ests[0].value, ests[0].std_error) == (0.0, 0.0)
+            assert not np.signbit([ests[0].value, ests[0].std_error]).any()
+    for kind in ("c", "e", "s", "min", "max"):
+        blocks.clear()
+        one_point_intensity_mc(RW1, nsamples=4001, seed=2, kind=kind)
+        values = np.concatenate(blocks)
+        assert not np.signbit(values).any(), kind
+        assert (values == 0.0).any() == (kind != "c"), kind
+
+
 def test_monte_carlo_block_makes_no_transpose_copy():
     # One block of 2^13 pairs.  The draws come out of F z^T as a view
     # whose transpose holds one contiguous row per component, and the
@@ -735,10 +796,13 @@ def test_pair_functions_share_the_pair_messages():
 def test_one_chunk_reduction_is_plain_mean_and_se():
     law = ConditionalGaussian(np.eye(2))
 
-    def integrand(draws):
-        return np.abs(draws[:, 0] * draws[:, 1])
+    # An integrand writes one pair average per draw into out and may use
+    # its rows as scratch.
+    def integrand(i, rows, out):
+        np.abs(np.multiply(rows[0], rows[1], out=rows[0]), out=out)
 
-    values = integrand(law.sample(seeded_rng(5), 30_001))
+    draws = law.sample(seeded_rng(5), 30_001)
+    values = np.abs(draws[:, 0] * draws[:, 1])
     expected = (float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values))))
     assert kacrice._antithetic_mean(law, integrand, 30_001, 5) == expected
 
