@@ -38,31 +38,31 @@ take c, e or s at each position.  A reported nsamples of n counts both
 members: the independent replications are the floor(n/2) pairs of
 one_point_intensity_mc and the ceil(n/2) pairs of two_point_correlation.
 
-Each estimator is a law (the conditional covariance and the density
-prefactor) and an integrand (one law's block of draws to its pair
-averages, written in place); one driver, _antithetic_mean, owns the
-seeded stream, the chunking and the reduction.  It draws and integrates
-in blocks of at most _BLOCK_PAIRS pairs, small enough to stay in cache;
-blocks are for speed and change no bits.  Chunks of _CHUNK_PAIRS pairs
-are the unit of the reduction and fix its bits.  The reduction is plain
-elementwise sums with no BLAS call, so the reported std_error does not
-depend on the BLAS thread count.
+Each estimator is a stack of k laws (conditional covariances and
+density prefactors) and an integrand (one law's block of draws to its
+pair averages, written in place); one driver, _antithetic_mean, owns the
+seeded stream, the chunking and the reduction.  The laws of a stack
+share one stream: two_point_correlation over an array of distances draws
+each normal vector z once and maps it by every distance's factor F_r,
+since only F_r depends on r (common random numbers; Asmussen & Glynn
+2007, Stochastic Simulation, ch. V).  Each row keeps its distance's
+exact law, value and SE, and the rows are correlated.  One law, as in
+the one-point intensity, a one-distance call or a quadrature node, is a
+stack of one, and takes the same path.
 
-A law may be a stack of k laws that share one stream: two_point_correlation
-over an array of distances draws each normal vector z once and maps it
-by every distance's factor F_r, since only F_r depends on r (common
-random numbers; Asmussen & Glynn 2007, Stochastic Simulation, ch. V).
-Each row keeps its distance's exact law, value and SE, and the rows are
-correlated.  A stack's block of normals is drawn once; then, one law at
-a time, F_r maps it into one reused (6, block) buffer, and the integrand
-turns those rows in place into that law's row of pair averages in the
-chunk buffer.  So only one law's draws exist at a time, and a stack's
-block holds _BLOCK_PAIRS // 2 pairs, its normals alive beside one law's
-rows.  A stack's chunks hold _CHUNK_PAIRS // k pairs, so its buffer of
-pair averages takes the memory of one law's; each row is reduced on its
-own, and k = 1 gives the bits of one law.  The `scaling` and two-point
-CLI calls make one such call for all their distances, so they draw k
-times fewer normals.
+The driver draws and integrates in blocks of _BLOCK_PAIRS pairs, small
+enough to stay in cache; blocks are for speed and change no bits.  A
+block of normals is drawn once; then, one law at a time, F_r maps it
+into one reused (6, block) buffer, and the integrand turns those rows in
+place into that law's row of pair averages in the chunk buffer, so only
+one law's draws exist at a time.  Chunks of _CHUNK_PAIRS // k pairs are
+the unit of the reduction and fix its bits, so a stack's buffer of pair
+averages takes the memory of one law's; each row is reduced on its own,
+and a row has the bits of its law's own call while the budget fits one
+chunk.  The reduction is plain elementwise sums with no BLAS call, so
+the reported std_error does not depend on the BLAS thread count.  The
+`scaling` and two-point CLI calls make one call for all their
+distances, so they draw k times fewer normals.
 
 Ball moments reduce by isotropy to one-dimensional integrals against
 the disc pair-distance density and are evaluated by Gauss-Legendre
@@ -121,9 +121,10 @@ _EIG_TOL = 1e-8
 _CHUNK_PAIRS = 1 << 20
 
 # Antithetic pairs per block, the unit of drawing and integrating: a
-# block of six-component draws is 384 KB and each of its temporaries
-# 64 KB, so they stay in cache.  It changes no bits.
-_BLOCK_PAIRS = 1 << 13
+# block of six-component normals, its column-major copy and one law's
+# rows are 192 KB each, and each integrand temporary 32 KB, so they stay
+# in cache.  It changes no bits.
+_BLOCK_PAIRS = 1 << 12
 
 # Gauss-Legendre nodes of the ball quadrature above and below 0.2 rho.
 _OUTER_NODES, _INNER_NODES = 32, 16
@@ -135,61 +136,55 @@ class DegeneracyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ConditionalGaussian:
-    """A centered Gaussian law of field derivatives, or a stack of them.
+    """A stack of k centered Gaussian laws of field derivatives that
+    share one normal stream; one law is a stack of one.
 
-    covariance is one (dim, dim) matrix or a stack (k, dim, dim) of k
-    laws.  Eigenvalues of a covariance within rounding dust of zero are
-    clipped to zero when sampling; genuinely negative ones, in any law
-    of a stack, raise DegeneracyError.  The factor F, with F F^T =
-    covariance (one per law), is computed at the first draw and kept: a
-    draw is F z for standard normal z.
+    covariance is a stack (k, dim, dim) of k laws, or one (dim, dim)
+    matrix, which is the stack of that one law.  Eigenvalues of a
+    covariance within rounding dust of zero are clipped to zero when
+    sampling; genuinely negative ones, in any law, raise
+    DegeneracyError.  The factors F_i, with F_i F_i^T = covariance i,
+    are computed at the first draw and kept as one (k, dim, dim) array:
+    law i's draw is F_i z for standard normal z.
 
-    sample is the one place where a law draws from its stream, so a
-    trace of sample counts each draw once.  For one law it returns the
-    draws F z.  For a stack it returns the common normals z, and _rows
-    maps them by one law at a time into a caller's buffer, so one law's
-    draws exist at a time.  Every law of a stack maps the same z: its
-    laws share one normal stream, the k draws made from one z are
-    correlated with each other, and each law's draws still have exactly
-    that law.
+    sample is the one place where a stack draws from its stream, so a
+    trace of sample counts each draw once.  It returns the common
+    normals z, and _rows maps them by one law at a time into a caller's
+    buffer, so one law's draws exist at a time.  Every law maps the same
+    z: the k draws made from one z are correlated with each other, and
+    each law's draws still have exactly that law.
     """
 
     covariance: np.ndarray
 
     @functools.cached_property
     def _fac(self) -> np.ndarray:
-        eigval, eigvec = np.linalg.eigh(self.covariance)
-        tol = _EIG_TOL * np.maximum(1.0, eigval[..., -1])
-        bad = np.flatnonzero(eigval[..., 0] < -tol)
+        cov = self.covariance
+        eigval, eigvec = np.linalg.eigh(cov.reshape((-1, *cov.shape[-2:])))
+        tol = _EIG_TOL * np.maximum(1.0, eigval[:, -1])
+        bad = np.flatnonzero(eigval[:, 0] < -tol)
         if bad.size:
-            lowest, tols = np.atleast_1d(eigval[..., 0]), np.atleast_1d(tol)
             raise DegeneracyError(
-                f"conditional covariance has eigenvalue {lowest[bad[0]]} below -{tols[bad[0]]}"
+                f"conditional covariance has eigenvalue {eigval[bad[0], 0]} below -{tol[bad[0]]}"
             )
-        return eigvec * np.sqrt(np.clip(eigval, 0.0, None))[..., None, :]
+        return eigvec * np.sqrt(np.clip(eigval, 0.0, None))[:, None, :]
 
     def sample(self, rng: np.random.Generator, nsamples: int) -> np.ndarray:
-        """Draw nsamples independent rows, shape (nsamples, dim): the
-        draws F z_i of one law, or the common normals z_i of a stack.
+        """Draw the common normals z of nsamples independent draws,
+        shape (nsamples, dim), in column-major order.
 
-        Every law is checked before the draw.  Either array is laid out
-        so that result.T holds one contiguous row per component.  One
-        law's is the transpose of F z^T, which is how the integrands
-        read it without a copy.  F z^T has the bits of z F^T with numpy
-        2.4's OpenBLAS: tools/cli_digests.py gives the same Kac-Rice
-        digests for both forms.  A stack's z is copied to column-major
-        order once, and then every law's _rows is a plain matrix
-        product, about twice as fast as one with a transposed operand
-        and with the same bits.
+        Every law is checked before the draw.  The copy to column-major
+        order is made once per block, so z.T holds one contiguous row per
+        component and every law's _rows is a plain matrix product, about
+        twice as fast as one with a transposed operand and with the same
+        bits.
         """
-        fac = self._fac
-        z = rng.standard_normal((nsamples, self.covariance.shape[-1]))
-        return np.asfortranarray(z) if fac.ndim == 3 else (fac @ z.T).T
+        dim = self._fac.shape[-1]
+        return np.asfortranarray(rng.standard_normal((nsamples, dim)))
 
     def _rows(self, z: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
-        """Law i's draws F_i z^T of a stack's common normals z (from
-        sample), written into out, shape (dim, len(z)), one row per
-        component; the bits of row i of the whole stack's F z^T."""
+        """Law i's draws F_i z^T of the common normals z (from sample),
+        written into out, shape (dim, len(z)), one row per component."""
         return np.matmul(self._fac[i], z.T, out=out)
 
 
@@ -370,27 +365,25 @@ def _require_two_pairs(nsamples: int, npairs: int) -> None:
 
 
 def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
-    """Mean and SE of integrand's pair averages over npairs antithetic pairs.
+    """Mean and SE of integrand's pair averages over npairs antithetic
+    pairs, for each of the k laws of law.
 
-    integrand(i, rows, out) writes the pair averages of law i (0 for one
-    law) into out, shape (n,), from that law's block of "+" draws rows,
-    shape (dim, n) with one row per component, which it may overwrite.
-    Every law is checked before the first draw.  Pairs are drawn from
-    seeded_rng(seed) in chunks of at most _CHUNK_PAIRS // k for a stack
-    of k laws, which keeps memory flat for the large budgets the rare
-    typed events need at small r, and each chunk is drawn and integrated
-    in blocks, which keeps the draws and the integrand's temporaries in
-    cache.  One law's block holds _BLOCK_PAIRS pairs, and its rows are
-    the transpose of sample's draws.  A stack's block of common normals
-    is drawn once and then mapped law by law into one reused (dim,
-    block) buffer; its normals stay alive beside one law's rows, so it
-    holds _BLOCK_PAIRS // 2 pairs.  A block holds at least two pairs,
-    and a lone last pair of a chunk joins the block before it: numpy
-    maps one pair by its matrix-vector product, whose last bits differ
-    from the matrix product's.  Blocks are for speed only: the normal
-    stream, the row-wise map and the elementwise integrand give the
-    same pair averages whatever the block size.  Chunks fix the bits of
-    the reduction.
+    integrand(i, rows, out) writes the pair averages of law i into out,
+    shape (n,), from that law's block of "+" draws rows, shape (dim, n)
+    with one row per component, which it may overwrite.  Every law is
+    checked before the first draw.  Pairs are drawn from seeded_rng(seed)
+    in chunks of at most _CHUNK_PAIRS // k, which keeps memory flat for
+    the large budgets the rare typed events need at small r, and each
+    chunk is drawn and integrated in blocks of _BLOCK_PAIRS, which keeps
+    the draws and the integrand's temporaries in cache.  A block of
+    common normals is drawn once and then mapped law by law into one
+    reused (dim, block) buffer.  A block holds at least two pairs, and a
+    lone last pair of a chunk joins the block before it: numpy maps one
+    pair by its matrix-vector product, whose last bits differ from the
+    matrix product's.  Blocks are for speed only: the normal stream, the
+    row-wise map and the elementwise integrand give the same pair
+    averages whatever the block size.  Chunks fix the bits of the
+    reduction.
 
     Every chunk's pair averages go into one reused (k, chunk) buffer,
     which the reduction squares in place, so one chunk-sized array is
@@ -401,22 +394,19 @@ def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
     values.std(ddof=1) / sqrt(npairs) bit for bit, and no reduction is
     a BLAS call.  So a row of a stack, while npairs <= _CHUNK_PAIRS //
     k, has the bits of its law's own call with the same seed, and the
-    rows of a stack are correlated while each keeps its law's value and
-    SE.  Returns floats for one law, arrays of k for a stack.
+    rows are correlated while each keeps its law's value and SE.
+    Returns (means, SEs), arrays of k.
     """
-    fac = law._fac
-    stacked = fac.ndim == 3
-    k = len(fac) if stacked else 1
+    k, dim = len(law._fac), law._fac.shape[-1]
     chunk_pairs = max(1, _CHUNK_PAIRS // k)
-    block_pairs = max(2, _BLOCK_PAIRS // 2 if stacked else _BLOCK_PAIRS)
+    block_pairs = max(2, _BLOCK_PAIRS)
     rng = seeded_rng(seed)
     tot = [0.0] * k
     # Per row: (pair count, chunk mean, within-chunk sum of squared
     # deviations) of each chunk.
     chunks = [[] for _ in range(k)]
     buf = np.empty((k, min(npairs, chunk_pairs)))
-    if stacked:
-        rows = np.empty((fac.shape[-1], min(npairs, chunk_pairs, block_pairs + 1)))
+    rows = np.empty((dim, min(npairs, chunk_pairs, block_pairs + 1)))
     left = npairs
     while left > 0:
         n = min(left, chunk_pairs)
@@ -428,14 +418,11 @@ def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
         if len(edges) > 2 and n - edges[-2] == 1:
             del edges[-2]
         for lo, hi in zip(edges, edges[1:]):
-            draws = law.sample(rng, hi - lo)
-            if stacked:
-                for i in range(k):
-                    integrand(i, law._rows(draws, i, rows[:, : hi - lo]), pairs[i, lo:hi])
-            else:
-                integrand(0, draws.T, pairs[0, lo:hi])
+            z = law.sample(rng, hi - lo)
+            for i in range(k):
+                integrand(i, law._rows(z, i, rows[:, : hi - lo]), pairs[i, lo:hi])
             # Freed before the next block is drawn, not after.
-            del draws
+            del z
         for i, row in enumerate(pairs):
             total = float(row.sum())
             row -= total / n
@@ -449,9 +436,7 @@ def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
         for n, chunk_mean, dev2 in row_chunks:
             ss += dev2 + n * (chunk_mean - mean[-1]) ** 2
         se.append(math.sqrt(ss / (npairs - 1)) / math.sqrt(npairs))
-    if stacked:
-        return np.array(mean), np.array(se)
-    return mean[0], se[0]
+    return np.array(mean), np.array(se)
 
 
 def one_point_intensity_mc(
@@ -484,9 +469,9 @@ def one_point_intensity_mc(
         det -= np.square(h12, out=h12)
         _write_typed(out, det, _kind_indicator(tag, det))
 
-    mean, se = _antithetic_mean(law, integrand, npairs, seed)
+    (mean,), (se,) = _antithetic_mean(law, integrand, npairs, seed)
     return MomentEstimate(
-        value=phi * mean, std_error=phi * se, nsamples=nsamples, label=kind
+        value=phi * float(mean), std_error=phi * float(se), nsamples=nsamples, label=kind
     )
 
 
@@ -551,22 +536,18 @@ def two_point_correlation(
     cond_cov, phi = _pair_conditional(model, dists)
     value, se = _k2_from_law(cond_cov, phi, dists, kinds, npairs, seed)
     label = f"({kinds[0]},{kinds[1]})"
-    if dists.ndim == 0:
-        return MomentEstimate(value=value, std_error=se, nsamples=nsamples, rho=float(dists),
-                              label=label)
-    return [
+    ests = [
         MomentEstimate(value=float(v), std_error=float(e), nsamples=nsamples, rho=float(d),
                        label=label)
-        for v, e, d in zip(value, se, dists)
+        for v, e, d in zip(value, se, dists.reshape(-1))
     ]
+    return ests[0] if dists.ndim == 0 else ests
 
 
 def _k2_from_law(cond_cov, phi, r, kinds, npairs: int, seed):
-    """K2 and its SE at distance r from the pair law (cond_cov, phi) of
-    _pair_conditional, over npairs antithetic pairs.
-
-    Floats for one law; arrays for a stack of laws (k, 6, 6) with their
-    k densities and distances, which read one stream of pairs.
+    """K2 and its SE, arrays of k, at the k distances r from the pair
+    laws (cond_cov, phi) of _pair_conditional, over npairs antithetic
+    pairs of one stream; one distance is a stack of one.
     """
     law = ConditionalGaussian(cond_cov)
     half = np.atleast_1d(r) / 2.0
@@ -605,7 +586,8 @@ def disc_pair_distance_density(u, rho: float):
 
 def _k2_node(args):
     """One quadrature node: (cond_cov, phi, r, kinds, npairs, seed) to (K2, SE)."""
-    return _k2_from_law(*args)
+    (value,), (se,) = _k2_from_law(*args)
+    return value, se
 
 
 def second_factorial_by_quadrature(

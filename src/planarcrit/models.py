@@ -255,6 +255,14 @@ def _bessel_profile_derivative(j, x, k):
         pref /= np.longdouble(i)
     out = pref * total
     if far.any():
+        # hyp0f1 runs in float64, which cannot hold a squared lag past
+        # its largest double (a lag past ~1.3e154).
+        over = x > np.finfo(float).max
+        if over.any():
+            raise OverflowError(
+                f"the Bessel profile cannot take lag {float(np.sqrt(x[over].min()))}: "
+                f"its square overflows a double"
+            )
         out = np.where(far, _bessel_profile_derivative(j, x.astype(float), k.astype(float)), out)
     return out
 

@@ -325,6 +325,31 @@ def test_out_of_range_moments_exit_2_naming_the_model(argv, family, capsys):
     assert f"{family}(" in line
 
 
+@pytest.mark.parametrize(
+    "argv, lag",
+    [
+        (("kacrice", "--model", "randomwave", "--k", "1", "--what", "two-point",
+          "--r", "1e160"), "1e+160"),
+        (("kacrice", "--model", "shiftedrandomwave", "--tau", "1", "--s", "1", "--k", "1",
+          "--what", "two-point", "--r", "1e160"), "1e+160"),
+        (("scaling", "--model", "randomwave", "--k", "1", "--r-min", "1e150",
+          "--r-max", "1e160"), "1e+156"),
+    ],
+    ids=["randomwave", "shiftedrandomwave", "scaling"],
+)
+def test_lag_whose_square_overflows_exits_2_naming_it(argv, lag, capsys):
+    # The Bessel profile of a far lag runs in float64 on the squared lag:
+    # one past ~1.3e154 is a numerical failure named by its lag, with no
+    # numpy overflow warning first and no blame on the gradient law.
+    code, out, err = run(capsys, *argv, "--seed", "1", "--nsamples", "100")
+    assert code == 2 and out == ""
+    assert err == (f"planarcrit: numerical failure: the Bessel profile cannot take lag {lag}: "
+                   f"its square overflows a double\n")
+    code, out, err = run(capsys, "kacrice", "--model", "randomwave", "--k", "1", "--seed", "1",
+                         "--what", "two-point", "--r", "1e150", "--nsamples", "100")
+    assert code == 0 and err == "" and "e+149" in out
+
+
 def test_output_dir_env_resolves_relative_paths(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     code, out, _ = run(capsys, "theory", "--model", "randomwave", "--k", "1",

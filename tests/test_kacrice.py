@@ -179,12 +179,16 @@ def test_batched_pair_law_names_the_first_degenerate_distance():
 def test_conditional_gaussian_draws_transform_standard_normals():
     cov = np.array([[2.0, 0.3], [0.3, 1.0]])
     law = ConditionalGaussian(cov)
-    draws = law.sample(seeded_rng(0), 2000)
-    fac = law._fac
+    z = law.sample(seeded_rng(0), 2000)
+    (fac,) = law._fac
     np.testing.assert_allclose(fac @ fac.T, cov, rtol=1e-14, atol=1e-14)
-    # row i is the i-th standard normal row of the same stream, mapped
-    expected = seeded_rng(0).standard_normal((2000, 2)) @ fac.T
-    np.testing.assert_array_equal(draws, expected)
+    # sample gives the standard normal rows of the stream, column-major,
+    # and _rows maps them: row i is the i-th standard normal row, mapped
+    normals = seeded_rng(0).standard_normal((2000, 2))
+    np.testing.assert_array_equal(z, normals)
+    assert z.T.flags.c_contiguous
+    draws = law._rows(z, 0, np.empty((2, 2000))).T
+    np.testing.assert_array_equal(draws, normals @ fac.T)
     np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.15)
     np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.15)
 
@@ -472,7 +476,7 @@ def _ref_indicator(kind, det, h11):
 
 
 def _ref_interleaved_draws(law, rng, n):
-    fac = law._fac
+    (fac,) = law._fac
     half = (n + 1) // 2
     draws = np.empty((2 * half, len(law.covariance)))
     draws[0::2] = rng.standard_normal((half, len(law.covariance))) @ fac.T
@@ -577,7 +581,7 @@ def test_block_size_changes_no_bits(monkeypatch, block):
     est = one_point_intensity_mc(RW1, nsamples=4001, seed=2, kind="min")
     assert (est.value, est.std_error) == _ref_one_point(RW1, 4001, 2, "min")
     # A stack of three laws reads one stream in chunks of 1000 // 3 pairs
-    # and blocks of max(1, block // 2), the last of a chunk often short:
+    # and blocks of max(2, block), the last of a chunk often short:
     # each row is the reference at that chunk size, whatever the block
     # size.
     rs = (0.05, 0.3, 4.0)
@@ -617,6 +621,38 @@ def test_one_distance_array_gives_the_scalar_bits():
         (est,) = two_point_correlation(RW1, np.array([r]), pair=("e", "e"), nsamples=4001,
                                        seed=3)
         assert est == two_point_correlation(RW1, r, pair=("e", "e"), nsamples=4001, seed=3)
+
+
+def test_one_law_is_a_stack_of_one(monkeypatch):
+    # One law takes the stack's path: its factor is the stack of one, the
+    # driver returns arrays of one, and its draws come in the same blocks
+    # as a stack's.
+    cov, _ = _pair_conditional(RW1, 0.3)
+    one, stack = ConditionalGaussian(cov), ConditionalGaussian(cov[None])
+    assert one._fac.shape == stack._fac.shape == (1, 6, 6)
+    assert one._fac.tobytes() == stack._fac.tobytes()
+
+    def integrand(i, rows, out):
+        np.abs(np.multiply(rows[0], rows[3], out=rows[0]), out=out)
+
+    (m1, e1), (m2, e2) = (kacrice._antithetic_mean(law, integrand, 5001, 3)
+                          for law in (one, stack))
+    assert m1.shape == e1.shape == (1,)
+    assert (m1.tobytes(), e1.tobytes()) == (m2.tobytes(), e2.tobytes())
+    blocks = []
+    sample = ConditionalGaussian.sample
+
+    def counted(self, rng, nsamples):
+        blocks.append(nsamples)
+        return sample(self, rng, nsamples)
+
+    monkeypatch.setattr(ConditionalGaussian, "sample", counted)
+    nsamples = 5 * kacrice._BLOCK_PAIRS + 1
+    two_point_correlation(RW1, 0.3, nsamples=nsamples, seed=0)
+    one_blocks = blocks[:]
+    blocks.clear()
+    two_point_correlation(RW1, np.array([0.05, 0.3, 4.0]), nsamples=nsamples, seed=0)
+    assert blocks == one_blocks and len(blocks) == 3
 
 
 def test_stacked_rows_are_correlated_and_each_keeps_its_law():
@@ -701,9 +737,12 @@ def test_stacked_monte_carlo_memory_stays_flat():
 def test_a_stack_maps_one_laws_rows_at_a_time():
     # A block of common normals is mapped law by law into one reused
     # buffer, so a 5-distance call in one chunk peaks no higher than a
-    # one-distance call with as many pairs, plus the stack's four extra
-    # rows of the chunk buffer.  Holding every law's draws of a block at
-    # once lifts the peak past that.
+    # one-distance call with as many pairs, plus what each of the four
+    # extra laws keeps: its row of the chunk buffer, its 6 x 6
+    # conditional covariance and factor, and under 128 B of bookkeeping
+    # (its density, half distance, running total and list of chunk
+    # sums).  Holding every law's draws of a block at once lifts the
+    # peak past that.
     nsamples = 200_001
     npairs = (nsamples + 1) // 2
     rs = np.geomspace(0.005, 0.05, 5)
@@ -717,7 +756,7 @@ def test_a_stack_maps_one_laws_rows_at_a_time():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + (len(rs) - 1) * npairs * 8, peaks
+    assert peaks[1] <= peaks[0] + (len(rs) - 1) * (npairs * 8 + 2 * 6 * 6 * 8 + 128), peaks
 
 
 def test_pairs_that_fail_their_type_write_positive_zero(monkeypatch):
@@ -753,12 +792,14 @@ def test_pairs_that_fail_their_type_write_positive_zero(monkeypatch):
         assert (values == 0.0).any() == (kind != "c"), kind
 
 
-def test_monte_carlo_block_makes_no_transpose_copy():
-    # One block of 2^13 pairs.  The draws come out of F z^T as a view
-    # whose transpose holds one contiguous row per component, and the
-    # integrand reads those rows in place, so the peak stays below that
-    # with one more (n, 6) array of draws: a transpose copy in the
-    # integrand or in the sampler reads 4.4 draw arrays.
+def test_monte_carlo_block_holds_three_draw_arrays():
+    # One block of _BLOCK_PAIRS pairs.  Its peak is in sample, which
+    # holds three (n, 6) arrays: the normals, their column-major copy and
+    # the reused buffer of one law's rows; the chunk buffer adds 1/6 of
+    # one.  The integrand turns the rows into pair averages in place,
+    # with temporaries of half an array.  A copy of the rows in the
+    # integrand, or fresh rows from _rows beside the buffer, passes the
+    # bound (3.9 draw arrays).
     nsamples = 2 * kacrice._BLOCK_PAIRS
     draws_bytes = kacrice._BLOCK_PAIRS * 6 * 8
     two_point_correlation(RW1, 0.3, ("e", "e"), nsamples=nsamples, seed=1)

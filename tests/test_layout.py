@@ -192,11 +192,11 @@ def test_benchmark_trace_hooks_resolve_and_count(monkeypatch):
     assert totals["kacrice.sample"]["draws"] == 501
     assert totals["kacrice.sample"]["calls"] == 8
     # A stack of three distances draws one stream of common normals in
-    # blocks of 64 // 2 pairs, and each pair drawn counts once, not once
-    # per distance.
+    # the same blocks of 64 pairs, and each pair drawn counts once, not
+    # once per distance.
     with tracing.installed(tracing.Tracer()) as tracer:
         kacrice.two_point_correlation(model, [0.1, 0.3, 0.5], ("e", "e"), nsamples=1001, seed=1)
     totals = tracing.layer_totals(tracer.spans)
     assert totals["kacrice.sample"]["draws"] == 501
-    assert totals["kacrice.sample"]["calls"] == 16
+    assert totals["kacrice.sample"]["calls"] == 8
     assert totals["kacrice._pair_conditional"]["calls"] == 1

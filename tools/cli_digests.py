@@ -11,11 +11,11 @@ through ``planarcrit.cli.main``:
   from the checkout that holds this script) at the seeds in SEEDS;
 * for each of the five ``triangle`` families and for
   PowerLawTruncated(inf): ``theory`` (CSV and JSON), ``sample``, ``find``
-  (CSV and JSON) and ``kacrice`` one-point, two-point for the es and ee
-  pairs (at the distances in DISTANCES) and ball.  The smallest distance
-  lies just above every family's floor, where the averaged Hessian
-  entries have conditional variance of order r^4 and the 80-bit Schur
-  step decides the bits;
+  (CSV and JSON) and ``kacrice`` one-point for the kinds c, min and s,
+  two-point for the es and ee pairs (at the distances in DISTANCES) and
+  ball.  The smallest distance lies just above every family's floor,
+  where the averaged Hessian entries have conditional variance of order
+  r^4 and the 80-bit Schur step decides the bits;
 * with two worker processes (``--threads 2``): ``kacrice`` ball for each
   ``triangle`` family and one ``report --budget small``, so the task
   tuples the pool pickles are compared too;
@@ -98,6 +98,7 @@ def matrix(tmp: str):
         flags = _model_argv(model, tmp, f"model{m}")
         two_point = ["kacrice", *flags, *seeded, "--what", "two-point", "--r", *DISTANCES,
                      "--nsamples", "20000"]
+        one_point = ["kacrice", *flags, *seeded, "--what", "one-point", "--nsamples", "20000"]
         calls = {
             "theory csv": ["theory", *flags, "--format", "csv"],
             "theory json": ["theory", *flags],
@@ -105,8 +106,9 @@ def matrix(tmp: str):
             "find csv": ["find", *flags, *seeded, "--size", "256", "--window-size", "6"],
             "find json": ["find", *flags, *seeded, "--size", "256", "--window-size", "6",
                           "--format", "json"],
-            "kacrice one-point": ["kacrice", *flags, *seeded, "--what", "one-point",
-                                  "--nsamples", "20000"],
+            "kacrice one-point": one_point,
+            "kacrice one-point min": [*one_point, "--kind", "min"],
+            "kacrice one-point s": [*one_point, "--kind", "s"],
             "kacrice two-point es": [*two_point, "--pair", "es"],
             "kacrice two-point ee": [*two_point, "--pair", "ee"],
             "kacrice ball": ["kacrice", *flags, *seeded, "--what", "ball", "--rho-list", "0.3",
