@@ -84,7 +84,8 @@ PARAMS = {
     "rho-list": (list, None, "ball radii for pair moments"),
     "what": (("one-point", "two-point", "ball"), "one-point", "which correlation function"),
     "r": (list, None, "mutual distances for two-point; all of them read one stream of draws"),
-    "nsamples": (int, 10**6, "Monte-Carlo draws (per node for ball; per distance for two-point "
+    "nsamples": (int, 10**6, "Monte-Carlo budget N, which buys ceil(N / 2) draws, each counted "
+                             "twice as x and -x (per node for ball; per distance for two-point "
                              "and scaling, whose distances share one stream of draws)"),
     "r-min": (float, 0.005, "smallest distance of the log grid"),
     "r-max": (float, 0.05, "largest distance of the log grid"),

@@ -26,21 +26,21 @@ with avg d1 and {d12} with avg d2 (s for averaged and d for differenced
 Hessian entries).  The Schur step is a division by the four gradient
 variances, and the conditional covariance is block diagonal.
 
-The Monte-Carlo is antithetic: each draw x stands for the pair (x, -x),
-and the pair average is one independent replication.  Determinants are
-sums of products of two coordinates of the draw, so they are even under
-x -> -x, exactly so in IEEE arithmetic, and so are the indicators of
-the tags c, e and s, the only ones the integrands read.  Each pair is
-therefore evaluated once, from its "+" member.  x -> -x negates h11,
-which swaps minima and maxima (h11 = 0 forces det <= 0), so a one-point
-min or max intensity is exactly half the e intensity; the pair functions
-take c, e or s at each position.  A reported nsamples of n counts both
-members: the independent replications are the floor(n/2) pairs of
-one_point_intensity_mc and the ceil(n/2) pairs of two_point_correlation.
+Determinants are sums of products of two coordinates of a draw x, so
+they are even under x -> -x, exactly so in IEEE arithmetic, and so are
+the indicators of the tags c, e and s, the only ones the integrands
+read: a draw and its mirror -x give the same value, so each draw is
+evaluated once and is one independent replication.  x -> -x negates
+h11, which swaps minima and maxima (h11 = 0 forces det <= 0), so a
+one-point min or max intensity is exactly half the e intensity; the
+pair functions take c, e or s at each position.  A reported nsamples of
+n counts each draw twice, as x and -x: every estimator draws
+ceil(n/2) times (_draws, the one budget rule), and at least two draws
+are needed for a standard error.
 
 Each estimator is a stack of k laws (conditional covariances and
 density prefactors) and an integrand (one law's block of draws to its
-pair averages, written in place); one driver, _antithetic_mean, owns the
+values, one per draw, written in place); one driver, _mc_mean, owns the
 seeded stream, the chunking and the reduction.  The laws of a stack
 share one stream: two_point_correlation over an array of distances draws
 each normal vector z once and maps it by every distance's factor F_r,
@@ -50,19 +50,19 @@ exact law, value and SE, and the rows are correlated.  One law, as in
 the one-point intensity, a one-distance call or a quadrature node, is a
 stack of one, and takes the same path.
 
-The driver draws and integrates in blocks of _BLOCK_PAIRS pairs, small
+The driver draws and integrates in blocks of _BLOCK_DRAWS draws, small
 enough to stay in cache; blocks are for speed and change no bits.  A
 block of normals is drawn once; then, one law at a time, F_r maps it
 into one reused (6, block) buffer, and the integrand turns those rows in
-place into that law's row of pair averages in the chunk buffer, so only
-one law's draws exist at a time.  Chunks of _CHUNK_PAIRS // k pairs are
-the unit of the reduction and fix its bits, so a stack's buffer of pair
-averages takes the memory of one law's; each row is reduced on its own,
-and a row has the bits of its law's own call while the budget fits one
-chunk.  The reduction is plain elementwise sums with no BLAS call, so
-the reported std_error does not depend on the BLAS thread count.  The
-`scaling` and two-point CLI calls make one call for all their
-distances, so they draw k times fewer normals.
+place into that law's row of values in the chunk buffer, so only one
+law's draws exist at a time.  Chunks of _CHUNK_DRAWS // k draws are the
+unit of the reduction and fix its bits, so a stack's buffer of values
+takes the memory of one law's; the stack is reduced row by row in one
+array operation, and a row has the bits of its law's own call while the
+budget fits one chunk.  The reduction is plain elementwise sums with no
+BLAS call, so the reported std_error does not depend on the BLAS thread
+count.  The `scaling` and two-point CLI calls make one call for all
+their distances, so they draw k times fewer normals.
 
 Ball moments reduce by isotropy to one-dimensional integrals against
 the disc pair-distance density and are evaluated by Gauss-Legendre
@@ -116,15 +116,15 @@ R_FLOOR_FRACTION = 1e-4
 # rank collapse shows up orders of magnitude beyond this.
 _EIG_TOL = 1e-8
 
-# Antithetic pairs (one draw each) per Monte-Carlo chunk, the unit of the
-# reduction: it fixes the bits of the mean and SE and bounds peak memory.
-_CHUNK_PAIRS = 1 << 20
+# Draws per Monte-Carlo chunk, the unit of the reduction: it fixes the
+# bits of the mean and SE and bounds peak memory.
+_CHUNK_DRAWS = 1 << 20
 
-# Antithetic pairs per block, the unit of drawing and integrating: a
-# block of six-component normals, its column-major copy and one law's
-# rows are 192 KB each, and each integrand temporary 32 KB, so they stay
-# in cache.  It changes no bits.
-_BLOCK_PAIRS = 1 << 12
+# Draws per block, the unit of drawing and integrating: a block of
+# six-component normals, its column-major copy and one law's rows are
+# 192 KB each, and each integrand temporary 32 KB, so they stay in
+# cache.  It changes no bits.
+_BLOCK_DRAWS = 1 << 12
 
 # Gauss-Legendre nodes of the ball quadrature above and below 0.2 rho.
 _OUTER_NODES, _INNER_NODES = 32, 16
@@ -352,91 +352,83 @@ def _write_typed(out: np.ndarray, value: np.ndarray, typed) -> None:
         out *= typed
 
 
-def _require_two_pairs(nsamples: int, npairs: int) -> None:
-    """Reject budgets of fewer than two antithetic pairs.
+def _draws(nsamples: int) -> int:
+    """Independent draws bought by a budget of nsamples: ceil(nsamples / 2).
 
-    The standard error is taken over pairs, and one pair has none.
+    Each draw counts twice, as x and its mirror -x (module notes).  The
+    standard error is taken over draws, and one draw has none.
     """
-    if npairs < 2:
-        raise ValueError(
-            f"nsamples = {nsamples} gives {npairs} antithetic pair(s); the standard "
-            f"error needs at least two antithetic pairs"
-        )
+    ndraws = (nsamples + 1) // 2
+    if ndraws < 2:
+        raise ValueError(f"nsamples = {nsamples} buys {ndraws} draw(s); an SE needs two or more")
+    return ndraws
 
 
-def _antithetic_mean(law: ConditionalGaussian, integrand, npairs: int, seed):
-    """Mean and SE of integrand's pair averages over npairs antithetic
-    pairs, for each of the k laws of law.
+def _mc_mean(law: ConditionalGaussian, integrand, ndraws: int, seed):
+    """Mean and SE of integrand's values over ndraws independent draws,
+    for each of the k laws of law.
 
-    integrand(i, rows, out) writes the pair averages of law i into out,
-    shape (n,), from that law's block of "+" draws rows, shape (dim, n)
+    integrand(i, rows, out) writes law i's values, one per draw, into
+    out, shape (n,), from that law's block of draws rows, shape (dim, n)
     with one row per component, which it may overwrite.  Every law is
-    checked before the first draw.  Pairs are drawn from seeded_rng(seed)
-    in chunks of at most _CHUNK_PAIRS // k, which keeps memory flat for
-    the large budgets the rare typed events need at small r, and each
-    chunk is drawn and integrated in blocks of _BLOCK_PAIRS, which keeps
-    the draws and the integrand's temporaries in cache.  A block of
-    common normals is drawn once and then mapped law by law into one
-    reused (dim, block) buffer.  A block holds at least two pairs, and a
-    lone last pair of a chunk joins the block before it: numpy maps one
-    pair by its matrix-vector product, whose last bits differ from the
-    matrix product's.  Blocks are for speed only: the normal stream, the
-    row-wise map and the elementwise integrand give the same pair
-    averages whatever the block size.  Chunks fix the bits of the
-    reduction.
+    checked before the first draw.  Draws come from seeded_rng(seed) in
+    chunks of at most _CHUNK_DRAWS // k, which keeps memory flat for the
+    large budgets the rare typed events need at small r, and each chunk
+    is drawn and integrated in blocks of _BLOCK_DRAWS, which keeps the
+    draws and the integrand's temporaries in cache.  A block of common
+    normals is drawn once and then mapped law by law into one reused
+    (dim, block) buffer.  A block holds at least two draws, and a lone
+    last draw of a chunk joins the block before it: numpy maps one draw
+    by its matrix-vector product, whose last bits differ from the matrix
+    product's.  Blocks are for speed only: the normal stream, the
+    row-wise map and the elementwise integrand give the same values
+    whatever the block size.  Chunks fix the bits of the reduction.
 
-    Every chunk's pair averages go into one reused (k, chunk) buffer,
-    which the reduction squares in place, so one chunk-sized array is
-    alive at a time.  Each law's row is reduced on its own: the mean is
-    the running sum of chunk sums over npairs; the squared deviations
+    Every chunk's values go into one reused (k, chunk) buffer, which the
+    reduction squares in place, so one chunk-sized array is alive at a
+    time.  The k rows are reduced at once but each on its own: the mean
+    is the running sum of chunk sums over ndraws; the squared deviations
     are summed two-pass within each chunk, plus each chunk's
     between-chunk term.  On one chunk this is the plain sample mean and
-    values.std(ddof=1) / sqrt(npairs) bit for bit, and no reduction is
-    a BLAS call.  So a row of a stack, while npairs <= _CHUNK_PAIRS //
-    k, has the bits of its law's own call with the same seed, and the
-    rows are correlated while each keeps its law's value and SE.
-    Returns (means, SEs), arrays of k.
+    values.std(ddof=1) / sqrt(ndraws) bit for bit, and no reduction is a
+    BLAS call.  So a row of a stack, while ndraws <= _CHUNK_DRAWS // k,
+    has the bits of its law's own call with the same seed, and the rows
+    are correlated while each keeps its law's value and SE.  Returns
+    (means, SEs), arrays of k.
     """
-    k, dim = len(law._fac), law._fac.shape[-1]
-    chunk_pairs = max(1, _CHUNK_PAIRS // k)
-    block_pairs = max(2, _BLOCK_PAIRS)
+    k, _, dim = law._fac.shape
+    chunk_draws = max(1, _CHUNK_DRAWS // k)
+    block_draws = max(2, _BLOCK_DRAWS)
     rng = seeded_rng(seed)
-    tot = [0.0] * k
-    # Per row: (pair count, chunk mean, within-chunk sum of squared
-    # deviations) of each chunk.
-    chunks = [[] for _ in range(k)]
-    buf = np.empty((k, min(npairs, chunk_pairs)))
-    rows = np.empty((dim, min(npairs, chunk_pairs, block_pairs + 1)))
-    left = npairs
+    # (draw count, row sums, within-chunk sums of squared deviations) of
+    # each chunk.
+    chunks = []
+    buf = np.empty((k, min(ndraws, chunk_draws)))
+    rows = np.empty((dim, min(ndraws, chunk_draws, block_draws + 1)))
+    left = ndraws
     while left > 0:
-        n = min(left, chunk_pairs)
+        n = min(left, chunk_draws)
         left -= n
-        pairs = buf[:, :n]
-        # A lone last pair joins the block before it (see above): the
-        # matrix-vector product maps about 2 pairs in 3 to other bits.
-        edges = [*range(0, n, block_pairs), n]
-        if len(edges) > 2 and n - edges[-2] == 1:
-            del edges[-2]
+        values = buf[:, :n]
+        # No block but the first starts at the last draw: a lone last
+        # draw joins the block before it (see above), since the
+        # matrix-vector product maps about 2 draws in 3 to other bits.
+        edges = [*range(0, max(n - 1, 1), block_draws), n]
         for lo, hi in zip(edges, edges[1:]):
             z = law.sample(rng, hi - lo)
             for i in range(k):
-                integrand(i, law._rows(z, i, rows[:, : hi - lo]), pairs[i, lo:hi])
+                integrand(i, law._rows(z, i, rows[:, : hi - lo]), values[i, lo:hi])
             # Freed before the next block is drawn, not after.
             del z
-        for i, row in enumerate(pairs):
-            total = float(row.sum())
-            row -= total / n
-            row *= row
-            tot[i] += total
-            chunks[i].append((n, total / n, float(row.sum())))
-    mean, se = [], []
-    for total, row_chunks in zip(tot, chunks):
-        mean.append(total / npairs)
-        ss = 0.0
-        for n, chunk_mean, dev2 in row_chunks:
-            ss += dev2 + n * (chunk_mean - mean[-1]) ** 2
-        se.append(math.sqrt(ss / (npairs - 1)) / math.sqrt(npairs))
-    return np.array(mean), np.array(se)
+        sums = values.sum(axis=1)
+        values -= (sums / n)[:, None]
+        values *= values
+        chunks.append((n, sums, values.sum(axis=1)))
+    mean = sum(sums for _, sums, _ in chunks) / ndraws
+    ss = np.zeros(k)
+    for n, sums, dev2 in chunks:
+        ss += dev2 + n * (sums / n - mean) ** 2
+    return mean, np.sqrt(ss / (ndraws - 1)) / math.sqrt(ndraws)
 
 
 def one_point_intensity_mc(
@@ -451,8 +443,7 @@ def one_point_intensity_mc(
     is half the e intensity on the same draws (see the module notes).
     """
     kind = normalize_kind(kind)
-    npairs = nsamples // 2
-    _require_two_pairs(nsamples, npairs)
+    ndraws = _draws(nsamples)
     # The moments first: they fail cleanly where the covariance overflows.
     phi = 1.0 / (4.0 * math.pi * abs(sigma_derivatives(model).eta0))
     tag = kind
@@ -469,7 +460,7 @@ def one_point_intensity_mc(
         det -= np.square(h12, out=h12)
         _write_typed(out, det, _kind_indicator(tag, det))
 
-    (mean,), (se,) = _antithetic_mean(law, integrand, npairs, seed)
+    (mean,), (se,) = _mc_mean(law, integrand, ndraws, seed)
     return MomentEstimate(
         value=phi * float(mean), std_error=phi * float(se), nsamples=nsamples, label=kind
     )
@@ -488,19 +479,19 @@ def two_point_correlation(
         +-(r/2, 0); by isotropy the axis is arbitrary), or several
         distances.  The laws of an array come from one batched
         _pair_conditional call, and every distance reads one stream of
-        pairs from seeded_rng(seed): the estimates are correlated
+        draws from seeded_rng(seed): the estimates are correlated
         across distances, and each keeps the value's law and the SE of
-        its own call.  While nsamples <= 2 _CHUNK_PAIRS // len(r), each
+        its own call.  While nsamples <= 2 _CHUNK_DRAWS // len(r), each
         has the bits of the one-distance call with the same seed.
     pair : (tag, tag) or str
         Type constraint per position, tags in {c, e, s}; a string is
         split by theory.pair_tags ("e,s", "extremum saddle", "es").
         (e, s) and (s, e) agree in law but not draw by draw.
     nsamples : int
-        Conditional Monte-Carlo draws per distance, counting both
-        members of each antithetic pair: ceil(nsamples / 2) pairs are
-        sampled, and they are the independent replications behind the
-        standard error, so at least 3 are needed.
+        Conditional Monte-Carlo budget per distance, counting each
+        draw twice (module notes): ceil(nsamples / 2) independent draws
+        are sampled, and the standard error is taken over them, so
+        nsamples must be at least 3.
 
     Returns
     -------
@@ -519,8 +510,7 @@ def two_point_correlation(
         distance is checked before the first draw.
     """
     kinds = pair_tags(pair)
-    npairs = (nsamples + 1) // 2
-    _require_two_pairs(nsamples, npairs)
+    ndraws = _draws(nsamples)
     dists = np.asarray(r, dtype=float)
     if dists.ndim > 1 or dists.size == 0:
         raise ValueError(f"r must be one distance or a 1-D array of them, got shape {dists.shape}")
@@ -534,7 +524,7 @@ def two_point_correlation(
                 f"({R_FLOOR_FRACTION} correlation lengths)"
             )
     cond_cov, phi = _pair_conditional(model, dists)
-    value, se = _k2_from_law(cond_cov, phi, dists, kinds, npairs, seed)
+    value, se = _k2_from_law(cond_cov, phi, dists, kinds, ndraws, seed)
     label = f"({kinds[0]},{kinds[1]})"
     ests = [
         MomentEstimate(value=float(v), std_error=float(e), nsamples=nsamples, rho=float(d),
@@ -544,10 +534,10 @@ def two_point_correlation(
     return ests[0] if dists.ndim == 0 else ests
 
 
-def _k2_from_law(cond_cov, phi, r, kinds, npairs: int, seed):
+def _k2_from_law(cond_cov, phi, r, kinds, ndraws: int, seed):
     """K2 and its SE, arrays of k, at the k distances r from the pair
-    laws (cond_cov, phi) of _pair_conditional, over npairs antithetic
-    pairs of one stream; one distance is a stack of one.
+    laws (cond_cov, phi) of _pair_conditional, over ndraws draws of one
+    stream; one distance is a stack of one.
     """
     law = ConditionalGaussian(cond_cov)
     half = np.atleast_1d(r) / 2.0
@@ -568,7 +558,7 @@ def _k2_from_law(cond_cov, phi, r, kinds, npairs: int, seed):
         typed = _pair_indicator(kinds, det1, det2, scratch=prod)
         _write_typed(out, np.multiply(det1, det2, out=prod), typed)
 
-    mean, se = _antithetic_mean(law, integrand, npairs, seed)
+    mean, se = _mc_mean(law, integrand, ndraws, seed)
     return phi * mean, phi * se
 
 
@@ -585,7 +575,7 @@ def disc_pair_distance_density(u, rho: float):
 
 
 def _k2_node(args):
-    """One quadrature node: (cond_cov, phi, r, kinds, npairs, seed) to (K2, SE)."""
+    """One quadrature node: (cond_cov, phi, r, kinds, ndraws, seed) to (K2, SE)."""
     (value,), (se,) = _k2_from_law(*args)
     return value, se
 
@@ -613,9 +603,18 @@ def second_factorial_by_quadrature(
     worker pool starts, and each node task carries its law (covariance,
     density) rather than the model.  K2 at each node is then conditional
     Monte-Carlo with a per-node derived seed, so the result does not
-    depend on scheduling.
+    depend on scheduling.  A radius whose (pi rho^2)^2 overflows a
+    double raises OverflowError naming it, before any node law is built.
     """
     _require_finite_positive("rho", rho)
+    # Python's ** raises on overflow but * returns inf: either way, a
+    # radius past ~6.5e76 fails here, named, before any node law is built.
+    try:
+        area2 = (math.pi * rho**2) ** 2
+    except OverflowError:
+        area2 = math.inf
+    if area2 == math.inf:
+        raise OverflowError(f"ball radius rho = {rho} is too large: (pi rho^2)^2 overflows")
     kinds = pair_tags(pair)
     delta = 0.2 * rho
     floor = R_FLOOR_FRACTION * correlation_length(model)
@@ -644,15 +643,13 @@ def second_factorial_by_quadrature(
     jac_all = np.concatenate([jac_inner, jac_outer])
     weights = jac_all * disc_pair_distance_density(u_all, rho)
 
-    npairs = (nsamples_per_node + 1) // 2
-    _require_two_pairs(nsamples_per_node, npairs)
+    ndraws = _draws(nsamples_per_node)
     conds, phis = _pair_conditional(model, u_all)
     tasks = [
-        (cond, float(phi), float(u), kinds, npairs, (seed, i))
+        (cond, float(phi), float(u), kinds, ndraws, (seed, i))
         for i, (cond, phi, u) in enumerate(zip(conds, phis, u_all))
     ]
     k2 = np.array(_run_tasks(_k2_node, tasks, threads))
-    area2 = (math.pi * rho**2) ** 2
     value = area2 * float(weights @ k2[:, 0])
     se = area2 * math.sqrt(float((weights**2) @ (k2[:, 1] ** 2)))
     return MomentEstimate(

@@ -98,10 +98,10 @@ class MomentEstimate:
     """A Monte-Carlo or quadrature estimate with its uncertainty.
 
     nsamples counts realizations for the empirical estimators.  For the
-    antithetic conditional engines it counts draws with both members of
-    each +/- pair included; the independent replications there are the
-    pairs (floor(nsamples/2), or ceil(nsamples/2) for the two-point
-    function), and the standard error is taken over them.
+    conditional Kac-Rice engines it is the budget, which counts each
+    draw twice, as x and its mirror -x (their integrands are even): the
+    independent replications there are ceil(nsamples/2) draws, for
+    every estimator, and the standard error is taken over them.
     """
 
     value: float

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from planarcrit import cli, estimators, theory
+from planarcrit import cli, estimators, kacrice, theory
 from planarcrit.finder import find_critical_points
 from planarcrit.models import RandomWave, sigma_derivatives
 
@@ -348,6 +348,26 @@ def test_lag_whose_square_overflows_exits_2_naming_it(argv, lag, capsys):
     code, out, err = run(capsys, "kacrice", "--model", "randomwave", "--k", "1", "--seed", "1",
                          "--what", "two-point", "--r", "1e150", "--nsamples", "100")
     assert code == 0 and err == "" and "e+149" in out
+
+
+@pytest.mark.parametrize("rho", ["1e100", "1e154", "1e160"])
+def test_ball_radius_whose_area_overflows_exits_2_naming_it(rho, capsys, monkeypatch):
+    # (pi rho^2)^2 past the largest double fails before any node law is
+    # built or drawn, with one line that names the radius.
+    calls = []
+    pair_conditional = kacrice._pair_conditional
+
+    def counted(model, r):
+        calls.append(r)
+        return pair_conditional(model, r)
+
+    monkeypatch.setattr(kacrice, "_pair_conditional", counted)
+    code, out, err = run(capsys, "kacrice", "--model", "randomwave", "--k", "1", "--seed", "1",
+                         "--what", "ball", "--rho-list", rho, "--nsamples", "2000")
+    assert code == 2 and out == ""
+    assert err == (f"planarcrit: numerical failure: ball radius rho = {float(rho)} is too "
+                   f"large: (pi rho^2)^2 overflows\n")
+    assert calls == []
 
 
 def test_output_dir_env_resolves_relative_paths(tmp_path, capsys, monkeypatch):

@@ -487,7 +487,7 @@ def _ref_interleaved_draws(law, rng, n):
 def _ref_chunked(law, npairs, seed, values, chunk=None):
     """(mean, SE) of both-member pair averages of values(draws), chunk by chunk.
 
-    Chunks hold kacrice._CHUNK_PAIRS pairs unless chunk is given.  The
+    Chunks hold kacrice._CHUNK_DRAWS pairs unless chunk is given.  The
     mean is the running sum of chunk sums over npairs; the squared
     deviations are summed two-pass within each chunk, plus the
     between-chunk term.
@@ -497,7 +497,7 @@ def _ref_chunked(law, npairs, seed, values, chunk=None):
     chunks = []
     left = npairs
     while left > 0:
-        n = min(left, chunk or kacrice._CHUNK_PAIRS)
+        n = min(left, chunk or kacrice._CHUNK_DRAWS)
         left -= n
         vals = values(_ref_interleaved_draws(law, rng, 2 * n))
         pairs = 0.5 * (vals[0::2] + vals[1::2])
@@ -521,7 +521,7 @@ def _ref_one_point(model, n, seed, kind):
         det = h11 * h22 - h12**2
         return np.abs(det) * _ref_indicator(kind, det, h11)
 
-    mean, se = _ref_chunked(law, n // 2, seed, values)
+    mean, se = _ref_chunked(law, (n + 1) // 2, seed, values)
     phi = 1.0 / (4.0 * math.pi * abs(sigma_derivatives(model).eta0))
     return phi * mean, phi * se
 
@@ -562,7 +562,7 @@ def test_two_point_equals_both_member_reference(pair, nsamples, r):
 
 
 def test_two_point_equals_reference_across_chunks(monkeypatch):
-    monkeypatch.setattr(kacrice, "_CHUNK_PAIRS", 1000)
+    monkeypatch.setattr(kacrice, "_CHUNK_DRAWS", 1000)
     for pair, nsamples in ((("e", "s"), 4001), (("s", "s"), 4000)):
         est = two_point_correlation(RW1, 4.0, pair=pair, nsamples=nsamples, seed=2)
         assert est.value > 0
@@ -576,8 +576,8 @@ def test_two_point_equals_reference_across_chunks(monkeypatch):
 def test_block_size_changes_no_bits(monkeypatch, block):
     # Blocks are drawn and integrated one after the other; only chunks
     # shape the reduction, so any block size gives the reference bits.
-    monkeypatch.setattr(kacrice, "_CHUNK_PAIRS", 1000)
-    monkeypatch.setattr(kacrice, "_BLOCK_PAIRS", block)
+    monkeypatch.setattr(kacrice, "_CHUNK_DRAWS", 1000)
+    monkeypatch.setattr(kacrice, "_BLOCK_DRAWS", block)
     est = one_point_intensity_mc(RW1, nsamples=4001, seed=2, kind="min")
     assert (est.value, est.std_error) == _ref_one_point(RW1, 4001, 2, "min")
     # A stack of three laws reads one stream in chunks of 1000 // 3 pairs
@@ -603,7 +603,7 @@ def test_stacked_rows_are_the_one_distance_calls_bit_for_bit(pair):
     # reads the stream that a one-distance call with the same seed reads,
     # and reduces it alone.
     nsamples = 20_001
-    assert (nsamples + 1) // 2 <= kacrice._CHUNK_PAIRS // len(STACK_RS)
+    assert (nsamples + 1) // 2 <= kacrice._CHUNK_DRAWS // len(STACK_RS)
     ests = two_point_correlation(RW1, np.array(STACK_RS), pair=pair, nsamples=nsamples,
                                  seed=(7, 0))
     assert len(ests) == len(STACK_RS)
@@ -635,7 +635,7 @@ def test_one_law_is_a_stack_of_one(monkeypatch):
     def integrand(i, rows, out):
         np.abs(np.multiply(rows[0], rows[3], out=rows[0]), out=out)
 
-    (m1, e1), (m2, e2) = (kacrice._antithetic_mean(law, integrand, 5001, 3)
+    (m1, e1), (m2, e2) = (kacrice._mc_mean(law, integrand, 5001, 3)
                           for law in (one, stack))
     assert m1.shape == e1.shape == (1,)
     assert (m1.tobytes(), e1.tobytes()) == (m2.tobytes(), e2.tobytes())
@@ -647,7 +647,7 @@ def test_one_law_is_a_stack_of_one(monkeypatch):
         return sample(self, rng, nsamples)
 
     monkeypatch.setattr(ConditionalGaussian, "sample", counted)
-    nsamples = 5 * kacrice._BLOCK_PAIRS + 1
+    nsamples = 5 * kacrice._BLOCK_DRAWS + 1
     two_point_correlation(RW1, 0.3, nsamples=nsamples, seed=0)
     one_blocks = blocks[:]
     blocks.clear()
@@ -746,7 +746,7 @@ def test_a_stack_maps_one_laws_rows_at_a_time():
     nsamples = 200_001
     npairs = (nsamples + 1) // 2
     rs = np.geomspace(0.005, 0.05, 5)
-    assert npairs <= kacrice._CHUNK_PAIRS // len(rs)
+    assert npairs <= kacrice._CHUNK_DRAWS // len(rs)
     peaks = []
     for r in (0.005, rs):
         two_point_correlation(RW1, r, ("e", "e"), nsamples=nsamples, seed=1)
@@ -764,15 +764,15 @@ def test_pairs_that_fail_their_type_write_positive_zero(monkeypatch):
     # type: a signed product times the indicator would leave -0.0 there,
     # and a row with no typed pair would report its mean as -0.0.
     blocks = []
-    antithetic_mean = kacrice._antithetic_mean
+    mc_mean = kacrice._mc_mean
 
-    def spied(law, integrand, npairs, seed):
+    def spied(law, integrand, ndraws, seed):
         def spy(i, rows, out):
             integrand(i, rows, out)
             blocks.append(out.copy())
-        return antithetic_mean(law, spy, npairs, seed)
+        return mc_mean(law, spy, ndraws, seed)
 
-    monkeypatch.setattr(kacrice, "_antithetic_mean", spied)
+    monkeypatch.setattr(kacrice, "_mc_mean", spied)
     rs = np.array([0.005, 0.3, 4.0])
     for pair in ALL_PAIRS:
         blocks.clear()
@@ -793,15 +793,15 @@ def test_pairs_that_fail_their_type_write_positive_zero(monkeypatch):
 
 
 def test_monte_carlo_block_holds_three_draw_arrays():
-    # One block of _BLOCK_PAIRS pairs.  Its peak is in sample, which
+    # One block of _BLOCK_DRAWS pairs.  Its peak is in sample, which
     # holds three (n, 6) arrays: the normals, their column-major copy and
     # the reused buffer of one law's rows; the chunk buffer adds 1/6 of
     # one.  The integrand turns the rows into pair averages in place,
     # with temporaries of half an array.  A copy of the rows in the
     # integrand, or fresh rows from _rows beside the buffer, passes the
     # bound (3.9 draw arrays).
-    nsamples = 2 * kacrice._BLOCK_PAIRS
-    draws_bytes = kacrice._BLOCK_PAIRS * 6 * 8
+    nsamples = 2 * kacrice._BLOCK_DRAWS
+    draws_bytes = kacrice._BLOCK_DRAWS * 6 * 8
     two_point_correlation(RW1, 0.3, ("e", "e"), nsamples=nsamples, seed=1)
     tracemalloc.start()
     try:
@@ -845,7 +845,7 @@ def test_one_chunk_reduction_is_plain_mean_and_se():
     draws = law.sample(seeded_rng(5), 30_001)
     values = np.abs(draws[:, 0] * draws[:, 1])
     expected = (float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values))))
-    assert kacrice._antithetic_mean(law, integrand, 30_001, 5) == expected
+    assert kacrice._mc_mean(law, integrand, 30_001, 5) == expected
 
 
 @pytest.mark.parametrize("model", [RW1, BargmannFock(1.0)], ids=repr)
@@ -859,16 +859,53 @@ def test_one_point_equals_both_member_reference(model, kind):
 
 @pytest.mark.parametrize("nsamples", [2, 3])
 def test_one_pair_budgets_are_rejected(nsamples):
-    # One antithetic pair leaves no standard error to report: floor(n / 2)
-    # pairs for one-point, ceil(n / 2) for two-point.
-    with pytest.raises(ValueError, match="two antithetic pairs"):
-        one_point_intensity_mc(RW1, nsamples=nsamples, seed=0)
-    assert math.isfinite(one_point_intensity_mc(RW1, nsamples=4, seed=0).std_error)
-    if nsamples == 2:
-        with pytest.raises(ValueError, match="two antithetic pairs"):
-            two_point_correlation(RW1, 0.05, nsamples=nsamples, seed=0)
-    else:
-        assert two_point_correlation(RW1, 0.05, nsamples=nsamples, seed=0).std_error > 0
+    # One draw leaves no standard error to report.  Every route buys
+    # ceil(n / 2) draws, so 2 buys one and is rejected before any law is
+    # built, and 3 buys two and runs.
+    routes = (
+        lambda: one_point_intensity_mc(RW1, nsamples=nsamples, seed=0),
+        lambda: two_point_correlation(RW1, 0.05, nsamples=nsamples, seed=0),
+        lambda: second_factorial_by_quadrature(RW1, 0.3, nsamples_per_node=nsamples, seed=0),
+    )
+    for route in routes:
+        if nsamples == 2:
+            with pytest.raises(ValueError, match="buys 1 draw"):
+                route()
+        else:
+            assert route().std_error > 0
+
+
+@pytest.mark.parametrize("nsamples", [4000, 4001])
+def test_every_route_draws_half_the_budget_rounded_up(monkeypatch, nsamples):
+    # One budget rule: one-point, two-point (one distance or a stack) and
+    # each ball node draw ceil(n / 2) normal vectors.
+    drawn = []
+    sample = ConditionalGaussian.sample
+
+    def counted(self, rng, n):
+        drawn.append(n)
+        return sample(self, rng, n)
+
+    monkeypatch.setattr(ConditionalGaussian, "sample", counted)
+    ndraws = (nsamples + 1) // 2
+    one_point_intensity_mc(RW1, nsamples=nsamples, seed=0, kind="min")
+    assert sum(drawn) == ndraws
+    for r in (0.3, np.array([0.05, 0.3, 4.0])):
+        drawn.clear()
+        two_point_correlation(RW1, r, nsamples=nsamples, seed=0)
+        assert sum(drawn) == ndraws
+    per_node = []
+    k2_node = kacrice._k2_node
+
+    def node(args):
+        drawn.clear()
+        out = k2_node(args)
+        per_node.append(sum(drawn))
+        return out
+
+    monkeypatch.setattr(kacrice, "_k2_node", node)
+    second_factorial_by_quadrature(RW1, 0.3, nsamples_per_node=nsamples, seed=0)
+    assert per_node == [ndraws] * (kacrice._OUTER_NODES + kacrice._INNER_NODES)
 
 
 def test_std_error_does_not_depend_on_blas_threads():

@@ -185,7 +185,7 @@ def test_benchmark_trace_hooks_resolve_and_count(monkeypatch):
     assert totals["kacrice.one_point_intensity_mc"]["calls"] == 1
     # A two-point estimate draws its pairs in several blocks; the traced
     # draws still add up to the pairs drawn.
-    monkeypatch.setattr(kacrice, "_BLOCK_PAIRS", 64)
+    monkeypatch.setattr(kacrice, "_BLOCK_DRAWS", 64)
     with tracing.installed(tracing.Tracer()) as tracer:
         kacrice.two_point_correlation(model, 0.3, ("e", "e"), nsamples=1001, seed=1)
     totals = tracing.layer_totals(tracer.spans)

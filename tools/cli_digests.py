@@ -13,9 +13,11 @@ through ``planarcrit.cli.main``:
   PowerLawTruncated(inf): ``theory`` (CSV and JSON), ``sample``, ``find``
   (CSV and JSON) and ``kacrice`` one-point for the kinds c, min and s,
   two-point for the es and ee pairs (at the distances in DISTANCES) and
-  ball.  The smallest distance lies just above every family's floor,
-  where the averaged Hessian entries have conditional variance of order
-  r^4 and the 80-bit Schur step decides the bits;
+  ball, and the ee two-point and ball calls again at an odd budget, so
+  the rounding of ceil(N / 2) draws is compared too.  The smallest
+  distance lies just above every family's floor, where the averaged
+  Hessian entries have conditional variance of order r^4 and the 80-bit
+  Schur step decides the bits;
 * with two worker processes (``--threads 2``): ``kacrice`` ball for each
   ``triangle`` family and one ``report --budget small``, so the task
   tuples the pool pickles are compared too;
@@ -96,8 +98,8 @@ def matrix(tmp: str):
     for m, model in enumerate((*workloads.TRIANGLE_MODELS, UNTRUNCATED)):
         label = ",".join(f"{k}={v}" for k, v in model.items())
         flags = _model_argv(model, tmp, f"model{m}")
-        two_point = ["kacrice", *flags, *seeded, "--what", "two-point", "--r", *DISTANCES,
-                     "--nsamples", "20000"]
+        two_point = ["kacrice", *flags, *seeded, "--what", "two-point", "--r", *DISTANCES]
+        ball = ["kacrice", *flags, *seeded, "--what", "ball", "--rho-list", "0.3"]
         one_point = ["kacrice", *flags, *seeded, "--what", "one-point", "--nsamples", "20000"]
         calls = {
             "theory csv": ["theory", *flags, "--format", "csv"],
@@ -109,10 +111,11 @@ def matrix(tmp: str):
             "kacrice one-point": one_point,
             "kacrice one-point min": [*one_point, "--kind", "min"],
             "kacrice one-point s": [*one_point, "--kind", "s"],
-            "kacrice two-point es": [*two_point, "--pair", "es"],
-            "kacrice two-point ee": [*two_point, "--pair", "ee"],
-            "kacrice ball": ["kacrice", *flags, *seeded, "--what", "ball", "--rho-list", "0.3",
-                             "--nsamples", "2000"],
+            "kacrice two-point es": [*two_point, "--nsamples", "20000", "--pair", "es"],
+            "kacrice two-point ee": [*two_point, "--nsamples", "20000", "--pair", "ee"],
+            "kacrice two-point ee odd": [*two_point, "--nsamples", "20001", "--pair", "ee"],
+            "kacrice ball": [*ball, "--nsamples", "2000"],
+            "kacrice ball odd": [*ball, "--nsamples", "2001"],
         }
         if model is not UNTRUNCATED:
             calls["kacrice ball threads 2"] = ["kacrice", *flags, *pooled, "--what", "ball",
