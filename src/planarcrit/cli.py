@@ -105,6 +105,9 @@ MODEL_FLAGS = {
     "t": (float, f"spectral truncation ({models.PowerLawTruncated.family})"),
 }
 
+# The CSV columns of find, one row per critical point.
+FIND_COLUMNS = ("x", "y", "kind", "hessian_det", "eig_low", "eig_high", "gradient_residual")
+
 # Config-file spellings of a bool, in any case.
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
@@ -124,10 +127,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _render_csv(rows) -> str:
-    if not rows:
+def _render_csv(rows, cols=None) -> str:
+    """A header line and one line per row; cols default to the first row's keys."""
+    cols = cols or (list(rows[0]) if rows else [])
+    if not cols:
         return ""
-    cols = list(rows[0])
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(cols)
@@ -136,9 +140,9 @@ def _render_csv(rows) -> str:
     return out.getvalue()
 
 
-def _render(args, meta: dict, rows) -> str:
+def _render(args, meta: dict, rows, cols=None) -> str:
     if args.format == "csv":
-        return _render_csv(rows)
+        return _render_csv(rows, cols)
     return _render_json({"meta": meta, "rows": rows})
 
 
@@ -304,15 +308,8 @@ def _cmd_find(args):
     counters = {} if args.format == "json" else None
     points = find_critical_points(field, window, args.grid_step, diagnostics=counters)
     rows = [
-        {
-            "x": pt.location[0],
-            "y": pt.location[1],
-            "kind": str(pt.kind),
-            "hessian_det": pt.hessian_det,
-            "eig_low": pt.hessian_eigenvalues[0],
-            "eig_high": pt.hessian_eigenvalues[1],
-            "gradient_residual": pt.gradient_residual,
-        }
+        dict(zip(FIND_COLUMNS, (*pt.location, str(pt.kind), pt.hessian_det,
+                                *pt.hessian_eigenvalues, pt.gradient_residual)))
         for pt in points
     ]
     meta = {
@@ -321,7 +318,8 @@ def _cmd_find(args):
         "window": list(map(list, window)),
         "finder": counters,
     }
-    return _render(args, meta, rows)
+    # The header names the columns also when no root lies in the window.
+    return _render(args, meta, rows, FIND_COLUMNS)
 
 
 def _cmd_estimate(args):
@@ -340,6 +338,7 @@ def _cmd_estimate(args):
 
 def _cmd_kacrice(args):
     model, seed, nsamples = args.model, args.seed, args.nsamples
+    theory.normalize_kind(args.kind)  # reject a bad tag on every route
     pair = tuple(theory.normalize_pair(args.pair))
     if args.what == "one-point":
         ests = [kacrice.one_point_intensity_mc(model, nsamples=nsamples, seed=seed, kind=args.kind)]

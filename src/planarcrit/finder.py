@@ -8,9 +8,10 @@ and classified by Hessian eigenvalue signs.
 Seeds.  The gradient is evaluated on a tensor grid of step h / 8 (h the
 grid step, _SUBDIVISION = 8) covering the window plus one cell, where the
 field separates into one small real matmul per derivative and the cos
-and sin tables of each axis come from angle addition (sampling.eval_grid).
-The call keeps those tables (sampling.grid_tables) for every point it
-evaluates afterwards: eval_many writes each point as its nearest grid
+and sin tables of each axis come from angle addition
+(sampling.grid_tables).  The call builds those tables once, evaluates
+the grid from them (sampling.eval_grid) and passes them with every point
+it evaluates afterwards: eval_many writes each point as its nearest grid
 node times exp(i lam . d), so only the small offset angle lam . d goes
 through cos and sin (a point past the grid anchors at an edge node).
 A cell is a candidate when each gradient component is positive at one of
@@ -251,7 +252,7 @@ def find_critical_points(
     axes = (xmin - cell, cell, nx), (ymin - cell, cell, ny)
     # One set of axis tables serves the grid and every point evaluated below.
     tables = grid_tables(f, *axes)
-    grid = eval_grid(f, *axes, _DERIVS[:2], tables)
+    grid = eval_grid(tables, _DERIVS[:2])
     ci, cj = _candidate_cells(grid)
     pts = np.column_stack([xs[ci] + 0.5 * cell, ys[cj] + 0.5 * cell])
 

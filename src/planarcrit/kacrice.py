@@ -89,7 +89,7 @@ from .models import (
     sigma_derivatives,
 )
 from .sampling import MomentEstimate, _run_tasks, seeded_rng
-from .theory import normalize_kind, pair_tags
+from .theory import ball_area_squared, normalize_kind, pair_tags
 
 __all__ = [
     "DegeneracyError",
@@ -264,7 +264,8 @@ def _pair_conditional(model: CovarianceModel, r):
     diagonal in the four parity blocks.
 
     Raises DegeneracyError naming r, the first such r of an array, when
-    a balanced gradient variance is not positive.
+    a balanced gradient variance is not positive, and OverflowError
+    naming the first r whose density's factors overflow.
     """
     for value in np.atleast_1d(r):
         _require_finite_positive("r", value)
@@ -283,10 +284,15 @@ def _pair_conditional(model: CovarianceModel, r):
     cond = tt - tg @ (np.swapaxes(tg, -1, -2) / sd / sd)
     cond = (0.5 * (cond + np.swapaxes(cond, -1, -2))).astype(float)
     logdet = 2.0 * np.log(sd[..., 0]).sum(axis=-1)
-    density = [
-        math.exp(-0.5 * float(ld)) / (2.0 * math.pi * float(dist)) ** 2
-        for ld, dist in zip(np.atleast_1d(logdet), np.atleast_1d(r))
-    ]
+    density = []
+    for ld, dist in zip(np.atleast_1d(logdet), np.atleast_1d(r)):
+        # Far apart, each factor overflows a double before their ratio does.
+        try:
+            density.append(math.exp(-0.5 * float(ld)) / (2.0 * math.pi * float(dist)) ** 2)
+        except OverflowError:
+            raise OverflowError(
+                f"distance r = {dist} is too large: the gradient-pair density "
+                "exp(-logdet / 2) / (2 pi r)^2 overflows a double") from None
     if np.ndim(r) == 0:
         return cond, density[0]
     return cond, np.array(density)
@@ -607,14 +613,7 @@ def second_factorial_by_quadrature(
     double raises OverflowError naming it, before any node law is built.
     """
     _require_finite_positive("rho", rho)
-    # Python's ** raises on overflow but * returns inf: either way, a
-    # radius past ~6.5e76 fails here, named, before any node law is built.
-    try:
-        area2 = (math.pi * rho**2) ** 2
-    except OverflowError:
-        area2 = math.inf
-    if area2 == math.inf:
-        raise OverflowError(f"ball radius rho = {rho} is too large: (pi rho^2)^2 overflows")
+    area2 = ball_area_squared(rho)  # fails before any node law is built
     kinds = pair_tags(pair)
     delta = 0.2 * rho
     floor = R_FLOOR_FRACTION * correlation_length(model)

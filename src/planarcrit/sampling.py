@@ -192,9 +192,10 @@ def sample_field(
 class GridTables:
     """exp(i (lam1 x_a + phi)) and exp(i lam2 y_b) at the nodes of a tensor grid.
 
-    E1 = e1 (nx x M) and E2 = e2 (ny x M) for the axes (start, step,
-    count) of eval_grid, built by grid_tables.  eval_grid reads them as
-    C1 + i S1 and C2 + i S2; eval_many reads them to evaluate points
+    E1 = e1 (nx x M) and E2 = e2 (ny x M) for the axes xaxis and yaxis,
+    each (start, step, count), of realization field, built by
+    grid_tables.  eval_grid reads them as C1 + i S1 and C2 + i S2 to
+    evaluate field on that grid; eval_many reads them to evaluate points
     near the grid without the cos and sin of their full arguments.
 
     The tables come from angle addition (_axis_trig): with
@@ -209,11 +210,10 @@ class GridTables:
     the direct form (tests/test_sampling.py checks 32).
 
     Lifetime: the tables are views of the calling thread's workspace
-    (_scratch), valid until the thread's next grid_tables call, which
-    also every eval_grid call without tables makes.  They belong to one
-    realization.  Using them after that call, in another thread or with
-    another realization raises ValueError; nothing is cached on the
-    realization.
+    (_scratch), valid until the thread's next grid_tables call.  They
+    belong to one realization.  Using them after that call, in another
+    thread or with another realization raises ValueError; nothing is
+    cached on the realization.
     """
 
     field: FieldRealization
@@ -267,14 +267,12 @@ def eval_many(f: FieldRealization, x, alphas, tables: GridTables | None = None) 
     ulp of the amplitude sum sum_j |w_j| (a bound in the GridTables
     docstring).  Without tables the result is the direct form's.
 
-    The argument matrix and its cosine and sine live in the calling
-    thread's workspace (_scratch), so repeat calls reuse their memory
-    instead of returning it to the system and faulting it back in; the
-    result never shares memory with the workspace.  The three share one
-    buffer with eval_grid's matmul operand: neither function calls the
-    other, and two buffers would both stay allocated, adding the smaller
-    one to the peak memory of the finder, which calls both.  The
-    anchored form uses the same buffer and never grows it past that
+    The direct form allocates its argument matrix and the cosines and
+    sines of it like any numpy expression and leaves the thread's workspace
+    alone, so grid tables built before it stay valid.  It is the
+    reference the anchored form is tested against, and what
+    eval_gradient calls.  The anchored form keeps its blocks in the
+    buffer of eval_grid's matmul operand and never grows it past that
     operand.
 
     Returns shape (N, len(alphas)) for x of shape (N, 2).
@@ -282,13 +280,10 @@ def eval_many(f: FieldRealization, x, alphas, tables: GridTables | None = None) 
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if tables is not None:
         return _anchored(f, pts, alphas, tables, _block_rows(tables.xaxis[2]))
-    n, M = pts.shape[0], f.nterms
-    work = _scratch("work", 3 * n * M, float).reshape(3, n, M)
-    arg = work[0]
-    np.matmul(pts, f.frequencies.T, out=arg)
+    arg = pts @ f.frequencies.T
     arg += f.phases
-    out = np.empty((n, len(alphas)))
-    _weighted_sums(f, alphas, lambda odd: (np.cos, np.sin)[odd](arg, out=work[1 + odd]), out)
+    out = np.empty((pts.shape[0], len(alphas)))
+    _weighted_sums(f, alphas, lambda odd: (np.cos, np.sin)[odd](arg), out)
     return out
 
 
@@ -403,13 +398,14 @@ def _term_weights(f: FieldRealization, alpha) -> tuple[np.ndarray, int]:
     return weights, order
 
 
-def eval_grid(f: FieldRealization, xaxis, yaxis, alphas,
-              tables: GridTables | None = None) -> np.ndarray:
-    """Evaluate several derivatives on a uniform tensor grid.
+def eval_grid(tables: GridTables, alphas) -> np.ndarray:
+    """Evaluate several derivatives of tables.field on the grid of tables.
 
-    Each axis is (start, step, count): the nx points x_a = start + a step
-    of xaxis, the ny points y_b of yaxis.  A plane wave separates over the
-    coordinates: with a = lam1 x + phi and b = lam2 y,
+    The grid is the one grid_tables(f, xaxis, yaxis) built the tables
+    for.  Each axis is (start, step, count): the nx points
+    x_a = start + a step of xaxis, the ny points y_b of yaxis.  A plane
+    wave separates over the coordinates: with a = lam1 x + phi and
+    b = lam2 y,
 
         r cos(a + b) = r cos a cos b - r sin a sin b,
 
@@ -425,33 +421,29 @@ def eval_grid(f: FieldRealization, xaxis, yaxis, alphas,
     one real matmul of inner size 2M per multi-index (the code orders the
     inner index term by term, cos then sin).
 
-    The tables C + i S of the two axes are grid_tables(f, xaxis, yaxis),
-    built here unless the caller passes them as `tables` to keep them for
-    eval_many at points near the grid; they live until the thread's next
-    grid_tables call (GridTables).  Their angle addition leaves the grid
-    off by a few ulp of the amplitude sum sum_j |w_j|, on top of the
+    The caller builds the tables C + i S of the two axes and keeps them
+    for eval_many at points near the grid; they live until the thread's
+    next grid_tables call (GridTables).  Their angle addition leaves the
+    grid off by a few ulp of the amplitude sum sum_j |w_j|, on top of the
     |lam x| eps rounding of the argument that eval_many shares; the two
     agree to rounding.
 
     The tables and the matmul operand [C1 w, +-S1 w] live in a workspace
     private to the calling thread (_scratch); the operand's buffer is
-    the one eval_many keeps its tables in.  It grows to the largest grid
-    the thread has evaluated and is reused as prefix views, so it keeps
-    one grid's tables and operand, about 2.5 MB at M = 256 on a
-    20 x 20 window at the default step, and a call allocates only its
-    result and the coarse and fine trig rows of each axis.  Each matmul
-    writes straight into the result, which never shares memory with the
-    workspace.
+    the one eval_many's anchored form keeps its blocks in.  It grows to
+    the largest grid the thread has evaluated and is reused as prefix
+    views, so it keeps one grid's tables and operand, about 2.5 MB at
+    M = 256 on a 20 x 20 window at the default step, and a call
+    allocates only its result (grid_tables, only the coarse and fine
+    trig rows of each axis).  Each matmul writes straight into the
+    result, which never shares memory with the workspace.
 
     Returns shape (nx, ny, len(alphas)); entry [a, b] is the point
     (x_a, y_b), so reshape(-1, len(alphas)) lists the points in
     meshgrid(xs, ys, indexing="ij") order.  The array is a view of one
     (len(alphas), nx, ny) block, so each derivative's grid is contiguous.
     """
-    if tables is None:
-        tables = grid_tables(f, xaxis, yaxis)
-    elif (tables.xaxis, tables.yaxis) != (_axis(xaxis), _axis(yaxis)):
-        raise ValueError("grid tables of another grid")
+    f = tables.field
     _check_tables(tables, f)
     M = f.nterms
     nx, ny = tables.xaxis[2], tables.yaxis[2]

@@ -57,6 +57,7 @@ __all__ = [
     "repulsion_factor",
     "k2_limit",
     "second_factorial_asymptotic",
+    "ball_area_squared",
     "scaling_order",
     "grw_minimality_gap",
     "theory_report",
@@ -183,8 +184,11 @@ def second_factorial_asymptotic(d: SigmaDerivatives, rho: float, pair=("c", "c")
         For pairs (e,e) and (s,s), which decay faster than rho^4 and
         have no finite constant of this form; their order is available
         from scaling_order.
+    OverflowError
+        When (pi rho^2)^2 overflows (ball_area_squared).
     """
     _require_finite_positive("rho", rho)
+    area2 = ball_area_squared(rho)
     pair = normalize_pair(pair)
     if pair == ("c", "c"):
         factor = 1.0
@@ -194,7 +198,25 @@ def second_factorial_asymptotic(d: SigmaDerivatives, rho: float, pair=("c", "c")
         raise ValueError(
             f"pair {pair} is order-only (no finite rho^4 constant); use scaling_order"
         )
-    return factor * k2_limit(d) * (math.pi * rho**2) ** 2
+    return factor * k2_limit(d) * area2
+
+
+def ball_area_squared(rho: float) -> float:
+    """(pi rho^2)^2, the squared area of a ball of radius rho.
+
+    Raises OverflowError naming rho when (pi rho^2)^2 is not a finite
+    double.  theory_report, second_factorial_asymptotic and the ball
+    quadrature of kacrice all scale by it, so each fails the same way.
+    """
+    # Python's ** raises on overflow but * returns inf: either way, a
+    # radius past ~6.5e76 fails here, named.
+    try:
+        area2 = (math.pi * rho**2) ** 2
+    except OverflowError:
+        area2 = math.inf
+    if area2 == math.inf:
+        raise OverflowError(f"ball radius rho = {rho} is too large: (pi rho^2)^2 overflows")
+    return area2
 
 
 @dataclass(frozen=True)
@@ -249,9 +271,11 @@ def theory_report(model: CovarianceModel, rho: float) -> dict:
 
     A flat mapping: rho, lambda_c, repulsion_factor, k2_limit_a,
     second_factorial_cc (the (c,c) rho^4 asymptote) and then
-    expected_count_<kind> for each kind in KINDS.
+    expected_count_<kind> for each kind in KINDS.  A radius whose
+    (pi rho^2)^2 overflows raises OverflowError naming it.
     """
     _require_finite_positive("rho", rho)
+    area2 = ball_area_squared(rho)
     d = sigma_derivatives(model)
     lam = lambda_c(d)
     a = k2_limit(d)
@@ -261,7 +285,7 @@ def theory_report(model: CovarianceModel, rho: float) -> dict:
         "lambda_c": lam,
         "repulsion_factor": repulsion_factor(d),
         "k2_limit_a": a,
-        "second_factorial_cc": a * area**2,
+        "second_factorial_cc": a * area2,
     }
     for kind in KINDS:
         flat[f"expected_count_{kind}"] = TYPE_FRACTIONS[kind] * lam * area

@@ -86,6 +86,21 @@ def test_find_emits_classified_points(capsys):
         assert sign * float(r["hessian_det"]) > 0
 
 
+def test_find_with_no_root_in_its_window_writes_the_header(tmp_path, capsys):
+    # An empty root set is the header line alone, on stdout and in -o;
+    # JSON output keeps its empty rows.
+    argv = ["find", "--model", "randomwave", "--k", "1", "--seed", "1", "--size", "64",
+            "--window-size", "0.01"]
+    header = ",".join(cli.FIND_COLUMNS) + "\n"
+    assert header == "x,y,kind,hessian_det,eig_low,eig_high,gradient_residual\n"
+    assert run(capsys, *argv) == (0, header, "")
+    path = tmp_path / "roots.csv"
+    assert run(capsys, *argv, "-o", str(path)) == (0, "", "")
+    assert path.read_text() == header
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["rows"] == []
+
+
 def test_repeat_runs_and_thread_counts_are_byte_identical(tmp_path, capsys):
     common = ["estimate", "--model", "randomwave", "--k", "1", "--seed", "11",
               "--nreal", "4", "--window-size", "10", "--rho-list", "1.0", "1.5"]
@@ -122,6 +137,18 @@ def test_estimate_rejects_unknown_kind_before_sweeping(capsys, monkeypatch):
                          "--seed", "11", "--nreal", "4", "--kind", "bogus")
     assert code == 1 and out == ""
     assert "unknown critical-point kind" in err
+
+
+@pytest.mark.parametrize("what", [["one-point"], ["two-point", "--r", "0.5"],
+                                  ["ball", "--rho-list", "0.3"]], ids=lambda w: w[0])
+def test_kacrice_rejects_unknown_kind_on_every_route(what, capsys, monkeypatch):
+    def no_law(*args, **kwargs):
+        raise AssertionError("built a pair law before checking --kind")
+
+    monkeypatch.setattr(kacrice, "_pair_conditional", no_law)
+    code, out, err = run(capsys, "kacrice", "--model", "randomwave", "--k", "1", "--seed", "1",
+                         "--what", *what, "--nsamples", "100", "--kind", "zzz")
+    assert (code, out, err) == (1, "", "planarcrit: error: unknown critical-point kind 'zzz'\n")
 
 
 def test_failed_write_keeps_old_output(tmp_path):
@@ -368,6 +395,41 @@ def test_ball_radius_whose_area_overflows_exits_2_naming_it(rho, capsys, monkeyp
     assert err == (f"planarcrit: numerical failure: ball radius rho = {float(rho)} is too "
                    f"large: (pi rho^2)^2 overflows\n")
     assert calls == []
+
+
+@pytest.mark.parametrize("rho", ["1e100", "1e160"])
+def test_theory_radius_whose_area_overflows_exits_2_naming_it(rho, capsys):
+    code, out, err = run(capsys, "theory", "--model", "randomwave", "--k", "1", "--rho", rho)
+    assert code == 2 and out == ""
+    assert err == (f"planarcrit: numerical failure: ball radius rho = {float(rho)} is too "
+                   f"large: (pi rho^2)^2 overflows\n")
+
+
+@pytest.mark.parametrize(
+    "model, r, far",
+    [(["randomwave", "--k", "1"], ["5e153"], "5e+153"),
+     (["bargmannfock", "--k", "1"], ["1e160"], "1e+160"),
+     (["bargmannfock", "--k", "1"], ["0.5", "1e200"], "1e+200")],
+    ids=["randomwave", "bargmannfock", "bargmannfock-stack"],
+)
+def test_distance_whose_pair_density_overflows_exits_2_naming_it(model, r, far, capsys,
+                                                                 monkeypatch):
+    # exp(-logdet / 2) and (2 pi r)^2 each overflow a double before their
+    # ratio does: the first such distance of the stack is named, and
+    # nothing is drawn.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the pair law failed")
+
+    monkeypatch.setattr(kacrice.ConditionalGaussian, "sample", no_draw)
+    code, out, err = run(capsys, "kacrice", "--model", *model, "--seed", "1",
+                         "--what", "two-point", "--r", *r, "--nsamples", "100")
+    assert code == 2 and out == ""
+    assert err == (f"planarcrit: numerical failure: distance r = {far} is too large: the "
+                   f"gradient-pair density exp(-logdet / 2) / (2 pi r)^2 overflows a double\n")
+    monkeypatch.undo()
+    code, out, err = run(capsys, "kacrice", "--model", "bargmannfock", "--k", "1", "--seed",
+                         "1", "--what", "two-point", "--r", "1e100", "--nsamples", "100")
+    assert code == 0 and err == "" and "1e+100" in out
 
 
 def test_output_dir_env_resolves_relative_paths(tmp_path, capsys, monkeypatch):

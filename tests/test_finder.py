@@ -306,9 +306,9 @@ def test_a_finder_call_evaluates_no_point_twice(monkeypatch):
         calls.append((np.array(x), list(alphas), np.array(vals)))
         return vals
 
-    def grid(f, xaxis, yaxis, alphas, *args):
-        axes.append((xaxis, yaxis))
-        return eval_grid(f, xaxis, yaxis, alphas, *args)
+    def grid(tables, alphas):
+        axes.append((tables.xaxis, tables.yaxis))
+        return eval_grid(tables, alphas)
 
     monkeypatch.setattr(finder, "eval_many", many)
     monkeypatch.setattr(finder, "eval_grid", grid)
@@ -582,7 +582,7 @@ def test_real_eval_grid_agrees_with_the_complex_form(model, gaussian):
     xaxis, yaxis = (-1.5, 0.3, 45), (-2.0, 0.27, 41)
     alphas = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (0, 3), (4, 0), (1, 3),
               (2, 2)]
-    new = eval_grid(f, xaxis, yaxis, alphas)
+    new = eval_grid(grid_tables(f, xaxis, yaxis), alphas)
     old = _complex_eval_grid(f, *_axis_points(xaxis, yaxis), alphas)
     err = np.abs(new - old).max(axis=(0, 1))
     assert np.all(err <= 1e-12 * np.abs(old).max(axis=(0, 1))), err
@@ -594,8 +594,8 @@ def test_real_eval_grid_keeps_the_candidate_cells(model, monkeypatch):
     # real and the complex form of its gradient grid.
     seen = []
 
-    def recording(f, xaxis, yaxis, alphas, *args):
-        seen.append((xaxis, yaxis, eval_grid(f, xaxis, yaxis, alphas, *args)))
+    def recording(tables, alphas):
+        seen.append((tables.xaxis, tables.yaxis, eval_grid(tables, alphas)))
         return seen[-1][2]
 
     monkeypatch.setattr(finder, "eval_grid", recording)
@@ -646,7 +646,7 @@ def test_index_defect_counts_a_root_left_out():
     xaxis, yaxis = (-0.5, (math.pi + 1.0) / 40, 41), (-0.5, (math.pi + 1.0) / 36, 37)
     xs, ys = _axis_points(xaxis, yaxis)
     tables = grid_tables(f, xaxis, yaxis)
-    grad = eval_grid(f, xaxis, yaxis, [(1, 0), (0, 1)], tables)
+    grad = eval_grid(tables, [(1, 0), (0, 1)])
     roots = np.array([[0.0, 0.0], [0.0, math.pi], [math.pi, 0.0], [math.pi, math.pi]])
     vals = eval_many(f, roots, finder._DERIVS, tables)
     assert finder._index_defect(f, xs, ys, grad, roots, vals, tables) == 0

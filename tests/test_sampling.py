@@ -146,13 +146,13 @@ def test_kept_term_weights_change_no_bytes():
     pts = np.stack(np.meshgrid(*_axis_points(xaxis, yaxis), indexing="ij"), axis=-1).reshape(-1, 2)
     alphas = [(0, 0), (1, 0), (0, 1), (2, 1), (0, 4)]
     first = eval_many(used, pts, alphas)
-    grid = eval_grid(used, xaxis, yaxis, alphas)
+    grid = eval_grid(grid_tables(used, xaxis, yaxis), alphas)
     assert repr(used) == repr(fresh())
     np.testing.assert_array_equal(eval_many(used, pts, alphas), first)
     for col, alpha in enumerate(alphas):
         np.testing.assert_array_equal(eval_many(fresh(), pts, [alpha])[:, 0], first[:, col])
         np.testing.assert_array_equal(
-            eval_grid(fresh(), xaxis, yaxis, [alpha])[..., 0], grid[..., col]
+            eval_grid(grid_tables(fresh(), xaxis, yaxis), [alpha])[..., 0], grid[..., col]
         )
     for _ in range(2):
         with pytest.raises(ValueError, match="exceeds total order"):
@@ -166,7 +166,7 @@ def test_eval_grid_agrees_with_eval_many(model, gaussian):
     xaxis, yaxis = (-1.5, 0.45, 30), (-2.0, 0.37, 30)
     xs, ys = _axis_points(xaxis, yaxis)
     alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (0, 0)]
-    grid = eval_grid(f, xaxis, yaxis, alphas)
+    grid = eval_grid(grid_tables(f, xaxis, yaxis), alphas)
     assert grid.shape == (len(xs), len(ys), len(alphas))
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     ref = eval_many(f, pts, alphas)
@@ -182,7 +182,7 @@ def test_eval_grid_tables_hold_on_long_axes_far_from_the_origin(model, gaussian)
     f = sample_field(model, M=1024, seed=11, gaussian_amplitudes=gaussian)
     xaxis, yaxis = (499.7, 0.37, 1500), (-503.1, 0.29, 1500)
     alphas = [(0, 0), (1, 0), (1, 1)]
-    grid = eval_grid(f, xaxis, yaxis, alphas)
+    grid = eval_grid(grid_tables(f, xaxis, yaxis), alphas)
     xs, ys = _axis_points(xaxis, yaxis)
     rng = seeded_rng(3)
     # Both ends of each axis and random points in between.
@@ -199,7 +199,7 @@ def test_eval_grid_on_axes_of_one_to_three_points(nx, ny):
     f = sample_field(ShiftedRandomWave(0.5, 1.0, 1.0), M=64, seed=9)
     xaxis, yaxis = (-0.7, 0.45, nx), (2.1, 0.37, ny)
     alphas = [(0, 0), (1, 0), (0, 2)]
-    grid = eval_grid(f, xaxis, yaxis, alphas)
+    grid = eval_grid(grid_tables(f, xaxis, yaxis), alphas)
     assert grid.shape == (nx, ny, len(alphas))
     xs, ys = _axis_points(xaxis, yaxis)
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -235,26 +235,11 @@ def test_repeat_eval_grid_allocates_only_its_result():
     alphas = [(1, 0), (0, 1)]
     fine, coarse = _finder_axes(f.model, 20.0), _finder_axes(f.model, 20.0, coarsen=2)
     assert fine[0][2] == 207
-    eval_grid(f, *fine, alphas)
+    eval_grid(grid_tables(f, *fine), alphas)
     for axes in (fine, coarse):
-        out, peak = _traced_peak(lambda: eval_grid(f, *axes, alphas))
+        out, peak = _traced_peak(lambda: eval_grid(grid_tables(f, *axes), alphas))
         assert out.shape == (axes[0][2], axes[1][2], 2)
         assert peak <= 2 * out.nbytes, (axes, peak / out.nbytes)
-
-
-def test_repeat_eval_many_allocates_less_than_one_table():
-    # The argument matrix and its cosine and sine stay in the thread's
-    # workspace, so a repeat call allocates less than one (N, M) array,
-    # and so does a call on fewer points, evaluated in the workspace's
-    # prefix.  Computed per call, the three tables lift the peak to three.
-    f = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
-    pts = seeded_rng(3).uniform(0.0, 20.0, size=(400, 2))
-    alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    eval_many(f, pts, alphas)
-    for n in (400, 150):
-        out, peak = _traced_peak(lambda: eval_many(f, pts[:n], alphas))
-        assert out.shape == (n, len(alphas))
-        assert peak < n * f.nterms * 8, (n, peak / (n * f.nterms * 8))
 
 
 def test_eval_grid_workspace_is_invisible_to_callers():
@@ -266,8 +251,9 @@ def test_eval_grid_workspace_is_invisible_to_callers():
     a = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
     b = sample_field(BargmannFock(1.0), M=128, seed=(7, 1))
     pts = seeded_rng(3).uniform(0.0, 6.0, size=(300, 2))
-    jobs = [lambda: eval_grid(a, *_finder_axes(a.model, 6.0), [(1, 0), (0, 1)]),
-            lambda: eval_grid(b, *_finder_axes(b.model, 4.0, coarsen=2), [(0, 0), (2, 0), (1, 1)]),
+    jobs = [lambda: eval_grid(grid_tables(a, *_finder_axes(a.model, 6.0)), [(1, 0), (0, 1)]),
+            lambda: eval_grid(grid_tables(b, *_finder_axes(b.model, 4.0, coarsen=2)),
+                              [(0, 0), (2, 0), (1, 1)]),
             lambda: eval_many(a, pts, [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
             lambda: eval_many(b, pts[:70], [(0, 0), (3, 0), (2, 1), (1, 2), (0, 3)])]
     serial = [job() for job in jobs]
@@ -354,7 +340,7 @@ def test_anchored_eval_many_keeps_to_the_grid_workspace():
     f = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
     axes = _finder_axes(f.model, 20.0)
     tables = grid_tables(f, *axes)
-    eval_grid(f, *axes, [(1, 0), (0, 1)], tables)
+    eval_grid(tables, [(1, 0), (0, 1)])
     size = sampling._workspace.work.size
     pts = seeded_rng(3).uniform(-3.0, 23.0, size=(2000, 2))
     alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
@@ -365,6 +351,32 @@ def test_anchored_eval_many_keeps_to_the_grid_workspace():
         assert out.shape == (n, len(alphas))
         assert peak - out.nbytes <= 200 * rows, (n, peak - out.nbytes, rows)
     assert sampling._workspace.work.size == size
+
+
+def test_direct_eval_many_leaves_the_grid_workspace_alone():
+    # The direct form allocates its own arrays: grid tables built before a
+    # direct call stay valid and keep their bytes, and the buffer that the
+    # anchored form's blocks use is the same object with the same bytes
+    # afterwards, for a call on fewer points than a block and on more
+    # points than the buffer holds.
+    f = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
+    axes = _finder_axes(f.model, 12.0)
+    tables = grid_tables(f, *axes)
+    pts = seeded_rng(3).uniform(-1.0, 13.0, size=(2000, 2))
+    alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    near = eval_many(f, pts[:300], alphas, tables)
+    e1, e2 = tables.e1.copy(), tables.e2.copy()
+    work = sampling._workspace.work
+    held = work.copy()
+    for n in (10, 2000):
+        eval_many(f, pts[:n], alphas)
+        assert sampling._workspace.work is work, n
+        np.testing.assert_array_equal(work, held)
+        np.testing.assert_array_equal(tables.e1, e1)
+        np.testing.assert_array_equal(tables.e2, e2)
+        np.testing.assert_array_equal(eval_many(f, pts[:300], alphas, tables), near)
+        # The repeat anchored call writes the same blocks into the buffer.
+        np.testing.assert_array_equal(work, held)
 
 
 def test_anchored_blocks_change_no_bit():
@@ -383,9 +395,8 @@ def test_anchored_blocks_change_no_bit():
 
 
 def test_grid_tables_are_refused_once_their_workspace_moved_on():
-    # Tables are views of the thread's workspace: another grid_tables call,
-    # which every eval_grid call without tables makes, retires them, and
-    # they serve neither another realization, another grid nor another
+    # Tables are views of the thread's workspace: another grid_tables call
+    # retires them, and they serve neither another realization nor another
     # thread.
     f = sample_field(RandomWave(1.0), M=64, seed=9)
     g = sample_field(RandomWave(1.0), M=64, seed=10)
@@ -395,17 +406,17 @@ def test_grid_tables_are_refused_once_their_workspace_moved_on():
     eval_many(f, pts, [(1, 0)], tables)
     with pytest.raises(ValueError, match="another realization"):
         eval_many(g, pts, [(1, 0)], tables)
-    with pytest.raises(ValueError, match="another grid"):
-        eval_grid(f, (-0.5, 0.1, 31), axes[1], [(1, 0)], tables)
     errors = []
     thread = threading.Thread(target=lambda: errors.append(
         pytest.raises(ValueError, eval_many, f, pts, [(1, 0)], tables)))
     thread.start()
     thread.join()
     assert errors
-    eval_grid(f, *axes, [(1, 0)])
+    grid_tables(f, *axes)
     with pytest.raises(ValueError, match="outlived"):
         eval_many(f, pts, [(1, 0)], tables)
+    with pytest.raises(ValueError, match="outlived"):
+        eval_grid(tables, [(1, 0)])
 
 
 def _axis_points(*axes):

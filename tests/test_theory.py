@@ -19,6 +19,7 @@ from planarcrit.theory import (
     KINDS,
     MIN_REPULSION_FACTOR,
     TYPE_FRACTIONS,
+    ball_area_squared,
     grw_minimality_gap,
     k2_limit,
     lambda_c,
@@ -128,6 +129,20 @@ def test_second_factorial_asymptotic_constants():
     assert cc == pytest.approx(6.014065304058598e-07, rel=1e-12)
     with pytest.raises(ValueError):
         second_factorial_asymptotic(d, rho, pair=("e", "e"))
+
+
+@pytest.mark.parametrize("rho", [1e100, 1e160])
+def test_ball_moments_name_a_radius_whose_area_overflows(rho):
+    # (pi rho^2)^2 past the largest double: ball_area_squared owns the
+    # rule, and the asymptote and the report both name the radius.
+    message = f"ball radius rho = {rho} is too large: (pi rho^2)^2 overflows"
+    d = sigma_derivatives(RandomWave(1.0))
+    for call in (lambda: ball_area_squared(rho), lambda: second_factorial_asymptotic(d, rho),
+                 lambda: theory_report(RandomWave(1.0), rho)):
+        with pytest.raises(OverflowError) as err:
+            call()
+        assert str(err.value) == message
+    assert ball_area_squared(0.1) == (math.pi * 0.1**2) ** 2
 
 
 def test_scaling_orders():

@@ -21,6 +21,12 @@ through ``planarcrit.cli.main``:
 * with two worker processes (``--threads 2``): ``kacrice`` ball for each
   ``triangle`` family and one ``report --budget small``, so the task
   tuples the pool pickles are compared too;
+* for RandomWave(1), surfaces the calls above leave out (EXTRA_CALLS):
+  ``estimate`` of the mixed pair es, ``estimate`` on the model's default
+  window (no ``--window-size``) and ``report`` as a text table (no
+  ``--format``); and ``kacrice`` two-point for BargmannFock(1) at the
+  far distance 1e100, where the pair density's factors are near
+  overflow;
 * for RandomWave(1), calls whose parameters come from a ``--config``
   file (CONFIG_CALLS): ``estimate``, ``sample`` (once with the flag
   ``--no-gaussian-amplitudes`` over the config's bool), ``scaling`` and
@@ -52,6 +58,16 @@ SEEDS = (101, 102, 103)
 DISTANCES = ("0.001", "0.01", "0.3", "3", "40")
 UNTRUNCATED = {"family": "powerlawtruncated", "t": "inf"}
 CONFIG_MODEL = "model.family = randomwave\nmodel.k = 1\n"
+_RANDOMWAVE = ["--model", "randomwave", "--k", "1", "--seed", "7"]
+# name: argv
+EXTRA_CALLS = {
+    "estimate es": ["estimate", *_RANDOMWAVE, "--nreal", "3", "--size", "256",
+                    "--window-size", "20", "--pair", "es", "--rho-list", "1.0", "1.9"],
+    "estimate default window": ["estimate", *_RANDOMWAVE, "--nreal", "2", "--size", "256"],
+    "report text": ["report", *_RANDOMWAVE, "--budget", "small"],
+    "kacrice two-point far": ["kacrice", "--model", "bargmannfock", "--k", "1", "--seed", "7",
+                              "--what", "two-point", "--r", "1e100", "--nsamples", "2000"],
+}
 # name: (argv before the config, config body after CONFIG_MODEL)
 CONFIG_CALLS = {
     "estimate": (["estimate"],
@@ -125,6 +141,7 @@ def matrix(tmp: str):
                                          "--format", "csv"]
         for call, argv in calls.items():
             yield f"{call} [{label}]", argv
+    yield from EXTRA_CALLS.items()
     for c, (call, (argv, body)) in enumerate(CONFIG_CALLS.items()):
         path = os.path.join(tmp, f"config{c}.cfg")
         with open(path, "w") as fh:
