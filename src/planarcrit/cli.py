@@ -404,10 +404,12 @@ def _report_checks(model, seed: int, budget: str, threads: int):
     est = kacrice.one_point_intensity_mc(model, nsamples=n1, seed=(seed, 0))
     yield ("intensity_all", lam, est.value, est.std_error, max(4 * est.std_error, 0.01 * lam))
 
-    for kind, share in (("e", 0.5), ("s", 0.5)):
-        est = kacrice.one_point_intensity_mc(model, nsamples=n1, seed=(seed, 1), kind=kind)
+    # The e and s intensities, each half of all, read one stream of draws.
+    share = 0.5
+    for est in kacrice.one_point_intensity_mc(model, nsamples=n1, seed=(seed, 1),
+                                              kind=("e", "s")):
         yield (
-            f"intensity_{kind}",
+            f"intensity_{est.label}",
             share * lam,
             est.value,
             est.std_error,

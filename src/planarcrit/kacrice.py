@@ -24,7 +24,11 @@ parity blocks, each Hessian coordinate paired with one gradient
 coordinate: {s11, s22} with diff d1, {s12} with diff d2, {d11, d22}
 with avg d1 and {d12} with avg d2 (s for averaged and d for differenced
 Hessian entries).  The Schur step is a division by the four gradient
-variances, and the conditional covariance is block diagonal.
+variances, and the conditional covariance is block diagonal.  The law
+is balanced but its draws are not: a pair law's factor is folded once,
+at its first draw, by the map to the two Hessians h(+-r/2, 0) =
+avg +- (r/2) diff, so the integrand reads h(z) and h(w) straight from
+its rows.
 
 Determinants are sums of products of two coordinates of a draw x, so
 they are even under x -> -x, exactly so in IEEE arithmetic, and so are
@@ -48,14 +52,18 @@ since only F_r depends on r (common random numbers; Asmussen & Glynn
 2007, Stochastic Simulation, ch. V).  Each row keeps its distance's
 exact law, value and SE, and the rows are correlated.  One law, as in
 the one-point intensity, a one-distance call or a quadrature node, is a
-stack of one, and takes the same path.
+stack of one, and takes the same path.  one_point_intensity_mc over
+several kinds is a stack of copies of its one Hessian law, so its kinds
+read each draw once too.
 
 The driver draws and integrates in blocks of _BLOCK_DRAWS draws, small
 enough to stay in cache; blocks are for speed and change no bits.  A
 block of normals is drawn once; then, one law at a time, F_r maps it
-into one reused (6, block) buffer, and the integrand turns those rows in
-place into that law's row of values in the chunk buffer, so only one
-law's draws exist at a time.  Chunks of _CHUNK_DRAWS // k draws are the
+into one reused (6, block) buffer, whose rows are that law's two
+Hessians (h11, h12, h22 at each point), and the integrand forms det1 and
+det2 in place over them, then the tag indicator and the product into
+that law's row of values in the chunk buffer, so only one law's draws
+exist at a time.  Chunks of _CHUNK_DRAWS // k draws are the
 unit of the reduction and fix its bits, so a stack's buffer of values
 takes the memory of one law's; the stack is reduced row by row in one
 array operation, and a row has the bits of its law's own call while the
@@ -147,6 +155,16 @@ class ConditionalGaussian:
     are computed at the first draw and kept as one (k, dim, dim) array:
     law i's draw is F_i z for standard normal z.
 
+    half, given for a stack of pair laws (covariances in the balanced
+    basis of _pair_conditional), holds their k half distances r_i / 2.
+    The factors are then folded: F_i stacks the rows B_avg + (r_i/2)
+    B_diff and B_avg - (r_i/2) B_diff of the balanced factor B_i,
+    formed elementwise, so law i's draw is the two Hessians
+    (h(r_i/2, 0), h(-r_i/2, 0)) and F_i F_i^T = T_i covariance_i T_i^T
+    with T_i = [[I, r_i/2 I], [I, -r_i/2 I]].  The eigendecomposition
+    and its check stay on the balanced covariance, and only the folded
+    factor is kept.
+
     sample is the one place where a stack draws from its stream, so a
     trace of sample counts each draw once.  It returns the common
     normals z, and _rows maps them by one law at a time into a caller's
@@ -156,6 +174,7 @@ class ConditionalGaussian:
     """
 
     covariance: np.ndarray
+    half: np.ndarray | None = None
 
     @functools.cached_property
     def _fac(self) -> np.ndarray:
@@ -167,7 +186,17 @@ class ConditionalGaussian:
             raise DegeneracyError(
                 f"conditional covariance has eigenvalue {eigval[bad[0], 0]} below -{tol[bad[0]]}"
             )
-        return eigvec * np.sqrt(np.clip(eigval, 0.0, None))[:, None, :]
+        fac = eigvec * np.sqrt(np.clip(eigval, 0.0, None))[:, None, :]
+        if self.half is None:
+            return fac
+        # h = avg +- (r/2) diff, row by row: elementwise, so each law of a
+        # stack folds to the bits of its own one-law call.
+        avg, diff = fac[:, :3], fac[:, 3:]
+        diff *= np.reshape(self.half, (-1, 1, 1))
+        folded = np.empty_like(fac)
+        np.add(avg, diff, out=folded[:, :3])
+        np.subtract(avg, diff, out=folded[:, 3:])
+        return folded
 
     def sample(self, rng: np.random.Generator, nsamples: int) -> np.ndarray:
         """Draw the common normals z of nsamples independent draws,
@@ -184,7 +213,9 @@ class ConditionalGaussian:
 
     def _rows(self, z: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
         """Law i's draws F_i z^T of the common normals z (from sample),
-        written into out, shape (dim, len(z)), one row per component."""
+        written into out, shape (dim, len(z)), one row per component: for
+        a folded pair law, the rows h11, h12, h22 at (r/2, 0) and then at
+        (-r/2, 0)."""
         return np.matmul(self._fac[i], z.T, out=out)
 
 
@@ -376,7 +407,8 @@ def _mc_mean(law: ConditionalGaussian, integrand, ndraws: int, seed):
 
     integrand(i, rows, out) writes law i's values, one per draw, into
     out, shape (n,), from that law's block of draws rows, shape (dim, n)
-    with one row per component, which it may overwrite.  Every law is
+    with one row per component of the law's factor (for a pair law, the
+    two Hessians), which it may overwrite.  Every law is
     checked before the first draw.  Draws come from seeded_rng(seed) in
     chunks of at most _CHUNK_DRAWS // k, which keeps memory flat for the
     large budgets the rare typed events need at small r, and each chunk
@@ -438,8 +470,8 @@ def _mc_mean(law: ConditionalGaussian, integrand, ndraws: int, seed):
 
 
 def one_point_intensity_mc(
-    model: CovarianceModel, nsamples: int = 10**6, seed=0, kind: str = "c"
-) -> MomentEstimate:
+    model: CovarianceModel, nsamples: int = 10**6, seed=0, kind="c"
+):
     """Intensity of critical points of one type, by conditional Monte-Carlo.
 
     The gradient density at zero is closed-form, 1 / (4 pi |eta0|); the
@@ -447,29 +479,38 @@ def one_point_intensity_mc(
     determinant moment E[|det H| 1_kind] is sampled from the exact
     (conditional = unconditional) Hessian law.  A min or max intensity
     is half the e intensity on the same draws (see the module notes).
+
+    kind is one kind, which returns one MomentEstimate, or a sequence of
+    kinds, which returns a list of them in its order.  The kinds of a
+    sequence are a stack of the one Hessian law and read one stream, as
+    the distances of two_point_correlation do: each normal vector is
+    drawn once, and while nsamples <= 2 _CHUNK_DRAWS // len(kind) each
+    estimate has the bits of its one-kind call with the same seed.
     """
-    kind = normalize_kind(kind)
+    kinds = [normalize_kind(k) for k in ([kind] if isinstance(kind, str) else kind)]
+    if not kinds:
+        raise ValueError("kind must be one kind or a non-empty sequence of kinds")
     ndraws = _draws(nsamples)
     # The moments first: they fail cleanly where the covariance overflows.
     phi = 1.0 / (4.0 * math.pi * abs(sigma_derivatives(model).eta0))
-    tag = kind
-    if kind in ("min", "max"):
-        tag, phi = "e", 0.5 * phi
+    tags = ["e" if k in ("min", "max") else k for k in kinds]
+    phis = np.array([0.5 * phi if k in ("min", "max") else phi for k in kinds])
     origin = np.zeros(2)
-    law = ConditionalGaussian(
-        derivative_covariance(model, [(origin, (2, 0)), (origin, (1, 1)), (origin, (0, 2))])
-    )
+    cov = derivative_covariance(model, [(origin, (2, 0)), (origin, (1, 1)), (origin, (0, 2))])
+    law = ConditionalGaussian(np.broadcast_to(cov, (len(kinds), *cov.shape)))
 
     def integrand(i, rows, out):
         h11, h12, h22 = rows
         det = np.multiply(h11, h22, out=h11)
         det -= np.square(h12, out=h12)
-        _write_typed(out, det, _kind_indicator(tag, det))
+        _write_typed(out, det, _kind_indicator(tags[i], det))
 
-    (mean,), (se,) = _mc_mean(law, integrand, ndraws, seed)
-    return MomentEstimate(
-        value=phi * float(mean), std_error=phi * float(se), nsamples=nsamples, label=kind
-    )
+    mean, se = _mc_mean(law, integrand, ndraws, seed)
+    ests = [
+        MomentEstimate(value=float(p * m), std_error=float(p * e), nsamples=nsamples, label=k)
+        for p, m, e, k in zip(phis, mean, se, kinds)
+    ]
+    return ests[0] if isinstance(kind, str) else ests
 
 
 def two_point_correlation(
@@ -544,25 +585,23 @@ def _k2_from_law(cond_cov, phi, r, kinds, ndraws: int, seed):
     """K2 and its SE, arrays of k, at the k distances r from the pair
     laws (cond_cov, phi) of _pair_conditional, over ndraws draws of one
     stream; one distance is a stack of one.
+
+    The laws' factors are folded (ConditionalGaussian, half = r / 2), so
+    each block's rows are the two Hessians and the integrand forms only
+    det1 and det2 in place, the tag indicator and |det1 det2| on it.
     """
-    law = ConditionalGaussian(cond_cov)
-    half = np.atleast_1d(r) / 2.0
+    law = ConditionalGaussian(cond_cov, half=np.atleast_1d(r) / 2.0)
 
     def integrand(i, rows, out):
-        # Hessians back from averages and scaled differences: h1 is built
-        # in place over the half differences, and det1, det2 and their
-        # product over the averages once h2 has read them.
-        avg, h1 = rows[:3], rows[3:]
-        h1 *= half[i]
-        h2 = avg - h1
-        h1 += avg
-        det1, det2, prod = avg
-        np.multiply(h1[0], h1[2], out=det1)
+        # det1 and det2 in place over h11 and h21, the indicator's scratch
+        # and their product over h1's other rows.
+        h1, h2 = rows[:3], rows[3:]
+        det1 = np.multiply(h1[0], h1[2], out=h1[0])
         det1 -= np.square(h1[1], out=h1[1])
-        np.multiply(h2[0], h2[2], out=det2)
+        det2 = np.multiply(h2[0], h2[2], out=h2[0])
         det2 -= np.square(h2[1], out=h2[1])
-        typed = _pair_indicator(kinds, det1, det2, scratch=prod)
-        _write_typed(out, np.multiply(det1, det2, out=prod), typed)
+        typed = _pair_indicator(kinds, det1, det2, scratch=h1[1])
+        _write_typed(out, np.multiply(det1, det2, out=h1[2]), typed)
 
     mean, se = _mc_mean(law, integrand, ndraws, seed)
     return phi * mean, phi * se

@@ -475,16 +475,15 @@ def _ref_indicator(kind, det, h11):
     }[kind]
 
 
-def _ref_interleaved_draws(law, rng, n):
-    (fac,) = law._fac
+def _ref_interleaved_draws(fac, rng, n):
     half = (n + 1) // 2
-    draws = np.empty((2 * half, len(law.covariance)))
-    draws[0::2] = rng.standard_normal((half, len(law.covariance))) @ fac.T
+    draws = np.empty((2 * half, len(fac)))
+    draws[0::2] = rng.standard_normal((half, len(fac))) @ fac.T
     draws[1::2] = -draws[0::2]
     return draws[:n]
 
 
-def _ref_chunked(law, npairs, seed, values, chunk=None):
+def _ref_chunked(fac, npairs, seed, values, chunk=None):
     """(mean, SE) of both-member pair averages of values(draws), chunk by chunk.
 
     Chunks hold kacrice._CHUNK_DRAWS pairs unless chunk is given.  The
@@ -499,7 +498,7 @@ def _ref_chunked(law, npairs, seed, values, chunk=None):
     while left > 0:
         n = min(left, chunk or kacrice._CHUNK_DRAWS)
         left -= n
-        vals = values(_ref_interleaved_draws(law, rng, 2 * n))
+        vals = values(_ref_interleaved_draws(fac, rng, 2 * n))
         pairs = 0.5 * (vals[0::2] + vals[1::2])
         total = float(pairs.sum())
         dev = pairs - total / n
@@ -514,25 +513,31 @@ def _ref_chunked(law, npairs, seed, values, chunk=None):
 
 def _ref_one_point(model, n, seed, kind):
     o = np.zeros(2)
-    law = ConditionalGaussian(derivative_covariance(model, [(o, a) for a in HESSIAN]))
+    (fac,) = ConditionalGaussian(derivative_covariance(model, [(o, a) for a in HESSIAN]))._fac
 
     def values(draws):
         h11, h12, h22 = draws.T
         det = h11 * h22 - h12**2
         return np.abs(det) * _ref_indicator(kind, det, h11)
 
-    mean, se = _ref_chunked(law, (n + 1) // 2, seed, values)
+    mean, se = _ref_chunked(fac, (n + 1) // 2, seed, values)
     phi = 1.0 / (4.0 * math.pi * abs(sigma_derivatives(model).eta0))
     return phi * mean, phi * se
 
 
+def _folded_factor(cond_cov, r):
+    """The balanced law's factor F mapped to the two Hessians' rows
+    F_avg +- (r/2) F_diff, so that draws are (h(r/2, 0), h(-r/2, 0))."""
+    (fac,) = ConditionalGaussian(cond_cov)._fac
+    diff = (r / 2.0) * fac[3:]
+    return np.concatenate([fac[:3] + diff, fac[:3] - diff])
+
+
 def _ref_two_point(model, r, pair, n, seed, chunk=None):
     cond_cov, phi = _pair_conditional(model, r)
-    law = ConditionalGaussian(cond_cov)
 
     def values(draws):
-        h1 = draws[:, :3] + (r / 2.0) * draws[:, 3:]
-        h2 = draws[:, :3] - (r / 2.0) * draws[:, 3:]
+        h1, h2 = draws[:, :3], draws[:, 3:]
         det1 = h1[:, 0] * h1[:, 2] - h1[:, 1] ** 2
         det2 = h2[:, 0] * h2[:, 2] - h2[:, 1] ** 2
         return (
@@ -541,7 +546,7 @@ def _ref_two_point(model, r, pair, n, seed, chunk=None):
             * _ref_indicator(pair[1], det2, h2[:, 0])
         )
 
-    mean, se = _ref_chunked(law, (n + 1) // 2, seed, values, chunk)
+    mean, se = _ref_chunked(_folded_factor(cond_cov, r), (n + 1) // 2, seed, values, chunk)
     return phi * mean, phi * se
 
 
@@ -621,6 +626,60 @@ def test_one_distance_array_gives_the_scalar_bits():
         (est,) = two_point_correlation(RW1, np.array([r]), pair=("e", "e"), nsamples=4001,
                                        seed=3)
         assert est == two_point_correlation(RW1, r, pair=("e", "e"), nsamples=4001, seed=3)
+
+
+@pytest.mark.parametrize("model", TRIANGLE_FAMILIES, ids=repr)
+def test_folded_factor_draws_the_two_hessians(model):
+    # A pair law keeps one factor G, folded once from the balanced one:
+    # its rows draw h(r/2, 0) and h(-r/2, 0), so G G^T = T C T^T for the
+    # balanced law C and T = [[I, r/2 I], [I, -r/2 I]].  Each law of a
+    # stack folds to the bits of its own one-law call and of the rows
+    # F_avg +- (r/2) F_diff.
+    floor = R_FLOOR_FRACTION * correlation_length(model)
+    rs = np.geomspace(floor * (1.0 + 1e-9), 4.0, 9)
+    conds, _ = _pair_conditional(model, rs)
+    stack = ConditionalGaussian(conds, half=rs / 2.0)._fac
+    assert stack.shape == (len(rs), 6, 6)
+    eye = np.eye(3)
+    for fac, cond, r in zip(stack, conds, rs):
+        t = np.block([[eye, 0.5 * r * eye], [eye, -0.5 * r * eye]])
+        law = t @ cond @ t.T
+        assert np.abs(fac @ fac.T - law).max() <= 1e-12 * np.diagonal(law).max(), r
+        (one,) = ConditionalGaussian(cond, half=np.array([r / 2.0]))._fac
+        assert fac.tobytes() == one.tobytes() == _folded_factor(cond, r).tobytes(), r
+
+
+@pytest.mark.parametrize("model", TRIANGLE_FAMILIES, ids=repr)
+def test_fold_agrees_with_the_balanced_arithmetic_on_the_same_draws(model):
+    # The same normals mapped by the balanced factor, with the Hessians
+    # rebuilt as avg +- (r/2) diff from the draws, give the engine's K2
+    # and SE to rounding for every tag pair: the fold moves bits, not
+    # the law.  One chunk holds every draw, so the reduction is the plain
+    # mean and SE.
+    nsamples = 100_001
+    ndraws = (nsamples + 1) // 2
+    floor = R_FLOOR_FRACTION * correlation_length(model)
+    rs = np.geomspace(floor * (1.0 + 1e-9), 4.0, 6)
+    assert ndraws <= kacrice._CHUNK_DRAWS // len(rs)
+    conds, phis = _pair_conditional(model, rs)
+    z = seeded_rng(5).standard_normal((ndraws, 6))
+    dets = []
+    for fac, r in zip(ConditionalGaussian(conds)._fac, rs):
+        avg, diff = np.split(z @ fac.T, 2, axis=1)
+        hessians = avg + (r / 2.0) * diff, avg - (r / 2.0) * diff
+        dets.append([h[:, 0] * h[:, 2] - h[:, 1] ** 2 for h in hessians])
+
+    def typed(kind, det):
+        return {"c": 1.0, "e": det > 0.0, "s": det < 0.0}[kind]
+
+    for pair in ALL_PAIRS:
+        ests = two_point_correlation(model, rs, pair=pair, nsamples=nsamples, seed=5)
+        assert ests[-1].value > 0.0, pair
+        for est, phi, (det1, det2) in zip(ests, phis, dets):
+            values = np.abs(det1 * det2) * typed(pair[0], det1) * typed(pair[1], det2)
+            expected = (phi * values.mean(), phi * values.std(ddof=1) / math.sqrt(ndraws))
+            np.testing.assert_allclose((est.value, est.std_error), expected, rtol=1e-12,
+                                       atol=0.0, err_msg=f"{pair} r = {est.rho}")
 
 
 def test_one_law_is_a_stack_of_one(monkeypatch):
@@ -855,6 +914,32 @@ def test_one_point_equals_both_member_reference(model, kind):
         est = one_point_intensity_mc(model, nsamples=nsamples, seed=3, kind=kind)
         assert (est.value, est.std_error) == _ref_one_point(model, nsamples, 3, kind)
         assert est.nsamples == nsamples
+
+
+@pytest.mark.parametrize("model", [RW1, BargmannFock(1.0), PowerLawTruncated(2.0)], ids=repr)
+def test_one_point_kinds_read_one_stream_with_their_own_bits(monkeypatch, model):
+    # A sequence of kinds is a stack of the one Hessian law: its normals
+    # are drawn once, and each estimate has the bits of its one-kind call
+    # while the budget fits one chunk.
+    drawn = []
+    sample = ConditionalGaussian.sample
+
+    def counted(self, rng, n):
+        drawn.append(n)
+        return sample(self, rng, n)
+
+    monkeypatch.setattr(ConditionalGaussian, "sample", counted)
+    kinds = ("e", "s", "max")
+    nsamples = 10**5 + 1
+    ests = one_point_intensity_mc(model, nsamples=nsamples, seed=(3, 1), kind=kinds)
+    assert sum(drawn) == (nsamples + 1) // 2
+    assert [est.label for est in ests] == list(kinds)
+    for est, kind in zip(ests, kinds):
+        assert est == one_point_intensity_mc(model, nsamples=nsamples, seed=(3, 1), kind=kind)
+    (one,) = one_point_intensity_mc(model, nsamples=101, seed=0, kind=["c"])
+    assert one == one_point_intensity_mc(model, nsamples=101, seed=0)
+    with pytest.raises(ValueError, match="non-empty sequence"):
+        one_point_intensity_mc(model, nsamples=101, seed=0, kind=[])
 
 
 @pytest.mark.parametrize("nsamples", [2, 3])

@@ -34,15 +34,22 @@ through ``planarcrit.cli.main``:
   go through the merge of flags, config and defaults.
 
 A call's digest is the sha256 of its stdout, kept with its exit code, so
-a call that must fail is compared too.  The script prints one line per
-call, "match" or "DIFFERS" with both exit codes and digests, then the
-count of matches; it exits 1 when any digest or exit code differs,
-else 0.
+a call that must fail is compared too.  The worker also keeps the cells
+of the stdout: the leaves of a JSON document, or else the cells of CSV
+rows.  The script prints one line per call, "match" or "DIFFERS" with
+both exit codes and digests, then the count of matches; it exits 1 when
+any digest or exit code differs, else 0.  When a differing call's two
+outputs have the same shape (the same JSON paths, or the same CSV rows
+and columns) and differ only in numeric cells, its line gives the
+largest relative change |a - b| / max(|a|, |b|) over them, which tells a
+move in the last bits from a change of law; else it says which differs,
+the shape or a text cell.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -149,8 +156,56 @@ def matrix(tmp: str):
         yield f"{call} [config]", [*argv, "--config", path, "--seed", "7"]
 
 
+def cells(text: str) -> list[list]:
+    """[path, leaf] for each leaf of a JSON document, else [row:column,
+    cell] for each cell of CSV rows."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return [[f"{i}:{j}", cell] for i, row in enumerate(csv.reader(io.StringIO(text)))
+                for j, cell in enumerate(row)]
+    out = []
+
+    def walk(path, node):
+        if isinstance(node, (dict, list)):
+            for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+                walk(f"{path}/{key}", child)
+        else:
+            out.append([path, node])
+
+    walk("", doc)
+    return out
+
+
+def _number(cell):
+    """cell as a float, or None when it is not a number."""
+    if isinstance(cell, bool):
+        return None
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def largest_change(a: list[list], b: list[list]) -> str:
+    """How far the cells of b moved from those of a, in words."""
+    if [path for path, _ in a] != [path for path, _ in b]:
+        return "shapes differ"
+    worst, moved = 0.0, 0
+    for (path, x), (_, y) in zip(a, b):
+        if x == y:
+            continue
+        fx, fy = _number(x), _number(y)
+        if fx is None or fy is None:
+            return f"text cell {path} differs"
+        moved += 1
+        if fx != fy:
+            worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
+    return f"largest cell change {worst:.2g} relative ({moved} of {len(a)} cells moved)"
+
+
 def run_tree() -> None:
-    """Worker: one JSON line (name, exit code, stdout sha256) per call."""
+    """Worker: one JSON line (name, exit code, stdout sha256, cells) per call."""
     from planarcrit import cli
 
     sys.path.insert(1, str(PERFBENCH))
@@ -163,7 +218,8 @@ def run_tree() -> None:
                 except SystemExit as exc:
                     code = exc.code
             sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
-            print(json.dumps({"name": name, "exit": code, "sha256": sha}), flush=True)
+            print(json.dumps({"name": name, "exit": code, "sha256": sha,
+                              "cells": cells(out.getvalue())}), flush=True)
 
 
 def compare(ref: list[dict], new: list[dict]) -> int:
@@ -172,12 +228,13 @@ def compare(ref: list[dict], new: list[dict]) -> int:
         raise SystemExit("the two trees ran different call matrices")
     same = 0
     for a, b in zip(ref, new):
-        if a == b:
+        if (a["exit"], a["sha256"]) == (b["exit"], b["sha256"]):
             same += 1
             print(f"match    {a['name']}: exit {a['exit']}, sha256 {a['sha256'][:16]}")
         else:
             print(f"DIFFERS  {a['name']}: exit {a['exit']} -> {b['exit']}, "
-                  f"sha256 {a['sha256'][:16]} -> {b['sha256'][:16]}")
+                  f"sha256 {a['sha256'][:16]} -> {b['sha256'][:16]}, "
+                  f"{largest_change(a['cells'], b['cells'])}")
     print(f"{same} of {len(ref)} digests match")
     return 0 if same == len(ref) else 1
 
