@@ -191,12 +191,8 @@ class ConditionalGaussian:
             return fac
         # h = avg +- (r/2) diff, row by row: elementwise, so each law of a
         # stack folds to the bits of its own one-law call.
-        avg, diff = fac[:, :3], fac[:, 3:]
-        diff *= np.reshape(self.half, (-1, 1, 1))
-        folded = np.empty_like(fac)
-        np.add(avg, diff, out=folded[:, :3])
-        np.subtract(avg, diff, out=folded[:, 3:])
-        return folded
+        avg, diff = fac[:, :3], fac[:, 3:] * np.reshape(self.half, (-1, 1, 1))
+        return np.concatenate([avg + diff, avg - diff], axis=1)
 
     def sample(self, rng: np.random.Generator, nsamples: int) -> np.ndarray:
         """Draw the common normals z of nsamples independent draws,
@@ -494,7 +490,7 @@ def one_point_intensity_mc(
     # The moments first: they fail cleanly where the covariance overflows.
     phi = 1.0 / (4.0 * math.pi * abs(sigma_derivatives(model).eta0))
     tags = ["e" if k in ("min", "max") else k for k in kinds]
-    phis = np.array([0.5 * phi if k in ("min", "max") else phi for k in kinds])
+    phis = [0.5 * phi if k in ("min", "max") else phi for k in kinds]
     origin = np.zeros(2)
     cov = derivative_covariance(model, [(origin, (2, 0)), (origin, (1, 1)), (origin, (0, 2))])
     law = ConditionalGaussian(np.broadcast_to(cov, (len(kinds), *cov.shape)))
