@@ -45,7 +45,7 @@ are needed for a standard error.
 Each estimator is a stack of k laws (conditional covariances and
 density prefactors) and an integrand (one law's block of draws to its
 values, one per draw, written in place); one driver, _mc_mean, owns the
-seeded stream, the chunking and the reduction.  The laws of a stack
+seeded stream, the blocks and the reduction.  The laws of a stack
 share one stream: two_point_correlation over an array of distances draws
 each normal vector z once and maps it by every distance's factor F_r,
 since only F_r depends on r (common random numbers; Asmussen & Glynn
@@ -56,21 +56,25 @@ stack of one, and takes the same path.  one_point_intensity_mc over
 several kinds is a stack of copies of its one Hessian law, so its kinds
 read each draw once too.
 
-The driver draws and integrates in blocks of _BLOCK_DRAWS draws, small
-enough to stay in cache; blocks are for speed and change no bits.  A
-block of normals is drawn once; then, one law at a time, F_r maps it
-into one reused (6, block) buffer, whose rows are that law's two
-Hessians (h11, h12, h22 at each point), and the integrand forms det1 and
-det2 in place over them, then the tag indicator and the product into
-that law's row of values in the chunk buffer, so only one law's draws
-exist at a time.  Chunks of _CHUNK_DRAWS // k draws are the
-unit of the reduction and fix its bits, so a stack's buffer of values
-takes the memory of one law's; the stack is reduced row by row in one
-array operation, and a row has the bits of its law's own call while the
-budget fits one chunk.  The reduction is plain elementwise sums with no
-BLAS call, so the reported std_error does not depend on the BLAS thread
-count.  The `scaling` and two-point CLI calls make one call for all
-their distances, so they draw k times fewer normals.
+The driver draws, integrates and reduces in blocks of _BLOCK_DRAWS
+draws, small enough to stay in cache.  A block of normals is drawn once
+into a reused workspace and copied to column-major order there; then,
+one law at a time, F_r maps it into the workspace's row-major half, as
+one (6, block) array whose rows are that law's two Hessians (h11, h12,
+h22 at each point), and the integrand forms det1 and det2 in place over
+them, then the tag indicator and the product into that law's row of a
+reused (k, block) buffer of values, so only one law's draws exist at a
+time.  Each block's values are reduced while still in cache, to
+row sums and two-pass squared deviations about the block mean, and
+merged into running per-row totals by the pairwise update of Chan,
+Golub & LeVeque (1983, Amer. Statist. 37:242), so the driver's memory
+does not grow with the budget or with k beyond one row per law.  The
+block size fixes the bits of the reduction, and each row is reduced on
+its own, so a row of a stack has the bits of its law's own call at any
+budget.  The reduction is plain elementwise sums with no BLAS call, so
+the reported std_error does not depend on the BLAS thread count.  The
+`scaling` and two-point CLI calls make one call for all their
+distances, so they draw k times fewer normals.
 
 Ball moments reduce by isotropy to one-dimensional integrals against
 the disc pair-distance density and are evaluated by Gauss-Legendre
@@ -101,6 +105,7 @@ from .theory import ball_area_squared, normalize_kind, pair_tags
 
 __all__ = [
     "DegeneracyError",
+    "PrecisionError",
     "ConditionalGaussian",
     "correlation_length",
     "gradient_pair_density",
@@ -124,15 +129,15 @@ R_FLOOR_FRACTION = 1e-4
 # rank collapse shows up orders of magnitude beyond this.
 _EIG_TOL = 1e-8
 
-# Draws per Monte-Carlo chunk, the unit of the reduction: it fixes the
-# bits of the mean and SE and bounds peak memory.
-_CHUNK_DRAWS = 1 << 20
-
-# Draws per block, the unit of drawing and integrating: a block of
-# six-component normals, its column-major copy and one law's rows are
-# 192 KB each, and each integrand temporary 32 KB, so they stay in
-# cache.  It changes no bits.
+# Draws per block, the unit of drawing, integrating and reducing: a
+# block of six-component normals and its column-major copy (later one
+# law's rows) are 192 KB each, and each integrand temporary 32 KB, so
+# they stay in cache.  It fixes the bits of the mean and SE.
 _BLOCK_DRAWS = 1 << 12
+
+# Mantissa bits of numpy's longdouble here: 63 for the x86 80-bit format
+# that _pair_conditional needs, 52 where longdouble is a plain double.
+_LONGDOUBLE_NMANT = np.finfo(np.longdouble).nmant
 
 # Gauss-Legendre nodes of the ball quadrature above and below 0.2 rho.
 _OUTER_NODES, _INNER_NODES = 32, 16
@@ -140,6 +145,10 @@ _OUTER_NODES, _INNER_NODES = 32, 16
 
 class DegeneracyError(ArithmeticError):
     """A covariance block is numerically degenerate where it must not be."""
+
+
+class PrecisionError(ArithmeticError):
+    """The platform's arithmetic is too coarse for a law it would return."""
 
 
 @dataclass(frozen=True)
@@ -194,18 +203,27 @@ class ConditionalGaussian:
         avg, diff = fac[:, :3], fac[:, 3:] * np.reshape(self.half, (-1, 1, 1))
         return np.concatenate([avg + diff, avg - diff], axis=1)
 
-    def sample(self, rng: np.random.Generator, nsamples: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, nsamples: int, out=None) -> np.ndarray:
         """Draw the common normals z of nsamples independent draws,
         shape (nsamples, dim), in column-major order.
 
-        Every law is checked before the draw.  The copy to column-major
-        order is made once per block, so z.T holds one contiguous row per
-        component and every law's _rows is a plain matrix product, about
-        twice as fast as one with a transposed operand and with the same
-        bits.
+        Every law is checked before the draw.  out, a (2, m) array with
+        m >= nsamples * dim, is a caller's workspace, reused from block to
+        block (a fresh one is made without it): the normals fill its
+        first row in the stream's order, (nsamples, dim) row-major, and
+        are copied into its second row in column-major order, of which z
+        is a view; the first row is then free for the caller.  So z.T
+        holds one contiguous row per component and every law's _rows is
+        a plain matrix product, about twice as fast as one with a
+        transposed operand and with the same bits.
         """
         dim = self._fac.shape[-1]
-        return np.asfortranarray(rng.standard_normal((nsamples, dim)))
+        if out is None:
+            out = np.empty((2, nsamples * dim))
+        drawn = rng.standard_normal(out=out[0, : nsamples * dim].reshape(nsamples, dim))
+        z = out[1, : nsamples * dim].reshape(dim, nsamples).T
+        z[...] = drawn
+        return z
 
     def _rows(self, z: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
         """Law i's draws F_i z^T of the common normals z (from sample),
@@ -290,12 +308,19 @@ def _pair_conditional(model: CovarianceModel, r):
     scales the raw determinant by r^-4 exactly.  The covariance is block
     diagonal in the four parity blocks.
 
-    Raises DegeneracyError naming r, the first such r of an array, when
-    a balanced gradient variance is not positive, and OverflowError
-    naming the first r whose density's factors overflow.
+    Raises PrecisionError naming the platform's mantissa bits where
+    numpy's longdouble has fewer than the 63 of the 80-bit format (it is
+    a plain double on some platforms, where the law would be silently
+    wrong at small r), DegeneracyError naming r, the first such r of an
+    array, when a balanced gradient variance is not positive, and
+    OverflowError naming the first r whose density's factors overflow.
     """
     for value in np.atleast_1d(r):
         _require_finite_positive("r", value)
+    if _LONGDOUBLE_NMANT < 63:
+        raise PrecisionError(
+            f"the Kac-Rice pair law needs an 80-bit longdouble (63 mantissa bits), "
+            f"but numpy's longdouble here has {_LONGDOUBLE_NMANT}")
     gg, tg, tt = _balanced_blocks(model, r)
     var = np.diagonal(gg, axis1=-2, axis2=-1)
     degenerate = ~np.all(var > 0, axis=-1)
@@ -404,65 +429,57 @@ def _mc_mean(law: ConditionalGaussian, integrand, ndraws: int, seed):
     integrand(i, rows, out) writes law i's values, one per draw, into
     out, shape (n,), from that law's block of draws rows, shape (dim, n)
     with one row per component of the law's factor (for a pair law, the
-    two Hessians), which it may overwrite.  Every law is
-    checked before the first draw.  Draws come from seeded_rng(seed) in
-    chunks of at most _CHUNK_DRAWS // k, which keeps memory flat for the
-    large budgets the rare typed events need at small r, and each chunk
-    is drawn and integrated in blocks of _BLOCK_DRAWS, which keeps the
-    draws and the integrand's temporaries in cache.  A block of common
-    normals is drawn once and then mapped law by law into one reused
-    (dim, block) buffer.  A block holds at least two draws, and a lone
-    last draw of a chunk joins the block before it: numpy maps one draw
-    by its matrix-vector product, whose last bits differ from the matrix
-    product's.  Blocks are for speed only: the normal stream, the
-    row-wise map and the elementwise integrand give the same values
-    whatever the block size.  Chunks fix the bits of the reduction.
+    two Hessians), which it may overwrite.  Every law is checked before
+    the first draw.  Draws come from seeded_rng(seed) in blocks of
+    _BLOCK_DRAWS, the unit of drawing, integrating and reducing: a block
+    of common normals is drawn once into a reused workspace (sample) and
+    then mapped law by law into the workspace's free row, as one (dim,
+    block) array, and each law's values go into its row of one reused
+    (k, block) buffer.  A block holds at least two draws, and a lone
+    last draw joins the block before it: numpy maps one draw by its
+    matrix-vector product, whose last bits differ from the matrix
+    product's.
 
-    Every chunk's values go into one reused (k, chunk) buffer, which the
-    reduction squares in place, so one chunk-sized array is alive at a
-    time.  The k rows are reduced at once but each on its own: the mean
-    is the running sum of chunk sums over ndraws; the squared deviations
-    are summed two-pass within each chunk, plus each chunk's
-    between-chunk term.  On one chunk this is the plain sample mean and
-    values.std(ddof=1) / sqrt(ndraws) bit for bit, and no reduction is a
-    BLAS call.  So a row of a stack, while ndraws <= _CHUNK_DRAWS // k,
-    has the bits of its law's own call with the same seed, and the rows
-    are correlated while each keeps its law's value and SE.  Returns
-    (means, SEs), arrays of k.
+    Each block is reduced while in cache, its k rows at once but each on
+    its own: its row sums, and its squared deviations about the block
+    mean summed two-pass (the buffer is squared in place).  It is then
+    merged into running per-row totals (draw count, sums and sums of
+    squared deviations) by the pairwise update of Chan, Golub & LeVeque
+    (1983): the deviations gain delta^2 n_a n_b / (n_a + n_b), delta the
+    gap between the block mean and the running mean.  So memory stays
+    flat whatever the budget, the block size fixes the bits, and a row of
+    a stack has the bits of its law's own call with the same seed at any
+    budget, while the rows are correlated.  On one block this is the
+    plain sample mean and values.std(ddof=1) / sqrt(ndraws) bit for
+    bit, and no reduction is a BLAS call.  Returns (means, SEs), arrays
+    of k.
     """
     k, _, dim = law._fac.shape
-    chunk_draws = max(1, _CHUNK_DRAWS // k)
     block_draws = max(2, _BLOCK_DRAWS)
+    size = min(ndraws, block_draws + 1)
     rng = seeded_rng(seed)
-    # (draw count, row sums, within-chunk sums of squared deviations) of
-    # each chunk.
-    chunks = []
-    buf = np.empty((k, min(ndraws, chunk_draws)))
-    rows = np.empty((dim, min(ndraws, chunk_draws, block_draws + 1)))
-    left = ndraws
-    while left > 0:
-        n = min(left, chunk_draws)
-        left -= n
-        values = buf[:, :n]
-        # No block but the first starts at the last draw: a lone last
-        # draw joins the block before it (see above), since the
-        # matrix-vector product maps about 2 draws in 3 to other bits.
-        edges = [*range(0, max(n - 1, 1), block_draws), n]
-        for lo, hi in zip(edges, edges[1:]):
-            z = law.sample(rng, hi - lo)
-            for i in range(k):
-                integrand(i, law._rows(z, i, rows[:, : hi - lo]), values[i, lo:hi])
-            # Freed before the next block is drawn, not after.
-            del z
-        sums = values.sum(axis=1)
-        values -= (sums / n)[:, None]
+    work, buf = np.empty((2, size * dim)), np.empty(k * size)
+    count, sums, dev2 = 0, np.zeros(k), np.zeros(k)
+    while count < ndraws:
+        # No block but the first starts at the last draw (see above), since
+        # the matrix-vector product maps about 2 draws in 3 to other bits.
+        n = block_draws if count + block_draws < ndraws - 1 else ndraws - count
+        values = buf[: k * n].reshape(k, n)
+        z = law.sample(rng, n, work)
+        rows = work[0, : dim * n].reshape(dim, n)
+        for i in range(k):
+            integrand(i, law._rows(z, i, rows), values[i])
+        block = values.sum(axis=1)
+        values -= (block / n)[:, None]
         values *= values
-        chunks.append((n, sums, values.sum(axis=1)))
-    mean = sum(sums for _, sums, _ in chunks) / ndraws
-    ss = np.zeros(k)
-    for n, sums, dev2 in chunks:
-        ss += dev2 + n * (sums / n - mean) ** 2
-    return mean, np.sqrt(ss / (ndraws - 1)) / math.sqrt(ndraws)
+        merged = values.sum(axis=1)
+        if count:
+            delta = block / n - sums / count
+            merged += delta * delta * (count * n / (count + n))
+        dev2 += merged
+        sums += block
+        count += n
+    return sums / ndraws, np.sqrt(dev2 / (ndraws - 1)) / math.sqrt(ndraws)
 
 
 def one_point_intensity_mc(
@@ -480,8 +497,8 @@ def one_point_intensity_mc(
     kinds, which returns a list of them in its order.  The kinds of a
     sequence are a stack of the one Hessian law and read one stream, as
     the distances of two_point_correlation do: each normal vector is
-    drawn once, and while nsamples <= 2 _CHUNK_DRAWS // len(kind) each
-    estimate has the bits of its one-kind call with the same seed.
+    drawn once, and each estimate has the bits of its one-kind call with
+    the same seed.
     """
     kinds = [normalize_kind(k) for k in ([kind] if isinstance(kind, str) else kind)]
     if not kinds:
@@ -524,8 +541,8 @@ def two_point_correlation(
         _pair_conditional call, and every distance reads one stream of
         draws from seeded_rng(seed): the estimates are correlated
         across distances, and each keeps the value's law and the SE of
-        its own call.  While nsamples <= 2 _CHUNK_DRAWS // len(r), each
-        has the bits of the one-distance call with the same seed.
+        its own call.  Each has the bits of the one-distance call with
+        the same seed.
     pair : (tag, tag) or str
         Type constraint per position, tags in {c, e, s}; a string is
         split by theory.pair_tags ("e,s", "extremum saddle", "es").

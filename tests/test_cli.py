@@ -476,6 +476,36 @@ def test_report_small_budget_passes(capsys):
     assert len(lines) >= 5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("kacrice", "--what", "two-point", "--r", "0.05", "0.5"),
+     ("scaling", "--r-min", "0.005", "--r-max", "0.05"),
+     ("kacrice", "--what", "ball", "--rho-list", "0.3")],
+    ids=["two-point", "scaling", "ball"],
+)
+def test_pair_law_without_80_bit_longdouble_exits_2_naming_the_precision(argv, capsys,
+                                                                       monkeypatch):
+    # Where numpy's longdouble is a plain double, the pair law would be
+    # silently wrong at small r: every pair route refuses it before any
+    # draw, with one line naming the platform's mantissa bits.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the pair law failed")
+
+    monkeypatch.setattr(kacrice, "_LONGDOUBLE_NMANT", 52)
+    monkeypatch.setattr(kacrice.ConditionalGaussian, "sample", no_draw)
+    code, out, err = run(capsys, *argv, "--model", "randomwave", "--k", "1", "--seed", "1",
+                         "--nsamples", "100")
+    assert code == 2 and out == ""
+    assert err == ("planarcrit: numerical failure: the Kac-Rice pair law needs an 80-bit "
+                   "longdouble (63 mantissa bits), but numpy's longdouble here has 52\n")
+    # The one-point law needs no Schur step and still runs.
+    monkeypatch.undo()
+    monkeypatch.setattr(kacrice, "_LONGDOUBLE_NMANT", 52)
+    code, out, err = run(capsys, "kacrice", "--model", "randomwave", "--k", "1", "--seed", "1",
+                         "--what", "one-point", "--nsamples", "100")
+    assert code == 0 and err == ""
+
+
 def test_untruncated_power_law_pair_law_exits_2(capsys):
     code, out, err = run(capsys, "kacrice", "--model", "powerlawtruncated", "--t", "inf",
                          "--seed", "3", "--what", "two-point", "--r", "0.05",

@@ -169,6 +169,27 @@ def test_batched_pair_laws_are_the_per_distance_laws_bit_for_bit(model):
         assert float(density).hex() == one_density.hex(), r
 
 
+def test_pair_law_refuses_a_longdouble_without_80_bits(monkeypatch):
+    # A platform whose longdouble has fewer than 63 mantissa bits gets an
+    # error naming them, never a silently coarser law; more bits (a quad
+    # longdouble) let the law through unchanged.
+    law = _pair_conditional(RW1, 0.05)
+    monkeypatch.setattr(kacrice, "_LONGDOUBLE_NMANT", 52)
+    for route in (lambda: _pair_conditional(RW1, np.array([0.05, 0.5])),
+                  lambda: gradient_pair_density(RW1, 0.05),
+                  lambda: two_point_correlation(RW1, 0.05, nsamples=100, seed=0),
+                  lambda: second_factorial_by_quadrature(RW1, 0.3, nsamples_per_node=100,
+                                                         seed=0)):
+        with pytest.raises(kacrice.PrecisionError, match="longdouble here has 52"):
+            route()
+    assert issubclass(kacrice.PrecisionError, ArithmeticError)
+    assert not issubclass(kacrice.PrecisionError, DegeneracyError)
+    assert one_point_intensity_mc(RW1, nsamples=100, seed=0).value > 0
+    monkeypatch.setattr(kacrice, "_LONGDOUBLE_NMANT", 112)
+    cond, phi = _pair_conditional(RW1, 0.05)
+    assert cond.tobytes() == law[0].tobytes() and phi == law[1]
+
+
 def test_batched_pair_law_names_the_first_degenerate_distance():
     with pytest.raises(DegeneracyError, match=r"degenerate at r = 1e-11: "):
         _pair_conditional(RW1, np.array([0.5, 1e-11, 0.3, 1e-12]))
@@ -483,32 +504,32 @@ def _ref_interleaved_draws(fac, rng, n):
     return draws[:n]
 
 
-def _ref_chunked(fac, npairs, seed, values, chunk=None):
-    """(mean, SE) of both-member pair averages of values(draws), chunk by chunk.
+def _ref_blocked(fac, npairs, seed, values, block=None):
+    """(mean, SE) of both-member pair averages of values(draws), block by block.
 
-    Chunks hold kacrice._CHUNK_DRAWS pairs unless chunk is given.  The
-    mean is the running sum of chunk sums over npairs; the squared
-    deviations are summed two-pass within each chunk, plus the
-    between-chunk term.
+    Blocks hold max(2, kacrice._BLOCK_DRAWS) pairs unless block is given,
+    and a lone last pair joins the block before it.  Each block gives its
+    sum and its squared deviations about its mean, summed two-pass; they
+    are merged into running totals by the pairwise update of Chan, Golub
+    & LeVeque, the deviations gaining delta^2 n_a n_b / (n_a + n_b).
     """
+    block = max(2, block or kacrice._BLOCK_DRAWS)
     rng = seeded_rng(seed)
-    tot = 0.0
-    chunks = []
-    left = npairs
-    while left > 0:
-        n = min(left, chunk or kacrice._CHUNK_DRAWS)
-        left -= n
+    count, tot, dev2 = 0, 0.0, 0.0
+    while count < npairs:
+        n = block if npairs - count - block > 1 else npairs - count
         vals = values(_ref_interleaved_draws(fac, rng, 2 * n))
         pairs = 0.5 * (vals[0::2] + vals[1::2])
         total = float(pairs.sum())
         dev = pairs - total / n
+        merged = float((dev * dev).sum())
+        if count:
+            delta = total / n - tot / count
+            merged += delta * delta * (count * n / (count + n))
+        dev2 += merged
         tot += total
-        chunks.append((n, total / n, float((dev * dev).sum())))
-    mean = tot / npairs
-    ss = 0.0
-    for n, chunk_mean, dev2 in chunks:
-        ss += dev2 + n * (chunk_mean - mean) ** 2
-    return mean, math.sqrt(ss / (npairs - 1)) / math.sqrt(npairs)
+        count += n
+    return tot / npairs, math.sqrt(dev2 / (npairs - 1)) / math.sqrt(npairs)
 
 
 def _ref_one_point(model, n, seed, kind):
@@ -520,7 +541,7 @@ def _ref_one_point(model, n, seed, kind):
         det = h11 * h22 - h12**2
         return np.abs(det) * _ref_indicator(kind, det, h11)
 
-    mean, se = _ref_chunked(fac, (n + 1) // 2, seed, values)
+    mean, se = _ref_blocked(fac, (n + 1) // 2, seed, values)
     phi = 1.0 / (4.0 * math.pi * abs(sigma_derivatives(model).eta0))
     return phi * mean, phi * se
 
@@ -533,7 +554,7 @@ def _folded_factor(cond_cov, r):
     return np.concatenate([fac[:3] + diff, fac[:3] - diff])
 
 
-def _ref_two_point(model, r, pair, n, seed, chunk=None):
+def _ref_two_point(model, r, pair, n, seed, block=None):
     cond_cov, phi = _pair_conditional(model, r)
 
     def values(draws):
@@ -546,7 +567,7 @@ def _ref_two_point(model, r, pair, n, seed, chunk=None):
             * _ref_indicator(pair[1], det2, h2[:, 0])
         )
 
-    mean, se = _ref_chunked(_folded_factor(cond_cov, r), (n + 1) // 2, seed, values, chunk)
+    mean, se = _ref_blocked(_folded_factor(cond_cov, r), (n + 1) // 2, seed, values, block)
     return phi * mean, phi * se
 
 
@@ -566,8 +587,8 @@ def test_two_point_equals_both_member_reference(pair, nsamples, r):
     assert est.nsamples == nsamples
 
 
-def test_two_point_equals_reference_across_chunks(monkeypatch):
-    monkeypatch.setattr(kacrice, "_CHUNK_DRAWS", 1000)
+def test_two_point_equals_reference_across_blocks(monkeypatch):
+    monkeypatch.setattr(kacrice, "_BLOCK_DRAWS", 1000)
     for pair, nsamples in ((("e", "s"), 4001), (("s", "s"), 4000)):
         est = two_point_correlation(RW1, 4.0, pair=pair, nsamples=nsamples, seed=2)
         assert est.value > 0
@@ -578,25 +599,21 @@ def test_two_point_equals_reference_across_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("block", [1, 7, 10, 1000])
-def test_block_size_changes_no_bits(monkeypatch, block):
-    # Blocks are drawn and integrated one after the other; only chunks
-    # shape the reduction, so any block size gives the reference bits.
-    monkeypatch.setattr(kacrice, "_CHUNK_DRAWS", 1000)
+def test_each_block_size_gives_the_reference_at_that_block_size(monkeypatch, block):
+    # Blocks are the unit of the reduction, so the block size fixes the
+    # bits: every call, one law or a stack, is the reference reduced in
+    # blocks of max(2, block) pairs, the last one often short or holding
+    # a lone last pair.
     monkeypatch.setattr(kacrice, "_BLOCK_DRAWS", block)
     est = one_point_intensity_mc(RW1, nsamples=4001, seed=2, kind="min")
     assert (est.value, est.std_error) == _ref_one_point(RW1, 4001, 2, "min")
-    # A stack of three laws reads one stream in chunks of 1000 // 3 pairs
-    # and blocks of max(2, block), the last of a chunk often short:
-    # each row is the reference at that chunk size, whatever the block
-    # size.
     rs = (0.05, 0.3, 4.0)
     for pair in ALL_PAIRS:
         est = two_point_correlation(RW1, 4.0, pair=pair, nsamples=4001, seed=2)
         assert (est.value, est.std_error) == _ref_two_point(RW1, 4.0, pair, 4001, 2)
         ests = two_point_correlation(RW1, np.array(rs), pair=pair, nsamples=4001, seed=2)
         for est, r in zip(ests, rs):
-            ref = _ref_two_point(RW1, r, pair, 4001, 2, chunk=1000 // 3)
-            assert (est.value, est.std_error) == ref
+            assert (est.value, est.std_error) == _ref_two_point(RW1, r, pair, 4001, 2)
 
 
 STACK_RS = (0.005, 0.02, 0.05, 0.3, 4.0)
@@ -604,11 +621,9 @@ STACK_RS = (0.005, 0.02, 0.05, 0.3, 4.0)
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: "-".join(p))
 def test_stacked_rows_are_the_one_distance_calls_bit_for_bit(pair):
-    # 10 001 pairs fit in one chunk of 2^20 // 5: each row of the stack
-    # reads the stream that a one-distance call with the same seed reads,
-    # and reduces it alone.
+    # Each row of the stack reads the stream that a one-distance call
+    # with the same seed reads, and reduces it alone, block by block.
     nsamples = 20_001
-    assert (nsamples + 1) // 2 <= kacrice._CHUNK_DRAWS // len(STACK_RS)
     ests = two_point_correlation(RW1, np.array(STACK_RS), pair=pair, nsamples=nsamples,
                                  seed=(7, 0))
     assert len(ests) == len(STACK_RS)
@@ -619,6 +634,21 @@ def test_stacked_rows_are_the_one_distance_calls_bit_for_bit(pair):
     # A list of distances is an array.
     assert two_point_correlation(RW1, list(STACK_RS), pair=pair, nsamples=nsamples,
                                  seed=(7, 0)) == ests
+
+
+@pytest.mark.parametrize("block, nsamples", [(100, 40_001), (None, 1_000_001)])
+def test_stacked_rows_keep_the_one_distance_bits_over_many_blocks(monkeypatch, block,
+                                                                   nsamples):
+    # Over 201 blocks of 100 pairs, and over 123 blocks at the default
+    # size (500 001 pairs, past 2^20 // 5), every row of a stack of five
+    # reduces as its one-distance call does, to the same bits.
+    if block is not None:
+        monkeypatch.setattr(kacrice, "_BLOCK_DRAWS", block)
+    ests = two_point_correlation(RW1, np.array(STACK_RS), pair="ss", nsamples=nsamples,
+                                 seed=(7, 1))
+    for est, r in zip(ests, STACK_RS):
+        assert est.value > 0
+        assert est == two_point_correlation(RW1, r, pair="ss", nsamples=nsamples, seed=(7, 1))
 
 
 def test_one_distance_array_gives_the_scalar_bits():
@@ -654,13 +684,12 @@ def test_fold_agrees_with_the_balanced_arithmetic_on_the_same_draws(model):
     # The same normals mapped by the balanced factor, with the Hessians
     # rebuilt as avg +- (r/2) diff from the draws, give the engine's K2
     # and SE to rounding for every tag pair: the fold moves bits, not
-    # the law.  One chunk holds every draw, so the reduction is the plain
-    # mean and SE.
+    # the law.  The block-by-block reduction moves only the last bits of
+    # the plain mean and SE.
     nsamples = 100_001
     ndraws = (nsamples + 1) // 2
     floor = R_FLOOR_FRACTION * correlation_length(model)
     rs = np.geomspace(floor * (1.0 + 1e-9), 4.0, 6)
-    assert ndraws <= kacrice._CHUNK_DRAWS // len(rs)
     conds, phis = _pair_conditional(model, rs)
     z = seeded_rng(5).standard_normal((ndraws, 6))
     dets = []
@@ -701,9 +730,9 @@ def test_one_law_is_a_stack_of_one(monkeypatch):
     blocks = []
     sample = ConditionalGaussian.sample
 
-    def counted(self, rng, nsamples):
+    def counted(self, rng, nsamples, *out):
         blocks.append(nsamples)
-        return sample(self, rng, nsamples)
+        return sample(self, rng, nsamples, *out)
 
     monkeypatch.setattr(ConditionalGaussian, "sample", counted)
     nsamples = 5 * kacrice._BLOCK_DRAWS + 1
@@ -737,9 +766,9 @@ def test_a_bad_distance_or_law_anywhere_in_a_stack_raises_before_any_draw(monkey
     calls = []
     sample = ConditionalGaussian.sample
 
-    def counted(self, rng, nsamples):
+    def counted(self, rng, nsamples, *out):
         calls.append(nsamples)
-        return sample(self, rng, nsamples)
+        return sample(self, rng, nsamples, *out)
 
     monkeypatch.setattr(ConditionalGaussian, "sample", counted)
     # The counter sees a stack's draws: one block of 50 pairs of common
@@ -767,10 +796,8 @@ def test_a_bad_distance_or_law_anywhere_in_a_stack_raises_before_any_draw(monkey
 
 
 def test_monte_carlo_memory_stays_flat():
-    # Two chunks of 2^20 pairs share one 8 MB buffer of pair averages,
-    # which the reduction squares in place; the draws are held only a
-    # block at a time.  A fresh buffer per chunk, or a separate array of
-    # deviations, lifts the peak past the bound.
+    # Two million pairs are drawn, integrated and reduced a block at a
+    # time, into reused buffers.
     tracemalloc.start()
     try:
         two_point_correlation(RW1, 0.01, ("e", "e"), nsamples=4_000_000, seed=1)
@@ -781,8 +808,8 @@ def test_monte_carlo_memory_stays_flat():
 
 
 def test_stacked_monte_carlo_memory_stays_flat():
-    # Five distances share one (5, 2^20 // 5) buffer of pair averages and
-    # one block of normals, so the peak is the one-distance call's.
+    # Five distances share one (5, block) buffer of pair averages and one
+    # block of normals, so the peak is about the one-distance call's.
     tracemalloc.start()
     try:
         two_point_correlation(RW1, np.geomspace(0.005, 0.05, 5), ("e", "e"),
@@ -793,19 +820,37 @@ def test_stacked_monte_carlo_memory_stays_flat():
     assert peak < 16e6
 
 
+def test_driver_memory_does_not_grow_with_the_budget():
+    # The driver holds one block's normals, rows and values and a few
+    # running totals, whatever the budget: ten times the budget leaves
+    # the traced peak of a 5-distance call under 1.5 MB and within 64 KB
+    # of where it was.  A buffer of values that grows with the budget, or
+    # a list of per-block statistics, passes one of the bounds.
+    rs = np.geomspace(0.005, 0.05, 5)
+    two_point_correlation(RW1, rs, ("e", "e"), nsamples=1001, seed=1)
+    peaks = []
+    for nsamples in (400_000, 4_000_000):
+        tracemalloc.start()
+        try:
+            two_point_correlation(RW1, rs, ("e", "e"), nsamples=nsamples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5e6, peaks
+    assert peaks[1] <= peaks[0] + 64 * 1024, peaks
+
+
 def test_a_stack_maps_one_laws_rows_at_a_time():
     # A block of common normals is mapped law by law into one reused
-    # buffer, so a 5-distance call in one chunk peaks no higher than a
-    # one-distance call with as many pairs, plus what each of the four
-    # extra laws keeps: its row of the chunk buffer, its 6 x 6
-    # conditional covariance and factor, and under 128 B of bookkeeping
-    # (its density, half distance, running total and list of chunk
-    # sums).  Holding every law's draws of a block at once lifts the
-    # peak past that.
+    # buffer, so a 5-distance call peaks no higher than a one-distance
+    # call with as many pairs, plus what each of the four extra laws
+    # keeps: its row of the buffer of values, its 6 x 6 conditional
+    # covariance and factor, and under 128 B of bookkeeping (its density,
+    # half distance and running totals).  Holding every law's draws of a
+    # block at once lifts the peak past that.
     nsamples = 200_001
     npairs = (nsamples + 1) // 2
     rs = np.geomspace(0.005, 0.05, 5)
-    assert npairs <= kacrice._CHUNK_DRAWS // len(rs)
     peaks = []
     for r in (0.005, rs):
         two_point_correlation(RW1, r, ("e", "e"), nsamples=nsamples, seed=1)
@@ -852,10 +897,10 @@ def test_pairs_that_fail_their_type_write_positive_zero(monkeypatch):
 
 
 def test_monte_carlo_block_holds_three_draw_arrays():
-    # One block of _BLOCK_DRAWS pairs.  Its peak is in sample, which
-    # holds three (n, 6) arrays: the normals, their column-major copy and
-    # the reused buffer of one law's rows; the chunk buffer adds 1/6 of
-    # one.  The integrand turns the rows into pair averages in place,
+    # One block of _BLOCK_DRAWS pairs.  Its peak holds three (n, 6)
+    # arrays: the normals and their column-major copy in the driver's
+    # workspace, and the reused buffer of one law's rows; the buffer of
+    # values adds 1/6 of one.  The integrand turns the rows into pair averages in place,
     # with temporaries of half an array.  A copy of the rows in the
     # integrand, or fresh rows from _rows beside the buffer, passes the
     # bound (3.9 draw arrays).
@@ -893,7 +938,10 @@ def test_pair_functions_share_the_pair_messages():
             second_factorial_by_quadrature(RW1, 0.3, pair=pair, nsamples_per_node=200, seed=1)
 
 
-def test_one_chunk_reduction_is_plain_mean_and_se():
+def test_one_block_reduction_is_plain_mean_and_se(monkeypatch):
+    # 30 001 draws in one block: the merge adds nothing to the block's own
+    # sum and two-pass squared deviations.
+    monkeypatch.setattr(kacrice, "_BLOCK_DRAWS", 1 << 15)
     law = ConditionalGaussian(np.eye(2))
 
     # An integrand writes one pair average per draw into out and may use
@@ -919,14 +967,13 @@ def test_one_point_equals_both_member_reference(model, kind):
 @pytest.mark.parametrize("model", [RW1, BargmannFock(1.0), PowerLawTruncated(2.0)], ids=repr)
 def test_one_point_kinds_read_one_stream_with_their_own_bits(monkeypatch, model):
     # A sequence of kinds is a stack of the one Hessian law: its normals
-    # are drawn once, and each estimate has the bits of its one-kind call
-    # while the budget fits one chunk.
+    # are drawn once, and each estimate has the bits of its one-kind call.
     drawn = []
     sample = ConditionalGaussian.sample
 
-    def counted(self, rng, n):
+    def counted(self, rng, n, *out):
         drawn.append(n)
-        return sample(self, rng, n)
+        return sample(self, rng, n, *out)
 
     monkeypatch.setattr(ConditionalGaussian, "sample", counted)
     kinds = ("e", "s", "max")
@@ -967,9 +1014,9 @@ def test_every_route_draws_half_the_budget_rounded_up(monkeypatch, nsamples):
     drawn = []
     sample = ConditionalGaussian.sample
 
-    def counted(self, rng, n):
+    def counted(self, rng, n, *out):
         drawn.append(n)
-        return sample(self, rng, n)
+        return sample(self, rng, n, *out)
 
     monkeypatch.setattr(ConditionalGaussian, "sample", counted)
     ndraws = (nsamples + 1) // 2
