@@ -218,11 +218,9 @@ class ConditionalGaussian:
         transposed operand and with the same bits.
         """
         dim = self._fac.shape[-1]
-        if out is None:
-            out = np.empty((2, nsamples * dim))
-        drawn = rng.standard_normal(out=out[0, : nsamples * dim].reshape(nsamples, dim))
+        out = np.empty((2, nsamples * dim)) if out is None else out
         z = out[1, : nsamples * dim].reshape(dim, nsamples).T
-        z[...] = drawn
+        z[...] = rng.standard_normal(out=out[0, : nsamples * dim].reshape(nsamples, dim))
         return z
 
     def _rows(self, z: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
@@ -458,6 +456,8 @@ def _mc_mean(law: ConditionalGaussian, integrand, ndraws: int, seed):
     block_draws = max(2, _BLOCK_DRAWS)
     size = min(ndraws, block_draws + 1)
     rng = seeded_rng(seed)
+    # buf is flat so that each block's (k, n) values are contiguous: on a
+    # strided slice, numpy buffers the broadcast subtraction below.
     work, buf = np.empty((2, size * dim)), np.empty(k * size)
     count, sums, dev2 = 0, np.zeros(k), np.zeros(k)
     while count < ndraws:

@@ -96,8 +96,9 @@ def compare(ref: list[dict], new: list[dict]) -> int:
         top = max(_changes(a, b), default=(0.0, "")) if same else (float("nan"), "rows differ")
         if same:
             worst = max(worst, top)
-        print(f"{a['seed']:>5d} {a['family']:>18s} | {_passed(a)}/{a['checks']}"
-              f"{'':>2s}| {_passed(b)}/{b['checks']}{'':>2s}| {top[0]:.2e}")
+        passed = [f"{_passed(rec)}/{rec['checks']}" for rec in (a, b)]
+        print(f"{a['seed']:>5d} {a['family']:>18s} | {passed[0]:>5s} | {passed[1]:>5s} | "
+              f"{top[0]:.2e}")
     for rec in new:
         for error in rec["errors"]:
             print(f"new seed {rec['seed']} {rec['family']}: {error}")
