@@ -5,21 +5,25 @@ the type-fraction splits, second (factorial) moments of ball counts,
 and the repulsion ratio E[N(N-1)] / E[N]^2.
 
 One sweep feeds every estimator.  `sweep` samples each realization
-once, runs the finder and counts points in the balls of every requested
-radius; `intensity`, `second_factorial` and `repulsion_ratio` are pure
-reductions over the resulting `Sweep`, so they share realizations and
-cost no further root finding.  The Poisson null control takes the same
-path on synthetic points: one radius rule, rho in (0, window short
-side / 4); one reduction of a realization's points to kind totals and
-ball counts (`_reduce`); one assembly of the realizations into a
-`Sweep` (`_build_sweep`); and the same ratio estimator.
+once, runs the finder, counts points in the balls of every requested
+radius and keeps, per radius, only the realization's ball-count
+moments: the sums over its balls of the (max, min, saddle) counts N and
+of N N^T.  Those are all that E[N_a (N_a - 1)], E[N_a N_b] and E[N]
+read, so `intensity`, `second_factorial` and `repulsion_ratio` are pure
+reductions over the resulting `Sweep`; they share realizations and cost
+no further root finding.  The Poisson null control takes the same path
+on synthetic points: one radius rule, rho in (0, window short side / 4);
+one reduction of a realization's points to kind totals and ball-count
+moments (`_reduce`); one assembly of the realizations into a `Sweep`
+(`_build_sweep`); and the same ratio estimator.
 
 Ball counts inside one realization are strongly dependent (they share
 the field), so every standard error here is computed by leave-one-out
 jackknife over whole realizations; within a realization, counts are
 averaged over a stratified grid of ball centers (spacing 2 rho, margin
 rho from the window boundary), which is cheaper and lower-variance than
-random centers.
+random centers.  The moments are exact integers, so each realization's
+mean is the one over its balls' own counts, bit for bit.
 
 All estimators consume the exactly-Gaussian amplitude convention of the
 sampler by default, so their targets are the Gaussian-field values
@@ -126,11 +130,19 @@ def _ball_counts(locations: np.ndarray, kind_cols: np.ndarray, grid, rho: float)
 
 
 def _reduce(locations: np.ndarray, kind_cols: np.ndarray, window, rho_list):
-    """One realization's (kind totals over the window, {rho: (ncenters, 3)
-    center counts}), from its point locations and count columns."""
+    """One realization's (kind totals over the window, {rho: ball moments}),
+    from its point locations and count columns.
+
+    The moments at a radius are the (3,) sum over the balls of their
+    (max, min, saddle) count rows N and the (3, 3) sum of N N^T, both
+    exact int64.  The ball estimators read nothing else, so the balls'
+    own counts are dropped once summed.
+    """
     totals = np.bincount(kind_cols, minlength=3)
-    per_rho = {rho: _ball_counts(locations, kind_cols, _ball_grid(window, rho), rho)
-               for rho in rho_list}
+    per_rho = {}
+    for rho in rho_list:
+        counts = _ball_counts(locations, kind_cols, _ball_grid(window, rho), rho)
+        per_rho[rho] = counts.sum(axis=0), counts.T @ counts
     return totals, per_rho
 
 
@@ -162,14 +174,16 @@ class Sweep:
     """Critical-point counts of realizations (seed, 0), ..., (seed, nreal - 1).
 
     totals holds one row of (max, min, saddle) counts over the window
-    per realization; counts maps each swept radius to the
-    (nreal, ncenters, 3) counts in its stratified balls.  A reduction at
-    a radius that was not swept raises KeyError.
+    per realization.  moments maps each swept radius to (sums, cross,
+    ncenters): over each realization's ncenters stratified balls, the
+    (nreal, 3) sums of the balls' count rows N and the (nreal, 3, 3)
+    sums of N N^T, exact int64.  The balls' own counts are not kept.  A
+    reduction at a radius that was not swept raises KeyError.
     """
 
     totals: np.ndarray
     area: float
-    counts: dict
+    moments: dict
 
     @property
     def nreal(self) -> int:
@@ -181,9 +195,10 @@ def _build_sweep(nreal: int, window, rho_list, realize) -> Sweep:
 
     Checks nreal >= 2 and that each radius lies in (0, window short
     side / 4), so every ball grid has at least two centers per axis,
-    before any realization is drawn; then stacks the per-realization
-    _reduce results that realize(radii) gives for the checked radii (a
-    tuple of floats, the keys of Sweep.counts), in realization order.
+    before any realization is drawn; then stacks, in realization order,
+    the kind totals and ball moments of the per-realization _reduce
+    results that realize(radii) gives for the checked radii (a tuple of
+    floats, the keys of Sweep.moments).
     """
     if nreal < 2:
         raise ValueError(f"nreal must be at least 2, got {nreal}")
@@ -193,10 +208,14 @@ def _build_sweep(nreal: int, window, rho_list, realize) -> Sweep:
         if not 0 < rho < min(xmax - xmin, ymax - ymin) / 4.0:
             raise ValueError(f"rho = {rho} must lie in (0, window short side / 4)")
     results = list(realize(rho_list))
+    moments = {}
+    for rho in rho_list:
+        sums, cross = (np.array(m) for m in zip(*(per_rho[rho] for _, per_rho in results)))
+        moments[rho] = sums, cross, math.prod(map(len, _ball_grid(window, rho)))
     return Sweep(
         totals=np.array([totals for totals, _ in results]),
         area=(xmax - xmin) * (ymax - ymin),
-        counts={rho: np.array([per_rho[rho] for _, per_rho in results]) for rho in rho_list},
+        moments=moments,
     )
 
 
@@ -238,14 +257,20 @@ def intensity(sw: Sweep, kind: str = "c") -> MomentEstimate:
     return MomentEstimate(value=value, std_error=se, nsamples=sw.nreal, label=kind)
 
 
-def _pair_center_stat(counts: np.ndarray, pair) -> np.ndarray:
-    """Per-center pair statistic: N(N-1) for same type, N_a N_b for mixed."""
+def _ball_means(moments, pair):
+    """Per-realization means over the balls of one radius of the pair
+    statistic, N_a (N_a - 1) for a same-tag pair and N_a N_b for a mixed
+    one, and of the count N_c, from a Sweep's (sums, cross, ncenters).
+
+    The sums are exact integers, so each mean is the one over the balls'
+    own statistics, bit for bit.
+    """
+    sums, cross, ncenters = moments
     a, b = pair
-    na = _kind_totals(counts, a).astype(float)
+    stat = _kind_totals(_kind_totals(cross, b), a)
     if a == b:
-        return na * (na - 1.0)
-    nb = _kind_totals(counts, b).astype(float)
-    return na * nb
+        stat = stat - _kind_totals(sums, a)
+    return stat / ncenters, _kind_totals(sums, "c") / ncenters
 
 
 def second_factorial(sw: Sweep, rho: float, pair=("c", "c")) -> MomentEstimate:
@@ -257,7 +282,7 @@ def second_factorial(sw: Sweep, rho: float, pair=("c", "c")) -> MomentEstimate:
     because counts within one realization are dependent.
     """
     pair = normalize_pair(pair)
-    value, se = _jackknife_mean(_pair_center_stat(sw.counts[float(rho)], pair).mean(axis=-1))
+    value, se = _jackknife_mean(_ball_means(sw.moments[float(rho)], pair)[0])
     return MomentEstimate(
         value=value, std_error=se, nsamples=sw.nreal, rho=float(rho),
         label=f"({pair[0]},{pair[1]})",
@@ -273,9 +298,7 @@ def repulsion_ratio(sw: Sweep, rho: float) -> MomentEstimate:
     the bias-free reference at the same rho is the Kac-Rice quadrature.
     A sweep that counts no point raises NonpositiveEstimateError.
     """
-    counts = sw.counts[float(rho)]
-    num = _pair_center_stat(counts, ("c", "c")).mean(axis=-1)
-    den = _kind_totals(counts, "c").mean(axis=-1)
+    num, den = _ball_means(sw.moments[float(rho)], ("c", "c"))
     n = len(num)
     a, b = num.mean(), den.mean()
     if b <= 0:

@@ -1,6 +1,7 @@
 """Empirical estimators: intensities, pair moments, controls, scaling fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from planarcrit.estimators import (
     NonpositiveEstimateError,
     _ball_counts,
     _ball_grid,
+    _build_sweep,
+    _jackknife_mean,
+    _reduce,
     default_window,
     fit_scaling,
     intensity,
@@ -205,6 +209,86 @@ def test_ball_counts_match_the_dense_reference(rho):
         assert want.sum() > 100
     empty = _ball_counts(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), grid, rho)
     assert np.array_equal(empty, np.zeros((len(centers), 3), dtype=np.int64))
+
+
+def _ref_per_ball(counts, pair):
+    """The per-ball reduction the sweep once kept: N_a (N_a - 1) for a
+    same-tag pair, N_a N_b for a mixed one, from (nreal, ncenters, 3)
+    counts, with each realization's mean over its balls."""
+    cols = {"c": [0, 1, 2], "e": [0, 1], "s": [2]}
+    na = counts[..., cols[pair[0]]].sum(axis=-1).astype(float)
+    if pair[0] == pair[1]:
+        return (na * (na - 1.0)).mean(axis=-1)
+    return (na * counts[..., cols[pair[1]]].sum(axis=-1).astype(float)).mean(axis=-1)
+
+
+def _ref_ratio(counts):
+    """(value, SE) of the ratio reduced per ball, as repulsion_ratio once did."""
+    num = _ref_per_ball(counts, ("c", "c"))
+    den = counts.sum(axis=-1).mean(axis=-1)
+    n = len(num)
+    a, b = num.mean(), den.mean()
+    cov = np.cov(np.stack([num, den]), ddof=1) / n
+    grad = np.array([1.0 / b**2, -2.0 * a / b**3])
+    return float(a / b**2), math.sqrt(max(float(grad @ cov @ grad), 0.0))
+
+
+@pytest.mark.parametrize("nreal", [3, 7])
+def test_ball_moments_give_the_per_ball_reduction_bit_for_bit(nreal):
+    # Each realization keeps only its column sums and cross sums per
+    # radius; every estimate read from them must be the bits the per-ball
+    # counts gave, on hard points at three radii and with realizations
+    # that hold no point.
+    radii = (0.3, 0.5, 1.0)
+    rng = np.random.default_rng(33 + nreal)
+    x0, y0 = rng.uniform(-10.0, 10.0, 2)
+    lx, ly = rng.uniform(4.5, 12.0, 2)
+    window = ((x0, x0 + lx), (y0, y0 + ly))
+    realizations = []
+    for i in range(nreal):
+        if i % 3 == 1:
+            points = np.zeros((0, 2))
+        else:
+            points = np.concatenate([_hard_points(rng, window, _ball_grid(window, rho), rho, 30)
+                                     for rho in radii])
+        realizations.append((points, rng.integers(0, 3, len(points))))
+
+    def realize(rho_list):
+        for points, kinds in realizations:
+            yield _reduce(points, kinds, window, rho_list)
+
+    sw = _build_sweep(nreal, window, radii, realize)
+    for rho in radii:
+        counts = np.array([_ball_counts(points, kinds, _ball_grid(window, rho), rho)
+                           for points, kinds in realizations])
+        assert counts.sum() > 100
+        for pair in (("c", "c"), ("e", "e"), ("s", "s"), ("e", "s")):
+            est = second_factorial(sw, rho, pair)
+            want = _jackknife_mean(_ref_per_ball(counts, pair))
+            assert np.array_equal([est.value, est.std_error], want), (rho, pair)
+        est = repulsion_ratio(sw, rho)
+        assert np.array_equal([est.value, est.std_error], _ref_ratio(counts)), rho
+    with pytest.raises(KeyError):
+        second_factorial(sw, 0.4)
+    with pytest.raises(KeyError):
+        repulsion_ratio(sw, 0.4)
+
+
+def test_poisson_control_memory_does_not_hold_every_ball():
+    # A realization leaves its (3,) ball-count sums and (3, 3) cross sums,
+    # not its 400 balls' counts, so 100 realizations peak under 256 KB and
+    # 400 under 640 KB; keeping each ball's counts reads about 2.2 MB and
+    # 8.8 MB.
+    window = ((0.0, 20.0), (0.0, 20.0))
+    poisson_control_ratio(0.0919, window, 0.5, 2, seed=(101, 5))
+    for nreal, bound in ((100, 256 * 1024), (400, 640 * 1024)):
+        tracemalloc.start()
+        try:
+            poisson_control_ratio(0.0919, window, 0.5, nreal, seed=(101, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (nreal, peak)
 
 
 def test_default_window_scales_with_oscillation_length():
