@@ -449,8 +449,13 @@ def _report_checks(model, seed: int, budget: str, threads: int):
         yield ("empirical_intensity", lam, emp.value, emp.std_error,
                max(4 * emp.std_error, 0.03 * lam))
 
+    # The control is sized in the model's length unit 1/k_eff, as the
+    # default window is.  It then expects lam (20 / k_eff)^2 =
+    # 400 R0 R4 / (2 sqrt(3) pi R2^2) >= 36.8 points per realization,
+    # since R2^2 <= R0 R4 on the radial measure, whatever the model's scale.
+    unit = 1.0 / models.effective_wavenumber(model)
     ctrl = estimators.poisson_control_ratio(
-        intensity=max(lam, 0.05), window=((0.0, 20.0), (0.0, 20.0)), rho=0.5,
+        intensity=lam, window=((0.0, 20.0 * unit), (0.0, 20.0 * unit)), rho=0.5 * unit,
         nreal=100 if small else 200, seed=(seed, 5),
     )
     yield ("poisson_control", 1.0, ctrl.value, ctrl.std_error, 4 * ctrl.std_error)

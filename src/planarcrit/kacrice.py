@@ -236,28 +236,17 @@ def correlation_length(model: CovarianceModel) -> float:
     return 2.0 * math.pi / effective_wavenumber(model)
 
 
-def _balanced_map(nper: int, r) -> np.ndarray:
-    """Mixing matrix sending per-point blocks (v(p1), v(p2)) of length nper
-    each to (averages, differences / r), in the dtype of r; one matrix
-    per element of an array r, shape r.shape + (2 nper, 2 nper).
-
-    At mutual distance r the raw pair covariance has condition number
-    ~(L/r)^2: differences of derivatives across the pair are O(r) while
-    sums are O(1).  The average/scaled-difference basis keeps the
-    constraint block well conditioned, so the Schur step is stable.
-    """
-    r = np.asarray(r)[..., None, None]
-    eye = np.eye(nper, dtype=r.dtype)
-    half = np.broadcast_to(0.5 * eye, r.shape[:-2] + eye.shape)
-    return np.concatenate(
-        [np.concatenate([half, half], axis=-1), np.concatenate([eye / r, -eye / r], axis=-1)],
-        axis=-2,
-    )
-
-
 def _balanced_blocks(model: CovarianceModel, r):
     """Balanced covariance blocks (gg, tg, tt) of the gradients and
     Hessians at +-(r/2, 0), in 80 bits.
+
+    At mutual distance r the raw pair covariance has condition number
+    ~(L/r)^2: differences of derivatives across the pair are O(r) while
+    sums are O(1).  The basis of averages and differences / r keeps the
+    constraint block well conditioned, so the Schur step is stable.  Each
+    block's rows, then its columns, are mixed from the two points' halves
+    p1, p2 as 0.5 p1 + 0.5 p2 and inv p1 - inv p2, with inv = 1 / r
+    rounded once in 80 bits.
 
     r is one distance or a 1-D array of them; an array gives each block
     a leading batch axis, assembled in one derivative_covariance call,
@@ -272,10 +261,16 @@ def _balanced_blocks(model: CovarianceModel, r):
     grad, hess = ((1, 0), (0, 1)), ((2, 0), (1, 1), (0, 2))
     specs = [(p, alpha) for orders in (grad, hess) for p in points for alpha in orders]
     cov = derivative_covariance(model, specs)
-    a = _balanced_map(2, rld)
-    b = _balanced_map(3, rld)
-    at, bt = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
-    return a @ cov[..., :4, :4] @ at, b @ cov[..., 4:, :4] @ at, b @ cov[..., 4:, 4:] @ bt
+    inv = (1.0 / rld)[..., None, None]
+
+    def mix_rows(m, n):
+        p1, p2 = m[..., :n, :], m[..., n:, :]
+        return np.concatenate([0.5 * p1 + 0.5 * p2, inv * p1 - inv * p2], axis=-2)
+
+    def mix(m, nrow, ncol):
+        return np.swapaxes(mix_rows(np.swapaxes(mix_rows(m, nrow), -1, -2), ncol), -1, -2)
+
+    return mix(cov[..., :4, :4], 2, 2), mix(cov[..., 4:, :4], 3, 2), mix(cov[..., 4:, 4:], 3, 3)
 
 
 def _pair_conditional(model: CovarianceModel, r):

@@ -729,3 +729,112 @@ def test_help_names_every_applied_default(capsys):
                 assert f"(default {value})" in helps[dest], (command, dest, value)
         code, out, _ = run(capsys, command, "--help")
         assert code == 0 and out.startswith(f"usage: planarcrit {command}")
+
+
+# ---------------------------------------------------------------------------
+# The report's Poisson control and argument surfaces of the subcommands
+# ---------------------------------------------------------------------------
+
+_REPORT_CHECKS = ["intensity_all", "intensity_e", "intensity_s", "k2_limit",
+                  "repulsion_factor", "poisson_control"]
+
+
+def test_report_poisson_control_costs_the_same_at_every_scale(monkeypatch):
+    # The control is sized in the model's length unit 1/k_eff, so it expects
+    # lam (20 / k_eff)^2 = 36.8 points per realization at every wave number.
+    # A window fixed in absolute units would draw about 3 680 at k = 10, and
+    # at k = 1e10 a Poisson mean that numpy's sampler refuses.
+    drawn = []
+    reduce = estimators._reduce
+
+    def counting(locations, *args):
+        drawn.append(len(locations))
+        return reduce(locations, *args)
+
+    monkeypatch.setattr(estimators, "_reduce", counting)
+    controls = []
+    for k in (1.0, 10.0, 1e10):
+        drawn.clear()
+        rows = {row[0]: row for row in cli._report_checks(RandomWave(k), 1, "small", 1)}
+        assert len(drawn) == 100 and np.mean(drawn) < 60, k
+        controls.append(rows["poisson_control"])
+    for row in controls[1:]:
+        assert row[0] == "poisson_control"
+        for got, want in zip(row[1:], controls[0][1:]):
+            assert math.isclose(got, want, rel_tol=1e-12), (row, controls[0])
+
+
+def test_report_at_a_huge_wave_number_passes(capsys):
+    code, out, err = run(capsys, "report", "--model", "randomwave", "--k", "1e10",
+                         "--budget", "small", "--seed", "1", "--format", "csv")
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert [r["check"] for r in rows] == _REPORT_CHECKS
+    assert all(r["status"] == "PASS" for r in rows)
+
+
+def test_report_output_file_defaults_to_csv(tmp_path, capsys):
+    target = tmp_path / "report.out"
+    code, out, err = run(capsys, "report", *_RW, "--budget", "small", "--seed", "1",
+                         "-o", str(target))
+    assert code == 0 and out == "" and err == ""
+    header, rows = parse_csv(target.read_text())
+    assert header == ["check", "theory", "estimate", "std_error", "tolerance", "status"]
+    assert [r["check"] for r in rows] == _REPORT_CHECKS
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--r-min", "0.05", "--r-max", "0.05"), "need r-min < r-max, got (0.05, 0.05)"),
+    (("--r-min", "0.1", "--r-max", "0.05"), "need r-min < r-max, got (0.1, 0.05)"),
+    (("--points", "3"), "a scaling fit needs at least 4 points, got 3"),
+])
+def test_scaling_grid_errors_exit_1(capsys, flags, message):
+    code, out, err = run(capsys, "scaling", *_RW, "--seed", "1", *flags)
+    assert code == 1 and out == ""
+    assert err == f"planarcrit: error: {message}\n"
+
+
+@pytest.mark.parametrize("what, message", [
+    ("two-point", "two-point needs --r with at least one distance"),
+    ("ball", "ball needs --rho-list with at least one radius"),
+])
+def test_kacrice_route_without_its_points_exits_1(capsys, what, message):
+    code, out, err = run(capsys, "kacrice", *_RW, "--seed", "1", "--what", what)
+    assert code == 1 and out == ""
+    assert err == f"planarcrit: error: {message}\n"
+
+
+def test_ball_below_the_distance_floor_exits_2(capsys):
+    code, out, err = run(capsys, "kacrice", *_RW, "--seed", "1", "--what", "ball",
+                         "--rho-list", "1e-5", "--nsamples", "100")
+    assert code == 2 and out == ""
+    assert err.startswith("planarcrit: degeneracy: quadrature range is empty: rho = 1e-05 ")
+
+
+@pytest.mark.parametrize("radii", ["0.5, 1.0", "0.5 1.0", "0.5,1.0"])
+def test_config_list_and_choice_give_the_bytes_of_the_flags(tmp_path, capsys, radii):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model.family = randomwave\nmodel.k = 1\nwhat = ball\nrho-list = {radii}\n")
+    tail = ("--seed", "1", "--nsamples", "100")
+    code, from_config, err = run(capsys, "kacrice", "--config", str(cfg), *tail)
+    assert code == 0 and err == ""
+    code, from_flags, _ = run(capsys, "kacrice", *_RW, *tail, "--what", "ball",
+                              "--rho-list", "0.5", "1.0")
+    assert code == 0 and from_config == from_flags
+    assert [r["rho"] for r in parse_csv(from_flags)[1]] == ["0.5", "1"]
+
+
+def test_config_choice_outside_its_choices_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.family = randomwave\nmodel.k = 1\nwhat = bogus\n")
+    code, out, err = run(capsys, "kacrice", "--config", str(cfg), "--seed", "1")
+    assert code == 1 and out == ""
+    assert err == ("planarcrit: error: what = 'bogus'; expected one of "
+                   "one-point, two-point, ball\n")
+
+
+def test_find_without_window_size_takes_the_default_window(capsys):
+    code, out, err = run(capsys, "find", *_RW, "--seed", "3", "--size", "16",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["meta"]["window"] == [[0.0, 40.0], [0.0, 40.0]]

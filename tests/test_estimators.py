@@ -297,3 +297,16 @@ def test_default_window_scales_with_oscillation_length():
     side1 = w1[0][1] - w1[0][0]
     side2 = w2[0][1] - w2[0][0]
     assert side1 == pytest.approx(2.0 * side2, rel=1e-12)
+
+
+def test_fit_scaling_with_a_zero_se_takes_the_unweighted_fit():
+    # One exact input (SE 0) has no finite weight, so every row weighs the
+    # same: the fit is the plain least-squares line through the log-log points.
+    rho = np.geomspace(0.01, 0.1, 5)
+    noise = np.array([0.1, -0.2, 0.05, 0.15, -0.1])
+    values = 2.0 * rho**3 * np.exp(noise)
+    ses = [0.0, 1e-3, 1e-9, 1.0, 1e-5]
+    ests = [MomentEstimate(value=float(v), std_error=s, nsamples=10, rho=float(r))
+            for r, v, s in zip(rho, values, ses)]
+    slope, _ = np.polyfit(np.log(rho), np.log(values), 1)
+    assert fit_scaling(ests).exponent == pytest.approx(slope, rel=1e-12)

@@ -684,3 +684,10 @@ def test_index_defect_refines_wide_ring_steps(monkeypatch):
     monkeypatch.setattr(finder, "_RING_DEPTH", 0)
     find_critical_points(field, _CAP_WINDOW, diagnostics=diag)
     assert diag["index_defect"] != 0
+
+
+@pytest.mark.parametrize("window", [((0.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (2.0, 1.0))])
+def test_empty_window_is_refused(window):
+    f = sample_field(RandomWave(1.0), M=8, seed=1)
+    with pytest.raises(ValueError, match="empty window"):
+        find_critical_points(f, window)

@@ -145,6 +145,30 @@ def test_pair_law_splits_into_four_parity_blocks(model):
         assert np.all(cond[cross_tt] == 0.0), r
 
 
+def _mixing_matrix(nper, r):
+    """(averages, differences / r) of two per-point blocks of length nper, in 80 bits."""
+    eye = np.eye(nper, dtype=np.longdouble)
+    return np.block([[0.5 * eye, 0.5 * eye], [eye / r, -eye / r]])
+
+
+@pytest.mark.parametrize("model", TRIANGLE_FAMILIES, ids=repr)
+def test_balanced_blocks_equal_the_mixing_matrix_products(model):
+    # The blocks mix the two points' rows, then their columns, by
+    # arithmetic; the reference forms a C a^T with the mixing matrix a.
+    # They agree by value (an exact zero may differ in sign).
+    floor = R_FLOOR_FRACTION * correlation_length(model)
+    grad, hess = ((1, 0), (0, 1)), ((2, 0), (1, 1), (0, 2))
+    for r in np.geomspace(floor * (1.0 + 1e-9), 50.0, 16):
+        rld = np.longdouble(r)
+        points = ((rld / 2.0, np.longdouble(0.0)), (-rld / 2.0, np.longdouble(0.0)))
+        specs = [(p, alpha) for orders in (grad, hess) for p in points for alpha in orders]
+        cov = derivative_covariance(model, specs)
+        a, b = _mixing_matrix(2, rld), _mixing_matrix(3, rld)
+        want = (a @ cov[:4, :4] @ a.T, b @ cov[4:, :4] @ a.T, b @ cov[4:, 4:] @ b.T)
+        for got, ref in zip(kacrice._balanced_blocks(model, float(r)), want):
+            assert got.dtype == np.longdouble and np.array_equal(got, ref), r
+
+
 @pytest.mark.parametrize("model", [RW1, BargmannFock(1.0), PowerLawTruncated(2.0)], ids=repr)
 def test_degenerate_gradient_pair_raises_naming_r(model):
     # far below the floor a balanced gradient variance rounds to zero or

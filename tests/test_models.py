@@ -516,3 +516,10 @@ def test_model_validation():
         with pytest.raises(ValueError, match="finite"):
             make()
     assert PowerLawTruncated(math.inf).t == math.inf
+
+
+@pytest.mark.parametrize("a, b, message", [(-2, 2, "exponents must be nonnegative"),
+                                           (6, 4, "moment order 10 exceeds")])
+def test_spectral_moment_refuses_exponents_outside_its_range(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        spectral_moment(RandomWave(1.0), a, b)

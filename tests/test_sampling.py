@@ -481,3 +481,13 @@ def test_derivative_sample_variances_match_model():
 def test_sample_field_validation():
     with pytest.raises(ValueError):
         sample_field(RandomWave(1.0), M=0, seed=1)
+
+
+@pytest.mark.parametrize("std_error, nsamples, message", [
+    (-1e-3, 10, "std_error must be nonnegative"),
+    (math.nan, 10, "std_error must be nonnegative"),
+    (0.1, 1, "nsamples must be at least 2"),
+])
+def test_moment_estimate_refuses_a_bad_se_or_sample_count(std_error, nsamples, message):
+    with pytest.raises(ValueError, match=message):
+        sampling.MomentEstimate(value=1.0, std_error=std_error, nsamples=nsamples)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from planarcrit.models import (
     BargmannFock,
     Interpolation,
+    MomentDivergenceError,
     PowerLawTruncated,
     RandomWave,
     ShiftedRandomWave,
@@ -206,3 +207,13 @@ def test_theory_report_is_consistent():
         "rho", "lambda_c", "repulsion_factor", "k2_limit_a", "second_factorial_cc",
         *(f"expected_count_{kind}" for kind in KINDS),
     ]
+
+
+def test_minimality_gap_of_the_untruncated_power_law_diverges():
+    with pytest.raises(MomentDivergenceError, match="the gap is unbounded"):
+        grw_minimality_gap(PowerLawTruncated(math.inf))
+
+
+def test_scaling_orders_read_as_powers_of_rho():
+    assert str(scaling_order("ss")) == "rho^7 * |log rho|"
+    assert str(scaling_order("ee")) == "rho^7"

@@ -24,9 +24,11 @@ through ``planarcrit.cli.main``:
 * for RandomWave(1), surfaces the calls above leave out (EXTRA_CALLS):
   ``estimate`` of the mixed pair es, ``estimate`` on the model's default
   window (no ``--window-size``) and ``report`` as a text table (no
-  ``--format``); and ``kacrice`` two-point for BargmannFock(1) at the
-  far distance 1e100, where the pair density's factors are near
-  overflow;
+  ``--format``); ``report`` for RandomWave(10), whose Poisson control
+  is sized by the model's length unit, so it pins that the control does
+  not grow with the wave number; and ``kacrice`` two-point for
+  BargmannFock(1) at the far distance 1e100, where the pair density's
+  factors are near overflow;
 * for RandomWave(1), calls whose parameters come from a ``--config``
   file (CONFIG_CALLS): ``estimate``, ``sample`` (once with the flag
   ``--no-gaussian-amplitudes`` over the config's bool), ``scaling`` and
@@ -72,6 +74,8 @@ EXTRA_CALLS = {
                     "--window-size", "20", "--pair", "es", "--rho-list", "1.0", "1.9"],
     "estimate default window": ["estimate", *_RANDOMWAVE, "--nreal", "2", "--size", "256"],
     "report text": ["report", *_RANDOMWAVE, "--budget", "small"],
+    "report k 10": ["report", "--model", "randomwave", "--k", "10", "--seed", "7",
+                    "--budget", "small", "--format", "csv"],
     "kacrice two-point far": ["kacrice", "--model", "bargmannfock", "--k", "1", "--seed", "7",
                               "--what", "two-point", "--r", "1e100", "--nsamples", "2000"],
 }
