@@ -129,9 +129,7 @@ def _fmt(value) -> str:
 
 def _render_csv(rows, cols=None) -> str:
     """A header line and one line per row; cols default to the first row's keys."""
-    cols = cols or (list(rows[0]) if rows else [])
-    if not cols:
-        return ""
+    cols = cols or list(rows[0])
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(cols)

@@ -97,10 +97,16 @@ def _kind_totals(counts: np.ndarray, kind: str) -> np.ndarray:
 
 def _ball_grid(window, rho: float):
     """Axes (xs, ys) of the stratified grid of ball centers, spacing
-    2 rho, margin rho; the centers are (xs[i], ys[j]), i-major."""
+    2 rho, margin rho; the centers are (xs[i], ys[j]), i-major.
+
+    The end slack that keeps a last center lost to rounding is 1e-12 of
+    the window's side, so the number of centers per axis depends only on
+    side / rho, whatever the length unit, while the window lies within
+    about 5e3 sides of the origin; farther out, the rounding of
+    xmax - rho exceeds the slack and the last center is lost."""
     (xmin, xmax), (ymin, ymax) = window
-    xs = np.arange(xmin + rho, xmax - rho + 1e-12, 2.0 * rho)
-    ys = np.arange(ymin + rho, ymax - rho + 1e-12, 2.0 * rho)
+    xs = np.arange(xmin + rho, xmax - rho + 1e-12 * (xmax - xmin), 2.0 * rho)
+    ys = np.arange(ymin + rho, ymax - rho + 1e-12 * (ymax - ymin), 2.0 * rho)
     return xs, ys
 
 

@@ -71,7 +71,14 @@ roots: at twice the default step the root-set corpus loses 5 of its
 index defect cannot see, and one saddle, which it flags (-1).  Fixed
 are the subdivision _SUBDIVISION, the Newton tolerance _NEWTON_TOL, the
 iteration cap _MAX_ITERS, the dedup radius h / 100 and the degeneracy
-floor 1e-12 * 12 mu0.
+floor 1e-12 * 12 mu0.  Each is a size in the model's units: the grid
+step and the dedup radius in the oscillation length 2 pi / k_eff, the
+tolerance in the gradient's unit sqrt(R_2) = sqrt(-4 eta0) and the floor
+in the Hessian's, 12 mu0.  So a field rescaled by a power of two,
+RandomWave(2^m) against RandomWave(1), gives the same roots scaled, bit
+for bit.  The two underflow guards stay absolute: the floor's scale is
+max(12 mu0, 1e-300) and a Newton step needs |det H| > 1e-300; they bind
+only below k of about 1e-75.
 
 The Newton steps are plain, with no line search, and every point the
 search visits is evaluated once: the seeds together, then the points
@@ -133,8 +140,9 @@ _HESSIAN = [(2, 0), (1, 1), (0, 2)]
 _DERIVS = [(1, 0), (0, 1), *_HESSIAN]
 _THIRD = [(3, 0), (2, 1), (1, 2), (0, 3)]
 
-# A root is converged once |grad psi| <= _NEWTON_TOL; a trajectory gets
-# at most _MAX_ITERS Newton steps (module docstring: why 12).
+# A root is converged once |grad psi| / sqrt(R_2) <= _NEWTON_TOL, a bound
+# relative to the gradient's unit; a trajectory gets at most _MAX_ITERS
+# Newton steps (module docstring: why 12).
 _NEWTON_TOL = 1e-10
 _MAX_ITERS = 12
 # The sign-test grid has step grid_step / _SUBDIVISION.
@@ -224,8 +232,9 @@ def find_critical_points(
     Returns
     -------
     list of CriticalPoint
-        Deduplicated, each with |grad psi| <= _NEWTON_TOL, inside the
-        window.  Non-converged Newton trajectories are dropped (counted
+        Deduplicated, each with |grad psi| <= 1e-10 sqrt(R_2) (_NEWTON_TOL
+        in the gradient's unit; 1e-10 for a field without a model), inside
+        the window.  Non-converged Newton trajectories are dropped (counted
         in diagnostics), not errors.
     """
     (xmin, xmax), (ymin, ymax) = window
@@ -317,7 +326,10 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
     step whose trajectory had a lower residual before the step (ties go
     to the lower index), would end on that cell's root; its trajectory is
     merged there and the point is not evaluated (_claimed).
-    Returns the end points, their gradient norms (inf for a runaway), their
+    Gradient norms are measured in the unit sqrt(R_2) = sqrt(-4 eta0) of
+    f.model (1.0 for a field without a model), so _NEWTON_TOL bounds them
+    relative to the field's scale.
+    Returns the end points, those norms (inf for a runaway), their
     _DERIVS rows (a runaway's or a merged trajectory's are those of its
     last evaluated point) and the counters [nmerged, nrunaway, nstalled,
     newton_iters].
@@ -325,8 +337,9 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
     pts = pts.copy()
     if len(pts) == 0:  # no candidate cell or no fold partner: nothing to evaluate
         return pts, np.zeros(0), np.zeros((0, len(_DERIVS))), np.zeros(4, dtype=int)
+    unit = 1.0 if f.model is None else math.sqrt(-4.0 * sigma_derivatives(f.model).eta0)
     vals = eval_many(f, pts, _DERIVS, tables)
-    gnorm = np.linalg.norm(vals[:, :2], axis=1)
+    gnorm = np.linalg.norm(vals[:, :2], axis=1) / unit
     active = np.arange(len(pts))
     nmerged = nrunaway = newton_iters = 0
     done: set = set()  # the dedup cells of the converged end points
@@ -351,7 +364,7 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
         if active.size == 0:  # every trajectory left or merged: nothing to evaluate
             break
         vals[active] = eval_many(f, trial, _DERIVS, tables)
-        gnorm[active] = np.linalg.norm(vals[active, :2], axis=1)
+        gnorm[active] = np.linalg.norm(vals[active, :2], axis=1) / unit
     nstalled = int((gnorm[active] > _NEWTON_TOL).sum())
     return pts, gnorm, vals, np.array([nmerged, nrunaway, nstalled, newton_iters])
 
@@ -480,9 +493,9 @@ def _polish(f: FieldRealization, pts: np.ndarray, vals: np.ndarray,
     """One more Newton step from each root, kept where it lowers the residual.
 
     With one trajectory per root the kept residual is no longer the best of
-    many near-duplicates; it can sit just under _NEWTON_TOL, which near a
-    nearly singular Hessian means a location off by resid / |eigenvalue|.
-    The extra step brings it back to rounding level.
+    many near-duplicates; it can sit just under _NEWTON_TOL sqrt(R_2),
+    which near a nearly singular Hessian means a location off by
+    resid / |eigenvalue|.  The extra step brings it back to rounding level.
 
     The step starts from the roots' _DERIVS rows `vals`, which Newton has
     already evaluated, and one eval_many call at the trial points gives

@@ -123,10 +123,12 @@ __all__ = [
 # garbage.
 R_FLOOR_FRACTION = 1e-4
 
-# Relative eigenvalue tolerance for conditional covariances.  Schur
-# rounding dust reaches ~2e-10 of the top eigenvalue near the r floor
-# (the gradient-pair block has condition number ~1e7 there); genuine
-# rank collapse shows up orders of magnitude beyond this.
+# Relative eigenvalue tolerance for conditional covariances: a law whose
+# least eigenvalue is below -_EIG_TOL times its top one raises, whatever
+# the law's scale.  Schur rounding dust reaches ~2e-10 of the top
+# eigenvalue near the r floor (the gradient-pair block has condition
+# number ~1e7 there); genuine rank collapse shows up orders of magnitude
+# beyond this.
 _EIG_TOL = 1e-8
 
 # Draws per block, the unit of drawing, integrating and reducing: a
@@ -189,7 +191,7 @@ class ConditionalGaussian:
     def _fac(self) -> np.ndarray:
         cov = self.covariance
         eigval, eigvec = np.linalg.eigh(cov.reshape((-1, *cov.shape[-2:])))
-        tol = _EIG_TOL * np.maximum(1.0, eigval[:, -1])
+        tol = _EIG_TOL * eigval[:, -1]
         bad = np.flatnonzero(eigval[:, 0] < -tol)
         if bad.size:
             raise DegeneracyError(

@@ -128,6 +128,30 @@ def test_estimate_samples_each_realization_once(capsys, monkeypatch):
     assert calls == [(11, i) for i in range(4)]
 
 
+@pytest.mark.parametrize("m", [20, -30])
+def test_estimate_of_a_rescaled_field_gives_the_k1_rows(capsys, m):
+    # RandomWave(2^m) on [0, 20 / 2^m]^2 with radii rho / 2^m is RandomWave(1)
+    # in another length unit, scaled exactly: the intensity row is the k = 1
+    # row times 2^2m and every ball row is the k = 1 row with its radius.
+    def rows(k):
+        code, out, err = run(capsys, "estimate", "--model", "randomwave", "--k", repr(k),
+                             "--seed", "3", "--nreal", "4", "--size", "256",
+                             "--window-size", repr(20.0 / k), "--rho-list",
+                             repr(0.5 / k), repr(1.0 / k))
+        assert code == 0 and err == ""
+        return parse_csv(out)[1]
+
+    def scaled(row, **factors):  # the CSV cells, with those named scaled back to k = 1
+        return {c: repr(float(v) * factors[c]) if c in factors else v for c, v in row.items()}
+
+    k = 2.0**m
+    (lam, *balls), (want_lam, *want_balls) = rows(k), rows(1.0)
+    assert float(want_lam["value"]) > 0 and len(balls) == len(want_balls) == 4
+    assert scaled(lam, value=k**-2, std_error=k**-2) == scaled(want_lam, value=1, std_error=1)
+    for row, want in zip(balls, want_balls):
+        assert scaled(row, rho=k) == scaled(want, rho=1)
+
+
 def test_estimate_rejects_unknown_kind_before_sweeping(capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("swept before checking --kind")
@@ -743,7 +767,8 @@ def test_report_poisson_control_costs_the_same_at_every_scale(monkeypatch):
     # The control is sized in the model's length unit 1/k_eff, so it expects
     # lam (20 / k_eff)^2 = 36.8 points per realization at every wave number.
     # A window fixed in absolute units would draw about 3 680 at k = 10, and
-    # at k = 1e10 a Poisson mean that numpy's sampler refuses.
+    # at k = 1e10 a Poisson mean that numpy's sampler refuses.  At k = 1e-3
+    # a ball grid whose end slack was absolute lost its last row and column.
     drawn = []
     reduce = estimators._reduce
 
@@ -753,7 +778,7 @@ def test_report_poisson_control_costs_the_same_at_every_scale(monkeypatch):
 
     monkeypatch.setattr(estimators, "_reduce", counting)
     controls = []
-    for k in (1.0, 10.0, 1e10):
+    for k in (1.0, 1e-3, 10.0, 1e10):
         drawn.clear()
         rows = {row[0]: row for row in cli._report_checks(RandomWave(k), 1, "small", 1)}
         assert len(drawn) == 100 and np.mean(drawn) < 60, k

@@ -189,6 +189,22 @@ def _hard_points(rng, window, grid, rho, n):
     return np.concatenate(sets)
 
 
+@pytest.mark.parametrize("k", [1e-6, 1e-3, 1e12])
+@pytest.mark.parametrize("rho", [0.25, 0.5, 1.0])
+def test_ball_grid_has_the_same_centers_at_every_scale(k, rho):
+    # The window [0, 20 / k]^2 with balls of radius rho / k is the window
+    # [0, 20]^2 with radius rho in the length unit 1 / k, so it holds as
+    # many centers per axis, each ball inside the window up to rounding.
+    # An absolute end slack lost the last row and column at k = 1e-3 and
+    # added a center whose ball leaves the window at k = 1e12.
+    side = 20.0 / k
+    want = [len(axis) for axis in _ball_grid(((0.0, 20.0), (0.0, 20.0)), rho)]
+    grid = _ball_grid(((0.0, side), (0.0, side)), rho / k)
+    assert [len(axis) for axis in grid] == want == [round(10.0 / rho)] * 2
+    for axis in grid:
+        assert axis[0] - rho / k >= 0.0 and axis[-1] + rho / k <= side * (1.0 + 1e-12)
+
+
 @pytest.mark.parametrize("rho", [0.5, 1.0, 0.3])
 def test_ball_counts_match_the_dense_reference(rho):
     # the balls sit on a 2 rho grid, so each point is tested against its

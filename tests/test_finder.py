@@ -125,6 +125,31 @@ def test_classify_kinds_and_degeneracy():
         classify(np.diag([1.0, 0.0]))
 
 
+def _scaled_roots(k):
+    """The roots of RandomWave(k) (M = 256, seed 1) in [0, 20 / k]^2, in
+    the units of k = 1, and the finder's counters."""
+    field = sample_field(RandomWave(k), M=256, seed=1, gaussian_amplitudes=True)
+    diag = {}
+    points = find_critical_points(field, ((0.0, 20.0 / k), (0.0, 20.0 / k)), diagnostics=diag)
+    return [(p.location[0] * k, p.location[1] * k, p.kind, p.hessian_det / k**4,
+             p.hessian_eigenvalues[0] / k**2, p.hessian_eigenvalues[1] / k**2,
+             p.gradient_residual / k) for p in points], diag
+
+
+@pytest.mark.parametrize("m", [-30, -10, 10, 20, 30])
+def test_a_rescaled_field_gives_the_same_roots_bit_for_bit(m):
+    # RandomWave(2^m) is RandomWave(1) with x -> x / 2^m, and a power of
+    # two scales every double exactly.  The finder's grid step, dedup
+    # radius, Newton tolerance and degeneracy floor are sizes in the
+    # model's units, so it returns the k = 1 roots scaled, with the same
+    # counters.  An absolute tolerance on |grad psi| found no root at
+    # 2^20 and kept spurious ones at 2^-30.
+    roots, diag = _scaled_roots(2.0**m)
+    want, want_diag = _scaled_roots(1.0)
+    assert len(want) == 37 and want_diag["index_defect"] == 0
+    assert roots == want and diag == want_diag
+
+
 def test_default_grid_step_tracks_oscillation_length():
     # higher wave number means finer oscillation, so a smaller seeding grid
     assert default_grid_step(RandomWave(2.0)) == pytest.approx(
@@ -329,7 +354,8 @@ def test_a_finder_call_evaluates_no_point_twice(monkeypatch):
         gnorm = {tuple(p): math.hypot(*v[:2]) for x, alphas, vals in calls
                  if alphas == finder._DERIVS for p, v in zip(x.tolist(), vals)}
         (third,) = [x for x, alphas, _ in calls if alphas == finder._THIRD]
-        assert all(gnorm[tuple(p)] <= finder._NEWTON_TOL for p in third.tolist())
+        unit = math.sqrt(-4.0 * sigma_derivatives(field.model).eta0)  # sqrt(R_2)
+        assert all(gnorm[tuple(p)] / unit <= finder._NEWTON_TOL for p in third.tolist())
         gaps = np.hypot(*(third[:, None, :] - third[None, :, :]).transpose(2, 0, 1))
         np.fill_diagonal(gaps, np.inf)
         assert gaps.min() >= step / 100

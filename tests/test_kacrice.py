@@ -238,8 +238,11 @@ def test_conditional_gaussian_draws_transform_standard_normals():
     np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.15)
 
 
-def test_conditional_gaussian_rejects_indefinite_covariance():
-    law = ConditionalGaussian(np.array([[1.0, 2.0], [2.0, 1.0]]))
+@pytest.mark.parametrize("scale", [1.0, 1e-10])
+def test_conditional_gaussian_rejects_indefinite_covariance(scale):
+    # The eigenvalue check is relative to the law's top eigenvalue, so a
+    # small law is as indefinite as a large one.
+    law = ConditionalGaussian(scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(DegeneracyError):
         law.sample(seeded_rng(0), 4)
 

@@ -26,9 +26,13 @@ through ``planarcrit.cli.main``:
   window (no ``--window-size``) and ``report`` as a text table (no
   ``--format``); ``report`` for RandomWave(10), whose Poisson control
   is sized by the model's length unit, so it pins that the control does
-  not grow with the wave number; and ``kacrice`` two-point for
-  BargmannFock(1) at the far distance 1e100, where the pair density's
-  factors are near overflow;
+  not grow with the wave number, and for RandomWave(0.001), whose
+  control's ball grid must keep its 20 x 20 centres; ``find`` for
+  RandomWave(2^20) on the window [0, 20 / 2^20]^2, which pins that the
+  Newton tolerance is relative to the gradient's unit (an absolute one
+  finds no root there); and ``kacrice`` two-point for BargmannFock(1)
+  at the far distance 1e100, where the pair density's factors are near
+  overflow;
 * for RandomWave(1), calls whose parameters come from a ``--config``
   file (CONFIG_CALLS): ``estimate``, ``sample`` (once with the flag
   ``--no-gaussian-amplitudes`` over the config's bool), ``scaling`` and
@@ -76,6 +80,11 @@ EXTRA_CALLS = {
     "report text": ["report", *_RANDOMWAVE, "--budget", "small"],
     "report k 10": ["report", "--model", "randomwave", "--k", "10", "--seed", "7",
                     "--budget", "small", "--format", "csv"],
+    "report k 0.001": ["report", "--model", "randomwave", "--k", "0.001", "--budget", "small",
+                       "--seed", "7", "--format", "csv"],
+    "find k 2^20": ["find", "--model", "randomwave", "--k", "1048576",
+                    "--window-size", "1.9073486328125e-05", "--size", "256",
+                    "--gaussian-amplitudes", "--seed", "1", "--format", "csv"],
     "kacrice two-point far": ["kacrice", "--model", "bargmannfock", "--k", "1", "--seed", "7",
                               "--what", "two-point", "--r", "1e100", "--nsamples", "2000"],
 }
