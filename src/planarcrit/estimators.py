@@ -99,15 +99,19 @@ def _ball_grid(window, rho: float):
     """Axes (xs, ys) of the stratified grid of ball centers, spacing
     2 rho, margin rho; the centers are (xs[i], ys[j]), i-major.
 
-    The end slack that keeps a last center lost to rounding is 1e-12 of
-    the window's side, so the number of centers per axis depends only on
-    side / rho, whatever the length unit, while the window lies within
-    about 5e3 sides of the origin; farther out, the rounding of
-    xmax - rho exceeds the slack and the last center is lost."""
-    (xmin, xmax), (ymin, ymax) = window
-    xs = np.arange(xmin + rho, xmax - rho + 1e-12 * (xmax - xmin), 2.0 * rho)
-    ys = np.arange(ymin + rho, ymax - rho + 1e-12 * (ymax - ymin), 2.0 * rho)
-    return xs, ys
+    Each axis holds n = floor((side - 2 rho) / (2 rho) + 1e-12 side /
+    (2 rho)) + 1 centers, counted from side / 2 rho with an end slack of
+    1e-12 of the side that keeps a last center lost to rounding, so n
+    depends only on side / rho, whatever the length unit and wherever
+    the window lies.  The centers are filled by np.arange's own rule,
+    start + ((start + 2 rho) - start) i, so each has np.arange's bits."""
+    step = 2.0 * rho
+    axes = []
+    for lo, hi in window:
+        side, start = hi - lo, lo + rho
+        n = math.floor((side - step) / step + 1e-12 * side / step) + 1
+        axes.append(start + ((start + step) - start) * np.arange(max(n, 0)))
+    return tuple(axes)
 
 
 def _ball_counts(locations: np.ndarray, kind_cols: np.ndarray, grid, rho: float):

@@ -95,7 +95,8 @@ root bit for bit does not evaluate it again.  With one trajectory per
 root the kept residual is no longer the best of many duplicates, so
 each root gets one final Newton step, kept where it lowers the
 residual.  The converged end points are deduplicated once, into the
-root table: each kept point with the _DERIVS values Newton holds there.  Converged fold partners are merged into it with one more
+root table: each kept point with the _DERIVS values Newton holds
+there.  Converged fold partners are merged into it with one more
 deduplication, and nothing after that deduplicates again.  The table
 serves everything after Newton: the fold-partner prediction reads its
 Hessians and evaluates only the third derivatives, the window filter

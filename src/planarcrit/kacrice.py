@@ -32,15 +32,15 @@ its rows.
 
 Determinants are sums of products of two coordinates of a draw x, so
 they are even under x -> -x, exactly so in IEEE arithmetic, and so are
-the indicators of the tags c, e and s, the only ones the integrands
-read: a draw and its mirror -x give the same value, so each draw is
-evaluated once and is one independent replication.  x -> -x negates
-h11, which swaps minima and maxima (h11 = 0 forces det <= 0), so a
-one-point min or max intensity is exactly half the e intensity; the
-pair functions take c, e or s at each position.  A reported nsamples of
-n counts each draw twice, as x and -x: every estimator draws
-ceil(n/2) times (_draws, the one budget rule), and at least two draws
-are needed for a standard error.
+the signed parts of them that the tags c, e and s read (|det|, det+ and
+(-det)+), the only tags the integrands read: a draw and its mirror -x
+give the same value, so each draw is evaluated once and is one
+independent replication.  x -> -x negates h11, which swaps minima and
+maxima (h11 = 0 forces det <= 0), so a one-point min or max intensity
+is exactly half the e intensity; the pair functions take c, e or s at
+each position.  A reported nsamples of n counts each draw twice, as x
+and -x: every estimator draws ceil(n/2) times (_draws, the one budget
+rule), and at least two draws are needed for a standard error.
 
 Each estimator is a stack of k laws (conditional covariances and
 density prefactors) and an integrand (one law's block of draws to its
@@ -62,19 +62,19 @@ into a reused workspace and copied to column-major order there; then,
 one law at a time, F_r maps it into the workspace's row-major half, as
 one (6, block) array whose rows are that law's two Hessians (h11, h12,
 h22 at each point), and the integrand forms det1 and det2 in place over
-them, then the tag indicator and the product into that law's row of a
-reused (k, block) buffer of values, so only one law's draws exist at a
-time.  Each block's values are reduced while still in cache, to
-row sums and two-pass squared deviations about the block mean, and
-merged into running per-row totals by the pairwise update of Chan,
-Golub & LeVeque (1983, Amer. Statist. 37:242), so the driver's memory
-does not grow with the budget or with k beyond one row per law.  The
-block size fixes the bits of the reduction, and each row is reduced on
-its own, so a row of a stack has the bits of its law's own call at any
-budget.  The reduction is plain elementwise sums with no BLAS call, so
-the reported std_error does not depend on the BLAS thread count.  The
-`scaling` and two-point CLI calls make one call for all their
-distances, so they draw k times fewer normals.
+them, then each tag's signed part of its determinant and their product
+into that law's row of a reused (k, block) buffer of values, so only
+one law's draws exist at a time.  Each block's values are reduced while
+still in cache, to row sums and two-pass squared deviations about the
+block mean, and merged into running per-row totals by the pairwise
+update of Chan, Golub & LeVeque (1983, Amer. Statist. 37:242), so the
+driver's memory does not grow with the budget or with k beyond one row
+per law.  The block size fixes the bits of the reduction, and each row
+is reduced on its own, so a row of a stack has the bits of its law's
+own call at any budget.  The reduction is plain elementwise sums with
+no BLAS call, so the reported std_error does not depend on the BLAS
+thread count.  The `scaling` and two-point CLI calls make one call for
+all their distances, so they draw k times fewer normals.
 
 Ball moments reduce by isotropy to one-dimensional integrals against
 the disc pair-distance density and are evaluated by Gauss-Legendre
@@ -367,42 +367,40 @@ def gradient_pair_density_asymptotic(d, r: float) -> float:
     return 1.0 / (2.0**7 * math.pi**2 * math.sqrt(3.0) * abs(d.mu0 * d.eta0) * h * h)
 
 
-# Per-position type indicator on the determinant of a Hessian draw; None
-# for the tag c, which every draw has.
-def _kind_indicator(kind: str, det: np.ndarray):
-    if kind == "c":
-        return None
-    if kind == "e":
-        return det > 0.0
-    return det < 0.0  # s
+# Each tag's signed part of a determinant, written into out (det may be
+# overwritten): |det| for c, det+ = max(det, 0) for e and (-det)+ for s.
+# np.maximum(x, 0.0) returns its second operand, +0.0, where x is -0.0.
+_SIGNED_PART = {
+    "c": lambda det, out: np.abs(det, out=out),
+    "e": lambda det, out: np.maximum(det, 0.0, out=out),
+    "s": lambda det, out: np.maximum(np.negative(det, out=det), 0.0, out=out),
+}
 
 
-def _pair_indicator(kinds, det1: np.ndarray, det2: np.ndarray, scratch: np.ndarray):
-    """Indicator of a pair's tags on its two determinants; None for (c, c).
+def _typed_product(tags):
+    """The integrand of _mc_mean whose value is the product of the signed
+    parts of its positions' determinants; tags[i] holds law i's tags, one
+    per position, and position p is rows 3p..3p+2 of the block (h11, h12,
+    h22).
 
-    det1 and det2 are both > 0 (both < 0) exactly when their minimum
-    (maximum) is, so ee and ss take one comparison, on scratch.
+    det h_p is formed in place over its rows.  The first position's part
+    is written into out, and out is multiplied by each later part, formed
+    in place over h22 of its position.  Where a position fails its type
+    its part is +0.0, so the value is +0.0, never -0.0; where all hold it
+    is the product of the |det h_p|, with the bits of |det h_1 det h_2|.
     """
-    if kinds[0] == kinds[1] != "c":
-        nearer = (np.minimum if kinds[0] == "e" else np.maximum)(det1, det2, out=scratch)
-        return _kind_indicator(kinds[0], nearer)
-    first, second = _kind_indicator(kinds[0], det1), _kind_indicator(kinds[1], det2)
-    if first is None or second is None:
-        return second if first is None else first
-    return np.logical_and(first, second, out=first)
 
+    def integrand(i, rows, out):
+        for p, tag in enumerate(tags[i]):
+            h11, h12, h22 = rows[3 * p : 3 * p + 3]
+            det = np.multiply(h11, h22, out=h11)
+            det -= np.square(h12, out=h12)
+            if p == 0:
+                _SIGNED_PART[tag](det, out)
+            else:
+                out *= _SIGNED_PART[tag](det, h22)
 
-def _write_typed(out: np.ndarray, value: np.ndarray, typed) -> None:
-    """out = |value| where typed (everywhere for None), and +0.0 elsewhere.
-
-    |value| times the indicator is +0.0, never -0.0, where a pair fails
-    its type; it takes about a quarter of the time of a masked np.abs
-    (where=typed) and agrees with np.where(typed, |value|, 0.0)
-    wherever value is finite.
-    """
-    np.abs(value, out=out)
-    if typed is not None:
-        out *= typed
+    return integrand
 
 
 def _draws(nsamples: int) -> int:
@@ -509,13 +507,7 @@ def one_point_intensity_mc(
     cov = derivative_covariance(model, [(origin, (2, 0)), (origin, (1, 1)), (origin, (0, 2))])
     law = ConditionalGaussian(np.broadcast_to(cov, (len(kinds), *cov.shape)))
 
-    def integrand(i, rows, out):
-        h11, h12, h22 = rows
-        det = np.multiply(h11, h22, out=h11)
-        det -= np.square(h12, out=h12)
-        _write_typed(out, det, _kind_indicator(tags[i], det))
-
-    mean, se = _mc_mean(law, integrand, ndraws, seed)
+    mean, se = _mc_mean(law, _typed_product([(t,) for t in tags]), ndraws, seed)
     ests = [
         MomentEstimate(value=float(p * m), std_error=float(p * e), nsamples=nsamples, label=k)
         for p, m, e, k in zip(phis, mean, se, kinds)
@@ -597,23 +589,12 @@ def _k2_from_law(cond_cov, phi, r, kinds, ndraws: int, seed):
     stream; one distance is a stack of one.
 
     The laws' factors are folded (ConditionalGaussian, half = r / 2), so
-    each block's rows are the two Hessians and the integrand forms only
-    det1 and det2 in place, the tag indicator and |det1 det2| on it.
+    each block's rows are the two Hessians, and the integrand is
+    _typed_product of kinds at every distance: the signed parts of det1
+    and det2 for the two tags, formed in place, and their product.
     """
     law = ConditionalGaussian(cond_cov, half=np.atleast_1d(r) / 2.0)
-
-    def integrand(i, rows, out):
-        # det1 and det2 in place over h11 and h21, the indicator's scratch
-        # and their product over h1's other rows.
-        h1, h2 = rows[:3], rows[3:]
-        det1 = np.multiply(h1[0], h1[2], out=h1[0])
-        det1 -= np.square(h1[1], out=h1[1])
-        det2 = np.multiply(h2[0], h2[2], out=h2[0])
-        det2 -= np.square(h2[1], out=h2[1])
-        typed = _pair_indicator(kinds, det1, det2, scratch=h1[1])
-        _write_typed(out, np.multiply(det1, det2, out=h1[2]), typed)
-
-    mean, se = _mc_mean(law, integrand, ndraws, seed)
+    mean, se = _mc_mean(law, _typed_product([kinds] * len(law.half)), ndraws, seed)
     return phi * mean, phi * se
 
 

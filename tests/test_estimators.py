@@ -189,20 +189,31 @@ def _hard_points(rng, window, grid, rho, n):
     return np.concatenate(sets)
 
 
-@pytest.mark.parametrize("k", [1e-6, 1e-3, 1e12])
+@pytest.mark.parametrize("k", [1e-6, 1e-3, 1.0, 1e12])
 @pytest.mark.parametrize("rho", [0.25, 0.5, 1.0])
 def test_ball_grid_has_the_same_centers_at_every_scale(k, rho):
     # The window [0, 20 / k]^2 with balls of radius rho / k is the window
     # [0, 20]^2 with radius rho in the length unit 1 / k, so it holds as
     # many centers per axis, each ball inside the window up to rounding.
     # An absolute end slack lost the last row and column at k = 1e-3 and
-    # added a center whose ball leaves the window at k = 1e12.
+    # added a center whose ball leaves the window at k = 1e12.  The count
+    # depends only on the side, wherever the window lies: 5e4 sides from
+    # the origin a slack on np.arange's stop value rounded away and lost
+    # the last column (19 of 20 centers for [1e6, 1e6 + 20] at rho = 0.5).
+    # The centers keep np.arange's bits.
     side = 20.0 / k
     want = [len(axis) for axis in _ball_grid(((0.0, 20.0), (0.0, 20.0)), rho)]
-    grid = _ball_grid(((0.0, side), (0.0, side)), rho / k)
-    assert [len(axis) for axis in grid] == want == [round(10.0 / rho)] * 2
-    for axis in grid:
-        assert axis[0] - rho / k >= 0.0 and axis[-1] + rho / k <= side * (1.0 + 1e-12)
+    assert want == [round(10.0 / rho)] * 2
+    for x0 in (0.0, 1e6 / k):
+        window = ((x0, x0 + side), (0.0, side))
+        grid = _ball_grid(window, rho / k)
+        near = _ball_grid(((0.0, window[0][1] - x0), (0.0, side)), rho / k)
+        assert [len(axis) for axis in grid] == [len(axis) for axis in near], x0
+        if x0 == 0.0 or k == 1.0:
+            assert [len(axis) for axis in grid] == want, x0
+        for (lo, hi), axis in zip(window, grid):
+            assert axis[0] - rho / k >= lo and axis[-1] + rho / k <= hi + 1e-12 * (hi - lo)
+            assert np.array_equal(axis, np.arange(axis[0], axis[-1] + rho / k, 2.0 * rho / k))
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 0.3])

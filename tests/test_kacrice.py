@@ -599,11 +599,11 @@ def _ref_two_point(model, r, pair, n, seed, block=None):
 
 
 PAIRS = [("c", "c"), ("e", "e"), ("s", "s"), ("e", "s")]
-# Every ordered tag pair: each takes its own branch of the typed indicator.
+# Every ordered tag pair: each is its own product of signed parts.
 ALL_PAIRS = [(a, b) for a in "ces" for b in "ces"]
 
 
-@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: "-".join(p))
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: "-".join(p))
 @pytest.mark.parametrize("nsamples", [20_000, 20_001])
 # Typed pairs are rare at small r, so r = 4 gives the typed indicators
 # weight.
@@ -892,8 +892,9 @@ def test_a_stack_maps_one_laws_rows_at_a_time():
 
 def test_pairs_that_fail_their_type_write_positive_zero(monkeypatch):
     # The integrands write +0.0, never -0.0, wherever a pair fails its
-    # type: a signed product times the indicator would leave -0.0 there,
-    # and a row with no typed pair would report its mean as -0.0.
+    # type: the failing position's signed part is +0.0, so the product
+    # is; a -0.0 there would make a row with no typed pair report its mean
+    # as -0.0.
     blocks = []
     mc_mean = kacrice._mc_mean
 
@@ -921,6 +922,42 @@ def test_pairs_that_fail_their_type_write_positive_zero(monkeypatch):
         values = np.concatenate(blocks)
         assert not np.signbit(values).any(), kind
         assert (values == 0.0).any() == (kind != "c"), kind
+
+
+# Hessian rows (h11, h12, h22) whose determinants are +0.0, -0.0,
+# +-1e-310 (subnormal), +2.0 and -2.0: random draws never hit these.
+EDGE_ROWS = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-310, 0.0, 1.0],
+                      [-1e-310, 0.0, 1.0], [2.0, 0.0, 1.0], [1.0, 2.0, 2.0]]).T
+
+
+def test_signed_parts_at_exact_zeros():
+    # Each position's part is +0.0 where it fails its type, also at
+    # det = -0.0 and at a subnormal det, so the value is the indicator
+    # reference |det| or |det1 det2| where every position holds and +0.0
+    # elsewhere.  The rows are tiled past numpy's SIMD width.
+    dets = EDGE_ROWS[0] * EDGE_ROWS[2] - EDGE_ROWS[1] ** 2
+    assert np.signbit(dets).tolist() == [False, True, False, True, False, True]
+    assert dets[2] == 1e-310 and dets[4] == 2.0 and dets[5] == -2.0
+    integrand = kacrice._typed_product([(t,) for t in "ces"])
+    for i, tag in enumerate("ces"):
+        out = np.empty(6 * 11)
+        integrand(i, np.tile(EDGE_ROWS, 11), out)
+        want = np.tile(np.abs(dets) * _ref_indicator(tag, dets, EDGE_ROWS[0]), 11)
+        assert np.array_equal(out, want) and not np.signbit(out).any(), tag
+    first, second = (a.ravel() for a in np.meshgrid(range(6), range(6), indexing="ij"))
+    rows = np.concatenate([EDGE_ROWS[:, first], EDGE_ROWS[:, second]])
+    for pair in ALL_PAIRS:
+        out = np.empty(36 * 3)
+        kacrice._typed_product([pair])(0, np.tile(rows, 3), out)
+        d1, d2 = dets[first], dets[second]
+        want = (np.abs(d1 * d2) * _ref_indicator(pair[0], d1, EDGE_ROWS[0, first])
+                * _ref_indicator(pair[1], d2, EDGE_ROWS[0, second]))
+        assert np.array_equal(out, np.tile(want, 3)) and not np.signbit(out).any(), pair
+    # An extremum with det 2.0 beside each row: a saddle only where det2
+    # is -1e-310 or -2.0, and never at det2 = -0.0.
+    out = np.empty(36)
+    kacrice._typed_product([("e", "s")])(0, rows, out)
+    assert out.reshape(6, 6)[4].tolist() == [0.0, 0.0, 0.0, 2.0 * 1e-310, 0.0, 4.0]
 
 
 def test_monte_carlo_block_holds_two_draw_arrays():

@@ -97,6 +97,13 @@ def test_parser_sees_relative_and_function_level_imports():
     assert found == {"kacrice", "theory", "models", "estimators"}
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_source_line_exceeds_100_characters(name):
+    lines = (PACKAGE / name).read_text().splitlines()
+    long = [number for number, line in enumerate(lines, 1) if len(line) > 100]
+    assert not long, f"{name} lines {long} exceed 100 characters"
+
+
 @pytest.mark.parametrize("name", ["planarcrit", *(f"planarcrit.{m}" for m in sorted(LAYERS))])
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
