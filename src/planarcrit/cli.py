@@ -415,11 +415,9 @@ def _report_checks(model, seed: int, budget: str, threads: int):
         )
 
     length = kacrice.correlation_length(model)
-    try:
-        a = theory.k2_limit(d)
-    except (MomentDivergenceError, OverflowError):
-        a = None
-    if a is not None and math.isfinite(a):
+    # Infinite (or NaN) when R_6 diverges, as for the untruncated power law.
+    a = theory.k2_limit(d)
+    if math.isfinite(a):
         r_small = 0.002 * length
         n2 = 4 * 10**5 if small else 4 * 10**6
         est = kacrice.two_point_correlation(model, r_small, nsamples=n2, seed=(seed, 2))

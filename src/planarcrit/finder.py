@@ -126,7 +126,7 @@ from .models import (
 )
 # Not called here: perfbench/tracing.py wraps finder.eval_gradient (test_layout pins it).
 from .sampling import (  # noqa: F401
-    FieldRealization, GridTables, eval_gradient, eval_grid, eval_many, grid_tables)
+    FieldRealization, GridTables, eval_gradient, eval_many, grid_tables, sign_grid)
 
 __all__ = [
     "CriticalKind",
@@ -193,13 +193,18 @@ def classify(hessian, threshold: float = 0.0) -> CriticalKind:
     Raises DegenerateHessianError when |det H| <= threshold: degeneracy
     is a measure-zero event and is always surfaced, never guessed.
     """
-    h = np.asarray(hessian, dtype=float)
-    det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+    (h11, h12), (h21, h22) = np.asarray(hessian, dtype=float).tolist()
+    return _kind(h11, h12, h21, h22, threshold)
+
+
+def _kind(h11: float, h12: float, h21: float, h22: float, threshold: float) -> CriticalKind:
+    """classify's rule on the Hessian entries as Python floats."""
+    det = h11 * h22 - h12 * h21
     if abs(det) <= threshold:
         raise DegenerateHessianError(f"|det H| = {abs(det)} <= threshold {threshold}")
     if det < 0.0:
         return CriticalKind.SADDLE
-    return CriticalKind.MINIMUM if h[0, 0] > 0.0 else CriticalKind.MAXIMUM
+    return CriticalKind.MINIMUM if h11 > 0.0 else CriticalKind.MAXIMUM
 
 
 def find_critical_points(
@@ -262,7 +267,7 @@ def find_critical_points(
     axes = (xmin - cell, cell, nx), (ymin - cell, cell, ny)
     # One set of axis tables serves the grid and every point evaluated below.
     tables = grid_tables(f, *axes)
-    grid = eval_grid(tables, _DERIVS[:2])
+    grid = sign_grid(tables, _DERIVS[:2])
     ci, cj = _candidate_cells(grid)
     pts = np.column_stack([xs[ci] + 0.5 * cell, ys[cj] + 0.5 * cell])
 
@@ -287,18 +292,18 @@ def find_critical_points(
     merged_pts, merged_resid, hess = _polish(f, pts[inside], vals[inside], tables)
 
     points = []
-    for (x, y), (h11, h12, h22), res in zip(merged_pts, hess, merged_resid):
-        kind = classify([[h11, h12], [h12, h22]], det_floor)
-        det = h11 * h22 - h12**2
+    # Python floats: numpy scalars cost more per operation and round alike.
+    for (x, y), (h11, h12, h22), res in zip(merged_pts.tolist(), hess.tolist(),
+                                            merged_resid.tolist()):
         mean = 0.5 * (h11 + h22)
         spread = math.hypot(0.5 * (h11 - h22), h12)
         points.append(
             CriticalPoint(
-                location=(float(x), float(y)),
-                kind=kind,
-                hessian_det=float(det),
-                hessian_eigenvalues=(float(mean - spread), float(mean + spread)),
-                gradient_residual=float(res),
+                location=(x, y),
+                kind=_kind(h11, h12, h12, h22, det_floor),
+                hessian_det=h11 * h22 - h12**2,
+                hessian_eigenvalues=(mean - spread, mean + spread),
+                gradient_residual=res,
             )
         )
     if diagnostics is not None:
@@ -340,7 +345,7 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
         return pts, np.zeros(0), np.zeros((0, len(_DERIVS))), np.zeros(4, dtype=int)
     unit = 1.0 if f.model is None else math.sqrt(-4.0 * sigma_derivatives(f.model).eta0)
     vals = eval_many(f, pts, _DERIVS, tables)
-    gnorm = np.linalg.norm(vals[:, :2], axis=1) / unit
+    gnorm = _grad_norm(vals) / unit
     active = np.arange(len(pts))
     nmerged = nrunaway = newton_iters = 0
     done: set = set()  # the dedup cells of the converged end points
@@ -365,7 +370,7 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
         if active.size == 0:  # every trajectory left or merged: nothing to evaluate
             break
         vals[active] = eval_many(f, trial, _DERIVS, tables)
-        gnorm[active] = np.linalg.norm(vals[active, :2], axis=1) / unit
+        gnorm[active] = _grad_norm(vals[active]) / unit
     nstalled = int((gnorm[active] > _NEWTON_TOL).sum())
     return pts, gnorm, vals, np.array([nmerged, nrunaway, nstalled, newton_iters])
 
@@ -382,7 +387,7 @@ def _candidate_cells(grad: np.ndarray):
         side = side[:-1] & side[1:]
         side = side[:, :-1] & side[:, 1:]
         ruled_out |= side[..., 0] | side[..., 1]
-    return np.nonzero(~ruled_out)
+    return np.divmod(np.flatnonzero(~ruled_out), ruled_out.shape[1])
 
 
 def _index_defect(f: FieldRealization, xs, ys, grad, pts, vals,
@@ -511,10 +516,15 @@ def _polish(f: FieldRealization, pts: np.ndarray, vals: np.ndarray,
     moved = np.flatnonzero((trial != pts).any(axis=1))
     if moved.size:
         tvals = eval_many(f, trial[moved], _DERIVS, tables)
-        better = np.linalg.norm(tvals[:, :2], axis=1) < np.linalg.norm(vals[moved, :2], axis=1)
+        better = _grad_norm(tvals) < _grad_norm(vals[moved])
         pts[moved[better]] = trial[moved[better]]
         vals[moved[better]] = tvals[better]
-    return pts, np.linalg.norm(vals[:, :2], axis=1), vals[:, 2:]
+    return pts, _grad_norm(vals), vals[:, 2:]
+
+
+def _grad_norm(vals: np.ndarray) -> np.ndarray:
+    """|grad psi| of each _DERIVS row: np.linalg.norm's own arithmetic on two columns."""
+    return np.sqrt(vals[:, 0] * vals[:, 0] + vals[:, 1] * vals[:, 1])
 
 
 def _cells(pts: np.ndarray, radius: float) -> list:

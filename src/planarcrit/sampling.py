@@ -51,6 +51,7 @@ __all__ = [
     "grid_tables",
     "eval_many",
     "eval_grid",
+    "sign_grid",
     "eval_gradient",
 ]
 
@@ -453,16 +454,131 @@ def eval_grid(tables: GridTables, alphas) -> np.ndarray:
     left = _scratch("work", nx * M * 2, float).reshape(nx, M, 2)
     for col, alpha in enumerate(alphas):
         w, order = _term_weights(f, alpha)
-        if order % 2 == 0:
-            np.multiply(e1.real, w, out=left[..., 0])
-            np.multiply(e1.imag, -w, out=left[..., 1])
-        else:
-            np.multiply(e1.imag, w, out=left[..., 0])
-            np.multiply(e1.real, w, out=left[..., 1])
+        _left_operand(e1, w, order, left)
         np.matmul(left.reshape(nx, 2 * M), right, out=out[col])
         if order == 0:
             out[col] += f.shift
     return out.transpose(1, 2, 0)
+
+
+def _left_operand(e1: np.ndarray, w: np.ndarray, order: int, out: np.ndarray) -> None:
+    """eval_grid's left operand [C1 w, -S1 w] (order even) or [S1 w, C1 w] (odd).
+
+    e1 = C1 + i S1 holds rows of the x-axis table, and out has shape
+    (rows, M, 2).  Each entry is one double product; a single-precision
+    out rounds it once more.
+    """
+    if order % 2 == 0:
+        np.multiply(e1.real, w, out=out[..., 0])
+        np.multiply(e1.imag, -w, out=out[..., 1])
+    else:
+        np.multiply(e1.imag, w, out=out[..., 0])
+        np.multiply(e1.real, w, out=out[..., 1])
+
+
+# Unit roundoff of single precision, and the underflow allowance per
+# product of a single-precision dot product (sign_grid).
+_U32 = 2.0**-24
+_TINY32 = 2.0**-123
+
+
+def sign_grid(tables: GridTables, alphas) -> np.ndarray:
+    """eval_grid's derivatives of tables.field, with exact signs, from one sgemm each.
+
+    For readers of signs: every entry has the sign of the exact sum that
+    eval_grid's double matmul rounds, and lies within the bound below of
+    it.  The operands are eval_grid's, l (nx x 2M) and r (2M x ny),
+    divided by W = 2^floor(log2 max_j |w_j|) and rounded to single
+    precision, and one single-precision matmul per multi-index sums them.
+    A power of two keeps RandomWave(2^m) equal to RandomWave(1) bit for
+    bit, and keeps single precision clear of overflow.
+
+    The bound (Higham 2002, Accuracy and Stability of Numerical
+    Algorithms, section 3.1): a dot product of n terms summed in any
+    order, with or without fused multiply-adds, is within gamma_n
+    sum_k |a_k b_k| of the exact one, gamma_n = n u / (1 - n u), here
+    with u = 2^-24.  Rounding both operands first makes it gamma_{n+2},
+    with n = 2M.  Per plane wave, |S1 C2| + |C1 S2| and |C1 C2| + |S1 S2|
+    are at most |e1| |e2|, which is 1 up to a few ulp, so
+    sum_k |l_k r_k| / W <= (1 + 1e-12) sum_j |w_j| / W; the factor also
+    covers the double products in l and the rounding of the bound.
+    Underflow adds at most 2^-123 per product, which holds also for a
+    BLAS that flushes subnormals to zero.  So with
+
+        bound = gamma_{2M+2} (1 + 1e-12) sum_j |w_j| + 2M 2^-123 W,
+
+    a node whose value (times W, plus f.shift at order 0, both in
+    double) exceeds the bound in modulus has the exact sum's sign.  Every
+    other node is recomputed in double as the dot product of its own
+    operand row and column, which eval_grid's matmul and this routine
+    round alike except within about 1e-13 sum_j |w_j| of 0.  Only a few
+    nodes fall back: 11 of 42 849 per derivative, on average, on the
+    finder's grid of RandomWave(1), M = 256.
+
+    The single-precision operands use eval_grid's buffer in the thread's
+    workspace (_scratch), which holds both when ny <= nx, and the
+    single-precision matmul result has a buffer of its own; a repeat
+    call allocates only its result and the fallback's rows.  The result
+    has eval_grid's shape and order.
+    """
+    f = tables.field
+    _check_tables(tables, f)
+    M = f.nterms
+    nx, ny = tables.xaxis[2], tables.yaxis[2]
+    out = np.empty((len(alphas), nx, ny))
+    # eval_grid's double buffer holds the right operand and then the left
+    # one in single precision, and at least 6 M entries past the right one
+    # for _exact_nodes.
+    work = _scratch("work", M * max(2 * nx, nx + ny, ny + 6), float)
+    right = work[:ny * M].view(np.float32).reshape(ny, 2 * M)
+    left = work[ny * M:(ny + nx) * M].view(np.float32).reshape(nx, M, 2)
+    np.copyto(right, tables.e2.view(float))
+    single = _scratch("single", nx * ny, np.float32).reshape(nx, ny)
+    n = 2 * M + 2
+    gamma = n * _U32 / (1.0 - n * _U32) if n * _U32 < 1.0 else math.inf
+    for col, alpha in enumerate(alphas):
+        w, order = _term_weights(f, alpha)
+        size = np.abs(w)
+        scale = math.ldexp(1.0, math.frexp(float(size.max()))[1] - 1)
+        _left_operand(tables.e1, w / scale, order, left)
+        np.matmul(left.reshape(nx, 2 * M), right.T, out=single)
+        grid = out[col]
+        np.multiply(single, np.float64(scale), out=grid)
+        if order == 0:
+            grid += f.shift
+        bound = gamma * (1.0 + 1e-12) * float(size.sum()) + 2 * M * _TINY32 * scale
+        near = grid <= bound
+        near &= grid >= -bound
+        # The single-precision left operand is spent: its buffer is the scratch.
+        _exact_nodes(tables, w, order, np.flatnonzero(near), grid.reshape(-1), work[ny * M:])
+    return out.transpose(1, 2, 0)
+
+
+def _exact_nodes(tables: GridTables, w: np.ndarray, order: int, nodes: np.ndarray,
+                 flat: np.ndarray, scratch: np.ndarray) -> None:
+    """flat[nodes] = eval_grid's value at those flat grid indices, each as one dot product.
+
+    Each node's operand row and column is formed in double, in the
+    workspace buffer scratch of at least 6 M entries: a chunk of k nodes
+    takes 6 k M of them (the gathered table rows, then the left operand
+    rows), so recomputing any number of nodes allocates only their values.
+    """
+    f = tables.field
+    M, ny = f.nterms, tables.yaxis[2]
+    chunk = scratch.size // (6 * M)
+    for lo in range(0, nodes.size, chunk):
+        i, j = np.divmod(nodes[lo:lo + chunk], ny)
+        k = i.size
+        e1 = scratch[:2 * k * M].view(complex).reshape(k, M)
+        e2 = scratch[2 * k * M:4 * k * M].view(complex).reshape(k, M)
+        rows = scratch[4 * k * M:6 * k * M].reshape(k, M, 2)
+        np.take(tables.e1, i, axis=0, out=e1)
+        np.take(tables.e2, j, axis=0, out=e2)
+        _left_operand(e1, w, order, rows)
+        vals = np.einsum("nk,nk->n", rows.reshape(k, 2 * M), e2.view(float))
+        if order == 0:
+            vals += f.shift
+        flat[nodes[lo:lo + chunk]] = vals
 
 
 _workspace = threading.local()

@@ -29,6 +29,7 @@ from planarcrit.sampling import (
     eval_many,
     grid_tables,
     sample_field,
+    sign_grid,
 )
 
 
@@ -333,10 +334,10 @@ def test_a_finder_call_evaluates_no_point_twice(monkeypatch):
 
     def grid(tables, alphas):
         axes.append((tables.xaxis, tables.yaxis))
-        return eval_grid(tables, alphas)
+        return sign_grid(tables, alphas)
 
     monkeypatch.setattr(finder, "eval_many", many)
-    monkeypatch.setattr(finder, "eval_grid", grid)
+    monkeypatch.setattr(finder, "sign_grid", grid)
     monkeypatch.setattr(finder, "eval_gradient",
                         lambda f, x: gradient_calls.append(x) or eval_gradient(f, x))
     fold = sample_field(BargmannFock(1.0), M=1024, seed=(202, 39))
@@ -617,22 +618,26 @@ def test_real_eval_grid_agrees_with_the_complex_form(model, gaussian):
 @pytest.mark.parametrize("model", _FAMILIES, ids=lambda m: m.family)
 def test_real_eval_grid_keeps_the_candidate_cells(model, monkeypatch):
     # The sign test of find_critical_points picks the same cells from the
-    # real and the complex form of its gradient grid.
+    # real and the complex form of its gradient grid, and from the
+    # single-precision grid with certified signs that it reads.
     seen = []
 
     def recording(tables, alphas):
         seen.append((tables.xaxis, tables.yaxis, eval_grid(tables, alphas)))
-        return seen[-1][2]
+        seen.append(sign_grid(tables, alphas))
+        return seen[-1]
 
-    monkeypatch.setattr(finder, "eval_grid", recording)
+    monkeypatch.setattr(finder, "sign_grid", recording)
     for field in _cap_fields(model):
         find_critical_points(field, _CAP_WINDOW)
+        single = seen.pop()
         xaxis, yaxis, grad = seen.pop()
         new = finder._candidate_cells(grad)
         old = finder._candidate_cells(
             _complex_eval_grid(field, *_axis_points(xaxis, yaxis), [(1, 0), (0, 1)]))
         assert len(new[0]) > 0
         np.testing.assert_array_equal(new, old)
+        np.testing.assert_array_equal(finder._candidate_cells(single), old)
 
 
 def test_candidate_cells_are_those_whose_corners_span_zero():

@@ -35,7 +35,11 @@ and merged trajectories, the finder's newton_iters and nmerged),
 then each extra root with its |grad psi| and Hessian eigenvalues, then
 every window whose finder reports a nonzero index defect, then how
 many windows differ in their number of Newton seeds (the finder's
-nseeds: candidate cells plus fold partners).
+nseeds: candidate cells plus fold partners), then, per family and tree,
+how many sign-test grid nodes the finder evaluated and how many of them
+``sampling.sign_grid`` recomputed in double because its single-precision
+value lay within the rounding bound (counted by a wrapper around
+``sampling._exact_nodes``; a tree without it reads 0).
 Zero there means the two trees started Newton from as many points in
 every window, as they do when the sign test is unchanged.  It exits 1
 when a reference root is missed or changes kind at either step, else 0.
@@ -59,6 +63,8 @@ TOL = 1e-9
 COARSEN = (1, 2)
 # Per-window counts summed per family on each side, in table order.
 _SUMMED = ("faults", "rows", "iters", "merged")
+# Per-window grid counts, reported after the table: nodes and those recomputed in double.
+_NODES = ("nodes", "exact")
 _PAIRED = tuple(name + side for name in _SUMMED for side in ("_ref", "_new"))
 
 
@@ -99,13 +105,31 @@ def run_tree() -> None:
         return evaluate(f, x, alphas, *args, **kwargs)
 
     finder.eval_many = sampling.eval_many = counting
+
+    # The sign-test grid's nodes, whichever grid routine the finder calls,
+    # and the nodes that sign_grid recomputed in double.
+    grid_name = "sign_grid" if hasattr(finder, "sign_grid") else "eval_grid"
+    grid_fn, exact_fn = getattr(finder, grid_name), getattr(sampling, "_exact_nodes", None)
+    nodes = [0, 0]
+
+    def grid_counting(tables, alphas):
+        nodes[0] += len(alphas) * tables.xaxis[2] * tables.yaxis[2]
+        return grid_fn(tables, alphas)
+
+    def exact_counting(tables, w, order, idx, flat):
+        nodes[1] += idx.size
+        return exact_fn(tables, w, order, idx, flat)
+
+    setattr(finder, grid_name, grid_counting)
+    if exact_fn is not None:
+        sampling._exact_nodes = exact_counting
     models = _models()
     for family, master, i, M, gaussian, L in corpus():
         field = sample_field(models[family], M=M, seed=(master, i), gaussian_amplitudes=gaussian)
         for coarsen in COARSEN:
             diag: dict = {}
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            rows[0] = 0
+            rows[0] = nodes[0] = nodes[1] = 0
             points = find_critical_points(field, ((0.0, L), (0.0, L)),
                                           coarsen * default_grid_step(field.model),
                                           diagnostics=diag)
@@ -114,6 +138,7 @@ def run_tree() -> None:
                      for p in points]
             print(json.dumps({"key": [family, master, i, M, gaussian, L], "coarsen": coarsen,
                               "faults": faults, "rows": rows[0],
+                              "nodes": nodes[0], "exact": nodes[1],
                               "defect": diag.get("index_defect"),
                               "nseeds": diag.get("nseeds"), "iters": diag.get("newton_iters"),
                               "merged": diag.get("nmerged"), "roots": roots}))
@@ -198,6 +223,11 @@ def _report_step(ref: list[dict], new: list[dict]) -> int:
         for side, key, defect in defects:
             print(f"  {side}: {_key(key)}: {defect:+d}")
     print(f"\nWindows with a differing seed count: {seed_diffs} of {len(ref)}")
+    print("\nSign-test grid nodes recomputed in double, ref -> new (of the grid's nodes):")
+    for family in rows:
+        counts = [[sum(r.get(k, 0) for r in side if r["key"][0] == family) for k in _NODES]
+                  for side in (ref, new)]
+        print(f"  {family}: {counts[0][1]} of {counts[0][0]} -> {counts[1][1]} of {counts[1][0]}")
     return 1 if total["missed"] or total["kinds"] else 0
 
 
