@@ -10,10 +10,18 @@ grid step, _SUBDIVISION = 8) covering the window plus one cell, where the
 field separates into one small real matmul per derivative and the cos
 and sin tables of each axis come from angle addition
 (sampling.grid_tables).  The call builds those tables once, evaluates
-the grid from them (sampling.eval_grid) and passes them with every point
-it evaluates afterwards: eval_many writes each point as its nearest grid
-node times exp(i lam . d), so only the small offset angle lam . d goes
-through cos and sin (a point past the grid anchors at an edge node).
+the grid from them and passes them with every point it evaluates
+afterwards.  The sign test reads only signs, so the grid is one
+single-precision matmul per derivative with certified signs
+(sampling.sign_grid): a rounding bound decides each node's sign, that
+of the exact sum which eval_grid's double matmul rounds, and the few
+nodes within the bound are recomputed in double.  So the candidate
+cells are those of the double grid wherever its own rounding leaves
+the sign alone (all but nodes within about 1e-13 sum_j |w_j| of 0; no
+such node has been seen).  The tables serve the points too: eval_many
+writes each point as its nearest grid node times exp(i lam . d), so
+only the small offset angle lam . d goes through cos and sin (a point
+past the grid anchors at an edge node).
 A cell is a candidate when each gradient component is positive at one of
 its four corners and negative at another, or is 0 at a corner.  The test
 runs on sign masks: a cell is ruled out when, for either component, all
@@ -43,11 +51,14 @@ nonzero defect means a root was missed or a spurious one kept; a zero
 defect cannot see a missed extremum-saddle pair.  The check reuses the
 sign-test grid and the table's Hessians, which Newton evaluated; it
 evaluates only the ring refinement, deduplicates nothing, and changes
-no root.
+no root.  The grid's values on the ring are within sign_grid's bound
+of the double ones, so an angle there is off by at most about
+bound / |grad psi| radians, far inside the pi / 2 refinement rule.
 It runs only when diagnostics are asked for: `find --format json` asks,
 and so does perfbench's layer trace, which passes a diagnostics dict to
 every finder call; `estimate` and CSV `find` do not.  It costs about 5 %
-of a finder call (RandomWave(1), M = 256, 20 x 20 window).
+of a finder call: 5.4 %, the median share of _index_defect over 15
+rounds of 40 windows (RandomWave(1), M = 256, 20 x 20 window, one CPU).
 
 Iteration cap.  A trajectory gets at most _MAX_ITERS = 12 Newton steps.
 The loop is vectorized, so each iteration costs one eval_many call
@@ -430,7 +441,8 @@ def _winding_number(f: FieldRealization, xs, ys, grad,
                     tables: GridTables) -> int:
     """Turns of grad psi along the boundary of the grid xs x ys, counterclockwise.
 
-    Starts from the grid's own boundary values; each segment whose angle
+    Starts from the grid's own boundary values (sign_grid's, within its
+    rounding bound of the double ones); each segment whose angle
     step exceeds pi / 2 gets _RING_SPLIT - 1 points more from eval_many,
     until no step does or _RING_DEPTH rounds have run.
     """

@@ -196,8 +196,9 @@ class GridTables:
     E1 = e1 (nx x M) and E2 = e2 (ny x M) for the axes xaxis and yaxis,
     each (start, step, count), of realization field, built by
     grid_tables.  eval_grid reads them as C1 + i S1 and C2 + i S2 to
-    evaluate field on that grid; eval_many reads them to evaluate points
-    near the grid without the cos and sin of their full arguments.
+    evaluate field on that grid, and sign_grid to evaluate it with
+    certified signs in single precision; eval_many reads them to evaluate
+    points near the grid without the cos and sin of their full arguments.
 
     The tables come from angle addition (_axis_trig): with
     B = floor(sqrt(n)), only ceil(n / B) + B rows of arguments go through
@@ -431,13 +432,15 @@ def eval_grid(tables: GridTables, alphas) -> np.ndarray:
 
     The tables and the matmul operand [C1 w, +-S1 w] live in a workspace
     private to the calling thread (_scratch); the operand's buffer is
-    the one eval_many's anchored form keeps its blocks in.  It grows to
-    the largest grid the thread has evaluated and is reused as prefix
+    the one eval_many's anchored form keeps its blocks in, and the one
+    sign_grid keeps both of its single-precision operands in.  It grows
+    to the largest grid the thread has evaluated and is reused as prefix
     views, so it keeps one grid's tables and operand, about 2.5 MB at
-    M = 256 on a 20 x 20 window at the default step, and a call
-    allocates only its result (grid_tables, only the coarse and fine
-    trig rows of each axis).  Each matmul writes straight into the
-    result, which never shares memory with the workspace.
+    M = 256 on a 20 x 20 window at the default step (2.7 MB with
+    sign_grid's single-precision result), and a call allocates only its
+    result (grid_tables, only the coarse and fine trig rows of each
+    axis).  Each matmul writes straight into the result, which never
+    shares memory with the workspace.
 
     Returns shape (nx, ny, len(alphas)); entry [a, b] is the point
     (x_a, y_b), so reshape(-1, len(alphas)) lists the points in
@@ -510,16 +513,20 @@ def sign_grid(tables: GridTables, alphas) -> np.ndarray:
     a node whose value (times W, plus f.shift at order 0, both in
     double) exceeds the bound in modulus has the exact sum's sign.  Every
     other node is recomputed in double as the dot product of its own
-    operand row and column, which eval_grid's matmul and this routine
-    round alike except within about 1e-13 sum_j |w_j| of 0.  Only a few
-    nodes fall back: 11 of 42 849 per derivative, on average, on the
-    finder's grid of RandomWave(1), M = 256.
+    operand row and column (_exact_nodes).  Its sign and that of
+    eval_grid's matmul can differ only where the exact sum lies within
+    about 1e-13 sum_j |w_j| of 0, where neither is certain.  Few nodes
+    fall back: 17 of 42 849 per derivative on average on the finder's
+    grid of RandomWave(1), M = 256, 20 x 20 window, and 148 at M = 1024.
 
-    The single-precision operands use eval_grid's buffer in the thread's
-    workspace (_scratch), which holds both when ny <= nx, and the
-    single-precision matmul result has a buffer of its own; a repeat
-    call allocates only its result and the fallback's rows.  The result
-    has eval_grid's shape and order.
+    Both single-precision operands live in eval_grid's buffer of the
+    thread's workspace (_scratch), which holds them when ny <= nx (and
+    grows to hold them otherwise), and the single-precision matmul result
+    has a buffer of its own there.  Once a matmul has run, its left
+    operand is spent and its memory holds the fallback's double rows.  So
+    a repeat call allocates only its result, the masks of the nodes near
+    0 and their recomputed values.  The result has eval_grid's shape and
+    order and never shares memory with the workspace.
     """
     f = tables.field
     _check_tables(tables, f)
@@ -543,6 +550,8 @@ def sign_grid(tables: GridTables, alphas) -> np.ndarray:
         _left_operand(tables.e1, w / scale, order, left)
         np.matmul(left.reshape(nx, 2 * M), right.T, out=single)
         grid = out[col]
+        # A float64 scalar, so that the product is formed in double: a
+        # Python float would keep it in single precision, where W can overflow.
         np.multiply(single, np.float64(scale), out=grid)
         if order == 0:
             grid += f.shift

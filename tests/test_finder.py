@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from planarcrit import finder
+from planarcrit import finder, sampling
 from planarcrit.finder import (
     CriticalKind,
     DegenerateHessianError,
@@ -149,6 +149,27 @@ def test_a_rescaled_field_gives_the_same_roots_bit_for_bit(m):
     want, want_diag = _scaled_roots(1.0)
     assert len(want) == 37 and want_diag["index_defect"] == 0
     assert roots == want and diag == want_diag
+
+
+
+def test_sign_grid_recomputed_in_double_gives_the_same_roots(monkeypatch):
+    # With sign_grid's rounding bound made infinite, every grid node is
+    # recomputed in double: the roots and the counters stay bit for bit,
+    # for a window with merged trajectories and one whose saddle is found
+    # only from its fold partner (twice the default step).
+    cases = [(sample_field(RandomWave(1.0), M=256, seed=(101, 6), gaussian_amplitudes=True), 1),
+             (sample_field(BargmannFock(1.0), M=1024, seed=(202, 39)), 2)]
+    window = ((0.0, 12.0), (0.0, 12.0))
+    runs = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(sampling, "_U32", 1.0)
+        for field, coarsen in cases:
+            diag = {}
+            step = coarsen * default_grid_step(field.model)
+            runs.append((find_critical_points(field, window, step, diagnostics=diag), diag))
+    assert runs[:2] == runs[2:]
+    assert all(points for points, _ in runs)
 
 
 def test_default_grid_step_tracks_oscillation_length():

@@ -26,6 +26,7 @@ from planarcrit.sampling import (
     sample_field,
     seed_entropy,
     seeded_rng,
+    sign_grid,
 )
 
 
@@ -205,6 +206,112 @@ def test_eval_grid_on_axes_of_one_to_three_points(nx, ny):
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     np.testing.assert_allclose(grid.reshape(-1, len(alphas)), eval_many(f, pts, alphas),
                                rtol=0.0, atol=1e-13)
+
+
+
+def _assert_certified_signs(tables, alphas):
+    """sign_grid against eval_grid on tables: the same signs, and values within
+    sign_grid's stated bound of the exact sum, which eval_grid rounds to well
+    within 1e-12 sum_j |w_j|."""
+    f = tables.field
+    single, ref = sign_grid(tables, alphas), eval_grid(tables, alphas)
+    assert single.shape == ref.shape
+    np.testing.assert_array_equal(np.sign(single), np.sign(ref))
+    n, u = 2 * f.nterms + 2, 2.0**-24
+    for col, alpha in enumerate(alphas):
+        w = np.abs(sampling._term_weights(f, alpha)[0])
+        scale = 2.0 ** math.floor(math.log2(w.max()))
+        bound = n * u / (1 - n * u) * (1 + 1e-12) * w.sum() + 2 * f.nterms * 2.0**-123 * scale
+        err = np.abs(single[..., col] - ref[..., col]).max()
+        assert err <= bound + 1e-12 * w.sum(), (alpha, err, bound)
+
+
+@pytest.mark.parametrize("model", [RandomWave(1.0), ShiftedRandomWave(0.5, 1.0, 1.0)], ids=repr)
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("M", [512, 4096])
+def test_sign_grid_has_eval_grids_signs(model, gaussian, M):
+    # The inputs of test_eval_grid_agrees_with_eval_many, and M = 4096.
+    f = sample_field(model, M=M, seed=5, gaussian_amplitudes=gaussian)
+    alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (0, 0)]
+    _assert_certified_signs(grid_tables(f, (-1.5, 0.45, 30), (-2.0, 0.37, 30)), alphas)
+
+
+@pytest.mark.parametrize("model", [RandomWave(1.0), ShiftedRandomWave(0.5, 1.0, 1.0)], ids=repr)
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_sign_grid_holds_on_long_axes_far_from_the_origin(model, gaussian):
+    # The inputs of test_eval_grid_tables_hold_on_long_axes_far_from_the_origin.
+    f = sample_field(model, M=1024, seed=11, gaussian_amplitudes=gaussian)
+    tables = grid_tables(f, (499.7, 0.37, 1500), (-503.1, 0.29, 1500))
+    _assert_certified_signs(tables, [(0, 0), (1, 0), (1, 1)])
+
+
+@pytest.mark.parametrize("nx", [1, 2, 3])
+@pytest.mark.parametrize("ny", [1, 2, 3])
+def test_sign_grid_on_axes_of_one_to_three_points(nx, ny):
+    # The inputs of test_eval_grid_on_axes_of_one_to_three_points.
+    f = sample_field(ShiftedRandomWave(0.5, 1.0, 1.0), M=64, seed=9)
+    tables = grid_tables(f, (-0.7, 0.45, nx), (2.1, 0.37, ny))
+    _assert_certified_signs(tables, [(0, 0), (1, 0), (0, 2)])
+
+
+@pytest.mark.parametrize("m", [-30, 30])
+def test_sign_grid_of_a_rescaled_field_is_scaled_bit_for_bit(m):
+    # RandomWave(2^m) on the finder's grid scaled by 2^-m: its gradient
+    # grid is 2^m times RandomWave(1)'s, bit for bit, so its signs are
+    # the same array.
+    one = sample_field(RandomWave(1.0), M=256, seed=1, gaussian_amplitudes=True)
+    scaled = sample_field(RandomWave(2.0**m), M=256, seed=1, gaussian_amplitudes=True)
+    np.testing.assert_array_equal(scaled.frequencies, one.frequencies * 2.0**m)
+    axes = _finder_axes(one.model, 20.0)
+    alphas = [(1, 0), (0, 1)]
+    want = sign_grid(grid_tables(one, *axes), alphas)
+    got = sign_grid(grid_tables(scaled, *[(a * 2.0**-m, b * 2.0**-m, n) for a, b, n in axes]),
+                    alphas)
+    np.testing.assert_array_equal(got, want * 2.0**m)
+    np.testing.assert_array_equal(np.sign(got), np.sign(want))
+
+
+def test_sign_grid_recomputes_in_double_exactly_the_nodes_near_zero(monkeypatch):
+    # Nodes whose single-precision value lies within the bound go through
+    # _exact_nodes; with the bound made infinite every node does, and
+    # the grid is then eval_grid's up to double rounding.
+    f = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
+    axes = _finder_axes(f.model, 20.0)
+    alphas = [(1, 0), (0, 1)]
+    exact, seen = sampling._exact_nodes, []
+
+    def counting(tables, w, order, nodes, flat, scratch):
+        seen.append(nodes.size)
+        exact(tables, w, order, nodes, flat, scratch)
+
+    monkeypatch.setattr(sampling, "_exact_nodes", counting)
+    tables = grid_tables(f, *axes)
+    ref = eval_grid(tables, alphas)
+    usual = sign_grid(tables, alphas)
+    assert all(0 < n < 100 for n in seen), seen
+    seen.clear()
+    monkeypatch.setattr(sampling, "_U32", 1.0)
+    forced = sign_grid(tables, alphas)
+    assert seen == [ref[..., 0].size] * 2
+    np.testing.assert_array_equal(np.sign(forced), np.sign(usual))
+    np.testing.assert_allclose(forced, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_repeat_sign_grid_allocates_only_its_result():
+    # As test_repeat_eval_grid_allocates_only_its_result: the single-
+    # precision operands and result stay in the thread's workspace, so a
+    # repeat call on the finder's grid allocates its result, the trig rows
+    # of _axis_trig and the node masks, and the workspace does not grow.
+    f = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
+    alphas = [(1, 0), (0, 1)]
+    fine, coarse = _finder_axes(f.model, 20.0), _finder_axes(f.model, 20.0, coarsen=2)
+    sign_grid(grid_tables(f, *fine), alphas)
+    sizes = sampling._workspace.work.size, sampling._workspace.single.size
+    for axes in (fine, coarse):
+        out, peak = _traced_peak(lambda: sign_grid(grid_tables(f, *axes), alphas))
+        assert out.shape == (axes[0][2], axes[1][2], 2)
+        assert peak <= 2 * out.nbytes, (axes, peak / out.nbytes)
+    assert (sampling._workspace.work.size, sampling._workspace.single.size) == sizes
 
 
 def _finder_axes(model, window: float, coarsen: int = 1):

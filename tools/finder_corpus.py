@@ -116,9 +116,9 @@ def run_tree() -> None:
         nodes[0] += len(alphas) * tables.xaxis[2] * tables.yaxis[2]
         return grid_fn(tables, alphas)
 
-    def exact_counting(tables, w, order, idx, flat):
+    def exact_counting(tables, w, order, idx, *args):
         nodes[1] += idx.size
-        return exact_fn(tables, w, order, idx, flat)
+        return exact_fn(tables, w, order, idx, *args)
 
     setattr(finder, grid_name, grid_counting)
     if exact_fn is not None:
