@@ -12,26 +12,23 @@ and sin tables of each axis come from angle addition
 (sampling.grid_tables).  The call builds those tables once, evaluates
 the grid from them and passes them with every point it evaluates
 afterwards.  The sign test reads only signs, so the grid is one
-single-precision matmul per derivative with certified signs
-(sampling.sign_grid): a rounding bound decides each node's sign, that
-of the exact sum which eval_grid's double matmul rounds, and the few
-nodes within the bound are recomputed in double.  So the candidate
-cells are those of the double grid wherever its own rounding leaves
-the sign alone (all but nodes within about 1e-13 sum_j |w_j| of 0; no
-such node has been seen).  The tables serve the points too: eval_many
-writes each point as its nearest grid node times exp(i lam . d), so
-only the small offset angle lam . d goes through cos and sin (a point
-past the grid anchors at an edge node).
-A cell is a candidate when each gradient component is positive at one of
-its four corners and negative at another, or is 0 at a corner.  The test
-runs on sign masks: a cell is ruled out when, for either component, all
-four corners are > 0 or all four are < 0.  Newton starts at the centres
-of the candidate cells.  The sign test cannot see two roots inside one
-cell: there one seed reaches at most one of them.  Such a pair lies
-across a fold (det H = 0) and its roots are nearly degenerate, so each
-root found predicts its partner from the quadratic model of the gradient
-along the soft Hessian eigenvector, and a partner predicted within two
-cells is run from as a seed too.  Whether the root set is complete is
+single-precision matmul per derivative (sampling.sign_grid), which
+returns with it a rounding bound per derivative: each node lies within
+the bound of the exact sum that eval_grid's double matmul rounds.  The
+tables serve the points too: eval_many writes each point as its nearest
+grid node times exp(i lam . d), so only the small offset angle lam . d
+goes through cos and sin (a point past the grid anchors at an edge node).
+A cell is a candidate unless, for either gradient component, all four
+corners lie beyond the bound on the same side: all four > bound or all
+four < -bound.  A node inside the bound counts as either sign, so every
+cell whose exact corner values span 0 is a candidate, and the candidate
+cells are a certified superset of those of exact arithmetic.  Newton
+starts at the centres of the candidate cells.  The sign test cannot see
+two roots inside one cell: there one seed reaches at most one of them.
+Such a pair lies across a fold (det H = 0) and its roots are nearly
+degenerate, so each root found predicts its partner from the quadratic
+model of the gradient along the soft Hessian eigenvector, and a partner
+predicted within two cells is run from as a seed too.  Whether the root set is complete is
 not certified: it rests on the root-set corpus against the earlier
 dense-seed finder (CHANGES.md, tools/finder_corpus.py) and on the
 closed-form intensity.  Roots outside the window are dropped; the grid
@@ -52,8 +49,9 @@ defect cannot see a missed extremum-saddle pair.  The check reuses the
 sign-test grid and the table's Hessians, which Newton evaluated; it
 evaluates only the ring refinement, deduplicates nothing, and changes
 no root.  The grid's values on the ring are within sign_grid's bound
-of the double ones, so an angle there is off by at most about
-bound / |grad psi| radians, far inside the pi / 2 refinement rule.
+(about 3e-5 sum_j |w_j| at M = 256) of the exact ones, so an angle there
+is off by at most about bound / |grad psi| radians, far inside the
+pi / 2 refinement rule wherever |grad psi| exceeds a few times the bound.
 It runs only when diagnostics are asked for: `find --format json` asks,
 and so does perfbench's layer trace, which passes a diagnostics dict to
 every finder call; `estimate` and CSV `find` do not.  It costs about 5 %
@@ -278,8 +276,8 @@ def find_critical_points(
     axes = (xmin - cell, cell, nx), (ymin - cell, cell, ny)
     # One set of axis tables serves the grid and every point evaluated below.
     tables = grid_tables(f, *axes)
-    grid = sign_grid(tables, _DERIVS[:2])
-    ci, cj = _candidate_cells(grid)
+    grid, rounding = sign_grid(tables, _DERIVS[:2])
+    ci, cj = _candidate_cells(grid, rounding)
     pts = np.column_stack([xs[ci] + 0.5 * cell, ys[cj] + 0.5 * cell])
 
     margin = 4.0 * h
@@ -386,15 +384,18 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
     return pts, gnorm, vals, np.array([nmerged, nrunaway, nstalled, newton_iters])
 
 
-def _candidate_cells(grad: np.ndarray):
+def _candidate_cells(grad: np.ndarray, bound):
     """Indices (i, j) of the grid cells whose corner values of each gradient
-    component span 0; cell (i, j) has corners [i, i + 1] x [j, j + 1].
+    component may span 0; cell (i, j) has corners [i, i + 1] x [j, j + 1].
 
-    A cell is ruled out when, for either component, all four corners are
-    > 0 or all four are < 0.
+    `bound` (a float, or an array of one per component) is how far each
+    value may lie from the exact one.  A cell is ruled out when, for
+    either component, all four corners are > bound or all four are
+    < -bound; a corner inside the bound counts as either sign.  With
+    bound 0 these are the cells whose corners span 0 exactly.
     """
     ruled_out = np.zeros((grad.shape[0] - 1, grad.shape[1] - 1), dtype=bool)
-    for side in (grad > 0.0, grad < 0.0):
+    for side in (grad > bound, grad < -bound):
         side = side[:-1] & side[1:]
         side = side[:, :-1] & side[:, 1:]
         ruled_out |= side[..., 0] | side[..., 1]

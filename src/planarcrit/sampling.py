@@ -196,9 +196,10 @@ class GridTables:
     E1 = e1 (nx x M) and E2 = e2 (ny x M) for the axes xaxis and yaxis,
     each (start, step, count), of realization field, built by
     grid_tables.  eval_grid reads them as C1 + i S1 and C2 + i S2 to
-    evaluate field on that grid, and sign_grid to evaluate it with
-    certified signs in single precision; eval_many reads them to evaluate
-    points near the grid without the cos and sin of their full arguments.
+    evaluate field on that grid, and sign_grid to evaluate it in single
+    precision within a rounding bound it returns; eval_many reads them to
+    evaluate points near the grid without the cos and sin of their full
+    arguments.
 
     The tables come from angle addition (_axis_trig): with
     B = floor(sqrt(n)), only ceil(n / B) + B rows of arguments go through
@@ -431,15 +432,15 @@ def eval_grid(tables: GridTables, alphas) -> np.ndarray:
     agree to rounding.
 
     The tables and the matmul operand [C1 w, +-S1 w] live in a workspace
-    private to the calling thread (_scratch); the operand's buffer is
-    the one eval_many's anchored form keeps its blocks in, and the one
-    sign_grid keeps both of its single-precision operands in.  It grows
-    to the largest grid the thread has evaluated and is reused as prefix
-    views, so it keeps one grid's tables and operand, about 2.5 MB at
-    M = 256 on a 20 x 20 window at the default step (2.7 MB with
-    sign_grid's single-precision result), and a call allocates only its
-    result (grid_tables, only the coarse and fine trig rows of each
-    axis).  Each matmul writes straight into the result, which never
+    private to the calling thread (_scratch).  The operand's buffer holds,
+    call by call, this operand, eval_many's anchored blocks or sign_grid's
+    two single-precision operands, and nothing in it outlives the call
+    that wrote it.  It grows to the largest grid the thread has evaluated
+    and is reused as prefix views, so it keeps one grid's tables and
+    operand, about 2.5 MB at M = 256 on a 20 x 20 window at the default
+    step (2.7 MB with sign_grid's single-precision result), and a call
+    allocates only its result (grid_tables, only the coarse and fine
+    trig rows of each axis).  Each matmul writes straight into the result, which never
     shares memory with the workspace.
 
     Returns shape (nx, ny, len(alphas)); entry [a, b] is the point
@@ -485,16 +486,20 @@ _U32 = 2.0**-24
 _TINY32 = 2.0**-123
 
 
-def sign_grid(tables: GridTables, alphas) -> np.ndarray:
-    """eval_grid's derivatives of tables.field, with exact signs, from one sgemm each.
+def sign_grid(tables: GridTables, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """eval_grid's derivatives of tables.field from one sgemm each, and their rounding bound.
 
-    For readers of signs: every entry has the sign of the exact sum that
-    eval_grid's double matmul rounds, and lies within the bound below of
-    it.  The operands are eval_grid's, l (nx x 2M) and r (2M x ny),
-    divided by W = 2^floor(log2 max_j |w_j|) and rounded to single
-    precision, and one single-precision matmul per multi-index sums them.
-    A power of two keeps RandomWave(2^m) equal to RandomWave(1) bit for
-    bit, and keeps single precision clear of overflow.
+    Returns (grid, bound): every entry of grid[..., col] lies within
+    bound[col] of the exact sum that eval_grid's double matmul rounds,
+    so an entry beyond the bound in modulus has the exact sum's sign and
+    any other entry is undecided (finder._candidate_cells lets it count
+    as either sign).  The operands are eval_grid's, l (nx x 2M) and
+    r (2M x ny), divided by W = 2^floor(log2 max_j |w_j|) and rounded to
+    single precision, and one single-precision matmul per multi-index
+    sums them; the result is multiplied by W, plus f.shift at order 0,
+    both in double.  A power of two keeps RandomWave(2^m) equal to
+    RandomWave(1) bit for bit, and keeps single precision clear of
+    overflow.
 
     The bound (Higham 2002, Accuracy and Stability of Numerical
     Algorithms, section 3.1): a dot product of n terms summed in any
@@ -506,37 +511,30 @@ def sign_grid(tables: GridTables, alphas) -> np.ndarray:
     sum_k |l_k r_k| / W <= (1 + 1e-12) sum_j |w_j| / W; the factor also
     covers the double products in l and the rounding of the bound.
     Underflow adds at most 2^-123 per product, which holds also for a
-    BLAS that flushes subnormals to zero.  So with
+    BLAS that flushes subnormals to zero.  So
 
         bound = gamma_{2M+2} (1 + 1e-12) sum_j |w_j| + 2M 2^-123 W,
 
-    a node whose value (times W, plus f.shift at order 0, both in
-    double) exceeds the bound in modulus has the exact sum's sign.  Every
-    other node is recomputed in double as the dot product of its own
-    operand row and column (_exact_nodes).  Its sign and that of
-    eval_grid's matmul can differ only where the exact sum lies within
-    about 1e-13 sum_j |w_j| of 0, where neither is certain.  Few nodes
-    fall back: 17 of 42 849 per derivative on average on the finder's
-    grid of RandomWave(1), M = 256, 20 x 20 window, and 148 at M = 1024.
+    of shape (len(alphas),).  About 17 of 42 849 nodes per derivative lie
+    within it on the finder's grid of RandomWave(1), M = 256, 20 x 20
+    window, and 148 at M = 1024.
 
     Both single-precision operands live in eval_grid's buffer of the
     thread's workspace (_scratch), which holds them when ny <= nx (and
     grows to hold them otherwise), and the single-precision matmul result
-    has a buffer of its own there.  Once a matmul has run, its left
-    operand is spent and its memory holds the fallback's double rows.  So
-    a repeat call allocates only its result, the masks of the nodes near
-    0 and their recomputed values.  The result has eval_grid's shape and
-    order and never shares memory with the workspace.
+    has a buffer of its own there.  So a repeat call allocates only its
+    result.  The grid has eval_grid's shape and order and never shares
+    memory with the workspace.
     """
     f = tables.field
     _check_tables(tables, f)
     M = f.nterms
     nx, ny = tables.xaxis[2], tables.yaxis[2]
     out = np.empty((len(alphas), nx, ny))
+    bound = np.empty(len(alphas))
     # eval_grid's double buffer holds the right operand and then the left
-    # one in single precision, and at least 6 M entries past the right one
-    # for _exact_nodes.
-    work = _scratch("work", M * max(2 * nx, nx + ny, ny + 6), float)
+    # one in single precision.
+    work = _scratch("work", M * max(2 * nx, nx + ny), float)
     right = work[:ny * M].view(np.float32).reshape(ny, 2 * M)
     left = work[ny * M:(ny + nx) * M].view(np.float32).reshape(nx, M, 2)
     np.copyto(right, tables.e2.view(float))
@@ -549,45 +547,13 @@ def sign_grid(tables: GridTables, alphas) -> np.ndarray:
         scale = math.ldexp(1.0, math.frexp(float(size.max()))[1] - 1)
         _left_operand(tables.e1, w / scale, order, left)
         np.matmul(left.reshape(nx, 2 * M), right.T, out=single)
-        grid = out[col]
         # A float64 scalar, so that the product is formed in double: a
         # Python float would keep it in single precision, where W can overflow.
-        np.multiply(single, np.float64(scale), out=grid)
+        np.multiply(single, np.float64(scale), out=out[col])
         if order == 0:
-            grid += f.shift
-        bound = gamma * (1.0 + 1e-12) * float(size.sum()) + 2 * M * _TINY32 * scale
-        near = grid <= bound
-        near &= grid >= -bound
-        # The single-precision left operand is spent: its buffer is the scratch.
-        _exact_nodes(tables, w, order, np.flatnonzero(near), grid.reshape(-1), work[ny * M:])
-    return out.transpose(1, 2, 0)
-
-
-def _exact_nodes(tables: GridTables, w: np.ndarray, order: int, nodes: np.ndarray,
-                 flat: np.ndarray, scratch: np.ndarray) -> None:
-    """flat[nodes] = eval_grid's value at those flat grid indices, each as one dot product.
-
-    Each node's operand row and column is formed in double, in the
-    workspace buffer scratch of at least 6 M entries: a chunk of k nodes
-    takes 6 k M of them (the gathered table rows, then the left operand
-    rows), so recomputing any number of nodes allocates only their values.
-    """
-    f = tables.field
-    M, ny = f.nterms, tables.yaxis[2]
-    chunk = scratch.size // (6 * M)
-    for lo in range(0, nodes.size, chunk):
-        i, j = np.divmod(nodes[lo:lo + chunk], ny)
-        k = i.size
-        e1 = scratch[:2 * k * M].view(complex).reshape(k, M)
-        e2 = scratch[2 * k * M:4 * k * M].view(complex).reshape(k, M)
-        rows = scratch[4 * k * M:6 * k * M].reshape(k, M, 2)
-        np.take(tables.e1, i, axis=0, out=e1)
-        np.take(tables.e2, j, axis=0, out=e2)
-        _left_operand(e1, w, order, rows)
-        vals = np.einsum("nk,nk->n", rows.reshape(k, 2 * M), e2.view(float))
-        if order == 0:
-            vals += f.shift
-        flat[nodes[lo:lo + chunk]] = vals
+            out[col] += f.shift
+        bound[col] = gamma * (1.0 + 1e-12) * float(size.sum()) + 2 * M * _TINY32 * scale
+    return out.transpose(1, 2, 0), bound
 
 
 _workspace = threading.local()

@@ -152,24 +152,27 @@ def test_a_rescaled_field_gives_the_same_roots_bit_for_bit(m):
 
 
 
-def test_sign_grid_recomputed_in_double_gives_the_same_roots(monkeypatch):
-    # With sign_grid's rounding bound made infinite, every grid node is
-    # recomputed in double: the roots and the counters stay bit for bit,
-    # for a window with merged trajectories and one whose saddle is found
-    # only from its fold partner (twice the default step).
-    cases = [(sample_field(RandomWave(1.0), M=256, seed=(101, 6), gaussian_amplitudes=True), 1),
-             (sample_field(BargmannFock(1.0), M=1024, seed=(202, 39)), 2)]
-    window = ((0.0, 12.0), (0.0, 12.0))
-    runs = []
-    for patched in (False, True):
-        if patched:
-            monkeypatch.setattr(sampling, "_U32", 1.0)
-        for field, coarsen in cases:
-            diag = {}
-            step = coarsen * default_grid_step(field.model)
-            runs.append((find_critical_points(field, window, step, diagnostics=diag), diag))
-    assert runs[:2] == runs[2:]
-    assert all(points for points, _ in runs)
+def test_an_infinite_rounding_bound_makes_every_cell_a_candidate(monkeypatch):
+    # With sign_grid's rounding bound made infinite no corner's sign is
+    # decided, so every cell of the grid seeds Newton; the finder still
+    # returns the default run's roots, within 1e-12 and of the same kinds.
+    field = sample_field(RandomWave(1.0), M=256, seed=(101, 6), gaussian_amplitudes=True)
+    window = ((0.0, 6.0), (0.0, 6.0))
+    want = find_critical_points(field, window)
+    cells, seen = finder._candidate_cells, []
+
+    def recording(grad, bound):
+        seen.append((grad.shape, cells(grad, bound)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(finder, "_candidate_cells", recording)
+    monkeypatch.setattr(sampling, "_U32", 1.0)
+    got = find_critical_points(field, window)
+    [((nx, ny, _), (ci, cj))] = seen
+    assert len(ci) == (nx - 1) * (ny - 1)
+    assert len(got) == len(want) > 0
+    for p in want:
+        assert _has_root(got, p.location, p.kind, 1e-12), p.location
 
 
 def test_default_grid_step_tracks_oscillation_length():
@@ -344,8 +347,8 @@ def test_a_finder_call_evaluates_no_point_twice(monkeypatch):
     # gets _DERIVS twice, none is asked for its Hessian alone, the third
     # derivatives are asked only at deduplicated converged roots, and
     # gradient-only rows lie on the index defect's ring.  A window with
-    # merged and runaway trajectories, and one whose saddle is found only
-    # from its fold partner (twice the default step).
+    # merged and runaway trajectories, and one whose fold partners converge
+    # (twice the default step).
     calls, axes, gradient_calls = [], [], []
 
     def many(f, x, alphas, *args):
@@ -390,7 +393,7 @@ def test_a_finder_call_evaluates_no_point_twice(monkeypatch):
 
 def _one_table_cases():
     # RandomWave (101, 6) converges no fold partner; BargmannFock (202, 39)
-    # at twice the default step finds a saddle only from its fold partner.
+    # at twice the default step converges nine.
     return [(sample_field(RandomWave(1.0), M=256, seed=(101, 6), gaussian_amplitudes=True), 1, 1),
             (sample_field(BargmannFock(1.0), M=1024, seed=(202, 39)), 2, 2)]
 
@@ -558,17 +561,22 @@ def test_min_saddle_pair_inside_a_quarter_step_is_split():
     assert _has_root(points, minimum, CriticalKind.MINIMUM, 1e-9)
 
 
+# A minimum 0.049 from a saddle in BargmannFock(1), M = 256, seed (202, 6),
+# Gaussian amplitudes; at twice the default step both lie in one h / 8 cell.
+_FOLD_SADDLE = (7.910497843722814, 19.344462585771264)
+_FOLD_MINIMUM = (7.937112301750397, 19.38551290782042)
+
+
 def test_fold_partner_in_the_same_cell_is_found():
-    # A saddle 0.018 from a minimum, both in one h / 8 cell, whose seed
-    # reaches the minimum; the saddle is the minimum's predicted partner
-    # across the fold between them.  At twice the default step: at the
-    # default step a trajectory from a seed 2.8 away lands on the saddle
-    # too, so there the test would pass without the partner.
-    field = sample_field(BargmannFock(1.0), M=1024, seed=(202, 39))
+    # The saddle and minimum share one cell, whose seed reaches the saddle;
+    # the minimum is the saddle's predicted partner across the fold
+    # between them.  At twice the default step: at the default step seeds
+    # reach both, so there the test would pass without the partner.
+    field = sample_field(BargmannFock(1.0), M=256, seed=(202, 6), gaussian_amplitudes=True)
     step = 2.0 * default_grid_step(field.model)
-    points = find_critical_points(field, ((0.0, 12.0), (0.0, 12.0)), step)
-    assert _has_root(points, (10.511260013850139, 7.656567436866597), CriticalKind.SADDLE, 1e-9)
-    assert _has_root(points, (10.529311431892037, 7.653214788349994), CriticalKind.MINIMUM, 1e-9)
+    points = find_critical_points(field, ((0.0, 20.0), (0.0, 20.0)), step)
+    assert _has_root(points, _FOLD_SADDLE, CriticalKind.SADDLE, 1e-9)
+    assert _has_root(points, _FOLD_MINIMUM, CriticalKind.MINIMUM, 1e-9)
 
 
 # Realizations of the iteration-cap and sign-test checks: (7, 0) and (7, 1)
@@ -639,8 +647,9 @@ def test_real_eval_grid_agrees_with_the_complex_form(model, gaussian):
 @pytest.mark.parametrize("model", _FAMILIES, ids=lambda m: m.family)
 def test_real_eval_grid_keeps_the_candidate_cells(model, monkeypatch):
     # The sign test of find_critical_points picks the same cells from the
-    # real and the complex form of its gradient grid, and from the
-    # single-precision grid with certified signs that it reads.
+    # real and the complex form of its gradient grid.  From the single-
+    # precision grid it reads, with its rounding bound, it picks a superset
+    # of them, and each cell more has a corner within the bound.
     seen = []
 
     def recording(tables, alphas):
@@ -651,28 +660,33 @@ def test_real_eval_grid_keeps_the_candidate_cells(model, monkeypatch):
     monkeypatch.setattr(finder, "sign_grid", recording)
     for field in _cap_fields(model):
         find_critical_points(field, _CAP_WINDOW)
-        single = seen.pop()
+        single, bound = seen.pop()
         xaxis, yaxis, grad = seen.pop()
-        new = finder._candidate_cells(grad)
+        new = finder._candidate_cells(grad, 0.0)
         old = finder._candidate_cells(
-            _complex_eval_grid(field, *_axis_points(xaxis, yaxis), [(1, 0), (0, 1)]))
+            _complex_eval_grid(field, *_axis_points(xaxis, yaxis), [(1, 0), (0, 1)]), 0.0)
         assert len(new[0]) > 0
         np.testing.assert_array_equal(new, old)
-        np.testing.assert_array_equal(finder._candidate_cells(single), old)
+        cells = set(zip(*finder._candidate_cells(single, bound)))
+        assert cells >= set(zip(*old))
+        undecided = (np.abs(single) <= bound).any(axis=-1)
+        for i, j in cells - set(zip(*old)):
+            assert undecided[i:i + 2, j:j + 2].any(), (field.seed, i, j)
 
 
-def test_candidate_cells_are_those_whose_corners_span_zero():
+@pytest.mark.parametrize("bound", [0.0, np.array([0.6, 1.2])], ids=["exact", "rounded"])
+def test_candidate_cells_are_those_whose_corners_may_span_zero(bound):
     # The sign masks select the cells whose corner values of each gradient
-    # component reach <= 0 and >= 0, the min/max form kept here as the
-    # reference; the grid has exact zeros, and cells that are zero only.
+    # component reach <= bound and >= -bound, the min/max form kept here as
+    # the reference; the grid has exact zeros, and cells that are zero only.
     rng = np.random.default_rng(4)
     grad = rng.integers(-2, 3, size=(40, 33, 2)) * rng.uniform(0.5, 1.5, size=(40, 33, 2))
     grad[5:9, 7:12] = 0.0
     corners = (grad[:-1, :-1], grad[1:, :-1], grad[:-1, 1:], grad[1:, 1:])
     low, high = np.minimum.reduce(corners), np.maximum.reduce(corners)
-    expected = np.nonzero(((low <= 0.0) & (high >= 0.0)).all(axis=-1))
+    expected = np.nonzero(((low <= bound) & (high >= -bound)).all(axis=-1))
     assert 0 < len(expected[0]) < 39 * 32
-    np.testing.assert_array_equal(finder._candidate_cells(grad), expected)
+    np.testing.assert_array_equal(finder._candidate_cells(grad, bound), expected)
 
 
 def test_index_defect_is_zero_on_the_cosine_lattice():
@@ -706,22 +720,58 @@ def test_index_defect_counts_a_root_left_out():
     assert finder._index_defect(f, xs, ys, grad, roots[1:], vals[1:], tables) == 1
 
 
-def test_index_defect_flags_a_missed_saddle(monkeypatch):
-    # Without the fold-partner seeds, the saddle next to a minimum in one
-    # cell (test_fold_partner_in_the_same_cell_is_found) is missed, and the
+def test_index_defect_flags_a_missed_extremum(monkeypatch):
+    # Without the fold-partner seeds, the minimum next to a saddle
+    # (test_fold_partner_in_the_same_cell_is_found) is missed, and the
     # defect says so.  At twice the default step, the one at which that
-    # saddle needs its partner seed.
-    field = sample_field(BargmannFock(1.0), M=1024, seed=(202, 39))
-    window = ((0.0, 12.0), (0.0, 12.0))
+    # minimum needs its partner seed: the first corpus window
+    # (tools/finder_corpus.py) where removing the partners loses a root.
+    field = sample_field(BargmannFock(1.0), M=256, seed=(202, 6), gaussian_amplitudes=True)
+    window = ((0.0, 20.0), (0.0, 20.0))
     step = 2.0 * default_grid_step(field.model)
     diag = {}
     find_critical_points(field, window, step, diagnostics=diag)
     assert diag["index_defect"] == 0
     monkeypatch.setattr(finder, "_fold_partners", lambda f, roots, hess, reach, tables: roots[:0])
     points = find_critical_points(field, window, step, diagnostics=diag)
-    assert not _has_root(points, (10.511260013850139, 7.656567436866597), CriticalKind.SADDLE,
-                         1e-9)
-    assert diag["index_defect"] == -1
+    assert not _has_root(points, _FOLD_MINIMUM, CriticalKind.MINIMUM, 1e-9)
+    assert diag["index_defect"] == 1
+
+
+def test_a_ring_root_in_an_undecided_cell_is_found():
+    # A maximum in the ring around the window, in a cell whose d1 psi
+    # corners are all negative, two of them (-6.6e-4 and -6.7e-5) within
+    # sign_grid's rounding bound (7.6e-4): exact signs rule the cell out,
+    # so no seed reached the maximum, and the index defect read +1.
+    field = sample_field(BargmannFock(1.0), M=256, seed=(202, 12), gaussian_amplitudes=True)
+    diag = {}
+    find_critical_points(field, ((0.0, 20.0), (0.0, 20.0)), diagnostics=diag)
+    assert diag["index_defect"] == 0
+
+
+def test_a_close_saddle_minimum_pair_in_undecided_cells_is_found():
+    # A saddle and a minimum 0.0295 apart in one cell whose d2 psi corners
+    # are all positive, the least (1.6e-4) within the rounding bound
+    # (7.5e-4): exact signs rule the cell out.  The index defect cannot
+    # see such a pair missed.
+    field = sample_field(BargmannFock(1.0), M=256, seed=(909, 22), gaussian_amplitudes=True)
+    points = find_critical_points(field, ((0.0, 20.0), (0.0, 20.0)))
+    assert _has_root(points, (11.36566696258482, 14.646380678198275), CriticalKind.SADDLE, 1e-9)
+    assert _has_root(points, (11.366659309890599, 14.675861790670403), CriticalKind.MINIMUM,
+                     1e-9)
+
+
+def test_a_saddle_in_an_undecided_cell_is_found_at_twice_the_default_step():
+    # At twice the default step this saddle's cell has d2 psi corners all
+    # positive, the least (3.6e-4) within the rounding bound (6.0e-4):
+    # exact signs rule it out, and the index defect read -1.
+    model = Interpolation(0.5, RandomWave(1.0), BargmannFock(1.0))
+    field = sample_field(model, M=256, seed=(7, 22))
+    diag = {}
+    points = find_critical_points(field, _CAP_WINDOW, 2.0 * default_grid_step(model),
+                                  diagnostics=diag)
+    assert _has_root(points, (8.446168640274696, 3.00484205853403), CriticalKind.SADDLE, 1e-9)
+    assert diag["index_defect"] == 0
 
 
 def test_index_defect_refines_wide_ring_steps(monkeypatch):

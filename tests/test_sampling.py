@@ -210,20 +210,24 @@ def test_eval_grid_on_axes_of_one_to_three_points(nx, ny):
 
 
 def _assert_certified_signs(tables, alphas):
-    """sign_grid against eval_grid on tables: the same signs, and values within
-    sign_grid's stated bound of the exact sum, which eval_grid rounds to well
-    within 1e-12 sum_j |w_j|."""
+    """sign_grid against eval_grid on tables: values within sign_grid's stated
+    bound of the exact sum, which eval_grid rounds to well within 1e-12
+    sum_j |w_j|, so the same signs wherever a value lies beyond the bound;
+    and the returned bound is the stated one."""
     f = tables.field
-    single, ref = sign_grid(tables, alphas), eval_grid(tables, alphas)
-    assert single.shape == ref.shape
-    np.testing.assert_array_equal(np.sign(single), np.sign(ref))
+    (single, got), ref = sign_grid(tables, alphas), eval_grid(tables, alphas)
+    assert single.shape == ref.shape and got.shape == (len(alphas),)
     n, u = 2 * f.nterms + 2, 2.0**-24
     for col, alpha in enumerate(alphas):
         w = np.abs(sampling._term_weights(f, alpha)[0])
         scale = 2.0 ** math.floor(math.log2(w.max()))
         bound = n * u / (1 - n * u) * (1 + 1e-12) * w.sum() + 2 * f.nterms * 2.0**-123 * scale
+        assert got[col] == bound, (alpha, got[col], bound)
         err = np.abs(single[..., col] - ref[..., col]).max()
         assert err <= bound + 1e-12 * w.sum(), (alpha, err, bound)
+        decided = np.abs(single[..., col]) > bound
+        np.testing.assert_array_equal(np.sign(single[..., col][decided]),
+                                      np.sign(ref[..., col][decided]))
 
 
 @pytest.mark.parametrize("model", [RandomWave(1.0), ShiftedRandomWave(0.5, 1.0, 1.0)], ids=repr)
@@ -257,58 +261,46 @@ def test_sign_grid_on_axes_of_one_to_three_points(nx, ny):
 @pytest.mark.parametrize("m", [-30, 30])
 def test_sign_grid_of_a_rescaled_field_is_scaled_bit_for_bit(m):
     # RandomWave(2^m) on the finder's grid scaled by 2^-m: its gradient
-    # grid is 2^m times RandomWave(1)'s, bit for bit, so its signs are
-    # the same array.
+    # grid and rounding bound are 2^m times RandomWave(1)'s, bit for bit,
+    # so its signs are the same array.
     one = sample_field(RandomWave(1.0), M=256, seed=1, gaussian_amplitudes=True)
     scaled = sample_field(RandomWave(2.0**m), M=256, seed=1, gaussian_amplitudes=True)
     np.testing.assert_array_equal(scaled.frequencies, one.frequencies * 2.0**m)
     axes = _finder_axes(one.model, 20.0)
     alphas = [(1, 0), (0, 1)]
-    want = sign_grid(grid_tables(one, *axes), alphas)
-    got = sign_grid(grid_tables(scaled, *[(a * 2.0**-m, b * 2.0**-m, n) for a, b, n in axes]),
-                    alphas)
+    want, want_bound = sign_grid(grid_tables(one, *axes), alphas)
+    got, got_bound = sign_grid(
+        grid_tables(scaled, *[(a * 2.0**-m, b * 2.0**-m, n) for a, b, n in axes]), alphas)
     np.testing.assert_array_equal(got, want * 2.0**m)
     np.testing.assert_array_equal(np.sign(got), np.sign(want))
+    np.testing.assert_array_equal(got_bound, want_bound * 2.0**m)
 
 
-def test_sign_grid_recomputes_in_double_exactly_the_nodes_near_zero(monkeypatch):
-    # Nodes whose single-precision value lies within the bound go through
-    # _exact_nodes; with the bound made infinite every node does, and
-    # the grid is then eval_grid's up to double rounding.
+def test_sign_grid_leaves_few_nodes_undecided(monkeypatch):
+    # On the finder's grid at M = 256 a few nodes per derivative lie within
+    # the rounding bound, where the sign test counts them as either sign;
+    # with the bound made infinite every node does.
     f = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
-    axes = _finder_axes(f.model, 20.0)
-    alphas = [(1, 0), (0, 1)]
-    exact, seen = sampling._exact_nodes, []
-
-    def counting(tables, w, order, nodes, flat, scratch):
-        seen.append(nodes.size)
-        exact(tables, w, order, nodes, flat, scratch)
-
-    monkeypatch.setattr(sampling, "_exact_nodes", counting)
-    tables = grid_tables(f, *axes)
-    ref = eval_grid(tables, alphas)
-    usual = sign_grid(tables, alphas)
-    assert all(0 < n < 100 for n in seen), seen
-    seen.clear()
+    tables = grid_tables(f, *_finder_axes(f.model, 20.0))
+    grid, bound = sign_grid(tables, [(1, 0), (0, 1)])
+    undecided = (np.abs(grid) <= bound).sum(axis=(0, 1))
+    assert np.all((0 < undecided) & (undecided < 100)), undecided
     monkeypatch.setattr(sampling, "_U32", 1.0)
-    forced = sign_grid(tables, alphas)
-    assert seen == [ref[..., 0].size] * 2
-    np.testing.assert_array_equal(np.sign(forced), np.sign(usual))
-    np.testing.assert_allclose(forced, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+    assert np.all(sign_grid(tables, [(1, 0), (0, 1)])[1] == math.inf)
 
 
 def test_repeat_sign_grid_allocates_only_its_result():
     # As test_repeat_eval_grid_allocates_only_its_result: the single-
     # precision operands and result stay in the thread's workspace, so a
-    # repeat call on the finder's grid allocates its result, the trig rows
-    # of _axis_trig and the node masks, and the workspace does not grow.
+    # repeat call on the finder's grid allocates its result and the trig
+    # rows of _axis_trig, and the workspace does not grow.
     f = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
     alphas = [(1, 0), (0, 1)]
     fine, coarse = _finder_axes(f.model, 20.0), _finder_axes(f.model, 20.0, coarsen=2)
     sign_grid(grid_tables(f, *fine), alphas)
     sizes = sampling._workspace.work.size, sampling._workspace.single.size
     for axes in (fine, coarse):
-        out, peak = _traced_peak(lambda: sign_grid(grid_tables(f, *axes), alphas))
+        (out, _), peak = _traced_peak(lambda: sign_grid(grid_tables(f, *axes), alphas))
         assert out.shape == (axes[0][2], axes[1][2], 2)
         assert peak <= 2 * out.nbytes, (axes, peak / out.nbytes)
     assert (sampling._workspace.work.size, sampling._workspace.single.size) == sizes

@@ -23,26 +23,34 @@ Interpolation(0.5, RandomWave(1), BargmannFock(1)), each on the window
 * seeds (7, i), i < 40: M = 256 for even i and 1024 for odd i, Gaussian
   amplitudes when i = 0 mod 3, and L = 12.
 
+A wide series adds 150 realizations per family at the default step only:
+seeds (909, i), i < 150, M = 256, Gaussian amplitudes and L = 20.  It is
+reported in a table of its own.
+
 A root of the reference tree is matched to the nearest root of the new
 tree in the same realization at the same step.  It is missed when none
 lies within TOL = 1e-9, and a kind mismatch when the nearest one lies
 within TOL but has another kind; a new root with no reference root
 within TOL is extra.
-For each step the script prints one table row per family (roots,
-missed, extra, kind mismatches, largest displacement of a matched root,
-and reference -> new: minor page faults, eval_many rows, Newton steps
-and merged trajectories, the finder's newton_iters and nmerged),
+For each step, and for the wide series, the script prints one table
+row per family (roots, missed, extra, kind mismatches, largest
+displacement of a matched root, and reference -> new: minor page faults,
+eval_many rows, Newton steps and merged trajectories, the finder's
+newton_iters and nmerged),
 then each extra root with its |grad psi| and Hessian eigenvalues, then
 every window whose finder reports a nonzero index defect, then how
 many windows differ in their number of Newton seeds (the finder's
 nseeds: candidate cells plus fold partners), then, per family and tree,
 how many sign-test grid nodes the finder evaluated and how many of them
-``sampling.sign_grid`` recomputed in double because its single-precision
-value lay within the rounding bound (counted by a wrapper around
-``sampling._exact_nodes``; a tree without it reads 0).
-Zero there means the two trees started Newton from as many points in
-every window, as they do when the sign test is unchanged.  It exits 1
-when a reference root is missed or changes kind at either step, else 0.
+are undecided: their single-precision value lies within the rounding
+bound that ``sampling.sign_grid`` returns with its grid.  A tree whose
+``sign_grid`` returns the grid alone and recomputes those nodes in
+double (``sampling._exact_nodes``) reports the recomputed ones; a tree
+without ``sign_grid`` reads 0.
+Zero seed-count differences mean the two trees started Newton from as
+many points in every window, as they do when the sign test is unchanged.
+It exits 1 when a reference root is missed or changes kind at either
+step or in the wide series, else 0.  Nothing is written to a file.
 """
 
 from __future__ import annotations
@@ -61,10 +69,12 @@ SERIES = 40
 TOL = 1e-9
 # The grid steps run, as multiples of the default.
 COARSEN = (1, 2)
+# Indices per family of the wide series, run at the default step only.
+WIDE = 150
 # Per-window counts summed per family on each side, in table order.
 _SUMMED = ("faults", "rows", "iters", "merged")
-# Per-window grid counts, reported after the table: nodes and those recomputed in double.
-_NODES = ("nodes", "exact")
+# Per-window grid counts, reported after the table: nodes and the undecided ones.
+_NODES = ("nodes", "undecided")
 _PAIRED = tuple(name + side for name in _SUMMED for side in ("_ref", "_new"))
 
 
@@ -75,6 +85,22 @@ def corpus():
             yield (family, 202, i, *((256, True, 20.0) if i < 30 else (1024, False, 12.0)))
         for i in range(SERIES):
             yield family, 7, i, 256 if i % 2 == 0 else 1024, i % 3 == 0, 12.0
+
+
+def wide():
+    """(family, master, index, M, gaussian, L) for every wide-series realization."""
+    for family in FAMILIES:
+        for i in range(WIDE):
+            yield family, 909, i, 256, True, 20.0
+
+
+def _runs():
+    """(series, realization, coarsen) for every finder call, in output order."""
+    for key in corpus():
+        for coarsen in COARSEN:
+            yield "corpus", key, coarsen
+    for key in wide():
+        yield "wide", key, 1
 
 
 def _models() -> dict:
@@ -107,14 +133,30 @@ def run_tree() -> None:
     finder.eval_many = sampling.eval_many = counting
 
     # The sign-test grid's nodes, whichever grid routine the finder calls,
-    # and the nodes that sign_grid recomputed in double.
+    # and the undecided ones: within the bound sign_grid returns, or
+    # recomputed in double by a sign_grid that returns the grid alone.
+    # The returned grids are counted after the page faults are read, in
+    # buffers kept for the worker's life: arrays of the grid's size freed
+    # between finder calls move the allocator's thresholds, and with them
+    # the finder's page faults.
     grid_name = "sign_grid" if hasattr(finder, "sign_grid") else "eval_grid"
     grid_fn, exact_fn = getattr(finder, grid_name), getattr(sampling, "_exact_nodes", None)
-    nodes = [0, 0]
+    nodes, bounded = [0, 0], []
+    held = [np.empty(0), np.empty(0, dtype=bool)]
+
+    def undecided(grid, bound) -> int:
+        if held[0].size < grid.size:
+            held[:] = np.empty(grid.size), np.empty(grid.size, dtype=bool)
+        size = held[0][:grid.size].reshape(grid.shape)
+        near = held[1][:grid.size].reshape(grid.shape)
+        return int(np.count_nonzero(np.less_equal(np.abs(grid, out=size), bound, out=near)))
 
     def grid_counting(tables, alphas):
         nodes[0] += len(alphas) * tables.xaxis[2] * tables.yaxis[2]
-        return grid_fn(tables, alphas)
+        out = grid_fn(tables, alphas)
+        if isinstance(out, tuple):
+            bounded.append(out)
+        return out
 
     def exact_counting(tables, w, order, idx, *args):
         nodes[1] += idx.size
@@ -124,24 +166,25 @@ def run_tree() -> None:
     if exact_fn is not None:
         sampling._exact_nodes = exact_counting
     models = _models()
-    for family, master, i, M, gaussian, L in corpus():
+    for series, (family, master, i, M, gaussian, L), coarsen in _runs():
         field = sample_field(models[family], M=M, seed=(master, i), gaussian_amplitudes=gaussian)
-        for coarsen in COARSEN:
-            diag: dict = {}
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            rows[0] = nodes[0] = nodes[1] = 0
-            points = find_critical_points(field, ((0.0, L), (0.0, L)),
-                                          coarsen * default_grid_step(field.model),
-                                          diagnostics=diag)
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            roots = [[*p.location, str(p.kind), p.gradient_residual, *p.hessian_eigenvalues]
-                     for p in points]
-            print(json.dumps({"key": [family, master, i, M, gaussian, L], "coarsen": coarsen,
-                              "faults": faults, "rows": rows[0],
-                              "nodes": nodes[0], "exact": nodes[1],
-                              "defect": diag.get("index_defect"),
-                              "nseeds": diag.get("nseeds"), "iters": diag.get("newton_iters"),
-                              "merged": diag.get("nmerged"), "roots": roots}))
+        diag: dict = {}
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        rows[0] = nodes[0] = nodes[1] = 0
+        points = find_critical_points(field, ((0.0, L), (0.0, L)),
+                                      coarsen * default_grid_step(field.model),
+                                      diagnostics=diag)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        nodes[1] += sum(undecided(grid, bound) for grid, bound in bounded)
+        bounded.clear()
+        roots = [[*p.location, str(p.kind), p.gradient_residual, *p.hessian_eigenvalues]
+                 for p in points]
+        print(json.dumps({"series": series, "key": [family, master, i, M, gaussian, L],
+                          "coarsen": coarsen, "faults": faults, "rows": rows[0],
+                          "nodes": nodes[0], "undecided": nodes[1],
+                          "defect": diag.get("index_defect"),
+                          "nseeds": diag.get("nseeds"), "iters": diag.get("newton_iters"),
+                          "merged": diag.get("nmerged"), "roots": roots}))
 
 
 def compare(ref: list[dict], new: list[dict]):
@@ -186,14 +229,18 @@ def _key(key) -> str:
 
 
 def report(ref: list[dict], new: list[dict]) -> int:
-    """Print one table per step; 1 on a missed or retyped root at either step."""
+    """Print one table per step and one for the wide series; 1 on a missed or
+    retyped root in any of them."""
     status = 0
-    for coarsen in COARSEN:
-        if coarsen != COARSEN[0]:
+    parts = [(f"{coarsen} x the default grid step", "corpus", coarsen) for coarsen in COARSEN]
+    parts.append((f"Wide series (909, i), i < {WIDE}, at the default grid step", "wide", 1))
+    for n, (title, series, coarsen) in enumerate(parts):
+        if n:
             print()
-        print(f"## {coarsen} x the default grid step\n")
-        status |= _report_step([a for a in ref if a["coarsen"] == coarsen],
-                               [b for b in new if b["coarsen"] == coarsen])
+        print(f"## {title}\n")
+        status |= _report_step(
+            *([r for r in side if r["series"] == series and r["coarsen"] == coarsen]
+              for side in (ref, new)))
     return status
 
 
@@ -223,7 +270,7 @@ def _report_step(ref: list[dict], new: list[dict]) -> int:
         for side, key, defect in defects:
             print(f"  {side}: {_key(key)}: {defect:+d}")
     print(f"\nWindows with a differing seed count: {seed_diffs} of {len(ref)}")
-    print("\nSign-test grid nodes recomputed in double, ref -> new (of the grid's nodes):")
+    print("\nUndecided sign-test grid nodes, ref -> new (of the grid's nodes):")
     for family in rows:
         counts = [[sum(r.get(k, 0) for r in side if r["key"][0] == family) for k in _NODES]
                   for side in (ref, new)]
