@@ -57,7 +57,7 @@ from .models import (
     model_to_config,
     sigma_derivatives,
 )
-from .sampling import sample_field
+from .sampling import field_terms, sample_field
 
 __all__ = ["main", "build_parser"]
 
@@ -72,7 +72,9 @@ PARAMS = {
                         "other subcommands run in one process whatever its value"),
     "seed": (int, None, "master seed (required)"),
     "rho": (float, 0.1, "ball radius for the asymptotic pair moments"),
-    "size": (int, 1024, "number of frequency terms"),
+    "size": (int, 1024, "number of frequency terms; randomwave and shiftedrandomwave in "
+                        "estimate and report use the fewest equispaced directions that are "
+                        "exact on the window, at most this many"),
     "gaussian-amplitudes": (bool, False, "exactly Gaussian amplitude variant"),
     "window-size": (float, None, "square window side (default from model)"),
     "grid-step": (float, None, "finder grid step h (default from model); the gradient sign "
@@ -324,13 +326,15 @@ def _cmd_estimate(args):
     theory.normalize_kind(args.kind)  # reject a bad tag before the sweep
     pair = theory.normalize_pair(args.pair)
     rho_list = args.rho_list or []
-    sw = estimators.sweep(args.model, args.nreal, args.seed, rho_list, window=_window(args),
+    window = _window(args)
+    sw = estimators.sweep(args.model, args.nreal, args.seed, rho_list, window=window,
                           M=args.size, threads=args.threads)
     rows = [_estimate_row(estimators.intensity(sw, args.kind))]
     rows += [_estimate_row(estimators.second_factorial(sw, rho, pair)) for rho in rho_list]
     rows += [_estimate_row(estimators.repulsion_ratio(sw, rho)) for rho in rho_list]
+    # --size caps the terms of a ring design, so the meta says how many each realization drew.
     meta = {**model_to_config(args.model), "seed": args.seed, "nreal": args.nreal,
-            "kind": args.kind}
+            "kind": args.kind, "nterms": field_terms(args.model, args.size, window)}
     return _render(args, meta, rows)
 
 

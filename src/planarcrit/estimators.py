@@ -26,8 +26,10 @@ random centers.  The moments are exact integers, so each realization's
 mean is the one over its balls' own counts, bit for bit.
 
 All estimators consume the exactly-Gaussian amplitude convention of the
-sampler by default, so their targets are the Gaussian-field values
-without small-M non-Gaussianity bias.
+sampler, so their targets are the Gaussian-field values without small-M
+non-Gaussianity bias.  The sweep passes its window to the sampler, so
+RandomWave and ShiftedRandomWave realizations are the ring design, whose
+law on the window is the model's to rounding (sampling module docs).
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ def _realization_stats(args):
     so process pools can pickle it.
     """
     model, M, seed, window, grid_step, rho_list = args
-    f = sample_field(model, M=M, seed=seed, gaussian_amplitudes=True)
+    f = sample_field(model, M=M, seed=seed, gaussian_amplitudes=True, window=window)
     points = find_critical_points(f, window, grid_step)
     locations = np.array([p.location for p in points]).reshape(-1, 2)
     kind_cols = np.array([_KIND_COL[p.kind] for p in points], dtype=np.int64)
@@ -240,9 +242,12 @@ def sweep(
 ) -> Sweep:
     """Sample, search and count every realization once, for all estimators.
 
-    Realization i is sample_field(model, M, (seed, i)) with Gaussian
-    amplitudes, so the result does not depend on threads.  The finder
-    runs at the model's default grid step.  Each radius must lie in
+    Realization i is sample_field(model, M, (seed, i), True, window):
+    Gaussian amplitudes, and for RandomWave and ShiftedRandomWave the
+    ring design with the fewest terms exact on the window, at most M
+    (sampling.field_terms); other families draw M iid frequencies.  The
+    result does not depend on threads.  The finder runs at the model's
+    default grid step.  Each radius must lie in
     (0, window short side / 4).
     """
     window = window or default_window(model)

@@ -67,6 +67,7 @@ __all__ = [
     "MomentDivergenceError",
     "sigma_derivatives",
     "effective_wavenumber",
+    "exact_ring_terms",
     "spectral_moment",
     "derivative_covariance",
     "model_from_config",
@@ -134,6 +135,7 @@ class CovarianceModel:
     * sigma_derivative: the radial profile derivatives sigma^(j);
     * radial_moment: the radial spectral moments R_n;
     * sample_frequencies: frequency sampling from the continuous part of F;
+    * ring_terms and sample_ring, when that part is one circle;
     * atom_mass, when F has an atom at the origin.
 
     Instances are immutable and hashable; it is safe to share them
@@ -170,6 +172,18 @@ class CovarianceModel:
 
     def sample_frequencies(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` iid frequencies from the normalized continuous part of F."""
+        raise NotImplementedError
+
+    def ring_terms(self, diameter: float) -> int | None:
+        """Terms of the ring design that is exact at lags up to diameter, or None.
+
+        Only a family whose continuous part is one circle has the design
+        (exact_ring_terms); it then draws it with sample_ring.
+        """
+        return None
+
+    def sample_ring(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The `size` frequencies of the ring design, from a uniform offset theta0."""
         raise NotImplementedError
 
 
@@ -267,8 +281,75 @@ def _bessel_profile_derivative(j, x, k):
     return out
 
 
+# Largest error of the ring design's covariance that exact_ring_terms allows.
+_RING_ALIAS = 1e-16
+
+
+def exact_ring_terms(x: float) -> int:
+    """Fewest ring directions whose covariance is exact to 1e-16 at k |lag| <= x.
+
+    The ring design of a circle of radius k has the n directions
+    k (cos theta_j, sin theta_j), theta_j = theta0 + pi j / n, j < n, with
+    independent N(0, 1 / n) cosine and sine coefficients.  Its covariance
+    at a lag t is (1 / n) sum_j cos(lam_j . t), and as cos is even this is
+    the 2n-point trapezoidal rule of Bessel's integral
+    J0(k |t|) = (1 / 2 pi) int cos(k |t| cos theta) dtheta.  By the
+    Jacobi-Anger expansion its error is the aliased terms
+
+        2 sum_{p >= 1} (-1)^(p n) J_{2pn}(k |t|) cos(2 p n (theta0 - arg t))
+
+    (Trefethen & Weideman 2014, SIAM Review 56:385), led by
+    2 |J_2n(k |t|)| <= 2 (x / 2)^2n / (2n)! (DLMF 10.14.4:
+    |J_nu(x)| <= (x / 2)^nu / Gamma(nu + 1)), which rises with k |t|.  The
+    rule returns the smallest n at which that bound is at most 1e-16,
+    from math.lgamma: 33 at x = 20 sqrt 2, 22 at 10 sqrt 2 and 54 at
+    40 sqrt 2.  The terms past the leading one fall off faster still.
+    So on a window of diagonal D the ring design with
+    exact_ring_terms(k D) terms has the circle's covariance to rounding
+    at every lag inside it.  Berry (1977, J. Phys. A 10:2083) introduced
+    this superposition of plane waves.
+    """
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"the ring rule needs a finite nonnegative k |lag|, got {x}")
+    limit = math.log(_RING_ALIAS / 2.0)
+
+    def log_bound(n: int) -> float:  # log of (x / 2)^2n / (2n)!
+        return 2 * n * math.log(x / 2.0) - math.lgamma(2 * n + 1)
+
+    if x == 0.0 or log_bound(1) <= limit:
+        return 1
+    # The bound rises with n up to about x / 4, from above the limit at
+    # n = 1, and falls after: bisect its falling side.
+    lo = max(1, math.ceil(x / 4.0))
+    hi = 2 * lo
+    while log_bound(hi) > limit:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if log_bound(mid) > limit else (lo, mid)
+    return hi
+
+
+class _Circle(CovarianceModel):
+    """A family whose continuous spectral part is uniform on the circle |lam| = k.
+
+    Besides iid directions it has the ring design (exact_ring_terms), which
+    sampling.sample_field draws for Gaussian fields read on a window.
+    """
+
+    def sample_frequencies(self, rng, size):
+        return self.k * _directions(rng, size)
+
+    def ring_terms(self, diameter):
+        return exact_ring_terms(self.k * diameter)
+
+    def sample_ring(self, rng, size):
+        theta = rng.uniform(0.0, math.pi) + math.pi * np.arange(size) / size
+        return self.k * np.column_stack([np.cos(theta), np.sin(theta)])
+
+
 @dataclass(frozen=True)
-class RandomWave(CovarianceModel):
+class RandomWave(_Circle):
     """sigma(x) = J0(k sqrt(x)); spectral measure uniform on the circle |lam| = k."""
 
     k: float
@@ -283,12 +364,9 @@ class RandomWave(CovarianceModel):
     def radial_moment(self, n):
         return self.k**n
 
-    def sample_frequencies(self, rng, size):
-        return self.k * _directions(rng, size)
-
 
 @dataclass(frozen=True)
-class ShiftedRandomWave(CovarianceModel):
+class ShiftedRandomWave(_Circle):
     """Random wave plus an independent constant Gaussian shift.
 
     Spectral measure tau^2 delta_0 + s^2 (uniform circle at radius k), so
@@ -322,9 +400,6 @@ class ShiftedRandomWave(CovarianceModel):
 
     def atom_mass(self):
         return self.tau**2
-
-    def sample_frequencies(self, rng, size):
-        return self.k * _directions(rng, size)
 
 
 @dataclass(frozen=True)

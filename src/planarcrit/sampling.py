@@ -47,6 +47,7 @@ __all__ = [
     "seed_entropy",
     "seeded_rng",
     "sample_field",
+    "field_terms",
     "GridTables",
     "grid_tables",
     "eval_many",
@@ -122,9 +123,9 @@ class MomentEstimate:
 class FieldRealization:
     """One sampled field: frequencies, phases, per-term amplitudes, atom shift.
 
-    Fully determined by (model, M, seed, amplitude convention); sampling
-    the same triple twice gives bit-identical realizations.  Instances
-    are immutable and safe to evaluate concurrently.
+    Fully determined by (model, M, seed, amplitude convention, window);
+    sampling the same arguments twice gives bit-identical realizations.
+    Instances are immutable and safe to evaluate concurrently.
     """
 
     frequencies: np.ndarray  # (M, 2)
@@ -148,26 +149,43 @@ def sample_field(
     M: int = 1024,
     seed=0,
     gaussian_amplitudes: bool = False,
+    window=None,
 ) -> FieldRealization:
-    """Draw one field realization with M spectral terms.
+    """Draw one field realization with at most M spectral terms.
 
     Parameters
     ----------
     model : CovarianceModel
     M : int
-        Number of plane-wave terms; covariance bias of the random-phase
-        variant is O(1/sqrt(M)).
+        Number of plane-wave terms of iid frequencies; covariance bias of
+        the random-phase variant is O(1/sqrt(M)).  The ring design takes
+        at most M terms.
     seed : int or tuple of ints
         Entropy for the realization; tuples support hierarchical
         (master seed, replicate index) derivation whose result does not
         depend on scheduling.
     gaussian_amplitudes : bool
         Use the exactly-Gaussian amplitude convention (see module docs).
+    window : ((xmin, xmax), (ymin, ymax)) or None
+        The window the field will be read on.  With Gaussian amplitudes
+        and a model whose continuous spectral part is one circle, the
+        field is the ring design (module docs) with field_terms(model, M,
+        window) terms, exact on the window; otherwise it is not read.
+
+    The draws come from the seed's one stream in a fixed order: the
+    frequencies (M iid ones, or the ring's one offset theta0), then the
+    atom's Gaussian shift when the model has an atom, then the (M, 2)
+    Gaussian coefficients or the M random phases.
     """
     if M < 1:
         raise ValueError(f"M must be at least 1, got {M}")
     rng = seeded_rng(seed)
-    freqs = model.sample_frequencies(rng, M)
+    ring = _ring_terms(model, M, window) if gaussian_amplitudes else None
+    if ring is None:
+        freqs = model.sample_frequencies(rng, M)
+    else:
+        M = ring
+        freqs = model.sample_ring(rng, M)
     atom = model.atom_mass()
     sigma_c = model.total_mass() - atom
     shift = math.sqrt(atom) * rng.standard_normal() if atom > 0.0 else 0.0
@@ -187,6 +205,22 @@ def sample_field(
         seed=seed,
         gaussian_amplitudes=gaussian_amplitudes,
     )
+
+
+def field_terms(model: CovarianceModel, M: int, window=None) -> int:
+    """The number of terms of sample_field(model, M, seed, True, window), for every seed."""
+    ring = _ring_terms(model, M, window)
+    return M if ring is None else ring
+
+
+def _ring_terms(model: CovarianceModel, M: int, window) -> int | None:
+    """min(M, n) for the ring design of model that is exact on window, or None
+    when the model has no ring design or no window is given."""
+    if window is None:
+        return None
+    (xmin, xmax), (ymin, ymax) = window
+    n = model.ring_terms(math.hypot(xmax - xmin, ymax - ymin))
+    return None if n is None else min(M, n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -489,6 +489,33 @@ def test_estimate_json_shape(capsys):
     assert doc["rows"][0]["nsamples"] == 3
 
 
+# The benchmark's simulate operation, at its own sizes.
+_SIMULATE = ("estimate", "--model", "randomwave", "--k", "1", "--window-size", "20",
+             "--rho-list", "0.5", "1.0", "--nreal", "40", "--size", "256", "--threads", "1")
+
+
+@pytest.mark.parametrize("argv, nterms", [
+    (_SIMULATE, 33),  # the fewest ring directions exact on the 20 x 20 window
+    (("estimate", "--model", "bargmannfock", "--k", "1", "--window-size", "6", "--nreal", "2",
+      "--size", "64"), 64),  # no ring design: --size iid frequencies
+], ids=["randomwave", "bargmannfock"])
+def test_estimate_json_meta_names_the_terms_per_realization(capsys, argv, nterms):
+    code, out, err = run(capsys, *argv, "--seed", "101", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["meta"]["nterms"] == nterms
+
+
+def test_report_full_budget_passes_with_its_empirical_intensity(capsys):
+    # Its sweep of 100 realizations on the default window draws 54 ring terms each.
+    code, out, err = run(capsys, "report", "--model", "randomwave", "--k", "1",
+                         "--budget", "full", "--seed", "42", "--format", "csv")
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert [r["check"] for r in rows] == [*_REPORT_CHECKS[:-1], "empirical_intensity",
+                                          "poisson_control"]
+    assert all(r["status"] == "PASS" for r in rows)
+
+
 def test_report_small_budget_passes(capsys):
     code, out, _ = run(capsys, "report", "--model", "randomwave", "--k", "1",
                        "--budget", "small", "--seed", "42")

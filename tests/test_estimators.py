@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from planarcrit import estimators
 from planarcrit.estimators import (
     MomentEstimate,
     NonpositiveEstimateError,
@@ -22,7 +23,7 @@ from planarcrit.estimators import (
     second_factorial,
     sweep,
 )
-from planarcrit.models import RandomWave, sigma_derivatives
+from planarcrit.models import BargmannFock, RandomWave, sigma_derivatives
 from planarcrit.theory import lambda_c
 
 
@@ -32,6 +33,25 @@ def test_intensity_consistent_with_theory_small_budget():
     lam = lambda_c(sigma_derivatives(model))
     assert abs(est.value - lam) < 4.0 * est.std_error
     assert est.std_error < 0.15 * lam
+
+
+@pytest.mark.parametrize("model, M, terms", [
+    (RandomWave(1.0), 1024, 33),  # the ring rule on the 20 x 20 window's diagonal
+    (RandomWave(1.0), 16, 16),  # M caps it
+    (BargmannFock(1.0), 64, 64),  # no ring design: M iid frequencies
+], ids=repr)
+def test_sweep_draws_the_fewest_exact_ring_terms_up_to_M(monkeypatch, model, M, terms):
+    drawn = []
+    sample = estimators.sample_field
+
+    def recording(*args, **kwargs):
+        f = sample(*args, **kwargs)
+        drawn.append(f.nterms)
+        return f
+
+    monkeypatch.setattr(estimators, "sample_field", recording)
+    sweep(model, nreal=2, seed=1, window=((0.0, 20.0), (0.0, 20.0)), M=M)
+    assert drawn == [terms, terms]
 
 
 def test_intensity_by_kind_shares_realizations():

@@ -20,6 +20,7 @@ from planarcrit.models import (
     ShiftedRandomWave,
     SigmaDerivatives,
     derivative_covariance,
+    exact_ring_terms,
     model_from_config,
     model_to_config,
     sigma_derivatives,
@@ -523,3 +524,51 @@ def test_model_validation():
 def test_spectral_moment_refuses_exponents_outside_its_range(a, b, message):
     with pytest.raises(ValueError, match=message):
         spectral_moment(RandomWave(1.0), a, b)
+
+
+# ---------------------------------------------------------------------------
+# The ring rule
+# ---------------------------------------------------------------------------
+
+
+def _alias_bound(x, n):
+    """2 (x / 2)^2n / (2n)!, the bound on the ring design's leading alias 2 |J_2n(x)|
+    (inf where it overflows a double)."""
+    log_bound = math.log(2.0) + 2 * n * math.log(x / 2.0) - math.lgamma(2 * n + 1)
+    return math.exp(log_bound) if log_bound < 700.0 else math.inf
+
+
+@pytest.mark.parametrize("x, n", [
+    (20.0 * math.sqrt(2.0), 33),  # a 20 x 20 window at k = 1
+    (10.0 * math.sqrt(2.0), 22),
+    (40.0 * math.sqrt(2.0), 54),  # the default window 40 / k_eff
+    (1.5 * 20.0 * math.sqrt(2.0), 44),  # ShiftedRandomWave(0.8, 1.3, 1.5) on side 20
+])
+def test_ring_rule_gives_the_fewest_terms_within_its_bound(x, n):
+    assert exact_ring_terms(x) == n
+    assert _alias_bound(x, n) <= 1e-16 < _alias_bound(x, n - 1)
+    # The bound holds the alias itself: 2 |J_2n(x)| within it.
+    assert 2.0 * abs(special.jv(2 * n, x)) <= _alias_bound(x, n)
+
+
+def test_ring_rule_is_the_smallest_n_at_every_argument():
+    # The rule bisects; a scan from n = 1 is its definition.
+    for x in [0.0, 1e-9, *np.geomspace(1e-3, 2000.0, 400)]:
+        n = 1
+        while x > 0 and _alias_bound(x, n) > 1e-16:
+            n += 1
+        assert exact_ring_terms(x) == n, x
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            exact_ring_terms(bad)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=_ids(ALL_MODELS))
+def test_only_the_circle_families_have_a_ring_design(model):
+    rule = model.ring_terms(20.0 * math.sqrt(2.0))
+    if isinstance(model, (RandomWave, ShiftedRandomWave)):
+        assert rule == exact_ring_terms(model.k * 20.0 * math.sqrt(2.0))
+        freqs = model.sample_ring(np.random.default_rng(3), rule)
+        np.testing.assert_allclose(np.hypot(*freqs.T), model.k, rtol=1e-15)
+    else:
+        assert rule is None

@@ -22,6 +22,7 @@ from planarcrit.sampling import (
     eval_gradient,
     eval_grid,
     eval_many,
+    field_terms,
     grid_tables,
     sample_field,
     seed_entropy,
@@ -94,6 +95,58 @@ def test_shift_component_present_only_with_atom():
     assert f.shift != 0.0
     # amplitude normalization covers only the continuous mass s^2
     np.testing.assert_allclose(f.amplitudes, math.sqrt(2.0 / 32))
+
+
+_RING_CASES = [(RandomWave(1.0), 20.0), (RandomWave(2.0**20), 20.0 * 2.0**-20),
+               (RandomWave(2.0**-20), 20.0 * 2.0**20), (ShiftedRandomWave(0.8, 1.3, 1.5), 20.0)]
+
+
+@pytest.mark.parametrize("model, side", _RING_CASES, ids=repr)
+def test_ring_design_has_the_model_covariance_on_its_window(model, side):
+    # The design's covariance (sigma_c / n) sum_j cos(lam_j . x), plus the
+    # atom, is the model's sigma(|x|^2) to rounding at every lag inside the
+    # window: 2 000 random lags with |x| up to its diagonal.
+    window = ((0.0, side), (0.0, side))
+    f = sample_field(model, M=1024, seed=5, gaussian_amplitudes=True, window=window)
+    n = f.nterms
+    assert n == field_terms(model, 1024, window) == model.ring_terms(math.hypot(side, side))
+    rng = np.random.default_rng(17)
+    radius = math.hypot(side, side) * rng.uniform(0.0, 1.0, 2000)
+    angle = rng.uniform(0.0, 2.0 * math.pi, 2000)
+    lags = radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    sigma_c = model.total_mass() - model.atom_mass()
+    design = model.atom_mass() + sigma_c / n * np.cos(lags @ f.frequencies.T).sum(axis=1)
+    exact = model.sigma_derivative(0, (lags**2).sum(axis=1))
+    assert np.max(np.abs(design - exact)) <= 1e-14 * model.total_mass()
+
+
+def test_ring_design_draws_equispaced_directions_in_a_fixed_order():
+    model, window = ShiftedRandomWave(0.8, 1.3, 1.5), ((0.0, 20.0), (0.0, 20.0))
+    f = sample_field(model, M=1024, seed=(4, 2), gaussian_amplitudes=True, window=window)
+    assert f.nterms == 44
+    # theta0 + pi j / n on the half circle, theta0 the stream's first draw,
+    # then the atom's shift, then the (n, 2) coefficients of variance sigma_c / n.
+    rng = seeded_rng((4, 2))
+    theta = rng.uniform(0.0, math.pi) + math.pi * np.arange(44) / 44
+    np.testing.assert_array_equal(f.frequencies, 1.5 * np.column_stack([np.cos(theta),
+                                                                         np.sin(theta)]))
+    assert f.shift == 0.8 * rng.standard_normal()
+    coef = rng.standard_normal((44, 2)) * math.sqrt(1.3**2 / 44)
+    np.testing.assert_array_equal(f.amplitudes, np.hypot(coef[:, 0], coef[:, 1]))
+    # M caps the ring's terms.
+    assert sample_field(model, M=16, seed=1, gaussian_amplitudes=True, window=window).nterms == 16
+
+
+@pytest.mark.parametrize("model, gaussian", [(RandomWave(1.0), False), (BargmannFock(1.0), True)],
+                         ids=repr)
+def test_without_a_ring_design_the_window_changes_no_draw(model, gaussian):
+    # Random phases keep iid directions, as does every family without one circle.
+    window = ((0.0, 20.0), (0.0, 20.0))
+    f = sample_field(model, M=64, seed=3, gaussian_amplitudes=gaussian, window=window)
+    g = sample_field(model, M=64, seed=3, gaussian_amplitudes=gaussian)
+    assert field_terms(model, 64) == 64 and f.nterms == 64
+    for name in ("frequencies", "phases", "amplitudes"):
+        np.testing.assert_array_equal(getattr(f, name), getattr(g, name))
 
 
 @pytest.mark.parametrize("gaussian", [False, True])

@@ -24,8 +24,15 @@ Interpolation(0.5, RandomWave(1), BargmannFock(1)), each on the window
   amplitudes when i = 0 mod 3, and L = 12.
 
 A wide series adds 150 realizations per family at the default step only:
-seeds (909, i), i < 150, M = 256, Gaussian amplitudes and L = 20.  It is
-reported in a table of its own.
+seeds (909, i), i < 150, M = 256, Gaussian amplitudes and L = 20.  A ring
+series adds the fields that the sweep draws for the circle families
+(``sampling.sample_field`` given its window): RandomWave(1) and
+ShiftedRandomWave(0.5, 1, 1), seeds (303, i), i < 40, L = 20, at the
+default step, each the ring design of RING_TERMS equispaced directions
+with Gaussian amplitudes.  The script builds those fields itself, as
+``FieldRealization`` records in the sampler's order of draws, so that a
+tree without the ring design runs the same fields.  The wide and the
+ring series are reported in tables of their own.
 
 A root of the reference tree is matched to the nearest root of the new
 tree in the same realization at the same step.  It is missed when none
@@ -50,7 +57,7 @@ without ``sign_grid`` reads 0.
 Zero seed-count differences mean the two trees started Newton from as
 many points in every window, as they do when the sign test is unchanged.
 It exits 1 when a reference root is missed or changes kind at either
-step or in the wide series, else 0.  Nothing is written to a file.
+step or in the wide or ring series, else 0.  Nothing is written to a file.
 """
 
 from __future__ import annotations
@@ -71,6 +78,10 @@ TOL = 1e-9
 COARSEN = (1, 2)
 # Indices per family of the wide series, run at the default step only.
 WIDE = 150
+# The ring series: its families, and its terms, models.exact_ring_terms(20 sqrt 2) for k = 1
+# on [0, 20]^2, fixed here so that a tree without the rule draws the same fields.
+RING_FAMILIES = ("randomwave", "shiftedrandomwave")
+RING_TERMS = 33
 # Per-window counts summed per family on each side, in table order.
 _SUMMED = ("faults", "rows", "iters", "merged")
 # Per-window grid counts, reported after the table: nodes and the undecided ones.
@@ -94,6 +105,13 @@ def wide():
             yield family, 909, i, 256, True, 20.0
 
 
+def ring():
+    """(family, master, index, terms, gaussian, L) for every ring-series realization."""
+    for family in RING_FAMILIES:
+        for i in range(SERIES):
+            yield family, 303, i, RING_TERMS, True, 20.0
+
+
 def _runs():
     """(series, realization, coarsen) for every finder call, in output order."""
     for key in corpus():
@@ -101,6 +119,30 @@ def _runs():
             yield "corpus", key, coarsen
     for key in wide():
         yield "wide", key, 1
+    for key in ring():
+        yield "ring", key, 1
+
+
+def _ring_field(model, seed, n: int):
+    """The ring design of a circle family with n terms and Gaussian amplitudes.
+
+    The draws are sample_field's, in its order: the offset theta0 of the
+    directions theta0 + pi j / n, then the atom's shift, then the (n, 2)
+    coefficients of variance sigma_c / n.
+    """
+    import numpy as np
+
+    from planarcrit.sampling import FieldRealization, seeded_rng
+
+    rng = seeded_rng(seed)
+    theta = rng.uniform(0.0, math.pi) + math.pi * np.arange(n) / n
+    atom = model.atom_mass()
+    shift = math.sqrt(atom) * rng.standard_normal() if atom > 0.0 else 0.0
+    coef = rng.standard_normal((n, 2)) * math.sqrt((model.total_mass() - atom) / n)
+    return FieldRealization(
+        frequencies=model.k * np.column_stack([np.cos(theta), np.sin(theta)]),
+        phases=np.arctan2(-coef[:, 1], coef[:, 0]), amplitudes=np.hypot(coef[:, 0], coef[:, 1]),
+        shift=float(shift), model=model, seed=seed, gaussian_amplitudes=True)
 
 
 def _models() -> dict:
@@ -167,7 +209,11 @@ def run_tree() -> None:
         sampling._exact_nodes = exact_counting
     models = _models()
     for series, (family, master, i, M, gaussian, L), coarsen in _runs():
-        field = sample_field(models[family], M=M, seed=(master, i), gaussian_amplitudes=gaussian)
+        if series == "ring":
+            field = _ring_field(models[family], (master, i), M)
+        else:
+            field = sample_field(models[family], M=M, seed=(master, i),
+                                 gaussian_amplitudes=gaussian)
         diag: dict = {}
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         rows[0] = nodes[0] = nodes[1] = 0
@@ -229,11 +275,13 @@ def _key(key) -> str:
 
 
 def report(ref: list[dict], new: list[dict]) -> int:
-    """Print one table per step and one for the wide series; 1 on a missed or
-    retyped root in any of them."""
+    """Print one table per step and one each for the wide and the ring series;
+    1 on a missed or retyped root in any of them."""
     status = 0
     parts = [(f"{coarsen} x the default grid step", "corpus", coarsen) for coarsen in COARSEN]
     parts.append((f"Wide series (909, i), i < {WIDE}, at the default grid step", "wide", 1))
+    parts.append((f"Ring series (303, i), i < {SERIES}, {RING_TERMS} terms, at the default "
+                  "grid step", "ring", 1))
     for n, (title, series, coarsen) in enumerate(parts):
         if n:
             print()
