@@ -178,13 +178,10 @@ class CovarianceModel:
         """Terms of the ring design that is exact at lags up to diameter, or None.
 
         Only a family whose continuous part is one circle has the design
-        (exact_ring_terms); it then draws it with sample_ring.
+        (exact_ring_terms); it draws the design's frequencies with
+        sample_ring(rng, size), from a uniform offset theta0.
         """
         return None
-
-    def sample_ring(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The `size` frequencies of the ring design, from a uniform offset theta0."""
-        raise NotImplementedError
 
 
 def _require_finite_positive(name: str, value) -> None:

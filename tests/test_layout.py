@@ -171,6 +171,26 @@ def test_small_report_leaves_scipy_unloaded(flags):
     assert out.stdout.strip() == "0 False"
 
 
+# The ring design's rule takes math.lgamma, not scipy's Bessel functions.
+def test_estimate_of_a_ring_family_leaves_scipy_unloaded():
+    argv = ["estimate", "--model", "shiftedrandomwave", "--tau", "0.8", "--s", "1.3",
+            "--k", "1.5", "--window-size", "8", "--nreal", "2", "--rho-list", "1.0",
+            "--seed", "1", "--format", "json"]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from planarcrit import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(code, json.loads(out.getvalue())['meta']['nterms'], 'scipy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
+    )
+    assert out.stdout.strip() == "0 24 False"
+
+
 def test_benchmark_trace_hooks_resolve_and_count(monkeypatch):
     # tracing wraps names where their callers look them up, unpacks the
     # six-slot sweep task and reads the finder's positional diagnostics

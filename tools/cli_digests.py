@@ -30,9 +30,11 @@ through ``planarcrit.cli.main``:
   control's ball grid must keep its 20 x 20 centres; ``find`` for
   RandomWave(2^20) on the window [0, 20 / 2^20]^2, which pins that the
   Newton tolerance is relative to the gradient's unit (an absolute one
-  finds no root there); and ``kacrice`` two-point for BargmannFock(1)
+  finds no root there); ``kacrice`` two-point for BargmannFock(1)
   at the far distance 1e100, where the pair density's factors are near
-  overflow;
+  overflow; and ``estimate`` for ShiftedRandomWave(0.8, 1.3, 1.5), the
+  other family whose sweep draws the ring design, and for
+  BargmannFock(1), which draws ``--size`` iid frequencies;
 * for RandomWave(1), calls whose parameters come from a ``--config``
   file (CONFIG_CALLS): ``estimate``, ``sample`` (once with the flag
   ``--no-gaussian-amplitudes`` over the config's bool), ``scaling`` and
@@ -87,6 +89,12 @@ EXTRA_CALLS = {
                     "--gaussian-amplitudes", "--seed", "1", "--format", "csv"],
     "kacrice two-point far": ["kacrice", "--model", "bargmannfock", "--k", "1", "--seed", "7",
                               "--what", "two-point", "--r", "1e100", "--nsamples", "2000"],
+    "estimate shiftedrandomwave": ["estimate", "--model", "shiftedrandomwave", "--tau", "0.8",
+                                   "--s", "1.3", "--k", "1.5", "--seed", "7", "--nreal", "3",
+                                   "--size", "256", "--window-size", "12", "--rho-list", "1.0"],
+    "estimate bargmannfock": ["estimate", "--model", "bargmannfock", "--k", "1", "--seed", "7",
+                              "--nreal", "3", "--size", "64", "--window-size", "6",
+                              "--rho-list", "0.5"],
 }
 # name: (argv before the config, config body after CONFIG_MODEL)
 CONFIG_CALLS = {

@@ -59,6 +59,7 @@ def run_tree() -> None:
     for family, model in zip(FAMILIES, (RandomWave(1.0), ShiftedRandomWave(0.8, 1.3, 1.5))):
         side = 20.0 / effective_wavenumber(model)
         window = ((0.0, side), (0.0, side))
+        # A tree without sampling.field_terms draws M iid terms.
         terms = getattr(sampling, "field_terms", lambda model, M, window: M)(model, M, window)
         for seed in SEEDS:
             sw = estimators.sweep(model, NREAL, seed, rho_list=[RHO], window=window)
