@@ -80,8 +80,9 @@ class ScalingFit:
 def default_window(model: CovarianceModel):
     """[0, L]^2 with L = 40 / k_eff, k_eff the gradient-scale wavenumber.
 
-    k_eff (models.effective_wavenumber) equals k for wave models; the
-    side gives >= 100 expected critical points per realization so the
+    k_eff (models.effective_wavenumber) equals k for RandomWave(k) and
+    k s / sqrt(tau^2 + s^2) for ShiftedRandomWave(tau, s, k); the side
+    gives >= 100 expected critical points per realization so the
     per-realization simulation cost is amortized.
     """
     side = 40.0 / effective_wavenumber(model)

@@ -7,17 +7,13 @@ and classified by Hessian eigenvalue signs.
 
 Seeds.  The gradient is evaluated on a tensor grid of step h / 8 (h the
 grid step, _SUBDIVISION = 8) covering the window plus one cell, where the
-field separates into one small real matmul per derivative and the cos
-and sin tables of each axis come from angle addition
-(sampling.grid_tables).  The call builds those tables once, evaluates
-the grid from them and passes them with every point it evaluates
-afterwards.  The sign test reads only signs, so the grid is one
-single-precision matmul per derivative (sampling.sign_grid), which
-returns with it a rounding bound per derivative: each node lies within
-the bound of the exact sum that eval_grid's double matmul rounds.  The
-tables serve the points too: eval_many writes each point as its nearest
-grid node times exp(i lam . d), so only the small offset angle lam . d
-goes through cos and sin (a point past the grid anchors at an edge node).
+field separates into one small real matmul per derivative.  The sign
+test reads only signs, so the grid is one single-precision matmul per
+derivative (sampling.sign_grid), which returns with it a rounding bound
+per derivative: each node lies within the bound of the exact sum that
+eval_grid's double matmul rounds.  The grid call builds the cos and sin
+tables of each axis and keeps none of them; every point evaluated after
+it is evaluated directly (sampling.eval_many).
 A cell is a candidate unless, for either gradient component, all four
 corners lie beyond the bound on the same side: all four > bound or all
 four < -bound.  A node inside the bound counts as either sign, so every
@@ -63,11 +59,12 @@ The loop is vectorized, so each iteration costs one eval_many call
 however few trajectories are active, and one stalled trajectory keeps
 the loop running to the cap.  Stalled trajectories sit near local
 minima of |grad psi| that are not roots.  Over the 40 realizations of
-the benchmark's simulate sweep (seed 101) with the cap raised to 50,
-2 of 1545 converging trajectories needed more than 12 steps, and both
-end outside the window, so the sweep's 1479 roots are those of the cap
-of 12; the 10 trajectories still unconverged after 50 steps end at
-|grad psi| between 2e-4 and 1.1.  On the root-set corpus
+the benchmark's simulate sweep (seed 101, 33-term ring fields) with the
+cap raised to 50, 5 more trajectories converge (1510 against 1505) and
+16 more merge, but none adds a root: the sweep's 1465 roots are those
+of the cap of 12, within 1e-12 and of the same kinds.  The 5
+trajectories still unconverged after 50 steps end at |grad psi|
+between 4e-3 and 1.5.  On the root-set corpus
 (tools/finder_corpus.py) the roots are those of the earlier cap of 50.
 Both checks ran at the default grid step.  A coarser step starts
 Newton farther from the roots; test_iteration_cap_loses_no_root also
@@ -116,7 +113,7 @@ them; a root the step leaves in place (a step below the last bit of its
 coordinates) or does not improve keeps Newton's values.  So no point is
 evaluated twice, and every evaluation after the grid, Newton's, the
 fold partners', the final step's and the index defect's ring
-refinement, reads the grid's axis tables.
+refinement, is one direct eval_many call on its points.
 """
 
 from __future__ import annotations
@@ -134,8 +131,7 @@ from .models import (
     sigma_derivatives,
 )
 # Not called here: perfbench/tracing.py wraps finder.eval_gradient (test_layout pins it).
-from .sampling import (  # noqa: F401
-    FieldRealization, GridTables, eval_gradient, eval_many, grid_tables, sign_grid)
+from .sampling import FieldRealization, eval_gradient, eval_many, sign_grid  # noqa: F401
 
 __all__ = [
     "CriticalKind",
@@ -191,7 +187,9 @@ def default_grid_step(model: CovarianceModel) -> float:
     """An eighth of the model's oscillation length: 2 pi / k_eff / 8.
 
     k_eff = sqrt(-4 eta0 / sigma0) (models.effective_wavenumber) is k for
-    wave-type models, so the sign-test cells are 64 per oscillation.
+    RandomWave(k), whose sign-test cells are then 64 per wavelength.  For
+    ShiftedRandomWave(tau, s, k) it is k s / sqrt(tau^2 + s^2), below k,
+    so its cells are wider by that ratio.
     """
     return 2.0 * math.pi / effective_wavenumber(model) / 8.0
 
@@ -273,22 +271,19 @@ def find_critical_points(
     ny = math.ceil((ymax - ymin) / cell) + 3
     xs = xmin - cell + cell * np.arange(nx)
     ys = ymin - cell + cell * np.arange(ny)
-    axes = (xmin - cell, cell, nx), (ymin - cell, cell, ny)
-    # One set of axis tables serves the grid and every point evaluated below.
-    tables = grid_tables(f, *axes)
-    grid, rounding = sign_grid(tables, _DERIVS[:2])
+    grid, rounding = sign_grid(f, (xmin - cell, cell, nx), (ymin - cell, cell, ny), _DERIVS[:2])
     ci, cj = _candidate_cells(grid, rounding)
     pts = np.column_stack([xs[ci] + 0.5 * cell, ys[cj] + 0.5 * cell])
 
     margin = 4.0 * h
     bound = np.array([xmin - margin, ymin - margin, xmax + margin, ymax + margin])
-    pts, gnorm, vals, counts = _newton(f, pts, bound, dedup_radius, tables)
+    pts, gnorm, vals, counts = _newton(f, pts, bound, dedup_radius)
     table = _root_table(pts, gnorm, vals, dedup_radius)
     # Two roots in one cell share a seed; also run from the partner that
     # each root predicts across a nearby fold, and merge the partners that
     # converge into the table.
-    partners = _fold_partners(f, table[0], table[2][:, 2:], 2.0 * cell, tables)
-    *ends, more_counts = _newton(f, partners, bound, dedup_radius, tables)
+    partners = _fold_partners(f, table[0], table[2][:, 2:], 2.0 * cell)
+    *ends, more_counts = _newton(f, partners, bound, dedup_radius)
     done = ends[1] <= _NEWTON_TOL
     if done.any():
         table = _root_table(*map(np.concatenate, zip(table, ends)), dedup_radius)
@@ -298,7 +293,7 @@ def find_critical_points(
     pts, _, vals = table
 
     inside = _inside(pts, window)
-    merged_pts, merged_resid, hess = _polish(f, pts[inside], vals[inside], tables)
+    merged_pts, merged_resid, hess = _polish(f, pts[inside], vals[inside])
 
     points = []
     # Python floats: numpy scalars cost more per operation and round alike.
@@ -325,13 +320,12 @@ def find_critical_points(
             ndropped=nrunaway + nstalled,
             newton_iters=newton_iters,
             nreturned=len(points),
-            index_defect=_index_defect(f, xs, ys, grid, pts, vals, tables),
+            index_defect=_index_defect(f, xs, ys, grid, pts, vals),
         )
     return points
 
 
-def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: float,
-            tables: GridTables):
+def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: float):
     """Newton on the gradient from each of `pts`, vectorized over the active set.
 
     Every point is evaluated once: the seeds together, then each step's
@@ -353,7 +347,7 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
     if len(pts) == 0:  # no candidate cell or no fold partner: nothing to evaluate
         return pts, np.zeros(0), np.zeros((0, len(_DERIVS))), np.zeros(4, dtype=int)
     unit = 1.0 if f.model is None else math.sqrt(-4.0 * sigma_derivatives(f.model).eta0)
-    vals = eval_many(f, pts, _DERIVS, tables)
+    vals = eval_many(f, pts, _DERIVS)
     gnorm = _grad_norm(vals) / unit
     active = np.arange(len(pts))
     nmerged = nrunaway = newton_iters = 0
@@ -378,7 +372,7 @@ def _newton(f: FieldRealization, pts: np.ndarray, bound: np.ndarray, radius: flo
         active, trial = active[~merged], trial[~merged]
         if active.size == 0:  # every trajectory left or merged: nothing to evaluate
             break
-        vals[active] = eval_many(f, trial, _DERIVS, tables)
+        vals[active] = eval_many(f, trial, _DERIVS)
         gnorm[active] = _grad_norm(vals[active]) / unit
     nstalled = int((gnorm[active] > _NEWTON_TOL).sum())
     return pts, gnorm, vals, np.array([nmerged, nrunaway, nstalled, newton_iters])
@@ -402,8 +396,7 @@ def _candidate_cells(grad: np.ndarray, bound):
     return np.divmod(np.flatnonzero(~ruled_out), ruled_out.shape[1])
 
 
-def _index_defect(f: FieldRealization, xs, ys, grad, pts, vals,
-                  tables: GridTables) -> int:
+def _index_defect(f: FieldRealization, xs, ys, grad, pts, vals) -> int:
     """Winding number of grad psi around the grid xs x ys minus the index sum inside.
 
     `grad` is the gradient on the grid (eval_grid order); `pts` and `vals`
@@ -414,7 +407,7 @@ def _index_defect(f: FieldRealization, xs, ys, grad, pts, vals,
     inside = _inside(pts, ((xs[0], xs[-1]), (ys[0], ys[-1])))
     h11, h12, h22 = vals[inside, 2:].T
     index = int(np.sign(h11 * h22 - h12**2).sum())
-    return _winding_number(f, xs, ys, grad, tables) - index
+    return _winding_number(f, xs, ys, grad) - index
 
 
 def _inside(pts: np.ndarray, box) -> np.ndarray:
@@ -438,8 +431,7 @@ def _root_table(pts: np.ndarray, gnorm: np.ndarray, vals: np.ndarray, radius: fl
     return pts[keep], gnorm[keep], vals[keep]
 
 
-def _winding_number(f: FieldRealization, xs, ys, grad,
-                    tables: GridTables) -> int:
+def _winding_number(f: FieldRealization, xs, ys, grad) -> int:
     """Turns of grad psi along the boundary of the grid xs x ys, counterclockwise.
 
     Starts from the grid's own boundary values (sign_grid's, within its
@@ -465,12 +457,12 @@ def _winding_number(f: FieldRealization, xs, ys, grad,
         new = (a[:, None, :] + frac * (b - a)[:, None, :]).reshape(-1, 2)
         at = np.repeat(wide + 1, _RING_SPLIT - 1)
         ring = np.insert(ring, at, new, axis=0)
-        g = np.insert(g, at, eval_many(f, new, _DERIVS[:2], tables), axis=0)
+        g = np.insert(g, at, eval_many(f, new, _DERIVS[:2]), axis=0)
     return round(turn.sum() / (2.0 * math.pi))
 
 
 def _fold_partners(f: FieldRealization, roots: np.ndarray, hess: np.ndarray,
-                   reach: float, tables: GridTables) -> np.ndarray:
+                   reach: float) -> np.ndarray:
     """The predicted partner of each root that lies within `reach` across a fold.
 
     Along the Hessian eigenvector v of the eigenvalue lam nearer zero, the
@@ -482,7 +474,7 @@ def _fold_partners(f: FieldRealization, roots: np.ndarray, hess: np.ndarray,
     if len(roots) == 0:
         return roots
     h11, h12, h22 = hess.T
-    t30, t21, t12, t03 = eval_many(f, roots, _THIRD, tables).T
+    t30, t21, t12, t03 = eval_many(f, roots, _THIRD).T
     mean = 0.5 * (h11 + h22)
     spread = np.hypot(0.5 * (h11 - h22), h12)
     theta = 0.5 * np.arctan2(2.0 * h12, h11 - h22)  # eigenvector of mean + spread
@@ -507,8 +499,7 @@ def _newton_step(g1, g2, h11, h12, h22):
     return step, ok
 
 
-def _polish(f: FieldRealization, pts: np.ndarray, vals: np.ndarray,
-            tables: GridTables):
+def _polish(f: FieldRealization, pts: np.ndarray, vals: np.ndarray):
     """One more Newton step from each root, kept where it lowers the residual.
 
     With one trajectory per root the kept residual is no longer the best of
@@ -528,7 +519,7 @@ def _polish(f: FieldRealization, pts: np.ndarray, vals: np.ndarray,
     trial = pts - step
     moved = np.flatnonzero((trial != pts).any(axis=1))
     if moved.size:
-        tvals = eval_many(f, trial[moved], _DERIVS, tables)
+        tvals = eval_many(f, trial[moved], _DERIVS)
         better = _grad_norm(tvals) < _grad_norm(vals[moved])
         pts[moved[better]] = trial[moved[better]]
         vals[moved[better]] = tvals[better]

@@ -538,9 +538,11 @@ def sigma_derivatives(model: CovarianceModel) -> SigmaDerivatives:
 def effective_wavenumber(model: CovarianceModel) -> float:
     """k_eff = sqrt(-4 eta0 / sigma0), the wavenumber of the gradient scale.
 
-    Var(d_i psi) = -2 eta0 = sigma0 k_eff^2 / 2, so k_eff is k for
-    (shifted) random waves.  Oscillation length, finder grid step and
-    default window all derive from it.
+    Var(d_i psi) = -2 eta0 = sigma0 k_eff^2 / 2, so k_eff^2 = R_2 / R_0:
+    k for RandomWave(k), and k s / sqrt(tau^2 + s^2) for
+    ShiftedRandomWave(tau, s, k), whose atom adds variance and no
+    gradient (1.2775 for (0.8, 1.3, 1.5)).  Oscillation length, finder
+    grid step and default window all derive from it.
     """
     d = sigma_derivatives(model)
     return math.sqrt(-4.0 * d.eta0 / model.total_mass())

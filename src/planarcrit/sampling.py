@@ -48,8 +48,6 @@ __all__ = [
     "seeded_rng",
     "sample_field",
     "field_terms",
-    "GridTables",
-    "grid_tables",
     "eval_many",
     "eval_grid",
     "sign_grid",
@@ -223,68 +221,7 @@ def _ring_terms(model: CovarianceModel, M: int, window) -> int | None:
     return None if n is None else min(M, n)
 
 
-@dataclass(frozen=True, eq=False)
-class GridTables:
-    """exp(i (lam1 x_a + phi)) and exp(i lam2 y_b) at the nodes of a tensor grid.
-
-    E1 = e1 (nx x M) and E2 = e2 (ny x M) for the axes xaxis and yaxis,
-    each (start, step, count), of realization field, built by
-    grid_tables.  eval_grid reads them as C1 + i S1 and C2 + i S2 to
-    evaluate field on that grid, and sign_grid to evaluate it in single
-    precision within a rounding bound it returns; eval_many reads them to
-    evaluate points near the grid without the cos and sin of their full
-    arguments.
-
-    The tables come from angle addition (_axis_trig): with
-    B = floor(sqrt(n)), only ceil(n / B) + B rows of arguments go through
-    cos and sin (29 of 207 on the finder's grid of a 20 x 20 window at
-    the default step), and every other entry is one complex product of a
-    coarse and a fine entry.  So an entry is off by a few ulp of 1 on top
-    of the |lam x| eps rounding of its coarse argument, the rounding that
-    the direct eval_many has at x.  eval_many's anchored form adds two
-    complex products and the |lam . d| eps rounding of the offset angle,
-    so it stays within a few ulp of the amplitude sum sum_j |w_j| of
-    the direct form (tests/test_sampling.py checks 32).
-
-    Lifetime: the tables are views of the calling thread's workspace
-    (_scratch), valid until the thread's next grid_tables call.  They
-    belong to one realization.  Using them after that call, in another
-    thread or with another realization raises ValueError; nothing is
-    cached on the realization.
-    """
-
-    field: FieldRealization
-    xaxis: tuple
-    yaxis: tuple
-    e1: np.ndarray
-    e2: np.ndarray
-    stamp: int
-
-
-def grid_tables(f: FieldRealization, xaxis, yaxis) -> GridTables:
-    """The GridTables of f on the grid xaxis x yaxis, each (start, step, count)."""
-    xaxis, yaxis = _axis(xaxis), _axis(yaxis)
-    stamp = getattr(_workspace, "stamp", 0) + 1
-    _workspace.stamp = stamp
-    e1 = _axis_trig(f.frequencies[:, 0], f.phases, *xaxis, "x")
-    e2 = _axis_trig(f.frequencies[:, 1], 0.0, *yaxis, "y")
-    return GridTables(f, xaxis, yaxis, e1, e2, stamp)
-
-
-def _axis(axis) -> tuple:
-    start, step, count = axis
-    return float(start), float(step), int(count)
-
-
-def _check_tables(tables: GridTables, f: FieldRealization) -> None:
-    """Refuse tables of another realization or whose workspace was reused."""
-    if tables.field is not f:
-        raise ValueError("grid tables of another realization")
-    if tables.stamp != getattr(_workspace, "stamp", None):
-        raise ValueError("grid tables outlived their workspace: the thread built others since")
-
-
-def eval_many(f: FieldRealization, x, alphas, tables: GridTables | None = None) -> np.ndarray:
+def eval_many(f: FieldRealization, x, alphas) -> np.ndarray:
     """Evaluate several derivatives at once, sharing the phase matrix.
 
     Each cosine term differentiates exactly: d^alpha of the sum is the
@@ -292,124 +229,27 @@ def eval_many(f: FieldRealization, x, alphas, tables: GridTables | None = None) 
     times the signed per-term weights of _term_weights, so signs stay
     exact.  The N x M argument matrix and its sine/cosine are computed
     once and reused across all requested multi-indices, which is what
-    makes the Newton refinement in the finder cheap.
-
-    Given the GridTables of a grid (grid_tables), the cosines and sines
-    come from the tables instead, by angle addition at each point's
-    nearest grid node (_anchored): only the small offset angle lam . d
-    goes through cos and sin, which costs a fifth of a large argument's.
-    A point beyond the grid anchors at the nearest edge node; its offset
-    is then larger, and so are the cost and rounding of its cos and sin,
-    but the value stays exact to rounding.  The two forms agree to a few
-    ulp of the amplitude sum sum_j |w_j| (a bound in the GridTables
-    docstring).  Without tables the result is the direct form's.
-
-    The direct form allocates its argument matrix and the cosines and
-    sines of it like any numpy expression and leaves the thread's workspace
-    alone, so grid tables built before it stay valid.  It is the
-    reference the anchored form is tested against, and what
-    eval_gradient calls.  The anchored form keeps its blocks in the
-    buffer of eval_grid's matmul operand and never grows it past that
-    operand.
+    makes the Newton refinement in the finder cheap.  The arrays are
+    allocated like any numpy expression; the thread's workspace
+    (_scratch) is left alone.
 
     Returns shape (N, len(alphas)) for x of shape (N, 2).
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if tables is not None:
-        return _anchored(f, pts, alphas, tables, _block_rows(tables.xaxis[2]))
     arg = pts @ f.frequencies.T
     arg += f.phases
     out = np.empty((pts.shape[0], len(alphas)))
-    _weighted_sums(f, alphas, lambda odd: (np.cos, np.sin)[odd](arg), out)
-    return out
-
-
-def _weighted_sums(f: FieldRealization, alphas, trig, out: np.ndarray) -> None:
-    """out[:, col] = d^alpha psi of alphas[col] at the rows of trig's tables.
-
-    trig(odd) gives the (rows, M) cosines (odd = 0) or sines (odd = 1)
-    of the arguments; it is asked once per parity that alphas need.
-    """
     osc: dict = {}
     for col, alpha in enumerate(alphas):
         weights, order = _term_weights(f, alpha)
         odd = order % 2
         if odd not in osc:
-            osc[odd] = trig(odd)
+            osc[odd] = np.sin(arg) if odd else np.cos(arg)
         col_val = osc[odd] @ weights
         if order == 0:
             col_val = col_val + f.shift
         out[:, col] = col_val
-
-
-def _anchored(f: FieldRealization, pts: np.ndarray, alphas, tables: GridTables,
-              rows: int) -> np.ndarray:
-    """eval_many at pts from the grid tables, `rows` points at a time.
-
-    A point p with nearest node (x_a, y_b) (clamped to the grid) and
-    offset d = p - (x_a, y_b) has, per term,
-
-        exp(i (lam . p + phi)) = E1[a] E2[b] exp(i lam . d),
-
-    so its cosines and sines are the real and imaginary parts of two
-    complex products of table rows with exp(i lam . d), whose angle is at
-    most |lam| times half a cell diagonal inside the grid.  A block of
-    `rows` points keeps four (rows, M) arrays in the workspace: the
-    offset angles, then the gathered E1 rows, and exp(i lam . d), then
-    the gathered E2 rows, then the cosines and sines.  Every row is
-    computed on its own up to the weighted sums, one matrix-vector
-    product per multi-index as in the direct form, whose BLAS kernel
-    groups rows by four.  So with `rows` a multiple of 4, at least 8, the
-    blocks do not change a bit of the result; the last block takes four
-    rows more rather than one row alone, which numpy would sum by
-    another BLAS routine.
-    """
-    _check_tables(tables, f)
-    n, M = pts.shape[0], f.nterms
-    start, step, count = np.array([tables.xaxis, tables.yaxis]).T
-    out = np.empty((n, len(alphas)))
-    starts = list(range(0, n, rows))
-    if len(starts) > 1 and n - starts[-1] == 1 and rows >= 8:
-        starts[-1] -= 4
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        r = hi - lo
-        # The nearest node, clamped to the grid; fmax and fmin send NaN to node 0.
-        k = np.subtract(pts[lo:hi], start)
-        k /= step
-        np.rint(k, out=k)
-        np.fmin(np.fmax(k, 0.0, out=k), count - 1.0, out=k)
-        node = k.astype(np.intp)
-        offset = pts[lo:hi] - (start + k * step)
-        work = _scratch("work", 4 * r * M, float)
-        grid_e = work[:2 * r * M].view(complex).reshape(r, M)
-        rot = work[2 * r * M:].view(complex).reshape(r, M)
-        angle = work[:r * M].reshape(r, M)  # lam . d, until grid_e takes its place
-        np.matmul(offset, f.frequencies.T, out=angle)
-        np.sin(angle, out=rot.imag)
-        np.cos(angle, out=rot.real)
-        np.take(tables.e1, node[:, 0], axis=0, out=grid_e, mode="clip")
-        grid_e *= rot
-        np.take(tables.e2, node[:, 1], axis=0, out=rot, mode="clip")
-        grid_e *= rot
-        parts = work[2 * r * M:].reshape(2, r, M)  # rot's memory, free again
-
-        def trig(odd):
-            np.copyto(parts[odd], grid_e.imag if odd else grid_e.real)
-            return parts[odd]
-
-        _weighted_sums(f, alphas, trig, out[lo:hi])
     return out
-
-
-def _block_rows(nx: int) -> int:
-    """Rows per block of _anchored on a grid of nx x-nodes.
-
-    Its four (rows, M) arrays stay within eval_grid's (nx, 2M) operand.
-    From nx = 16 on, rows is a multiple of 4 and at least 8, so the
-    blocks do not change a bit of the result (_anchored).
-    """
-    rows = max(1, nx // 2)
-    return rows - rows % 4 if rows >= 4 else rows
 
 
 def _term_weights(f: FieldRealization, alpha) -> tuple[np.ndarray, int]:
@@ -435,14 +275,12 @@ def _term_weights(f: FieldRealization, alpha) -> tuple[np.ndarray, int]:
     return weights, order
 
 
-def eval_grid(tables: GridTables, alphas) -> np.ndarray:
-    """Evaluate several derivatives of tables.field on the grid of tables.
+def eval_grid(f: FieldRealization, xaxis, yaxis, alphas) -> np.ndarray:
+    """Evaluate several derivatives of f on the tensor grid xaxis x yaxis.
 
-    The grid is the one grid_tables(f, xaxis, yaxis) built the tables
-    for.  Each axis is (start, step, count): the nx points
-    x_a = start + a step of xaxis, the ny points y_b of yaxis.  A plane
-    wave separates over the coordinates: with a = lam1 x + phi and
-    b = lam2 y,
+    Each axis is (start, step, count): the nx points x_a = start + a step
+    of xaxis, the ny points y_b of yaxis.  A plane wave separates over the
+    coordinates: with a = lam1 x + phi and b = lam2 y,
 
         r cos(a + b) = r cos a cos b - r sin a sin b,
 
@@ -458,37 +296,37 @@ def eval_grid(tables: GridTables, alphas) -> np.ndarray:
     one real matmul of inner size 2M per multi-index (the code orders the
     inner index term by term, cos then sin).
 
-    The caller builds the tables C + i S of the two axes and keeps them
-    for eval_many at points near the grid; they live until the thread's
-    next grid_tables call (GridTables).  Their angle addition leaves the
-    grid off by a few ulp of the amplitude sum sum_j |w_j|, on top of the
-    |lam x| eps rounding of the argument that eval_many shares; the two
-    agree to rounding.
+    The axis tables C + i S come from angle addition (_axis_trig): with
+    B = floor(sqrt(n)), only ceil(n / B) + B rows of arguments go through
+    cos and sin (29 of 207 on the finder's grid of a 20 x 20 window at the
+    default step), and every other entry is one complex product of a
+    coarse and a fine entry.  So an entry is off by a few ulp of 1 on top
+    of the |lam x| eps rounding of its coarse argument, which eval_many
+    shares at x, and the grid agrees with eval_many to a few ulp of the
+    amplitude sum sum_j |w_j|.
 
     The tables and the matmul operand [C1 w, +-S1 w] live in a workspace
-    private to the calling thread (_scratch).  The operand's buffer holds,
-    call by call, this operand, eval_many's anchored blocks or sign_grid's
-    two single-precision operands, and nothing in it outlives the call
-    that wrote it.  It grows to the largest grid the thread has evaluated
-    and is reused as prefix views, so it keeps one grid's tables and
-    operand, about 2.5 MB at M = 256 on a 20 x 20 window at the default
-    step (2.7 MB with sign_grid's single-precision result), and a call
-    allocates only its result (grid_tables, only the coarse and fine
-    trig rows of each axis).  Each matmul writes straight into the result, which never
-    shares memory with the workspace.
+    private to the calling thread (_scratch), and nothing in it outlives
+    the call that wrote it.  The operand's buffer holds, call by call,
+    this operand or sign_grid's two single-precision operands.  It grows
+    to the largest grid the thread has evaluated and is reused as prefix
+    views, so it keeps one grid's tables and operand, about 2.5 MB at
+    M = 256 on a 20 x 20 window at the default step (2.7 MB with
+    sign_grid's single-precision result), and a call allocates only its
+    result and the coarse and fine trig rows of each axis.  Each matmul
+    writes straight into the result, which never shares memory with the
+    workspace.
 
     Returns shape (nx, ny, len(alphas)); entry [a, b] is the point
     (x_a, y_b), so reshape(-1, len(alphas)) lists the points in
     meshgrid(xs, ys, indexing="ij") order.  The array is a view of one
     (len(alphas), nx, ny) block, so each derivative's grid is contiguous.
     """
-    f = tables.field
-    _check_tables(tables, f)
     M = f.nterms
-    nx, ny = tables.xaxis[2], tables.yaxis[2]
+    e1, e2 = _axis_tables(f, xaxis, yaxis)  # C1 + i S1, C2 + i S2
+    nx, ny = len(e1), len(e2)
     out = np.empty((len(alphas), nx, ny))
-    e1 = tables.e1  # C1 + i S1
-    right = tables.e2.view(float).T  # C2, S2 rows in turn
+    right = e2.view(float).T  # C2, S2 rows in turn
     left = _scratch("work", nx * M * 2, float).reshape(nx, M, 2)
     for col, alpha in enumerate(alphas):
         w, order = _term_weights(f, alpha)
@@ -497,6 +335,14 @@ def eval_grid(tables: GridTables, alphas) -> np.ndarray:
         if order == 0:
             out[col] += f.shift
     return out.transpose(1, 2, 0)
+
+
+def _axis_tables(f: FieldRealization, xaxis, yaxis) -> tuple[np.ndarray, np.ndarray]:
+    """exp(i (lam1 x_a + phi)) (nx x M) and exp(i lam2 y_b) (ny x M) on the
+    axes xaxis and yaxis, each (start, step, count); views of the thread's
+    workspace (_axis_trig)."""
+    return (_axis_trig(f.frequencies[:, 0], f.phases, *xaxis, "x"),
+            _axis_trig(f.frequencies[:, 1], 0.0, *yaxis, "y"))
 
 
 def _left_operand(e1: np.ndarray, w: np.ndarray, order: int, out: np.ndarray) -> None:
@@ -520,8 +366,8 @@ _U32 = 2.0**-24
 _TINY32 = 2.0**-123
 
 
-def sign_grid(tables: GridTables, alphas) -> tuple[np.ndarray, np.ndarray]:
-    """eval_grid's derivatives of tables.field from one sgemm each, and their rounding bound.
+def sign_grid(f: FieldRealization, xaxis, yaxis, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """eval_grid(f, xaxis, yaxis, alphas) from one sgemm each, and its rounding bound.
 
     Returns (grid, bound): every entry of grid[..., col] lies within
     bound[col] of the exact sum that eval_grid's double matmul rounds,
@@ -553,17 +399,17 @@ def sign_grid(tables: GridTables, alphas) -> tuple[np.ndarray, np.ndarray]:
     within it on the finder's grid of RandomWave(1), M = 256, 20 x 20
     window, and 148 at M = 1024.
 
-    Both single-precision operands live in eval_grid's buffer of the
-    thread's workspace (_scratch), which holds them when ny <= nx (and
-    grows to hold them otherwise), and the single-precision matmul result
-    has a buffer of its own there.  So a repeat call allocates only its
-    result.  The grid has eval_grid's shape and order and never shares
-    memory with the workspace.
+    The call builds eval_grid's axis tables in the thread's workspace
+    (_scratch).  Both single-precision operands live in eval_grid's
+    buffer there, which holds them when ny <= nx (and grows to hold them
+    otherwise), and the single-precision matmul result has a buffer of
+    its own.  So a repeat call allocates only its result and the trig
+    rows of the tables.  The grid has eval_grid's shape and order and
+    never shares memory with the workspace.
     """
-    f = tables.field
-    _check_tables(tables, f)
     M = f.nterms
-    nx, ny = tables.xaxis[2], tables.yaxis[2]
+    e1, e2 = _axis_tables(f, xaxis, yaxis)
+    nx, ny = len(e1), len(e2)
     out = np.empty((len(alphas), nx, ny))
     bound = np.empty(len(alphas))
     # eval_grid's double buffer holds the right operand and then the left
@@ -571,7 +417,7 @@ def sign_grid(tables: GridTables, alphas) -> tuple[np.ndarray, np.ndarray]:
     work = _scratch("work", M * max(2 * nx, nx + ny), float)
     right = work[:ny * M].view(np.float32).reshape(ny, 2 * M)
     left = work[ny * M:(ny + nx) * M].view(np.float32).reshape(nx, M, 2)
-    np.copyto(right, tables.e2.view(float))
+    np.copyto(right, e2.view(float))
     single = _scratch("single", nx * ny, np.float32).reshape(nx, ny)
     n = 2 * M + 2
     gamma = n * _U32 / (1.0 - n * _U32) if n * _U32 < 1.0 else math.inf
@@ -579,7 +425,7 @@ def sign_grid(tables: GridTables, alphas) -> tuple[np.ndarray, np.ndarray]:
         w, order = _term_weights(f, alpha)
         size = np.abs(w)
         scale = math.ldexp(1.0, math.frexp(float(size.max()))[1] - 1)
-        _left_operand(tables.e1, w / scale, order, left)
+        _left_operand(e1, w / scale, order, left)
         np.matmul(left.reshape(nx, 2 * M), right.T, out=single)
         # A float64 scalar, so that the product is formed in double: a
         # Python float would keep it in single precision, where W can overflow.

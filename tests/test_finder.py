@@ -27,7 +27,6 @@ from planarcrit.sampling import (
     eval_gradient,
     eval_grid,
     eval_many,
-    grid_tables,
     sample_field,
     sign_grid,
 )
@@ -241,12 +240,12 @@ def test_newton_evaluates_each_visited_point_once(monkeypatch):
 
     monkeypatch.setattr(finder, "_newton", recording)
     find_critical_points(field, ((0.0, 12.0), (0.0, 12.0)))
-    f, seeds, bound, radius, tables = runs[0]
+    f, seeds, bound, radius = runs[0]
     events, gradient_calls = [], []
 
-    def many(f, x, alphas, *args):
+    def many(f, x, alphas):
         assert alphas == finder._DERIVS
-        vals = eval_many(f, x, alphas, *args)
+        vals = eval_many(f, x, alphas)
         events.append(("eval", np.array(x), np.array(vals)))
         return vals
 
@@ -258,7 +257,7 @@ def test_newton_evaluates_each_visited_point_once(monkeypatch):
     monkeypatch.setattr(finder, "eval_many", many)
     monkeypatch.setattr(finder, "_claimed", claim)
     monkeypatch.setattr(finder, "eval_gradient", lambda *args: gradient_calls.append(args))
-    _, _, _, (nmerged, nrunaway, _, newton_iters) = newton(f, seeds, bound, radius, tables)
+    _, _, _, (nmerged, nrunaway, _, newton_iters) = newton(f, seeds, bound, radius)
     assert not gradient_calls
     visited = np.concatenate([x for kind, x, _ in events if kind == "eval"])
     landed = np.concatenate([x for kind, x, _ in events if kind == "claim"])
@@ -284,16 +283,16 @@ def test_no_newton_evaluation_repeats_a_dedup_cell(monkeypatch, coarsen):
     # or a point in the cell of an end point that converged before it.
     newton, runs, inside = finder._newton, [], [False]
 
-    def recording(f, pts, bound, radius, tables):
+    def recording(f, pts, bound, radius):
         runs.append((radius, []))
         inside[0] = True
         try:
-            return newton(f, pts, bound, radius, tables)
+            return newton(f, pts, bound, radius)
         finally:
             inside[0] = False
 
-    def many(f, x, alphas, *args):
-        vals = eval_many(f, x, alphas, *args)
+    def many(f, x, alphas):
+        vals = eval_many(f, x, alphas)
         if inside[0]:
             runs[-1][1].append((np.array(x), np.array(vals)))
         return vals
@@ -326,9 +325,9 @@ def test_newton_makes_no_empty_evaluation(monkeypatch):
     # happens once.  A window without a candidate cell evaluates no seed.
     sizes = []
 
-    def many(f, x, alphas, *args):
+    def many(f, x, alphas):
         sizes.append(len(x))
-        return eval_many(f, x, alphas, *args)
+        return eval_many(f, x, alphas)
 
     monkeypatch.setattr(finder, "eval_many", many)
     model = RandomWave(1.0)
@@ -351,14 +350,14 @@ def test_a_finder_call_evaluates_no_point_twice(monkeypatch):
     # (twice the default step).
     calls, axes, gradient_calls = [], [], []
 
-    def many(f, x, alphas, *args):
-        vals = eval_many(f, x, alphas, *args)
+    def many(f, x, alphas):
+        vals = eval_many(f, x, alphas)
         calls.append((np.array(x), list(alphas), np.array(vals)))
         return vals
 
-    def grid(tables, alphas):
-        axes.append((tables.xaxis, tables.yaxis))
-        return sign_grid(tables, alphas)
+    def grid(f, xaxis, yaxis, alphas):
+        axes.append((xaxis, yaxis))
+        return sign_grid(f, xaxis, yaxis, alphas)
 
     monkeypatch.setattr(finder, "eval_many", many)
     monkeypatch.setattr(finder, "sign_grid", grid)
@@ -389,6 +388,33 @@ def test_a_finder_call_evaluates_no_point_twice(monkeypatch):
             if alphas == finder._DERIVS[:2]:
                 assert np.all(np.isin(x[:, 0], xs[[0, -1]]) | np.isin(x[:, 1], ys[[0, -1]]))
     assert not gradient_calls
+
+
+def test_every_point_is_evaluated_directly(monkeypatch):
+    # Each batch of points goes to eval_many with the field, the points and
+    # the multi-indices alone, so the finder reads the direct form's bits.
+    # On a BargmannFock field of 256 iid terms and a 33-term ring field,
+    # with the index defect's ring refinement.
+    calls = []
+
+    def recording(*args, **kwargs):
+        out = eval_many(*args, **kwargs)
+        calls.append((args, kwargs, np.array(args[1]), out.copy()))
+        return out
+
+    monkeypatch.setattr(finder, "eval_many", recording)
+    window = ((0.0, 20.0), (0.0, 20.0))
+    ring = sample_field(RandomWave(1.0), M=1024, seed=(101, 0), gaussian_amplitudes=True,
+                        window=window)
+    assert ring.nterms == 33
+    for field in (sample_field(BargmannFock(1.0), M=256, seed=(202, 6)), ring):
+        calls.clear()
+        find_critical_points(field, window, diagnostics={})
+        kinds = [args[2] for args, _, _, _ in calls]
+        assert finder._THIRD in kinds and kinds.count(finder._DERIVS) > 3
+        for args, kwargs, x, out in calls:
+            assert len(args) == 3 and not kwargs and args[0] is field
+            np.testing.assert_array_equal(sampling.eval_many(field, x, args[2]), out)
 
 
 def _one_table_cases():
@@ -638,7 +664,7 @@ def test_real_eval_grid_agrees_with_the_complex_form(model, gaussian):
     xaxis, yaxis = (-1.5, 0.3, 45), (-2.0, 0.27, 41)
     alphas = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (0, 3), (4, 0), (1, 3),
               (2, 2)]
-    new = eval_grid(grid_tables(f, xaxis, yaxis), alphas)
+    new = eval_grid(f, xaxis, yaxis, alphas)
     old = _complex_eval_grid(f, *_axis_points(xaxis, yaxis), alphas)
     err = np.abs(new - old).max(axis=(0, 1))
     assert np.all(err <= 1e-12 * np.abs(old).max(axis=(0, 1))), err
@@ -652,9 +678,9 @@ def test_real_eval_grid_keeps_the_candidate_cells(model, monkeypatch):
     # of them, and each cell more has a corner within the bound.
     seen = []
 
-    def recording(tables, alphas):
-        seen.append((tables.xaxis, tables.yaxis, eval_grid(tables, alphas)))
-        seen.append(sign_grid(tables, alphas))
+    def recording(f, xaxis, yaxis, alphas):
+        seen.append((xaxis, yaxis, eval_grid(f, xaxis, yaxis, alphas)))
+        seen.append(sign_grid(f, xaxis, yaxis, alphas))
         return seen[-1]
 
     monkeypatch.setattr(finder, "sign_grid", recording)
@@ -711,13 +737,12 @@ def test_index_defect_counts_a_root_left_out():
     f = _cosine_lattice_field()
     xaxis, yaxis = (-0.5, (math.pi + 1.0) / 40, 41), (-0.5, (math.pi + 1.0) / 36, 37)
     xs, ys = _axis_points(xaxis, yaxis)
-    tables = grid_tables(f, xaxis, yaxis)
-    grad = eval_grid(tables, [(1, 0), (0, 1)])
+    grad = eval_grid(f, xaxis, yaxis, [(1, 0), (0, 1)])
     roots = np.array([[0.0, 0.0], [0.0, math.pi], [math.pi, 0.0], [math.pi, math.pi]])
-    vals = eval_many(f, roots, finder._DERIVS, tables)
-    assert finder._index_defect(f, xs, ys, grad, roots, vals, tables) == 0
-    assert finder._index_defect(f, xs, ys, grad, roots[[0, 2, 3]], vals[[0, 2, 3]], tables) == -1
-    assert finder._index_defect(f, xs, ys, grad, roots[1:], vals[1:], tables) == 1
+    vals = eval_many(f, roots, finder._DERIVS)
+    assert finder._index_defect(f, xs, ys, grad, roots, vals) == 0
+    assert finder._index_defect(f, xs, ys, grad, roots[[0, 2, 3]], vals[[0, 2, 3]]) == -1
+    assert finder._index_defect(f, xs, ys, grad, roots[1:], vals[1:]) == 1
 
 
 def test_index_defect_flags_a_missed_extremum(monkeypatch):
@@ -732,7 +757,7 @@ def test_index_defect_flags_a_missed_extremum(monkeypatch):
     diag = {}
     find_critical_points(field, window, step, diagnostics=diag)
     assert diag["index_defect"] == 0
-    monkeypatch.setattr(finder, "_fold_partners", lambda f, roots, hess, reach, tables: roots[:0])
+    monkeypatch.setattr(finder, "_fold_partners", lambda f, roots, hess, reach: roots[:0])
     points = find_critical_points(field, window, step, diagnostics=diag)
     assert not _has_root(points, _FOLD_MINIMUM, CriticalKind.MINIMUM, 1e-9)
     assert diag["index_defect"] == 1

@@ -20,12 +20,15 @@ from planarcrit.models import (
     ShiftedRandomWave,
     SigmaDerivatives,
     derivative_covariance,
+    effective_wavenumber,
     exact_ring_terms,
     model_from_config,
     model_to_config,
     sigma_derivatives,
     spectral_moment,
 )
+from planarcrit.estimators import default_window
+from planarcrit.finder import default_grid_step
 from planarcrit.models import _bessel_profile_derivative, _log_rings
 
 ALL_MODELS = [
@@ -572,3 +575,24 @@ def test_only_the_circle_families_have_a_ring_design(model):
         np.testing.assert_allclose(np.hypot(*freqs.T), model.k, rtol=1e-15)
     else:
         assert rule is None
+
+
+_FIVE_FAMILIES = [RandomWave(1.0), BargmannFock(1.0), ShiftedRandomWave(tau=0.8, s=1.3, k=1.5),
+                  PowerLawTruncated(3.0), Interpolation(0.5, RandomWave(1.0), BargmannFock(1.0))]
+
+
+@pytest.mark.parametrize("model", _FIVE_FAMILIES, ids=_ids(_FIVE_FAMILIES))
+def test_effective_wavenumber_sizes_the_grid_step_and_the_window(model):
+    # k_eff^2 = R_2 / R_0, and the finder's default step and the sweep's
+    # default window are 2 pi / k_eff / 8 and 40 / k_eff.
+    k_eff = effective_wavenumber(model)
+    assert k_eff**2 == pytest.approx(model.radial_moment(2) / model.radial_moment(0), rel=1e-15)
+    assert default_grid_step(model) == 2.0 * math.pi / k_eff / 8.0
+    assert default_window(model) == ((0.0, 40.0 / k_eff), (0.0, 40.0 / k_eff))
+
+
+def test_effective_wavenumber_of_a_shifted_random_wave_is_below_k():
+    # The atom adds variance and no gradient: k s / sqrt(tau^2 + s^2).
+    k_eff = effective_wavenumber(ShiftedRandomWave(tau=0.8, s=1.3, k=1.5))
+    assert k_eff == pytest.approx(1.5 * 1.3 / math.hypot(0.8, 1.3), rel=1e-15)
+    assert round(k_eff, 4) == 1.2775

@@ -12,8 +12,6 @@ from planarcrit import sampling
 from planarcrit.finder import default_grid_step
 from planarcrit.models import (
     BargmannFock,
-    Interpolation,
-    PowerLawTruncated,
     RandomWave,
     ShiftedRandomWave,
     sigma_derivatives,
@@ -23,7 +21,6 @@ from planarcrit.sampling import (
     eval_grid,
     eval_many,
     field_terms,
-    grid_tables,
     sample_field,
     seed_entropy,
     seeded_rng,
@@ -200,13 +197,13 @@ def test_kept_term_weights_change_no_bytes():
     pts = np.stack(np.meshgrid(*_axis_points(xaxis, yaxis), indexing="ij"), axis=-1).reshape(-1, 2)
     alphas = [(0, 0), (1, 0), (0, 1), (2, 1), (0, 4)]
     first = eval_many(used, pts, alphas)
-    grid = eval_grid(grid_tables(used, xaxis, yaxis), alphas)
+    grid = eval_grid(used, xaxis, yaxis, alphas)
     assert repr(used) == repr(fresh())
     np.testing.assert_array_equal(eval_many(used, pts, alphas), first)
     for col, alpha in enumerate(alphas):
         np.testing.assert_array_equal(eval_many(fresh(), pts, [alpha])[:, 0], first[:, col])
         np.testing.assert_array_equal(
-            eval_grid(grid_tables(fresh(), xaxis, yaxis), [alpha])[..., 0], grid[..., col]
+            eval_grid(fresh(), xaxis, yaxis, [alpha])[..., 0], grid[..., col]
         )
     for _ in range(2):
         with pytest.raises(ValueError, match="exceeds total order"):
@@ -220,7 +217,7 @@ def test_eval_grid_agrees_with_eval_many(model, gaussian):
     xaxis, yaxis = (-1.5, 0.45, 30), (-2.0, 0.37, 30)
     xs, ys = _axis_points(xaxis, yaxis)
     alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (0, 0)]
-    grid = eval_grid(grid_tables(f, xaxis, yaxis), alphas)
+    grid = eval_grid(f, xaxis, yaxis, alphas)
     assert grid.shape == (len(xs), len(ys), len(alphas))
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     ref = eval_many(f, pts, alphas)
@@ -236,7 +233,7 @@ def test_eval_grid_tables_hold_on_long_axes_far_from_the_origin(model, gaussian)
     f = sample_field(model, M=1024, seed=11, gaussian_amplitudes=gaussian)
     xaxis, yaxis = (499.7, 0.37, 1500), (-503.1, 0.29, 1500)
     alphas = [(0, 0), (1, 0), (1, 1)]
-    grid = eval_grid(grid_tables(f, xaxis, yaxis), alphas)
+    grid = eval_grid(f, xaxis, yaxis, alphas)
     xs, ys = _axis_points(xaxis, yaxis)
     rng = seeded_rng(3)
     # Both ends of each axis and random points in between.
@@ -253,7 +250,7 @@ def test_eval_grid_on_axes_of_one_to_three_points(nx, ny):
     f = sample_field(ShiftedRandomWave(0.5, 1.0, 1.0), M=64, seed=9)
     xaxis, yaxis = (-0.7, 0.45, nx), (2.1, 0.37, ny)
     alphas = [(0, 0), (1, 0), (0, 2)]
-    grid = eval_grid(grid_tables(f, xaxis, yaxis), alphas)
+    grid = eval_grid(f, xaxis, yaxis, alphas)
     assert grid.shape == (nx, ny, len(alphas))
     xs, ys = _axis_points(xaxis, yaxis)
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -262,13 +259,12 @@ def test_eval_grid_on_axes_of_one_to_three_points(nx, ny):
 
 
 
-def _assert_certified_signs(tables, alphas):
-    """sign_grid against eval_grid on tables: values within sign_grid's stated
+def _assert_certified_signs(f, xaxis, yaxis, alphas):
+    """sign_grid against eval_grid on f's grid xaxis x yaxis: values within sign_grid's stated
     bound of the exact sum, which eval_grid rounds to well within 1e-12
     sum_j |w_j|, so the same signs wherever a value lies beyond the bound;
     and the returned bound is the stated one."""
-    f = tables.field
-    (single, got), ref = sign_grid(tables, alphas), eval_grid(tables, alphas)
+    (single, got), ref = sign_grid(f, xaxis, yaxis, alphas), eval_grid(f, xaxis, yaxis, alphas)
     assert single.shape == ref.shape and got.shape == (len(alphas),)
     n, u = 2 * f.nterms + 2, 2.0**-24
     for col, alpha in enumerate(alphas):
@@ -290,7 +286,7 @@ def test_sign_grid_has_eval_grids_signs(model, gaussian, M):
     # The inputs of test_eval_grid_agrees_with_eval_many, and M = 4096.
     f = sample_field(model, M=M, seed=5, gaussian_amplitudes=gaussian)
     alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (0, 0)]
-    _assert_certified_signs(grid_tables(f, (-1.5, 0.45, 30), (-2.0, 0.37, 30)), alphas)
+    _assert_certified_signs(f, (-1.5, 0.45, 30), (-2.0, 0.37, 30), alphas)
 
 
 @pytest.mark.parametrize("model", [RandomWave(1.0), ShiftedRandomWave(0.5, 1.0, 1.0)], ids=repr)
@@ -298,8 +294,7 @@ def test_sign_grid_has_eval_grids_signs(model, gaussian, M):
 def test_sign_grid_holds_on_long_axes_far_from_the_origin(model, gaussian):
     # The inputs of test_eval_grid_tables_hold_on_long_axes_far_from_the_origin.
     f = sample_field(model, M=1024, seed=11, gaussian_amplitudes=gaussian)
-    tables = grid_tables(f, (499.7, 0.37, 1500), (-503.1, 0.29, 1500))
-    _assert_certified_signs(tables, [(0, 0), (1, 0), (1, 1)])
+    _assert_certified_signs(f, (499.7, 0.37, 1500), (-503.1, 0.29, 1500), [(0, 0), (1, 0), (1, 1)])
 
 
 @pytest.mark.parametrize("nx", [1, 2, 3])
@@ -307,8 +302,7 @@ def test_sign_grid_holds_on_long_axes_far_from_the_origin(model, gaussian):
 def test_sign_grid_on_axes_of_one_to_three_points(nx, ny):
     # The inputs of test_eval_grid_on_axes_of_one_to_three_points.
     f = sample_field(ShiftedRandomWave(0.5, 1.0, 1.0), M=64, seed=9)
-    tables = grid_tables(f, (-0.7, 0.45, nx), (2.1, 0.37, ny))
-    _assert_certified_signs(tables, [(0, 0), (1, 0), (0, 2)])
+    _assert_certified_signs(f, (-0.7, 0.45, nx), (2.1, 0.37, ny), [(0, 0), (1, 0), (0, 2)])
 
 
 @pytest.mark.parametrize("m", [-30, 30])
@@ -321,9 +315,9 @@ def test_sign_grid_of_a_rescaled_field_is_scaled_bit_for_bit(m):
     np.testing.assert_array_equal(scaled.frequencies, one.frequencies * 2.0**m)
     axes = _finder_axes(one.model, 20.0)
     alphas = [(1, 0), (0, 1)]
-    want, want_bound = sign_grid(grid_tables(one, *axes), alphas)
+    want, want_bound = sign_grid(one, *axes, alphas)
     got, got_bound = sign_grid(
-        grid_tables(scaled, *[(a * 2.0**-m, b * 2.0**-m, n) for a, b, n in axes]), alphas)
+        scaled, *[(a * 2.0**-m, b * 2.0**-m, n) for a, b, n in axes], alphas)
     np.testing.assert_array_equal(got, want * 2.0**m)
     np.testing.assert_array_equal(np.sign(got), np.sign(want))
     np.testing.assert_array_equal(got_bound, want_bound * 2.0**m)
@@ -334,12 +328,12 @@ def test_sign_grid_leaves_few_nodes_undecided(monkeypatch):
     # the rounding bound, where the sign test counts them as either sign;
     # with the bound made infinite every node does.
     f = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
-    tables = grid_tables(f, *_finder_axes(f.model, 20.0))
-    grid, bound = sign_grid(tables, [(1, 0), (0, 1)])
+    axes = _finder_axes(f.model, 20.0)
+    grid, bound = sign_grid(f, *axes, [(1, 0), (0, 1)])
     undecided = (np.abs(grid) <= bound).sum(axis=(0, 1))
     assert np.all((0 < undecided) & (undecided < 100)), undecided
     monkeypatch.setattr(sampling, "_U32", 1.0)
-    assert np.all(sign_grid(tables, [(1, 0), (0, 1)])[1] == math.inf)
+    assert np.all(sign_grid(f, *axes, [(1, 0), (0, 1)])[1] == math.inf)
 
 
 def test_repeat_sign_grid_allocates_only_its_result():
@@ -350,10 +344,10 @@ def test_repeat_sign_grid_allocates_only_its_result():
     f = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
     alphas = [(1, 0), (0, 1)]
     fine, coarse = _finder_axes(f.model, 20.0), _finder_axes(f.model, 20.0, coarsen=2)
-    sign_grid(grid_tables(f, *fine), alphas)
+    sign_grid(f, *fine, alphas)
     sizes = sampling._workspace.work.size, sampling._workspace.single.size
     for axes in (fine, coarse):
-        (out, _), peak = _traced_peak(lambda: sign_grid(grid_tables(f, *axes), alphas))
+        (out, _), peak = _traced_peak(lambda: sign_grid(f, *axes, alphas))
         assert out.shape == (axes[0][2], axes[1][2], 2)
         assert peak <= 2 * out.nbytes, (axes, peak / out.nbytes)
     assert (sampling._workspace.work.size, sampling._workspace.single.size) == sizes
@@ -387,9 +381,9 @@ def test_repeat_eval_grid_allocates_only_its_result():
     alphas = [(1, 0), (0, 1)]
     fine, coarse = _finder_axes(f.model, 20.0), _finder_axes(f.model, 20.0, coarsen=2)
     assert fine[0][2] == 207
-    eval_grid(grid_tables(f, *fine), alphas)
+    eval_grid(f, *fine, alphas)
     for axes in (fine, coarse):
-        out, peak = _traced_peak(lambda: eval_grid(grid_tables(f, *axes), alphas))
+        out, peak = _traced_peak(lambda: eval_grid(f, *axes, alphas))
         assert out.shape == (axes[0][2], axes[1][2], 2)
         assert peak <= 2 * out.nbytes, (axes, peak / out.nbytes)
 
@@ -403,9 +397,8 @@ def test_eval_grid_workspace_is_invisible_to_callers():
     a = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
     b = sample_field(BargmannFock(1.0), M=128, seed=(7, 1))
     pts = seeded_rng(3).uniform(0.0, 6.0, size=(300, 2))
-    jobs = [lambda: eval_grid(grid_tables(a, *_finder_axes(a.model, 6.0)), [(1, 0), (0, 1)]),
-            lambda: eval_grid(grid_tables(b, *_finder_axes(b.model, 4.0, coarsen=2)),
-                              [(0, 0), (2, 0), (1, 1)]),
+    jobs = [lambda: eval_grid(a, *_finder_axes(a.model, 6.0), [(1, 0), (0, 1)]),
+            lambda: eval_grid(b, *_finder_axes(b.model, 4.0, coarsen=2), [(0, 0), (2, 0), (1, 1)]),
             lambda: eval_many(a, pts, [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
             lambda: eval_many(b, pts[:70], [(0, 0), (3, 0), (2, 1), (1, 2), (0, 3)])]
     serial = [job() for job in jobs]
@@ -437,138 +430,21 @@ def test_eval_grid_workspace_is_invisible_to_callers():
         assert results[k] == order * 4, k
 
 
-_FAMILIES = [RandomWave(1.0), BargmannFock(1.0), ShiftedRandomWave(0.5, 1.0, 1.0),
-             PowerLawTruncated(3.0), Interpolation(0.5, RandomWave(1.0), BargmannFock(1.0))]
-_ALL_DERIVS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),
-               (2, 2)]
-
-
-def _anchor_points(window: float, xaxis, yaxis):
-    """Points of the finder's reach around its grid on [0, window]^2.
-
-    Random points inside the grid, its nodes, the midpoints between nodes
-    (where the nearest node is a tie), points on its edges, and points
-    past it up to the Newton bound 4 h beyond the window, which anchor at
-    an edge node.
-    """
-    rng = seeded_rng(17)
-    h = xaxis[1] * 8
-    xs, ys = _axis_points(xaxis, yaxis)
-    inside = rng.uniform(xs[0], xs[-1], size=(150, 2))
-    nodes = np.column_stack([rng.choice(xs, 30), rng.choice(ys, 30)])
-    ties = nodes + 0.5 * np.array([xaxis[1], yaxis[1]])
-    edges = np.column_stack([rng.choice([xs[0], xs[-1]], 40), rng.uniform(ys[0], ys[-1], 40)])
-    past = rng.uniform(-4.0 * h, window + 4.0 * h, size=(400, 2))
-    past = past[~((past >= xs[0]) & (past <= xs[-1])).all(axis=1)][:100]
-    corners = np.array([[-4.0 * h, -4.0 * h], [window + 4.0 * h, -4.0 * h],
-                        [window + 4.0 * h, window + 4.0 * h]])
-    return np.concatenate([inside, nodes, ties, edges, edges[:, ::-1], past, corners])
-
-
-@pytest.mark.parametrize("gaussian", [False, True])
-@pytest.mark.parametrize("M, window", [(256, 20.0), (1024, 12.0)])
-@pytest.mark.parametrize("model", _FAMILIES, ids=lambda m: m.family)
-def test_anchored_eval_many_agrees_with_the_direct_form(model, M, window, gaussian):
-    # eval_many from the finder's grid tables against the direct form, at
-    # points inside the grid, on it and clamped past it: within 32 ulp of
-    # the amplitude sum sum_j |w_j| of each multi-index.
-    f = sample_field(model, M=M, seed=(31, M), gaussian_amplitudes=gaussian)
-    axes = _finder_axes(model, window)
-    pts = _anchor_points(window, *axes)
-    tables = grid_tables(f, *axes)
-    new = eval_many(f, pts, _ALL_DERIVS, tables)
-    ref = eval_many(f, pts, _ALL_DERIVS)
-    scale = np.array([np.abs(sampling._term_weights(f, a)[0]).sum() for a in _ALL_DERIVS])
-    err = np.abs(new - ref).max(axis=0) / (scale * np.finfo(float).eps)
-    assert np.all(err <= 32.0), err
-    assert not np.array_equal(new, ref)
-
-
-def test_anchored_eval_many_keeps_to_the_grid_workspace():
-    # Beyond its result, a repeat call allocates only the node indices and
-    # offsets of one block of rows, under 200 bytes per row of a block
-    # however many points it evaluates (one (N, M) array of 2000 points
-    # takes 4 MB), and the workspace stays the size eval_grid left it at.
-    f = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
-    axes = _finder_axes(f.model, 20.0)
-    tables = grid_tables(f, *axes)
-    eval_grid(tables, [(1, 0), (0, 1)])
-    size = sampling._workspace.work.size
-    pts = seeded_rng(3).uniform(-3.0, 23.0, size=(2000, 2))
-    alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    eval_many(f, pts, alphas, tables)
-    rows = sampling._block_rows(axes[0][2])
-    for n in (2000, 150):
-        out, peak = _traced_peak(lambda: eval_many(f, pts[:n], alphas, tables))
-        assert out.shape == (n, len(alphas))
-        assert peak - out.nbytes <= 200 * rows, (n, peak - out.nbytes, rows)
-    assert sampling._workspace.work.size == size
-
-
 def test_direct_eval_many_leaves_the_grid_workspace_alone():
-    # The direct form allocates its own arrays: grid tables built before a
-    # direct call stay valid and keep their bytes, and the buffer that the
-    # anchored form's blocks use is the same object with the same bytes
-    # afterwards, for a call on fewer points than a block and on more
-    # points than the buffer holds.
+    # eval_many allocates its own arrays: the grid paths' axis tables and
+    # matmul operand buffer are the same objects with the same bytes
+    # afterwards, for a call on 10 points and on 2000.
     f = sample_field(RandomWave(1.0), M=256, seed=(101, 0), gaussian_amplitudes=True)
-    axes = _finder_axes(f.model, 12.0)
-    tables = grid_tables(f, *axes)
+    eval_grid(f, *_finder_axes(f.model, 12.0), [(1, 0), (0, 1)])
     pts = seeded_rng(3).uniform(-1.0, 13.0, size=(2000, 2))
     alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    near = eval_many(f, pts[:300], alphas, tables)
-    e1, e2 = tables.e1.copy(), tables.e2.copy()
-    work = sampling._workspace.work
-    held = work.copy()
+    bufs = {name: getattr(sampling._workspace, name) for name in ("x", "y", "work")}
+    held = {name: buf.copy() for name, buf in bufs.items()}
     for n in (10, 2000):
         eval_many(f, pts[:n], alphas)
-        assert sampling._workspace.work is work, n
-        np.testing.assert_array_equal(work, held)
-        np.testing.assert_array_equal(tables.e1, e1)
-        np.testing.assert_array_equal(tables.e2, e2)
-        np.testing.assert_array_equal(eval_many(f, pts[:300], alphas, tables), near)
-        # The repeat anchored call writes the same blocks into the buffer.
-        np.testing.assert_array_equal(work, held)
-
-
-def test_anchored_blocks_change_no_bit():
-    # The anchored form evaluates its points in blocks of rows; any block
-    # size of 8 rows or more that is a multiple of 4 gives the bytes of one
-    # block, also when the points leave one row over.
-    f = sample_field(BargmannFock(1.0), M=256, seed=(7, 3))
-    axes = _finder_axes(f.model, 12.0)
-    tables = grid_tables(f, *axes)
-    pts = _anchor_points(12.0, *axes)
-    one = sampling._anchored(f, pts, _ALL_DERIVS, tables, len(pts))
-    assert sampling._block_rows(axes[0][2]) < len(pts) and len(pts) % 8 == 1
-    np.testing.assert_array_equal(eval_many(f, pts, _ALL_DERIVS, tables), one)
-    for rows in (8, 12, 36, 100):
-        np.testing.assert_array_equal(sampling._anchored(f, pts, _ALL_DERIVS, tables, rows), one)
-
-
-def test_grid_tables_are_refused_once_their_workspace_moved_on():
-    # Tables are views of the thread's workspace: another grid_tables call
-    # retires them, and they serve neither another realization nor another
-    # thread.
-    f = sample_field(RandomWave(1.0), M=64, seed=9)
-    g = sample_field(RandomWave(1.0), M=64, seed=10)
-    axes = ((-0.5, 0.1, 30), (-0.5, 0.1, 20))
-    tables = grid_tables(f, *axes)
-    pts = np.array([[0.3, 0.4], [1.0, 1.2]])
-    eval_many(f, pts, [(1, 0)], tables)
-    with pytest.raises(ValueError, match="another realization"):
-        eval_many(g, pts, [(1, 0)], tables)
-    errors = []
-    thread = threading.Thread(target=lambda: errors.append(
-        pytest.raises(ValueError, eval_many, f, pts, [(1, 0)], tables)))
-    thread.start()
-    thread.join()
-    assert errors
-    grid_tables(f, *axes)
-    with pytest.raises(ValueError, match="outlived"):
-        eval_many(f, pts, [(1, 0)], tables)
-    with pytest.raises(ValueError, match="outlived"):
-        eval_grid(tables, [(1, 0)])
+        for name, buf in bufs.items():
+            assert getattr(sampling._workspace, name) is buf, (n, name)
+            np.testing.assert_array_equal(buf, held[name])
 
 
 def _axis_points(*axes):

@@ -164,8 +164,8 @@ def run_tree() -> None:
 
     # The finder's own name and the one sampling's wrappers look up both
     # lead to one counter in front of the original, so each row counts once.
-    # It forwards every argument: a tree whose finder passes grid tables
-    # is compared as it runs, not through the direct form.
+    # It forwards every argument, so a tree whose finder passes more than
+    # the field, the points and the multi-indices is compared as it runs.
     evaluate, rows = sampling.eval_many, [0]
 
     def counting(f, x, alphas, *args, **kwargs):
@@ -193,9 +193,13 @@ def run_tree() -> None:
         near = held[1][:grid.size].reshape(grid.shape)
         return int(np.count_nonzero(np.less_equal(np.abs(grid, out=size), bound, out=near)))
 
-    def grid_counting(tables, alphas):
-        nodes[0] += len(alphas) * tables.xaxis[2] * tables.yaxis[2]
-        out = grid_fn(tables, alphas)
+    def grid_counting(*args):
+        # sign_grid(f, xaxis, yaxis, alphas), or (tables, alphas) in a tree
+        # whose grid routines read axis tables built beforehand.
+        *grid, alphas = args
+        xaxis, yaxis = grid[1:] if len(grid) == 3 else (grid[0].xaxis, grid[0].yaxis)
+        nodes[0] += len(alphas) * xaxis[2] * yaxis[2]
+        out = grid_fn(*args)
         if isinstance(out, tuple):
             bounded.append(out)
         return out
