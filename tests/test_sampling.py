@@ -12,6 +12,8 @@ from planarcrit import sampling
 from planarcrit.finder import default_grid_step
 from planarcrit.models import (
     BargmannFock,
+    Interpolation,
+    PowerLawTruncated,
     RandomWave,
     ShiftedRandomWave,
     sigma_derivatives,
@@ -445,6 +447,60 @@ def test_direct_eval_many_leaves_the_grid_workspace_alone():
         for name, buf in bufs.items():
             assert getattr(sampling._workspace, name) is buf, (n, name)
             np.testing.assert_array_equal(buf, held[name])
+
+
+_FAMILIES = [RandomWave(1.0), BargmannFock(1.0), ShiftedRandomWave(0.5, 1.0, 1.0),
+             PowerLawTruncated(3.0), Interpolation(0.5, RandomWave(1.0), BargmannFock(1.0))]
+_ALL_DERIVS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),
+               (2, 2)]
+
+
+def _reach_points(window: float, xaxis, yaxis):
+    """Points of the finder's reach around its grid on [0, window]^2.
+
+    Random points inside the grid, its nodes, the midpoints between nodes,
+    points on its edges, and points past it up to the Newton bound 4 h
+    beyond the window.
+    """
+    rng = seeded_rng(17)
+    h = xaxis[1] * 8
+    xs, ys = _axis_points(xaxis, yaxis)
+    inside = rng.uniform(xs[0], xs[-1], size=(150, 2))
+    nodes = np.column_stack([rng.choice(xs, 30), rng.choice(ys, 30)])
+    ties = nodes + 0.5 * np.array([xaxis[1], yaxis[1]])
+    edges = np.column_stack([rng.choice([xs[0], xs[-1]], 40), rng.uniform(ys[0], ys[-1], 40)])
+    past = rng.uniform(-4.0 * h, window + 4.0 * h, size=(400, 2))
+    past = past[~((past >= xs[0]) & (past <= xs[-1])).all(axis=1)][:100]
+    corners = np.array([[-4.0 * h, -4.0 * h], [window + 4.0 * h, -4.0 * h],
+                        [window + 4.0 * h, window + 4.0 * h]])
+    return np.concatenate([inside, nodes, ties, edges, edges[:, ::-1], past, corners])
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("M, window", [(256, 20.0), (1024, 12.0)])
+@pytest.mark.parametrize("model", _FAMILIES, ids=lambda m: m.family)
+def test_eval_many_is_within_rounding_of_the_exact_sum(model, M, window, gaussian):
+    # eval_many at the points the finder reaches, every multi-index up to
+    # order 4, against the sum taken term by term in extended precision
+    # from the same frequencies, phases and amplitudes: within 2 eps of
+    # sum_j |w_j| (|x1 lam_j1| + |x2 lam_j2| + |phi_j| + 1), the rounding
+    # that the argument and the trig value carry into each term.
+    f = sample_field(model, M=M, seed=(31, M), gaussian_amplitudes=gaussian)
+    pts = _reach_points(window, *_finder_axes(model, window))
+    got = eval_many(f, pts, _ALL_DERIVS)
+    ld = np.longdouble
+    lam, x = f.frequencies.astype(ld), pts.astype(ld)
+    arg = x @ lam.T + f.phases.astype(ld)
+    cos, sin = np.cos(arg), np.sin(arg)
+    size = np.abs(pts) @ np.abs(f.frequencies).T + np.abs(f.phases) + 1.0
+    for col, (a1, a2) in enumerate(_ALL_DERIVS):
+        n = a1 + a2
+        w = f.amplitudes.astype(ld) * lam[:, 0] ** a1 * lam[:, 1] ** a2
+        w = w * (1, -1, -1, 1)[n % 4]
+        exact = (sin if n % 2 else cos) @ w + (f.shift if n == 0 else 0.0)
+        err = np.abs(got[:, col] - exact).astype(float)
+        bound = 2.0 * np.finfo(float).eps * (size @ np.abs(w).astype(float))
+        assert np.all(err <= bound), ((a1, a2), (err / bound).max())
 
 
 def _axis_points(*axes):
